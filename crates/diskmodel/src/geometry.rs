@@ -232,23 +232,30 @@ impl Geometry {
     /// silently dropped), mirroring how trace replay tools handle
     /// requests that run off the end of a smaller replayed device.
     pub fn segments(&self, lba: u64, count: u32) -> Vec<TrackSegment> {
-        let mut out = Vec::new();
+        self.track_segments(lba, count).collect()
+    }
+
+    /// [`segments`](Self::segments) as a non-allocating walk: yields the
+    /// same per-track segments in the same order.
+    // simlint: hot — walked once per media access (transfer time and
+    // end cylinder).
+    pub fn track_segments(&self, lba: u64, count: u32) -> impl Iterator<Item = TrackSegment> + '_ {
         let mut cur = lba.min(self.total_sectors);
-        let end = lba
-            .saturating_add(count as u64)
-            .min(self.total_sectors);
-        while cur < end {
-            let loc = self.locate(cur);
-            let left_in_track = (loc.sectors_per_track - loc.sector) as u64;
-            let take = left_in_track.min(end - cur) as u32;
-            out.push(TrackSegment {
-                first_lba: cur,
-                sectors: take,
-                start: loc,
-            });
-            cur += take as u64;
-        }
-        out
+        let end = lba.saturating_add(count as u64).min(self.total_sectors);
+        std::iter::from_fn(move || {
+            (cur < end).then(|| {
+                let loc = self.locate(cur);
+                let left_in_track = (loc.sectors_per_track - loc.sector) as u64;
+                let take = left_in_track.min(end - cur) as u32;
+                let seg = TrackSegment {
+                    first_lba: cur,
+                    sectors: take,
+                    start: loc,
+                };
+                cur += take as u64;
+                seg
+            })
+        })
     }
 
     /// Absolute cylinder distance between two locations.

@@ -54,10 +54,13 @@ impl RotationModel {
     ///
     /// Both angles are fractions of a revolution in `[0, 1)`; values
     /// outside are wrapped.
+    // simlint: hot — cost-model primitive; once per priced arm.
     pub fn wait_until_under(&self, sector_angle: f64, head_azimuth: f64, now: SimTime) -> SimDuration {
-        let sector_now = (sector_angle + self.platter_offset(now)).rem_euclid(1.0);
-        let gap = (head_azimuth - sector_now).rem_euclid(1.0);
-        SimDuration::from_nanos((gap * self.period_ns as f64).round() as u64 % self.period_ns.max(1))
+        let sector_now = wrap_unit(sector_angle + self.platter_offset(now));
+        let gap = wrap_unit(head_azimuth - sector_now);
+        let period = self.period_ns.max(1);
+        let wait = (gap * self.period_ns as f64).round() as u64;
+        SimDuration::from_nanos(if wait < period { wait } else { wait % period })
     }
 
     /// Time to transfer `sectors` contiguous sectors from a track with
@@ -79,6 +82,20 @@ impl RotationModel {
     pub fn assembly_azimuth(index: u32, count: u32) -> f64 {
         assert!(count > 0 && index < count, "bad assembly index {index}/{count}");
         index as f64 / count as f64
+    }
+}
+
+/// `x.rem_euclid(1.0)`, bit for bit, without a `fmod` call on the
+/// angles and angle differences positioning produces (all in (-1, 2)).
+pub fn wrap_unit(x: f64) -> f64 {
+    if (0.0..1.0).contains(&x) {
+        x
+    } else if x > -1.0 && x < 0.0 {
+        x + 1.0 // (not -1.0 itself: `rem_euclid` maps that to -0.0)
+    } else if (1.0..2.0).contains(&x) {
+        x - 1.0 // exact (Sterbenz), as `fmod` is
+    } else {
+        x.rem_euclid(1.0)
     }
 }
 
@@ -178,6 +195,18 @@ mod tests {
         let w2 = m.wait_until_under(0.6, 0.1, t + w);
         let ms = w2.as_millis();
         assert!(ms < 1e-3 || (m.period().as_millis() - ms) < 1e-3, "w2 {w2}");
+    }
+
+    #[test]
+    fn wrap_unit_is_rem_euclid() {
+        let edges = [
+            -1.5, -1.0, -0.75, -1e-300, -0.0, 0.0, 0.3, 0.999_999, 1.0, 1.7, 2.0, 5.25,
+        ];
+        let sweep = (0..1000).map(|i| i as f64 * 0.00731 - 1.2);
+        for x in edges.into_iter().chain(sweep) {
+            let (got, want) = (wrap_unit(x).to_bits(), x.rem_euclid(1.0).to_bits());
+            assert_eq!(got, want, "at {x}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! totals are byte-identical across runs, hosts, and `--jobs`.
 //!
 //! Hot paths batch increments in per-drive [`DropCounter`]s (see
-//! [`simkit::counters`]) and flush once when the drive drops.
+//! [`simkit::counters`]) and flush once when the drive drops; the
+//! dispatch scan adds its counts once per scan.
 
 use simkit::counters::{Counter, DropCounter};
 
@@ -16,17 +17,19 @@ use simkit::counters::{Counter, DropCounter};
 pub static CACHE_HITS: Counter = Counter::new("intradisk.cache.hits");
 /// Read probes that missed and went to the media.
 pub static CACHE_MISSES: Counter = Counter::new("intradisk.cache.misses");
-/// Full media-access plans evaluated (`plan_set_with_heads`).
+/// Full arm-loop access plans (`plan_set_with_heads`): service starts
+/// that no SPTF scan priced first (from `submit`, FCFS, SSTF).
 pub static PLAN_EVALS: Counter = Counter::new("intradisk.cost.plan_evals");
-/// Seek+rotation positioning estimates computed for SPTF candidates.
+/// Seek+rotation positioning estimates the SPTF scan computed; arms
+/// pruned on their seek alone are not counted.
 pub static POSITIONING_EVALS: Counter = Counter::new("intradisk.cost.positioning_evals");
-/// Live arms visited across all dispatch cost evaluations.
+/// Eligible arms visited across all dispatch scans, pruned or not.
 pub static ARM_VISITS: Counter = Counter::new("intradisk.dispatch.arm_visits");
 /// Queued candidates whose dispatch cost was evaluated.
 pub static CANDIDATES: Counter = Counter::new("intradisk.dispatch.candidates");
 /// Dispatch scans over the pending queue.
 pub static SCANS: Counter = Counter::new("intradisk.dispatch.scans");
-/// Best-so-far comparisons in the SPTF arm loop.
+/// Best-so-far comparisons the SPTF scan made (one per estimate).
 pub static SPTF_COMPARES: Counter = Counter::new("intradisk.dispatch.sptf_compares");
 /// Deepest the pending queue got on any one drive.
 pub static QUEUE_PEAK_DEPTH: Counter = Counter::new_max("intradisk.queue.peak_depth");
@@ -62,13 +65,13 @@ pub struct DriveProfCounts {
     pub scans: DropCounter,
     /// One per candidate whose cost the scan evaluated.
     pub candidates: DropCounter,
-    /// One per live arm visited in a cost evaluation.
+    /// One per eligible arm a scan visited, pruned or not.
     pub arm_visits: DropCounter,
-    /// One per SPTF best-so-far comparison.
+    /// One per SPTF best-so-far comparison made.
     pub sptf_compares: DropCounter,
-    /// One per `positioning_at` estimate.
+    /// One per seek+rotation estimate the SPTF scan computed.
     pub positioning_evals: DropCounter,
-    /// One per full access plan.
+    /// One per full arm-loop plan (no scan priced the start).
     pub plan_evals: DropCounter,
     /// One per read probe served from cache.
     pub cache_hits: DropCounter,

@@ -17,8 +17,8 @@ use telemetry::{NullRecorder, PowerMode, Recorder, TraceEvent};
 use crate::cache::SegmentedCache;
 use crate::metrics::{close_idle_span, DriveMetrics, DriveMode, PowerBreakdown};
 use crate::request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
-use crate::sched::{PendingQueue, QueuePolicy, DEFAULT_WINDOW};
-use crate::service::{ArmSet, Mechanics};
+use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
+use crate::service::{ArmChoice, ArmSet, Mechanics};
 
 pub use crate::service::{ArmPlacement, LatencyScaling};
 
@@ -164,8 +164,8 @@ impl DiskDrive {
             name: params.name().to_string(),
             power: PowerModel::new(params),
             cache: SegmentedCache::new(params.cache_mib()),
+            queue: PendingQueue::new(config.window, arms.len()),
             arms,
-            queue: PendingQueue::with_window(config.window),
             metrics: DriveMetrics::with_mode(config.actuators, config.stats),
             config,
             in_service: None,
@@ -297,7 +297,7 @@ impl DiskDrive {
         }
         // Close the idle span that ends now.
         close_idle_span(&mut self.metrics.modes, self.idle_since, now);
-        Ok(Some(self.start_service(req, now, 0, rec)?))
+        Ok(Some(self.start_service(req, now, 0, None, rec)?))
     }
 
     /// Completes the in-service request (must be called exactly at the
@@ -368,83 +368,40 @@ impl DiskDrive {
     ) -> Result<Option<SimTime>, DriveError> {
         let _scan_prof = telemetry::prof::scope(telemetry::prof::Phase::DispatchScan);
         self.prof.scans.bump();
-        let policy = self.config.policy;
-        let scaling = self.config.scaling;
-        // Borrow pieces separately for the cost closure.
-        let mech = &self.mech;
-        let arms = &self.arms;
-        let capacity = self.capacity;
-        let heads = self.config.heads_per_arm;
-        let prof = &self.prof;
         // Positioning starts after the controller overhead; estimating
         // from `now` would systematically pick sectors that have just
         // passed the head by the time the seek is issued.
-        let start = now + self.overhead;
-        let cost = |r: &IoRequest| -> SimDuration {
-            let _cost_prof = telemetry::prof::scope(telemetry::prof::Phase::CostModel);
-            prof.candidates.bump();
-            let lba = if r.lba >= capacity { r.lba % capacity } else { r.lba };
-            match policy {
-                QueuePolicy::Fcfs => SimDuration::ZERO,
-                QueuePolicy::Sstf => {
-                    let loc = mech.geometry().locate(lba);
-                    let mut dist: Option<u32> = None;
-                    for i in 0..arms.len() {
-                        if arms.is_failed(i) {
-                            continue;
-                        }
-                        prof.arm_visits.bump();
-                        let d = arms.cylinder(i).abs_diff(loc.cylinder);
-                        if dist.is_none_or(|best| d < best) {
-                            dist = Some(d);
-                        }
-                    }
-                    mech.seek_profile().seek_time(dist.unwrap_or(0))
-                }
-                QueuePolicy::Sptf => {
-                    let mut best: Option<SimDuration> = None;
-                    for i in 0..arms.len() {
-                        if arms.is_failed(i) {
-                            continue;
-                        }
-                        prof.arm_visits.bump();
-                        prof.positioning_evals.bump();
-                        let (s, r2) = mech.positioning_at(
-                            arms.cylinder(i),
-                            arms.azimuth(i),
-                            heads,
-                            lba,
-                            start,
-                            scaling,
-                        );
-                        prof.sptf_compares.bump();
-                        if best.is_none_or(|b| s + r2 < b) {
-                            best = Some(s + r2);
-                        }
-                    }
-                    best.unwrap_or(SimDuration::ZERO)
-                }
-            }
+        let cost = ScanCost {
+            mech: &self.mech,
+            arms: &self.arms,
+            heads: self.config.heads_per_arm,
+            start: now + self.overhead,
+            scaling: self.config.scaling,
         };
-        let Some(next) = self.queue.pop_next(policy, cost) else {
+        let live = |a: usize| !self.arms.is_failed(a);
+        let policy = self.config.policy;
+        let Some((next, choice)) = self.queue.pop_next(policy, &cost, live, Some(&self.prof))
+        else {
             return Ok(None);
         };
         let depth = self.queue.len() as u32;
-        Ok(Some(self.start_service(next, now, depth, rec)?))
+        Ok(Some(self.start_service(next, now, depth, choice, rec)?))
     }
 
     /// Starts servicing `req` at `now`; returns the completion time.
     ///
     /// `depth` is the queue depth left behind by this dispatch (0 when
-    /// service starts straight from `submit`). The whole access is
-    /// planned here, so the traced phase boundaries (seek, rotational
-    /// wait, transfer) are emitted now with their future timestamps;
-    /// the `(time, seq)` sample order restores the timeline.
+    /// service starts straight from `submit`); `choice` is the arm the
+    /// dispatch scan already priced for `req`, if it did. The whole
+    /// access is planned here, so the traced phase boundaries (seek,
+    /// rotational wait, transfer) are emitted now with their future
+    /// timestamps; the `(time, seq)` sample order restores the timeline.
     fn start_service<R: Recorder>(
         &mut self,
         req: IoRequest,
         now: SimTime,
         depth: u32,
+        choice: Option<ArmChoice>,
         rec: &mut R,
     ) -> Result<SimTime, DriveError> {
         let queue_wait = now.saturating_since(req.arrival);
@@ -504,17 +461,22 @@ impl DiskDrive {
             self.prof.cache_misses.bump();
         }
 
-        self.prof.plan_evals.bump();
         let plan = {
             let _plan_prof = telemetry::prof::scope(telemetry::prof::Phase::CostModel);
-            self.mech.plan_set_with_heads(
-                &self.arms,
-                self.config.heads_per_arm,
-                req.lba,
-                req.sectors,
-                now + overhead,
-                self.config.scaling,
-            )?
+            match choice {
+                Some(choice) => self.mech.plan_for(choice, req.lba, req.sectors),
+                None => {
+                    self.prof.plan_evals.bump();
+                    self.mech.plan_set_with_heads(
+                        &self.arms,
+                        self.config.heads_per_arm,
+                        req.lba,
+                        req.sectors,
+                        now + overhead,
+                        self.config.scaling,
+                    )?
+                }
+            }
         };
         let finish = now + overhead + plan.total();
 

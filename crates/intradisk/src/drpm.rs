@@ -21,8 +21,8 @@ use diskmodel::{DiskParams, PowerModel};
 use simkit::{ResponseStats, SimDuration, SimTime};
 
 use crate::request::{IoKind, IoRequest};
-use crate::sched::{PendingQueue, QueuePolicy, DEFAULT_WINDOW};
-use crate::service::{ArmState, LatencyScaling, Mechanics};
+use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
+use crate::service::{ArmSet, LatencyScaling, Mechanics};
 
 /// Configuration of the DRPM policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,12 +102,8 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
         power: PowerModel::new(&low_params),
     };
 
-    let mut arm = ArmState {
-        azimuth: 0.0,
-        cylinder: 0,
-        failed: false,
-    };
-    let mut queue = PendingQueue::with_window(DEFAULT_WINDOW);
+    let mut arms = ArmSet::from_arms(&full.mech.default_arms(1));
+    let mut queue = PendingQueue::new(DEFAULT_WINDOW, 1);
     let mut response = ResponseStats::exact();
     let mut energy_j = 0.0;
     let mut low_time = SimDuration::ZERO;
@@ -144,6 +140,7 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
                         charge(&mut energy_j, low.power.idle_w(), remaining);
                         low_time += remaining;
                         at_low = true;
+                        queue.forget_costs(); // costs were priced at full speed
                     } else {
                         let idle_power = if at_low {
                             low.power.idle_w()
@@ -166,32 +163,28 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
             charge(&mut energy_j, full.power.seek_w(0), config.transition);
             now += config.transition;
             at_low = false;
+            queue.forget_costs(); // costs were priced at low speed
             upshifts += 1;
             continue; // re-collect arrivals during the transition
         }
 
         let speed = if at_low { &low } else { &full };
         let start = now + overhead;
-        let mech = &speed.mech;
-        let arm_ref = arm;
-        let cost = |r: &IoRequest| {
-            let (s, rot) =
-                mech.positioning_for_arm(&arm_ref, r.lba % capacity, start, LatencyScaling::none());
-            s + rot
+        let cost = ScanCost {
+            mech: &speed.mech,
+            arms: &arms,
+            heads: 1,
+            start,
+            scaling: LatencyScaling::none(),
         };
         // The queue was checked non-empty above and the single arm is
-        // never deconfigured, so neither of these can miss; bail out of
-        // the replay rather than panic if the invariant is ever broken.
-        let Some(req) = queue.pop_next(QueuePolicy::Sptf, cost) else {
-            break;
-        };
-        let lba = req.lba % capacity;
-        let Ok(plan) = speed
-            .mech
-            .plan(std::slice::from_ref(&arm), lba, req.sectors, start, LatencyScaling::none())
+        // never deconfigured, so the scan always pops a priced request;
+        // bail out of the replay rather than panic if that ever breaks.
+        let Some((req, Some(choice))) = queue.pop_next(QueuePolicy::Sptf, &cost, |_| true, None)
         else {
             break;
         };
+        let plan = speed.mech.plan_for(choice, req.lba % capacity, req.sectors);
         let finish = start + plan.total();
         // Energy: overhead+rotation at idle level, seek with VCM,
         // transfer with channel.
@@ -201,7 +194,7 @@ pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -
         if at_low {
             low_time += finish - now;
         }
-        arm.cylinder = plan.end_cylinder;
+        arms.set_cylinder(0, plan.end_cylinder);
         let _ = req.kind == IoKind::Write; // writes and reads cost alike here
         response.record((finish - req.arrival).as_millis());
         now = finish;

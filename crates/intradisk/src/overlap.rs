@@ -26,8 +26,8 @@ use telemetry::{NullRecorder, Recorder, TraceEvent};
 use crate::cache::SegmentedCache;
 use crate::metrics::{close_idle_span, DriveMetrics, DriveMode, PowerBreakdown};
 use crate::request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
-use crate::sched::{PendingQueue, QueuePolicy, DEFAULT_WINDOW};
-use crate::service::{ArmPlacement, ArmSet, Mechanics};
+use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
+use crate::service::{ArmPlacement, ArmSet, LatencyScaling, Mechanics};
 
 /// Resource constraints of an overlapped multi-actuator drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -115,10 +115,10 @@ impl OverlappedDrive {
             power: PowerModel::new(params),
             cache: SegmentedCache::new(params.cache_mib()),
             arm_busy_until: vec![SimTime::ZERO; arms.len()],
+            queue: PendingQueue::new(config.window, arms.len()),
             arms,
             motion_free_at: SimTime::ZERO,
             channel_free_at: SimTime::ZERO,
-            queue: PendingQueue::with_window(config.window),
             in_flight: Vec::new(),
             metrics: DriveMetrics::new(config.actuators),
             config,
@@ -277,36 +277,16 @@ impl OverlappedDrive {
             if self.queue.is_empty() {
                 break;
             }
-            // SPTF over the window, best over idle arms. The candidate
-            // scan walks the struct-of-arrays columns directly; strict
-            // `<` keeps `Iterator::min`'s first-minimum tie-break.
-            let mech = &self.mech;
-            let arms = &self.arms;
-            let busy = &self.arm_busy_until;
-            let capacity = self.capacity;
-            let start_est = now + self.overhead_of();
-            let cost = |r: &IoRequest| -> SimDuration {
-                let lba = r.lba % capacity;
-                let mut best: Option<SimDuration> = None;
-                for a in 0..arms.len() {
-                    if arms.is_failed(a) || busy[a] > now {
-                        continue;
-                    }
-                    let (s, rot) = mech.positioning_at(
-                        arms.cylinder(a),
-                        arms.azimuth(a),
-                        1,
-                        lba,
-                        start_est,
-                        crate::service::LatencyScaling::none(),
-                    );
-                    if best.is_none_or(|b| s + rot < b) {
-                        best = Some(s + rot);
-                    }
-                }
-                best.unwrap_or(SimDuration::MAX)
+            // SPTF over the window, best over idle arms.
+            let cost = ScanCost {
+                mech: &self.mech,
+                arms: &self.arms,
+                heads: 1,
+                start: now + self.overhead,
+                scaling: LatencyScaling::none(),
             };
-            let Some(req) = self.queue.pop_next(QueuePolicy::Sptf, cost) else {
+            let idle = |a: usize| !self.arms.is_failed(a) && self.arm_busy_until[a] <= now;
+            let Some((req, _)) = self.queue.pop_next(QueuePolicy::Sptf, &cost, idle, None) else {
                 break;
             };
             let depth = self.queue.len() as u32;
@@ -314,10 +294,6 @@ impl OverlappedDrive {
             started.push(finish);
         }
         started
-    }
-
-    fn overhead_of(&self) -> SimDuration {
-        self.overhead
     }
 
     /// Plans and starts `req` on the best idle arm at `now`.
@@ -329,7 +305,7 @@ impl OverlappedDrive {
         rec: &mut R,
     ) -> SimTime {
         let queue_wait = now.saturating_since(req.arrival);
-        let overhead = self.overhead_of();
+        let overhead = self.overhead;
 
         // Cache hits bypass the mechanics entirely.
         if req.kind.is_read() && self.cache.lookup(req.lba, req.sectors) {
@@ -374,8 +350,7 @@ impl OverlappedDrive {
         }
 
         // Choose the best idle arm, honoring the mode's resources.
-        let loc = self.mech.geometry().locate(req.lba % self.capacity);
-        let angle = self.mech.geometry().sector_angle(loc);
+        let target = self.mech.target(req.lba % self.capacity);
         let mut best: Option<(usize, SimTime, SimDuration, SimDuration, SimTime)> = None;
         for a in 0..self.arms.len() {
             if self.arms.is_failed(a) || self.arm_busy_until[a] > now {
@@ -386,7 +361,7 @@ impl OverlappedDrive {
                 OverlapMode::SingleArmMotion => (now + overhead).max(self.motion_free_at),
                 _ => now + overhead,
             };
-            let dist = self.arms.cylinder(a).abs_diff(loc.cylinder);
+            let dist = self.arms.cylinder(a).abs_diff(target.cylinder);
             let seek = self.mech.seek_profile().seek_time(dist);
             let pos_done = seek_start + seek;
             // Transfer may additionally wait for the channel, then must
@@ -395,10 +370,11 @@ impl OverlappedDrive {
                 OverlapMode::MultiChannel => pos_done,
                 _ => pos_done.max(self.channel_free_at),
             };
-            let rot = self
-                .mech
-                .rotation()
-                .wait_until_under(angle, self.arms.azimuth(a), channel_gate);
+            let rot = self.mech.rotation().wait_until_under(
+                target.angle,
+                self.arms.azimuth(a),
+                channel_gate,
+            );
             let transfer_start = channel_gate + rot;
             if best.map_or(true, |b| transfer_start < b.4) {
                 best = Some((a, seek_start, seek, rot, transfer_start));
@@ -409,7 +385,7 @@ impl OverlappedDrive {
         let (arm, seek_start, seek, _rot, transfer_start) =
             best.expect("dispatch only runs with an idle live arm"); // simlint: allow(no-panic-in-lib)
 
-        let transfer = self.mech.transfer_time(req.lba % self.capacity, req.sectors);
+        let (transfer, end_cylinder) = self.mech.transfer(req.lba % self.capacity, req.sectors);
         let finish = transfer_start + transfer;
 
         if R::ENABLED {
@@ -431,7 +407,7 @@ impl OverlappedDrive {
                     req: req.id,
                     actuator: arm as u32,
                     from_cylinder,
-                    to_cylinder: loc.cylinder,
+                    to_cylinder: target.cylinder,
                 },
             );
             rec.record(
@@ -462,10 +438,6 @@ impl OverlappedDrive {
         }
 
         // Commit resources.
-        let end_cylinder = {
-            let segs = self.mech.geometry().segments(req.lba % self.capacity, req.sectors);
-            segs.last().map(|s| s.start.cylinder).unwrap_or(loc.cylinder)
-        };
         self.arms.set_cylinder(arm, end_cylinder);
         self.arm_busy_until[arm] = finish;
         if self.config.mode == OverlapMode::SingleArmMotion {

@@ -8,6 +8,7 @@
 //! differs both in its seek and its rotational component, and the
 //! dispatcher picks the arm minimizing the sum (§7.2).
 
+use diskmodel::rotation::wrap_unit;
 use diskmodel::{DriveError, Geometry, RotationModel, SeekProfile};
 use simkit::{SimDuration, SimTime};
 
@@ -183,22 +184,13 @@ impl ArmSet {
     pub fn set_failed(&mut self, idx: usize) {
         self.failed[idx] = true;
     }
-
-    /// The assembly's state as a scalar record (telemetry, tests).
-    pub fn arm(&self, idx: usize) -> ArmState {
-        ArmState {
-            azimuth: self.azimuth[idx],
-            cylinder: self.cylinder[idx],
-            failed: self.failed[idx],
-        }
-    }
 }
 
 /// The bundle of mechanical models for one drive.
 #[derive(Debug, Clone)]
 pub struct Mechanics {
     geometry: Geometry,
-    seek: SeekProfile,
+    seek_curve: SeekProfile,
     rotation: RotationModel,
     head_switch: SimDuration,
 }
@@ -230,12 +222,40 @@ impl ServicePlan {
     }
 }
 
+/// Where a block sits, as positioning sees it: the arm-independent half
+/// of every positioning estimate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Target {
+    /// Cylinder holding the block.
+    pub cylinder: u32,
+    /// Rest angle of the block's first sector (fraction of a revolution).
+    pub angle: f64,
+}
+
+/// The assembly chosen to serve a request, with its positioning cost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArmChoice {
+    /// Index of the assembly.
+    pub arm: usize,
+    /// Its seek time (already scaled).
+    pub seek: SimDuration,
+    /// Its rotational wait after the seek (already scaled).
+    pub rot: SimDuration,
+}
+
+impl ArmChoice {
+    /// Positioning time (seek + rotational wait): the SPTF key.
+    pub fn cost(&self) -> SimDuration {
+        self.seek + self.rot
+    }
+}
+
 impl Mechanics {
     /// Builds the mechanics for a drive parameter set.
     pub fn new(params: &diskmodel::DiskParams) -> Self {
         Mechanics {
             geometry: Geometry::new(params),
-            seek: SeekProfile::new(params),
+            seek_curve: SeekProfile::new(params),
             rotation: RotationModel::new(params),
             head_switch: params.head_switch(),
         }
@@ -253,51 +273,68 @@ impl Mechanics {
 
     /// The drive's seek curve.
     pub fn seek_profile(&self) -> &SeekProfile {
-        &self.seek
+        &self.seek_curve
     }
 
-    /// Positioning cost (seek + rotational wait) of serving the block
-    /// at `lba` with assembly `arm`, starting at `start`.
-    pub fn positioning_for_arm(
-        &self,
-        arm: &ArmState,
-        lba: u64,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> (SimDuration, SimDuration) {
-        self.positioning_for_arm_heads(arm, 1, lba, start, scaling)
-    }
-
-    /// Like [`positioning_for_arm`](Self::positioning_for_arm) but for
-    /// an arm carrying `heads` heads per surface — the taxonomy's H
-    /// dimension (§4 Level 4, Figure 1(b): heads "equidistant from the
-    /// axis of actuation"). The heads share the arm's radial position,
-    /// so the seek is unchanged; the rotational wait is the minimum
-    /// over the heads' azimuths.
-    ///
-    /// Crucially, heads mounted on *one* arm sit close together: their
-    /// angular separation as seen from the spindle is only
-    /// [`HEAD_ANGULAR_SEPARATION`] of a revolution, not `1/heads` — the
-    /// geometric reason the paper calls H-parallelism fine-grained and
-    /// prefers the A dimension, whose assemblies mount anywhere around
-    /// the enclosure.
+    /// Where `lba` sits: its cylinder and its sector's rest angle.
     ///
     /// # Panics
-    /// Panics if `heads == 0`.
-    pub fn positioning_for_arm_heads(
-        &self,
-        arm: &ArmState,
-        heads: u32,
-        lba: u64,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> (SimDuration, SimDuration) {
-        self.positioning_at(arm.cylinder, arm.azimuth, heads, lba, start, scaling)
+    /// Panics if `lba` is beyond the drive's capacity.
+    // simlint: hot — cost-model primitive; the dispatch scan calls it
+    // once per queued request.
+    pub fn target(&self, lba: u64) -> Target {
+        let loc = self.geometry.locate(lba);
+        Target {
+            cylinder: loc.cylinder,
+            angle: self.geometry.sector_angle(loc),
+        }
     }
 
-    /// The scalar positioning core shared by the record-based and
-    /// struct-of-arrays call paths: identical arithmetic in identical
-    /// order, so both paths are bit-reproducible against each other.
+    /// Seek time (already scaled) of an assembly parked over cylinder
+    /// `from` to cylinder `to`.
+    // simlint: hot — cost-model primitive.
+    pub fn seek(&self, from: u32, to: u32, scaling: LatencyScaling) -> SimDuration {
+        self.seek_curve
+            .seek_time(from.abs_diff(to))
+            .scale(scaling.seek)
+    }
+
+    /// Rotational wait (already scaled) from `at` until `target` passes
+    /// under one of the `heads` heads of an arm mounted at `azimuth`.
+    ///
+    /// An arm's heads share its radial position, so they share its
+    /// seek; the wait is the minimum over their azimuths — the
+    /// taxonomy's H dimension (§4 Level 4, Figure 1(b): heads
+    /// "equidistant from the axis of actuation"). Heads mounted on *one*
+    /// arm sit close together: their angular separation as seen from
+    /// the spindle is only [`HEAD_ANGULAR_SEPARATION`] of a revolution,
+    /// not `1/heads` — the geometric reason the paper calls
+    /// H-parallelism fine-grained and prefers the A dimension, whose
+    /// assemblies mount anywhere around the enclosure.
+    // simlint: hot — cost-model primitive.
+    pub fn rot(
+        &self,
+        target: Target,
+        azimuth: f64,
+        heads: u32,
+        at: SimTime,
+        scaling: LatencyScaling,
+    ) -> SimDuration {
+        (0..heads)
+            .map(|h| {
+                let head_azimuth = wrap_unit(azimuth + h as f64 * HEAD_ANGULAR_SEPARATION);
+                self.rotation
+                    .wait_until_under(target.angle, head_azimuth, at)
+            })
+            .min()
+            .unwrap_or(SimDuration::ZERO)
+            .scale(scaling.rotational)
+    }
+
+    /// Positioning cost `(seek, rotational wait)` of serving the block
+    /// at `lba` with an assembly parked over `cylinder` at `azimuth`
+    /// carrying `heads` heads, starting at `start`: [`Self::target`],
+    /// [`Self::seek`] and [`Self::rot`] composed.
     ///
     /// # Panics
     /// Panics if `heads == 0`.
@@ -311,19 +348,9 @@ impl Mechanics {
         scaling: LatencyScaling,
     ) -> (SimDuration, SimDuration) {
         assert!(heads > 0, "need at least one head per arm");
-        let loc = self.geometry.locate(lba);
-        let dist = cylinder.abs_diff(loc.cylinder);
-        let seek = self.seek.seek_time(dist).scale(scaling.seek);
-        let angle = self.geometry.sector_angle(loc);
-        let rot = (0..heads)
-            .map(|h| {
-                let head_azimuth =
-                    (azimuth + h as f64 * HEAD_ANGULAR_SEPARATION).rem_euclid(1.0);
-                self.rotation.wait_until_under(angle, head_azimuth, start + seek)
-            })
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-            .scale(scaling.rotational);
+        let target = self.target(lba);
+        let seek = self.seek(cylinder, target.cylinder, scaling);
+        let rot = self.rot(target, azimuth, heads, start + seek, scaling);
         (seek, rot)
     }
 
@@ -333,14 +360,21 @@ impl Mechanics {
     /// cylinders. Track skew is assumed to match the switch times, so no
     /// extra rotational realignment is charged.
     pub fn transfer_time(&self, lba: u64, sectors: u32) -> SimDuration {
-        let segs = self.geometry.segments(lba, sectors);
+        self.transfer(lba, sectors).0
+    }
+
+    /// [`transfer_time`](Self::transfer_time) and the cylinder the
+    /// access ends on, from one non-allocating walk over its track
+    /// segments.
+    // simlint: hot — cost-model primitive; once per media access.
+    pub fn transfer(&self, lba: u64, sectors: u32) -> (SimDuration, u32) {
         let mut total = SimDuration::ZERO;
         let mut prev_cyl: Option<u32> = None;
-        for s in &segs {
+        for s in self.geometry.track_segments(lba, sectors) {
             if let Some(pc) = prev_cyl {
                 if s.start.cylinder != pc {
-                    total += self.seek.seek_time(s.start.cylinder.abs_diff(pc).min(
-                        self.seek.max_distance(),
+                    total += self.seek_curve.seek_time(s.start.cylinder.abs_diff(pc).min(
+                        self.seek_curve.max_distance(),
                     ));
                 } else {
                     total += self.head_switch;
@@ -351,7 +385,12 @@ impl Mechanics {
                 .transfer_time(s.sectors, s.start.sectors_per_track);
             prev_cyl = Some(s.start.cylinder);
         }
-        total
+        let end_cylinder = prev_cyl.unwrap_or_else(|| {
+            self.geometry
+                .locate(lba.min(self.geometry.total_sectors() - 1))
+                .cylinder
+        });
+        (total, end_cylinder)
     }
 
     /// Plans service of `(lba, sectors)` starting at `start`: picks the
@@ -359,9 +398,6 @@ impl Mechanics {
     ///
     /// # Errors
     /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
-    ///
-    /// # Panics
-    /// Panics if `heads == 0`.
     pub fn plan(
         &self,
         arms: &[ArmState],
@@ -370,44 +406,13 @@ impl Mechanics {
         start: SimTime,
         scaling: LatencyScaling,
     ) -> Result<ServicePlan, DriveError> {
-        self.plan_with_heads(arms, 1, lba, sectors, start, scaling)
+        self.plan_set_with_heads(&ArmSet::from_arms(arms), 1, lba, sectors, start, scaling)
     }
 
-    /// Like [`plan`](Self::plan) for arms carrying `heads` heads per
-    /// surface (the `D1 An S1 Hm` family).
-    ///
-    /// # Errors
-    /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
-    ///
-    /// # Panics
-    /// Panics if `heads == 0`.
-    pub fn plan_with_heads(
-        &self,
-        arms: &[ArmState],
-        heads: u32,
-        lba: u64,
-        sectors: u32,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> Result<ServicePlan, DriveError> {
-        let (best_idx, seek, rot) = arms
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.failed)
-            .map(|(i, a)| {
-                let (s, r) = self.positioning_for_arm_heads(a, heads, lba, start, scaling);
-                (i, s, r)
-            })
-            .min_by_key(|&(_, s, r)| s + r)
-            .ok_or(DriveError::NoLiveArm)?;
-        self.finish_plan(best_idx, seek, rot, lba, sectors)
-    }
-
-    /// [`plan_with_heads`](Self::plan_with_heads) over the
-    /// struct-of-arrays [`ArmSet`] — the hot path used by the drive
-    /// engines. Scans the packed cylinder/azimuth/failed arrays in
-    /// index order with a strict `<`, which picks the same
-    /// first-minimum assembly as the slice path's `min_by_key`.
+    /// [`plan`](Self::plan) over the struct-of-arrays [`ArmSet`], for
+    /// arms carrying `heads` heads per surface (the `D1 An S1 Hm`
+    /// family): the target is located once, then every live assembly is
+    /// priced in index order, and a strict `<` keeps the first minimum.
     ///
     /// # Errors
     /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
@@ -423,48 +428,35 @@ impl Mechanics {
         start: SimTime,
         scaling: LatencyScaling,
     ) -> Result<ServicePlan, DriveError> {
-        let mut best: Option<(usize, SimDuration, SimDuration)> = None;
-        for i in 0..arms.len() {
-            if arms.is_failed(i) {
+        assert!(heads > 0, "need at least one head per arm");
+        let target = self.target(lba);
+        let mut best: Option<ArmChoice> = None;
+        for arm in 0..arms.len() {
+            if arms.is_failed(arm) {
                 continue;
             }
-            let (s, r) = self.positioning_at(
-                arms.cylinder(i),
-                arms.azimuth(i),
-                heads,
-                lba,
-                start,
-                scaling,
-            );
-            if best.is_none_or(|(_, bs, br)| s + r < bs + br) {
-                best = Some((i, s, r));
+            let seek = self.seek(arms.cylinder(arm), target.cylinder, scaling);
+            let rot = self.rot(target, arms.azimuth(arm), heads, start + seek, scaling);
+            if best.is_none_or(|b| seek + rot < b.cost()) {
+                best = Some(ArmChoice { arm, seek, rot });
             }
         }
-        let (best_idx, seek, rot) = best.ok_or(DriveError::NoLiveArm)?;
-        self.finish_plan(best_idx, seek, rot, lba, sectors)
+        let choice = best.ok_or(DriveError::NoLiveArm)?;
+        Ok(self.plan_for(choice, lba, sectors))
     }
 
-    fn finish_plan(
-        &self,
-        best_idx: usize,
-        seek: SimDuration,
-        rot: SimDuration,
-        lba: u64,
-        sectors: u32,
-    ) -> Result<ServicePlan, DriveError> {
-        let transfer = self.transfer_time(lba, sectors);
-        let segs = self.geometry.segments(lba, sectors);
-        let end_cylinder = segs
-            .last()
-            .map(|s| s.start.cylinder)
-            .unwrap_or_else(|| self.geometry.locate(lba.min(self.geometry.total_sectors() - 1)).cylinder);
-        Ok(ServicePlan {
-            actuator: best_idx as u32,
-            seek,
-            rotational: rot,
+    /// Completes the plan of `(lba, sectors)` on an assembly already
+    /// chosen (by a dispatch scan or a plan): adds the transfer time and
+    /// the cylinder the access ends on.
+    pub fn plan_for(&self, choice: ArmChoice, lba: u64, sectors: u32) -> ServicePlan {
+        let (transfer, end_cylinder) = self.transfer(lba, sectors);
+        ServicePlan {
+            actuator: choice.arm as u32,
+            seek: choice.seek,
+            rotational: choice.rot,
             transfer,
             end_cylinder,
-        })
+        }
     }
 
     /// Equally spaced azimuths for `n` assemblies (Figure 1 places two
@@ -497,30 +489,38 @@ mod tests {
     #[test]
     fn zero_distance_seek_is_free() {
         let m = mech();
-        let arm = ArmState {
-            azimuth: 0.0,
-            cylinder: m.geometry().locate(0).cylinder,
-            failed: false,
-        };
-        let (seek, _rot) = m.positioning_for_arm(&arm, 0, SimTime::ZERO, LatencyScaling::none());
+        let cylinder = m.geometry().locate(0).cylinder;
+        let (seek, _rot) =
+            m.positioning_at(cylinder, 0.0, 1, 0, SimTime::ZERO, LatencyScaling::none());
         assert_eq!(seek, SimDuration::ZERO);
     }
 
     #[test]
     fn scaling_knobs_apply() {
         let m = mech();
-        let arm = ArmState {
-            azimuth: 0.0,
-            cylinder: 0,
-            failed: false,
-        };
         let lba = m.geometry().total_sectors() / 2;
         let t = SimTime::from_millis(1.0);
-        let (s1, _) = m.positioning_for_arm(&arm, lba, t, LatencyScaling::none());
-        let (s2, _) = m.positioning_for_arm(&arm, lba, t, LatencyScaling::seek_only(0.5));
+        let at = |scaling| m.positioning_at(0, 0.0, 1, lba, t, scaling);
+        let (s1, _) = at(LatencyScaling::none());
+        let (s2, _) = at(LatencyScaling::seek_only(0.5));
         assert_eq!(s2, s1.scale(0.5));
-        let (_, r0) = m.positioning_for_arm(&arm, lba, t, LatencyScaling::rotational_only(0.0));
+        let (_, r0) = at(LatencyScaling::rotational_only(0.0));
         assert_eq!(r0, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn transfer_walk_matches_segments() {
+        let m = mech();
+        let g = m.geometry();
+        let spt = g.zones()[0].sectors_per_track as u64;
+        for (lba, sectors) in [(0, 8), (spt - 4, 8), (0, 4096), (g.total_sectors() - 2, 64)] {
+            let (_, end) = m.transfer(lba, sectors);
+            let last = g.segments(lba, sectors).last().map(|s| s.start.cylinder);
+            assert_eq!(Some(end), last, "lba {lba} x{sectors}");
+        }
+        let (xfer, end) = m.transfer(g.total_sectors(), 8);
+        assert_eq!(xfer, SimDuration::ZERO);
+        assert_eq!(end, g.locate(g.total_sectors() - 1).cylinder);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 
 use diskmodel::presets;
 use intradisk::cache::DEFAULT_SEGMENTS;
-use intradisk::sched::PendingQueue;
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, QueuePolicy, SegmentedCache};
+use intradisk::sched::{PendingQueue, ScanCost};
+use intradisk::service::{ArmSet, Mechanics};
+use intradisk::{
+    DiskDrive, DriveConfig, IoKind, IoRequest, LatencyScaling, QueuePolicy, SegmentedCache,
+};
 use simkit::{SimDuration, SimTime};
 use testkit::{check, gen, Gen};
 
@@ -114,28 +117,51 @@ fn cache_write_invalidation_is_coherent() {
 
 // -------------------------------------------------------------- scheduler
 
+/// A Barracuda ES with `n` equally spaced arms parked over cylinder 0.
+fn mechanics(n: u32) -> (Mechanics, ArmSet) {
+    let mech = Mechanics::new(&presets::barracuda_es_750gb());
+    let arms = ArmSet::from_arms(&mech.default_arms(n));
+    (mech, arms)
+}
+
+/// Pops under `policy` with every arm eligible, positioning from t = 0.
+fn pop(
+    q: &mut PendingQueue,
+    mech: &Mechanics,
+    arms: &ArmSet,
+    policy: QueuePolicy,
+) -> Option<IoRequest> {
+    let cost = ScanCost {
+        mech,
+        arms,
+        heads: 1,
+        start: SimTime::ZERO,
+        scaling: LatencyScaling::none(),
+    };
+    q.pop_next(policy, &cost, |_| true, None).map(|(r, _)| r)
+}
+
 #[test]
 fn queue_conserves_requests_under_every_policy() {
     check("queue_conserves_requests_under_every_policy", |t| {
         let reqs = t.draw_silent(&arb_requests(48));
         let policy = t.draw(&arb_policy());
         let window = t.draw(&gen::usize_in(1..=80));
-        let mut q = PendingQueue::with_window(window);
+        let (mech, arms) = mechanics(2);
+        let mut q = PendingQueue::new(window, arms.len());
         for r in &reqs {
             q.push(*r);
         }
         assert_eq!(q.len(), reqs.len());
         let mut seen = std::collections::HashSet::new();
-        while let Some(r) = q.pop_next(policy, |r| SimDuration::from_millis(r.lba as f64)) {
+        while let Some(r) = pop(&mut q, &mech, &arms, policy) {
             assert!(seen.insert(r.id), "request {} popped twice", r.id);
         }
         assert_eq!(seen.len(), reqs.len(), "requests lost in the queue");
         // Empty-queue pops stay None and the queue stays consistent.
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        assert!(q
-            .pop_next(policy, |_| SimDuration::ZERO)
-            .is_none());
+        assert!(pop(&mut q, &mech, &arms, policy).is_none());
     });
 }
 
@@ -143,12 +169,13 @@ fn queue_conserves_requests_under_every_policy() {
 fn queue_fcfs_preserves_arrival_order() {
     check("queue_fcfs_preserves_arrival_order", |t| {
         let reqs = t.draw_silent(&arb_requests(32));
-        let mut q = PendingQueue::new();
+        let (mech, arms) = mechanics(1);
+        let mut q = PendingQueue::new(64, arms.len());
         for r in &reqs {
             q.push(*r);
         }
         let mut popped = Vec::new();
-        while let Some(r) = q.pop_next(QueuePolicy::Fcfs, |_| SimDuration::ZERO) {
+        while let Some(r) = pop(&mut q, &mech, &arms, QueuePolicy::Fcfs) {
             popped.push(r.id);
         }
         let expect: Vec<u64> = (0..reqs.len() as u64).collect();
@@ -163,16 +190,32 @@ fn queue_sptf_pops_cheapest_inside_window() {
         if reqs.is_empty() {
             return;
         }
-        let mut q = PendingQueue::with_window(reqs.len().max(1));
+        let (mech, arms) = mechanics(2);
+        let mut q = PendingQueue::new(reqs.len(), arms.len());
         for r in &reqs {
             q.push(*r);
         }
-        let cheapest = reqs.iter().map(|r| r.lba).min().expect("non-empty");
-        let first = q
-            .pop_next(QueuePolicy::Sptf, |r| SimDuration::from_millis(r.lba as f64))
-            .expect("non-empty queue");
+        let cost = |r: &IoRequest| -> SimDuration {
+            (0..arms.len())
+                .map(|a| {
+                    let (s, rot) = mech.positioning_at(
+                        arms.cylinder(a),
+                        arms.azimuth(a),
+                        1,
+                        r.lba,
+                        SimTime::ZERO,
+                        LatencyScaling::none(),
+                    );
+                    s + rot
+                })
+                .min()
+                .expect("two arms")
+        };
+        let cheapest = reqs.iter().map(cost).min().expect("non-empty");
+        let first = pop(&mut q, &mech, &arms, QueuePolicy::Sptf).expect("non-empty queue");
         assert_eq!(
-            first.lba, cheapest,
+            cost(&first),
+            cheapest,
             "SPTF with a full window must pick the global minimum"
         );
     });

@@ -4,7 +4,6 @@
 
 mod codec;
 mod histogram;
-mod quantile;
 mod response;
 mod streamhist;
 mod summary;
@@ -12,7 +11,6 @@ mod timeweight;
 
 pub use codec::DecodeError;
 pub use histogram::{Cdf, Histogram, Pdf};
-pub use quantile::P2Quantile;
 pub use response::{ResponseStats, StatsMode};
 pub use streamhist::StreamingHistogram;
 // `Summary` stays reachable as `stats::Summary` for oracle use (the

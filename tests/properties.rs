@@ -773,3 +773,96 @@ fn slab_never_aliases_recycled_slots() {
         }
     });
 }
+
+/// The memoized, branch-and-bound SPTF dispatch scan against the naive
+/// reference: a full `plan_set_with_heads` for every windowed candidate
+/// and the first `min_by_key` of positioning time. Repeated dispatches
+/// move the arms between scans, so the seek memo sees hits and misses;
+/// zero scalings force ties, a small LBA pool forces duplicates, and
+/// arrivals outpace dispatches so the queue outgrows the window.
+#[test]
+fn sptf_scan_matches_naive_plan_reference() {
+    use intradisk::sched::{PendingQueue, ScanCost};
+    use intradisk::service::{ArmSet, Mechanics};
+    use intradisk::{LatencyScaling, QueuePolicy};
+    use simkit::SimDuration;
+    check_with(heavy(), "sptf_scan_matches_naive_plan_reference", |t| {
+        let n_arms = t.draw(&gen::u32_in(1..=8));
+        let failed = t.draw(&gen::u32_in(0..=255));
+        let heads = t.draw(&gen::u32_in(1..=3));
+        let window = t.draw(&gen::usize_in(1..=12));
+        let (seek_scale, rot_scale) = t.draw(&gen::one_of(vec![
+            (1.0, 1.0),
+            (0.0, 1.0),
+            (1.0, 0.0),
+            (0.0, 0.0),
+            (0.5, 0.25),
+        ]));
+        let salt = t.draw(&gen::u64_any());
+        let scaling = LatencyScaling {
+            seek: seek_scale,
+            rotational: rot_scale,
+        };
+        let mech = Mechanics::new(&presets::barracuda_es_750gb());
+        let mut arms = ArmSet::from_arms(&mech.default_arms(n_arms));
+        for a in 0..n_arms as usize {
+            if failed & (1 << a) != 0 && arms.live_count() > 1 {
+                arms.set_failed(a);
+            }
+        }
+        let total = mech.geometry().total_sectors();
+        let mut rng = Rng64::new(salt);
+        let pool: Vec<u64> = (0..4).map(|_| rng.below(total)).collect();
+        let mut queue = PendingQueue::new(window, arms.len());
+        let mut naive: Vec<IoRequest> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0;
+        for _ in 0..40 {
+            for _ in 0..rng.below(4) {
+                let lba = if rng.chance(0.3) {
+                    pool[rng.below(pool.len() as u64) as usize]
+                } else {
+                    rng.below(total)
+                };
+                let r = IoRequest::new(next_id, now, lba, 1 + rng.below(64) as u32, IoKind::Read);
+                next_id += 1;
+                queue.push(r);
+                naive.push(r);
+            }
+            if naive.is_empty() {
+                now += SimDuration::from_millis(rng.f64() * 5.0);
+                continue;
+            }
+            let start = now + SimDuration::from_millis(0.3);
+            let plans: Vec<_> = naive
+                .iter()
+                .take(window)
+                .map(|r| {
+                    mech.plan_set_with_heads(&arms, heads, r.lba, r.sectors, start, scaling)
+                        .expect("a live arm remains")
+                })
+                .collect();
+            let idx = (0..plans.len())
+                .min_by_key(|&i| plans[i].positioning())
+                .expect("non-empty window");
+            let (want_req, want) = (naive.remove(idx), plans[idx]);
+
+            let cost = ScanCost {
+                mech: &mech,
+                arms: &arms,
+                heads,
+                start,
+                scaling,
+            };
+            let (got_req, choice) = queue
+                .pop_next(QueuePolicy::Sptf, &cost, |a| !arms.is_failed(a), None)
+                .expect("non-empty queue");
+            let choice = choice.expect("a live arm remains");
+            let got = mech.plan_for(choice, got_req.lba, got_req.sectors);
+            assert_eq!(got_req.id, want_req.id, "scan popped another request");
+            assert_eq!(got, want, "scan planned request {} differently", got_req.id);
+            arms.set_cylinder(got.actuator as usize, got.end_cylinder);
+            now = start + got.total();
+        }
+    });
+}
