@@ -3,12 +3,13 @@
 //! and aggregates response-time and power statistics.
 //!
 //! Like [`intradisk::DiskDrive`], the controller is a passive
-//! discrete-event component: the owner keeps an event calendar of
-//! per-disk completion times. [`ArrayController::submit`] returns the
-//! completions newly scheduled by an arrival;
+//! discrete-event component. [`ArrayController::submit`] returns the
+//! per-disk completions newly scheduled by an arrival;
 //! [`ArrayController::on_disk_complete`] consumes one completion event
-//! and returns any follow-on events plus any logical requests that
-//! finished.
+//! and returns any follow-on events plus the logical request that
+//! finished, if any. As a [`Device`] the controller keeps those
+//! completions in its own event calendar and runs under the shared run
+//! loop ([`intradisk::simulate`]).
 
 // In-flight bookkeeping lives in a generation-tagged slab plus a
 // sequential ring window, not maps: slot assignment depends only on
@@ -18,8 +19,12 @@
 use std::collections::VecDeque;
 
 use diskmodel::{DiskParams, DriveError};
-use intradisk::{DiskDrive, DriveConfig, IoRequest, PowerBreakdown};
-use simkit::{Histogram, ResponseStats, SimTime, Slab, SlotId, StatsMode};
+use intradisk::{Device, DiskDrive, DriveConfig, IoRequest, PowerBreakdown};
+use simkit::{
+    Calendar, EventQueue, Histogram, QueueStats, ResponseStats, SimDuration, SimTime, Slab,
+    SlotId, StatsMode,
+};
+use telemetry::prof::{self, Phase};
 use telemetry::{NullRecorder, Recorder, ScopedRecorder, TraceEvent};
 
 use crate::layout::{Layout, SubRequest};
@@ -51,11 +56,9 @@ pub struct DiskCompletion {
     /// Completions newly scheduled on (possibly other) disks by
     /// phase-two issues — `(disk index, completion time)`.
     pub started: Vec<(usize, SimTime)>,
-    /// Logical requests that finished at this event.
-    // simlint: allow(unbounded-sim-state) — per-event return value,
-    // dropped by the caller after each completion; bounded by the
-    // requests in flight, not by run length.
-    pub finished: Vec<LogicalCompletion>,
+    /// The logical request that finished at this event, if any (one
+    /// sub-request completes per event, so at most one).
+    pub finished: Option<LogicalCompletion>,
 }
 
 /// Array-level statistics.
@@ -138,9 +141,43 @@ impl SubOwnerWindow {
     }
 }
 
+/// Result of replaying a workload on an array.
+#[derive(Debug, Clone)]
+pub struct ArrayRunResult {
+    /// Logical response times (ms), in the member drives' stats mode.
+    pub response_time_ms: ResponseStats,
+    /// Logical response-time histogram over the paper's edges.
+    pub response_hist: simkit::Histogram,
+    /// Sum of the member drives' power breakdowns.
+    pub power: PowerBreakdown,
+    /// Wall-clock span of the run.
+    pub duration: SimDuration,
+    /// Completed logical requests.
+    pub completed: u64,
+    /// Event-kernel traffic of the run's calendar (pushes, pops, peak
+    /// pending).
+    pub kernel: QueueStats,
+    /// Deepest any member disk's pending queue got during the run.
+    pub member_queue_peak: usize,
+}
+
+impl ArrayRunResult {
+    /// The 90th-percentile response time in milliseconds (exact when
+    /// the members ran in `StatsMode::Exact`).
+    ///
+    /// The run loop finalizes the stats when the replay ends, so this
+    /// is an indexed read on a shared reference.
+    pub fn p90_ms(&self) -> f64 {
+        self.response_time_ms.percentile(90.0)
+    }
+}
+
 /// A storage array of identical member disks behind one controller.
+///
+/// `Q` is the calendar of per-disk completion events the controller
+/// keeps when it runs as a [`Device`]; the default is the timing wheel.
 #[derive(Debug)]
-pub struct ArrayController {
+pub struct ArrayController<Q = EventQueue<usize>> {
     disks: Vec<DiskDrive>,
     layout: Layout,
     per_disk: u64,
@@ -148,6 +185,8 @@ pub struct ArrayController {
     outstanding: Slab<Outstanding>,
     next_sub_id: u64,
     metrics: ArrayMetrics,
+    /// Pending per-disk completion events, payload = disk index.
+    events: Q,
     /// Deterministic fan-out counters, flushed to the global registry
     /// when the controller drops.
     prof: crate::counters::ArrayProfCounts,
@@ -166,6 +205,23 @@ impl ArrayController {
         disks: usize,
         layout: Layout,
     ) -> Self {
+        Self::with_calendar(params, member, disks, layout, EventQueue::with_capacity(64))
+    }
+}
+
+impl<Q> ArrayController<Q> {
+    /// [`ArrayController::new`] with an explicit event calendar (the
+    /// kernel-swap oracles replay the same array on two calendars).
+    ///
+    /// # Panics
+    /// Panics if `disks == 0` (or `< 2` for RAID-5).
+    pub fn with_calendar(
+        params: &DiskParams,
+        member: DriveConfig,
+        disks: usize,
+        layout: Layout,
+        events: Q,
+    ) -> Self {
         assert!(disks > 0, "array needs at least one disk");
         let stats_mode = member.stats;
         let members: Vec<DiskDrive> = (0..disks)
@@ -182,6 +238,7 @@ impl ArrayController {
             outstanding: Slab::new(),
             next_sub_id: 0,
             metrics: ArrayMetrics::with_mode(stats_mode),
+            events,
             prof: crate::counters::ArrayProfCounts::new(),
         }
     }
@@ -204,16 +261,6 @@ impl ArrayController {
     /// Access to a member disk's statistics.
     pub fn disk(&self, index: usize) -> &DiskDrive {
         &self.disks[index]
-    }
-
-    /// Mutable access to a member disk (failure injection).
-    pub fn disk_mut(&mut self, index: usize) -> &mut DiskDrive {
-        &mut self.disks[index]
-    }
-
-    /// True if every member disk is idle and nothing is outstanding.
-    pub fn is_idle(&self) -> bool {
-        self.outstanding.is_empty() && self.disks.iter().all(|d| d.is_idle())
     }
 
     /// Submits a logical request at `now`; returns `(disk, completion)`
@@ -243,16 +290,7 @@ impl ArrayController {
         let mapped = self.layout.map_request(self.disks.len(), self.per_disk, &req);
         assert!(!mapped.is_empty(), "mapping produced no sub-requests");
         if R::ENABLED {
-            rec.record_scoped(
-                0,
-                now,
-                TraceEvent::RequestSubmitted {
-                    req: req.id,
-                    lba: req.lba,
-                    sectors: req.sectors,
-                    op: req.kind.into(),
-                },
-            );
+            rec.record_scoped(0, now, req.submitted());
         }
         let key = self.outstanding.insert(Outstanding {
             id: req.id,
@@ -357,7 +395,7 @@ impl ArrayController {
                 if R::ENABLED {
                     rec.record_scoped(0, now, TraceEvent::Complete { req: c.id });
                 }
-                out.finished.push(c);
+                out.finished = Some(c);
             }
         }
         Ok(out)
@@ -382,12 +420,64 @@ impl ArrayController {
     }
 }
 
+impl<Q: Calendar<usize>> Device for ArrayController<Q> {
+    type Report = ArrayRunResult;
+
+    /// Member-drive events land in scope `1 + disk`; the controller's
+    /// logical submit/complete events land in scope 0.
+    fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
+        for (disk, t) in self.submit_traced(req, req.arrival, rec)? {
+            let _kp = prof::scope(Phase::KernelPush);
+            self.events.push(t, disk);
+        }
+        Ok(())
+    }
+
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.events.peek_time()
+    }
+
+    /// Consumes the earliest per-disk completion (due at `now`).
+    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
+        let pop = prof::scope(Phase::KernelPop);
+        let ev = self.events.pop().ok_or(DriveError::NotInService)?;
+        drop(pop);
+        debug_assert_eq!(ev.time, now, "the run loop fires the earliest event");
+        let out = self.on_disk_complete_traced(ev.payload, ev.time, rec)?;
+        if let Some(t) = out.next_on_disk {
+            let _kp = prof::scope(Phase::KernelPush);
+            self.events.push(t, ev.payload);
+        }
+        for (disk, t) in out.started {
+            let _kp = prof::scope(Phase::KernelPush);
+            self.events.push(t, disk);
+        }
+        Ok(usize::from(out.finished.is_some()))
+    }
+
+    fn stats(&self) -> &ResponseStats {
+        &self.metrics.response_time_ms
+    }
+
+    fn finalize(&mut self, end: SimTime) -> ArrayRunResult {
+        ArrayController::finalize(self, end);
+        ArrayRunResult {
+            response_time_ms: self.metrics.response_time_ms.clone(),
+            response_hist: self.metrics.response_hist.clone(),
+            power: self.power_breakdown(),
+            duration: end.saturating_since(SimTime::ZERO),
+            completed: self.metrics.completed,
+            kernel: self.events.stats(),
+            member_queue_peak: self.disks.iter().map(DiskDrive::queue_peak).max().unwrap_or(0),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use diskmodel::presets;
     use intradisk::IoKind;
-    use simkit::EventQueue;
 
     fn controller(disks: usize, layout: Layout) -> ArrayController {
         ArrayController::new(
@@ -398,43 +488,10 @@ mod tests {
         )
     }
 
-    /// Drives an array to completion over a set of logical requests.
-    fn run(array: &mut ArrayController, reqs: Vec<IoRequest>) -> Vec<LogicalCompletion> {
-        let mut finished = Vec::new();
-        let mut events: EventQueue<usize> = EventQueue::new();
-        let mut arrivals = reqs;
-        arrivals.sort_by_key(|r| r.arrival);
-        let mut ai = 0;
-        loop {
-            let next_arrival = arrivals.get(ai).map(|r| r.arrival);
-            let next_event = events.peek_time();
-            let take_arrival = match (next_arrival, next_event) {
-                (None, None) => break,
-                (Some(a), Some(e)) => a <= e,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if take_arrival {
-                let r = arrivals[ai];
-                ai += 1;
-                for (disk, t) in array.submit(r, r.arrival).expect("valid submit") {
-                    events.push(t, disk);
-                }
-            } else {
-                let ev = events.pop().expect("event pending");
-                let out = array
-                    .on_disk_complete(ev.payload, ev.time)
-                    .expect("valid completion");
-                if let Some(t) = out.next_on_disk {
-                    events.push(t, ev.payload);
-                }
-                for (disk, t) in out.started {
-                    events.push(t, disk);
-                }
-                finished.extend(out.finished);
-            }
-        }
-        finished
+    /// Replays `reqs` (in arrival order) through the shared run loop.
+    fn run(array: ArrayController, reqs: Vec<IoRequest>) -> ArrayRunResult {
+        intradisk::simulate(reqs, array, &mut NullRecorder, &mut intradisk::NullObserver)
+            .expect("valid replay")
     }
 
     fn reads(n: u64, cap: u64, spacing_ms: f64) -> Vec<IoRequest> {
@@ -453,13 +510,19 @@ mod tests {
 
     #[test]
     fn all_logical_requests_complete() {
-        let mut a = controller(4, Layout::striped_default());
+        let a = controller(4, Layout::striped_default());
         let cap = a.logical_capacity();
-        let finished = run(&mut a, reads(200, cap, 1.0));
-        assert_eq!(finished.len(), 200);
-        assert_eq!(a.metrics().completed, 200);
-        assert!(a.is_idle());
-        let mut ids: Vec<u64> = finished.iter().map(|c| c.id).collect();
+        let mut rec = telemetry::RingRecorder::new();
+        let r = intradisk::simulate(reads(200, cap, 1.0), a, &mut rec, &mut intradisk::NullObserver)
+            .expect("valid replay");
+        assert_eq!(r.completed, 200);
+        let mut ids: Vec<u64> = rec
+            .samples()
+            .filter_map(|s| match (s.scope, s.event) {
+                (0, TraceEvent::Complete { req }) => Some(req),
+                _ => None,
+            })
+            .collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..200).collect::<Vec<_>>());
     }
@@ -468,10 +531,9 @@ mod tests {
     fn more_disks_cut_response_time_under_load() {
         let mut means = Vec::new();
         for n in [1usize, 4] {
-            let mut a = controller(n, Layout::striped_default());
+            let a = controller(n, Layout::striped_default());
             let cap = a.logical_capacity();
-            let _ = run(&mut a, reads(400, cap, 1.0));
-            means.push(a.metrics().response_time_ms.mean());
+            means.push(run(a, reads(400, cap, 1.0)).response_time_ms.mean());
         }
         assert!(
             means[1] < means[0],
@@ -483,46 +545,40 @@ mod tests {
 
     #[test]
     fn concatenated_keeps_unsplit_requests_whole() {
-        let mut a = controller(4, Layout::Concatenated);
+        let a = controller(4, Layout::Concatenated);
         let cap = a.logical_capacity();
-        let finished = run(&mut a, reads(50, cap, 5.0));
-        assert_eq!(finished.len(), 50);
+        assert_eq!(run(a, reads(50, cap, 5.0)).completed, 50);
     }
 
     #[test]
     fn raid5_write_takes_two_phases() {
-        let mut a = controller(4, Layout::raid5_default());
         let w = IoRequest::new(0, SimTime::ZERO, 0, 8, IoKind::Write);
-        let finished = run(&mut a, vec![w]);
-        assert_eq!(finished.len(), 1);
+        let rmw = run(controller(4, Layout::raid5_default()), vec![w]);
+        assert_eq!(rmw.completed, 1);
         // The RMW write must take at least two sequential media
         // accesses' worth of time — far more than a bare write.
-        let mut b = controller(4, Layout::striped_default());
-        let w2 = IoRequest::new(0, SimTime::ZERO, 0, 8, IoKind::Write);
-        let f2 = run(&mut b, vec![w2]);
+        let bare = run(controller(4, Layout::striped_default()), vec![w]);
         assert!(
-            finished[0].response_time() > f2[0].response_time(),
+            rmw.response_time_ms.mean() > bare.response_time_ms.mean(),
             "RAID-5 RMW {} !> RAID-0 write {}",
-            finished[0].response_time(),
-            f2[0].response_time()
+            rmw.response_time_ms.mean(),
+            bare.response_time_ms.mean()
         );
     }
 
     #[test]
     fn raid5_reads_cost_like_raid0_reads() {
-        let mut a = controller(4, Layout::raid5_default());
-        let mut b = controller(4, Layout::striped_default());
+        let a = controller(4, Layout::raid5_default());
+        let b = controller(4, Layout::striped_default());
         let cap = a.logical_capacity();
-        let fa = run(&mut a, reads(100, cap, 5.0));
-        let fb = run(&mut b, reads(100, cap, 5.0));
-        let ma = fa.iter().map(|c| c.response_time().as_millis()).sum::<f64>() / 100.0;
-        let mb = fb.iter().map(|c| c.response_time().as_millis()).sum::<f64>() / 100.0;
+        let ma = run(a, reads(100, cap, 5.0)).response_time_ms.mean();
+        let mb = run(b, reads(100, cap, 5.0)).response_time_ms.mean();
         assert!((ma - mb).abs() / mb < 0.35, "raid5 {ma} vs raid0 {mb}");
     }
 
     #[test]
     fn raid5_writes_slower_than_reads() {
-        let mut a = controller(4, Layout::raid5_default());
+        let a = controller(4, Layout::raid5_default());
         let cap = a.logical_capacity();
         let writes: Vec<IoRequest> = (0..100)
             .map(|i| {
@@ -535,28 +591,20 @@ mod tests {
                 )
             })
             .collect();
-        let fw = run(&mut a, writes);
-        let mut b = controller(4, Layout::raid5_default());
-        let fr = run(&mut b, reads(100, cap, 20.0));
-        let mw = fw.iter().map(|c| c.response_time().as_millis()).sum::<f64>() / 100.0;
-        let mr = fr.iter().map(|c| c.response_time().as_millis()).sum::<f64>() / 100.0;
+        let mw = run(a, writes).response_time_ms.mean();
+        let b = controller(4, Layout::raid5_default());
+        let mr = run(b, reads(100, cap, 20.0)).response_time_ms.mean();
         assert!(mw > 1.5 * mr, "RMW write {mw} not well above read {mr}");
     }
 
     #[test]
     fn power_breakdown_scales_with_disks() {
-        let mut a1 = controller(1, Layout::striped_default());
-        let mut a4 = controller(4, Layout::striped_default());
+        let a1 = controller(1, Layout::striped_default());
+        let a4 = controller(4, Layout::striped_default());
         let cap1 = a1.logical_capacity();
         let cap4 = a4.logical_capacity();
-        let f1 = run(&mut a1, reads(100, cap1, 2.0));
-        let f4 = run(&mut a4, reads(100, cap4, 2.0));
-        let end1 = f1.iter().map(|c| c.completed).max().unwrap();
-        let end4 = f4.iter().map(|c| c.completed).max().unwrap();
-        a1.finalize(end1);
-        a4.finalize(end4);
-        let p1 = a1.power_breakdown().total_w();
-        let p4 = a4.power_breakdown().total_w();
+        let p1 = run(a1, reads(100, cap1, 2.0)).power.total_w();
+        let p4 = run(a4, reads(100, cap4, 2.0)).power.total_w();
         assert!(p4 > 3.0 * p1, "4-disk power {p4} vs 1-disk {p1}");
     }
 
@@ -564,12 +612,9 @@ mod tests {
     fn lightly_loaded_array_is_mostly_idle_power() {
         // The Figure 3 observation: even I/O-intensive workloads leave
         // MD arrays idle most of the time.
-        let mut a = controller(8, Layout::striped_default());
+        let a = controller(8, Layout::striped_default());
         let cap = a.logical_capacity();
-        let f = run(&mut a, reads(200, cap, 4.0));
-        let end = f.iter().map(|c| c.completed).max().unwrap();
-        a.finalize(end);
-        let br = a.power_breakdown();
+        let br = run(a, reads(200, cap, 4.0)).power;
         assert!(
             br.idle_w > br.seek_w + br.rotational_w + br.transfer_w,
             "idle {} should dominate {:?}",

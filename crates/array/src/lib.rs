@@ -40,5 +40,8 @@ pub mod counters;
 pub mod layout;
 pub mod maid;
 
-pub use controller::{ArrayController, ArrayMetrics, DiskCompletion, LogicalCompletion};
+pub use controller::{
+    ArrayController, ArrayMetrics, ArrayRunResult, DiskCompletion, LogicalCompletion,
+};
+pub use maid::{MaidArray, MaidConfig};
 pub use layout::{Layout, MappedRequest, Phase, SubRequest};

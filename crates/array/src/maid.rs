@@ -8,14 +8,16 @@
 //! opposite trade to intra-disk parallelism, which keeps one spindle
 //! hot and removes drives instead.
 //!
-//! [`replay`] simulates a concatenated array (MAID systems do not
+//! [`MaidArray`] simulates a concatenated array (MAID systems do not
 //! stripe — striping would wake every disk) with a per-disk spin state
-//! machine and explicit energy integration.
+//! machine and explicit energy integration. It runs under the shared
+//! run loop ([`intradisk::simulate`]) and emits no trace events.
 
-use diskmodel::{DiskParams, PowerModel};
-use intradisk::service::{ArmState, LatencyScaling, Mechanics};
-use intradisk::IoRequest;
-use simkit::{ResponseStats, SimDuration, SimTime};
+use diskmodel::{DiskParams, DriveError, PowerModel};
+use intradisk::service::{ArmSet, LatencyScaling, Mechanics};
+use intradisk::{Device, IoRequest};
+use simkit::{EventQueue, ResponseStats, SimDuration, SimTime};
+use telemetry::Recorder;
 
 /// MAID spin-down policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,9 +82,10 @@ enum Spin {
     Standby { since: SimTime },
 }
 
+#[derive(Debug)]
 struct Member {
     mech: Mechanics,
-    arm: ArmState,
+    arm: ArmSet,
     spin: Spin,
     /// Drive is busy (serving or spinning up) until this instant.
     busy_until: SimTime,
@@ -90,50 +93,72 @@ struct Member {
     standby_time: SimDuration,
 }
 
-/// Replays a trace against a MAID array of `disks` members.
+/// A MAID array of concatenated members.
 ///
 /// The logical space is the concatenation of the members; each request
 /// touches exactly one member (requests are clamped to one disk: MAID
-/// stores whole objects per disk).
-pub fn replay(
-    params: &DiskParams,
+/// stores whole objects per disk). Members are independent under
+/// concatenation, so each request is resolved — spin state, service
+/// and energy — when it arrives, and its response time is recorded in
+/// arrival order; the completion it schedules only tells the run loop
+/// (and its observer) when the request finished.
+#[derive(Debug)]
+pub struct MaidArray {
     config: MaidConfig,
-    disks: usize,
-    requests: &[IoRequest],
-) -> MaidResult {
-    assert!(disks > 0, "need at least one disk");
-    let power = PowerModel::new(params);
-    let overhead = params.controller_overhead();
-    let mut members: Vec<Member> = (0..disks)
-        .map(|_| {
-            let mech = Mechanics::new(params);
-            let arm = mech.default_arms(1)[0];
-            Member {
-                mech,
-                arm,
-                spin: Spin::Active {
-                    idle_since: SimTime::ZERO,
-                },
-                busy_until: SimTime::ZERO,
-                energy_j: 0.0,
-                standby_time: SimDuration::ZERO,
-            }
-        })
-        .collect();
-    let per_disk = members[0].mech.geometry().total_sectors();
-    let capacity = per_disk * disks as u64;
+    power: PowerModel,
+    overhead: SimDuration,
+    members: Vec<Member>,
+    per_disk: u64,
+    response: ResponseStats,
+    spin_ups: u64,
+    /// Completion instants of the resolved requests.
+    completions: EventQueue<()>,
+}
 
-    let mut response = ResponseStats::exact();
-    let mut spin_ups = 0u64;
-    let mut end = SimTime::ZERO;
+impl MaidArray {
+    /// A MAID array of `disks` members of model `params`.
+    ///
+    /// # Panics
+    /// Panics if `disks == 0`.
+    pub fn new(params: &DiskParams, config: MaidConfig, disks: usize) -> Self {
+        assert!(disks > 0, "need at least one disk");
+        let members: Vec<Member> = (0..disks)
+            .map(|_| {
+                let mech = Mechanics::new(params);
+                let arm = ArmSet::from_arms(&mech.default_arms(1));
+                Member {
+                    mech,
+                    arm,
+                    spin: Spin::Active {
+                        idle_since: SimTime::ZERO,
+                    },
+                    busy_until: SimTime::ZERO,
+                    energy_j: 0.0,
+                    standby_time: SimDuration::ZERO,
+                }
+            })
+            .collect();
+        MaidArray {
+            config,
+            power: PowerModel::new(params),
+            overhead: params.controller_overhead(),
+            per_disk: members[0].mech.geometry().total_sectors(),
+            members,
+            response: ResponseStats::exact(),
+            spin_ups: 0,
+            completions: EventQueue::new(),
+        }
+    }
+}
 
-    // Process arrivals in order; each member is advanced lazily. This
-    // is exact because members are independent under concatenation.
-    for req in requests {
-        let lba = req.lba % capacity;
-        let disk = (lba / per_disk) as usize;
-        let m = &mut members[disk];
-        let local_lba = lba % per_disk;
+impl Device for MaidArray {
+    type Report = MaidResult;
+
+    fn submit<R: Recorder>(&mut self, req: IoRequest, _rec: &mut R) -> Result<(), DriveError> {
+        let (config, power, overhead) = (self.config, &self.power, self.overhead);
+        let lba = req.lba % (self.per_disk * self.members.len() as u64);
+        let m = &mut self.members[(lba / self.per_disk) as usize];
+        let local_lba = lba % self.per_disk;
         let now = req.arrival;
 
         // Lazily account the member's state up to `now`.
@@ -158,7 +183,7 @@ pub fn replay(
                 m.standby_time += now.saturating_since(since);
                 m.energy_j +=
                     power.idle_w() * config.spin_up_power_factor * config.spin_up.as_secs();
-                spin_ups += 1;
+                self.spin_ups += 1;
                 m.spin = Spin::Active {
                     idle_since: now + config.spin_up,
                 };
@@ -176,67 +201,80 @@ pub fn replay(
         // Serve (single request at a time per member; arrivals are in
         // order so the queue is only needed for back-to-back requests,
         // which `busy_until` already serializes).
-        // A member's single arm is never deconfigured, so planning
-        // cannot fail; skip the request rather than panic if it does.
-        let Ok(plan) = m.mech.plan(
-            std::slice::from_ref(&m.arm),
+        let plan = m.mech.plan_set_with_heads(
+            &m.arm,
+            1,
             local_lba,
             req.sectors,
             start + overhead,
             LatencyScaling::none(),
-        ) else {
-            continue;
-        };
+        )?;
         let finish = start + overhead + plan.total();
         m.energy_j += power.idle_w() * (overhead + plan.rotational).as_secs();
         m.energy_j += power.seek_w(1) * plan.seek.as_secs();
         m.energy_j += power.transfer_w() * plan.transfer.as_secs();
-        m.arm.cylinder = plan.end_cylinder;
+        m.arm.set_cylinder(0, plan.end_cylinder);
         m.busy_until = finish;
         m.spin = Spin::Active { idle_since: finish };
-        response.record(finish.saturating_since(req.arrival).as_millis());
-        end = end.max(finish);
+        self.response.record(finish.saturating_since(req.arrival).as_millis());
+        self.completions.push(finish, ());
+        Ok(())
     }
 
-    // Close every member out to `end`.
-    let mut energy = 0.0;
-    let mut standby = SimDuration::ZERO;
-    for m in &mut members {
-        match m.spin {
-            Spin::Standby { since } => {
-                m.energy_j += config.standby_w * end.saturating_since(since).as_secs();
-                m.standby_time += end.saturating_since(since);
-            }
-            Spin::Active { idle_since } => {
-                let idle_from = idle_since.min(end);
-                let gap = end.saturating_since(idle_from);
-                if gap >= config.spin_down_after {
-                    let down_at = idle_from + config.spin_down_after;
-                    m.energy_j += power.idle_w() * config.spin_down_after.as_secs();
-                    m.energy_j += config.standby_w * end.saturating_since(down_at).as_secs();
-                    m.standby_time += end.saturating_since(down_at);
-                } else {
-                    m.energy_j += power.idle_w() * gap.as_secs();
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.completions.peek_time()
+    }
+
+    fn on_event<R: Recorder>(&mut self, _now: SimTime, _rec: &mut R) -> Result<usize, DriveError> {
+        Ok(self.completions.pop().map_or(0, |_| 1))
+    }
+
+    fn stats(&self) -> &ResponseStats {
+        &self.response
+    }
+
+    /// Closes every member out to `end` (the last completion).
+    fn finalize(&mut self, end: SimTime) -> MaidResult {
+        let (config, power) = (self.config, &self.power);
+        let mut energy = 0.0;
+        let mut standby = SimDuration::ZERO;
+        for m in &mut self.members {
+            match m.spin {
+                Spin::Standby { since } => {
+                    m.energy_j += config.standby_w * end.saturating_since(since).as_secs();
+                    m.standby_time += end.saturating_since(since);
+                }
+                Spin::Active { idle_since } => {
+                    let idle_from = idle_since.min(end);
+                    let gap = end.saturating_since(idle_from);
+                    if gap >= config.spin_down_after {
+                        let down_at = idle_from + config.spin_down_after;
+                        m.energy_j += power.idle_w() * config.spin_down_after.as_secs();
+                        m.energy_j += config.standby_w * end.saturating_since(down_at).as_secs();
+                        m.standby_time += end.saturating_since(down_at);
+                    } else {
+                        m.energy_j += power.idle_w() * gap.as_secs();
+                    }
                 }
             }
+            energy += m.energy_j;
+            standby += m.standby_time;
         }
-        energy += m.energy_j;
-        standby += m.standby_time;
-    }
-
-    let duration = end.saturating_since(SimTime::ZERO);
-    let aggregate = duration.as_millis() * disks as f64;
-    MaidResult {
-        completed: response.count() as u64,
-        response_time_ms: response,
-        energy_j: energy,
-        duration,
-        standby_fraction: if aggregate <= 0.0 {
-            0.0
-        } else {
-            standby.as_millis() / aggregate
-        },
-        spin_ups,
+        self.response.finalize();
+        let duration = end.saturating_since(SimTime::ZERO);
+        let aggregate = duration.as_millis() * self.members.len() as f64;
+        MaidResult {
+            completed: self.response.count() as u64,
+            response_time_ms: self.response.clone(),
+            energy_j: energy,
+            duration,
+            standby_fraction: if aggregate <= 0.0 {
+                0.0
+            } else {
+                standby.as_millis() / aggregate
+            },
+            spin_ups: self.spin_ups,
+        }
     }
 }
 
@@ -244,11 +282,18 @@ pub fn replay(
 mod tests {
     use super::*;
     use diskmodel::presets;
-    use intradisk::IoKind;
+    use intradisk::{simulate, IoKind, NullObserver};
     use simkit::Rng64;
+    use telemetry::NullRecorder;
 
     fn params() -> DiskParams {
         presets::array_drive_10k_19gb()
+    }
+
+    fn replay(params: &DiskParams, config: MaidConfig, disks: usize, reqs: &[IoRequest]) -> MaidResult {
+        let maid = MaidArray::new(params, config, disks);
+        simulate(reqs.iter().copied(), maid, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay")
     }
 
     /// Archival pattern: bursts to one disk, long silences.

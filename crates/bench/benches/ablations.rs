@@ -20,8 +20,10 @@ use array::Layout;
 use diskmodel::{presets, DiskParams};
 use experiments::{ArrayRunResult, DriveRunResult};
 use intradisk::freeblock::{dedicated_arm_throughput, FreeblockScheduler};
-use intradisk::overlap::{replay, OverlapConfig, OverlapMode};
-use intradisk::{ArmPlacement, DriveConfig, IoKind, IoRequest, QueuePolicy};
+use intradisk::{
+    ArmPlacement, DriveConfig, IoKind, IoRequest, NullObserver, OverlapConfig, OverlapMode,
+    OverlappedDrive, QueuePolicy,
+};
 use simkit::{Rng64, SimDuration, SimTime};
 use workload::{SyntheticSpec, Trace};
 
@@ -133,16 +135,20 @@ fn ablate_stripe() {
 fn ablate_overlap() {
     let params = presets::barracuda_es_750gb();
     let t = trace(6.0, 4_000);
-    let reqs = t.requests().to_vec();
+    let replay = |mode| {
+        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, mode));
+        experiments::simulate(&t, drive, &mut telemetry::NullRecorder, &mut NullObserver)
+            .expect("replay succeeds")
+    };
     for (name, mode) in [
         ("overlap_baseline", OverlapMode::SingleArmMotion),
         ("overlap_multi_motion", OverlapMode::MultiMotion),
         ("overlap_multi_channel", OverlapMode::MultiChannel),
     ] {
         bench(name, WARMUP, SAMPLES, || {
-            black_box(replay(&params, OverlapConfig::new(4, mode), &reqs))
+            black_box(replay(mode))
         });
-        let m = replay(&params, OverlapConfig::new(4, mode), &reqs);
+        let m = replay(mode).metrics;
         println!("{name}: mean {:.2} ms", m.response_time_ms.mean());
     }
 }

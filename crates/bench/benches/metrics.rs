@@ -1,10 +1,10 @@
 //! Metrics-registry overhead on the traced drive replay.
 //!
-//! Three variants of the same SA(4) replay: the untraced entry point,
-//! the traced entry point with [`NullRecorder`] (no registry attached
+//! Three variants of the same SA(4) replay: the `run_drive` entry point,
+//! `simulate` with [`NullRecorder`] (no registry attached
 //! — the configuration every experiment runs in, which must stay
 //! within the ≤2% NullRecorder gate now that the metrics layer exists
-//! in-tree), and the traced entry point with a [`MetricsRecorder`]
+//! in-tree), and `simulate` with a [`MetricsRecorder`]
 //! folding every event into the registry online.
 //!
 //! A fourth microbenchmark times raw [`StreamingHistogram::record`]
@@ -19,7 +19,7 @@
 
 use bench::bench;
 use diskmodel::presets;
-use intradisk::DriveConfig;
+use intradisk::{DiskDrive, DriveConfig, NullObserver};
 use simkit::StreamingHistogram;
 use telemetry::{MetricsRecorder, NullRecorder};
 use workload::{SyntheticSpec, Trace};
@@ -44,14 +44,16 @@ fn main() {
             .completed
     });
     let null = bench("replay_no_registry", WARMUP, SAMPLES, || {
-        experiments::run_drive_traced(&params, config.clone(), &trace, &mut NullRecorder)
+        let drive = DiskDrive::new(&params, config.clone());
+        experiments::simulate(&trace, drive, &mut NullRecorder, &mut NullObserver)
             .expect("replays cleanly")
             .metrics
             .completed
     });
     let metrics = bench("replay_metrics_recorder", WARMUP, SAMPLES, || {
         let mut rec = MetricsRecorder::new();
-        let r = experiments::run_drive_traced(&params, config.clone(), &trace, &mut rec)
+        let drive = DiskDrive::new(&params, config.clone());
+        let r = experiments::simulate(&trace, drive, &mut rec, &mut NullObserver)
             .expect("replays cleanly");
         r.metrics.completed + rec.finish().counters.len() as u64
     });

@@ -2,7 +2,8 @@
 
 use bench::{bench, bench_micro};
 use diskmodel::{presets, Geometry, RotationModel, SeekProfile};
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, SegmentedCache};
+use intradisk::{simulate, DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver, SegmentedCache};
+use telemetry::NullRecorder;
 use simkit::{Rng64, Sample, SimTime, Zipf};
 use std::hint::black_box;
 
@@ -71,38 +72,15 @@ fn bench_drive_throughput() {
     // second on a saturated 4-actuator drive.
     let params = presets::barracuda_es_750gb();
     bench("drive_sim_1000_requests", WARMUP, SAMPLES, || {
-        let mut drive = DiskDrive::new(&params, DriveConfig::sa(4));
+        let drive = DiskDrive::new(&params, DriveConfig::sa(4));
         let cap = drive.capacity_sectors();
-        let mut completion = None;
-        let mut i = 0u64;
-        loop {
-            let arrival = (i < 1000).then(|| SimTime::from_millis(i as f64 * 0.5));
-            let take = match (arrival, completion) {
-                (None, None) => break,
-                (Some(a), Some(c)) => a <= c,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if take {
-                let r = IoRequest::new(
-                    i,
-                    arrival.expect("arrival"),
-                    (i * 48_271 * 65_537) % cap,
-                    8,
-                    IoKind::Read,
-                );
-                i += 1;
-                if let Some(f) = drive.submit(r, r.arrival).expect("submit at arrival") {
-                    completion = Some(f);
-                }
-            } else {
-                let (_, next) = drive
-                    .complete(completion.expect("pending"))
-                    .expect("complete at promised time");
-                completion = next;
-            }
-        }
-        black_box(drive.metrics().completed)
+        let reqs = (0..1000u64).map(|i| {
+            let at = SimTime::from_millis(i as f64 * 0.5);
+            IoRequest::new(i, at, (i * 48_271 * 65_537) % cap, 8, IoKind::Read)
+        });
+        let r = simulate(reqs, drive, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay");
+        black_box(r.metrics.completed)
     });
 }
 

@@ -1,7 +1,7 @@
 //! Recorder overhead on the traced drive replay.
 //!
-//! Three variants of the same SA(4) replay: the untraced entry point,
-//! the traced entry point with the [`NullRecorder`] (the "tracing
+//! Three variants of the same SA(4) replay: the `run_drive` entry point,
+//! `simulate` with the [`NullRecorder`] (the "tracing
 //! compiled away" configuration every experiment runs in), and the
 //! traced entry point with a [`RingRecorder`] actually buffering
 //! events. The NullRecorder run must stay within noise of the untraced
@@ -17,7 +17,7 @@
 
 use bench::bench;
 use diskmodel::presets;
-use intradisk::DriveConfig;
+use intradisk::{DiskDrive, DriveConfig, NullObserver};
 use telemetry::{NullRecorder, RingRecorder};
 use workload::{SyntheticSpec, Trace};
 
@@ -41,14 +41,16 @@ fn main() {
             .completed
     });
     let null = bench("replay_null_recorder", WARMUP, SAMPLES, || {
-        experiments::run_drive_traced(&params, config.clone(), &trace, &mut NullRecorder)
+        let drive = DiskDrive::new(&params, config.clone());
+        experiments::simulate(&trace, drive, &mut NullRecorder, &mut NullObserver)
             .expect("replays cleanly")
             .metrics
             .completed
     });
     let ring = bench("replay_ring_recorder", WARMUP, SAMPLES, || {
         let mut rec = RingRecorder::new();
-        let r = experiments::run_drive_traced(&params, config.clone(), &trace, &mut rec)
+        let drive = DiskDrive::new(&params, config.clone());
+        let r = experiments::simulate(&trace, drive, &mut rec, &mut NullObserver)
             .expect("replays cleanly");
         r.metrics.completed + rec.len() as u64
     });

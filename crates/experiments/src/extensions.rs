@@ -15,13 +15,14 @@
 
 use array::Layout;
 use diskmodel::{presets, DiskParams, DriveError, PowerModel, ThermalModel};
-use intradisk::drpm::{self, DrpmConfig};
-use intradisk::DriveConfig;
+use intradisk::drpm::{DrpmConfig, DrpmDrive};
+use intradisk::{DriveConfig, NullObserver};
+use telemetry::NullRecorder;
 use workload::WorkloadKind;
 
-use crate::configs::{hcsd_params, source_for, trace_for, Scale};
+use crate::configs::{hcsd_params, source_for, Scale};
 use crate::report;
-use crate::runner::{run_array, run_drive};
+use crate::runner::{run_array, run_drive, simulate};
 
 /// One row of the thermal table.
 #[derive(Debug, Clone)]
@@ -118,24 +119,26 @@ pub struct DrpmRow {
     pub power_w: f64,
 }
 
-/// Replays `kind` against the three designs.
-///
-/// The DRPM baseline's replay takes a request slice, so this comparison
-/// materializes the trace once and shares it across all three runs.
+/// Replays `kind` against the three designs, each streaming the
+/// workload from its lazy source.
 pub fn drpm_comparison(kind: WorkloadKind, scale: Scale) -> Result<Vec<DrpmRow>, DriveError> {
-    let trace = trace_for(kind, scale);
     let params = hcsd_params();
 
     let conventional = run_drive(
         &params,
         DriveConfig::conventional().with_stats_mode(scale.stats),
-        &trace,
+        source_for(kind, scale),
     )?;
-    let drpm = drpm::replay(&params, DrpmConfig::typical(), trace.requests());
+    let drpm = simulate(
+        source_for(kind, scale),
+        DrpmDrive::new(&params, DrpmConfig::typical()),
+        &mut NullRecorder,
+        &mut NullObserver,
+    )?;
     let low_rpm_sa4 = run_drive(
         &presets::barracuda_es_at_rpm(4_200),
         DriveConfig::sa(4).with_stats_mode(scale.stats),
-        &trace,
+        source_for(kind, scale),
     )?;
     Ok(vec![
         DrpmRow {

@@ -22,9 +22,10 @@
 //! *describes* its sweep as an [`ExperimentPlan`] and reduces per-point
 //! outputs to a report; the [`exec`] module's [`Executor`] fans the
 //! points across worker threads with byte-identical (plan-order)
-//! result collection. [`runner`] holds the shared trace-driven event
-//! loops; [`report`] renders results as the ASCII equivalents of the
-//! paper's plots. The `repro` binary drives everything:
+//! result collection. [`runner`] holds [`simulate`], the entry to the
+//! one run loop every device shares; [`report`] renders results as the
+//! ASCII equivalents of the paper's plots. The `repro` binary drives
+//! everything:
 //!
 //! ```text
 //! cargo run --release -p explorer --bin repro -- all --jobs 4
@@ -61,9 +62,8 @@ pub use plan::{ExperimentPlan, Study};
 pub use raid_eval::RaidStudy;
 pub use rpm_study::RpmStudy;
 pub use runner::{
-    run_array, run_array_traced, run_drive, run_drive_observed, run_drive_traced,
-    run_drive_with_failures, run_drive_with_failures_traced, ArrayRunResult, DriveRunResult,
-    NullObserver, RunObserver,
+    run_array, run_drive, simulate, ArrayRunResult, Device, DriveRunResult, NullObserver,
+    RunObserver,
 };
 pub use sa_eval::SaStudy;
 pub use validation::ValidationStudy;

@@ -22,14 +22,17 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use array::Layout;
+use array::{ArrayController, Layout};
 use diskmodel::DriveError;
-use intradisk::overlap::{self, OverlapConfig, OverlapMode};
-use intradisk::DriveConfig;
+use intradisk::{
+    Device, DiskDrive, DriveConfig, NullObserver, OverlapConfig, OverlapMode, OverlappedDrive,
+};
 use telemetry::metrics::{export, jsonv, report, MetricsRecorder};
+use telemetry::Recorder;
+use workload::Trace;
 
 use crate::configs::{hcsd_params, Scale};
-use crate::runner::{run_array_traced, run_drive_traced};
+use crate::runner::simulate;
 use crate::tracing::{scenario_trace, TRACE_FOOTPRINT_SECTORS};
 
 /// Why a `--trace`/`--metrics` export or a `report` render failed.
@@ -143,44 +146,37 @@ pub fn export_metrics(dir: &Path, scale: Scale) -> Result<Vec<String>, ExportErr
 
     for (name, actuators) in [("hcsd-sa1", 1u32), ("hcsd-sa2", 2u32), ("hcsd-sa4", 4u32)] {
         let mut rec = MetricsRecorder::new();
-        run_drive_traced(&params, DriveConfig::sa(actuators), &trace, &mut rec).map_err(
-            |source| ExportError::Simulation {
-                scenario: name,
-                source,
-            },
-        )?;
+        let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
+        replay_scenario(name, &trace, drive, &mut rec)?;
         write_snapshot(dir, name, &mut rec, &mut files)?;
     }
 
     {
         let mut rec = MetricsRecorder::new();
-        run_array_traced(
-            &params,
-            DriveConfig::sa(2),
-            4,
-            Layout::raid5_default(),
-            &trace,
-            &mut rec,
-        )
-        .map_err(|source| ExportError::Simulation {
-            scenario: "array-raid5",
-            source,
-        })?;
+        let array = ArrayController::new(&params, DriveConfig::sa(2), 4, Layout::raid5_default());
+        replay_scenario("array-raid5", &trace, array, &mut rec)?;
         write_snapshot(dir, "array-raid5", &mut rec, &mut files)?;
     }
 
     {
         let mut rec = MetricsRecorder::new();
-        overlap::replay_traced(
-            &params,
-            OverlapConfig::new(4, OverlapMode::MultiChannel),
-            trace.requests(),
-            &mut rec,
-        );
+        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
+        replay_scenario("overlap-multichannel", &trace, drive, &mut rec)?;
         write_snapshot(dir, "overlap-multichannel", &mut rec, &mut files)?;
     }
 
     Ok(files)
+}
+
+/// Replays one fixed export scenario, naming it in any error.
+pub(crate) fn replay_scenario<D: Device, R: Recorder>(
+    scenario: &'static str,
+    trace: &Trace,
+    device: D,
+    rec: &mut R,
+) -> Result<D::Report, ExportError> {
+    simulate(trace, device, rec, &mut NullObserver)
+        .map_err(|source| ExportError::Simulation { scenario, source })
 }
 
 /// Loads `<dir>/explore.json` if present, validating its schema tag.

@@ -20,16 +20,14 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use array::Layout;
+use array::{ArrayController, Layout};
 use diskmodel::{DiskParams, PowerModel};
-use intradisk::overlap::{self, OverlapConfig, OverlapMode};
-use intradisk::DriveConfig;
+use intradisk::{DiskDrive, DriveConfig, OverlapConfig, OverlapMode, OverlappedDrive};
 use telemetry::{chrome_trace_json, timeline_csv, ModePowers, RingRecorder, TraceAnalysis};
 use workload::{SyntheticSpec, Trace};
 
 use crate::configs::{hcsd_params, Scale};
-use crate::metrics_export::ExportError;
-use crate::runner::{run_array_traced, run_drive_traced};
+use crate::metrics_export::{replay_scenario, ExportError};
 
 /// Requests per trace scenario (capped by the run's `--requests`).
 ///
@@ -137,8 +135,8 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
     // drive and its 4-actuator intra-disk parallel variant.
     for (name, actuators) in [("hcsd-sa1", 1u32), ("hcsd-sa4", 4u32)] {
         let mut rec = RingRecorder::new();
-        run_drive_traced(&params, DriveConfig::sa(actuators), &trace, &mut rec)
-            .map_err(|source| ExportError::Simulation { scenario: name, source })?;
+        let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
+        replay_scenario(name, &trace, drive, &mut rec)?;
         write_scenario(dir, name, &rec, &powers, &mut files)?;
         drops.push((name, rec.dropped()));
     }
@@ -151,15 +149,8 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
         let disks = 4;
         let array_trace = scenario_trace(scale, TRACE_FOOTPRINT_SECTORS);
         let mut rec = RingRecorder::new();
-        run_array_traced(
-            &params,
-            DriveConfig::sa(2),
-            disks,
-            layout,
-            &array_trace,
-            &mut rec,
-        )
-        .map_err(|source| ExportError::Simulation { scenario: "array-raid5", source })?;
+        let array = ArrayController::new(&params, DriveConfig::sa(2), disks, layout);
+        replay_scenario("array-raid5", &array_trace, array, &mut rec)?;
         write_scenario(dir, "array-raid5", &rec, &powers, &mut files)?;
         drops.push(("array-raid5", rec.dropped()));
     }
@@ -169,12 +160,8 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
     // the timeline.
     {
         let mut rec = RingRecorder::new();
-        overlap::replay_traced(
-            &params,
-            OverlapConfig::new(4, OverlapMode::MultiChannel),
-            trace.requests(),
-            &mut rec,
-        );
+        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
+        replay_scenario("overlap-multichannel", &trace, drive, &mut rec)?;
         write_scenario(dir, "overlap-multichannel", &rec, &powers, &mut files)?;
         drops.push(("overlap-multichannel", rec.dropped()));
     }

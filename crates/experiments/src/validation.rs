@@ -21,7 +21,8 @@
 //! [`SeekProfile::mean_random_seek`]: diskmodel::SeekProfile::mean_random_seek
 
 use diskmodel::{presets, DriveError, SeekProfile};
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, QueuePolicy};
+use intradisk::{DiskDrive, DriveConfig, DriveMetrics, IoKind, IoRequest, NullObserver, QueuePolicy};
+use telemetry::NullRecorder;
 use simkit::{Rng64, SimDuration, SimTime};
 
 use crate::configs::Scale;
@@ -53,29 +54,10 @@ impl ValidationRow {
     }
 }
 
-fn replay(drive: &mut DiskDrive, reqs: &[IoRequest]) -> Result<(), DriveError> {
-    let mut completion: Option<SimTime> = None;
-    let mut i = 0;
-    loop {
-        let arrival = reqs.get(i).map(|r| r.arrival);
-        let take = match (arrival, completion) {
-            (None, None) => break,
-            (Some(a), Some(c)) => a <= c,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take {
-            let r = reqs[i];
-            i += 1;
-            if let Some(f) = drive.submit(r, r.arrival)? {
-                completion = Some(f);
-            }
-        } else {
-            let (_, next) = drive.complete(completion.expect("pending"))?;
-            completion = next;
-        }
-    }
-    Ok(())
+/// Replays an in-memory request list (not a workload source, so it is
+/// not counted as pulled requests) and returns the drive's metrics.
+fn replay(drive: DiskDrive, reqs: Vec<IoRequest>) -> Result<DriveMetrics, DriveError> {
+    Ok(intradisk::simulate(reqs, drive, &mut NullRecorder, &mut NullObserver)?.metrics)
 }
 
 fn random_reads(cap: u64, n: u64, gap_ms: f64, seed: u64) -> Vec<IoRequest> {
@@ -96,17 +78,17 @@ fn random_reads(cap: u64, n: u64, gap_ms: f64, seed: u64) -> Vec<IoRequest> {
 /// Check 1: FCFS random access sees a mean rotational wait of `T/2`.
 pub fn check_rotational_latency() -> Result<ValidationRow, DriveError> {
     let params = presets::barracuda_es_750gb();
-    let mut drive = DiskDrive::new(
+    let drive = DiskDrive::new(
         &params,
         DriveConfig::conventional().with_policy(QueuePolicy::Fcfs),
     );
     // Light load so there is no queue for FCFS to reorder anyway.
     let reqs = random_reads(drive.capacity_sectors(), 4_000, 25.0, 11);
-    replay(&mut drive, &reqs)?;
+    let metrics = replay(drive, reqs)?;
     Ok(ValidationRow {
         check: "mean rotational wait, FCFS random (T/2)".to_string(),
         analytic: params.rotation_period().as_millis() / 2.0,
-        simulated: drive.metrics().rotational_ms.mean(),
+        simulated: metrics.rotational_ms.mean(),
         tolerance: 0.05,
     })
 }
@@ -116,16 +98,16 @@ pub fn check_rotational_latency() -> Result<ValidationRow, DriveError> {
 pub fn check_mean_seek() -> Result<ValidationRow, DriveError> {
     let params = presets::barracuda_es_750gb();
     let profile = SeekProfile::new(&params);
-    let mut drive = DiskDrive::new(
+    let drive = DiskDrive::new(
         &params,
         DriveConfig::conventional().with_policy(QueuePolicy::Fcfs),
     );
     let reqs = random_reads(drive.capacity_sectors(), 4_000, 25.0, 12);
-    replay(&mut drive, &reqs)?;
+    let metrics = replay(drive, reqs)?;
     Ok(ValidationRow {
         check: "mean seek, FCFS random (curve expectation)".to_string(),
         analytic: profile.mean_random_seek().as_millis(),
-        simulated: drive.metrics().seek_ms.mean(),
+        simulated: metrics.seek_ms.mean(),
         // LBAs are uniform over *sectors* (outer cylinders hold more),
         // so the simulated distribution is mildly outer-weighted.
         tolerance: 0.10,
@@ -135,7 +117,7 @@ pub fn check_mean_seek() -> Result<ValidationRow, DriveError> {
 /// Check 3: `k` equally spaced assemblies parked on the cylinder cut
 /// the expected wait to `T/2k`.
 pub fn check_multi_azimuth(k: u32) -> Result<ValidationRow, DriveError> {
-    use intradisk::service::{LatencyScaling, Mechanics};
+    use intradisk::service::{ArmSet, LatencyScaling, Mechanics};
     let params = presets::barracuda_es_750gb();
     let mech = Mechanics::new(&params);
     let mut rng = Rng64::new(13);
@@ -150,7 +132,8 @@ pub fn check_multi_azimuth(k: u32) -> Result<ValidationRow, DriveError> {
             .map(|a| intradisk::service::ArmState { cylinder: cyl, ..a })
             .collect();
         let now = SimTime::from_nanos(i as u64 * 1_734_967 + rng.below(1_000_000));
-        let plan = mech.plan(&arms, lba, 1, now, LatencyScaling::none())?;
+        let arms = ArmSet::from_arms(&arms);
+        let plan = mech.plan_set_with_heads(&arms, 1, lba, 1, now, LatencyScaling::none())?;
         total += plan.rotational.as_millis();
     }
     Ok(ValidationRow {
@@ -188,7 +171,7 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
 
     // Run at two utilizations with Poisson arrivals.
     let run = |rho: f64, seed: u64| -> Result<f64, DriveError> {
-        let mut drive = make();
+        let drive = make();
         let mut rng = Rng64::new(seed);
         let mean_gap = service_ms / rho;
         let mut t = SimTime::ZERO;
@@ -200,8 +183,7 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
                 IoRequest::new(i, t, (i * 1_000_003) % drive.capacity_sectors(), 1, IoKind::Write)
             })
             .collect();
-        replay(&mut drive, &reqs)?;
-        Ok(drive.metrics().response_time_ms.mean() - service_ms)
+        Ok(replay(drive, reqs)?.response_time_ms.mean() - service_ms)
     };
     let w_low = run(0.3, 14)?;
     let w_high = run(0.7, 15)?;

@@ -415,14 +415,12 @@ impl HeartbeatObserver {
 }
 
 impl experiments::RunObserver for HeartbeatObserver {
-    fn on_complete(&mut self, metrics: &intradisk::DriveMetrics) {
+    fn on_complete(&mut self, stats: &simkit::ResponseStats) {
         self.completed += 1;
         if self.completed & Self::CHECK_MASK != 0 {
             return;
         }
-        self.hb.maybe_beat(self.completed, || {
-            metrics.response_time_ms.percentile_stream(90.0)
-        });
+        self.hb.maybe_beat(self.completed, || stats.percentile_stream(90.0));
     }
 }
 
@@ -452,11 +450,9 @@ fn run_scale(args: &Args) -> Result<(), String> {
         let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
         let mut obs =
             HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
-        experiments::run_drive_observed(
-            &params,
-            config,
+        experiments::simulate(
             spec.source(args.scale.seed),
-            intradisk::failure::FailureSchedule::new(),
+            intradisk::DiskDrive::new(&params, config),
             &mut telemetry::NullRecorder,
             &mut obs,
         )

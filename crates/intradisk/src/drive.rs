@@ -1,20 +1,23 @@
 //! The disk-drive state machine.
 //!
-//! [`DiskDrive`] is a passive discrete-event component: its owner (a
-//! single-disk runner or an array controller) holds the event calendar
-//! and calls [`DiskDrive::submit`] when a request arrives and
+//! [`DiskDrive`] is a passive discrete-event component. An array
+//! controller calls [`DiskDrive::submit`] when a request arrives and
 //! [`DiskDrive::complete`] when a previously returned completion time is
-//! reached. The drive services one media request at a time — the
+//! reached; as a [`Device`] the drive runs under the shared run loop
+//! ([`crate::device::simulate`]), its next event being the in-service
+//! request's finish time. The drive services one media request at a time — the
 //! HC-SD-SA(n) design's twin restrictions (one arm in motion, one head
 //! transferring) make sequential service exact, with the parallelism
 //! benefit coming entirely from *which* arm is dispatched and how little
 //! it has to move and wait.
 
 use diskmodel::{DiskParams, DriveError, PowerModel};
-use simkit::{SimDuration, SimTime, StatsMode};
+use simkit::{ResponseStats, SimDuration, SimTime, StatsMode};
 use telemetry::{NullRecorder, PowerMode, Recorder, TraceEvent};
 
 use crate::cache::SegmentedCache;
+use crate::device::Device;
+use crate::failure::FailureSchedule;
 use crate::metrics::{close_idle_span, DriveMetrics, DriveMode, PowerBreakdown};
 use crate::request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
@@ -126,10 +129,38 @@ impl Default for DriveConfig {
     }
 }
 
+/// Serves `req` from the on-board cache at `now`: controller overhead,
+/// then a bus transfer; no mechanics. Charges the modes to `metrics`.
+pub(crate) fn cache_hit(
+    req: IoRequest,
+    now: SimTime,
+    overhead: SimDuration,
+    metrics: &mut DriveMetrics,
+) -> CompletedIo {
+    let bus = SimDuration::from_millis(
+        req.sectors as f64 * diskmodel::params::SECTOR_BYTES as f64 / CACHE_HIT_BUS_BYTES_PER_MS,
+    );
+    metrics.modes.add(DriveMode::Idle.key(), overhead);
+    metrics.modes.add(DriveMode::Transfer.key(), bus);
+    CompletedIo {
+        request: req,
+        completed: now + overhead + bus,
+        breakdown: ServiceBreakdown {
+            queue: now.saturating_since(req.arrival),
+            overhead,
+            seek: SimDuration::ZERO,
+            rotational: SimDuration::ZERO,
+            transfer: bus,
+        },
+        cache_hit: true,
+        actuator: 0,
+    }
+}
+
 #[derive(Debug, Clone)]
 struct InService {
+    /// The record to publish; `done.completed` is the promised finish.
     done: CompletedIo,
-    finish: SimTime,
     /// Read-miss extents get installed in the cache at completion.
     install: Option<(u64, u32)>,
 }
@@ -149,6 +180,8 @@ pub struct DiskDrive {
     metrics: DriveMetrics,
     capacity: u64,
     overhead: SimDuration,
+    /// SMART deconfigurations the run loop applies as time passes.
+    failures: FailureSchedule,
     /// Deterministic dispatch/cost/cache counters, flushed to the
     /// global registry when the drive drops (clones start at zero).
     prof: crate::counters::DriveProfCounts,
@@ -173,7 +206,26 @@ impl DiskDrive {
             mech,
             capacity,
             overhead: params.controller_overhead(),
+            failures: FailureSchedule::new(),
             prof: crate::counters::DriveProfCounts::new(),
+        }
+    }
+
+    /// Attaches a SMART failure schedule (§8's graceful-degradation
+    /// study). Under the run loop, every failure due by an arrival or
+    /// completion instant is applied before the drive acts on it.
+    pub fn with_failures(mut self, failures: FailureSchedule) -> Self {
+        self.failures = failures;
+        self
+    }
+
+    /// Applies the attached failures due at or before `now`.
+    #[inline]
+    fn apply_due_failures(&mut self, now: SimTime) {
+        if self.failures.next_at().is_some_and(|at| at <= now) {
+            let mut failures = std::mem::take(&mut self.failures);
+            failures.apply_due(self, now);
+            self.failures = failures;
         }
     }
 
@@ -195,12 +247,6 @@ impl DiskDrive {
     /// Statistics collected so far.
     pub fn metrics(&self) -> &DriveMetrics {
         &self.metrics
-    }
-
-    /// Number of requests waiting in the queue (excluding the one in
-    /// service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Deepest the pending queue has been over the drive's lifetime.
@@ -272,15 +318,7 @@ impl DiskDrive {
             req.lba %= self.capacity;
         }
         if R::ENABLED {
-            rec.record(
-                now,
-                TraceEvent::RequestSubmitted {
-                    req: req.id,
-                    lba: req.lba,
-                    sectors: req.sectors,
-                    op: req.kind.into(),
-                },
-            );
+            rec.record(now, req.submitted());
         }
         if self.in_service.is_some() {
             self.queue.push(req);
@@ -327,8 +365,8 @@ impl DiskDrive {
             Some(srv) => srv,
             None => return Err(DriveError::NotInService),
         };
-        if srv.finish != now {
-            let promised = srv.finish;
+        if srv.done.completed != now {
+            let promised = srv.done.completed;
             self.in_service = Some(srv);
             return Err(DriveError::WrongCompletionTime { promised, at: now });
         }
@@ -410,15 +448,7 @@ impl DiskDrive {
         // Cache check (reads only; writes are written through).
         if req.kind.is_read() && self.cache.lookup(req.lba, req.sectors) {
             self.prof.cache_hits.bump();
-            let bus = SimDuration::from_millis(
-                req.sectors as f64 * diskmodel::params::SECTOR_BYTES as f64
-                    / CACHE_HIT_BUS_BYTES_PER_MS,
-            );
-            let finish = now + overhead + bus;
-            self.metrics
-                .modes
-                .add(DriveMode::Idle.key(), overhead);
-            self.metrics.modes.add(DriveMode::Transfer.key(), bus);
+            let done = cache_hit(req, now, overhead, &mut self.metrics);
             if R::ENABLED {
                 rec.record(now, TraceEvent::CacheHit { req: req.id });
                 rec.record(
@@ -430,28 +460,12 @@ impl DiskDrive {
                     TraceEvent::Transfer {
                         req: req.id,
                         actuator: 0,
-                        dur: bus,
+                        dur: done.breakdown.transfer,
                     },
                 );
             }
-            let done = CompletedIo {
-                request: req,
-                completed: finish,
-                breakdown: ServiceBreakdown {
-                    queue: queue_wait,
-                    overhead,
-                    seek: SimDuration::ZERO,
-                    rotational: SimDuration::ZERO,
-                    transfer: bus,
-                },
-                cache_hit: true,
-                actuator: 0,
-            };
-            self.in_service = Some(InService {
-                done,
-                finish,
-                install: None,
-            });
+            let finish = done.completed;
+            self.in_service = Some(InService { done, install: None });
             return Ok(finish);
         }
 
@@ -570,7 +584,6 @@ impl DiskDrive {
         };
         self.in_service = Some(InService {
             done,
-            finish,
             install: req.kind.is_read().then_some((req.lba, req.sectors)),
         });
         Ok(finish)
@@ -598,6 +611,73 @@ impl DiskDrive {
     }
 }
 
+/// Result of replaying a workload on a single drive.
+#[derive(Debug, Clone)]
+pub struct DriveRunResult {
+    /// Everything the drive recorded.
+    pub metrics: DriveMetrics,
+    /// Average-power breakdown over the run.
+    pub power: PowerBreakdown,
+    /// Wall-clock span of the run.
+    pub duration: SimDuration,
+    /// Deepest the drive's pending queue got during the run.
+    pub queue_peak: usize,
+}
+
+impl DriveRunResult {
+    /// The 90th-percentile response time in milliseconds (exact when
+    /// the drive ran in `StatsMode::Exact`; bounded-error streaming
+    /// read otherwise).
+    ///
+    /// The run loop finalizes the stats when the replay ends, so this
+    /// is an indexed read on a shared reference.
+    pub fn p90_ms(&self) -> f64 {
+        self.metrics.response_time_ms.percentile(90.0)
+    }
+
+    /// The 90th percentile from the bounded-memory streaming view —
+    /// available in either mode, and agrees with
+    /// [`DriveRunResult::p90_ms`] within the streaming histogram's
+    /// documented relative-error bound.
+    pub fn p90_stream_ms(&self) -> f64 {
+        self.metrics.response_time_ms.percentile_stream(90.0)
+    }
+}
+
+impl Device for DiskDrive {
+    type Report = DriveRunResult;
+
+    fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
+        self.apply_due_failures(req.arrival);
+        self.submit_traced(req, req.arrival, rec).map(drop)
+    }
+
+    #[inline]
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.in_service.as_ref().map(|s| s.done.completed)
+    }
+
+    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
+        self.apply_due_failures(now);
+        self.complete_traced(now, rec).map(|_| 1)
+    }
+
+    #[inline]
+    fn stats(&self) -> &ResponseStats {
+        &self.metrics.response_time_ms
+    }
+
+    fn finalize(&mut self, end: SimTime) -> DriveRunResult {
+        DiskDrive::finalize(self, end);
+        DriveRunResult {
+            power: self.power_breakdown(),
+            metrics: self.metrics.clone(),
+            duration: end.saturating_since(SimTime::ZERO),
+            queue_peak: self.queue_peak(),
+        }
+    }
+}
+
 /// On drop, the drive publishes its queue high-water mark to the
 /// deterministic counter registry (a max, so clones re-flushing is
 /// idempotent); its `DriveProfCounts` batchers flush themselves.
@@ -610,42 +690,28 @@ impl Drop for DiskDrive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::{simulate, NullObserver};
     use diskmodel::presets;
 
     fn drive(n: u32) -> DiskDrive {
         DiskDrive::new(&presets::barracuda_es_750gb(), DriveConfig::sa(n))
     }
 
-    fn run_to_completion(drive: &mut DiskDrive, reqs: Vec<IoRequest>) -> Vec<CompletedIo> {
-        let mut done = Vec::new();
-        let mut arrivals = reqs;
-        arrivals.sort_by_key(|r| r.arrival);
-        let mut ai = 0;
-        let mut completion: Option<SimTime> = None;
-        // Simple two-source loop: arrivals vs completions.
-        loop {
-            let arrival = arrivals.get(ai).map(|r| r.arrival);
-            let take_arrival = match (arrival, completion) {
-                (None, None) => break,
-                (Some(a), Some(c)) => a <= c,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if take_arrival {
-                let r = arrivals[ai];
-                ai += 1;
-                if let Some(f) = drive.submit(r, r.arrival).expect("valid submit") {
-                    completion = Some(f);
-                }
-            } else {
-                let (d, next) = drive
-                    .complete(completion.expect("completion pending"))
-                    .expect("valid complete");
-                done.push(d);
-                completion = next;
-            }
-        }
-        done
+    /// Replays `reqs` through the shared run loop.
+    fn run(drive: DiskDrive, reqs: Vec<IoRequest>) -> DriveRunResult {
+        simulate(reqs, drive, &mut NullRecorder, &mut NullObserver).expect("valid replay")
+    }
+
+    /// Replays `reqs` and returns the request ids in completion order.
+    fn completion_order(drive: DiskDrive, reqs: Vec<IoRequest>) -> Vec<u64> {
+        let mut rec = telemetry::RingRecorder::new();
+        simulate(reqs, drive, &mut rec, &mut NullObserver).expect("valid replay");
+        rec.samples()
+            .filter_map(|s| match s.event {
+                TraceEvent::Complete { req } => Some(req),
+                _ => None,
+            })
+            .collect()
     }
 
     fn scattered(n: u64, cap: u64) -> Vec<IoRequest> {
@@ -711,12 +777,10 @@ mod tests {
 
     #[test]
     fn queued_requests_all_complete() {
-        let mut d = drive(1);
+        let d = drive(1);
         let reqs = scattered(100, d.capacity_sectors());
-        let done = run_to_completion(&mut d, reqs);
-        assert_eq!(done.len(), 100);
-        assert_eq!(d.metrics().completed, 100);
-        let mut ids: Vec<u64> = done.iter().map(|c| c.request.id).collect();
+        let mut ids = completion_order(d.clone(), reqs.clone());
+        assert_eq!(run(d, reqs).metrics.completed, 100);
         ids.sort_unstable();
         assert_eq!(ids, (0..100).collect::<Vec<_>>());
     }
@@ -725,10 +789,9 @@ mod tests {
     fn more_actuators_cut_mean_response_time() {
         let mut means = Vec::new();
         for n in [1u32, 2, 4] {
-            let mut d = drive(n);
+            let d = drive(n);
             let reqs = scattered(400, d.capacity_sectors());
-            let _ = run_to_completion(&mut d, reqs);
-            means.push(d.metrics().response_time_ms.mean());
+            means.push(run(d, reqs).metrics.response_time_ms.mean());
         }
         assert!(means[1] < means[0], "SA(2) {} !< SA(1) {}", means[1], means[0]);
         assert!(means[2] < means[1], "SA(4) {} !< SA(2) {}", means[2], means[1]);
@@ -741,7 +804,7 @@ mod tests {
         // expected rotational wait drops toward T/2k.
         let mut rot = Vec::new();
         for n in [1u32, 4] {
-            let mut d = drive(n);
+            let d = drive(n);
             let reqs: Vec<IoRequest> = (0..400u64)
                 .map(|i| {
                     IoRequest::new(
@@ -753,8 +816,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let _ = run_to_completion(&mut d, reqs);
-            rot.push(d.metrics().rotational_ms.mean());
+            rot.push(run(d, reqs).metrics.rotational_ms.mean());
         }
         // SA(1) sees ~T/2 ≈ 4.2 ms on average. The dispatcher minimizes
         // seek + rotation jointly, so the chosen arm's rotational wait
@@ -774,33 +836,27 @@ mod tests {
     fn zero_rotational_scaling_eliminates_rotational_latency() {
         let params = presets::barracuda_es_750gb();
         let cfg = DriveConfig::sa(1).with_scaling(LatencyScaling::rotational_only(0.0));
-        let mut d = DiskDrive::new(&params, cfg);
+        let d = DiskDrive::new(&params, cfg);
         let reqs = scattered(50, d.capacity_sectors());
-        let _ = run_to_completion(&mut d, reqs);
-        assert_eq!(d.metrics().rotational_ms.max(), 0.0);
+        assert_eq!(run(d, reqs).metrics.rotational_ms.max(), 0.0);
     }
 
     #[test]
     fn mode_times_cover_entire_run() {
-        let mut d = drive(2);
+        let d = drive(2);
         let reqs = scattered(50, d.capacity_sectors());
-        let done = run_to_completion(&mut d, reqs);
-        let end = done.iter().map(|c| c.completed).max().unwrap();
-        d.finalize(end);
-        let total = d.metrics().modes.total_time();
-        // All wall-clock time from 0 to end is attributed to some mode.
-        assert_eq!(total, end - SimTime::ZERO);
+        let r = run(d, reqs);
+        // All wall-clock time from 0 to the last completion is
+        // attributed to some mode.
+        assert_eq!(r.metrics.modes.total_time(), r.duration);
     }
 
     #[test]
     fn power_breakdown_within_physical_bounds() {
-        let mut d = drive(2);
+        let d = drive(2);
+        let pm = *d.power_model();
         let reqs = scattered(200, d.capacity_sectors());
-        let done = run_to_completion(&mut d, reqs);
-        let end = done.iter().map(|c| c.completed).max().unwrap();
-        d.finalize(end);
-        let br = d.power_breakdown();
-        let pm = d.power_model();
+        let br = run(d, reqs).power;
         assert!(br.total_w() >= pm.idle_w() - 1e-9, "below idle floor");
         assert!(br.total_w() <= pm.seek_w(1) + 1e-9, "above 1-arm ceiling");
     }
@@ -811,8 +867,9 @@ mod tests {
         assert!(d.deconfigure_actuator(1));
         assert_eq!(d.live_actuators(), 1);
         let reqs = scattered(100, d.capacity_sectors());
-        let done = run_to_completion(&mut d, reqs);
-        assert!(done.iter().all(|c| c.actuator == 0));
+        let r = run(d, reqs);
+        assert_eq!(r.metrics.per_actuator[0], 100);
+        assert_eq!(r.metrics.per_actuator[1], 0);
     }
 
     #[test]
@@ -844,9 +901,7 @@ mod tests {
             })
             .collect();
         let mean = |cfg: DriveConfig| {
-            let mut d = DiskDrive::new(&params, cfg);
-            let _ = run_to_completion(&mut d, reqs.clone());
-            d.metrics().response_time_ms.mean()
+            run(DiskDrive::new(&params, cfg), reqs.clone()).metrics.response_time_ms.mean()
         };
         let conventional = mean(DriveConfig::conventional());
         let h2 = mean(DriveConfig::dash(1, 2));
@@ -858,11 +913,9 @@ mod tests {
     #[test]
     fn fcfs_orders_by_arrival() {
         let params = presets::barracuda_es_750gb();
-        let mut d = DiskDrive::new(&params, DriveConfig::sa(1).with_policy(QueuePolicy::Fcfs));
+        let d = DiskDrive::new(&params, DriveConfig::sa(1).with_policy(QueuePolicy::Fcfs));
         let reqs = scattered(20, d.capacity_sectors());
-        let done = run_to_completion(&mut d, reqs);
-        let ids: Vec<u64> = done.iter().map(|c| c.request.id).collect();
-        assert_eq!(ids, (0..20).collect::<Vec<_>>());
+        assert_eq!(completion_order(d, reqs), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -870,7 +923,7 @@ mod tests {
         let params = presets::barracuda_es_750gb();
         let mut means = Vec::new();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::Sptf] {
-            let mut d = DiskDrive::new(&params, DriveConfig::sa(1).with_policy(policy));
+            let d = DiskDrive::new(&params, DriveConfig::sa(1).with_policy(policy));
             // Heavy burst: all arrive at time zero.
             let reqs: Vec<IoRequest> = (0..300)
                 .map(|i| {
@@ -883,8 +936,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let _ = run_to_completion(&mut d, reqs);
-            means.push(d.metrics().response_time_ms.mean());
+            means.push(run(d, reqs).metrics.response_time_ms.mean());
         }
         assert!(means[1] < means[0], "SPTF {} !< FCFS {}", means[1], means[0]);
     }

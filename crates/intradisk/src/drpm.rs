@@ -8,19 +8,23 @@
 //! spindle power (∝ RPM^2.8) during lulls at the cost of slower service
 //! and speed-transition delays.
 //!
-//! [`replay`] models a two-speed drive: it services requests at full
+//! [`DrpmDrive`] models a two-speed drive: it services requests at full
 //! or low RPM, lazily downshifting after a configurable idle period and
 //! upshifting (paying a transition delay) when the queue depth crosses
 //! a threshold. Energy is integrated directly (speed-dependent idle
 //! power levels don't fit the four-mode breakdown of the stacked bars).
+//! It runs under the shared run loop ([`crate::device::simulate`]) and
+//! emits no trace events.
 //!
 //! The `experiments::extensions` module compares this baseline against
 //! a fixed low-RPM intra-disk parallel drive on the paper's workloads.
 
-use diskmodel::{DiskParams, PowerModel};
+use diskmodel::{DiskParams, DriveError, PowerModel};
 use simkit::{ResponseStats, SimDuration, SimTime};
+use telemetry::Recorder;
 
-use crate::request::{IoKind, IoRequest};
+use crate::device::Device;
+use crate::request::IoRequest;
 use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
 use crate::service::{ArmSet, LatencyScaling, Mechanics};
 
@@ -78,166 +82,233 @@ impl DrpmResult {
     }
 }
 
+#[derive(Debug)]
 struct Speed {
     mech: Mechanics,
     power: PowerModel,
 }
 
-/// Replays a trace against a two-speed DRPM drive and reports response
-/// time and energy.
+impl Speed {
+    fn new(params: &DiskParams) -> Self {
+        Speed {
+            mech: Mechanics::new(params),
+            power: PowerModel::new(params),
+        }
+    }
+}
+
+/// What the drive is doing between events.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum State {
+    /// Nothing queued since `since`.
+    Idle { since: SimTime },
+    /// A service decision is due (after an idle period or an upshift).
+    Deciding { at: SimTime },
+    /// Servicing a request that arrived at `arrival`.
+    Serving { arrival: SimTime, finish: SimTime },
+}
+
+/// A two-speed DRPM drive.
 ///
 /// The drive services one request at a time with SPTF over a bounded
 /// window (like [`crate::DiskDrive`]) but may be in the low-speed state
 /// when a request arrives; it upshifts — paying the transition — only
-/// when the queue reaches the configured depth.
-pub fn replay(params: &DiskParams, config: DrpmConfig, requests: &[IoRequest]) -> DrpmResult {
-    assert!(config.low_rpm > 0 && config.low_rpm < params.rpm());
-    let full = Speed {
-        mech: Mechanics::new(params),
-        power: PowerModel::new(params),
-    };
-    let low_params = params.with_rpm(config.low_rpm);
-    let low = Speed {
-        mech: Mechanics::new(&low_params),
-        power: PowerModel::new(&low_params),
-    };
+/// when the queue reaches the configured depth. Every service decision
+/// is an event, so the run loop's arrivals-first tie-break queues every
+/// request that has arrived by the decision instant before SPTF picks.
+#[derive(Debug)]
+pub struct DrpmDrive {
+    config: DrpmConfig,
+    full: Speed,
+    low: Speed,
+    arms: ArmSet,
+    queue: PendingQueue,
+    capacity: u64,
+    overhead: SimDuration,
+    state: State,
+    at_low: bool,
+    response: ResponseStats,
+    energy_j: f64,
+    low_time: SimDuration,
+    upshifts: u64,
+}
 
-    let mut arms = ArmSet::from_arms(&full.mech.default_arms(1));
-    let mut queue = PendingQueue::new(DEFAULT_WINDOW, 1);
-    let mut response = ResponseStats::exact();
-    let mut energy_j = 0.0;
-    let mut low_time = SimDuration::ZERO;
-    let mut upshifts = 0u64;
-
-    let capacity = full.mech.geometry().total_sectors();
-    let overhead = params.controller_overhead();
-
-    // Simulation state: the drive alternates between servicing the
-    // queue head-of-line (chosen by SPTF) and sitting idle until the
-    // next arrival. Speed changes are decided at those boundaries.
-    let mut now = SimTime::ZERO;
-    let mut at_low = false;
-    let mut i = 0usize;
-    let charge = |e: &mut f64, power_w: f64, dt: SimDuration| {
-        *e += power_w * dt.as_secs();
-    };
-
-    loop {
-        // Refill the queue with everything that has arrived by `now`.
-        while i < requests.len() && requests[i].arrival <= now {
-            queue.push(requests[i]);
-            i += 1;
+impl DrpmDrive {
+    /// A DRPM drive of model `params` under policy `config`.
+    ///
+    /// # Panics
+    /// Panics unless `0 < config.low_rpm < params.rpm()`.
+    pub fn new(params: &DiskParams, config: DrpmConfig) -> Self {
+        assert!(config.low_rpm > 0 && config.low_rpm < params.rpm());
+        let full = Speed::new(params);
+        let low = Speed::new(&params.with_rpm(config.low_rpm));
+        DrpmDrive {
+            arms: ArmSet::from_arms(&full.mech.default_arms(1)),
+            queue: PendingQueue::new(DEFAULT_WINDOW, 1),
+            capacity: full.mech.geometry().total_sectors(),
+            overhead: params.controller_overhead(),
+            config,
+            full,
+            low,
+            state: State::Idle { since: SimTime::ZERO },
+            at_low: false,
+            response: ResponseStats::exact(),
+            energy_j: 0.0,
+            low_time: SimDuration::ZERO,
+            upshifts: 0,
         }
-        if queue.is_empty() {
-            match requests.get(i) {
-                None => break,
-                Some(next) => {
-                    // Idle until the next arrival; downshift lazily.
-                    let gap = next.arrival - now;
-                    if !at_low && gap >= config.spin_down_after {
-                        charge(&mut energy_j, full.power.idle_w(), config.spin_down_after);
-                        let remaining = gap - config.spin_down_after;
-                        charge(&mut energy_j, low.power.idle_w(), remaining);
-                        low_time += remaining;
-                        at_low = true;
-                        queue.forget_costs(); // costs were priced at full speed
-                    } else {
-                        let idle_power = if at_low {
-                            low.power.idle_w()
-                        } else {
-                            full.power.idle_w()
-                        };
-                        charge(&mut energy_j, idle_power, gap);
-                        if at_low {
-                            low_time += gap;
-                        }
-                    }
-                    now = next.arrival;
-                    continue;
-                }
-            }
-        }
+    }
 
-        // Upshift decision at a service boundary.
-        if at_low && queue.len() >= config.upshift_queue {
-            charge(&mut energy_j, full.power.seek_w(0), config.transition);
-            now += config.transition;
-            at_low = false;
-            queue.forget_costs(); // costs were priced at low speed
-            upshifts += 1;
-            continue; // re-collect arrivals during the transition
-        }
+    fn charge(&mut self, power_w: f64, dt: SimDuration) {
+        self.energy_j += power_w * dt.as_secs();
+    }
 
-        let speed = if at_low { &low } else { &full };
-        let start = now + overhead;
+    /// Charges the idle gap ending at `now`, downshifting lazily.
+    fn end_idle(&mut self, since: SimTime, now: SimTime) {
+        let gap = now - since;
+        if gap.is_zero() {
+            return;
+        }
+        if !self.at_low && gap >= self.config.spin_down_after {
+            self.charge(self.full.power.idle_w(), self.config.spin_down_after);
+            let remaining = gap - self.config.spin_down_after;
+            self.charge(self.low.power.idle_w(), remaining);
+            self.low_time += remaining;
+            self.at_low = true;
+            self.queue.forget_costs(); // costs were priced at full speed
+        } else if self.at_low {
+            self.charge(self.low.power.idle_w(), gap);
+            self.low_time += gap;
+        } else {
+            self.charge(self.full.power.idle_w(), gap);
+        }
+    }
+
+    /// The service decision at `now`: go idle, upshift, or start the
+    /// SPTF pick.
+    fn decide(&mut self, now: SimTime) {
+        if self.queue.is_empty() {
+            self.state = State::Idle { since: now };
+            return;
+        }
+        if self.at_low && self.queue.len() >= self.config.upshift_queue {
+            self.charge(self.full.power.seek_w(0), self.config.transition);
+            self.at_low = false;
+            self.queue.forget_costs(); // costs were priced at low speed
+            self.upshifts += 1;
+            self.state = State::Deciding { at: now + self.config.transition };
+            return;
+        }
+        let speed = if self.at_low { &self.low } else { &self.full };
+        let start = now + self.overhead;
         let cost = ScanCost {
             mech: &speed.mech,
-            arms: &arms,
+            arms: &self.arms,
             heads: 1,
             start,
             scaling: LatencyScaling::none(),
         };
-        // The queue was checked non-empty above and the single arm is
-        // never deconfigured, so the scan always pops a priced request;
-        // bail out of the replay rather than panic if that ever breaks.
-        let Some((req, Some(choice))) = queue.pop_next(QueuePolicy::Sptf, &cost, |_| true, None)
+        // The queue is non-empty and the single arm is never
+        // deconfigured, so the scan always pops a priced request.
+        let Some((req, Some(choice))) =
+            self.queue.pop_next(QueuePolicy::Sptf, &cost, |_| true, None)
         else {
-            break;
+            self.state = State::Idle { since: now };
+            return;
         };
-        let plan = speed.mech.plan_for(choice, req.lba % capacity, req.sectors);
+        let plan = speed.mech.plan_for(choice, req.lba % self.capacity, req.sectors);
         let finish = start + plan.total();
         // Energy: overhead+rotation at idle level, seek with VCM,
-        // transfer with channel.
-        charge(&mut energy_j, speed.power.idle_w(), overhead + plan.rotational);
-        charge(&mut energy_j, speed.power.seek_w(1), plan.seek);
-        charge(&mut energy_j, speed.power.transfer_w(), plan.transfer);
-        if at_low {
-            low_time += finish - now;
+        // transfer with channel. Writes and reads cost alike here.
+        let (idle_w, seek_w, transfer_w) =
+            (speed.power.idle_w(), speed.power.seek_w(1), speed.power.transfer_w());
+        self.charge(idle_w, self.overhead + plan.rotational);
+        self.charge(seek_w, plan.seek);
+        self.charge(transfer_w, plan.transfer);
+        if self.at_low {
+            self.low_time += finish - now;
         }
-        arms.set_cylinder(0, plan.end_cylinder);
-        let _ = req.kind == IoKind::Write; // writes and reads cost alike here
-        response.record((finish - req.arrival).as_millis());
-        now = finish;
+        self.arms.set_cylinder(0, plan.end_cylinder);
+        self.state = State::Serving {
+            arrival: req.arrival,
+            finish,
+        };
+    }
+}
+
+impl Device for DrpmDrive {
+    type Report = DrpmResult;
+
+    fn submit<R: Recorder>(&mut self, req: IoRequest, _rec: &mut R) -> Result<(), DriveError> {
+        if let State::Idle { since } = self.state {
+            self.end_idle(since, req.arrival);
+            self.state = State::Deciding { at: req.arrival };
+        }
+        self.queue.push(req);
+        Ok(())
     }
 
-    let duration = now - SimTime::ZERO;
-    DrpmResult {
-        completed: response.count() as u64,
-        response_time_ms: response,
-        energy_j,
-        duration,
-        low_speed_fraction: if duration.is_zero() {
-            0.0
-        } else {
-            low_time.as_millis() / duration.as_millis()
-        },
-        upshifts,
+    fn next_event_time(&self) -> Option<SimTime> {
+        match self.state {
+            State::Idle { .. } => None,
+            State::Deciding { at } => Some(at),
+            State::Serving { finish, .. } => Some(finish),
+        }
+    }
+
+    fn on_event<R: Recorder>(&mut self, now: SimTime, _rec: &mut R) -> Result<usize, DriveError> {
+        let completed = match self.state {
+            State::Serving { arrival, .. } => {
+                self.response.record((now - arrival).as_millis());
+                1
+            }
+            _ => 0,
+        };
+        self.decide(now);
+        Ok(completed)
+    }
+
+    fn stats(&self) -> &ResponseStats {
+        &self.response
+    }
+
+    fn finalize(&mut self, end: SimTime) -> DrpmResult {
+        self.response.finalize();
+        let duration = end - SimTime::ZERO;
+        DrpmResult {
+            completed: self.response.count() as u64,
+            response_time_ms: self.response.clone(),
+            energy_j: self.energy_j,
+            duration,
+            low_speed_fraction: if duration.is_zero() {
+                0.0
+            } else {
+                self.low_time.as_millis() / duration.as_millis()
+            },
+            upshifts: self.upshifts,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::random_reads;
+    use crate::device::{simulate, NullObserver};
+    use crate::request::IoKind;
     use diskmodel::presets;
-    use simkit::Rng64;
+    use telemetry::NullRecorder;
 
-    fn requests(n: u64, gap_ms: f64, seed: u64) -> Vec<IoRequest> {
-        let params = presets::barracuda_es_750gb();
-        let cap = Mechanics::new(&params).geometry().total_sectors();
-        let mut rng = Rng64::new(seed);
-        let mut t = SimTime::ZERO;
-        (0..n)
-            .map(|i| {
-                t += SimDuration::from_millis(rng.f64() * 2.0 * gap_ms);
-                IoRequest::new(i, t, rng.below(cap), 8, IoKind::Read)
-            })
-            .collect()
+    fn replay(params: &DiskParams, config: DrpmConfig, reqs: &[IoRequest]) -> DrpmResult {
+        let drive = DrpmDrive::new(params, config);
+        simulate(reqs.iter().copied(), drive, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay")
     }
 
     #[test]
     fn completes_everything() {
         let params = presets::barracuda_es_750gb();
-        let reqs = requests(500, 10.0, 1);
+        let reqs = random_reads(500, 10.0, 1);
         let r = replay(&params, DrpmConfig::typical(), &reqs);
         assert_eq!(r.completed, 500);
         assert!(r.average_power_w() > 0.0);
@@ -247,7 +318,7 @@ mod tests {
     fn bursty_idle_load_spends_time_at_low_speed() {
         let params = presets::barracuda_es_750gb();
         // Widely spaced requests: mostly idle, big spin-down opportunity.
-        let reqs = requests(100, 3_000.0, 2);
+        let reqs = random_reads(100, 3_000.0, 2);
         let r = replay(&params, DrpmConfig::typical(), &reqs);
         assert!(
             r.low_speed_fraction > 0.5,
@@ -262,7 +333,7 @@ mod tests {
     #[test]
     fn sustained_load_stays_at_full_speed() {
         let params = presets::barracuda_es_750gb();
-        let reqs = requests(1_000, 6.0, 3);
+        let reqs = random_reads(1_000, 6.0, 3);
         let r = replay(&params, DrpmConfig::typical(), &reqs);
         assert!(
             r.low_speed_fraction < 0.05,
@@ -299,7 +370,7 @@ mod tests {
     fn low_speed_service_is_slower_but_works() {
         let params = presets::barracuda_es_750gb();
         // Sparse singles: each serviced at low speed without upshift.
-        let reqs = requests(50, 5_000.0, 4);
+        let reqs = random_reads(50, 5_000.0, 4);
         let r = replay(&params, DrpmConfig::typical(), &reqs);
         assert_eq!(r.upshifts, 0);
         assert_eq!(r.completed, 50);

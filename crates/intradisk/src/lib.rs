@@ -21,6 +21,8 @@
 //! * [`service`] — positioning/transfer planning for one request on a
 //!   chosen arm assembly (the mechanical inner loop).
 //! * [`drive`] — the drive state machine gluing the above together.
+//! * [`device`] — the [`Device`] contract and [`simulate`], the one run
+//!   loop every engine (drive, array, overlap, DRPM, MAID) runs under.
 //! * [`metrics`] — per-drive statistics and the four-mode power
 //!   attribution of Figures 3 and 6.
 //! * [`failure`] — SMART-style actuator deconfiguration (§8).
@@ -29,27 +31,19 @@
 //!
 //! ```
 //! use diskmodel::presets;
-//! use intradisk::{DiskDrive, DriveConfig, IoRequest, IoKind};
-//! use simkit::{EventQueue, SimTime};
+//! use intradisk::{simulate, DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver};
+//! use simkit::SimTime;
+//! use telemetry::NullRecorder;
 //!
 //! fn run(actuators: u32) -> f64 {
 //!     let params = presets::barracuda_es_750gb();
-//!     let mut drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
-//!     let mut events = EventQueue::new();
+//!     let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
 //!     // 200 back-to-back scattered reads.
-//!     for i in 0..200u64 {
-//!         let req = IoRequest::new(i, SimTime::ZERO, (i * 7_919_993) % 1_000_000_000, 8, IoKind::Read);
-//!         if let Some(done) = drive.submit(req, SimTime::ZERO).expect("valid submit") {
-//!             events.push(done, ());
-//!         }
-//!     }
-//!     while let Some(ev) = events.pop() {
-//!         let (_, next) = drive.complete(ev.time).expect("valid complete");
-//!         if let Some(t) = next {
-//!             events.push(t, ());
-//!         }
-//!     }
-//!     drive.metrics().response_time_ms.mean()
+//!     let reqs = (0..200u64).map(|i| {
+//!         IoRequest::new(i, SimTime::ZERO, (i * 7_919_993) % 1_000_000_000, 8, IoKind::Read)
+//!     });
+//!     let r = simulate(reqs, drive, &mut NullRecorder, &mut NullObserver).expect("valid replay");
+//!     r.metrics.response_time_ms.mean()
 //! }
 //!
 //! assert!(run(2) < run(1));
@@ -58,6 +52,7 @@
 pub mod cache;
 pub mod counters;
 pub mod dash;
+pub mod device;
 pub mod drive;
 pub mod drpm;
 pub mod failure;
@@ -70,7 +65,8 @@ pub mod service;
 
 pub use cache::SegmentedCache;
 pub use dash::DashConfig;
-pub use drive::{ArmPlacement, DiskDrive, DriveConfig, LatencyScaling};
+pub use device::{simulate, Device, NullObserver, RunObserver};
+pub use drive::{ArmPlacement, DiskDrive, DriveConfig, DriveRunResult, LatencyScaling};
 pub use metrics::{DriveMetrics, DriveMode, PowerBreakdown};
 pub use overlap::{OverlapConfig, OverlapMode, OverlappedDrive};
 pub use request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};

@@ -19,11 +19,13 @@
 //!   positions and transfers independently (an upper bound requiring
 //!   per-arm read/write channels).
 
-use diskmodel::{DiskParams, PowerModel};
-use simkit::{EventQueue, SimDuration, SimTime};
-use telemetry::{NullRecorder, Recorder, TraceEvent};
+use diskmodel::{DiskParams, DriveError, PowerModel};
+use simkit::{EventQueue, ResponseStats, SimDuration, SimTime};
+use telemetry::{Recorder, TraceEvent};
 
 use crate::cache::SegmentedCache;
+use crate::device::Device;
+use crate::drive::{cache_hit, DriveRunResult};
 use crate::metrics::{close_idle_span, DriveMetrics, DriveMode, PowerBreakdown};
 use crate::request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
@@ -73,8 +75,8 @@ impl OverlapConfig {
 
 #[derive(Debug, Clone)]
 struct InFlight {
+    /// The record to publish; `done.completed` is the finish time.
     done: CompletedIo,
-    finish: SimTime,
     install: Option<(u64, u32)>,
 }
 
@@ -82,10 +84,10 @@ struct InFlight {
 /// requests across its assemblies.
 ///
 /// Unlike [`crate::DiskDrive`], several completions can be outstanding
-/// at once; the owner pushes each time returned by
-/// [`submit`](Self::submit)/[`complete`](Self::complete) into its event
-/// calendar and calls [`complete`](Self::complete) when one fires.
-#[derive(Debug, Clone)]
+/// at once, so the drive keeps its own calendar of completion instants
+/// and, as a [`Device`], completes everything due at an instant in one
+/// event.
+#[derive(Debug)]
 pub struct OverlappedDrive {
     mech: Mechanics,
     power: PowerModel,
@@ -98,6 +100,8 @@ pub struct OverlappedDrive {
     channel_free_at: SimTime,
     queue: PendingQueue,
     in_flight: Vec<InFlight>,
+    /// Completion instants of the requests in flight.
+    events: EventQueue<()>,
     config: OverlapConfig,
     idle_since: SimTime,
     metrics: DriveMetrics,
@@ -120,6 +124,7 @@ impl OverlappedDrive {
             motion_free_at: SimTime::ZERO,
             channel_free_at: SimTime::ZERO,
             in_flight: Vec::new(),
+            events: EventQueue::new(),
             metrics: DriveMetrics::new(config.actuators),
             config,
             idle_since: SimTime::ZERO,
@@ -129,119 +134,9 @@ impl OverlappedDrive {
         }
     }
 
-    /// Statistics collected so far.
-    pub fn metrics(&self) -> &DriveMetrics {
-        &self.metrics
-    }
-
-    /// Addressable capacity in sectors.
-    pub fn capacity_sectors(&self) -> u64 {
-        self.capacity
-    }
-
     /// True if nothing is queued or in flight.
     pub fn is_idle(&self) -> bool {
         self.in_flight.is_empty() && self.queue.is_empty()
-    }
-
-    /// Submits a request; returns completion times newly scheduled by
-    /// this submission (at most one per idle arm).
-    pub fn submit(&mut self, req: IoRequest, now: SimTime) -> Vec<SimTime> {
-        self.submit_traced(req, now, &mut NullRecorder)
-    }
-
-    /// [`OverlappedDrive::submit`] with event tracing. The overlapped
-    /// engine emits no `PowerModeChange` events — with several arms
-    /// concurrently busy the drive has no single well-defined mode;
-    /// per-phase intervals (seek / rotational wait / transfer) are
-    /// still emitted per actuator.
-    pub fn submit_traced<R: Recorder>(
-        &mut self,
-        mut req: IoRequest,
-        now: SimTime,
-        rec: &mut R,
-    ) -> Vec<SimTime> {
-        assert!(now >= req.arrival, "submit before arrival");
-        if req.lba >= self.capacity {
-            req.lba %= self.capacity;
-        }
-        if R::ENABLED {
-            rec.record(
-                now,
-                TraceEvent::RequestSubmitted {
-                    req: req.id,
-                    lba: req.lba,
-                    sectors: req.sectors,
-                    op: req.kind.into(),
-                },
-            );
-        }
-        if self.in_flight.is_empty() {
-            close_idle_span(&mut self.metrics.modes, self.idle_since, now);
-            self.idle_since = now;
-        }
-        self.queue.push(req);
-        if R::ENABLED {
-            rec.record(
-                now,
-                TraceEvent::RequestQueued {
-                    req: req.id,
-                    depth: self.queue.len() as u32,
-                },
-            );
-        }
-        self.dispatch(now, rec)
-    }
-
-    /// Completes every in-flight request due exactly at `now`; returns
-    /// the completion records and any newly scheduled completion times.
-    ///
-    /// # Panics
-    /// Panics if nothing is due at `now`.
-    pub fn complete(&mut self, now: SimTime) -> (Vec<CompletedIo>, Vec<SimTime>) {
-        self.complete_traced(now, &mut NullRecorder)
-    }
-
-    /// [`OverlappedDrive::complete`] with event tracing (see
-    /// [`OverlappedDrive::submit_traced`]).
-    ///
-    /// # Panics
-    /// Panics if nothing is due at `now`.
-    pub fn complete_traced<R: Recorder>(
-        &mut self,
-        now: SimTime,
-        rec: &mut R,
-    ) -> (Vec<CompletedIo>, Vec<SimTime>) {
-        let mut finished = Vec::new();
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if self.in_flight[i].finish == now {
-                let f = self.in_flight.swap_remove(i);
-                if let Some((lba, sectors)) = f.install {
-                    self.cache.install(lba, sectors);
-                }
-                self.metrics.record(&f.done);
-                if R::ENABLED {
-                    rec.record(now, TraceEvent::Complete { req: f.done.request.id });
-                }
-                finished.push(f.done);
-            } else {
-                i += 1;
-            }
-        }
-        assert!(!finished.is_empty(), "no completion due at {now}");
-        let started = self.dispatch(now, rec);
-        if self.in_flight.is_empty() {
-            self.idle_since = now;
-            if R::ENABLED {
-                for a in 0..self.arms.len() {
-                    if !self.arms.is_failed(a) {
-                        rec.record(now, TraceEvent::ActuatorIdle { actuator: a as u32 });
-                    }
-                }
-            }
-        }
-        (finished, started)
     }
 
     /// Maximum requests in flight at once: the baseline mode services
@@ -262,10 +157,9 @@ impl OverlappedDrive {
         }
     }
 
-    /// Dispatches queued requests onto idle arms; returns new
-    /// completion times.
-    fn dispatch<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Vec<SimTime> {
-        let mut started = Vec::new();
+    /// Dispatches queued requests onto idle arms, scheduling their
+    /// completions.
+    fn dispatch<R: Recorder>(&mut self, now: SimTime, rec: &mut R) {
         loop {
             if self.in_flight.len() >= self.max_in_flight() {
                 break;
@@ -291,9 +185,8 @@ impl OverlappedDrive {
             };
             let depth = self.queue.len() as u32;
             let finish = self.start_service(req, now, depth, rec);
-            started.push(finish);
+            self.events.push(finish, ());
         }
-        started
     }
 
     /// Plans and starts `req` on the best idle arm at `now`.
@@ -309,12 +202,8 @@ impl OverlappedDrive {
 
         // Cache hits bypass the mechanics entirely.
         if req.kind.is_read() && self.cache.lookup(req.lba, req.sectors) {
-            let bus = SimDuration::from_millis(
-                req.sectors as f64 * diskmodel::params::SECTOR_BYTES as f64 / 150_000.0,
-            );
-            let finish = now + overhead + bus;
-            self.metrics.modes.add(DriveMode::Idle.key(), overhead);
-            self.metrics.modes.add(DriveMode::Transfer.key(), bus);
+            let done = cache_hit(req, now, overhead, &mut self.metrics);
+            let finish = done.completed;
             if R::ENABLED {
                 rec.record(now, TraceEvent::CacheHit { req: req.id });
                 rec.record(
@@ -322,27 +211,11 @@ impl OverlappedDrive {
                     TraceEvent::Transfer {
                         req: req.id,
                         actuator: 0,
-                        dur: bus,
+                        dur: done.breakdown.transfer,
                     },
                 );
             }
-            self.in_flight.push(InFlight {
-                done: CompletedIo {
-                    request: req,
-                    completed: finish,
-                    breakdown: ServiceBreakdown {
-                        queue: queue_wait,
-                        overhead,
-                        seek: SimDuration::ZERO,
-                        rotational: SimDuration::ZERO,
-                        transfer: bus,
-                    },
-                    cache_hit: true,
-                    actuator: 0,
-                },
-                finish,
-                install: None,
-            });
+            self.in_flight.push(InFlight { done, install: None });
             return finish;
         }
         if req.kind == IoKind::Write {
@@ -473,111 +346,125 @@ impl OverlappedDrive {
                 cache_hit: false,
                 actuator: arm as u32,
             },
-            finish,
             install: req.kind.is_read().then_some((req.lba % self.capacity, req.sectors)),
         });
         finish
     }
-
-    /// Closes idle accounting at the end of a run.
-    ///
-    /// # Panics
-    /// Panics if requests are still in flight.
-    pub fn finalize(&mut self, end: SimTime) {
-        assert!(self.in_flight.is_empty(), "finalize with requests in flight");
-        close_idle_span(&mut self.metrics.modes, self.idle_since, end);
-        self.idle_since = end;
-    }
-
-    /// Average-power breakdown over the accounted time.
-    pub fn power_breakdown(&self) -> PowerBreakdown {
-        PowerBreakdown::from_modes(&self.metrics.modes, &self.power)
-    }
 }
 
-/// Replays a trace against an overlapped drive (the counterpart of
-/// `experiments::runner::run_drive` for this engine).
-pub fn replay(
-    params: &DiskParams,
-    config: OverlapConfig,
-    requests: &[IoRequest],
-) -> DriveMetrics {
-    replay_traced(params, config, requests, &mut NullRecorder)
-}
+impl Device for OverlappedDrive {
+    type Report = DriveRunResult;
 
-/// [`replay`] with event tracing.
-pub fn replay_traced<R: Recorder>(
-    params: &DiskParams,
-    config: OverlapConfig,
-    requests: &[IoRequest],
-    rec: &mut R,
-) -> DriveMetrics {
-    let mut drive = OverlappedDrive::new(params, config);
-    let mut events: EventQueue<()> = EventQueue::new();
-    let mut i = 0;
-    let mut end = SimTime::ZERO;
-    loop {
-        let arrival = requests.get(i).map(|r| r.arrival);
-        let next_event = events.peek_time();
-        let take_arrival = match (arrival, next_event) {
-            (None, None) => break,
-            (Some(a), Some(e)) => a <= e,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take_arrival {
-            let r = requests[i];
-            i += 1;
-            end = end.max(r.arrival);
-            for t in drive.submit_traced(r, r.arrival, rec) {
-                events.push(t, ());
-            }
-        } else {
-            let Some(t) = next_event else { break };
-            // Drain duplicates for the same instant.
-            while events.peek_time() == Some(t) {
-                events.pop();
-            }
-            end = end.max(t);
-            let (_, started) = drive.complete_traced(t, rec);
-            for s in started {
-                events.push(s, ());
+    /// Queues the request and dispatches onto any idle arm. The
+    /// overlapped engine emits no `PowerModeChange` events — with
+    /// several arms concurrently busy the drive has no single
+    /// well-defined mode; per-phase intervals (seek / rotational wait /
+    /// transfer) are still emitted per actuator.
+    fn submit<R: Recorder>(&mut self, mut req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
+        let now = req.arrival;
+        if req.lba >= self.capacity {
+            req.lba %= self.capacity;
+        }
+        if R::ENABLED {
+            rec.record(now, req.submitted());
+        }
+        if self.in_flight.is_empty() {
+            close_idle_span(&mut self.metrics.modes, self.idle_since, now);
+            self.idle_since = now;
+        }
+        self.queue.push(req);
+        if R::ENABLED {
+            rec.record(
+                now,
+                TraceEvent::RequestQueued {
+                    req: req.id,
+                    depth: self.queue.len() as u32,
+                },
+            );
+        }
+        self.dispatch(now, rec);
+        Ok(())
+    }
+
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.events.peek_time()
+    }
+
+    /// Completes every in-flight request due exactly at `now`, then
+    /// dispatches onto the arms that freed up.
+    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
+        while self.events.peek_time() == Some(now) {
+            self.events.pop();
+        }
+        let mut finished = 0;
+        let mut i = 0;
+        while i < self.in_flight.len() {
+            if self.in_flight[i].done.completed == now {
+                let f = self.in_flight.swap_remove(i);
+                if let Some((lba, sectors)) = f.install {
+                    self.cache.install(lba, sectors);
+                }
+                self.metrics.record(&f.done);
+                if R::ENABLED {
+                    rec.record(now, TraceEvent::Complete { req: f.done.request.id });
+                }
+                finished += 1;
+            } else {
+                i += 1;
             }
         }
+        self.dispatch(now, rec);
+        if self.in_flight.is_empty() {
+            self.idle_since = now;
+            if R::ENABLED {
+                for a in 0..self.arms.len() {
+                    if !self.arms.is_failed(a) {
+                        rec.record(now, TraceEvent::ActuatorIdle { actuator: a as u32 });
+                    }
+                }
+            }
+        }
+        Ok(finished)
     }
-    drive.finalize(end);
-    drive.metrics().clone()
+
+    fn stats(&self) -> &ResponseStats {
+        &self.metrics.response_time_ms
+    }
+
+    /// Closes idle accounting at `end`.
+    fn finalize(&mut self, end: SimTime) -> DriveRunResult {
+        close_idle_span(&mut self.metrics.modes, self.idle_since, end);
+        self.idle_since = end;
+        self.metrics.finalize();
+        DriveRunResult {
+            power: PowerBreakdown::from_modes(&self.metrics.modes, &self.power),
+            metrics: self.metrics.clone(),
+            duration: end.saturating_since(SimTime::ZERO),
+            queue_peak: self.queue.peak_len(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::random_reads;
+    use crate::device::{simulate, NullObserver};
     use diskmodel::presets;
-    use simkit::Rng64;
-
-    fn requests(n: u64, mean_gap_ms: f64, seed: u64) -> Vec<IoRequest> {
-        let params = presets::barracuda_es_750gb();
-        let cap = Mechanics::new(&params).geometry().total_sectors();
-        let mut rng = Rng64::new(seed);
-        let mut t = SimTime::ZERO;
-        (0..n)
-            .map(|i| {
-                t += SimDuration::from_millis(rng.f64() * 2.0 * mean_gap_ms);
-                IoRequest::new(i, t, rng.below(cap), 8, IoKind::Read)
-            })
-            .collect()
-    }
+    use telemetry::NullRecorder;
 
     fn mean_of(mode: OverlapMode, n: u32, reqs: &[IoRequest]) -> f64 {
         let params = presets::barracuda_es_750gb();
-        let m = replay(&params, OverlapConfig::new(n, mode), reqs);
-        assert_eq!(m.completed, reqs.len() as u64);
-        m.response_time_ms.mean()
+        let drive = OverlappedDrive::new(&params, OverlapConfig::new(n, mode));
+        let r = simulate(reqs.iter().copied(), drive, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay");
+        assert_eq!(r.metrics.completed, reqs.len() as u64);
+        r.metrics.response_time_ms.mean()
     }
 
     #[test]
     fn all_modes_complete_everything() {
-        let reqs = requests(500, 3.0, 1);
+        let reqs = random_reads(500, 3.0, 1);
         for mode in [
             OverlapMode::SingleArmMotion,
             OverlapMode::MultiMotion,
@@ -589,7 +476,7 @@ mod tests {
 
     #[test]
     fn relaxations_ordering_under_load() {
-        let reqs = requests(800, 2.0, 2);
+        let reqs = random_reads(800, 2.0, 2);
         let base = mean_of(OverlapMode::SingleArmMotion, 4, &reqs);
         let motion = mean_of(OverlapMode::MultiMotion, 4, &reqs);
         let channel = mean_of(OverlapMode::MultiChannel, 4, &reqs);
@@ -608,7 +495,7 @@ mod tests {
         // one request's own positioning either way). Under saturation
         // the extra concurrency does help — which is why the assertion
         // is made at a sustainable load.
-        let reqs = requests(1_500, 12.0, 3);
+        let reqs = random_reads(1_500, 12.0, 3);
         let base = mean_of(OverlapMode::SingleArmMotion, 4, &reqs);
         let channel = mean_of(OverlapMode::MultiChannel, 4, &reqs);
         assert!(
@@ -621,7 +508,7 @@ mod tests {
     #[test]
     fn single_actuator_modes_equivalent() {
         // With one arm there is nothing to overlap; all modes coincide.
-        let reqs = requests(400, 4.0, 4);
+        let reqs = random_reads(400, 4.0, 4);
         let a = mean_of(OverlapMode::SingleArmMotion, 1, &reqs);
         let b = mean_of(OverlapMode::MultiChannel, 1, &reqs);
         assert!((a - b).abs() / a < 1e-9, "{a} vs {b}");
@@ -632,39 +519,15 @@ mod tests {
         // The overlapped engine in SingleArmMotion mode is a superset
         // of DiskDrive (it can still overlap positioning with another
         // arm's transfer), so it may only be equal or better.
-        let reqs = requests(800, 3.0, 5);
+        let reqs = random_reads(800, 3.0, 5);
         let params = presets::barracuda_es_750gb();
-        let over = replay(
-            &params,
-            OverlapConfig::new(2, OverlapMode::SingleArmMotion),
-            &reqs,
-        );
-        let mut seq = crate::DiskDrive::new(&params, crate::DriveConfig::sa(2));
-        let mut completion: Option<SimTime> = None;
-        let mut i = 0;
-        loop {
-            let arrival = reqs.get(i).map(|r| r.arrival);
-            let take = match (arrival, completion) {
-                (None, None) => break,
-                (Some(a), Some(c)) => a <= c,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if take {
-                let r = reqs[i];
-                i += 1;
-                if let Some(f) = seq.submit(r, r.arrival).expect("valid submit") {
-                    completion = Some(f);
-                }
-            } else {
-                let (_, next) = seq
-                    .complete(completion.expect("pending"))
-                    .expect("valid complete");
-                completion = next;
-            }
-        }
-        let om = over.response_time_ms.mean();
-        let sm = seq.metrics().response_time_ms.mean();
+        let om = mean_of(OverlapMode::SingleArmMotion, 2, &reqs);
+        let seq = crate::DiskDrive::new(&params, crate::DriveConfig::sa(2));
+        let sm = simulate(reqs, seq, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay")
+            .metrics
+            .response_time_ms
+            .mean();
         assert!(om <= sm * 1.15, "overlapped baseline {om} vs sequential {sm}");
     }
 
@@ -674,12 +537,11 @@ mod tests {
         let mut d = OverlappedDrive::new(&params, OverlapConfig::new(2, OverlapMode::MultiMotion));
         assert!(d.is_idle());
         let req = IoRequest::new(0, SimTime::ZERO, 1000, 8, IoKind::Read);
-        let started = d.submit(req, SimTime::ZERO);
-        assert_eq!(started.len(), 1);
+        d.submit(req, &mut NullRecorder).expect("valid submit");
+        let finish = d.next_event_time().expect("service started");
         assert!(!d.is_idle());
-        let (done, more) = d.complete(started[0]);
-        assert_eq!(done.len(), 1);
-        assert!(more.is_empty());
+        assert_eq!(d.on_event(finish, &mut NullRecorder), Ok(1));
+        assert_eq!(d.next_event_time(), None);
         assert!(d.is_idle());
     }
 }

@@ -62,6 +62,16 @@ impl IoRequest {
     pub fn end_lba(&self) -> u64 {
         self.lba + self.sectors as u64
     }
+
+    /// The trace event recording this request's submission.
+    pub fn submitted(&self) -> telemetry::TraceEvent {
+        telemetry::TraceEvent::RequestSubmitted {
+            req: self.id,
+            lba: self.lba,
+            sectors: self.sectors,
+            op: self.kind.into(),
+        }
+    }
 }
 
 /// Where the time of one serviced request went — the per-request
@@ -113,6 +123,22 @@ impl CompletedIo {
     pub fn response_time(&self) -> SimDuration {
         self.completed - self.request.arrival
     }
+}
+
+/// `n` 8-sector reads at uniform random LBAs of the reference drive,
+/// with gaps uniform on `[0, 2 × mean_gap_ms)`.
+#[cfg(test)]
+pub(crate) fn random_reads(n: u64, mean_gap_ms: f64, seed: u64) -> Vec<IoRequest> {
+    let params = diskmodel::presets::barracuda_es_750gb();
+    let cap = crate::service::Mechanics::new(&params).geometry().total_sectors();
+    let mut rng = simkit::Rng64::new(seed);
+    let mut t = SimTime::ZERO;
+    (0..n)
+        .map(|i| {
+            t += SimDuration::from_millis(rng.f64() * 2.0 * mean_gap_ms);
+            IoRequest::new(i, t, rng.below(cap), 8, IoKind::Read)
+        })
+        .collect()
 }
 
 #[cfg(test)]

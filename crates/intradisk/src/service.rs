@@ -394,25 +394,10 @@ impl Mechanics {
     }
 
     /// Plans service of `(lba, sectors)` starting at `start`: picks the
-    /// live assembly with minimum positioning time.
-    ///
-    /// # Errors
-    /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
-    pub fn plan(
-        &self,
-        arms: &[ArmState],
-        lba: u64,
-        sectors: u32,
-        start: SimTime,
-        scaling: LatencyScaling,
-    ) -> Result<ServicePlan, DriveError> {
-        self.plan_set_with_heads(&ArmSet::from_arms(arms), 1, lba, sectors, start, scaling)
-    }
-
-    /// [`plan`](Self::plan) over the struct-of-arrays [`ArmSet`], for
-    /// arms carrying `heads` heads per surface (the `D1 An S1 Hm`
-    /// family): the target is located once, then every live assembly is
-    /// priced in index order, and a strict `<` keeps the first minimum.
+    /// live assembly of `arms` with minimum positioning time, for arms
+    /// carrying `heads` heads per surface (the `D1 An S1 Hm` family).
+    /// The target is located once, then every live assembly is priced
+    /// in index order, and a strict `<` keeps the first minimum.
     ///
     /// # Errors
     /// Returns [`DriveError::NoLiveArm`] if every assembly has failed.
@@ -540,7 +525,7 @@ mod tests {
                 failed: false,
             },
         ];
-        let plan = m.plan(&arms, target, 8, SimTime::ZERO, LatencyScaling::none()).unwrap();
+        let plan = m.plan_set_with_heads(&ArmSet::from_arms(&arms), 1, target, 8, SimTime::ZERO, LatencyScaling::none()).unwrap();
         assert_eq!(plan.actuator, 1);
         assert_eq!(plan.seek, SimDuration::ZERO);
     }
@@ -562,7 +547,7 @@ mod tests {
                 failed: true,
             },
         ];
-        let plan = m.plan(&arms, target, 8, SimTime::ZERO, LatencyScaling::none()).unwrap();
+        let plan = m.plan_set_with_heads(&ArmSet::from_arms(&arms), 1, target, 8, SimTime::ZERO, LatencyScaling::none()).unwrap();
         assert_eq!(plan.actuator, 0);
         assert!(plan.seek > SimDuration::ZERO);
     }
@@ -576,7 +561,7 @@ mod tests {
             failed: true,
         }];
         let err = m
-            .plan(&arms, 0, 8, SimTime::ZERO, LatencyScaling::none())
+            .plan_set_with_heads(&ArmSet::from_arms(&arms), 1, 0, 8, SimTime::ZERO, LatencyScaling::none())
             .unwrap_err();
         assert_eq!(err, DriveError::NoLiveArm);
     }
@@ -590,8 +575,8 @@ mod tests {
             for i in 0..50u64 {
                 let lba = (i * 16_777_213) % m.geometry().total_sectors();
                 let t = SimTime::from_millis(i as f64 * 0.93);
-                let p_n = m.plan(&arms_n, lba, 8, t, LatencyScaling::none()).unwrap();
-                let p_1 = m.plan(&arms_1, lba, 8, t, LatencyScaling::none()).unwrap();
+                let p_n = m.plan_set_with_heads(&ArmSet::from_arms(&arms_n), 1, lba, 8, t, LatencyScaling::none()).unwrap();
+                let p_1 = m.plan_set_with_heads(&ArmSet::from_arms(&arms_1), 1, lba, 8, t, LatencyScaling::none()).unwrap();
                 assert!(
                     p_n.positioning() <= p_1.positioning(),
                     "n={n} lba={lba}: {} > {}",
@@ -619,7 +604,7 @@ mod tests {
                     ..*a
                 })
                 .collect();
-            let p = m.plan(&parked, lba, 1, SimTime::from_millis(i as f64 * 1.31), LatencyScaling::none()).unwrap();
+            let p = m.plan_set_with_heads(&ArmSet::from_arms(&parked), 1, lba, 1, SimTime::from_millis(i as f64 * 1.31), LatencyScaling::none()).unwrap();
             assert!(
                 p.rotational.as_millis() <= quarter + 1e-3,
                 "rot {} > quarter {quarter}",
@@ -680,8 +665,8 @@ mod tests {
                 arms.iter().map(|a| ArmState { cylinder: cyl, ..*a }).collect()
             };
             let now = SimTime::from_millis(i as f64 * 1.17);
-            let ps = m.plan(&park(&spaced), lba, 1, now, LatencyScaling::none()).unwrap();
-            let pc = m.plan(&park(&stacked), lba, 1, now, LatencyScaling::none()).unwrap();
+            let ps = m.plan_set_with_heads(&ArmSet::from_arms(&park(&spaced)), 1, lba, 1, now, LatencyScaling::none()).unwrap();
+            let pc = m.plan_set_with_heads(&ArmSet::from_arms(&park(&stacked)), 1, lba, 1, now, LatencyScaling::none()).unwrap();
             assert!(ps.rotational <= pc.rotational, "spaced worse at {i}");
             spaced_total += ps.rotational.as_millis();
             stacked_total += pc.rotational.as_millis();

@@ -8,9 +8,11 @@ use intradisk::cache::DEFAULT_SEGMENTS;
 use intradisk::sched::{PendingQueue, ScanCost};
 use intradisk::service::{ArmSet, Mechanics};
 use intradisk::{
-    DiskDrive, DriveConfig, IoKind, IoRequest, LatencyScaling, QueuePolicy, SegmentedCache,
+    simulate, DiskDrive, DriveConfig, IoKind, IoRequest, LatencyScaling, NullObserver,
+    QueuePolicy, SegmentedCache,
 };
 use simkit::{SimDuration, SimTime};
+use telemetry::NullRecorder;
 use testkit::{check, gen, Gen};
 
 fn arb_policy() -> Gen<QueuePolicy> {
@@ -223,37 +225,6 @@ fn queue_sptf_pops_cheapest_inside_window() {
 
 // --------------------------------------------- drive-level LBA edge cases
 
-/// Submits `reqs` serially and drains the drive, asserting causality.
-fn drain(drive: &mut DiskDrive, reqs: &[IoRequest]) -> u64 {
-    let mut completion = None;
-    let mut i = 0;
-    let mut done = 0u64;
-    loop {
-        let arrival = reqs.get(i).map(|r| r.arrival);
-        let take = match (arrival, completion) {
-            (None, None) => break,
-            (Some(a), Some(c)) => a <= c,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take {
-            let r = reqs[i];
-            i += 1;
-            if let Some(f) = drive.submit(r, r.arrival).expect("submit at arrival") {
-                completion = Some(f);
-            }
-        } else {
-            let (c, next) = drive
-                .complete(completion.expect("pending"))
-                .expect("complete at promised time");
-            assert!(c.completed >= c.request.arrival, "completed before arrival");
-            done += 1;
-            completion = next;
-        }
-    }
-    done
-}
-
 #[test]
 fn drive_services_single_sector_and_end_of_disk_requests() {
     check("drive_services_single_sector_and_end_of_disk_requests", |t| {
@@ -290,9 +261,10 @@ fn drive_services_single_sector_and_end_of_disk_requests() {
                 kind,
             ));
         }
-        let mut drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
-        let done = drain(&mut drive, &reqs);
-        assert_eq!(done, n as u64, "every request must complete");
-        assert_eq!(drive.metrics().completed, n as u64);
+        let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
+        let r = simulate(reqs, drive, &mut NullRecorder, &mut NullObserver).expect("valid replay");
+        assert_eq!(r.metrics.completed, n as u64, "every request must complete");
+        // Causality: no request completes before it arrives.
+        assert!(r.metrics.response_time_ms.min() >= 0.0, "completed before arrival");
     });
 }

@@ -8,10 +8,11 @@
 //! ```
 
 use diskmodel::presets;
-use experiments::{run_drive, run_drive_with_failures};
+use experiments::{run_drive, simulate};
 use intradisk::failure::FailureSchedule;
-use intradisk::DriveConfig;
+use intradisk::{DiskDrive, DriveConfig, NullObserver};
 use simkit::SimTime;
+use telemetry::NullRecorder;
 use workload::SyntheticSpec;
 
 fn main() {
@@ -31,8 +32,9 @@ fn main() {
     let mut sched = FailureSchedule::new();
     sched.push(SimTime::from_millis(trace_span_ms / 3.0), 3);
     sched.push(SimTime::from_millis(trace_span_ms * 2.0 / 3.0), 2);
-    let degraded = run_drive_with_failures(&params, DriveConfig::sa(4), &trace, sched)
-        .expect("replay succeeds");
+    let drive = DiskDrive::new(&params, DriveConfig::sa(4)).with_failures(sched);
+    let degraded =
+        simulate(&trace, drive, &mut NullRecorder, &mut NullObserver).expect("replay succeeds");
     println!(
         "SA(4) with two failures: mean {:6.2} ms, rot-latency {:4.2} ms",
         degraded.metrics.response_time_ms.mean(),

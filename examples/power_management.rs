@@ -11,12 +11,13 @@
 //! cargo run --release -p experiments --example power_management
 //! ```
 
-use array::maid::{self, MaidConfig};
+use array::{MaidArray, MaidConfig};
 use diskmodel::presets;
-use experiments::run_drive;
-use intradisk::drpm::{self, DrpmConfig};
-use intradisk::{DriveConfig, IoKind, IoRequest};
+use experiments::{run_drive, simulate};
+use intradisk::drpm::{DrpmConfig, DrpmDrive};
+use intradisk::{DriveConfig, IoKind, IoRequest, NullObserver};
 use simkit::{Rng64, SimDuration, SimTime};
+use telemetry::NullRecorder;
 
 /// A bursty access pattern: request clusters separated by long lulls —
 /// the regime where power management has something to save.
@@ -38,7 +39,7 @@ fn bursty_trace(n: u64, footprint: u64, seed: u64) -> Vec<IoRequest> {
 fn main() {
     let params = presets::barracuda_es_750gb();
     let reqs = bursty_trace(2_000, params.capacity_sectors(), 17);
-    let trace = workload::Trace::new("bursty", reqs.clone(), params.capacity_sectors());
+    let trace = workload::Trace::new("bursty", reqs, params.capacity_sectors());
 
     println!("{:<28} {:>10} {:>10} {:>10}", "design", "mean ms", "p99 ms", "avg W");
 
@@ -52,7 +53,8 @@ fn main() {
         conv.power.total_w()
     );
 
-    let d = drpm::replay(&params, DrpmConfig::typical(), &reqs);
+    let drpm = DrpmDrive::new(&params, DrpmConfig::typical());
+    let d = simulate(&trace, drpm, &mut NullRecorder, &mut NullObserver).expect("replay succeeds");
     let d_rt = &d.response_time_ms;
     println!(
         "{:<28} {:>10.1} {:>10.1} {:>10.2}",
@@ -64,7 +66,8 @@ fn main() {
 
     // MAID needs an array to have members to sleep: 4 small drives.
     let member = presets::array_drive_10k_19gb();
-    let m = maid::replay(&member, MaidConfig::typical(), 4, &reqs);
+    let maid = MaidArray::new(&member, MaidConfig::typical(), 4);
+    let m = simulate(&trace, maid, &mut NullRecorder, &mut NullObserver).expect("replay succeeds");
     let m_rt = &m.response_time_ms;
     println!(
         "{:<28} {:>10.1} {:>10.1} {:>10.2}",

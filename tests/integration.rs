@@ -7,8 +7,9 @@ use diskmodel::{presets, DiskParams};
 use experiments::configs::{hcsd_params, md_config, trace_for, Scale};
 use experiments::{ArrayRunResult, DriveRunResult};
 use intradisk::failure::FailureSchedule;
-use intradisk::{DriveConfig, IoKind, IoRequest, QueuePolicy};
+use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver, QueuePolicy};
 use simkit::SimTime;
+use telemetry::NullRecorder;
 use workload::{SyntheticSpec, Trace, WorkloadKind};
 
 fn synthetic(mean_ms: f64, n: usize, seed: u64) -> Trace {
@@ -19,16 +20,6 @@ fn synthetic(mean_ms: f64, n: usize, seed: u64) -> Trace {
 // the infallible shape and unwrap the runner's `Result` in one place.
 fn run_drive(params: &DiskParams, config: DriveConfig, trace: &Trace) -> DriveRunResult {
     experiments::run_drive(params, config, trace).expect("replay succeeds")
-}
-
-fn run_drive_with_failures(
-    params: &DiskParams,
-    config: DriveConfig,
-    trace: &Trace,
-    failures: FailureSchedule,
-) -> DriveRunResult {
-    experiments::run_drive_with_failures(params, config, trace, failures)
-        .expect("replay succeeds")
 }
 
 fn run_array(
@@ -142,7 +133,9 @@ fn failure_mid_run_lands_between_healthy_configs() {
     sched.push(half, 1);
     sched.push(half, 2);
     sched.push(half, 3);
-    let degraded = run_drive_with_failures(&params, DriveConfig::sa(4), &trace, sched);
+    let drive = DiskDrive::new(&params, DriveConfig::sa(4)).with_failures(sched);
+    let degraded = experiments::simulate(&trace, drive, &mut NullRecorder, &mut NullObserver)
+        .expect("replay succeeds");
     assert_eq!(degraded.metrics.completed, 4_000);
     let m = degraded.metrics.response_time_ms.mean();
     assert!(

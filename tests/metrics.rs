@@ -13,7 +13,7 @@
 //! (the failing assertion prints the actual output).
 
 use diskmodel::presets;
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest};
+use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver};
 use simkit::SimTime;
 use telemetry::metrics::{export, jsonv, report, MetricsRecorder};
 use workload::{SyntheticSpec, Trace};
@@ -202,8 +202,8 @@ fn report_figure5_buckets_match_fixed_histogram_exactly() {
     let params = presets::barracuda_es_750gb();
     let trace = bench_trace(2_000, 41);
     let mut rec = MetricsRecorder::new();
-    experiments::run_drive_traced(&params, DriveConfig::sa(4), &trace, &mut rec)
-        .expect("replay succeeds");
+    let drive = DiskDrive::new(&params, DriveConfig::sa(4));
+    experiments::simulate(&trace, drive, &mut rec, &mut NullObserver).expect("replay succeeds");
     let snap = rec.finish();
 
     // The ground truth: the fixed paper-edge histogram in the snapshot.
@@ -258,8 +258,8 @@ fn exports_are_byte_identical_across_runs() {
         let trace = bench_trace(1_000, seed);
         let params = presets::barracuda_es_750gb();
         let mut rec = MetricsRecorder::new();
-        experiments::run_drive_traced(&params, DriveConfig::sa(2), &trace, &mut rec)
-            .expect("replay succeeds");
+        let drive = DiskDrive::new(&params, DriveConfig::sa(2));
+        experiments::simulate(&trace, drive, &mut rec, &mut NullObserver).expect("replay succeeds");
         let snap = rec.finish();
         (export::prometheus_text(&snap), export::json_text(&snap))
     };

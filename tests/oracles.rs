@@ -14,7 +14,8 @@
 
 use diskmodel::{presets, DiskParams, PowerModel, RotationModel};
 use experiments::{ArrayRunResult, DriveRunResult};
-use intradisk::{ArmPlacement, DiskDrive, DriveConfig, QueuePolicy};
+use intradisk::{ArmPlacement, DiskDrive, DriveConfig, NullObserver, PowerBreakdown, QueuePolicy};
+use telemetry::NullRecorder;
 use workload::{SyntheticSpec, Trace};
 
 fn trace(mean_ms: f64, n: usize, seed: u64) -> Trace {
@@ -39,48 +40,28 @@ fn run_array(
 }
 
 /// Replays `trace` and returns the sorted completed-request ids,
-/// asserting causality (no completion before its arrival) along the way.
+/// asserting causality (no completion before its arrival).
 fn completion_ids(config: DriveConfig, trace: &Trace) -> Vec<u64> {
     let params = presets::barracuda_es_750gb();
-    let mut drive = DiskDrive::new(&params, config);
-    let mut completion = None;
-    let mut ids = Vec::new();
-    let reqs = trace.requests();
-    let mut i = 0;
-    loop {
-        let arrival = reqs.get(i).map(|r| r.arrival);
-        let take = match (arrival, completion) {
-            (None, None) => break,
-            (Some(a), Some(c)) => a <= c,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take {
-            let r = reqs[i];
-            i += 1;
-            if let Some(f) = drive.submit(r, r.arrival).expect("submit at arrival") {
-                completion = Some(f);
-            }
-        } else {
-            let (done, next) = drive
-                .complete(completion.expect("pending completion"))
-                .expect("complete at promised time");
-            assert!(
-                done.completed >= done.request.arrival,
-                "request {} completed at {:?} before its arrival {:?}",
-                done.request.id,
-                done.completed,
-                done.request.arrival
-            );
-            ids.push(done.request.id);
-            completion = next;
-        }
-    }
+    let mut rec = telemetry::RingRecorder::new();
+    let drive = DiskDrive::new(&params, config);
+    let r = experiments::simulate(trace, drive, &mut rec, &mut NullObserver)
+        .expect("replay succeeds");
+    assert!(
+        r.metrics.response_time_ms.min() >= 0.0,
+        "a request completed before its arrival"
+    );
+    assert_eq!(rec.dropped(), 0, "ring overflowed");
+    let mut ids: Vec<u64> = rec
+        .samples()
+        .filter_map(|s| match s.event {
+            telemetry::TraceEvent::Complete { req } => Some(req),
+            _ => None,
+        })
+        .collect();
     ids.sort_unstable();
     ids
 }
-
-// ----------------------------------------------------- scheduling oracles
 
 #[test]
 fn oracle_policies_agree_on_completion_set_and_conserve_requests() {
@@ -267,7 +248,8 @@ fn oracle_telemetry_agrees_with_power_accounting() {
     let powers = experiments::tracing::mode_powers(&params);
     for actuators in [1u32, 4] {
         let mut rec = RingRecorder::new();
-        let r = experiments::run_drive_traced(&params, DriveConfig::sa(actuators), &t, &mut rec)
+        let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
+        let r = experiments::simulate(&t, drive, &mut rec, &mut NullObserver)
             .expect("replay succeeds");
         assert_eq!(rec.dropped(), 0, "ring overflowed");
         let analysis = TraceAnalysis::from_samples(&rec.sorted_samples());
@@ -373,62 +355,42 @@ fn oracle_rotation_model_scales_with_rpm_and_track_density() {
 
 // ------------------------------------------- event-kernel equivalence
 
-/// Replays `trace` against a 4-disk RAID-5 array, driving the event
-/// loop through an explicit [`Calendar`] implementation, and returns
-/// the complete pop sequence plus the rendered metrics.
+/// Replays `trace` against a 4-disk RAID-5 array whose controller
+/// keeps its events in calendar `events`, and returns the complete pop
+/// sequence plus the rendered metrics.
 ///
-/// This mirrors `experiments::run_array`'s loop exactly, but keeps the
-/// calendar generic so the timing wheel and the retired binary heap can
-/// replay the *same* science workload and be compared pop-for-pop —
-/// the library-level face of the kernel-swap contract (the CLI-level
-/// face is the `golden_kernel_swap_*` tests below).
-fn array_replay_pops<Q: simkit::Calendar<usize>>(mut events: Q, trace: &Trace) -> String {
+/// Every calendar pop completes one member disk's sub-request, which
+/// the member traces as a `Complete` event in scope `1 + disk` at the
+/// pop's time — so the member completions, in emission order, are the
+/// pop sequence. The calendar is generic so the timing wheel and the
+/// retired binary heap can replay the *same* science workload and be
+/// compared pop-for-pop — the library-level face of the kernel-swap
+/// contract (the CLI-level face is the `golden_kernel_swap_*` tests
+/// below).
+fn array_replay_pops<Q: simkit::Calendar<usize>>(events: Q, trace: &Trace) -> String {
     use std::fmt::Write;
     let params = presets::barracuda_es_750gb();
-    let mut controller = array::ArrayController::new(
+    let controller = array::ArrayController::with_calendar(
         &params,
         DriveConfig::sa(2),
         4,
         array::Layout::raid5_default(),
+        events,
     );
+    let mut rec = telemetry::RingRecorder::new();
+    let r = experiments::simulate(trace, controller, &mut rec, &mut NullObserver)
+        .expect("replay succeeds");
+    assert_eq!(rec.dropped(), 0, "ring overflowed");
     let mut out = String::new();
-    let reqs = trace.requests();
-    let mut i = 0;
-    loop {
-        let arrival = reqs.get(i).map(|r| r.arrival);
-        let take_arrival = match (arrival, events.peek_time()) {
-            (None, None) => break,
-            (Some(a), Some(e)) => a <= e,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-        };
-        if take_arrival {
-            let r = reqs[i];
-            i += 1;
-            for (disk, t) in controller.submit(r, r.arrival).expect("submit at arrival") {
-                events.push(t, disk);
-            }
-        } else {
-            let ev = events.pop().expect("event pending");
-            writeln!(out, "pop {:?} disk {}", ev.time, ev.payload).expect("write to string");
-            let done = controller
-                .on_disk_complete(ev.payload, ev.time)
-                .expect("complete at promised time");
-            if let Some(t) = done.next_on_disk {
-                events.push(t, ev.payload);
-            }
-            for (disk, t) in done.started {
-                events.push(t, disk);
-            }
+    for s in rec.samples() {
+        if let (1.., telemetry::TraceEvent::Complete { .. }) = (s.scope, s.event) {
+            writeln!(out, "pop {:?} disk {}", s.time, s.scope - 1).expect("write to string");
         }
     }
-    let m = controller.metrics();
     writeln!(
         out,
         "metrics {:?} completed {} stats {:?}",
-        m.response_time_ms,
-        m.completed,
-        events.stats()
+        r.response_time_ms, r.completed, r.kernel
     )
     .expect("write to string");
     out
@@ -725,4 +687,140 @@ fn golden_kernel_swap_exports_are_byte_identical() {
     }
     assert_eq!(checked, 22, "manifest covers all pinned exports");
     std::fs::remove_dir_all(&dir).expect("temp dir cleanup");
+}
+
+// ------------------------------------------------ engine fingerprints
+
+/// Hex bits of an `f64`: equal strings mean bit-identical values.
+fn bits(x: f64) -> String {
+    format!("{:016x}", x.to_bits())
+}
+
+/// MAID's archival pattern: bursts of 20 requests to random members,
+/// separated by one-to-two-minute silences.
+fn maid_archival(disks: u64, n: u64, seed: u64) -> Vec<intradisk::IoRequest> {
+    use simkit::SimDuration;
+    let member = presets::array_drive_10k_19gb();
+    let per_disk = intradisk::service::Mechanics::new(&member).geometry().total_sectors();
+    let mut rng = simkit::Rng64::new(seed);
+    let mut t = simkit::SimTime::ZERO;
+    (0..n)
+        .map(|i| {
+            t += match i % 20 {
+                0 => SimDuration::from_secs(60.0 + rng.f64() * 60.0),
+                _ => SimDuration::from_millis(rng.f64() * 20.0),
+            };
+            let lba = rng.below(disks) * per_disk + rng.below(per_disk);
+            intradisk::IoRequest::new(i, t, lba, 8, intradisk::IoKind::Read)
+        })
+        .collect()
+}
+
+/// Replays an in-memory request list through the shared run loop.
+fn replay<D: intradisk::Device>(reqs: &[intradisk::IoRequest], device: D) -> D::Report {
+    intradisk::simulate(reqs.iter().copied(), device, &mut NullRecorder, &mut NullObserver)
+        .expect("replay succeeds")
+}
+
+/// The bits of a run's mean and p90 response time, and of its energy
+/// (when it integrates energy) and average power.
+fn stat_bits(rt: &simkit::ResponseStats, energy_j: Option<f64>, power_w: f64) -> String {
+    let energy = energy_j.map_or(String::new(), |e| format!(" energy={}", bits(e)));
+    let (mean, p90) = (bits(rt.mean()), bits(rt.percentile(90.0)));
+    format!("mean={mean} p90={p90}{energy} power={}", bits(power_w))
+}
+
+/// One line per engine run: the bits of every reported number.
+fn engine_fingerprints() -> String {
+    use array::{MaidArray, MaidConfig};
+    use intradisk::drpm::{DrpmConfig, DrpmDrive};
+    use intradisk::{DriveMode, IoKind, IoRequest, OverlapConfig, OverlapMode, OverlappedDrive};
+    let mut out = String::new();
+    let params = presets::barracuda_es_750gb();
+    let scale = experiments::Scale::quick().with_requests(2_000);
+    let mut drpm_runs: Vec<(&str, Vec<IoRequest>)> = workload::WorkloadKind::ALL
+        .iter()
+        .map(|&k| (k.name(), experiments::configs::trace_for(k, scale).requests().to_vec()))
+        .collect();
+    // The burst from the DRPM upshift test: a long idle, then 50 reads.
+    let burst = (0..50u64).map(|i| {
+        let at = simkit::SimTime::from_millis(10_000.0 + i as f64);
+        IoRequest::new(i, at, i * 1_000_000, 8, IoKind::Read)
+    });
+    drpm_runs.push(("upshift-burst", burst.collect()));
+    // Requests arriving at the same instant after a long idle: the
+    // drive must choose by SPTF among all of them (three stay below the
+    // upshift depth; fifty force an upshift first).
+    let same_instant: Vec<IoRequest> = (0..50u64)
+        .map(|i| {
+            let lba = (i * 29_999_999) % 1_400_000_000;
+            IoRequest::new(i, simkit::SimTime::from_millis(10_000.0), lba, 8, IoKind::Read)
+        })
+        .collect();
+    drpm_runs.push(("same-instant-trio", same_instant[..3].to_vec()));
+    drpm_runs.push(("same-instant-burst", same_instant));
+    for (name, reqs) in &drpm_runs {
+        let r = replay(reqs, DrpmDrive::new(&params, DrpmConfig::typical()));
+        let stats = stat_bits(&r.response_time_ms, Some(r.energy_j), r.average_power_w());
+        out += &format!(
+            "drpm {name} n={} {stats} dur={:?} low={} upshifts={}\n",
+            r.completed,
+            r.duration,
+            bits(r.low_speed_fraction),
+            r.upshifts
+        );
+    }
+    let maid = MaidArray::new(&presets::array_drive_10k_19gb(), MaidConfig::typical(), 4);
+    let r = replay(&maid_archival(4, 400, 1), maid);
+    let stats = stat_bits(&r.response_time_ms, Some(r.energy_j), r.average_power_w());
+    out += &format!(
+        "maid archival n={} {stats} dur={:?} standby={} spin_ups={}\n",
+        r.completed,
+        r.duration,
+        bits(r.standby_fraction),
+        r.spin_ups
+    );
+    let t = trace(3.0, 2_000, 23);
+    for mode in [OverlapMode::SingleArmMotion, OverlapMode::MultiMotion, OverlapMode::MultiChannel] {
+        let m = replay(t.requests(), OverlappedDrive::new(&params, OverlapConfig::new(4, mode)))
+            .metrics;
+        let power = PowerBreakdown::from_modes(&m.modes, &PowerModel::new(&params)).total_w();
+        let modes = [DriveMode::Idle, DriveMode::Seek, DriveMode::RotationalWait, DriveMode::Transfer]
+            .map(|d| bits(m.modes.fraction_in(d.key())));
+        out += &format!(
+            "overlap {mode:?} n={} {} dur={:?} modes={}\n",
+            m.completed,
+            stat_bits(&m.response_time_ms, None, power),
+            m.modes.total_time(),
+            modes.join(",")
+        );
+    }
+    out
+}
+
+/// The engine fingerprints pinned on the hand-rolled replay loops the
+/// DRPM, MAID and overlap engines had before they were ported onto the
+/// shared run loop. Any drift in the low bits of a mean,
+/// percentile, energy or mode fraction fails here.
+const ENGINE_FINGERPRINTS: &str = "\
+drpm Financial n=2000 mean=40343e13e861a023 p90=404686f9f44d4456 energy=405864643183b6dc power=4025752a9c4a6fb8 dur=SimDuration(9094050130) low=0000000000000000 upshifts=0
+drpm Websearch n=2000 mean=402c00171d7107b5 p90=403c0cf227d028a2 energy=4057997c36508eae power=402664fd54e9f070 dur=SimDuration(8430484825) low=0000000000000000 upshifts=0
+drpm TPC-C n=2000 mean=4026aad02933e709 p90=40345e3fbbd7b203 energy=40602156d9424909 power=4025be7914113b07 dur=SimDuration(11869172542) low=0000000000000000 upshifts=0
+drpm TPC-H n=2000 mean=40314698ca1dbd4c p90=4040a5a871a3b14b energy=4068015b063f35fa power=40253b61c1118ff0 dur=SimDuration(18089932170) low=0000000000000000 upshifts=0
+drpm upshift-burst n=50 mean=4097a26105bedbc9 p90=4098f975d3996fa8 energy=40508f1eefab1c68 power=4016c6748655368f dur=SimDuration(11633042615) low=3fe60bb5a86c7630 upshifts=1
+drpm same-instant-trio n=3 mean=40326f50f9a60217 p90=403fc823a6ce3583 energy=4049670d301842f7 power=401441f594e2c895 dur=SimDuration(10031781794) low=3fe99eca66e20420 upshifts=0
+drpm same-instant-burst n=50 mean=4099644e08769c14 p90=409b1967c5ac471b energy=40512796fac3980d power=401748b96baf2e48 dur=SimDuration(11788070156) low=3fe5b784dd271cd2 upshifts=1
+maid archival n=400 mean=40b74436c57ee541 p90=40b77934242d05f3 energy=40e8143b7f5dca60 power=403bfa979e939ac7 dur=SimDuration(1762538968558) standby=3fe31370b50ce324 spin_ups=79
+overlap SingleArmMotion n=2000 mean=406b8394446921be p90=407fb3340a2877ee power=402b56a597aa5594 dur=SimDuration(6686613443) modes=3f9ece28a3724ce9,3fe6730910604e65,3fd0563449f293b4,3f8adae162b55647
+overlap MultiMotion n=2000 mean=4043287306f897a9 p90=4054e6bc382a12f9 power=402a30ea87ce9259 dur=SimDuration(12452006051) modes=3f908acb9034e596,3fe3890aba7e24ba,3fd771c6ecdc54b1,3f7cddb94904e003
+overlap MultiChannel n=2000 mean=402c37a719fde092 p90=403660e6d15ad107 power=402a98fb307f2670 dur=SimDuration(20869470226) modes=3f8ad5c3a0a14751,3fe49b14a17c9e40,3fd5ad06992b191b,3f718881b5a80a4d
+";
+
+#[test]
+fn oracle_engines_replay_bit_identically_to_their_pinned_fingerprints() {
+    let got = engine_fingerprints();
+    for (want, got) in ENGINE_FINGERPRINTS.lines().zip(got.lines()) {
+        assert_eq!(got, want, "engine output drifted");
+    }
+    assert_eq!(got, ENGINE_FINGERPRINTS, "engine fingerprint set changed");
 }

@@ -9,8 +9,9 @@
 
 use array::Layout;
 use diskmodel::{presets, DiskParams, Geometry, RotationModel, SeekProfile};
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest};
+use intradisk::{Device, DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver, RunObserver};
 use simkit::{Histogram, Rng64, SimTime};
+use telemetry::{NullRecorder, Recorder, RingRecorder};
 use testkit::{check, check_with, gen, Config, Gen};
 
 fn arb_params() -> Gen<DiskParams> {
@@ -208,9 +209,8 @@ fn drive_conserves_requests_on_random_minitraces() {
             .cylinders(5_000)
             .build()
             .expect("valid");
-        let mut drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
         let mut rng = Rng64::new(seed);
-        let cap = drive.capacity_sectors();
+        let cap = DiskDrive::new(&params, DriveConfig::sa(actuators)).capacity_sectors();
         let mut at = SimTime::ZERO;
         let mut reqs = Vec::new();
         for i in 0..n as u64 {
@@ -218,37 +218,7 @@ fn drive_conserves_requests_on_random_minitraces() {
             let kind = if rng.chance(0.5) { IoKind::Read } else { IoKind::Write };
             reqs.push(IoRequest::new(i, at, rng.below(cap), 1 + rng.below(64) as u32, kind));
         }
-        // Event loop.
-        let mut completion: Option<SimTime> = None;
-        let mut i = 0;
-        let mut done = 0usize;
-        loop {
-            let arrival = reqs.get(i).map(|r| r.arrival);
-            let take = match (arrival, completion) {
-                (None, None) => break,
-                (Some(a), Some(c)) => a <= c,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            if take {
-                let r = reqs[i];
-                i += 1;
-                if let Some(f) = drive.submit(r, r.arrival).expect("submit at arrival") {
-                    completion = Some(f);
-                }
-            } else {
-                let (_, next) = drive
-                    .complete(completion.expect("pending"))
-                    .expect("complete at promised time");
-                done += 1;
-                completion = next;
-            }
-        }
-        assert_eq!(done, n);
-        assert_eq!(drive.metrics().completed as usize, n);
-        assert!(drive.is_idle());
-        // Response time is non-negative and finite for all samples.
-        assert!(drive.metrics().response_time_ms.min() >= 0.0);
+        assert_conforms(&reqs, || DiskDrive::new(&params, DriveConfig::sa(actuators)));
     });
 }
 
@@ -263,11 +233,10 @@ fn more_actuators_never_hurt_mean_response() {
             .expect("valid");
         let mut means = Vec::new();
         for n in [1u32, 4] {
-            let mut drive = DiskDrive::new(&params, DriveConfig::sa(n));
+            let drive = DiskDrive::new(&params, DriveConfig::sa(n));
             let cap = drive.capacity_sectors();
             let mut rng = Rng64::new(seed);
-            let mut completion: Option<SimTime> = None;
-            let mut pending: Vec<IoRequest> = (0..60u64)
+            let reqs: Vec<IoRequest> = (0..60u64)
                 .map(|i| {
                     IoRequest::new(
                         i,
@@ -278,28 +247,9 @@ fn more_actuators_never_hurt_mean_response() {
                     )
                 })
                 .collect();
-            pending.reverse();
-            loop {
-                let arrival = pending.last().map(|r| r.arrival);
-                let take = match (arrival, completion) {
-                    (None, None) => break,
-                    (Some(a), Some(c)) => a <= c,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                };
-                if take {
-                    let r = pending.pop().expect("nonempty");
-                    if let Some(f) = drive.submit(r, r.arrival).expect("submit at arrival") {
-                        completion = Some(f);
-                    }
-                } else {
-                    let (_, next) = drive
-                    .complete(completion.expect("pending"))
-                    .expect("complete at promised time");
-                    completion = next;
-                }
-            }
-            means.push(drive.metrics().response_time_ms.mean());
+            let r = intradisk::simulate(reqs, drive, &mut NullRecorder, &mut NullObserver)
+                .expect("valid replay");
+            means.push(r.metrics.response_time_ms.mean());
         }
         // Allow a whisker of slack: SPTF tie-breaking can differ.
         assert!(
@@ -332,10 +282,95 @@ fn spc_lines_roundtrip() {
     });
 }
 
+/// Counts the completions the run loop reports, checking causality:
+/// no request completes before it arrives.
+#[derive(Debug, Default)]
+struct Completions(u64);
+
+impl RunObserver for Completions {
+    fn on_complete(&mut self, stats: &simkit::ResponseStats) {
+        assert!(stats.min() >= 0.0, "a request completed before it arrived");
+        self.0 += 1;
+    }
+}
+
+/// Replays `reqs` on `device`, checks that every pulled request
+/// completes, and returns the report's rendering (shortest round-trip
+/// floats, so equal renderings mean bit-identical results). The run
+/// loop itself asserts, in debug builds, that time never runs
+/// backwards.
+fn checked_run<D: Device, R: Recorder>(reqs: &[IoRequest], device: D, rec: &mut R) -> String
+where
+    D::Report: std::fmt::Debug,
+{
+    let (mut done, mut pulled) = (Completions::default(), 0u64);
+    let source = reqs.iter().copied().inspect(|_| pulled += 1);
+    let report = intradisk::simulate(source, device, rec, &mut done).expect("valid replay");
+    assert_eq!(pulled, reqs.len() as u64, "the loop left requests unpulled");
+    assert_eq!(done.0, pulled, "completed != requests pulled");
+    format!("{report:?}")
+}
+
+/// The run-loop contract every device shares, checked untraced and
+/// traced: recording must not perturb the result by a single bit.
+fn assert_conforms<D: Device>(reqs: &[IoRequest], make: impl Fn() -> D)
+where
+    D::Report: std::fmt::Debug,
+{
+    let plain = checked_run(reqs, make(), &mut NullRecorder);
+    let traced = checked_run(reqs, make(), &mut RingRecorder::new());
+    assert_eq!(plain, traced, "recording changed the result");
+}
+
+#[test]
+fn every_device_conserves_requests_in_time_order_under_any_recorder() {
+    check_with(heavy(), "every_device_conserves_requests_in_time_order_under_any_recorder", |t| {
+        use array::{ArrayController, MaidArray, MaidConfig};
+        use intradisk::drpm::{DrpmConfig, DrpmDrive};
+        use intradisk::{OverlapConfig, OverlapMode, OverlappedDrive};
+        let seed = t.draw(&gen::u64_any());
+        let n = t.draw(&gen::usize_in(1..=60));
+        let device = t.draw(&gen::usize_in(0..=4));
+        let arms = t.draw(&gen::u32_in(1..=4));
+        let drive = presets::barracuda_es_750gb();
+        let member = presets::array_drive_10k_19gb();
+        // LBAs within one array member, so every device can address them.
+        let cap = member.capacity_sectors();
+        let mut rng = Rng64::new(seed);
+        let mut at = SimTime::ZERO;
+        let reqs: Vec<IoRequest> = (0..n as u64)
+            .map(|i| {
+                // Same-instant bursts, back-to-back traffic and
+                // multi-second lulls (spin-down and upshift territory).
+                at += match rng.below(8) {
+                    0 => simkit::SimDuration::ZERO,
+                    1 => simkit::SimDuration::from_secs(2.0 + rng.f64() * 60.0),
+                    _ => simkit::SimDuration::from_millis(rng.f64() * 6.0),
+                };
+                let kind = if rng.chance(0.5) { IoKind::Read } else { IoKind::Write };
+                IoRequest::new(i, at, rng.below(cap), 1 + rng.below(64) as u32, kind)
+            })
+            .collect();
+        match device {
+            0 => assert_conforms(&reqs, || DiskDrive::new(&drive, DriveConfig::sa(arms))),
+            1 => assert_conforms(&reqs, || {
+                ArrayController::new(&member, DriveConfig::sa(arms), 3, Layout::raid5_default())
+            }),
+            2 => {
+                let modes = [OverlapMode::SingleArmMotion, OverlapMode::MultiMotion, OverlapMode::MultiChannel];
+                let config = OverlapConfig::new(arms, modes[rng.below(3) as usize]);
+                assert_conforms(&reqs, || OverlappedDrive::new(&drive, config.clone()))
+            }
+            3 => assert_conforms(&reqs, || DrpmDrive::new(&drive, DrpmConfig::typical())),
+            _ => assert_conforms(&reqs, || MaidArray::new(&member, MaidConfig::typical(), 3)),
+        }
+    });
+}
+
 #[test]
 fn overlapped_drive_conserves_requests() {
     check_with(heavy(), "overlapped_drive_conserves_requests", |t| {
-        use intradisk::overlap::{replay as overlap_replay, OverlapConfig, OverlapMode};
+        use intradisk::{OverlapConfig, OverlapMode, OverlappedDrive};
         let seed = t.draw(&gen::u64_in(0..=999));
         let n = t.draw(&gen::usize_in(1..=79));
         let mode = t.draw(&gen::one_of(vec![
@@ -352,16 +387,18 @@ fn overlapped_drive_conserves_requests() {
                 IoRequest::new(i, at, rng.below(1_000_000_000), 8, IoKind::Read)
             })
             .collect();
-        let m = overlap_replay(&params, OverlapConfig::new(4, mode), &reqs);
-        assert_eq!(m.completed as usize, n);
-        assert!(m.response_time_ms.min() >= 0.0);
+        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, mode));
+        let r = intradisk::simulate(reqs, drive, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay");
+        assert_eq!(r.metrics.completed as usize, n);
+        assert!(r.metrics.response_time_ms.min() >= 0.0);
     });
 }
 
 #[test]
 fn maid_energy_bounded_by_always_on_and_standby_floor() {
     check_with(heavy(), "maid_energy_bounded_by_always_on_and_standby_floor", |t| {
-        use array::maid::{replay as maid_replay, MaidConfig};
+        use array::{MaidArray, MaidConfig};
         let seed = t.draw(&gen::u64_in(0..=499));
         let disks = t.draw(&gen::usize_in(1..=5));
         let params = presets::array_drive_10k_19gb();
@@ -375,7 +412,9 @@ fn maid_energy_bounded_by_always_on_and_standby_floor() {
             })
             .collect();
         let cfg = MaidConfig::typical();
-        let r = maid_replay(&params, cfg, disks, &reqs);
+        let maid = MaidArray::new(&params, cfg, disks);
+        let r = intradisk::simulate(reqs, maid, &mut NullRecorder, &mut NullObserver)
+            .expect("valid replay");
         assert_eq!(r.completed, 60);
         // Average power must sit between the all-standby floor and an
         // always-spinning array's seek ceiling.

@@ -12,11 +12,19 @@
 //! (the failing assertion prints the actual output).
 
 use diskmodel::presets;
-use intradisk::overlap::{self, OverlapConfig, OverlapMode};
-use intradisk::{DiskDrive, DriveConfig, IoKind, IoRequest};
+use intradisk::{
+    DiskDrive, DriveConfig, DriveRunResult, IoKind, IoRequest, NullObserver, OverlapConfig,
+    OverlapMode, OverlappedDrive,
+};
 use simkit::SimTime;
 use telemetry::{chrome_trace_json, schema, timeline_csv, RingRecorder, TraceAnalysis};
 use workload::{SyntheticSpec, Trace};
+
+/// Replays `t` on an SA(`actuators`) drive, recording into `rec`.
+fn run_traced(t: &Trace, actuators: u32, rec: &mut RingRecorder) -> DriveRunResult {
+    let drive = DiskDrive::new(&presets::barracuda_es_750gb(), DriveConfig::sa(actuators));
+    experiments::simulate(t, drive, rec, &mut NullObserver).expect("replay succeeds")
+}
 
 /// Two reads on an SA(2) drive: request 0 served immediately, request 1
 /// arrives while 0 is in service and queues. Small enough to pin, rich
@@ -96,10 +104,8 @@ fn golden_chrome_trace_of_tiny_scenario() {
 #[test]
 fn schema_valid_on_parallel_drive_run() {
     let t = bench_trace(2_000, 17);
-    let params = presets::barracuda_es_750gb();
     let mut rec = RingRecorder::new();
-    experiments::run_drive_traced(&params, DriveConfig::sa(4), &t, &mut rec)
-        .expect("replay succeeds");
+    run_traced(&t, 4, &mut rec);
     let samples = rec.sorted_samples();
     assert_eq!(rec.dropped(), 0, "ring overflowed; grow the capacity");
     schema::validate(&samples, 4).expect("well-formed event stream");
@@ -111,24 +117,13 @@ fn schema_valid_on_overlapped_and_array_runs() {
     let params = presets::barracuda_es_750gb();
 
     let mut rec = RingRecorder::new();
-    overlap::replay_traced(
-        &params,
-        OverlapConfig::new(4, OverlapMode::MultiChannel),
-        t.requests(),
-        &mut rec,
-    );
+    let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
+    experiments::simulate(&t, drive, &mut rec, &mut NullObserver).expect("overlap replay succeeds");
     schema::validate(&rec.sorted_samples(), 4).expect("overlap stream well-formed");
 
     let mut rec = RingRecorder::new();
-    experiments::run_array_traced(
-        &params,
-        DriveConfig::sa(2),
-        4,
-        array::Layout::raid5_default(),
-        &t,
-        &mut rec,
-    )
-    .expect("array replay succeeds");
+    let array = array::ArrayController::new(&params, DriveConfig::sa(2), 4, array::Layout::raid5_default());
+    experiments::simulate(&t, array, &mut rec, &mut NullObserver).expect("array replay succeeds");
     let samples = rec.sorted_samples();
     schema::validate(&samples, 2).expect("array stream well-formed");
     // Member events land in scopes 1..=4, logical events in scope 0.
@@ -145,10 +140,8 @@ fn schema_valid_on_overlapped_and_array_runs() {
 fn exports_are_byte_identical_across_runs() {
     let run = || {
         let t = bench_trace(1_000, 29);
-        let params = presets::barracuda_es_750gb();
         let mut rec = RingRecorder::new();
-        experiments::run_drive_traced(&params, DriveConfig::sa(2), &t, &mut rec)
-            .expect("replay succeeds");
+        run_traced(&t, 2, &mut rec);
         let samples = rec.sorted_samples();
         (chrome_trace_json(&samples), timeline_csv(&samples))
     };
@@ -167,8 +160,7 @@ fn recording_does_not_perturb_the_simulation() {
     let params = presets::barracuda_es_750gb();
     let plain = experiments::run_drive(&params, DriveConfig::sa(4), &t).expect("plain replay");
     let mut rec = RingRecorder::new();
-    let traced = experiments::run_drive_traced(&params, DriveConfig::sa(4), &t, &mut rec)
-        .expect("traced replay");
+    let traced = run_traced(&t, 4, &mut rec);
     assert_eq!(
         format!("{:?}", plain.metrics),
         format!("{:?}", traced.metrics),
@@ -181,10 +173,8 @@ fn recording_does_not_perturb_the_simulation() {
 #[test]
 fn analysis_reconstructs_request_accounting() {
     let t = bench_trace(2_000, 37);
-    let params = presets::barracuda_es_750gb();
     let mut rec = RingRecorder::new();
-    let r = experiments::run_drive_traced(&params, DriveConfig::sa(4), &t, &mut rec)
-        .expect("replay succeeds");
+    let r = run_traced(&t, 4, &mut rec);
     let analysis = TraceAnalysis::from_samples(&rec.sorted_samples());
     let scope = analysis.scope(0).expect("scope 0 present");
     assert_eq!(scope.submitted, 2_000);
