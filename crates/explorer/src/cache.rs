@@ -1,21 +1,48 @@
-//! The content-addressed on-disk point cache.
+//! The content-addressed on-disk point cache: one append-only pack per
+//! build.
 //!
-//! Layout: `<root>/objects/<hh>/<descriptor-hash>-<code16>.json`, where
-//! `hh` is the hash's first byte (256-way fan-out keeps directories
-//! small at 10⁵+ points) and `code16` is the leading 16 hex chars of
-//! the build's `CODE_VERSION` fingerprint. The full code version is
-//! embedded in — and checked against — the record body, so a
-//! truncated-prefix collision cannot serve a stale result.
+//! Layout: `<root>/points-<code16>.jsonl`, where `code16` is the
+//! leading 16 hex chars of the build's `CODE_VERSION` fingerprint. Each
+//! stored point is one line,
 //!
-//! Robustness policy: *any* defect in a cached file (unreadable,
-//! unparsable, wrong schema, wrong code version, hash mismatch) is a
-//! miss, never an error — the point simply re-runs and the record is
-//! rewritten. Only a failure to *write* a fresh record surfaces, since
-//! it would silently forfeit the warm-run guarantee.
+//! ```text
+//! <descriptor-hash> <check16> <record>\n
+//! ```
+//!
+//! where `<record>` is [`PointOutcome::to_record`]'s single-line JSON
+//! and `<check16>` is a 64-bit checksum of the record bytes in 16
+//! lowercase hex digits. The full code version is embedded in — and
+//! checked against — the record body, so a truncated-prefix collision
+//! cannot serve a stale result.
+//!
+//! A [`store`](PointCache::store) is one `write_all` of one line on an
+//! `O_APPEND` handle. A [`load`](PointCache::load) answers from an
+//! in-memory `hash → byte ranges` index, read from the pack on a
+//! handle's first use and kept current by its stores; the newest line
+//! for a hash that validates wins. The index only locates lines: every
+//! load re-checks the checksum and then runs the full
+//! [`PointOutcome::from_record`] validation (schema, code version,
+//! descriptor hash, stats decode).
+//!
+//! Robustness policy: *any* defect in a line (torn, flipped bytes,
+//! wrong schema, wrong code version, hash mismatch) is a miss, never an
+//! error — the point simply re-runs and a fresh line is appended. Only
+//! a failure to *write* a fresh line surfaces, since it would silently
+//! forfeit the warm-run guarantee. Nothing is ever fsynced: a crash
+//! can lose or tear the last lines, and a torn line fails its checksum,
+//! so it is a miss and never loaded as data. A handle that finds the
+//! pack ending in a torn line starts its first append with a newline,
+//! so the torn bytes never absorb the next record. A pack has one
+//! writer at a time (one `repro explore`); clones of a handle share its
+//! index.
 
-use std::fs;
-use std::io;
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::descriptor::PointDescriptor;
 use crate::point::PointOutcome;
@@ -23,11 +50,136 @@ use crate::point::PointOutcome;
 /// The compiled-in source fingerprint (see `build.rs`).
 pub const CODE_VERSION: &str = env!("CODE_VERSION");
 
+/// Length of `<check16> ` in front of each record.
+const CHECK_PREFIX: usize = 17;
+
 /// Handle on a cache directory for one code version.
 #[derive(Debug, Clone)]
 pub struct PointCache {
     root: PathBuf,
     code_version: String,
+    /// The pack's file and index, opened on first use; shared by clones.
+    pack: Arc<Mutex<Option<Pack>>>,
+}
+
+/// An opened pack: the file and where each hash's lines sit in it.
+#[derive(Debug)]
+struct Pack {
+    /// The pack file, if it exists: read-only until the first store,
+    /// then opened for read + append.
+    file: Option<File>,
+    writable: bool,
+    /// Byte ranges of `<check16> <record>` per descriptor hash, oldest
+    /// line first.
+    index: HashMap<String, Vec<Range<u64>>>,
+    /// The pack may end in a line without its newline.
+    torn: bool,
+}
+
+impl Pack {
+    /// Indexes the pack at `path`; a missing or unreadable pack is an
+    /// empty index (every load misses).
+    fn open(path: &Path) -> Pack {
+        let mut pack = Pack {
+            file: None,
+            writable: false,
+            index: HashMap::new(),
+            torn: false,
+        };
+        let Ok(file) = File::open(path) else {
+            return pack;
+        };
+        let mut reader = BufReader::with_capacity(1 << 16, &file);
+        let mut line = Vec::new();
+        let mut offset = 0u64;
+        loop {
+            line.clear();
+            let n = match reader.read_until(b'\n', &mut line) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(_) => {
+                    // Unknown tail: a spare newline before the next
+                    // append is harmless, a missing one is not.
+                    pack.torn = true;
+                    break;
+                }
+            };
+            let start = offset;
+            offset += n as u64;
+            if line.last() != Some(&b'\n') {
+                pack.torn = true;
+                break;
+            }
+            let Some(space) = line.iter().position(|&b| b == b' ') else {
+                continue;
+            };
+            if let Ok(hash) = std::str::from_utf8(&line[..space]) {
+                let body = start + space as u64 + 1..offset - 1;
+                pack.index.entry(hash.to_string()).or_default().push(body);
+            }
+        }
+        pack.file = Some(file);
+        pack
+    }
+
+    /// The append handle, opening (and creating) the pack on first use.
+    fn writer(&mut self, root: &Path, path: &Path) -> io::Result<&File> {
+        if !self.writable {
+            fs::create_dir_all(root)?;
+            let file = OpenOptions::new().read(true).append(true).create(true).open(path)?;
+            self.file = Some(file);
+            self.writable = true;
+        }
+        self.file
+            .as_ref()
+            .ok_or_else(|| io::Error::other("point cache pack is not open"))
+    }
+
+    /// Reads the bytes of one indexed line body.
+    fn read(&self, range: &Range<u64>) -> Option<Vec<u8>> {
+        let mut file = self.file.as_ref()?;
+        let len = usize::try_from(range.end - range.start).ok()?;
+        let mut buf = vec![0; len];
+        file.seek(SeekFrom::Start(range.start)).ok()?;
+        file.read_exact(&mut buf).ok()?;
+        Some(buf)
+    }
+}
+
+/// 64-bit checksum of a record: each 8-byte little-endian word (the
+/// tail zero-padded) is xored in and mixed by an odd multiply and an
+/// xor-shift, starting from the length. Every step is a bijection of
+/// the state, so changing any one word always changes the sum. It
+/// guards against torn writes and flipped bytes, not adversaries.
+fn checksum(record: &[u8]) -> u64 {
+    fn mix(x: u64) -> u64 {
+        let x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        x ^ (x >> 32)
+    }
+    let mut h = mix(record.len() as u64);
+    let mut words = record.chunks_exact(8);
+    for word in &mut words {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(word);
+        h = mix(h ^ u64::from_le_bytes(w));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut w = [0u8; 8];
+        w[..rest.len()].copy_from_slice(rest);
+        h = mix(h ^ u64::from_le_bytes(w));
+    }
+    h
+}
+
+/// Decodes one `<check16> <record>` line body, or `None` if the
+/// checksum or the record's own validation fails.
+fn decode_line(body: &[u8], expect: &PointDescriptor, code_version: &str) -> Option<PointOutcome> {
+    let (check, record) = body.split_at_checked(CHECK_PREFIX)?;
+    if format!("{:016x} ", checksum(record)).as_bytes() != check {
+        return None;
+    }
+    PointOutcome::from_record(std::str::from_utf8(record).ok()?, expect, code_version)
 }
 
 impl PointCache {
@@ -43,6 +195,7 @@ impl PointCache {
         PointCache {
             root: root.into(),
             code_version: code_version.to_string(),
+            pack: Arc::default(),
         }
     }
 
@@ -56,33 +209,52 @@ impl PointCache {
         &self.code_version
     }
 
-    /// On-disk path of a descriptor's record for this code version.
-    pub fn path_for(&self, hash: &str) -> PathBuf {
-        let shard = &hash[..2.min(hash.len())];
-        let code16 = &self.code_version[..16.min(self.code_version.len())];
-        self.root
-            .join("objects")
-            .join(shard)
-            .join(format!("{hash}-{code16}.json"))
+    /// On-disk path of this code version's pack.
+    fn pack_path(&self) -> PathBuf {
+        let code16 = self.code_version.get(..16).unwrap_or(&self.code_version);
+        self.root.join(format!("points-{code16}.jsonl"))
+    }
+
+    /// Runs `f` on the pack, indexing it first if this is the handle's
+    /// first use. A panic elsewhere cannot leave the index pointing at
+    /// bytes that are not there, so a poisoned lock is still usable.
+    fn with_pack<T>(&self, f: impl FnOnce(&mut Pack) -> T) -> T {
+        let mut guard = self.pack.lock().unwrap_or_else(PoisonError::into_inner);
+        f(guard.get_or_insert_with(|| Pack::open(&self.pack_path())))
     }
 
     /// Loads a point's cached outcome, or `None` on any miss (absent,
     /// unreadable, corrupt, wrong code version).
     pub fn load(&self, d: &PointDescriptor) -> Option<PointOutcome> {
-        let body = fs::read_to_string(self.path_for(&d.hash())).ok()?;
-        PointOutcome::from_record(&body, d, &self.code_version)
+        let hash = d.hash();
+        self.with_pack(|pack| {
+            pack.index.get(&hash)?.iter().rev().find_map(|range| {
+                decode_line(&pack.read(range)?, d, &self.code_version)
+            })
+        })
     }
 
-    /// Writes a point's record (creating shard directories as needed).
-    /// The write goes through a temp file + rename so a crash never
-    /// leaves a half-written record to mistake for a corrupt cache.
+    /// Appends a point's line to the pack (creating the root and the
+    /// pack as needed) with one `write_all`, and indexes it.
     pub fn store(&self, outcome: &PointOutcome) -> io::Result<()> {
-        let path = self.path_for(&outcome.hash());
-        let dir = path.parent().expect("record path has a shard dir");
-        fs::create_dir_all(dir)?;
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, outcome.to_record(&self.code_version))?;
-        fs::rename(&tmp, &path)
+        let record = outcome.to_record(&self.code_version);
+        let hash = outcome.hash();
+        let mut line = String::with_capacity(1 + hash.len() + 1 + CHECK_PREFIX + record.len() + 1);
+        self.with_pack(|pack| {
+            if pack.torn {
+                line.push('\n');
+            }
+            let _ = writeln!(line, "{hash} {:016x} {record}", checksum(record.as_bytes()));
+            // Until the write is known whole, the tail may be torn.
+            pack.torn = true;
+            let mut file = pack.writer(&self.root, &self.pack_path())?;
+            file.write_all(line.as_bytes())?;
+            let end = file.stream_position()?;
+            pack.torn = false;
+            let start = end - 1 - (CHECK_PREFIX + record.len()) as u64;
+            pack.index.entry(hash).or_default().push(start..end - 1);
+            Ok(())
+        })
     }
 }
 
@@ -91,6 +263,7 @@ mod tests {
     use super::*;
     use crate::point::run_point;
     use crate::space::{grid, GridResolution, SweepScale};
+    use testkit::{check_with, gen, Config};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("explorer-cache-{tag}"));
@@ -98,45 +271,191 @@ mod tests {
         dir
     }
 
+    fn points(n: usize) -> Vec<PointOutcome> {
+        let scale = SweepScale { requests: 300, ..SweepScale::default() };
+        grid(GridResolution::Coarse, scale)
+            .iter()
+            .take(n)
+            .map(|d| run_point(d).expect("replay succeeds"))
+            .collect()
+    }
+
     #[test]
     fn store_then_load_round_trips() {
         let dir = tmpdir("roundtrip");
         let cache = PointCache::with_code_version(&dir, "cv-1");
-        let scale = SweepScale { requests: 300, ..SweepScale::default() };
-        let d = grid(GridResolution::Coarse, scale)[0];
-        assert!(cache.load(&d).is_none(), "cold cache misses");
-        let out = run_point(&d).expect("replay succeeds");
+        let out = points(1).remove(0);
+        assert!(cache.load(&out.descriptor).is_none(), "cold cache misses");
         cache.store(&out).expect("store succeeds");
-        assert_eq!(cache.load(&d), Some(out));
+        assert_eq!(cache.load(&out.descriptor), Some(out.clone()));
+        // A fresh handle indexes the pack from disk.
+        let reopened = PointCache::with_code_version(&dir, "cv-1");
+        assert_eq!(reopened.load(&out.descriptor), Some(out));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wrong_code_version_misses() {
         let dir = tmpdir("version");
-        let scale = SweepScale { requests: 300, ..SweepScale::default() };
-        let d = grid(GridResolution::Coarse, scale)[0];
-        let out = run_point(&d).expect("replay succeeds");
+        let out = points(1).remove(0);
+        let d = out.descriptor;
         PointCache::with_code_version(&dir, "cv-1")
             .store(&out)
             .expect("store succeeds");
         assert!(PointCache::with_code_version(&dir, "cv-2").load(&d).is_none());
-        // Short versions share a path prefix, but the embedded
-        // full-version check still distinguishes them.
-        assert!(PointCache::with_code_version(&dir, "cv-1!").load(&d).is_none());
+        // Versions sharing a 16-char prefix share a pack, but the
+        // embedded full-version check still distinguishes them.
+        let long = "0123456789abcdef-a";
+        PointCache::with_code_version(&dir, long).store(&out).expect("store succeeds");
+        let sibling = PointCache::with_code_version(&dir, "0123456789abcdef-b");
+        assert_eq!(sibling.pack_path(), PointCache::with_code_version(&dir, long).pack_path());
+        assert!(sibling.load(&d).is_none());
+        assert_eq!(PointCache::with_code_version(&dir, long).load(&d), Some(out));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_record_is_a_miss() {
         let dir = tmpdir("corrupt");
-        let scale = SweepScale { requests: 300, ..SweepScale::default() };
-        let d = grid(GridResolution::Coarse, scale)[0];
         let cache = PointCache::with_code_version(&dir, "cv-1");
-        let out = run_point(&d).expect("replay succeeds");
+        let out = points(1).remove(0);
+        let d = out.descriptor;
         cache.store(&out).expect("store succeeds");
-        fs::write(cache.path_for(&d.hash()), "{garbage").expect("clobber");
-        assert!(cache.load(&d).is_none());
+        let path = cache.pack_path();
+        let good = fs::read(&path).expect("pack written");
+
+        // The pack replaced by garbage.
+        fs::write(&path, "{garbage").expect("clobber");
+        assert!(PointCache::with_code_version(&dir, "cv-1").load(&d).is_none());
+
+        // A well-formed record whose value changed: the record still
+        // parses, so only the checksum catches it.
+        let text = String::from_utf8(good.clone()).expect("utf8 pack");
+        let mean = format!("\"mean_ms\":{}", out.mean_ms);
+        assert!(text.contains(&mean));
+        let altered = text.replacen(&mean, &format!("\"mean_ms\":{}", out.mean_ms + 1.0), 1);
+        fs::write(&path, altered).expect("clobber");
+        assert!(PointCache::with_code_version(&dir, "cv-1").load(&d).is_none());
+
+        // A line whose checksum is right but whose record is not.
+        let record = out.to_record("cv-1").replace("intradisk-explore-point-v1", "v0");
+        let line = format!("{} {:016x} {record}\n", d.hash(), checksum(record.as_bytes()));
+        fs::write(&path, line).expect("clobber");
+        assert!(PointCache::with_code_version(&dir, "cv-1").load(&d).is_none());
+
+        // Restored bytes load again.
+        fs::write(&path, good).expect("restore");
+        assert_eq!(PointCache::with_code_version(&dir, "cv-1").load(&d), Some(out));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn newest_valid_line_wins() {
+        let dir = tmpdir("newest");
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        let old = points(1).remove(0);
+        let new = PointOutcome { cache_hits: old.cache_hits + 1, ..old.clone() };
+        cache.store(&old).expect("store succeeds");
+        cache.store(&new).expect("store succeeds");
+        assert_eq!(cache.load(&old.descriptor), Some(new.clone()));
+        let reopened = PointCache::with_code_version(&dir, "cv-1");
+        assert_eq!(reopened.load(&old.descriptor), Some(new));
+        // Tear the newest line: the older one is served again.
+        let path = cache.pack_path();
+        let bytes = fs::read(&path).expect("pack written");
+        fs::write(&path, &bytes[..bytes.len() - 10]).expect("tear");
+        let reopened = PointCache::with_code_version(&dir, "cv-1");
+        assert_eq!(reopened.load(&old.descriptor), Some(old));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_after_torn_tail_loads_back() {
+        let dir = tmpdir("torn");
+        let outs = points(2);
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        cache.store(&outs[0]).expect("store succeeds");
+        let path = cache.pack_path();
+        let bytes = fs::read(&path).expect("pack written");
+        fs::write(&path, &bytes[..bytes.len() / 2]).expect("tear");
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        assert!(cache.load(&outs[0].descriptor).is_none(), "torn line misses");
+        cache.store(&outs[1]).expect("store succeeds");
+        assert_eq!(cache.load(&outs[1].descriptor), Some(outs[1].clone()));
+        let reopened = PointCache::with_code_version(&dir, "cv-1");
+        assert!(reopened.load(&outs[0].descriptor).is_none());
+        assert_eq!(reopened.load(&outs[1].descriptor), Some(outs[1].clone()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Truncating the pack at random offsets, flipping random bytes and
+    /// appending garbage never makes a load return anything but the
+    /// stored outcome or a miss, and a store afterwards loads back.
+    #[test]
+    fn damaged_pack_loads_exactly_or_misses() {
+        let outs = points(3);
+        let dir = tmpdir("damage");
+        let pristine = {
+            let cache = PointCache::with_code_version(&dir, "cv-1");
+            for out in &outs {
+                cache.store(out).expect("store succeeds");
+            }
+            fs::read(cache.pack_path()).expect("pack written")
+        };
+        let len = pristine.len() as u64;
+        let config = Config { cases: 256, ..Config::default() };
+        check_with(config, "damaged_pack_loads_exactly_or_misses", |t| {
+            let cut = t.draw(&gen::bool_any());
+            let cut_at = t.draw(&gen::u64_in(0..=len - 1));
+            // Overwritten bytes come from the record's own alphabet as
+            // often as not: a digit changed into another digit is the
+            // damage a parser cannot see.
+            let alphabet = b"0123456789abcdef.-e \n{}\":,".to_vec();
+            let byte = gen::bool_any().and_then(move |plausible| {
+                if plausible {
+                    gen::one_of(alphabet.clone())
+                } else {
+                    gen::u32_in(0..=255).map(|b| b as u8)
+                }
+            });
+            let flips = t.draw(&gen::vec_of(
+                gen::u64_in(0..=len - 1).map(|p| p as usize),
+                0..=4,
+            ));
+            let flip_to = t.draw(&gen::vec_of(byte, 4..=4));
+            let garbage = t.draw(&gen::vec_of(
+                gen::one_of(b"0123456789abcdef \n{}\":,".to_vec()),
+                0..=96,
+            ));
+
+            let mut bytes = pristine.clone();
+            for (&pos, &to) in flips.iter().zip(&flip_to) {
+                bytes[pos] = to;
+            }
+            if cut {
+                bytes.truncate(cut_at as usize);
+            }
+            bytes.extend_from_slice(&garbage);
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).expect("test dir");
+            let cache = PointCache::with_code_version(&dir, "cv-1");
+            fs::write(cache.pack_path(), &bytes).expect("damaged pack");
+
+            for out in &outs {
+                if let Some(got) = cache.load(&out.descriptor) {
+                    assert_eq!(&got, out, "a load returned other data");
+                }
+            }
+            cache.store(&outs[0]).expect("store succeeds");
+            assert_eq!(cache.load(&outs[0].descriptor).as_ref(), Some(&outs[0]));
+            let reopened = PointCache::with_code_version(&dir, "cv-1");
+            assert_eq!(reopened.load(&outs[0].descriptor).as_ref(), Some(&outs[0]));
+            for out in &outs[1..] {
+                if let Some(got) = reopened.load(&out.descriptor) {
+                    assert_eq!(&got, out, "a load returned other data");
+                }
+            }
+        });
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -13,8 +13,6 @@
 //! `str::parse::<f64>`, so a warm-cache value is bit-identical to the
 //! cold-run value it was stored from.
 
-use std::fmt::Write as _;
-
 use diskmodel::cost::{drive_cost, Component};
 use diskmodel::DriveError;
 use simkit::ResponseStats;
@@ -96,21 +94,37 @@ pub fn run_point(d: &PointDescriptor) -> Result<PointOutcome, DriveError> {
     })
 }
 
+/// The lowercase digits the record's `stats_hex` field is written in.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
+    for &b in bytes {
+        out.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+        out.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }
 
+/// Value of one digit [`hex_encode`] writes; anything else (uppercase,
+/// signs, non-hex) is `None`.
+fn hex_digit(c: u8) -> Option<u8> {
+    match c {
+        b'0'..=b'9' => Some(c - b'0'),
+        b'a'..=b'f' => Some(c - b'a' + 10),
+        _ => None,
+    }
+}
+
+/// Inverse of [`hex_encode`]: accepts exactly its output.
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
+    digits
+        .chunks_exact(2)
+        .map(|pair| Some(hex_digit(pair[0])? << 4 | hex_digit(pair[1])?))
         .collect()
 }
 
@@ -213,6 +227,28 @@ mod tests {
         let other = PointDescriptor { seed: d.seed + 1, ..d };
         assert!(PointOutcome::from_record(&body, &other, "cv-a").is_none());
         assert!(PointOutcome::from_record("{not json", &d, "cv-a").is_none());
+    }
+
+    #[test]
+    fn hex_codec_round_trips_every_byte() {
+        let all: Vec<u8> = (0..=255u8).collect();
+        let hex = hex_encode(&all);
+        assert_eq!(hex.len(), 512);
+        for b in 0..=255u8 {
+            let pair = hex_encode(&[b]);
+            assert_eq!(pair, format!("{b:02x}"), "encoding of {b}");
+            assert_eq!(hex_decode(&pair), Some(vec![b]), "decoding of {pair}");
+        }
+        assert_eq!(hex_decode(&hex), Some(all));
+        assert_eq!(hex_decode(""), Some(Vec::new()));
+    }
+
+    #[test]
+    fn hex_decode_accepts_only_what_the_encoder_writes() {
+        for bad in ["+f", "0+", "-1", "FF", "aB", "0A", "g0", " 0", "0x", "abc", "a"] {
+            assert_eq!(hex_decode(bad), None, "{bad:?} must not decode");
+        }
+        assert_eq!(hex_decode("é"), None, "non-ASCII pair");
     }
 
     #[test]

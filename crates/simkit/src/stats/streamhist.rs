@@ -35,6 +35,8 @@
 //! insertion order of float additions, which the deterministic
 //! plan-order reduction of parallel sweeps fixes.
 
+use std::sync::{Arc, OnceLock};
+
 use super::codec::{self, DecodeError, Reader};
 
 /// Default relative-error bound for percentile estimates (1%).
@@ -51,8 +53,10 @@ pub const DEFAULT_CAP: f64 = 1e6;
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingHistogram {
     /// Upper bucket edges: `edges[0] = floor`, `edges[i] = floor·g^i`,
-    /// strictly increasing, last edge ≥ `cap`.
-    edges: Vec<f64>,
+    /// strictly increasing, last edge ≥ `cap`. Shared, like
+    /// `exp_index`: every default-configured histogram points at the
+    /// one table [`default_layout`] builds.
+    edges: Arc<[f64]>,
     /// `edges.len() + 1` buckets: bucket `0` holds values `≤ floor`,
     /// bucket `i` holds `(edges[i-1], edges[i]]`, and the final bucket
     /// holds values above the last edge.
@@ -69,7 +73,7 @@ pub struct StreamingHistogram {
     /// Narrows [`record`](Self::record)'s search to one octave —
     /// ~`ln 2 / ln(growth)` edges — instead of the whole edge array.
     /// Derived from `edges`, so equal configurations compare equal.
-    exp_index: Vec<u32>,
+    exp_index: Arc<[u32]>,
     /// Deterministic record counter, flushed to
     /// [`crate::counters::STREAMHIST_RECORDS`] on drop. Clones to zero
     /// and always compares equal, so the derived `Clone` / `PartialEq`
@@ -109,27 +113,9 @@ impl StreamingHistogram {
             "need 0 < floor < cap: [{floor}, {cap}]"
         );
         let growth = (1.0 + rel_err) * (1.0 + rel_err);
-        let mut edges = vec![floor];
-        let mut edge = floor;
-        while edge < cap {
-            edge *= growth;
-            edges.push(edge);
-        }
+        let (edges, exp_index) = shared_layout(rel_err, floor, cap)
+            .unwrap_or_else(|| build_layout(growth, floor, cap));
         let counts = vec![0; edges.len() + 1];
-        // exp_index[e] = edges.partition_point(< 2^(e-1023)); the bit
-        // pattern `e << 52` IS that power of two (0.0 for e = 0, +inf
-        // for e = 2047), so one table covers subnormals through inf.
-        let exp_index = (0..=2048u64)
-            .map(|e| {
-                let boundary = f64::from_bits(e.min(2047) << 52);
-                let idx = if e == 2048 {
-                    edges.len()
-                } else {
-                    edges.partition_point(|&x| x < boundary)
-                };
-                idx as u32
-            })
-            .collect();
         StreamingHistogram {
             edges,
             counts,
@@ -324,9 +310,10 @@ impl StreamingHistogram {
     /// little-endian, so the blob is a pure function of the histogram
     /// state — equal histograms encode to equal bytes on every host.
     /// [`from_bytes`](Self::from_bytes) rebuilds the edge table by
-    /// re-running the constructor's multiplication chain, which
-    /// reproduces the exact same floats; the round trip is the
-    /// identity under `==`.
+    /// re-running the constructor's multiplication chain (or, for the
+    /// default configuration, reuses the shared table that chain
+    /// produced), which reproduces the exact same floats; the round
+    /// trip is the identity under `==`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
         let mut out = Vec::with_capacity(4 + 8 * 7 + nonzero * 12);
@@ -374,7 +361,9 @@ impl StreamingHistogram {
         }
         // `with_config` stops as soon as an edge reaches the cap, so
         // passing the original last edge back in regenerates exactly
-        // the original edge table (same multiplications, same floats).
+        // the original edge table (same multiplications, same floats);
+        // for a default histogram it is the shared default table, whose
+        // last edge the check below then compares against.
         let mut h = Self::with_config(rel_err, floor, last_edge);
         if h.edges[h.edges.len() - 1] != last_edge {
             return Err(DecodeError::Corrupt("edge table does not regenerate"));
@@ -413,6 +402,61 @@ impl StreamingHistogram {
     pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bytes());
     }
+}
+
+/// A bucket layout: the edge table and its exponent index.
+type Layout = (Arc<[f64]>, Arc<[u32]>);
+
+/// Builds the bucket layout for `[floor, cap]` at growth `growth`.
+fn build_layout(growth: f64, floor: f64, cap: f64) -> Layout {
+    let mut edges = vec![floor];
+    let mut edge = floor;
+    while edge < cap {
+        edge *= growth;
+        edges.push(edge);
+    }
+    // exp_index[e] = edges.partition_point(< 2^(e-1023)); the bit
+    // pattern `e << 52` IS that power of two (0.0 for e = 0, +inf
+    // for e = 2047), so one table covers subnormals through inf.
+    let exp_index = (0..=2048u64)
+        .map(|e| {
+            let boundary = f64::from_bits(e.min(2047) << 52);
+            let idx = if e == 2048 {
+                edges.len()
+            } else {
+                edges.partition_point(|&x| x < boundary)
+            };
+            idx as u32
+        })
+        .collect();
+    (edges.into(), exp_index)
+}
+
+/// The default configuration's layout, built once per process. It is
+/// an immutable function of the default constants, so sharing it
+/// changes no histogram's behavior — only the ~1 040-edge rebuild and
+/// its 16 KiB per histogram go away.
+fn default_layout() -> &'static Layout {
+    static DEFAULT: OnceLock<Layout> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        let growth = (1.0 + DEFAULT_RELATIVE_ERROR) * (1.0 + DEFAULT_RELATIVE_ERROR);
+        build_layout(growth, DEFAULT_FLOOR, DEFAULT_CAP)
+    })
+}
+
+/// The shared default layout, if `(rel_err, floor, cap)` regenerates
+/// it: same error bound and floor, and a cap that stops the edge
+/// chain on the default table's last edge — above the second-to-last
+/// edge and at most the last. That holds for `DEFAULT_CAP` and for
+/// the decoded last edge of a default histogram alike.
+fn shared_layout(rel_err: f64, floor: f64, cap: f64) -> Option<Layout> {
+    let (edges, exp_index) = default_layout();
+    let n = edges.len();
+    let regenerates = rel_err.to_bits() == DEFAULT_RELATIVE_ERROR.to_bits()
+        && floor.to_bits() == DEFAULT_FLOOR.to_bits()
+        && edges[n - 2] < cap
+        && cap <= edges[n - 1];
+    regenerates.then(|| (Arc::clone(edges), Arc::clone(exp_index)))
 }
 
 impl Default for StreamingHistogram {
@@ -593,6 +637,38 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(StreamingHistogram::from_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn default_layout_is_shared_and_custom_is_not() {
+        let a = StreamingHistogram::new();
+        let b = StreamingHistogram::with_config(DEFAULT_RELATIVE_ERROR, DEFAULT_FLOOR, DEFAULT_CAP);
+        let mut recorded = StreamingHistogram::new();
+        recorded.record(2.5);
+        let decoded = StreamingHistogram::from_bytes(&recorded.to_bytes()).unwrap();
+        for h in [&b, &recorded, &decoded] {
+            assert!(Arc::ptr_eq(&a.edges, &h.edges));
+            assert!(Arc::ptr_eq(&a.exp_index, &h.exp_index));
+        }
+        assert_eq!(a, b);
+        assert_eq!(decoded, recorded);
+        // The shared table is exactly what the multiplication chain
+        // builds for the default configuration.
+        let growth = (1.0 + DEFAULT_RELATIVE_ERROR) * (1.0 + DEFAULT_RELATIVE_ERROR);
+        let (edges, exp_index) = build_layout(growth, DEFAULT_FLOOR, DEFAULT_CAP);
+        assert_eq!(edges, a.edges);
+        assert_eq!(exp_index, a.exp_index);
+
+        let custom = StreamingHistogram::with_config(0.05, 0.5, 300.0);
+        assert!(!Arc::ptr_eq(&a.edges, &custom.edges));
+        let other_err = StreamingHistogram::with_relative_error(0.02);
+        assert!(!Arc::ptr_eq(&a.edges, &other_err.edges));
+        assert_ne!(a, other_err);
+        // A larger cap extends the chain past the default table.
+        let wider =
+            StreamingHistogram::with_config(DEFAULT_RELATIVE_ERROR, DEFAULT_FLOOR, 2.0 * DEFAULT_CAP);
+        assert!(!Arc::ptr_eq(&a.edges, &wider.edges));
+        assert!(wider.buckets() > a.buckets());
     }
 
     #[test]

@@ -14,8 +14,10 @@
 # report.html byte-identical across runs and --jobs values), the
 # design-space explorer gates (a small-grid `repro explore` must be
 # byte-identical across --jobs values and across cold/warm/disabled
-# point-cache states, with the warm run re-executing nothing, and the
-# cache directories must be gitignored), the
+# point-cache states, with the warm run re-executing nothing; a pack
+# cut mid-way through its last record must cost exactly one re-run and
+# still give the same bytes; and the cache directories must be
+# gitignored), the
 # bounded-RSS gate (a 10^7-request streaming-stats run must stay under
 # a fixed memory budget, proving request count never reaches peak
 # memory), and then the event-kernel swap gates (report and exports byte-identical to
@@ -103,6 +105,24 @@ cmp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-nocache/explore.json"
 cmp "$sweep_dir/ex-cold/report.html" "$sweep_dir/ex-warm/report.html"
 grep -q "(0 executed, " "$sweep_dir/ex-warm.err" \
   || { echo "warm explore re-executed points it should have loaded" >&2; exit 1; }
+
+echo "==> gate: explore cache survives a torn pack tail"
+# The point cache is one append-only pack; a crash mid-append leaves a
+# torn last line. Cut the cold pack half-way through its last record:
+# the rerun must miss exactly that point, re-run it, and still emit the
+# cold explore.json byte for byte.
+packs=("$sweep_dir"/ex-cache/points-*.jsonl)
+test "${#packs[@]}" -eq 1 && test -f "${packs[0]}" \
+  || { echo "expected exactly one point-cache pack" >&2; exit 1; }
+pack_bytes=$(stat -c %s "${packs[0]}")
+last_line_bytes=$(tail -n 1 "${packs[0]}" | wc -c)
+truncate -s $((pack_bytes - last_line_bytes / 2)) "${packs[0]}"
+target/release/repro explore --grid coarse --requests 500 --jobs 2 \
+  --out "$sweep_dir/ex-torn" --cache "$sweep_dir/ex-cache" \
+  > "$sweep_dir/ex-torn.txt" 2> "$sweep_dir/ex-torn.err"
+cmp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-torn/explore.json"
+grep -q "(1 executed, " "$sweep_dir/ex-torn.err" \
+  || { echo "torn-tail explore did not re-run exactly the torn point" >&2; exit 1; }
 
 echo "==> gate: explore cache directory is gitignored"
 # Probe a path inside each directory: the `.gitignore` patterns end in

@@ -45,6 +45,23 @@ fn warm_run_is_byte_identical_and_executes_nothing() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A cold run writes its whole cache as one pack file: no shard
+/// directories, no temp files left behind.
+#[test]
+fn cold_explore_leaves_one_pack_file() {
+    let dir = tmpdir("one-file");
+    let opts = tiny_opts(Some(PointCache::new(&dir)));
+    let cold = explore(&opts, &Executor::new(2)).expect("cold explore");
+    assert_eq!(cold.executed, cold.points.len());
+    let entries: Vec<_> = fs::read_dir(&dir)
+        .expect("cache root exists")
+        .map(|e| e.expect("readable entry"))
+        .collect();
+    assert_eq!(entries.len(), 1, "one entry under the cache root: {entries:?}");
+    assert!(entries[0].file_type().expect("file type").is_file());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Changing the seed, the per-point config, or the code version each
 /// produce a cache miss; the identical descriptor hits.
 #[test]
