@@ -2,9 +2,14 @@
 
 use bench::{bench, bench_micro};
 use diskmodel::{presets, Geometry, RotationModel, SeekProfile};
-use intradisk::{simulate, DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver, SegmentedCache};
+use intradisk::sched::{PendingQueue, ScanCost, DEFAULT_WINDOW};
+use intradisk::service::{ArmSet, Mechanics};
+use intradisk::{
+    simulate, DiskDrive, DriveConfig, IoKind, IoRequest, LatencyScaling, NullObserver,
+    QueuePolicy, SegmentedCache,
+};
 use telemetry::NullRecorder;
-use simkit::{Rng64, Sample, SimTime, Zipf};
+use simkit::{Rng64, Sample, SimDuration, SimTime, Zipf};
 use std::hint::black_box;
 
 const WARMUP: usize = 2;
@@ -48,6 +53,58 @@ fn bench_rotation() {
     });
 }
 
+fn bench_rotation_phase() {
+    // The dispatch scan's form of the wait: a phase reduced once, then
+    // advanced by each arm's seek (no division per call).
+    let params = presets::barracuda_es_750gb();
+    let rot = RotationModel::new(&params);
+    let phase = rot.phase(SimTime::from_nanos(987_654_321));
+    let mut seek = 0u64;
+    bench_micro("rotation_wait_phase", WARMUP, SAMPLES, MICRO_ITERS, || {
+        seek = (seek + 1_234_567) % 20_000_000;
+        let at = rot.advance(phase, SimDuration::from_nanos(seek));
+        black_box(rot.wait_at_phase(0.37, 0.91, at))
+    });
+}
+
+fn bench_sptf_scan() {
+    // One SPTF dispatch decision of an SA(4) drive over a 5-deep
+    // queue: the dispatched arm moves to its target and a fresh request
+    // refills the queue, so each scan reprices the moved arm's seeks.
+    let mech = Mechanics::new(&presets::barracuda_es_750gb());
+    let mut arms = ArmSet::from_arms(&mech.default_arms(4));
+    let mut queue = PendingQueue::new(DEFAULT_WINDOW, arms.len());
+    let cap = mech.geometry().total_sectors();
+    let mut rng = Rng64::new(3);
+    let mut id = 0u64;
+    let mut fresh = |rng: &mut Rng64| {
+        id += 1;
+        IoRequest::new(id, SimTime::ZERO, rng.below(cap), 8, IoKind::Read)
+    };
+    for _ in 0..5 {
+        queue.push(fresh(&mut rng));
+    }
+    let mut start = SimTime::ZERO;
+    bench_micro("sptf_scan_sa4", WARMUP, SAMPLES, MICRO_ITERS, || {
+        start += SimDuration::from_nanos(6_000_000);
+        let cost = ScanCost {
+            mech: &mech,
+            arms: &arms,
+            heads: 1,
+            start,
+            scaling: LatencyScaling::none(),
+        };
+        let (req, choice) = queue
+            .pop_next(QueuePolicy::Sptf, &cost, |_| true, None)
+            .expect("queue stays 5 deep");
+        if let Some(c) = choice {
+            arms.set_cylinder(c.arm, mech.target(req.lba).cylinder);
+        }
+        queue.push(fresh(&mut rng));
+        black_box(req.id)
+    });
+}
+
 fn bench_cache() {
     let mut cache = SegmentedCache::new(8);
     let mut rng = Rng64::new(1);
@@ -88,6 +145,8 @@ fn main() {
     bench_seek_curve();
     bench_geometry();
     bench_rotation();
+    bench_rotation_phase();
+    bench_sptf_scan();
     bench_cache();
     bench_zipf();
     bench_drive_throughput();

@@ -8,8 +8,9 @@
 //!   `cargo bench` doubles as an end-to-end regression run over the
 //!   whole evaluation).
 //! * `substrates` — microbenchmarks of the building blocks: seek-curve
-//!   evaluation, LBA mapping, rotational-wait computation, cache
-//!   lookups, Zipf sampling, and raw simulator throughput.
+//!   evaluation, LBA mapping, rotational-wait computation (by instant
+//!   and by phase), one SA(4) SPTF dispatch scan, cache lookups, Zipf
+//!   sampling, and raw simulator throughput.
 //! * `ablations` — sensitivity sweeps over the design knobs DESIGN.md
 //!   calls out (queue policy, SPTF window, arm placement, cache size,
 //!   stripe unit, overlap mode, freeblock scheduling).

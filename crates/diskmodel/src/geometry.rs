@@ -140,6 +140,7 @@ impl Geometry {
 
     /// Total addressable sectors (the authoritative capacity for LBA
     /// addressing; within rounding of the formatted capacity).
+    #[inline]
     pub fn total_sectors(&self) -> u64 {
         self.total_sectors
     }
@@ -176,6 +177,7 @@ impl Geometry {
     ///
     /// # Panics
     /// Panics if `lba >= total_sectors()`.
+    #[inline]
     pub fn locate(&self, lba: u64) -> PhysLoc {
         let zi = self
             .zones
@@ -219,6 +221,7 @@ impl Geometry {
 
     /// The rotational angle (fraction of a revolution in `[0, 1)`) at
     /// which the given sector begins, including track skew.
+    #[inline]
     pub fn sector_angle(&self, loc: PhysLoc) -> f64 {
         let track_index = loc.cylinder as u64 * self.surfaces as u64 + loc.surface as u64;
         let skew = self.track_skew * track_index as f64;

@@ -11,7 +11,12 @@
 //! Angles are dimensionless fractions of a revolution in `[0, 1)`.
 
 use crate::params::DiskParams;
+use simkit::time::round_ns;
 use simkit::{SimDuration, SimTime};
+
+/// Revolutions a phase advance reduces by subtraction before it falls
+/// back to a division (a seek spans a few revolutions at most).
+const ADVANCE_SUBTRACTIONS: u32 = 4;
 
 /// Rotational kinematics of one spindle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,15 +33,21 @@ impl RotationModel {
     /// Creates a rotation model from an explicit revolution period.
     ///
     /// # Panics
-    /// Panics if the period is zero.
+    /// Panics if the period is zero or not below 2⁶³ ns (some 292
+    /// years), the range whose phases convert to `f64` through `i64`.
     pub fn from_period(period: SimDuration) -> Self {
         assert!(!period.is_zero(), "rotation period must be positive");
+        assert!(
+            period.as_nanos() <= i64::MAX as u64,
+            "rotation period out of range"
+        );
         RotationModel {
             period_ns: period.as_nanos(),
         }
     }
 
     /// One full revolution.
+    #[inline]
     pub fn period(&self) -> SimDuration {
         SimDuration::from_nanos(self.period_ns)
     }
@@ -45,7 +56,51 @@ impl RotationModel {
     /// fractions of a revolution) the platter has turned from its
     /// position at time zero.
     pub fn platter_offset(&self, t: SimTime) -> f64 {
-        (t.as_nanos() % self.period_ns) as f64 / self.period_ns as f64
+        self.offset_at_phase(self.phase(t))
+    }
+
+    /// Where in its revolution the platter is at time `t`: `t mod
+    /// period`, in nanoseconds.
+    // simlint: hot — once per dispatch scan.
+    #[inline]
+    pub fn phase(&self, t: SimTime) -> u64 {
+        t.as_nanos() % self.period_ns
+    }
+
+    /// The phase `by` after phase `phase`: `phase(t + by)` given
+    /// `phase(t)`, by subtracting whole revolutions rather than dividing.
+    /// It divides only when `by` spans more than
+    /// [`ADVANCE_SUBTRACTIONS`] whole revolutions, which no seek does.
+    // simlint: hot — once per priced arm.
+    #[inline]
+    pub fn advance(&self, phase: u64, by: SimDuration) -> u64 {
+        debug_assert!(phase < self.period_ns, "phase {phase} not reduced");
+        let period = self.period_ns;
+        let mut by = by.as_nanos();
+        for _ in 0..ADVANCE_SUBTRACTIONS {
+            if by < period {
+                break;
+            }
+            by -= period;
+        }
+        if by >= period {
+            by %= period;
+        }
+        // Both terms are below `period` ≤ 2⁶³, so the sum cannot wrap.
+        let t = phase + by;
+        if t < period {
+            t
+        } else {
+            t - period
+        }
+    }
+
+    /// [`platter_offset`](Self::platter_offset) at a phase. The casts go
+    /// through `i64` (one instruction each); both values are below 2⁶³,
+    /// where that is exactly the `u64` conversion.
+    #[inline]
+    fn offset_at_phase(&self, phase: u64) -> f64 {
+        phase as i64 as f64 / self.period_ns as i64 as f64
     }
 
     /// Time until the sector whose *rest angle* (angle at time zero) is
@@ -54,12 +109,22 @@ impl RotationModel {
     ///
     /// Both angles are fractions of a revolution in `[0, 1)`; values
     /// outside are wrapped.
-    // simlint: hot — cost-model primitive; once per priced arm.
+    #[inline]
     pub fn wait_until_under(&self, sector_angle: f64, head_azimuth: f64, now: SimTime) -> SimDuration {
-        let sector_now = wrap_unit(sector_angle + self.platter_offset(now));
+        self.wait_at_phase(sector_angle, head_azimuth, self.phase(now))
+    }
+
+    /// [`wait_until_under`](Self::wait_until_under) from the instant
+    /// whose [`phase`](Self::phase) is `phase`, bit for bit.
+    // simlint: hot — cost-model primitive; once per priced head.
+    #[inline]
+    pub fn wait_at_phase(&self, sector_angle: f64, head_azimuth: f64, phase: u64) -> SimDuration {
+        let sector_now = wrap_unit(sector_angle + self.offset_at_phase(phase));
         let gap = wrap_unit(head_azimuth - sector_now);
-        let period = self.period_ns.max(1);
-        let wait = (gap * self.period_ns as f64).round() as u64;
+        let period = self.period_ns;
+        // `gap < 1`, so the wait is at most one period; a full period
+        // is no wait at all.
+        let wait = round_ns(gap * period as i64 as f64);
         SimDuration::from_nanos(if wait < period { wait } else { wait % period })
     }
 
@@ -68,10 +133,11 @@ impl RotationModel {
     ///
     /// # Panics
     /// Panics if `sectors_per_track` is zero.
+    #[inline]
     pub fn transfer_time(&self, sectors: u32, sectors_per_track: u32) -> SimDuration {
         assert!(sectors_per_track > 0, "empty track");
         let frac = sectors as f64 / sectors_per_track as f64;
-        SimDuration::from_nanos((frac * self.period_ns as f64).round() as u64)
+        SimDuration::from_nanos(round_ns(frac * self.period_ns as i64 as f64))
     }
 
     /// The azimuth of arm assembly `index` out of `count` equally
@@ -87,13 +153,24 @@ impl RotationModel {
 
 /// `x.rem_euclid(1.0)`, bit for bit, without a `fmod` call on the
 /// angles and angle differences positioning produces (all in (-1, 2)).
+///
+/// On that range it subtracts −1, 0 or 1, chosen by a select rather than
+/// by branches (the range's halves are equally likely, so branches would
+/// mispredict). Each case is exactly what `rem_euclid` computes: `x - 0.0`
+/// is `x` (−0.0 included), `x - -1.0` is `x + 1.0`, and `x - 1.0` on
+/// `[1, 2)` is exact (Sterbenz), as `fmod` is. −1.0 itself is left to
+/// `rem_euclid`, which maps it to −0.0.
+#[inline]
 pub fn wrap_unit(x: f64) -> f64 {
-    if (0.0..1.0).contains(&x) {
-        x
-    } else if x > -1.0 && x < 0.0 {
-        x + 1.0 // (not -1.0 itself: `rem_euclid` maps that to -0.0)
-    } else if (1.0..2.0).contains(&x) {
-        x - 1.0 // exact (Sterbenz), as `fmod` is
+    if x > -1.0 && x < 2.0 {
+        let shift = if x < 0.0 {
+            -1.0
+        } else if x >= 1.0 {
+            1.0
+        } else {
+            0.0
+        };
+        x - shift
     } else {
         x.rem_euclid(1.0)
     }
@@ -195,6 +272,71 @@ mod tests {
         let w2 = m.wait_until_under(0.6, 0.1, t + w);
         let ms = w2.as_millis();
         assert!(ms < 1e-3 || (m.period().as_millis() - ms) < 1e-3, "w2 {w2}");
+    }
+
+    /// Seeks from nothing to several revolutions (past the point where
+    /// [`RotationModel::advance`] stops subtracting and divides).
+    fn seeks(m: &RotationModel) -> impl Iterator<Item = SimDuration> {
+        let p = m.period().as_nanos();
+        let around = move |x: u64| x.saturating_sub(1)..=x + 1;
+        let revolutions = (0..=6).map(move |k| k * p).flat_map(around);
+        let sweep = (0..400u64).map(move |i| i * 7 * p / 100 + i % 13);
+        revolutions.chain(sweep).map(SimDuration::from_nanos)
+    }
+
+    /// `wait_at_phase` at `advance(phase(start), seek)` against
+    /// `wait_until_under` at `start + seek`, bit for bit.
+    fn assert_phase_form_exact(m: &RotationModel) {
+        let starts = [
+            0,
+            1,
+            987_654_321,
+            m.period().as_nanos() - 1,
+            3_600_000_000_123,
+        ];
+        for start in starts.map(SimTime::from_nanos) {
+            let phase = m.phase(start);
+            for (i, seek) in seeks(m).enumerate() {
+                let sector = (i as f64 * 0.137).rem_euclid(1.0);
+                let head = (i as f64 * 0.311).rem_euclid(1.0);
+                let at = m.advance(phase, seek);
+                assert_eq!(at, m.phase(start + seek), "phase at {start} + {seek}");
+                assert_eq!(
+                    m.wait_at_phase(sector, head, at),
+                    m.wait_until_under(sector, head, start + seek),
+                    "wait at {start} + {seek}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phase_form_is_wait_until_under_at_any_period() {
+        // Full speed, DRPM's low speed, and the degenerate 1 ns period.
+        assert_phase_form_exact(&model_7200());
+        assert_phase_form_exact(&RotationModel::from_period(SimDuration::from_millis(
+            60_000.0 / 4_200.0,
+        )));
+        assert_phase_form_exact(&RotationModel::from_period(SimDuration::from_nanos(1)));
+    }
+
+    #[test]
+    fn wait_at_phase_pins_the_float_expression() {
+        // The pre-phase formula, verbatim, at instants of every phase.
+        let m = model_7200();
+        let p = m.period().as_nanos();
+        let reference = |sector: f64, head: f64, now: u64| {
+            let offset = (now % p) as f64 / p as f64;
+            let gap = (head - (sector + offset).rem_euclid(1.0)).rem_euclid(1.0);
+            let wait = (gap * p as f64).round() as u64;
+            SimDuration::from_nanos(wait % p)
+        };
+        for i in 0..5_000u64 {
+            let now = i * 1_234_567 + i % 7;
+            let (sector, head) = ((i as f64 * 0.0763).fract(), (i as f64 * 0.29).fract());
+            let got = m.wait_at_phase(sector, head, m.phase(SimTime::from_nanos(now)));
+            assert_eq!(got, reference(sector, head, now), "at {now}");
+        }
     }
 
     #[test]

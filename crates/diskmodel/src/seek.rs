@@ -81,6 +81,8 @@ impl SeekProfile {
     ///
     /// # Panics
     /// Panics if `distance` exceeds the drive's maximum stroke.
+    // simlint: hot — cost-model primitive; once per memo miss.
+    #[inline]
     pub fn seek_time(&self, distance: u32) -> SimDuration {
         assert!(
             distance <= self.max_distance,
@@ -100,6 +102,7 @@ impl SeekProfile {
     }
 
     /// The maximum seek distance (cylinders − 1).
+    #[inline]
     pub fn max_distance(&self) -> u32 {
         self.max_distance
     }

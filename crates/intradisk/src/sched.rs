@@ -246,6 +246,10 @@ impl PendingQueue {
     ) -> (usize, Option<ArmChoice>) {
         debug_assert!(c.arms.len() <= self.arms, "more arms than memo columns");
         let (mut visits, mut evals) = (0u64, 0u64);
+        let rotation = c.mech.rotation();
+        // Reduced once per scan; each priced arm advances it by its
+        // seek, so the per-arm loop never divides.
+        let phase = rotation.phase(c.start);
         let mut best: Option<(usize, ArmChoice)> = None;
         for i in 0..n {
             let target = self.target(i, c.mech);
@@ -271,9 +275,8 @@ impl PendingQueue {
                 }
                 evals += 1;
                 let azimuth = c.arms.azimuth(arm);
-                let rot = c
-                    .mech
-                    .rot(target, azimuth, c.heads, c.start + seek, c.scaling);
+                let at = rotation.advance(phase, seek);
+                let rot = c.mech.rot_at_phase(target, azimuth, c.heads, at, c.scaling);
                 let cost = seek + rot;
                 if cand.is_none_or(|b| cost < b.cost()) {
                     cand = Some(ArmChoice { arm, seek, rot });

@@ -245,6 +245,7 @@ pub struct ArmChoice {
 
 impl ArmChoice {
     /// Positioning time (seek + rotational wait): the SPTF key.
+    #[inline]
     pub fn cost(&self) -> SimDuration {
         self.seek + self.rot
     }
@@ -282,6 +283,7 @@ impl Mechanics {
     /// Panics if `lba` is beyond the drive's capacity.
     // simlint: hot — cost-model primitive; the dispatch scan calls it
     // once per queued request.
+    #[inline]
     pub fn target(&self, lba: u64) -> Target {
         let loc = self.geometry.locate(lba);
         Target {
@@ -293,6 +295,7 @@ impl Mechanics {
     /// Seek time (already scaled) of an assembly parked over cylinder
     /// `from` to cylinder `to`.
     // simlint: hot — cost-model primitive.
+    #[inline]
     pub fn seek(&self, from: u32, to: u32, scaling: LatencyScaling) -> SimDuration {
         self.seek_curve
             .seek_time(from.abs_diff(to))
@@ -320,11 +323,28 @@ impl Mechanics {
         at: SimTime,
         scaling: LatencyScaling,
     ) -> SimDuration {
+        self.rot_at_phase(target, azimuth, heads, self.rotation.phase(at), scaling)
+    }
+
+    /// [`Self::rot`] from the instant whose rotational phase
+    /// ([`RotationModel::phase`]) is `phase`: the form a dispatch scan
+    /// uses, reducing its start's phase once and advancing it by each
+    /// arm's seek.
+    // simlint: hot — cost-model primitive; once per priced arm.
+    #[inline]
+    pub fn rot_at_phase(
+        &self,
+        target: Target,
+        azimuth: f64,
+        heads: u32,
+        phase: u64,
+        scaling: LatencyScaling,
+    ) -> SimDuration {
         (0..heads)
             .map(|h| {
                 let head_azimuth = wrap_unit(azimuth + h as f64 * HEAD_ANGULAR_SEPARATION);
                 self.rotation
-                    .wait_until_under(target.angle, head_azimuth, at)
+                    .wait_at_phase(target.angle, head_azimuth, phase)
             })
             .min()
             .unwrap_or(SimDuration::ZERO)

@@ -6,22 +6,24 @@
 //! per-mode durations and converts them into average power given a
 //! per-mode power level.
 
-use std::collections::BTreeMap;
-
 use crate::time::{SimDuration, SimTime};
 
+/// Mode keys run from 0 to `MODE_KEYS - 1`: the four drive power modes
+/// of `intradisk::DriveMode`.
+const MODE_KEYS: usize = 4;
+
 /// Accumulates time spent in each of a set of modes identified by a
-/// small integer key, and turns (mode time × mode power) into energy and
-/// average power.
+/// small integer key (0 to 3), and turns (mode time × mode
+/// power) into energy and average power.
 ///
 /// Modes are caller-defined; the disk model uses
-/// `intradisk::power::DriveMode`.
+/// `intradisk::power::DriveMode`. Only modes with non-zero time count
+/// as recorded: [`iter`](Self::iter), [`energy_joules`](Self::energy_joules),
+/// [`merge`](Self::merge) and equality see those alone, in ascending key
+/// order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ModeAccumulator {
-    // simlint: allow(unbounded-sim-state) — keyed by mode id; the key
-    // space is the (small, fixed) set of drive power modes, not run
-    // length.
-    time_in_mode: BTreeMap<u8, SimDuration>,
+    time_in_mode: [SimDuration; MODE_KEYS],
     total: SimDuration,
 }
 
@@ -32,11 +34,15 @@ impl ModeAccumulator {
     }
 
     /// Adds `duration` to mode `mode`.
+    ///
+    /// # Panics
+    /// Panics if `mode` is above 3 and `duration` is non-zero.
+    #[inline]
     pub fn add(&mut self, mode: u8, duration: SimDuration) {
         if duration.is_zero() {
             return;
         }
-        *self.time_in_mode.entry(mode).or_insert(SimDuration::ZERO) += duration;
+        self.time_in_mode[mode as usize] += duration;
         self.total += duration;
     }
 
@@ -56,7 +62,7 @@ impl ModeAccumulator {
     /// Time recorded for `mode`.
     pub fn time_in(&self, mode: u8) -> SimDuration {
         self.time_in_mode
-            .get(&mode)
+            .get(mode as usize)
             .copied()
             .unwrap_or(SimDuration::ZERO)
     }
@@ -74,10 +80,7 @@ impl ModeAccumulator {
     ///
     /// Modes missing from `power_w` contribute nothing.
     pub fn energy_joules(&self, power_w: impl Fn(u8) -> f64) -> f64 {
-        self.time_in_mode
-            .iter()
-            .map(|(&m, &d)| power_w(m) * d.as_secs())
-            .sum()
+        self.iter().map(|(m, d)| power_w(m) * d.as_secs()).sum()
     }
 
     /// Average power in watts over the recorded interval, given a
@@ -103,14 +106,17 @@ impl ModeAccumulator {
 
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &ModeAccumulator) {
-        for (&m, &d) in &other.time_in_mode {
+        for (m, d) in other.iter() {
             self.add(m, d);
         }
     }
 
-    /// Iterates over `(mode, duration)` pairs in mode order.
+    /// Iterates over the `(mode, duration)` pairs of the modes with
+    /// recorded time, in mode order.
     pub fn iter(&self) -> impl Iterator<Item = (u8, SimDuration)> + '_ {
-        self.time_in_mode.iter().map(|(&m, &d)| (m, d))
+        (0..MODE_KEYS as u8)
+            .zip(self.time_in_mode)
+            .filter(|(_, d)| !d.is_zero())
     }
 }
 
@@ -171,6 +177,53 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.time_in(IDLE), SimDuration::from_millis(12.0));
         assert_eq!(a.total_time(), SimDuration::from_millis(13.0));
+    }
+
+    #[test]
+    fn matches_an_ordered_map_reference() {
+        // The map the array replaced: an entry per mode with time, in
+        // key order. Iteration, energy and merge must agree bit for bit.
+        use std::collections::BTreeMap;
+        let mut acc = ModeAccumulator::new();
+        let mut other = ModeAccumulator::new();
+        let mut reference: BTreeMap<u8, SimDuration> = BTreeMap::new();
+        let mut rng = crate::Rng64::new(7);
+        for i in 0..2_000u64 {
+            let mode = rng.below(MODE_KEYS as u64) as u8;
+            let d = SimDuration::from_nanos(if i % 5 == 0 { 0 } else { rng.below(10_000_000) });
+            let into = if i % 3 == 0 { &mut other } else { &mut acc };
+            into.add(mode, d);
+            if !d.is_zero() {
+                *reference.entry(mode).or_insert(SimDuration::ZERO) += d;
+            }
+        }
+        acc.merge(&other);
+        let want: Vec<(u8, SimDuration)> = reference.iter().map(|(&m, &d)| (m, d)).collect();
+        assert_eq!(acc.iter().collect::<Vec<_>>(), want);
+        let power = |m: u8| 1.5 + m as f64 * 0.37;
+        let want_j: f64 = reference
+            .iter()
+            .map(|(&m, &d)| power(m) * d.as_secs())
+            .sum();
+        assert_eq!(acc.energy_joules(power).to_bits(), want_j.to_bits());
+        let total: SimDuration = reference.values().copied().sum();
+        assert_eq!(acc.total_time(), total);
+    }
+
+    #[test]
+    fn equality_sees_only_recorded_time() {
+        let mut a = ModeAccumulator::new();
+        let mut b = ModeAccumulator::new();
+        a.add(SEEK, SimDuration::from_millis(1.0));
+        b.add(IDLE, SimDuration::ZERO);
+        b.add(SEEK, SimDuration::from_millis(1.0));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn mode_key_out_of_range_panics() {
+        ModeAccumulator::new().add(MODE_KEYS as u8, SimDuration::from_millis(1.0));
     }
 
     #[test]

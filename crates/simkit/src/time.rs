@@ -13,6 +13,43 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Number of nanoseconds per millisecond.
 const NS_PER_MS: f64 = 1_000_000.0;
 
+/// 2⁵²: from here up every `f64` is an integer, so there is nothing to
+/// round.
+const F64_INTEGRAL_FROM: f64 = 4_503_599_627_370_496.0;
+
+/// 2⁵³: every integer up to here converts to `f64` exactly.
+const F64_EXACT_INT_MAX: u64 = 1 << 53;
+
+/// The bits of a scale factor of exactly 1.0.
+const UNIT_FACTOR_BITS: u64 = 1.0f64.to_bits();
+
+/// `x.round() as u64`, bit for bit, for every `x` (NaN, negatives and
+/// ±∞ included), without the out-of-line `round` routine baseline
+/// x86-64 lowers `f64::round` to.
+///
+/// For `0 ≤ x < 2⁵²` the fractional part `x - trunc(x)` is exactly
+/// representable (it is `x` with its integer bits cleared), so comparing
+/// it with 0.5 rounds half away from zero exactly as `f64::round` does —
+/// unlike `(x + 0.5) as u64`, which rounds 0.49999999999999994 up.
+/// Everything else takes `f64::round`.
+///
+/// ```
+/// use simkit::time::round_ns;
+/// assert_eq!(round_ns(2.5), 3);
+/// assert_eq!(round_ns(0.49999999999999994), 0);
+/// assert_eq!(round_ns(-0.7), 0);
+/// ```
+// simlint: hot — every millisecond-to-nanosecond conversion.
+#[inline]
+pub fn round_ns(x: f64) -> u64 {
+    if x >= 0.0 && x < F64_INTEGRAL_FROM {
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x.round() as u64
+    }
+}
+
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// start of the run.
 ///
@@ -39,6 +76,7 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Constructs an instant from raw nanoseconds.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
     }
@@ -47,17 +85,20 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `ms` is negative or not finite.
+    #[inline]
     pub fn from_millis(ms: f64) -> Self {
         assert!(ms.is_finite() && ms >= 0.0, "invalid time: {ms} ms");
-        SimTime((ms * NS_PER_MS).round() as u64)
+        SimTime(round_ns(ms * NS_PER_MS))
     }
 
     /// Raw nanoseconds since the origin.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// This instant expressed in milliseconds.
+    #[inline]
     pub fn as_millis(self) -> f64 {
         self.0 as f64 / NS_PER_MS
     }
@@ -66,16 +107,19 @@ impl SimTime {
     ///
     /// Saturates to zero if `earlier` is in the future — convenient when
     /// computing "remaining wait" quantities.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Elementwise maximum of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// Elementwise minimum of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -88,6 +132,7 @@ impl SimDuration {
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Constructs a duration from raw nanoseconds.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
     }
@@ -96,9 +141,10 @@ impl SimDuration {
     ///
     /// # Panics
     /// Panics if `ms` is negative or not finite.
+    #[inline]
     pub fn from_millis(ms: f64) -> Self {
         assert!(ms.is_finite() && ms >= 0.0, "invalid duration: {ms} ms");
-        SimDuration((ms * NS_PER_MS).round() as u64)
+        SimDuration(round_ns(ms * NS_PER_MS))
     }
 
     /// Constructs a duration from (possibly fractional) microseconds.
@@ -112,11 +158,13 @@ impl SimDuration {
     }
 
     /// Raw nanoseconds.
+    #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// This duration expressed in milliseconds.
+    #[inline]
     pub fn as_millis(self) -> f64 {
         self.0 as f64 / NS_PER_MS
     }
@@ -129,32 +177,44 @@ impl SimDuration {
     /// Scales the duration by a non-negative dimensionless factor,
     /// rounding to the nearest nanosecond.
     ///
+    /// A factor of exactly 1.0 returns `self` untouched up to 2⁵³ ns,
+    /// where the float path is exact too; above that the conversion to
+    /// `f64` rounds, and the float path is kept for its bits.
+    ///
     /// # Panics
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn scale(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "invalid scale factor: {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        if factor.to_bits() == UNIT_FACTOR_BITS && self.0 <= F64_EXACT_INT_MAX {
+            return self;
+        }
+        SimDuration(round_ns(self.0 as f64 * factor))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Elementwise maximum.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// Elementwise minimum.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// True if this is the zero duration.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -162,6 +222,7 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         // Operator impls cannot return Result; clock overflow after
         // ~584 years of simulated nanoseconds is a harness bug.
@@ -170,6 +231,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -179,6 +241,7 @@ impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     /// # Panics
     /// Panics if `rhs` is later than `self`.
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -190,12 +253,14 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow")) // simlint: allow(no-panic-in-lib)
     }
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -205,12 +270,14 @@ impl Sub for SimDuration {
     type Output = SimDuration;
     /// # Panics
     /// Panics if `rhs > self`.
+    #[inline]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_sub(rhs.0).expect("negative duration")) // simlint: allow(no-panic-in-lib)
     }
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -273,6 +340,27 @@ mod tests {
         assert_eq!(d.scale(0.5), SimDuration::from_millis(5.0));
         assert_eq!(d.scale(0.0), SimDuration::ZERO);
         assert_eq!(d.scale(1.0), d);
+    }
+
+    #[test]
+    fn unit_scale_is_the_float_path() {
+        let float_path = |d: SimDuration| SimDuration((d.0 as f64 * 1.0).round() as u64);
+        let around = |x: u64| x.saturating_sub(3)..=x.saturating_add(3);
+        let values = [
+            0,
+            1,
+            8_333_333,
+            1 << 52,
+            F64_EXACT_INT_MAX,
+            u64::MAX / 2,
+            u64::MAX,
+        ]
+        .into_iter()
+        .flat_map(around);
+        for ns in values {
+            let d = SimDuration::from_nanos(ns);
+            assert_eq!(d.scale(1.0), float_path(d), "at {ns} ns");
+        }
     }
 
     #[test]

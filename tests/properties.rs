@@ -905,3 +905,79 @@ fn sptf_scan_matches_naive_plan_reference() {
         }
     });
 }
+
+/// `simkit::time::round_ns` is `x.round() as u64` for every `f64`: raw
+/// bit patterns (any exponent, either sign, NaN and ±∞), uniform draws
+/// around the integers a nanosecond conversion rounds, and the edges of
+/// its integer fast path.
+#[test]
+fn round_ns_matches_f64_round() {
+    use simkit::time::round_ns;
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    const EDGES: [f64; 21] = [
+        0.0,
+        -0.0,
+        0.5,
+        1.5,
+        2.5,
+        0.49999999999999994,
+        4_503_599_627_370_495.5, // the largest x.5 below 2⁵²
+        TWO_52 - 1.0,
+        TWO_52,
+        TWO_52 + 1.0,
+        TWO_52 + 2.0,
+        9_007_199_254_740_992.0, // 2⁵³
+        1.8446744073709552e19,   // 2⁶⁴: saturates
+        1e30,
+        -0.7,
+        -0.5,
+        -1e30,
+        f64::MIN_POSITIVE,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    check("round_ns_matches_f64_round", |t| {
+        let bits = t.draw(&gen::u64_any());
+        let near = t.draw(&gen::f64_in(0.0, 1e7));
+        let half = t.draw(&gen::u64_in(0..=1 << 53)) as f64 + 0.5;
+        for x in EDGES.into_iter().chain([f64::from_bits(bits), near, half, -near]) {
+            assert_eq!(round_ns(x), x.round() as u64, "at {x:e}");
+        }
+    });
+}
+
+/// The dispatch scan's phase-domain rotational wait against the
+/// time-domain one, bit for bit: a start's phase advanced by a seek
+/// (scaled, and up to ten revolutions long) prices every head of a
+/// multi-head arm exactly as `rot` at `start + seek` does, at any
+/// spindle speed — DRPM's speed shifts included.
+#[test]
+fn phase_domain_wait_matches_time_domain() {
+    use intradisk::service::Mechanics;
+    use intradisk::LatencyScaling;
+    use simkit::SimDuration;
+    check("phase_domain_wait_matches_time_domain", |t| {
+        let rpm = t.draw(&gen::u32_in(3_000..=15_000));
+        let mech = Mechanics::new(&presets::barracuda_es_750gb().with_rpm(rpm));
+        let rot = mech.rotation();
+        let start = SimTime::from_nanos(t.draw(&gen::u64_in(0..=1 << 50)));
+        let seek_ns = t.draw(&gen::u64_in(0..=10 * rot.period().as_nanos()));
+        let scale = t.draw(&gen::one_of(vec![1.0, 0.5, 0.25, 0.0, 1.7]));
+        let heads = t.draw(&gen::u32_in(1..=4));
+        let lba = t.draw(&gen::u64_in(0..=mech.geometry().total_sectors() - 1));
+        let azimuth = t.draw(&gen::f64_in(0.0, 1.0));
+        let scaling = LatencyScaling {
+            seek: scale,
+            rotational: scale,
+        };
+        let seek = SimDuration::from_nanos(seek_ns).scale(scale);
+        let at = rot.advance(rot.phase(start), seek);
+        assert_eq!(at, rot.phase(start + seek));
+        let target = mech.target(lba);
+        assert_eq!(
+            mech.rot_at_phase(target, azimuth, heads, at, scaling),
+            mech.rot(target, azimuth, heads, start + seek, scaling)
+        );
+    });
+}
