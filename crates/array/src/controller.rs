@@ -24,7 +24,6 @@ use simkit::{
     Calendar, EventQueue, Histogram, QueueStats, ResponseStats, SimDuration, SimTime, Slab,
     SlotId, StatsMode,
 };
-use telemetry::prof::{self, Phase};
 use telemetry::{NullRecorder, Recorder, ScopedRecorder, TraceEvent};
 
 use crate::layout::{Layout, SubRequest};
@@ -427,7 +426,6 @@ impl<Q: Calendar<usize>> Device for ArrayController<Q> {
     /// logical submit/complete events land in scope 0.
     fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
         for (disk, t) in self.submit_traced(req, req.arrival, rec)? {
-            let _kp = prof::scope(Phase::KernelPush);
             self.events.push(t, disk);
         }
         Ok(())
@@ -439,17 +437,13 @@ impl<Q: Calendar<usize>> Device for ArrayController<Q> {
 
     /// Consumes the earliest per-disk completion (due at `now`).
     fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
-        let pop = prof::scope(Phase::KernelPop);
         let ev = self.events.pop().ok_or(DriveError::NotInService)?;
-        drop(pop);
         debug_assert_eq!(ev.time, now, "the run loop fires the earliest event");
         let out = self.on_disk_complete_traced(ev.payload, ev.time, rec)?;
         if let Some(t) = out.next_on_disk {
-            let _kp = prof::scope(Phase::KernelPush);
             self.events.push(t, ev.payload);
         }
         for (disk, t) in out.started {
-            let _kp = prof::scope(Phase::KernelPush);
             self.events.push(t, disk);
         }
         Ok(usize::from(out.finished.is_some()))

@@ -4,8 +4,8 @@
 //! shared reduced scale and prints the headline numbers once, so
 //! `cargo bench` both times the harness and regenerates every artifact.
 //! Studies run on the serial executor here so the numbers time the
-//! simulation pipeline itself; `--bench sweep` times the parallel
-//! executor.
+//! simulation pipeline itself; perfbench's `experiments.jobs_speedup`
+//! measures the parallel executor.
 
 use bench::{bench, bench_scale};
 use experiments::{

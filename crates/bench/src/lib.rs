@@ -1,6 +1,6 @@
 //! `bench` — self-contained benchmark harness for the reproduction.
 //!
-//! Three benchmark suites live under `benches/` (all `harness = false`
+//! Four benchmark suites live under `benches/` (all `harness = false`
 //! binaries driven by `cargo bench`):
 //!
 //! * `figures` — regenerates every table and figure of the paper at a
@@ -14,6 +14,11 @@
 //! * `ablations` — sensitivity sweeps over the design knobs DESIGN.md
 //!   calls out (queue policy, SPTF window, arm placement, cache size,
 //!   stripe unit, overlap mode, freeblock scheduling).
+//! * `kernel` — event-kernel throughput, timing wheel against the
+//!   retired binary heap (`scripts/verify.sh` gates wheel ≤ heap).
+//!
+//! End-to-end and per-layer performance is tracked by perfbench
+//! (`python3 perfbench/run.py`), not by these suites.
 //!
 //! The timing harness is hand-rolled so the workspace builds with zero
 //! external dependencies: each benchmark runs a warmup, then

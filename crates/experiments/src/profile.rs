@@ -1,7 +1,6 @@
 //! Self-profile export: counter JSON and phase-profile artifacts.
 //!
-//! This module assembles the two observability planes into files under
-//! a `--profile` directory:
+//! This module writes the `--profile` artifacts into a directory:
 //!
 //! * `counters.json` — every deterministic kernel counter
 //!   (simkit wheel/slab/histogram, intradisk dispatch/cost/cache,
@@ -10,11 +9,13 @@
 //!   with `--jobs` (worker count, steals). The `"deterministic"`
 //!   section is **byte-identical** across runs, hosts, and `--jobs`;
 //!   `scripts/verify.sh` gates on exactly that.
-//! * `profile.txt` — the phase table ([`ProfReport::table`]).
+//! * `profile.txt` — the coarse phase table ([`ProfReport::table`]),
+//!   ending in the profiler's own measured overhead.
 //! * `profile.folded` — collapsed-stack lines, one per phase path,
 //!   ready for any flamegraph renderer.
-//! * `BENCH_profile.json` — the phase profile in the repo's BENCH
-//!   schema so `scripts/bench_summary.sh` picks it up automatically.
+//!
+//! Per-layer host timings are perfbench's job
+//! (`python3 perfbench/run.py --trace 1`), not this module's.
 //!
 //! The JSON is hand-rolled (keys pre-sorted, 2-space indent, `\n`
 //! line endings) precisely so its bytes are a stable contract.
@@ -48,7 +49,8 @@ fn deterministic_counters() -> Vec<&'static simkit::counters::Counter> {
     all
 }
 
-/// Renders the two-plane counter export.
+/// Renders the counter export: the deterministic section, then the
+/// host section.
 ///
 /// `jobs` is recorded in the host section (it is an input, not a
 /// measurement, but explains the other host values).
@@ -75,54 +77,12 @@ pub fn counters_json(jobs: usize) -> String {
     out
 }
 
-/// Renders the phase profile in the repo's `BENCH_*.json` schema
-/// (`bench`/`date`/`host_cores`/`results`/`note`), so
-/// `scripts/bench_summary.sh` validates it via its glob.
-///
-/// `results[0]` carries the run-level summary (wall, attributed,
-/// unattributed, coverage); one row per phase path follows.
-pub fn bench_profile_json(report: &ProfReport, date: &str, host_cores: usize) -> String {
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"profile\",\n");
-    out.push_str(&format!("  \"date\": \"{date}\",\n"));
-    out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    out.push_str("  \"results\": [\n");
-    out.push_str(&format!(
-        "    {{\"label\": \"wall\", \"wall_ms\": {:.3}, \"attributed_ms\": {:.3}, \
-         \"unattributed_ms\": {:.3}, \"coverage_pct\": {:.1}}}",
-        ms(report.wall_ns),
-        ms(report.attributed_ns()),
-        ms(report.unattributed_ns()),
-        report.coverage_pct()
-    ));
-    for line in &report.lines {
-        out.push_str(",\n");
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"self_ms\": {:.3}, \"calls\": {}}}",
-            line.path.join(";"),
-            ms(line.self_ns),
-            line.enters
-        ));
-    }
-    out.push_str("\n  ],\n");
-    out.push_str(
-        "  \"note\": \"host wall-clock phase profile; self-time per phase path, \
-         collapsed-stack twin in profile.folded\"\n",
-    );
-    out.push_str("}\n");
-    out
-}
-
-/// Writes all four profile artifacts into `dir` (created if needed).
+/// Writes the three profile artifacts into `dir` (created if needed).
 /// Returns the paths written, in write order.
 pub fn write_profile(
     dir: &Path,
     report: &ProfReport,
     jobs: usize,
-    date: &str,
-    host_cores: usize,
 ) -> io::Result<Vec<std::path::PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
@@ -135,9 +95,6 @@ pub fn write_profile(
     let counters = dir.join("counters.json");
     fs::write(&counters, counters_json(jobs))?;
     written.push(counters);
-    let bench = dir.join("BENCH_profile.json");
-    fs::write(&bench, bench_profile_json(report, date, host_cores))?;
-    written.push(bench);
     Ok(written)
 }
 
@@ -167,16 +124,5 @@ mod tests {
         assert!(det.contains(&"intradisk.dispatch.scans"));
         assert!(det.contains(&"workload.requests_pulled"));
         assert!(det.contains(&"experiments.points_run"));
-    }
-
-    #[test]
-    fn bench_profile_matches_repo_schema() {
-        let report = ProfReport { wall_ns: 2_000_000, lines: Vec::new() };
-        let s = bench_profile_json(&report, "2026-08-08", 8);
-        for key in ["\"bench\"", "\"date\"", "\"host_cores\"", "\"results\"", "\"note\""] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
-        assert!(s.contains("\"label\": \"wall\""));
-        assert!(s.contains("\"wall_ms\": 2.000"));
     }
 }

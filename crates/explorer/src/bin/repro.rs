@@ -20,16 +20,17 @@
 //! ```
 //!
 //! `--profile DIR` turns on the self-profiler for the run and writes
-//! four artifacts into DIR afterwards: `profile.txt` (host wall-clock
-//! phase table), `profile.folded` (collapsed stacks for flamegraph
-//! tools), `counters.json` (deterministic kernel counters; the
+//! three artifacts into DIR afterwards: `profile.txt` (host wall-clock
+//! table of the coarse phases, ending in the profiler's own measured
+//! overhead), `profile.folded` (collapsed stacks for flamegraph tools)
+//! and `counters.json` (deterministic kernel counters; the
 //! `"deterministic"` section is byte-identical across runs, hosts, and
-//! `--jobs`), and `BENCH_profile.json` (phase profile in the repo's
-//! BENCH schema). `--heartbeat SECS` makes `repro scale` emit live
-//! `[hb ...]` snapshots (completed, req/s, ETA, streaming p90, peak
-//! RSS) to stderr every SECS seconds; `--heartbeat-file PATH`
-//! additionally rewrites a Prometheus textfile atomically on each
-//! beat.
+//! `--jobs`). Per-layer host timings come from perfbench
+//! (`python3 perfbench/run.py --trace 1`). `--heartbeat SECS` makes
+//! `repro scale` emit live `[hb ...]` snapshots (completed, req/s,
+//! ETA, streaming p90, peak RSS) to stderr every SECS seconds;
+//! `--heartbeat-file PATH` additionally rewrites a Prometheus textfile
+//! atomically on each beat.
 //!
 //! `--stats streaming` swaps the studies' exact sample stores for
 //! bounded-memory streaming accumulators; with it, request counts far
@@ -139,8 +140,8 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--heartbeat needs an interval in seconds")?
                     .parse::<f64>()
                     .map_err(|e| format!("bad --heartbeat: {e}"))?;
-                if !(v > 0.0) {
-                    return Err("--heartbeat must be positive".to_string());
+                if !(v > 0.0 && v.is_finite()) {
+                    return Err("--heartbeat must be positive and finite".to_string());
                 }
                 heartbeat_secs = Some(v);
             }
@@ -153,6 +154,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--actuators needs a value")?
                     .parse::<u32>()
                     .map_err(|e| format!("bad --actuators: {e}"))?;
+                if actuators == 0 {
+                    return Err("--actuators must be at least 1".to_string());
+                }
             }
             "--jobs" => {
                 jobs = it
@@ -170,6 +174,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--requests needs a value")?
                     .parse::<usize>()
                     .map_err(|e| format!("bad --requests: {e}"))?;
+                if v == 0 {
+                    return Err("--requests must be at least 1".to_string());
+                }
                 scale = scale.with_requests(v);
                 requests_set = true;
             }
@@ -221,8 +228,8 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--inter-arrival needs a value in ms")?
                     .parse::<f64>()
                     .map_err(|e| format!("bad --inter-arrival: {e}"))?;
-                if !(inter_arrival_ms > 0.0) {
-                    return Err("--inter-arrival must be positive".to_string());
+                if !(inter_arrival_ms > 0.0 && inter_arrival_ms.is_finite()) {
+                    return Err("--inter-arrival must be positive and finite".to_string());
                 }
             }
             "--seed" => {
@@ -424,14 +431,6 @@ impl experiments::RunObserver for HeartbeatObserver {
     }
 }
 
-/// Peak resident set size (VmHWM) of this process in kB, from
-/// `/proc/self/status`. `None` where procfs is unavailable.
-fn max_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
 /// The bounded-memory scaling scenario: one SA(n) drive under the
 /// synthetic open workload (60% reads, 20% sequential, exponential
 /// inter-arrivals), streamed lazily from the generator so the request
@@ -479,7 +478,7 @@ fn run_scale(args: &Args) -> Result<(), String> {
         println!("  p90(exact) {:.3} ms", stats.percentile(90.0));
     }
     eprintln!("[queue-peak: {}]", r.queue_peak);
-    if let Some(kb) = max_rss_kb() {
+    if let Some(kb) = telemetry::prof::peak_rss_kb() {
         eprintln!("[max-rss-kb: {kb}]");
     }
     Ok(())
@@ -588,25 +587,6 @@ fn run_experiments(args: &Args, exec: &Executor) -> Result<(), StudyError> {
     Ok(())
 }
 
-/// UTC calendar date (`YYYY-MM-DD`) from the system clock, via the
-/// days-to-civil conversion. Stamped into `BENCH_profile.json`.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -636,13 +616,7 @@ fn main() -> ExitCode {
             report.coverage_pct(),
             report.unattributed_ns() as f64 / 1e6
         );
-        match experiments::profile::write_profile(
-            std::path::Path::new(dir),
-            &report,
-            args.jobs,
-            &today_utc(),
-            default_jobs(),
-        ) {
+        match experiments::profile::write_profile(std::path::Path::new(dir), &report, args.jobs) {
             Ok(files) => {
                 for f in files {
                     eprintln!("[profile: {}]", f.display());

@@ -3,8 +3,10 @@
 //! [`simulate`] is the only arrival-versus-event merge in the
 //! workspace: the drive, the array controller, the overlapped drive and
 //! the DRPM/MAID baselines all run through it as [`Device`]s, so request
-//! accounting, profiling scopes and observer hooks cannot drift apart
-//! between engines.
+//! accounting and observer hooks cannot drift apart between engines.
+//! The loop opens no host-time profiler scope: per-request costs are
+//! timed by perfbench's batch micro-timings, and `--profile` stays on
+//! the coarse phases so it costs nothing per request.
 //!
 //! Time never runs backwards (checked in debug builds). Ties go to
 //! arrivals: an arrival at the instant of a device event is submitted
@@ -14,7 +16,6 @@
 
 use diskmodel::DriveError;
 use simkit::{ResponseStats, SimTime};
-use telemetry::prof::{self, Phase};
 use telemetry::Recorder;
 
 use crate::request::IoRequest;
@@ -76,18 +77,14 @@ pub fn simulate<D: Device, R: Recorder, O: RunObserver>(
     obs: &mut O,
 ) -> Result<D::Report, DriveError> {
     let mut requests = requests.into_iter();
-    let mut pull = || {
-        let _sp = prof::scope(Phase::SourcePull);
-        requests.next()
-    };
-    let mut pending = pull();
+    let mut pending = requests.next();
     let mut end = SimTime::ZERO;
     loop {
         let event = device.next_event_time();
         match pending {
             Some(r) if event.is_none_or(|e| r.arrival <= e) => {
                 debug_assert!(r.arrival >= end, "arrival at {} before {end}", r.arrival);
-                pending = pull();
+                pending = requests.next();
                 end = end.max(r.arrival);
                 device.submit(r, rec)?;
             }

@@ -373,10 +373,7 @@ impl DiskDrive {
         if let Some((lba, sectors)) = srv.install {
             self.cache.install(lba, sectors);
         }
-        {
-            let _prof = telemetry::prof::scope(telemetry::prof::Phase::StatsRecord);
-            self.metrics.record(&srv.done);
-        }
+        self.metrics.record(&srv.done);
         if R::ENABLED {
             rec.record(now, TraceEvent::Complete { req: srv.done.request.id });
         }
@@ -404,7 +401,6 @@ impl DiskDrive {
         now: SimTime,
         rec: &mut R,
     ) -> Result<Option<SimTime>, DriveError> {
-        let _scan_prof = telemetry::prof::scope(telemetry::prof::Phase::DispatchScan);
         self.prof.scans.bump();
         // Positioning starts after the controller overhead; estimating
         // from `now` would systematically pick sectors that have just
@@ -475,21 +471,18 @@ impl DiskDrive {
             self.prof.cache_misses.bump();
         }
 
-        let plan = {
-            let _plan_prof = telemetry::prof::scope(telemetry::prof::Phase::CostModel);
-            match choice {
-                Some(choice) => self.mech.plan_for(choice, req.lba, req.sectors),
-                None => {
-                    self.prof.plan_evals.bump();
-                    self.mech.plan_set_with_heads(
-                        &self.arms,
-                        self.config.heads_per_arm,
-                        req.lba,
-                        req.sectors,
-                        now + overhead,
-                        self.config.scaling,
-                    )?
-                }
+        let plan = match choice {
+            Some(choice) => self.mech.plan_for(choice, req.lba, req.sectors),
+            None => {
+                self.prof.plan_evals.bump();
+                self.mech.plan_set_with_heads(
+                    &self.arms,
+                    self.config.heads_per_arm,
+                    req.lba,
+                    req.sectors,
+                    now + overhead,
+                    self.config.scaling,
+                )?
             }
         };
         let finish = now + overhead + plan.total();

@@ -1,14 +1,16 @@
-//! Host-time phase profiling — plane 2 of the self-observability
-//! layer.
+//! Host-time phase profiling of the coarse run phases.
 //!
 //! Everything else in this crate (and in every sim crate) runs on
 //! *virtual* time; this module is the one sanctioned exception. It
-//! attributes real wall-clock execution time to named phases
-//! ([`Phase`]) via scoped timers ([`scope`]), so a slow run can be
-//! decomposed into event-kernel work, dispatch scanning, cost-model
-//! evaluation, stats recording, export time, and executor idle — the
-//! measurement ROADMAP item 1's "cost model and dispatch scan now
-//! dominate" claim needs.
+//! attributes real wall-clock execution time to a few coarse named
+//! phases ([`Phase`]) via scoped timers ([`scope`]): planning, the
+//! per-point simulations, executor idle, reduction, exports and
+//! heartbeats. No scope sits on the per-request path, so the profile
+//! costs a fixed number of clock reads per run point, not per request.
+//! Per-layer questions (source pull, kernel push/pop, dispatch scan,
+//! cost model, stats record) are answered by perfbench's batch
+//! micro-timings (`python3 perfbench/run.py --trace 1`) and by the
+//! deterministic counters, not here.
 //!
 //! # The wall-clock carve-out
 //!
@@ -24,8 +26,7 @@
 //! # Design
 //!
 //! * Disabled (the default), [`scope`] is one relaxed atomic load and a
-//!   branch — within the repo's ≤2% disabled-observability overhead
-//!   budget.
+//!   branch.
 //! * Enabled, each scope stamps the monotonic clock on entry and exit
 //!   and accrues *self time* to the innermost open phase, so a parent's
 //!   self time never double-counts its children.
@@ -34,9 +35,10 @@
 //!   and per-thread accumulators flush into a global table whenever the
 //!   stack returns to depth zero — worker threads profile without
 //!   cross-thread traffic in steady state.
-//! * [`ProfReport`] renders the table as a human-readable phase tree, a
-//!   collapsed-stack (flamegraph-format) file, and feeds
-//!   `BENCH_profile.json`.
+//! * [`ProfReport`] renders the table as a human-readable phase tree
+//!   and a collapsed-stack (flamegraph-format) file. The table reports
+//!   the profiler's own cost: scope entries times the cost of one empty
+//!   enabled scope, measured in-process when the report is built.
 //!
 //! [`Heartbeat`] reuses the same clock for periodic live-run snapshots
 //! (stderr + atomically rewritten Prometheus textfile), and
@@ -59,9 +61,8 @@ use std::time::Instant as HostInstant;
 /// Maximum profiled scope nesting depth; deeper scopes are no-ops.
 pub const MAX_DEPTH: usize = 8;
 
-/// A named execution phase. The set covers everything a `repro` run
-/// spends meaningful time in; self-time attribution means phases nest
-/// freely without double counting.
+/// A named coarse execution phase. Self-time attribution means phases
+/// nest freely without double counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -71,18 +72,6 @@ pub enum Phase {
     Plan,
     /// One plan point's simulation (worker-side root when parallel).
     RunPoint,
-    /// Pulling the next request from a workload source.
-    SourcePull,
-    /// Event-kernel enqueue.
-    KernelPush,
-    /// Event-kernel dequeue.
-    KernelPop,
-    /// Scheduler dispatch scan over pending requests and arms.
-    DispatchScan,
-    /// Mechanical cost-model evaluation.
-    CostModel,
-    /// Recording completed-request statistics.
-    StatsRecord,
     /// Executor main thread waiting on worker results.
     ExecIdle,
     /// Plan-order result reduction.
@@ -96,16 +85,10 @@ pub enum Phase {
 }
 
 /// Every phase, indexed by its path code (`Phase as u8`).
-pub const PHASES: [Phase; 14] = [
+pub const PHASES: [Phase; 8] = [
     Phase::Run,
     Phase::Plan,
     Phase::RunPoint,
-    Phase::SourcePull,
-    Phase::KernelPush,
-    Phase::KernelPop,
-    Phase::DispatchScan,
-    Phase::CostModel,
-    Phase::StatsRecord,
     Phase::ExecIdle,
     Phase::Reduce,
     Phase::ExportTrace,
@@ -120,12 +103,6 @@ impl Phase {
             Phase::Run => "run",
             Phase::Plan => "plan",
             Phase::RunPoint => "run_point",
-            Phase::SourcePull => "source_pull",
-            Phase::KernelPush => "kernel_push",
-            Phase::KernelPop => "kernel_pop",
-            Phase::DispatchScan => "dispatch_scan",
-            Phase::CostModel => "cost_model",
-            Phase::StatsRecord => "stats_record",
             Phase::ExecIdle => "exec_idle",
             Phase::Reduce => "reduce",
             Phase::ExportTrace => "export_trace",
@@ -301,13 +278,16 @@ pub struct PhaseLine {
 }
 
 /// A harvested phase profile over one run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfReport {
     /// End-to-end measured wall time the profile is judged against.
     pub wall_ns: u64,
     /// Per-path lines, sorted by path (depth-first, parents before
     /// children).
     pub lines: Vec<PhaseLine>,
+    /// Measured host cost of one enabled empty scope (enter + exit),
+    /// in nanoseconds.
+    pub scope_ns: f64,
 }
 
 fn decode_path(mut path: u64) -> Vec<&'static str> {
@@ -324,14 +304,44 @@ fn decode_path(mut path: u64) -> Vec<&'static str> {
         .collect()
 }
 
+fn drain_totals() -> BTreeMap<u64, PathStat> {
+    let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
+    std::mem::take(&mut *totals)
+}
+
+/// Empty scopes timed per calibration batch.
+const CALIBRATION_SCOPES: u32 = 4_096;
+
+/// Host cost of one enabled empty scope in nanoseconds: the fastest of
+/// three batches of real [`scope`] calls, each nested under one outer
+/// scope as most run scopes are. The batches' lines are drained and
+/// dropped, so the calibration shows up in no report. Call with no
+/// scopes open and the global table already drained.
+fn calibrate_scope_ns() -> f64 {
+    let was_enabled = enabled();
+    enable();
+    let batch = || {
+        let start = now_ns();
+        let _outer = scope(Phase::Run);
+        for _ in 0..CALIBRATION_SCOPES {
+            std::hint::black_box(scope(Phase::RunPoint));
+        }
+        now_ns().saturating_sub(start)
+    };
+    let fastest = (0..3).map(|_| batch()).min().unwrap_or(0);
+    if !was_enabled {
+        disable();
+    }
+    drop(drain_totals());
+    fastest as f64 / f64::from(CALIBRATION_SCOPES)
+}
+
 impl ProfReport {
     /// Builds a report from the global table (draining it) against the
-    /// given measured wall time.
+    /// given measured wall time, then measures the cost of one scope.
+    /// Call with no scopes open.
     pub fn take(wall_ns: u64) -> Self {
-        let drained = {
-            let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *totals)
-        };
+        let drained = drain_totals();
         let mut lines: Vec<PhaseLine> = drained
             .into_iter()
             .map(|(path, stat)| PhaseLine {
@@ -342,7 +352,12 @@ impl ProfReport {
             })
             .collect();
         lines.sort_by(|a, b| a.path.cmp(&b.path));
-        ProfReport { wall_ns, lines }
+        ProfReport { wall_ns, lines, scope_ns: calibrate_scope_ns() }
+    }
+
+    /// Scope entries over all phase paths.
+    pub fn scopes(&self) -> u64 {
+        self.lines.iter().map(|l| l.enters).sum()
     }
 
     /// Wall time attributed to some named phase: the sum of all self
@@ -389,7 +404,8 @@ impl ProfReport {
     }
 
     /// Human-readable phase table with a wall/attributed/unattributed
-    /// footer. The unattributed remainder is always reported explicitly.
+    /// footer and the profiler's own estimated overhead. The
+    /// unattributed remainder is always reported explicitly.
     pub fn table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -423,6 +439,16 @@ impl ProfReport {
             out,
             "unattributed {:>12.3} ms",
             self.unattributed_ns() as f64 / 1e6
+        );
+        // The profiler's own cost: scope entries × one measured scope.
+        let overhead = self.scopes() as f64 * self.scope_ns;
+        let _ = writeln!(
+            out,
+            "overhead ≈ {} scopes × {:.1} ns = {:.3} ms ({:.2}% of wall)",
+            self.scopes(),
+            self.scope_ns,
+            overhead / 1e6,
+            overhead * 100.0 / self.wall_ns.max(1) as f64
         );
         out
     }
@@ -596,10 +622,32 @@ mod tests {
         reset();
         {
             let _s = scope(Phase::Run);
-            let _t = scope(Phase::CostModel);
+            let _t = scope(Phase::RunPoint);
         }
         let r = ProfReport::take(1);
         assert!(r.lines.is_empty());
+    }
+
+    #[test]
+    fn calibration_leaves_no_line_and_reports_its_cost() {
+        let _g = locked();
+        reset();
+        enable();
+        {
+            let _run = scope(Phase::Run);
+            let _p = scope(Phase::RunPoint);
+        }
+        disable();
+        let r = ProfReport::take(1_000_000);
+        let paths: Vec<_> = r.lines.iter().map(|l| l.path.clone()).collect();
+        assert_eq!(paths, [vec!["run"], vec!["run", "run_point"]]);
+        assert_eq!(r.scopes(), 2, "calibration scopes are not counted");
+        assert!(r.scope_ns > 0.0);
+        assert!(!enabled(), "calibration restores the disabled state");
+        assert!(ProfReport::take(1).lines.is_empty(), "calibration drains its own lines");
+        let footer = r.table().lines().last().unwrap_or_default().to_string();
+        assert!(footer.starts_with("overhead ≈ 2 scopes × "), "{footer}");
+        assert!(footer.ends_with("% of wall)"), "{footer}");
     }
 
     #[test]
@@ -640,7 +688,7 @@ mod tests {
         {
             let mut guards = Vec::new();
             for _ in 0..(MAX_DEPTH + 4) {
-                guards.push(scope(Phase::CostModel));
+                guards.push(scope(Phase::RunPoint));
             }
         }
         disable();
@@ -669,10 +717,12 @@ mod tests {
                     exits: 4,
                 },
             ],
+            scope_ns: 50.0,
         };
         assert_eq!(r.folded(), "run 1000\nrun;run_point 2500\n");
         let table = r.table();
         assert!(table.contains("unattributed"));
+        assert!(table.contains("overhead ≈ 5 scopes × 50.0 ns = 0.000 ms (0.01% of wall)"), "{table}");
         assert!(table.contains("run_point"));
         assert_eq!(r.attributed_ns(), 3_500_000);
         assert_eq!(r.unattributed_ns(), 500_000);

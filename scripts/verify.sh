@@ -26,7 +26,8 @@
 # throughput floor: the timing wheel must not be slower than the
 # heap), the self-profiler gates (the deterministic counter export must
 # be byte-identical across runs and --jobs values, a --profile smoke
-# run must attribute >= 95% of wall time to phases, and a 10^6-request
+# run must attribute >= 95% of wall time to the coarse phases in
+# profile.txt, and a 10^6-request
 # `repro scale --heartbeat 1` must emit live snapshots plus a
 # Prometheus textfile), and then the test suite again with ignored
 # tests included.
@@ -133,15 +134,12 @@ for d in .explore-cache explore-out; do
     || { echo "$d/ not covered by .gitignore" >&2; exit 1; }
 done
 
-echo "==> gate: BENCH_*.json schema (scripts/bench_summary.sh)"
-scripts/bench_summary.sh >/dev/null
-
 echo "==> gate: bounded-RSS 10^7-request streaming run (budget 65536 kB)"
 # The streaming data plane's contract: request count must not reach
 # peak memory. The repro binary prints its own VmHWM (from
 # /proc/self/status — the container has no /usr/bin/time) to stderr;
-# exact mode at this scale needs ~450 MB, streaming ~3.3 MB
-# (BENCH_scale.json), so a 64 MB budget catches any re-materialization.
+# exact mode at this scale needs ~450 MB, streaming a few MB, so a
+# 64 MB budget catches any re-materialization.
 target/release/repro scale --requests 10000000 --stats streaming \
   > "$sweep_dir/scale.out" 2> "$sweep_dir/scale.err"
 grep -q "completed 10000000" "$sweep_dir/scale.out"
@@ -176,11 +174,13 @@ diff <(jq -S .deterministic "$sweep_dir/prof1/counters.json") \
      <(jq -S .deterministic "$sweep_dir/prof3/counters.json")
 
 echo "==> gate: --profile smoke export (phase coverage >= 95% at --jobs 1)"
-for f in profile.txt profile.folded counters.json BENCH_profile.json; do
+for f in profile.txt profile.folded counters.json; do
   test -s "$sweep_dir/prof1/$f" \
     || { echo "missing or empty profile artifact $f" >&2; exit 1; }
 done
-coverage=$(jq '.results[0].coverage_pct' "$sweep_dir/prof1/BENCH_profile.json")
+coverage=$(sed -n 's/^attributed .*(\([0-9.]*\)% of wall)$/\1/p' "$sweep_dir/prof1/profile.txt")
+test -n "$coverage" \
+  || { echo "profile.txt has no attributed line" >&2; exit 1; }
 echo "    phase coverage ${coverage}%"
 jq -n --argjson c "$coverage" \
   'if $c >= 95 then empty else error("phase profiler attributed < 95% of wall time") end'

@@ -153,3 +153,35 @@ fn repro_explore_cold_warm_end_to_end() {
     assert!(html.contains("Pareto"), "report carries the Pareto panel");
     let _ = fs::remove_dir_all(&root);
 }
+
+/// Bad CLI input is rejected at the argument boundary: one line on
+/// stderr and exit code 1, never a panic (exit code 101, backtrace
+/// hint) from a constructor's contract deep inside the run.
+#[test]
+fn repro_rejects_bad_cli_input_with_a_one_line_error() {
+    let root = tmpdir("bad-cli");
+    let trace = root.join("tiny.spc");
+    fs::write(&trace, "0,0,4096,r,0.000\n0,64,4096,w,0.010\n").expect("write trace");
+    let trace = trace.to_str().unwrap();
+    let cases: [&[&str]; 7] = [
+        &["scale", "--requests", "100", "--actuators", "0"],
+        &["spc", trace, "--actuators", "0"],
+        &["fig2", "--requests", "0"],
+        &["scale", "--requests", "0"],
+        &["scale", "--requests", "100", "--inter-arrival", "inf"],
+        &["scale", "--requests", "100", "--heartbeat", "inf"],
+        &["scale", "--requests", "100", "--heartbeat", "NaN"],
+    ];
+    for argv in cases {
+        let r = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(argv)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert_eq!(r.status.code(), Some(1), "{argv:?} exit status; stderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{argv:?} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?} stderr: {stderr}");
+        assert!(r.stdout.is_empty(), "{argv:?} wrote stdout");
+    }
+    let _ = fs::remove_dir_all(&root);
+}

@@ -1,5 +1,6 @@
 //! Self-profiler oracles: counter-export determinism, the pinned
-//! collapsed-stack format, and scope-balance properties.
+//! collapsed-stack format, scope-balance properties, and a scope count
+//! that does not grow with the request count.
 //!
 //! Counters and the profiler are process-global, so every test here
 //! serializes on one lock and resets the global state it touches.
@@ -61,7 +62,7 @@ fn folded_stack_format_is_pinned() {
         let _run = prof::scope(Phase::Run);
         {
             let _point = prof::scope(Phase::RunPoint);
-            let _cost = prof::scope(Phase::CostModel);
+            let _export = prof::scope(Phase::ExportMetrics);
         }
         let _reduce = prof::scope(Phase::Reduce);
     }
@@ -81,7 +82,7 @@ fn folded_stack_format_is_pinned() {
             "run",
             "run;reduce",
             "run;run_point",
-            "run;run_point;cost_model"
+            "run;run_point;export_metrics"
         ],
         "collapsed-stack paths changed: {folded:?}"
     );
@@ -90,6 +91,32 @@ fn folded_stack_format_is_pinned() {
         assert!(path.chars().all(|c| c.is_ascii_lowercase() || c == '_' || c == ';'));
         count.parse::<u64>().expect("integer microsecond count");
     }
+}
+
+/// Profiling costs nothing per request: a drive run opens the same
+/// number of scopes whatever its request count, so `--profile` cannot
+/// distort the per-request loop it runs alongside.
+#[test]
+fn profiled_scope_count_is_independent_of_request_count() {
+    let _g = lock();
+    let params = experiments::configs::hcsd_params();
+    let scopes_at = |requests: usize| {
+        prof::reset();
+        prof::enable();
+        {
+            let _point = prof::scope(Phase::RunPoint);
+            let spec = workload::SyntheticSpec::paper(6.0, params.capacity_sectors(), requests);
+            let r = experiments::run_drive(&params, intradisk::DriveConfig::sa(4), spec.source(42))
+                .expect("drive run");
+            assert_eq!(r.metrics.response_time_ms.count(), requests);
+        }
+        prof::disable();
+        prof::ProfReport::take(1).scopes()
+    };
+    let small = scopes_at(500);
+    let large = scopes_at(2_000);
+    assert_eq!(small, large, "scope entries grow with the request count");
+    assert_eq!(small, 1, "only the enclosing run_point scope is entered");
 }
 
 /// Random nesting always balances: every path's enters equal its
