@@ -68,7 +68,9 @@ pub struct ArrayMetrics {
     /// streaming (bounded memory); `percentile_stream` is always
     /// available.
     pub response_time_ms: ResponseStats,
-    /// Logical response-time histogram over the paper's CDF edges.
+    /// Logical response-time histogram over the paper's CDF edges. In
+    /// exact mode it is filled from `response_time_ms`'s samples when
+    /// the controller is finalized, not per record.
     pub response_hist: Histogram,
     /// Completed logical requests.
     pub completed: u64,
@@ -85,9 +87,14 @@ impl ArrayMetrics {
 
     fn record(&mut self, c: &LogicalCompletion) {
         let rt = c.response_time().as_millis();
-        self.response_time_ms.record(rt);
-        self.response_hist.record(rt);
+        self.response_time_ms
+            .record_binned(rt, &mut self.response_hist);
         self.completed += 1;
+    }
+
+    fn finalize(&mut self) {
+        self.response_time_ms.finalize();
+        self.response_time_ms.sync_hist(&mut self.response_hist);
     }
 }
 
@@ -400,13 +407,14 @@ impl<Q> ArrayController<Q> {
         Ok(out)
     }
 
-    /// Closes idle-time accounting on every member disk at `end` and
-    /// sorts the logical response summary for indexed percentiles.
+    /// Closes idle-time accounting on every member disk at `end`, sorts
+    /// the logical response summary for indexed percentiles and fills
+    /// the logical histogram from it.
     pub fn finalize(&mut self, end: SimTime) {
         for d in &mut self.disks {
             d.finalize(end);
         }
-        self.metrics.response_time_ms.finalize();
+        self.metrics.finalize();
     }
 
     /// Sum of the member disks' average-power breakdowns (the height of

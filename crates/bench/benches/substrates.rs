@@ -67,12 +67,13 @@ fn bench_rotation_phase() {
     });
 }
 
-fn bench_sptf_scan() {
-    // One SPTF dispatch decision of an SA(4) drive over a 5-deep
-    // queue: the dispatched arm moves to its target and a fresh request
-    // refills the queue, so each scan reprices the moved arm's seeks.
-    let mech = Mechanics::new(&presets::barracuda_es_750gb());
-    let mut arms = ArmSet::from_arms(&mech.default_arms(4));
+/// One SPTF dispatch decision per iteration over a `depth`-deep queue
+/// on a drive of model `params` with `arms` assemblies: the dispatched
+/// arm moves to its target and a fresh request refills the queue, so
+/// each scan reprices the moved arm's seeks over the window.
+fn sptf_scan(name: &str, params: &diskmodel::DiskParams, arms: u32, depth: usize) {
+    let mech = Mechanics::new(params);
+    let mut arms = ArmSet::from_arms(&mech.default_arms(arms));
     let mut queue = PendingQueue::new(DEFAULT_WINDOW, arms.len());
     let cap = mech.geometry().total_sectors();
     let mut rng = Rng64::new(3);
@@ -81,11 +82,11 @@ fn bench_sptf_scan() {
         id += 1;
         IoRequest::new(id, SimTime::ZERO, rng.below(cap), 8, IoKind::Read)
     };
-    for _ in 0..5 {
+    for _ in 0..depth {
         queue.push(fresh(&mut rng));
     }
     let mut start = SimTime::ZERO;
-    bench_micro("sptf_scan_sa4", WARMUP, SAMPLES, MICRO_ITERS, || {
+    bench_micro(name, WARMUP, SAMPLES, MICRO_ITERS, || {
         start += SimDuration::from_nanos(6_000_000);
         let cost = ScanCost {
             mech: &mech,
@@ -96,13 +97,22 @@ fn bench_sptf_scan() {
         };
         let (req, choice) = queue
             .pop_next(QueuePolicy::Sptf, &cost, |_| true, None)
-            .expect("queue stays 5 deep");
+            .expect("the queue stays full");
         if let Some(c) = choice {
             arms.set_cylinder(c.arm, mech.target(req.lba).cylinder);
         }
         queue.push(fresh(&mut rng));
         black_box(req.id)
     });
+}
+
+fn bench_sptf_scan() {
+    // SA(4) over a shallow queue, as `repro scale` dispatches.
+    sptf_scan("sptf_scan_sa4", &presets::barracuda_es_750gb(), 4, 5);
+    // One arm over a full window, as an overloaded array member (the
+    // fig8 point of `repro all`) dispatches: every seek of the moved
+    // arm is repriced on every scan.
+    sptf_scan("sptf_scan_window64_sa1", &presets::array_drive_10k_19gb(), 1, DEFAULT_WINDOW);
 }
 
 fn bench_cache() {

@@ -81,7 +81,8 @@ impl SeekProfile {
     ///
     /// # Panics
     /// Panics if `distance` exceeds the drive's maximum stroke.
-    // simlint: hot — cost-model primitive; once per memo miss.
+    // simlint: hot — cost-model primitive; once per seek the dispatch
+    // scan prices.
     #[inline]
     pub fn seek_time(&self, distance: u32) -> SimDuration {
         assert!(

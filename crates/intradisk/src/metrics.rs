@@ -49,11 +49,14 @@ pub struct DriveMetrics {
     /// documented percentile error bound — the mode 10⁸-request runs
     /// use. Either way `percentile_stream` is always available.
     pub response_time_ms: ResponseStats,
-    /// Response-time histogram over the paper's CDF edges.
+    /// Response-time histogram over the paper's CDF edges. In exact
+    /// mode it is filled from `response_time_ms`'s samples when the
+    /// metrics are finalized or merged, not per record.
     pub response_hist: Histogram,
     /// Rotational latencies of media accesses, milliseconds.
     pub rotational_ms: ResponseStats,
-    /// Rotational-latency histogram over the paper's PDF edges.
+    /// Rotational-latency histogram over the paper's PDF edges, filled
+    /// like `response_hist` (from `rotational_ms`).
     pub rotational_hist: Histogram,
     /// Seek times of media accesses, milliseconds.
     pub seek_ms: ResponseStats,
@@ -102,16 +105,16 @@ impl DriveMetrics {
     /// Records a finished request.
     pub fn record(&mut self, done: &CompletedIo) {
         let rt = done.response_time().as_millis();
-        self.response_time_ms.record(rt);
-        self.response_hist.record(rt);
+        self.response_time_ms
+            .record_binned(rt, &mut self.response_hist);
         self.completed += 1;
         if done.cache_hit {
             self.cache_hits += 1;
         } else {
             self.media_accesses += 1;
             let rot = done.breakdown.rotational.as_millis();
-            self.rotational_ms.record(rot);
-            self.rotational_hist.record(rot);
+            self.rotational_ms
+                .record_binned(rot, &mut self.rotational_hist);
             let seek = done.breakdown.seek.as_millis();
             self.seek_ms.record(seek);
             if seek > 0.0 {
@@ -124,11 +127,14 @@ impl DriveMetrics {
     }
 
     /// Sorts the sample summaries so percentile queries are indexed
-    /// reads; called once when a run ends (`DiskDrive::finalize`).
+    /// reads, and fills the histograms from them in exact mode; called
+    /// once when a run ends (`DiskDrive::finalize`).
     pub fn finalize(&mut self) {
         self.response_time_ms.finalize();
         self.rotational_ms.finalize();
         self.seek_ms.finalize();
+        self.response_time_ms.sync_hist(&mut self.response_hist);
+        self.rotational_ms.sync_hist(&mut self.rotational_hist);
     }
 
     /// Fraction of media accesses with a non-zero seek.
@@ -144,11 +150,17 @@ impl DriveMetrics {
     /// array). Exact-mode stats merge exactly; if either side is
     /// streaming, the merged stats are streaming.
     pub fn merge(&mut self, other: &DriveMetrics) {
+        // Both sides' histograms are brought up to date first: a merge
+        // with a streaming side drops the samples they are filled from.
+        self.response_time_ms.sync_hist(&mut self.response_hist);
+        self.rotational_ms.sync_hist(&mut self.rotational_hist);
+        self.response_hist
+            .merge(&other.response_time_ms.synced_hist(&other.response_hist));
+        self.rotational_hist
+            .merge(&other.rotational_ms.synced_hist(&other.rotational_hist));
         self.response_time_ms.merge(&other.response_time_ms);
         self.rotational_ms.merge(&other.rotational_ms);
         self.seek_ms.merge(&other.seek_ms);
-        self.response_hist.merge(&other.response_hist);
-        self.rotational_hist.merge(&other.rotational_hist);
         self.nonzero_seeks += other.nonzero_seeks;
         self.media_accesses += other.media_accesses;
         self.cache_hits += other.cache_hits;

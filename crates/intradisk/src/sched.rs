@@ -11,14 +11,19 @@
 //! scan the same way, and it keeps the simulator's worst case linear
 //! under overload.
 //!
-//! The SPTF scan repeats no work across dispatch decisions. Each
-//! windowed request's [`Target`] is located once, and each of its
-//! per-arm seeks is memoized under the cylinders it was computed
-//! between, so only the arm that moved since the last scan misses. An
-//! arm whose seek alone already reaches the best cost found so far is
-//! not priced further: rotation is never negative, and both minima use a
-//! strict `<` that keeps the first minimum, so the request and arm
-//! chosen are exactly those of pricing every arm of every candidate.
+//! The SPTF scan repeats no work across dispatch decisions. The queue
+//! keeps window-ordered arrays beside its head: the target of each
+//! windowed request, and every arm's seek to it (`seeks[i·arms + a]`),
+//! with, per arm, the cylinder its seek column was priced from. A
+//! request that slides into the window is located once and priced on
+//! every arm then; an arm that has moved since its column was priced
+//! has the column repriced over the window before the scan reads it.
+//! Removing a request shifts the rows behind it, at most a window's
+//! worth. An arm whose seek alone already reaches the best cost found
+//! so far is not priced further: rotation is never negative, and both
+//! minima use a strict `<` that keeps the first minimum, so the request
+//! and arm chosen are exactly those of pricing every arm of every
+//! candidate.
 
 use std::collections::VecDeque;
 
@@ -46,7 +51,7 @@ pub enum QueuePolicy {
 
 /// What a dispatch scan prices its candidates against.
 ///
-/// The queue memoizes costs across scans, so `mech` and `scaling` must
+/// The queue keeps costs across scans, so `mech` and `scaling` must
 /// be the same on every scan of one queue (see
 /// [`PendingQueue::forget_costs`]); the arms may move freely.
 #[derive(Debug, Clone, Copy)]
@@ -63,40 +68,15 @@ pub struct ScanCost<'a> {
     pub scaling: LatencyScaling,
 }
 
-/// A windowed request's memoized target, keyed on its (wrapped) LBA.
-#[derive(Debug, Clone, Copy)]
-struct TargetMemo {
-    lba: u64,
-    target: Target,
-}
+/// `PendingQueue::priced_from` of an arm whose column holds no seeks
+/// (no arm parks over cylinder `u32::MAX`).
+const UNPRICED: u32 = u32::MAX;
 
-impl TargetMemo {
-    /// No real LBA reaches `u64::MAX`, so an empty entry never hits.
-    const EMPTY: TargetMemo = TargetMemo {
-        lba: u64::MAX,
-        target: Target {
-            cylinder: 0,
-            angle: 0.0,
-        },
-    };
-}
-
-/// A memoized (scaled) seek between two cylinders.
-#[derive(Debug, Clone, Copy)]
-struct SeekMemo {
-    from: u32,
-    to: u32,
-    seek: SimDuration,
-}
-
-impl SeekMemo {
-    /// No arm parks over cylinder `u32::MAX`, so an empty entry never hits.
-    const EMPTY: SeekMemo = SeekMemo {
-        from: u32::MAX,
-        to: u32::MAX,
-        seek: SimDuration::ZERO,
-    };
-}
+/// Fills the window slots no request has been located into.
+const UNLOCATED: Target = Target {
+    cylinder: 0,
+    angle: 0.0,
+};
 
 /// The pending-request queue of a drive.
 #[derive(Debug, Clone)]
@@ -104,23 +84,29 @@ pub struct PendingQueue {
     queue: VecDeque<IoRequest>,
     window: usize,
     peak_len: usize,
-    /// A permutation of the memo rows: the row of each windowed
-    /// request in queue order, then the free rows. It only steers hits;
-    /// every memo entry is keyed on all of its inputs.
-    rows: Vec<usize>,
-    /// Per memo row: the request's target.
-    targets: Vec<TargetMemo>,
-    /// Per memo row and arm (row-major): the arm's seek to the target.
-    seeks: Vec<SeekMemo>,
-    /// Arms per memo row.
+    /// One per window slot, in queue order: the targets of the first
+    /// `located` queued requests.
+    targets: Vec<Target>,
+    /// Slots of `targets` that hold a located target.
+    located: usize,
+    /// Row-major, one row per queued request in queue order:
+    /// `seeks[i * arms + a]` is arm `a`'s seek from `priced_from[a]` to
+    /// `targets[i]`, for the first `priced` rows.
+    seeks: Vec<SimDuration>,
+    /// Rows of `seeks` that hold prices (at most `located`).
+    priced: usize,
+    /// Per arm, the cylinder its column of `seeks` was priced from, or
+    /// [`UNPRICED`].
+    priced_from: Vec<u32>,
+    /// Arms per row.
     arms: usize,
 }
 
 impl PendingQueue {
     /// Creates an empty queue with scheduling window `window` for a
-    /// drive with `arms` assemblies. The cost memo is allocated here,
-    /// once: `window` targets and `window × arms` seeks, whatever the
-    /// queue depth.
+    /// drive with `arms` assemblies. The cost arrays are allocated
+    /// here, once: `window` targets and `window × arms` seeks, whatever
+    /// the queue depth.
     ///
     /// # Panics
     /// Panics if `window == 0`.
@@ -130,9 +116,11 @@ impl PendingQueue {
             queue: VecDeque::new(),
             window,
             peak_len: 0,
-            rows: (0..window).collect(),
-            targets: vec![TargetMemo::EMPTY; window],
-            seeks: vec![SeekMemo::EMPTY; window * arms],
+            targets: vec![UNLOCATED; window],
+            located: 0,
+            seeks: vec![SimDuration::ZERO; window * arms],
+            priced: 0,
+            priced_from: vec![UNPRICED; arms],
             arms,
         }
     }
@@ -160,12 +148,13 @@ impl PendingQueue {
         self.queue.is_empty()
     }
 
-    /// Drops every memoized cost. A caller that changes the mechanics
-    /// or the scaling it scans with (DRPM's spindle-speed shifts) calls
+    /// Drops every kept cost. A caller that changes the mechanics or
+    /// the scaling it scans with (DRPM's spindle-speed shifts) calls
     /// this first.
     pub fn forget_costs(&mut self) {
-        self.targets.fill(TargetMemo::EMPTY);
-        self.seeks.fill(SeekMemo::EMPTY);
+        self.located = 0;
+        self.priced = 0;
+        self.priced_from.fill(UNPRICED);
     }
 
     /// Removes and returns the next request to service under `policy`,
@@ -196,9 +185,16 @@ impl PendingQueue {
             QueuePolicy::Sptf => self.scan_sptf(n, cost, eligible, prof),
         };
         let req = self.queue.remove(idx)?;
-        // The removed request's row goes last; when a request slides
-        // into the window it lands at position `n - 1` and takes it.
-        self.rows[idx..n].rotate_left(1);
+        if idx < self.located {
+            self.targets.copy_within(idx + 1..self.located, idx);
+            self.located -= 1;
+        }
+        if idx < self.priced {
+            let arms = self.arms;
+            self.seeks
+                .copy_within((idx + 1) * arms..self.priced * arms, idx * arms);
+            self.priced -= 1;
+        }
         Some((req, choice))
     }
 
@@ -211,10 +207,10 @@ impl PendingQueue {
         eligible: impl Fn(usize) -> bool,
         prof: Option<&DriveProfCounts>,
     ) -> usize {
+        self.locate(n, c.mech);
         let mut visits = 0u64;
         let mut best: Option<(usize, SimDuration)> = None;
-        for i in 0..n {
-            let target = self.target(i, c.mech);
+        for (i, target) in self.targets[..n].iter().enumerate() {
             let mut dist: Option<u32> = None;
             for arm in (0..c.arms.len()).filter(|&a| eligible(a)) {
                 visits += 1;
@@ -244,32 +240,25 @@ impl PendingQueue {
         eligible: impl Fn(usize) -> bool,
         prof: Option<&DriveProfCounts>,
     ) -> (usize, Option<ArmChoice>) {
-        debug_assert!(c.arms.len() <= self.arms, "more arms than memo columns");
+        debug_assert!(c.arms.len() <= self.arms, "more arms than seek columns");
+        self.locate(n, c.mech);
+        self.price(n, c, &eligible);
         let (mut visits, mut evals) = (0u64, 0u64);
         let rotation = c.mech.rotation();
         // Reduced once per scan; each priced arm advances it by its
         // seek, so the per-arm loop never divides.
         let phase = rotation.phase(c.start);
         let mut best: Option<(usize, ArmChoice)> = None;
-        for i in 0..n {
-            let target = self.target(i, c.mech);
-            let row = self.rows[i] * self.arms;
+        let arms = self.arms;
+        for (i, &target) in self.targets[..n].iter().enumerate() {
+            let row = &self.seeks[i * arms..(i + 1) * arms];
             // Least cost so far, over this candidate's arms and over
             // the earlier candidates.
             let mut bound = best.map(|(_, b)| b.cost());
             let mut cand: Option<ArmChoice> = None;
             for arm in (0..c.arms.len()).filter(|&a| eligible(a)) {
                 visits += 1;
-                let from = c.arms.cylinder(arm);
-                let memo = &mut self.seeks[row + arm];
-                if memo.from != from || memo.to != target.cylinder {
-                    *memo = SeekMemo {
-                        from,
-                        to: target.cylinder,
-                        seek: c.mech.seek(from, target.cylinder, c.scaling),
-                    };
-                }
-                let seek = memo.seek;
+                let seek = row[arm];
                 if bound.is_some_and(|b| seek >= b) {
                     continue;
                 }
@@ -298,20 +287,53 @@ impl PendingQueue {
         best.map_or((0, None), |(i, choice)| (i, Some(choice)))
     }
 
-    /// The target of the `i`-th queued request (which must be inside
-    /// the window), located on first use and memoized in its row.
-    fn target(&mut self, i: usize, mech: &Mechanics) -> Target {
+    /// Locates the targets of the first `n` queued requests (`n` within
+    /// the window) that have none yet: each LBA is wrapped onto the disk
+    /// and located once, when its request enters the window.
+    fn locate(&mut self, n: usize, mech: &Mechanics) {
         let capacity = mech.geometry().total_sectors();
-        let lba = self.queue[i].lba;
-        let lba = if lba >= capacity { lba % capacity } else { lba };
-        let memo = &mut self.targets[self.rows[i]];
-        if memo.lba != lba {
-            *memo = TargetMemo {
-                lba,
-                target: mech.target(lba),
+        let fresh = self.queue.range(self.located..n);
+        for (slot, req) in self.targets[self.located..n].iter_mut().zip(fresh) {
+            let lba = if req.lba >= capacity {
+                req.lba % capacity
+            } else {
+                req.lba
             };
+            *slot = mech.target(lba);
         }
-        memo.target
+        self.located = n;
+    }
+
+    /// Brings the seeks of the first `n` located requests up to date:
+    /// every eligible arm that moved since its column was priced is
+    /// repriced over the priced rows, then the rows new to the window
+    /// are priced on every arm that has a column.
+    fn price(&mut self, n: usize, c: &ScanCost<'_>, eligible: &impl Fn(usize) -> bool) {
+        let arms = self.arms;
+        for arm in (0..c.arms.len()).filter(|&a| eligible(a)) {
+            let from = c.arms.cylinder(arm);
+            if self.priced_from[arm] == from {
+                continue;
+            }
+            self.priced_from[arm] = from;
+            let column = self.seeks[..self.priced * arms]
+                .iter_mut()
+                .skip(arm)
+                .step_by(arms);
+            for (seek, target) in column.zip(&self.targets[..self.priced]) {
+                *seek = c.mech.seek(from, target.cylinder, c.scaling);
+            }
+        }
+        for i in self.priced..n {
+            let to = self.targets[i].cylinder;
+            let row = &mut self.seeks[i * arms..(i + 1) * arms];
+            for (seek, &from) in row.iter_mut().zip(&self.priced_from) {
+                if from != UNPRICED {
+                    *seek = c.mech.seek(from, to, c.scaling);
+                }
+            }
+        }
+        self.priced = n;
     }
 }
 
@@ -409,7 +431,7 @@ mod tests {
     #[test]
     fn forget_costs_reprices_under_new_mechanics() {
         // Priced at full speed, then drained at a lower RPM (whose track
-        // skew moves every sector angle): once the memo is forgotten the
+        // skew moves every sector angle): once the costs are forgotten the
         // order matches a queue that never saw the full-speed mechanics.
         let full = mech();
         let slow = Mechanics::new(&presets::barracuda_es_750gb().with_rpm(4_200));

@@ -62,6 +62,38 @@ impl Histogram {
         self.records.bump();
     }
 
+    /// Counts one record toward `simkit.hist.records` whose sample a
+    /// later [`fill`](Self::fill) buckets (see
+    /// [`ResponseStats::record_binned`](super::ResponseStats::record_binned)).
+    #[inline]
+    pub(crate) fn defer_record(&self) {
+        self.records.bump();
+    }
+
+    /// Replaces the counts with those of recording `samples` one by
+    /// one, without counting records. Ascending samples take one
+    /// binary search per edge; others one per sample.
+    pub(crate) fn fill(&mut self, samples: &[f64], sorted: bool) {
+        self.counts.fill(0);
+        if sorted {
+            // Bucket `i` holds the samples in `(edges[i-1], edges[i]]`,
+            // so the samples at or below `edges[i]` end bucket `i`.
+            let mut below = 0;
+            for (count, &edge) in self.counts.iter_mut().zip(&self.edges) {
+                let upto = below + samples[below..].partition_point(|&v| v <= edge);
+                *count = (upto - below) as u64;
+                below = upto;
+            }
+            self.counts[self.edges.len()] = (samples.len() - below) as u64;
+        } else {
+            for &v in samples {
+                let idx = self.edges.partition_point(|&e| e < v);
+                self.counts[idx] += 1;
+            }
+        }
+        self.total = samples.len() as u64;
+    }
+
     /// Bucket edges.
     pub fn edges(&self) -> &[f64] {
         &self.edges

@@ -4,11 +4,18 @@
 //! [`Summary`](super::Summary) now holds a `ResponseStats`, which runs
 //! in one of two modes:
 //!
-//! * [`StatsMode::Exact`] — wraps a [`Summary`] (every sample kept,
-//!   exact percentiles) *and* the streaming histogram. This is the
-//!   oracle mode and the default: every report the `repro` binary
-//!   prints today keeps its byte-identical output because percentile
-//!   and moment reads delegate straight to the wrapped `Summary`.
+//! * [`StatsMode::Exact`] — the sample store: a [`Summary`] that keeps
+//!   every sample (exact percentiles), plus views derived from it. This
+//!   is the oracle mode and the default: every report the `repro`
+//!   binary prints keeps its byte-identical output because percentile
+//!   and moment reads delegate straight to the wrapped `Summary`. A
+//!   record only stores the sample; [`finalize`](ResponseStats::finalize)
+//!   sorts the store once and fills the streaming histogram from it in
+//!   one merge pass, and [`record_binned`](ResponseStats::record_binned)
+//!   defers a fixed-edge [`Histogram`]'s bucketing to the same sorted
+//!   store. The derived views are bit-identical to recording each
+//!   sample into them, and every read taken before `finalize` derives
+//!   them on the spot, so no reader can tell.
 //! * [`StatsMode::Streaming`] — keeps only the bounded-memory
 //!   [`StreamingHistogram`](super::StreamingHistogram) plus exact
 //!   moments (count/sum/min/max and a Welford variance accumulator).
@@ -18,14 +25,17 @@
 //!   default).
 //!
 //! The two modes agree exactly on `count`, `mean`, `min`, `max`, and
-//! `sum`; percentiles agree within
+//! `sum`, and on the streaming view itself; percentiles agree within
 //! [`relative_error`](ResponseStats::relative_error). The policy
 //! (DESIGN.md, "Streaming data plane") is: exact mode for runs small
 //! enough to hold every sample (the default `repro` report scale), and
 //! streaming for scale runs, calibrated against an exact-mode run at a
 //! smaller request count.
 
+use std::borrow::Cow;
+
 use super::codec::{self, DecodeError, Reader};
+use super::histogram::Histogram;
 use super::streamhist::StreamingHistogram;
 use super::summary::Summary;
 
@@ -51,12 +61,14 @@ pub enum StatsMode {
 ///
 /// [`percentile_stream`]: ResponseStats::percentile_stream
 /// [`stream`]: ResponseStats::stream
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ResponseStats {
     /// Present only in exact mode.
     exact: Option<Summary>,
-    /// Always maintained: the bounded-memory view (also the exact
-    /// count/sum/min/max carrier in streaming mode).
+    /// The bounded-memory view (also the exact count/sum/min/max
+    /// carrier in streaming mode). Streaming mode records into it;
+    /// exact mode derives it from the samples, and it is up to date
+    /// exactly when its count equals theirs (see [`Self::synced`]).
     stream: StreamingHistogram,
     /// Welford running mean and M2, for streaming-mode stddev.
     welford_mean: f64,
@@ -107,25 +119,77 @@ impl ResponseStats {
     /// Panics if `value` is NaN or negative (response times are
     /// non-negative; a negative sample is an upstream unit bug).
     // simlint: hot — per-completion stats path.
+    #[inline]
     pub fn record(&mut self, value: f64) {
-        if let Some(s) = self.exact.as_mut() {
-            s.record(value);
-        }
-        self.stream.record(value);
-        let n = self.stream.count() as f64;
+        let n = match self.exact.as_mut() {
+            Some(s) => {
+                assert!(value >= 0.0, "negative or NaN sample: {value}");
+                s.record(value);
+                self.stream.defer_record();
+                s.count()
+            }
+            None => {
+                self.stream.record(value);
+                self.stream.count() as usize
+            }
+        };
         let delta = value - self.welford_mean;
-        self.welford_mean += delta / n;
+        self.welford_mean += delta / n as f64;
         self.welford_m2 += delta * (value - self.welford_mean);
+    }
+
+    /// Records one sample here and counts it in `hist`, a fixed-edge
+    /// view of the same samples. Streaming mode buckets it at once;
+    /// exact mode leaves the bucketing to [`sync_hist`](Self::sync_hist),
+    /// which fills `hist` from the sorted samples at the end of a run.
+    // simlint: hot — per-completion stats path.
+    #[inline]
+    pub fn record_binned(&mut self, value: f64, hist: &mut Histogram) {
+        self.record(value);
+        if self.exact.is_some() {
+            hist.defer_record();
+        } else {
+            hist.record(value);
+        }
+    }
+
+    /// Brings `hist`, which [`record_binned`](Self::record_binned) fed
+    /// every sample of this accumulator, up to date: in exact mode,
+    /// refills it from the samples if it lags them. Call it after
+    /// [`finalize`](Self::finalize) for the one-pass fill.
+    pub fn sync_hist(&self, hist: &mut Histogram) {
+        if let Some(s) = &self.exact {
+            if hist.total() != s.count() as u64 {
+                hist.fill(s.samples(), s.is_sorted());
+            }
+        }
+    }
+
+    /// `hist`, which [`record_binned`](Self::record_binned) fed every
+    /// sample of this accumulator, as it would be if synced — borrowed
+    /// when it already is.
+    pub fn synced_hist<'h>(&self, hist: &'h Histogram) -> Cow<'h, Histogram> {
+        match &self.exact {
+            Some(s) if hist.total() != s.count() as u64 => {
+                let mut view = hist.clone();
+                view.fill(s.samples(), s.is_sorted());
+                Cow::Owned(view)
+            }
+            _ => Cow::Borrowed(hist),
+        }
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> usize {
-        self.stream.count() as usize
+        match &self.exact {
+            Some(s) => s.count(),
+            None => self.stream.count() as usize,
+        }
     }
 
     /// True if no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.stream.is_empty()
+        self.count() == 0
     }
 
     /// Arithmetic mean, or 0 if empty (exact in both modes).
@@ -172,7 +236,7 @@ impl ResponseStats {
     /// [`relative_error`](ResponseStats::relative_error). In exact mode
     /// this is the view the scale-calibration oracle checks against.
     pub fn percentile_stream(&self, p: f64) -> f64 {
-        self.stream.percentile(p)
+        self.stream().percentile(p)
     }
 
     /// Sample standard deviation, or 0 with fewer than two samples.
@@ -198,17 +262,54 @@ impl ResponseStats {
     }
 
     /// Sorts the exact sample store (if present) so percentile queries
-    /// are indexed reads; a no-op in streaming mode. Run loops call
-    /// this once when a replay ends.
+    /// are indexed reads, and fills the streaming view from it in one
+    /// pass; a no-op in streaming mode. Run loops call this once when a
+    /// replay ends.
     pub fn finalize(&mut self) {
         if let Some(s) = self.exact.as_mut() {
             s.finalize();
         }
+        self.sync();
     }
 
-    /// The bounded-memory histogram view (bucket export, error bound).
-    pub fn stream(&self) -> &StreamingHistogram {
-        &self.stream
+    /// True if the streaming view is up to date: always in streaming
+    /// mode, and in exact mode when it counts every sample. The view
+    /// is only ever derived from all the samples or merged from views
+    /// that were, so a full count means a full view.
+    fn synced(&self) -> bool {
+        self.exact
+            .as_ref()
+            .is_none_or(|s| self.stream.count() == s.count() as u64)
+    }
+
+    /// Derives the streaming view from the samples if it lags them.
+    fn sync(&mut self) {
+        if !self.synced() {
+            if let Some(s) = &self.exact {
+                Self::derive(&mut self.stream, s);
+            }
+        }
+    }
+
+    /// Fills `view` from the sample store: the buckets, count, sum and
+    /// extremes of recording every sample into it.
+    fn derive(view: &mut StreamingHistogram, s: &Summary) {
+        let (min, max) = s.extremes();
+        view.fill(s.samples(), s.is_sorted(), s.sum(), min, max);
+    }
+
+    /// The bounded-memory histogram view (bucket export, error bound):
+    /// borrowed when up to date, derived from the samples otherwise
+    /// (exact mode before [`finalize`](Self::finalize)).
+    pub fn stream(&self) -> Cow<'_, StreamingHistogram> {
+        match &self.exact {
+            Some(s) if !self.synced() => {
+                let mut view = self.stream.clone();
+                Self::derive(&mut view, s);
+                Cow::Owned(view)
+            }
+            _ => Cow::Borrowed(&self.stream),
+        }
     }
 
     /// Merges another accumulator into this one. The streaming view
@@ -219,21 +320,31 @@ impl ResponseStats {
     pub fn merge(&mut self, other: &ResponseStats) {
         // Chan's parallel-variance update, computed before the counts
         // move.
-        if other.stream.count() > 0 {
-            if self.stream.count() == 0 {
+        let (na, nb) = (self.count(), other.count());
+        if nb > 0 {
+            if na == 0 {
                 self.welford_mean = other.welford_mean;
                 self.welford_m2 = other.welford_m2;
             } else {
-                let (na, nb) = (self.stream.count() as f64, other.stream.count() as f64);
+                let (na, nb) = (na as f64, nb as f64);
                 let delta = other.welford_mean - self.welford_mean;
                 self.welford_mean = (na * self.welford_mean + nb * other.welford_mean) / (na + nb);
                 self.welford_m2 += other.welford_m2 + delta * delta * na * nb / (na + nb);
             }
         }
-        self.stream.merge(&other.stream);
         match (&mut self.exact, &other.exact) {
-            (Some(a), Some(b)) => a.merge(b),
-            _ => self.exact = None,
+            (Some(a), Some(b)) => {
+                // Lagging views stay lagging (their counts fall short),
+                // so the next sync rederives the merged view whole.
+                a.merge(b);
+                self.stream.merge(&other.stream);
+            }
+            _ => {
+                // The samples go: both views must be whole first.
+                self.sync();
+                self.stream.merge(&other.stream());
+                self.exact = None;
+            }
         }
     }
 
@@ -253,7 +364,7 @@ impl ResponseStats {
         out.extend_from_slice(MAGIC);
         codec::put_f64(&mut out, self.welford_mean);
         codec::put_f64(&mut out, self.welford_m2);
-        self.stream.write_to(&mut out);
+        self.stream().write_to(&mut out);
         out
     }
 
@@ -277,6 +388,17 @@ impl ResponseStats {
             welford_mean,
             welford_m2,
         })
+    }
+}
+
+/// Equal samples (and, in exact mode, sample order) give equal stats,
+/// whether or not either side's streaming view has been derived yet.
+impl PartialEq for ResponseStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.exact == other.exact
+            && self.welford_mean == other.welford_mean
+            && self.welford_m2 == other.welford_m2
+            && self.stream() == other.stream()
     }
 }
 

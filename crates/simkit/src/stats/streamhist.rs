@@ -162,21 +162,67 @@ impl StreamingHistogram {
     // request.
     pub fn record(&mut self, value: f64) {
         assert!(value >= 0.0, "negative or NaN sample: {value}");
-        // Two-level lookup with exact `partition_point` semantics: the
-        // exponent table brackets the answer inside one octave (for
-        // `value` in `[2^k, 2^(k+1))` every edge below `2^k` is below
-        // `value`, and none at or above `2^(k+1)` is), then a binary
-        // search over those few edges finishes the job.
-        let e = (value.to_bits() >> 52) as usize;
-        let lo = self.exp_index[e] as usize;
-        let hi = self.exp_index[e + 1] as usize;
-        let idx = lo + self.edges[lo..hi].partition_point(|&x| x < value);
+        let idx = self.bucket(value);
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.records.bump();
+    }
+
+    /// The bucket of a non-negative `value`: the number of edges below
+    /// it.
+    #[inline]
+    fn bucket(&self, value: f64) -> usize {
+        // Two-level lookup with exact `partition_point` semantics: the
+        // exponent table brackets the answer inside one octave (for
+        // `value` in `[2^k, 2^(k+1))` every edge below `2^k` is below
+        // `value`, and none at or above `2^(k+1)` is), then a binary
+        // search over those few edges finishes the job. The mask drops
+        // the sign bit, so `-0.0` looks up like `0.0`.
+        let e = ((value.to_bits() >> 52) & 0x7ff) as usize;
+        let lo = self.exp_index[e] as usize;
+        let hi = self.exp_index[e + 1] as usize;
+        lo + self.edges[lo..hi].partition_point(|&x| x < value)
+    }
+
+    /// Counts one record toward `simkit.hist.stream_records` whose
+    /// sample a later [`fill`](Self::fill) buckets: exact-mode
+    /// `ResponseStats` keeps the samples and derives this view from
+    /// them.
+    #[inline]
+    pub(crate) fn defer_record(&self) {
+        self.records.bump();
+    }
+
+    /// Replaces the counts and moments with those of recording
+    /// `samples` one by one, without counting records. `sum`, `min` and
+    /// `max` are the recorder's running values over the same record
+    /// sequence, which [`record`](Self::record) would have accumulated
+    /// with the same operations, so they carry the same bits. Ascending
+    /// samples take one merge pass over the edges; others a lookup
+    /// each. Every sample must be non-negative (or `-0.0`).
+    pub(crate) fn fill(&mut self, samples: &[f64], sorted: bool, sum: f64, min: f64, max: f64) {
+        self.counts.fill(0);
+        if sorted {
+            let mut idx = 0;
+            for &v in samples {
+                while idx < self.edges.len() && self.edges[idx] < v {
+                    idx += 1;
+                }
+                self.counts[idx] += 1;
+            }
+        } else {
+            for &v in samples {
+                let idx = self.bucket(v);
+                self.counts[idx] += 1;
+            }
+        }
+        self.total = samples.len() as u64;
+        self.sum = sum;
+        self.min = min;
+        self.max = max;
     }
 
     /// Number of samples recorded.

@@ -20,7 +20,11 @@
 # gitignored), the
 # bounded-RSS gate (a 10^7-request streaming-stats run must stay under
 # a fixed memory budget, proving request count never reaches peak
-# memory), and then the event-kernel swap gates (report and exports byte-identical to
+# memory), the stats-mode gate (a 2*10^5-request SA(4) `repro scale`
+# must print the same `completed | mean | p90(stream)` line with exact
+# and with streaming stats: exact mode's sketch, derived from its kept
+# samples, equals the one streaming mode records), and then the
+# event-kernel swap gates (report and exports byte-identical to
 # the goldens pinned on the retired binary-heap kernel, the named
 # kernel-swap golden oracles, the differential property suite, and a
 # throughput floor: the timing wheel must not be slower than the
@@ -147,6 +151,18 @@ rss_kb=$(sed -n 's/^\[max-rss-kb: \([0-9]*\)\]$/\1/p' "$sweep_dir/scale.err")
 echo "    max RSS ${rss_kb} kB"
 test -n "$rss_kb" && test "$rss_kb" -le 65536 \
   || { echo "streaming 10^7 run exceeded the 65536 kB RSS budget" >&2; exit 1; }
+
+echo "==> gate: scale streamed view identical under exact and streaming stats"
+# Exact mode keeps every sample and derives its streaming sketch from
+# them when the run ends; streaming mode records each sample into the
+# sketch. The line the sketch prints must not tell them apart.
+for mode in exact streaming; do
+  target/release/repro scale --requests 200000 --actuators 4 --stats "$mode" \
+    > "$sweep_dir/scale-$mode.out" 2>/dev/null
+  grep "^  completed 200000 | mean " "$sweep_dir/scale-$mode.out" > "$sweep_dir/scale-$mode.line" \
+    || { echo "scale --stats $mode printed no completed line" >&2; exit 1; }
+done
+cmp "$sweep_dir/scale-exact.line" "$sweep_dir/scale-streaming.line"
 
 echo "==> gate: kernel-swap golden oracles (ignored-by-default, run here by name)"
 cargo test -q --test oracles -- --include-ignored golden_kernel_swap

@@ -556,6 +556,199 @@ fn response_stats_merge_matches_single_stream() {
     });
 }
 
+/// A sample stream that lands on every boundary the derived views
+/// bucket by: zeros of both signs, repeats, the paper's CDF and PDF
+/// edges, the streaming sketch's own edges and the values just past
+/// them, values above its 10⁶ ms cap, and plain draws in between.
+fn arb_boundary_samples() -> Gen<Vec<f64>> {
+    use simkit::StreamingHistogram;
+    // The sketch's edges, read back off a histogram fed a sweep.
+    let mut sweep = StreamingHistogram::new();
+    for k in -30..=20 {
+        sweep.record(2f64.powi(k));
+    }
+    let sketch_edges: Vec<f64> = sweep.nonzero_buckets().iter().map(|b| b.1).collect();
+    let paper: Vec<f64> = Histogram::paper_response_time_edges()
+        .iter()
+        .chain(Histogram::paper_rotational_latency_edges())
+        .copied()
+        .collect();
+    let sample = Gen::new(move |src| match gen::u32_in(0..=6).generate(src) {
+        0 => gen::one_of(vec![0.0, -0.0, 5.0, 200.0, 1.0, 11.0]).generate(src),
+        1 => gen::one_of(paper.clone()).generate(src),
+        2 => {
+            let e = gen::one_of(sketch_edges.clone()).generate(src);
+            if gen::bool_any().generate(src) {
+                e
+            } else {
+                e.next_up()
+            }
+        }
+        3 => gen::f64_in(1e6, 1e8).generate(src),
+        4 => gen::one_of(vec![0.25, 7.5, 42.0]).generate(src),
+        _ => gen::f64_in(0.0, 500.0).generate(src),
+    });
+    gen::vec_of(sample, 0..=150)
+}
+
+/// Exact-mode stats derive their streaming view from the kept samples;
+/// a streaming-mode accumulator records into it. Both must read back
+/// bit-identically at every stage: before and after finalize, after a
+/// record that follows finalize, and after exact+exact and
+/// exact+streaming merges.
+#[test]
+fn response_stats_derived_views_equal_recorded_views() {
+    check("response_stats_derived_views_equal_recorded_views", |t| {
+        use simkit::ResponseStats;
+        let xs = t.draw(&arb_boundary_samples());
+        let ys = t.draw(&arb_boundary_samples());
+        let zs = t.draw(&arb_boundary_samples());
+        let late = t.draw(&gen::f64_in(0.0, 300.0));
+        let finalize_other = t.draw(&gen::bool_any());
+        let fill = |mut s: ResponseStats, vals: &[f64]| {
+            for &v in vals {
+                s.record(v);
+            }
+            s
+        };
+        let same = |stage: &str, e: &ResponseStats, s: &ResponseStats| {
+            assert_eq!(*e.stream(), *s.stream(), "{stage}: stream()");
+            assert_eq!(e.to_bytes(), s.to_bytes(), "{stage}: to_bytes()");
+            assert_eq!(e.count(), s.count(), "{stage}: count");
+            assert_eq!(e.is_empty(), s.is_empty(), "{stage}: is_empty");
+            assert_eq!(e.mean().to_bits(), s.mean().to_bits(), "{stage}: mean");
+            assert_eq!(e.min().to_bits(), s.min().to_bits(), "{stage}: min");
+            assert_eq!(e.max().to_bits(), s.max().to_bits(), "{stage}: max");
+            for p in [1.0, 10.0, 50.0, 90.0, 99.0, 100.0] {
+                assert_eq!(
+                    e.percentile_stream(p).to_bits(),
+                    s.percentile_stream(p).to_bits(),
+                    "{stage}: percentile_stream({p})"
+                );
+            }
+        };
+        let mut e = fill(ResponseStats::exact(), &xs);
+        let mut s = fill(ResponseStats::streaming(), &xs);
+        same("before finalize", &e, &s);
+        e.finalize();
+        s.finalize();
+        same("after finalize", &e, &s);
+        e.record(late);
+        s.record(late);
+        same("record after finalize", &e, &s);
+
+        let mut other = fill(ResponseStats::exact(), &ys);
+        if finalize_other {
+            other.finalize();
+        }
+        e.merge(&other);
+        s.merge(&fill(ResponseStats::streaming(), &ys));
+        assert!(e.is_exact());
+        same("exact + exact merge", &e, &s);
+        e.finalize();
+        same("exact + exact merge, finalized", &e, &s);
+
+        let demoting = fill(ResponseStats::streaming(), &zs);
+        e.record(late);
+        s.record(late);
+        e.merge(&demoting);
+        s.merge(&demoting);
+        assert!(!e.is_exact());
+        same("exact + streaming merge", &e, &s);
+        // And the other way round: a streaming side absorbing an exact
+        // one that was never finalized.
+        let mut st = fill(ResponseStats::streaming(), &ys);
+        let mut st2 = st.clone();
+        st.merge(&fill(ResponseStats::exact(), &zs));
+        st2.merge(&fill(ResponseStats::streaming(), &zs));
+        same("streaming + exact merge", &st, &st2);
+    });
+}
+
+/// Exact-mode `DriveMetrics` fill their fixed-edge histograms from the
+/// sorted samples at finalize; streaming mode buckets each completion.
+/// Fed the same completions — response and rotational times on the
+/// paper's edges included — the histograms are identical, after
+/// finalize and after a merge.
+#[test]
+fn drive_metrics_histograms_equal_across_stats_modes() {
+    check("drive_metrics_histograms_equal_across_stats_modes", |t| {
+        use intradisk::{CompletedIo, DriveMetrics, ServiceBreakdown};
+        use simkit::{SimDuration, StatsMode};
+        let ms = || {
+            let paper: Vec<f64> = Histogram::paper_response_time_edges()
+                .iter()
+                .chain(Histogram::paper_rotational_latency_edges())
+                .copied()
+                .collect();
+            Gen::new(move |src| {
+                if gen::bool_any().generate(src) {
+                    gen::one_of(paper.clone()).generate(src)
+                } else {
+                    gen::f64_in(0.0, 250.0).generate(src)
+                }
+            })
+        };
+        let io = gen::vec_of(
+            Gen::new(move |src| {
+                (
+                    ms().generate(src),
+                    ms().generate(src),
+                    gen::bool_any().generate(src),
+                )
+            }),
+            0..=120,
+        );
+        let first = t.draw(&io);
+        let second = t.draw(&io);
+        let done = |&(rt, rot, hit): &(f64, f64, bool)| {
+            let arrival = SimTime::from_millis(1.0);
+            CompletedIo {
+                request: IoRequest::new(0, arrival, 0, 8, IoKind::Read),
+                completed: arrival + SimDuration::from_millis(rt),
+                breakdown: ServiceBreakdown {
+                    queue: SimDuration::ZERO,
+                    overhead: SimDuration::ZERO,
+                    seek: SimDuration::from_millis(rt * 0.5),
+                    rotational: SimDuration::from_millis(rot),
+                    transfer: SimDuration::ZERO,
+                },
+                cache_hit: hit,
+                actuator: 0,
+            }
+        };
+        let fill = |mode: StatsMode, ios: &[(f64, f64, bool)]| {
+            let mut m = DriveMetrics::with_mode(1, mode);
+            for x in ios {
+                m.record(&done(x));
+            }
+            m
+        };
+        let same = |stage: &str, a: &DriveMetrics, b: &DriveMetrics| {
+            assert_eq!(a.response_hist, b.response_hist, "{stage}: response_hist");
+            assert_eq!(
+                a.rotational_hist, b.rotational_hist,
+                "{stage}: rotational_hist"
+            );
+        };
+        let mut exact = fill(StatsMode::Exact, &first);
+        let mut stream = fill(StatsMode::Streaming, &first);
+        exact.finalize();
+        stream.finalize();
+        same("after finalize", &exact, &stream);
+        let mut merged = fill(StatsMode::Exact, &first);
+        merged.merge(&fill(StatsMode::Exact, &second));
+        let mut stream_merged = fill(StatsMode::Streaming, &first);
+        stream_merged.merge(&fill(StatsMode::Streaming, &second));
+        same("after exact + exact merge", &merged, &stream_merged);
+        merged.finalize();
+        same("after merge, finalized", &merged, &stream_merged);
+        exact.merge(&fill(StatsMode::Streaming, &second));
+        stream.merge(&fill(StatsMode::Streaming, &second));
+        same("after exact + streaming merge", &exact, &stream);
+    });
+}
+
 #[test]
 fn request_source_skip_matches_pull_and_discard() {
     check("request_source_skip_matches_pull_and_discard", |t| {
@@ -813,12 +1006,18 @@ fn slab_never_aliases_recycled_slots() {
     });
 }
 
-/// The memoized, branch-and-bound SPTF dispatch scan against the naive
-/// reference: a full `plan_set_with_heads` for every windowed candidate
-/// and the first `min_by_key` of positioning time. Repeated dispatches
-/// move the arms between scans, so the seek memo sees hits and misses;
-/// zero scalings force ties, a small LBA pool forces duplicates, and
-/// arrivals outpace dispatches so the queue outgrows the window.
+/// The branch-and-bound SPTF dispatch scan over its window-ordered cost
+/// arrays against the naive reference: a full `plan_set_with_heads` for
+/// every windowed candidate and the first `min_by_key` of positioning
+/// time. Repeated dispatches move the arms between scans, so seek
+/// columns are repriced; zero scalings force ties, a small LBA pool
+/// forces duplicates, and arrivals outpace dispatches so the queue
+/// outgrows the window. Three drawn twists change what the arrays were
+/// priced against: an eligibility mask that changes between scans (the
+/// overlap engine passes busy arms as ineligible), arms moved between
+/// scans by something other than this queue's dispatch, and a
+/// mid-stream `forget_costs` followed by scanning under another RPM's
+/// mechanics (DRPM's spindle shift).
 #[test]
 fn sptf_scan_matches_naive_plan_reference() {
     use intradisk::sched::{PendingQueue, ScanCost};
@@ -837,19 +1036,28 @@ fn sptf_scan_matches_naive_plan_reference() {
             (0.0, 0.0),
             (0.5, 0.25),
         ]));
+        let mask_churn = t.draw(&gen::bool_any());
+        let foreign_moves = t.draw(&gen::bool_any());
+        let rpm_shifts = t.draw(&gen::bool_any());
         let salt = t.draw(&gen::u64_any());
         let scaling = LatencyScaling {
             seek: seek_scale,
             rotational: rot_scale,
         };
-        let mech = Mechanics::new(&presets::barracuda_es_750gb());
-        let mut arms = ArmSet::from_arms(&mech.default_arms(n_arms));
+        let speeds = [
+            Mechanics::new(&presets::barracuda_es_750gb()),
+            Mechanics::new(&presets::barracuda_es_750gb().with_rpm(4_200)),
+        ];
+        let mut speed = 0;
+        let mut arms = ArmSet::from_arms(&speeds[0].default_arms(n_arms));
         for a in 0..n_arms as usize {
             if failed & (1 << a) != 0 && arms.live_count() > 1 {
                 arms.set_failed(a);
             }
         }
-        let total = mech.geometry().total_sectors();
+        let live: Vec<usize> = (0..arms.len()).filter(|&a| !arms.is_failed(a)).collect();
+        let total = speeds[0].geometry().total_sectors();
+        let cylinders = speeds[0].geometry().cylinders();
         let mut rng = Rng64::new(salt);
         let pool: Vec<u64> = (0..4).map(|_| rng.below(total)).collect();
         let mut queue = PendingQueue::new(window, arms.len());
@@ -872,13 +1080,39 @@ fn sptf_scan_matches_naive_plan_reference() {
                 now += SimDuration::from_millis(rng.f64() * 5.0);
                 continue;
             }
+            if foreign_moves && rng.chance(0.5) {
+                let a = live[rng.below(live.len() as u64) as usize];
+                arms.set_cylinder(a, rng.below(cylinders as u64) as u32);
+            }
+            if rpm_shifts && rng.chance(0.2) {
+                queue.forget_costs();
+                speed = 1 - speed;
+            }
+            let mech = &speeds[speed];
+            // The arms this scan may use: every live arm, or a random
+            // non-empty subset of them.
+            let mut eligible = vec![true; arms.len()];
+            if mask_churn {
+                for &a in &live {
+                    eligible[a] = rng.chance(0.5);
+                }
+                eligible[live[rng.below(live.len() as u64) as usize]] = true;
+            }
+            let eligible: Vec<bool> = (0..arms.len())
+                .map(|a| eligible[a] && !arms.is_failed(a))
+                .collect();
+            // The naive reference sees ineligible arms as failed.
+            let mut visible = arms.clone();
+            for a in (0..arms.len()).filter(|&a| !eligible[a]) {
+                visible.set_failed(a);
+            }
             let start = now + SimDuration::from_millis(0.3);
             let plans: Vec<_> = naive
                 .iter()
                 .take(window)
                 .map(|r| {
-                    mech.plan_set_with_heads(&arms, heads, r.lba, r.sectors, start, scaling)
-                        .expect("a live arm remains")
+                    mech.plan_set_with_heads(&visible, heads, r.lba, r.sectors, start, scaling)
+                        .expect("an eligible arm remains")
                 })
                 .collect();
             let idx = (0..plans.len())
@@ -887,16 +1121,16 @@ fn sptf_scan_matches_naive_plan_reference() {
             let (want_req, want) = (naive.remove(idx), plans[idx]);
 
             let cost = ScanCost {
-                mech: &mech,
+                mech,
                 arms: &arms,
                 heads,
                 start,
                 scaling,
             };
             let (got_req, choice) = queue
-                .pop_next(QueuePolicy::Sptf, &cost, |a| !arms.is_failed(a), None)
+                .pop_next(QueuePolicy::Sptf, &cost, |a| eligible[a], None)
                 .expect("non-empty queue");
-            let choice = choice.expect("a live arm remains");
+            let choice = choice.expect("an eligible arm remains");
             let got = mech.plan_for(choice, got_req.lba, got_req.sectors);
             assert_eq!(got_req.id, want_req.id, "scan popped another request");
             assert_eq!(got, want, "scan planned request {} differently", got_req.id);
