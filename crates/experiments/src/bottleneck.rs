@@ -11,9 +11,9 @@
 use diskmodel::DriveError;
 use intradisk::{DriveConfig, LatencyScaling};
 use simkit::Cdf;
-use workload::WorkloadKind;
+use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, md_config, source_for, Scale};
+use crate::configs::{hcsd_params, md_config, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
 use crate::runner::{run_array, run_drive};
@@ -120,6 +120,7 @@ impl Study for BottleneckStudy {
         &self,
         point: &BottleneckPoint,
         scale: Scale,
+        book: &TraceBook,
     ) -> Result<BottleneckOutput, DriveError> {
         match *point {
             BottleneckPoint::Md(kind) => {
@@ -129,7 +130,7 @@ impl Study for BottleneckStudy {
                     DriveConfig::conventional().with_stats_mode(scale.stats),
                     cfg.disks,
                     cfg.layout,
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(BottleneckOutput::Md(
                     kind,
@@ -143,7 +144,7 @@ impl Study for BottleneckStudy {
                     DriveConfig::conventional()
                         .with_scaling(LatencyScaling::seek_only(f))
                         .with_stats_mode(scale.stats),
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(BottleneckOutput::Seek(
                     r.metrics.response_time_ms.mean(),
@@ -156,7 +157,7 @@ impl Study for BottleneckStudy {
                     DriveConfig::conventional()
                         .with_scaling(LatencyScaling::rotational_only(f))
                         .with_stats_mode(scale.stats),
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(BottleneckOutput::Rot(
                     r.metrics.response_time_ms.mean(),

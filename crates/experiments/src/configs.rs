@@ -9,7 +9,7 @@
 use array::Layout;
 use diskmodel::{presets, DiskParams};
 use simkit::StatsMode;
-use workload::{profile_for, ProfileSource, Trace, WorkloadKind};
+use workload::{profile_for, ProfileSource, Trace, TraceBook, WorkloadKind};
 
 /// How many requests to replay per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +64,12 @@ impl Scale {
         self.stats = stats;
         self
     }
+
+    /// An empty [`TraceBook`] for this scale's request count and seed:
+    /// the workloads one sweep at this scale replays.
+    pub fn book(self) -> TraceBook {
+        TraceBook::new(self.requests, self.seed)
+    }
 }
 
 impl Default for Scale {
@@ -116,7 +122,8 @@ pub fn trace_for(kind: WorkloadKind, scale: Scale) -> Trace {
 
 /// The lazy [`workload::RequestSource`] for a workload at the given
 /// scale — yields exactly the requests [`trace_for`] materializes, in
-/// order, with O(1) memory.
+/// order, with O(1) memory. Sweeps replay from a [`TraceBook`]
+/// ([`Scale::book`]) instead.
 pub fn source_for(kind: WorkloadKind, scale: Scale) -> ProfileSource {
     profile_for(kind).source(scale.requests, scale.seed)
 }

@@ -6,7 +6,7 @@
 //! from the back of their peers' queues; every finished point is sent
 //! home tagged with its plan index and reassembled into plan order.
 //! Because each [`Study::run_point`] is a pure function of
-//! `(point, scale)`, the reassembled output vector — and therefore the
+//! `(point, scale, book)`, the reassembled output vector — and therefore the
 //! reduced report — is byte-identical no matter how many workers ran
 //! or how the steals interleaved.
 //!
@@ -270,11 +270,14 @@ pub fn run_study<S: Study>(
     let total = points.len();
     let done = AtomicUsize::new(0);
     let clock = prof::Stopwatch::start();
+    // One book per study run: each profile's trace is generated by the
+    // first point that needs it and replayed by the rest.
+    let book = scale.book();
     let outcome = exec.map(points, |_, p| {
         let out = {
             let _rp = prof::scope(Phase::RunPoint);
             crate::counters::POINTS_RUN.add(1);
-            study.run_point(p, scale)
+            study.run_point(p, scale, &book)
         };
         if exec.progress() {
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -398,7 +401,12 @@ mod tests {
             format!("x={point}")
         }
 
-        fn run_point(&self, point: &u32, _scale: Scale) -> Result<u32, DriveError> {
+        fn run_point(
+            &self,
+            point: &u32,
+            _scale: Scale,
+            _book: &workload::TraceBook,
+        ) -> Result<u32, DriveError> {
             if *point == 7 {
                 return Err(DriveError::NotInService);
             }

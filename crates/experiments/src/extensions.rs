@@ -20,7 +20,7 @@ use intradisk::{DriveConfig, NullObserver};
 use telemetry::NullRecorder;
 use workload::WorkloadKind;
 
-use crate::configs::{hcsd_params, source_for, Scale};
+use crate::configs::{hcsd_params, Scale};
 use crate::report;
 use crate::runner::{run_array, run_drive, simulate};
 
@@ -119,18 +119,19 @@ pub struct DrpmRow {
     pub power_w: f64,
 }
 
-/// Replays `kind` against the three designs, each streaming the
-/// workload from its lazy source.
+/// Replays `kind` against the three designs, all three replaying one
+/// workload from a local [`workload::TraceBook`].
 pub fn drpm_comparison(kind: WorkloadKind, scale: Scale) -> Result<Vec<DrpmRow>, DriveError> {
     let params = hcsd_params();
+    let book = scale.book();
 
     let conventional = run_drive(
         &params,
         DriveConfig::conventional().with_stats_mode(scale.stats),
-        source_for(kind, scale),
+        book.source(kind),
     )?;
     let drpm = simulate(
-        source_for(kind, scale),
+        book.source(kind),
         DrpmDrive::new(&params, DrpmConfig::typical()),
         &mut NullRecorder,
         &mut NullObserver,
@@ -138,7 +139,7 @@ pub fn drpm_comparison(kind: WorkloadKind, scale: Scale) -> Result<Vec<DrpmRow>,
     let low_rpm_sa4 = run_drive(
         &presets::barracuda_es_at_rpm(4_200),
         DriveConfig::sa(4).with_stats_mode(scale.stats),
-        source_for(kind, scale),
+        book.source(kind),
     )?;
     Ok(vec![
         DrpmRow {
@@ -225,28 +226,29 @@ pub fn dash_dimension_study(
 ) -> Result<Vec<DashRow>, DriveError> {
     let base = hcsd_params();
     let mode = scale.stats;
+    let book = scale.book();
 
     let conventional = run_drive(
         &base,
         DriveConfig::conventional().with_stats_mode(mode),
-        source_for(kind, scale),
+        book.source(kind),
     )?;
     let d2 = run_array(
         &half_stack(),
         DriveConfig::conventional().with_stats_mode(mode),
         2,
         Layout::striped_default(),
-        source_for(kind, scale),
+        book.source(kind),
     )?;
     let a2 = run_drive(
         &base,
         DriveConfig::sa(2).with_stats_mode(mode),
-        source_for(kind, scale),
+        book.source(kind),
     )?;
     let h2 = run_drive(
         &base,
         DriveConfig::dash(1, 2).with_stats_mode(mode),
-        source_for(kind, scale),
+        book.source(kind),
     )?;
 
     Ok(vec![

@@ -5,9 +5,9 @@
 use diskmodel::DriveError;
 use intradisk::DriveConfig;
 use simkit::Cdf;
-use workload::WorkloadKind;
+use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, md_config, source_for, Scale};
+use crate::configs::{hcsd_params, md_config, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
 use crate::runner::{run_array, run_drive, ArrayRunResult, DriveRunResult};
@@ -101,7 +101,12 @@ impl Study for LimitStudy {
         }
     }
 
-    fn run_point(&self, point: &LimitPoint, scale: Scale) -> Result<LimitOutput, DriveError> {
+    fn run_point(
+        &self,
+        point: &LimitPoint,
+        scale: Scale,
+        book: &TraceBook,
+    ) -> Result<LimitOutput, DriveError> {
         match *point {
             LimitPoint::Md(kind) => {
                 let cfg = md_config(kind);
@@ -110,7 +115,7 @@ impl Study for LimitStudy {
                     DriveConfig::conventional().with_stats_mode(scale.stats),
                     cfg.disks,
                     cfg.layout,
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(LimitOutput::Md(kind, md))
             }
@@ -118,7 +123,7 @@ impl Study for LimitStudy {
                 let hcsd = run_drive(
                     &hcsd_params(),
                     DriveConfig::conventional().with_stats_mode(scale.stats),
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(LimitOutput::Hcsd(hcsd))
             }

@@ -11,13 +11,16 @@
 //! The contract that makes parallel output byte-identical to serial:
 //!
 //! 1. [`Study::plan`] enumerates points in a deterministic order,
-//! 2. [`Study::run_point`] is a pure function of `(point, scale)` —
-//!    every point regenerates its own trace from the seed and shares no
-//!    mutable state with other points,
+//! 2. [`Study::run_point`] is a pure function of `(point, scale,
+//!    book)` — it replays its workload from the sweep's
+//!    [`TraceBook`], whose traces are a pure function of
+//!    `(kind, requests, seed)` and immutable once generated, and it
+//!    shares no mutable state with other points,
 //! 3. [`Study::reduce`] sees the outputs in exactly plan order, no
 //!    matter which worker finished first.
 
 use diskmodel::DriveError;
+use workload::TraceBook;
 
 use crate::configs::Scale;
 use crate::exec::{run_study, Executor, StudyError};
@@ -87,10 +90,19 @@ pub trait Study: Sync {
     /// Human-readable label for one point (progress lines, errors).
     fn label(&self, point: &Self::Point) -> String;
 
-    /// Runs one point. Must be a pure function of `(point, scale)`:
-    /// regenerate the trace from the seed, share nothing mutable.
-    fn run_point(&self, point: &Self::Point, scale: Scale)
-        -> Result<Self::Output, DriveError>;
+    /// Runs one point. Must be a pure function of `(point, scale,
+    /// book)` and share nothing mutable. `book` is the sweep's
+    /// [`TraceBook`] for `scale` ([`Scale::book`]): replay profile
+    /// workloads from it instead of regenerating them. Its traces
+    /// depend only on `(kind, requests, seed)` and never change once
+    /// generated, so which worker generated one cannot show in any
+    /// output.
+    fn run_point(
+        &self,
+        point: &Self::Point,
+        scale: Scale,
+        book: &TraceBook,
+    ) -> Result<Self::Output, DriveError>;
 
     /// Folds the per-point outputs — in plan order — into the report.
     fn reduce(&self, outputs: Vec<Self::Output>) -> Self::Report;

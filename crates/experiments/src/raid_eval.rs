@@ -11,7 +11,7 @@
 use array::Layout;
 use diskmodel::DriveError;
 use intradisk::{DriveConfig, PowerBreakdown};
-use workload::SyntheticSpec;
+use workload::{SyntheticSpec, TraceBook};
 
 use crate::configs::{hcsd_params, Scale};
 use crate::plan::{ExperimentPlan, Study};
@@ -133,6 +133,7 @@ impl Study for RaidStudy {
         &self,
         point: &RaidPointSpec,
         scale: Scale,
+        _book: &TraceBook,
     ) -> Result<(f64, RaidPoint), DriveError> {
         let params = hcsd_params();
         // Fixed dataset: one HC-SD's worth of data, as in the limit study.
@@ -281,6 +282,7 @@ mod tests {
                     disks,
                 },
                 scale,
+                &scale.book(),
             )
             .expect("replay succeeds")
             .1

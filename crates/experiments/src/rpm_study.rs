@@ -7,9 +7,9 @@
 use diskmodel::{presets, DriveError};
 use intradisk::{DriveConfig, PowerBreakdown};
 use simkit::Cdf;
-use workload::WorkloadKind;
+use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{md_config, source_for, Scale};
+use crate::configs::{md_config, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
 use crate::runner::{run_array, run_drive};
@@ -155,7 +155,12 @@ impl Study for RpmStudy {
         }
     }
 
-    fn run_point(&self, point: &RpmPointSpec, scale: Scale) -> Result<RpmOutput, DriveError> {
+    fn run_point(
+        &self,
+        point: &RpmPointSpec,
+        scale: Scale,
+        book: &TraceBook,
+    ) -> Result<RpmOutput, DriveError> {
         match *point {
             RpmPointSpec::Md(kind) => {
                 let cfg = md_config(kind);
@@ -164,7 +169,7 @@ impl Study for RpmStudy {
                     DriveConfig::conventional().with_stats_mode(scale.stats),
                     cfg.disks,
                     cfg.layout,
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(RpmOutput::Md {
                     kind,
@@ -177,7 +182,7 @@ impl Study for RpmStudy {
                 let r = run_drive(
                     &params,
                     DriveConfig::sa(actuators).with_stats_mode(scale.stats),
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(RpmOutput::Design(RpmPoint {
                     actuators,
@@ -302,7 +307,11 @@ mod tests {
 
     fn design(kind: WorkloadKind, scale: Scale, actuators: u32, rpm: u32) -> RpmPoint {
         let out = RpmStudy::only(kind)
-            .run_point(&RpmPointSpec::Design { kind, actuators, rpm }, scale)
+            .run_point(
+                &RpmPointSpec::Design { kind, actuators, rpm },
+                scale,
+                &scale.book(),
+            )
             .expect("replay succeeds");
         match out {
             RpmOutput::Design(p) => p,

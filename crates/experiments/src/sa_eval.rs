@@ -7,9 +7,9 @@
 use diskmodel::DriveError;
 use intradisk::{DriveConfig, PowerBreakdown};
 use simkit::{Cdf, Pdf};
-use workload::WorkloadKind;
+use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, md_config, source_for, Scale};
+use crate::configs::{hcsd_params, md_config, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
 use crate::runner::{run_array, run_drive};
@@ -132,7 +132,12 @@ impl Study for SaStudy {
         }
     }
 
-    fn run_point(&self, point: &SaPoint, scale: Scale) -> Result<SaOutput, DriveError> {
+    fn run_point(
+        &self,
+        point: &SaPoint,
+        scale: Scale,
+        book: &TraceBook,
+    ) -> Result<SaOutput, DriveError> {
         match *point {
             SaPoint::Md(kind) => {
                 let cfg = md_config(kind);
@@ -141,7 +146,7 @@ impl Study for SaStudy {
                     DriveConfig::conventional().with_stats_mode(scale.stats),
                     cfg.disks,
                     cfg.layout,
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(SaOutput::Md {
                     kind,
@@ -153,7 +158,7 @@ impl Study for SaStudy {
                 let r = run_drive(
                     &hcsd_params(),
                     DriveConfig::sa(n).with_stats_mode(scale.stats),
-                    source_for(kind, scale),
+                    book.source(kind),
                 )?;
                 Ok(SaOutput::Sa {
                     cdf: r.metrics.response_hist.cdf(),

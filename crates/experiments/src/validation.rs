@@ -24,6 +24,7 @@ use diskmodel::{presets, DriveError, SeekProfile};
 use intradisk::{DiskDrive, DriveConfig, DriveMetrics, IoKind, IoRequest, NullObserver, QueuePolicy};
 use telemetry::NullRecorder;
 use simkit::{Rng64, SimDuration, SimTime};
+use workload::TraceBook;
 
 use crate::configs::Scale;
 use crate::plan::{ExperimentPlan, Study};
@@ -293,6 +294,7 @@ impl Study for ValidationStudy {
         &self,
         point: &ValidationCheck,
         _scale: Scale,
+        _book: &TraceBook,
     ) -> Result<ValidationRow, DriveError> {
         match *point {
             ValidationCheck::RotationalLatency => check_rotational_latency(),

@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 
 use diskmodel::DriveError;
 use experiments::{Executor, ExperimentPlan, Scale, Study, StudyError};
-use workload::WorkloadKind;
+use workload::{TraceBook, WorkloadKind};
 
 pub mod cache;
 pub mod descriptor;
@@ -132,8 +132,13 @@ impl Study for ExplorePass {
         point.label()
     }
 
-    fn run_point(&self, point: &PointDescriptor, _scale: Scale) -> Result<PointOutcome, DriveError> {
-        point::run_point(point)
+    fn run_point(
+        &self,
+        point: &PointDescriptor,
+        _scale: Scale,
+        book: &TraceBook,
+    ) -> Result<PointOutcome, DriveError> {
+        point::run_point_with(point, book)
     }
 
     fn reduce(&self, outputs: Vec<PointOutcome>) -> Vec<PointOutcome> {

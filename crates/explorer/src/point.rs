@@ -17,6 +17,7 @@ use diskmodel::cost::{drive_cost, Component};
 use diskmodel::DriveError;
 use simkit::ResponseStats;
 use telemetry::metrics::jsonv::{self, Value};
+use workload::TraceBook;
 
 use crate::descriptor::PointDescriptor;
 
@@ -71,11 +72,18 @@ pub fn cost_usd(d: &PointDescriptor) -> f64 {
     cost.midpoint()
 }
 
-/// Runs one point: regenerates the workload from the seed and replays
-/// it against the descriptor's drive. Pure in `(descriptor)`.
+/// Runs one point: generates the workload from the seed and replays it
+/// against the descriptor's drive. Pure in `(descriptor)`.
 pub fn run_point(d: &PointDescriptor) -> Result<PointOutcome, DriveError> {
+    run_point_with(d, &TraceBook::new(d.requests, d.seed))
+}
+
+/// [`run_point`], replaying the workload from a sweep's `book`. A
+/// descriptor whose `(requests, seed)` is not the book's streams its own
+/// lazy source, so the outcome is the same for every book.
+pub fn run_point_with(d: &PointDescriptor, book: &TraceBook) -> Result<PointOutcome, DriveError> {
     let params = d.disk_params();
-    let source = workload::profile_for(d.workload).source(d.requests, d.seed);
+    let source = book.source_at(d.workload, d.requests, d.seed);
     let r = experiments::run_drive(&params, d.drive_config(), source)?;
     let stats = &r.metrics.response_time_ms;
     let power_w = r.power.total_w();
@@ -268,5 +276,44 @@ mod tests {
         let a = run_point(&d).expect("replay succeeds");
         let b = run_point(&d).expect("replay succeeds");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn run_point_with_a_shared_book_matches_run_point() {
+        let scale = SweepScale {
+            requests: 300,
+            ..SweepScale::default()
+        };
+        let book = TraceBook::new(scale.requests, scale.seed);
+        let points = grid(GridResolution::Coarse, scale);
+        for kind in workload::WorkloadKind::ALL {
+            let d = points
+                .iter()
+                .find(|d| d.workload == kind)
+                .expect("every workload in the grid");
+            let alone = run_point(d).expect("replay succeeds");
+            // Twice: the first call generates the book's trace, the
+            // second replays it.
+            for _ in 0..2 {
+                let shared = run_point_with(d, &book).expect("replay succeeds");
+                assert_eq!(shared, alone, "{}", kind.name());
+            }
+        }
+        // A descriptor off the book's scale streams its own workload;
+        // `run_point` replays it from a book of its own.
+        for d in [
+            PointDescriptor {
+                requests: 301,
+                ..points[1]
+            },
+            PointDescriptor {
+                seed: scale.seed + 1,
+                ..points[1]
+            },
+        ] {
+            let shared = run_point_with(&d, &book).expect("replay succeeds");
+            assert_eq!(shared, run_point(&d).expect("replay succeeds"));
+            assert_eq!(shared.completed, d.requests as u64);
+        }
     }
 }

@@ -199,10 +199,11 @@ pub struct Zipf {
 
 impl Zipf {
     /// Creates a Zipf distribution over `n` items with exponent `s`.
+    /// Any finite `s > 0` is accepted, including `s = 1`.
     ///
     /// # Panics
-    /// Panics unless `n >= 1` and `s > 0` and `s != 1` handling is fine
-    /// (s may equal 1; the integral helper handles it).
+    /// Panics if `n == 0`, or if `s` is not finite or not greater than
+    /// zero (NaN, ±infinity, zero or negative).
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n >= 1, "need at least one item");
         assert!(s.is_finite() && s > 0.0, "bad exponent {s}");
@@ -363,5 +364,17 @@ mod tests {
         let d = Zipf::new(1, 1.0);
         let mut rng = Rng64::new(9);
         assert_eq!(d.sample(&mut rng), 0);
+    }
+
+    #[test]
+    fn zipf_new_panics_exactly_where_documented() {
+        let panics = |n: u64, s: f64| std::panic::catch_unwind(|| Zipf::new(n, s)).is_err();
+        assert!(panics(0, 1.0), "n = 0");
+        for s in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(panics(10, s), "s = {s}");
+        }
+        for s in [1e-9, 0.5, 1.0, 1.45, 1e6] {
+            assert!(!panics(10, s), "s = {s}");
+        }
     }
 }

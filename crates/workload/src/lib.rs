@@ -1,12 +1,16 @@
 //! `workload` — the I/O request streams of the study.
 //!
-//! Four layers:
+//! Layers:
 //!
 //! * [`source`] — the pull-based ingestion interface
 //!   ([`RequestSource`]): run loops pull one request at a time, so
 //!   generated workloads replay in O(1) memory and run size is bounded
 //!   by simulated time, not RAM. [`Trace`] plugs in through
 //!   [`IntoRequestSource`] for backward compatibility.
+//! * [`book`] — [`TraceBook`], one sweep's workloads: each profile's
+//!   trace generated once on first use and replayed by every run of
+//!   the sweep (traces up to [`MAX_STORED_REQUESTS`]; longer ones
+//!   stream lazily).
 //! * [`trace`] — the in-memory trace representation plus summary
 //!   statistics (read fraction, mean inter-arrival time, footprint).
 //! * [`arrival`] — arrival processes: Poisson (exponential
@@ -27,6 +31,7 @@
 //!   ([`spc::SpcSource`]).
 
 pub mod arrival;
+pub mod book;
 pub mod counters;
 pub mod profiles;
 pub mod source;
@@ -35,6 +40,7 @@ pub mod synth;
 pub mod trace;
 
 pub use arrival::{ArrivalProcess, Mmpp};
+pub use book::{BookSource, TraceBook, MAX_STORED_REQUESTS};
 pub use profiles::{profile_for, ProfileSource, TraceProfile, WorkloadKind};
 pub use source::{collect_trace, CountingSource, IntoRequestSource, RequestSource, TraceSource};
 pub use spc::SpcSource;

@@ -180,6 +180,12 @@ impl<'a> TraceSource<'a> {
     pub(crate) fn new(trace: &'a Trace) -> Self {
         TraceSource { trace, pos: 0 }
     }
+
+    /// The trace this cursor replays.
+    #[cfg(test)]
+    pub(crate) fn trace(&self) -> &'a Trace {
+        self.trace
+    }
 }
 
 impl RequestSource for TraceSource<'_> {

@@ -29,7 +29,9 @@
 # kernel-swap golden oracles, the differential property suite, and a
 # throughput floor: the timing wheel must not be slower than the
 # heap), the self-profiler gates (the deterministic counter export must
-# be byte-identical across runs and --jobs values, a --profile smoke
+# be byte-identical across runs and --jobs values, for a study and for
+# a cache-less explore whose --jobs 2 workers race to generate the
+# shared workload traces, a --profile smoke
 # run must attribute >= 95% of wall time to the coarse phases in
 # profile.txt, and a 10^6-request
 # `repro scale --heartbeat 1` must emit live snapshots plus a
@@ -188,6 +190,15 @@ target/release/repro limit --requests 2000 --jobs 2 --profile "$sweep_dir/prof3"
 cmp "$sweep_dir/prof1/counters.json" "$sweep_dir/prof2/counters.json"
 diff <(jq -S .deterministic "$sweep_dir/prof1/counters.json") \
      <(jq -S .deterministic "$sweep_dir/prof3/counters.json")
+# The same for explore without a point cache: under --jobs 2 its
+# workers race to generate the sweep's shared workload traces, and
+# which worker generated one must not show in any counter.
+target/release/repro explore --grid coarse --requests 500 --jobs 1 --cache none \
+  --out "$sweep_dir/ex-prof1-out" --profile "$sweep_dir/ex-prof1" >/dev/null 2>&1
+target/release/repro explore --grid coarse --requests 500 --jobs 2 --cache none \
+  --out "$sweep_dir/ex-prof2-out" --profile "$sweep_dir/ex-prof2" >/dev/null 2>&1
+diff <(jq -S .deterministic "$sweep_dir/ex-prof1/counters.json") \
+     <(jq -S .deterministic "$sweep_dir/ex-prof2/counters.json")
 
 echo "==> gate: --profile smoke export (phase coverage >= 95% at --jobs 1)"
 for f in profile.txt profile.folded counters.json; do
