@@ -10,9 +10,6 @@
 //! * [`controller`] — an array controller that decomposes logical
 //!   requests into per-disk sub-requests, tracks their completion
 //!   (including the two-phase RAID-5 write), and aggregates metrics.
-//! * [`maid`] — a spin-down (MAID \[6\]) baseline for the related-work
-//!   comparison: the opposite power-saving strategy to intra-disk
-//!   parallelism.
 //!
 //! Both the MD baselines (arrays of conventional drives) and the
 //! arrays-of-intra-disk-parallel-drives of §7.3 are instances of
@@ -38,10 +35,8 @@
 pub mod controller;
 pub mod counters;
 pub mod layout;
-pub mod maid;
 
 pub use controller::{
     ArrayController, ArrayMetrics, ArrayRunResult, DiskCompletion, LogicalCompletion,
 };
-pub use maid::{MaidArray, MaidConfig};
 pub use layout::{Layout, MappedRequest, Phase, SubRequest};

@@ -10,8 +10,7 @@
 //!   isolating the rotational-latency mechanism),
 //! * on-board cache size (the §7.1 8 MB vs 64 MB check),
 //! * RAID-0 stripe-unit size,
-//! * the technical report's overlap relaxations,
-//! * freeblock scheduling vs. a dedicated spare assembly.
+//! * the technical report's overlap relaxations.
 
 use bench::bench;
 use std::hint::black_box;
@@ -19,12 +18,10 @@ use std::hint::black_box;
 use array::Layout;
 use diskmodel::{presets, DiskParams};
 use experiments::{ArrayRunResult, DriveRunResult};
-use intradisk::freeblock::{dedicated_arm_throughput, FreeblockScheduler};
 use intradisk::{
-    ArmPlacement, DriveConfig, IoKind, IoRequest, NullObserver, OverlapConfig, OverlapMode,
-    OverlappedDrive, QueuePolicy,
+    ArmPlacement, DriveConfig, NullObserver, OverlapConfig, OverlapMode, OverlappedDrive,
+    QueuePolicy,
 };
-use simkit::{Rng64, SimDuration, SimTime};
 use workload::{SyntheticSpec, Trace};
 
 const WARMUP: usize = 1;
@@ -153,32 +150,6 @@ fn ablate_overlap() {
     }
 }
 
-fn ablate_freeblock() {
-    let params = presets::barracuda_es_750gb();
-    let mut rng = Rng64::new(9);
-    let span = presets::barracuda_es_750gb().capacity_sectors() / 2400; // ~50 cylinders
-    let bg: Vec<IoRequest> = (0..400)
-        .map(|i| IoRequest::new(i, SimTime::ZERO, rng.below(span), 8, IoKind::Read))
-        .collect();
-    bench("freeblock_window_replay", WARMUP, SAMPLES, || {
-        let mut fb = FreeblockScheduler::new(&params, bg.clone());
-        for _ in 0..500 {
-            fb.offer_window(0, SimDuration::from_millis(8.0));
-        }
-        black_box(fb.stats())
-    });
-    let mut fb = FreeblockScheduler::new(&params, bg.clone());
-    for _ in 0..500 {
-        fb.offer_window(0, SimDuration::from_millis(8.0));
-    }
-    let freeblock_rps = fb.stats().serviced as f64 / (500.0 * 0.010);
-    println!(
-        "freeblock: {:.0} background req/s (10 ms foreground cadence) vs dedicated arm {:.0} req/s",
-        freeblock_rps,
-        dedicated_arm_throughput(&params, &bg)
-    );
-}
-
 fn main() {
     ablate_policy();
     ablate_window();
@@ -186,5 +157,4 @@ fn main() {
     ablate_cache();
     ablate_stripe();
     ablate_overlap();
-    ablate_freeblock();
 }

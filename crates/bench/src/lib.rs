@@ -13,7 +13,7 @@
 //!   sampling, and raw simulator throughput.
 //! * `ablations` — sensitivity sweeps over the design knobs DESIGN.md
 //!   calls out (queue policy, SPTF window, arm placement, cache size,
-//!   stripe unit, overlap mode, freeblock scheduling).
+//!   stripe unit, overlap mode).
 //! * `kernel` — event-kernel throughput, timing wheel against the
 //!   retired binary heap (`scripts/verify.sh` gates wheel ≤ heap).
 //!
@@ -79,7 +79,7 @@ pub fn bench<T>(name: &str, warmup: usize, samples: usize, mut f: impl FnMut() -
     })
 }
 
-/// Like [`bench`] but each timed sample runs `inner_iters` calls and
+/// Like [`bench()`] but each timed sample runs `inner_iters` calls and
 /// reports per-call time — for operations too fast to time one-by-one.
 ///
 /// # Panics

@@ -160,19 +160,6 @@ impl Geometry {
         &self.zones
     }
 
-    /// The zone containing `lba`.
-    ///
-    /// # Panics
-    /// Panics if `lba >= total_sectors()`.
-    pub fn zone_containing(&self, lba: u64) -> &Zone {
-        assert!(lba < self.total_sectors, "lba {lba} out of range");
-        let idx = self
-            .zones
-            .partition_point(|z| z.first_lba <= lba)
-            .saturating_sub(1);
-        &self.zones[idx]
-    }
-
     /// Maps a logical block to its physical location.
     ///
     /// # Panics
@@ -259,11 +246,6 @@ impl Geometry {
                 seg
             })
         })
-    }
-
-    /// Absolute cylinder distance between two locations.
-    pub fn cylinder_distance(&self, a: PhysLoc, b: PhysLoc) -> u32 {
-        a.cylinder.abs_diff(b.cylinder)
     }
 }
 
@@ -392,7 +374,7 @@ mod tests {
     fn zone_containing_matches_locate() {
         let g = small_geom();
         for lba in (0..g.total_sectors()).step_by(1231) {
-            let z = g.zone_containing(lba);
+            let z = g.zones().iter().rev().find(|z| z.first_lba <= lba).unwrap();
             let loc = g.locate(lba);
             assert_eq!(z.sectors_per_track, loc.sectors_per_track);
         }
@@ -403,15 +385,6 @@ mod tests {
     fn locate_out_of_range_panics() {
         let g = small_geom();
         g.locate(g.total_sectors());
-    }
-
-    #[test]
-    fn cylinder_distance_symmetric() {
-        let g = small_geom();
-        let a = g.locate(0);
-        let b = g.locate(g.total_sectors() - 1);
-        assert_eq!(g.cylinder_distance(a, b), g.cylinder_distance(b, a));
-        assert_eq!(g.cylinder_distance(a, a), 0);
     }
 
     #[test]

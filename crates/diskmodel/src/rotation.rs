@@ -70,7 +70,7 @@ impl RotationModel {
     /// The phase `by` after phase `phase`: `phase(t + by)` given
     /// `phase(t)`, by subtracting whole revolutions rather than dividing.
     /// It divides only when `by` spans more than
-    /// [`ADVANCE_SUBTRACTIONS`] whole revolutions, which no seek does.
+    /// `ADVANCE_SUBTRACTIONS` whole revolutions, which no seek does.
     // simlint: hot — once per priced arm.
     #[inline]
     pub fn advance(&self, phase: u64, by: SimDuration) -> u64 {

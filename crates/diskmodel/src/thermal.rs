@@ -5,11 +5,10 @@
 //! within the disk drive \[12\], which can lead to reliability problems
 //! \[16\]. Indeed, commercial product roadmaps show that disk drive RPMs
 //! are not going to increase" (§7.1). This module makes that argument
-//! quantitative with the standard lumped RC model,
+//! quantitative with the steady state of the standard lumped RC model,
 //!
 //! ```text
 //! T_steady = T_ambient + R_th · P
-//! T(t)     = T_steady + (T(0) − T_steady) · exp(−t/τ)
 //! ```
 //!
 //! calibrated so a conventional 13 W drive sits near 46 °C in a 25 °C
@@ -19,26 +18,16 @@
 //! intra-disk parallel drive at the same (or lower) RPM stays inside
 //! it: parallelism buys performance *within* the thermal budget.
 
-use crate::params::DiskParams;
-use crate::power::PowerModel;
-use simkit::SimDuration;
-
 /// Thermal resistance of a 3.5-inch drive enclosure, °C per watt.
 pub const DEFAULT_THERMAL_RESISTANCE: f64 = 1.6;
-
-/// Thermal time constant of the drive body.
-pub const DEFAULT_TIME_CONSTANT_S: f64 = 600.0;
 
 /// Vendor-specified maximum operating temperature, °C.
 pub const DEFAULT_ENVELOPE_C: f64 = 60.0;
 
-/// Lumped RC thermal model of one drive.
+/// Steady-state thermal model of one drive.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     ambient_c: f64,
-    resistance_c_per_w: f64,
-    time_constant_s: f64,
-    envelope_c: f64,
 }
 
 impl ThermalModel {
@@ -49,29 +38,7 @@ impl ThermalModel {
     /// Panics if `ambient_c` is not finite.
     pub fn new(ambient_c: f64) -> Self {
         assert!(ambient_c.is_finite(), "bad ambient {ambient_c}");
-        ThermalModel {
-            ambient_c,
-            resistance_c_per_w: DEFAULT_THERMAL_RESISTANCE,
-            time_constant_s: DEFAULT_TIME_CONSTANT_S,
-            envelope_c: DEFAULT_ENVELOPE_C,
-        }
-    }
-
-    /// Replaces the thermal resistance (°C/W).
-    ///
-    /// # Panics
-    /// Panics unless positive and finite.
-    pub fn with_resistance(mut self, c_per_w: f64) -> Self {
-        assert!(c_per_w.is_finite() && c_per_w > 0.0, "bad resistance");
-        self.resistance_c_per_w = c_per_w;
-        self
-    }
-
-    /// Replaces the operating envelope (°C).
-    pub fn with_envelope(mut self, envelope_c: f64) -> Self {
-        assert!(envelope_c.is_finite() && envelope_c > self.ambient_c, "bad envelope");
-        self.envelope_c = envelope_c;
-        self
+        ThermalModel { ambient_c }
     }
 
     /// Ambient temperature, °C.
@@ -81,53 +48,19 @@ impl ThermalModel {
 
     /// The operating envelope, °C.
     pub fn envelope_c(&self) -> f64 {
-        self.envelope_c
+        DEFAULT_ENVELOPE_C
     }
 
     /// Steady-state temperature at a constant dissipation, °C.
     pub fn steady_state_c(&self, power_w: f64) -> f64 {
         assert!(power_w >= 0.0, "negative power");
-        self.ambient_c + self.resistance_c_per_w * power_w
-    }
-
-    /// Temperature after holding `power_w` for `dt`, starting from
-    /// `start_c`.
-    pub fn after(&self, start_c: f64, power_w: f64, dt: SimDuration) -> f64 {
-        let target = self.steady_state_c(power_w);
-        target + (start_c - target) * (-dt.as_secs() / self.time_constant_s).exp()
+        self.ambient_c + DEFAULT_THERMAL_RESISTANCE * power_w
     }
 
     /// True if a constant dissipation keeps the drive inside its
     /// envelope.
     pub fn within_envelope(&self, power_w: f64) -> bool {
-        self.steady_state_c(power_w) <= self.envelope_c
-    }
-
-    /// The largest sustained dissipation the envelope allows, W.
-    pub fn power_budget_w(&self) -> f64 {
-        (self.envelope_c - self.ambient_c) / self.resistance_c_per_w
-    }
-
-    /// Steady-state temperature of a drive at datasheet operating duty.
-    pub fn operating_temperature_c(&self, params: &DiskParams) -> f64 {
-        self.steady_state_c(PowerModel::new(params).operating_w())
-    }
-
-    /// The highest RPM (to a 100-RPM step) at which this drive's
-    /// *worst-case* dissipation with `actuators` assemblies in motion
-    /// stays inside the envelope — the quantitative form of the
-    /// paper's "RPMs are not going to increase" argument.
-    pub fn max_rpm_within_envelope(&self, params: &DiskParams, actuators: u32) -> u32 {
-        let mut best = 0;
-        let mut rpm = 3_600;
-        while rpm <= 30_000 {
-            let p = PowerModel::new(&params.with_rpm(rpm));
-            if self.within_envelope(p.peak_w(actuators)) {
-                best = rpm;
-            }
-            rpm += 100;
-        }
-        best
+        self.steady_state_c(power_w) <= DEFAULT_ENVELOPE_C
     }
 }
 
@@ -141,12 +74,13 @@ impl Default for ThermalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::PowerModel;
     use crate::presets;
 
     #[test]
     fn conventional_drive_runs_cool() {
         let t = ThermalModel::default();
-        let temp = t.operating_temperature_c(&presets::barracuda_es_750gb());
+        let temp = t.steady_state_c(PowerModel::new(&presets::barracuda_es_750gb()).operating_w());
         assert!((40.0..52.0).contains(&temp), "operating temp {temp}");
         assert!(t.within_envelope(13.0));
     }
@@ -167,48 +101,18 @@ mod tests {
 
     #[test]
     fn four_actuators_within_envelope_at_7200() {
-        // Table 1's point: the 34 W worst case is high but within a
-        // server envelope, unlike raising RPM.
-        let t = ThermalModel::default().with_envelope(85.0);
+        // Table 1's point: the 34 W worst case is high but within an
+        // 85 °C server envelope, unlike raising RPM.
+        let t = ThermalModel::default();
         let p = PowerModel::new(&presets::barracuda_es_750gb());
-        assert!(t.within_envelope(p.peak_w(4)));
-    }
-
-    #[test]
-    fn max_rpm_decreases_with_actuators() {
-        let t = ThermalModel::default().with_envelope(75.0);
-        let params = presets::barracuda_es_750gb();
-        let r1 = t.max_rpm_within_envelope(&params, 1);
-        let r4 = t.max_rpm_within_envelope(&params, 4);
-        assert!(r1 >= r4, "{r1} vs {r4}");
-        assert!(r4 >= 3_600, "SA(4) must be feasible at some RPM");
-    }
-
-    #[test]
-    fn transient_approaches_steady_state() {
-        let t = ThermalModel::default();
-        let start = 25.0;
-        let after_tau = t.after(start, 13.0, SimDuration::from_secs(DEFAULT_TIME_CONSTANT_S));
-        let steady = t.steady_state_c(13.0);
-        // One time constant covers ~63% of the gap.
-        let frac = (after_tau - start) / (steady - start);
-        assert!((frac - 0.632).abs() < 0.01, "frac {frac}");
-        let after_long = t.after(start, 13.0, SimDuration::from_secs(10.0 * DEFAULT_TIME_CONSTANT_S));
-        assert!((after_long - steady).abs() < 0.01);
-    }
-
-    #[test]
-    fn cooling_works_too() {
-        let t = ThermalModel::default();
-        let cooled = t.after(60.0, 0.0, SimDuration::from_secs(3_600.0));
-        assert!(cooled < 30.0, "cooled to {cooled}");
-        assert!(cooled >= t.ambient_c());
+        assert!(t.steady_state_c(p.peak_w(4)) <= 85.0);
     }
 
     #[test]
     fn power_budget_roundtrip() {
+        // The largest sustained dissipation the envelope allows.
         let t = ThermalModel::default();
-        let budget = t.power_budget_w();
+        let budget = (t.envelope_c() - t.ambient_c()) / DEFAULT_THERMAL_RESISTANCE;
         assert!(t.within_envelope(budget - 0.01));
         assert!(!t.within_envelope(budget + 0.01));
     }

@@ -1,4 +1,4 @@
-//! Deterministic parallel execution of [`ExperimentPlan`]s.
+//! Deterministic parallel execution of [`ExperimentPlan`](crate::ExperimentPlan)s.
 //!
 //! The executor is a hand-rolled work-stealing thread pool: the
 //! registry mirror is unreachable, so no rayon — only `std`. Points

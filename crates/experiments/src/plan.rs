@@ -53,11 +53,6 @@ impl<P> ExperimentPlan<P> {
     pub fn points(&self) -> &[P] {
         &self.points
     }
-
-    /// Consumes the plan, yielding the ordered points.
-    pub fn into_points(self) -> Vec<P> {
-        self.points
-    }
 }
 
 impl<P> FromIterator<P> for ExperimentPlan<P> {
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(plan.len(), 5);
         assert!(!plan.is_empty());
         assert_eq!(plan.points(), &[0, 1, 2, 3, 4]);
-        assert_eq!(plan.into_points(), vec![0, 1, 2, 3, 4]);
         assert!(ExperimentPlan::<u32>::new(Vec::new()).is_empty());
     }
 }

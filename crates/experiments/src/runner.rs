@@ -4,7 +4,7 @@
 //! [`workload::Trace`] by reference or a lazy source
 //! (`SyntheticSpec::source`, `TraceProfile::source`, `SpcSource`) —
 //! against any [`Device`]: a single drive, an array, the overlapped
-//! drive, or the DRPM/MAID baselines. It counts every pulled request
+//! drive, or the DRPM baseline. It counts every pulled request
 //! (`workload.requests_pulled`) and runs the one arrival-versus-event
 //! loop, [`intradisk::simulate`], which holds at most one request of
 //! lookahead, so a 10⁸-request run never materializes its workload.

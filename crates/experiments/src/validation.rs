@@ -219,11 +219,6 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
-    /// True if every check passes.
-    pub fn all_pass(&self) -> bool {
-        self.rows.iter().all(|r| r.passes())
-    }
-
     /// Renders the validation table.
     pub fn render(&self) -> String {
         let headers = ["check", "analytic", "simulated", "rel err", "pass"];
@@ -345,7 +340,7 @@ mod tests {
         let report = ValidationStudy::all()
             .run(Scale::quick(), &Executor::new(2))
             .expect("checks run");
-        assert!(report.all_pass(), "{report:?}");
+        assert!(report.rows.iter().all(ValidationRow::passes), "{report:?}");
         let s = report.render();
         assert_eq!(s.matches("yes").count() + s.matches("NO").count(), 5);
     }

@@ -73,16 +73,6 @@ impl SegmentedCache {
         (self.hits, self.misses)
     }
 
-    /// Hit ratio in `[0, 1]` (0 when never used).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     fn segment_of(&self, lba: u64) -> u64 {
         lba / self.segment_sectors * self.segment_sectors
     }
@@ -270,7 +260,7 @@ mod tests {
         c.install(0, 8);
         assert!(c.lookup(0, 8));
         assert!(!c.lookup(1_000_000, 8));
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]

@@ -81,13 +81,6 @@ impl DashConfig {
     pub fn max_transfer_paths(&self) -> u32 {
         self.disk_stacks * self.arm_assemblies * self.surfaces * self.heads
     }
-
-    /// True if this point is realizable by the `drive` module's
-    /// simulator (which models the `D1 An S1 H1` family the paper
-    /// evaluates).
-    pub fn is_single_stack_arm_only(&self) -> bool {
-        self.disk_stacks == 1 && self.surfaces == 1 && self.heads == 1
-    }
 }
 
 impl Default for DashConfig {
@@ -150,7 +143,7 @@ mod tests {
         for n in 1..=4 {
             let c = DashConfig::sa(n);
             assert_eq!(c.arm_assemblies(), n);
-            assert!(c.is_single_stack_arm_only());
+            assert_eq!(c.to_string(), format!("D1A{n}S1H1"));
         }
     }
 
@@ -162,7 +155,7 @@ mod tests {
         // Figure 1(b): D1A2S1H2 — four transfer paths.
         let b = DashConfig::new(1, 2, 1, 2);
         assert_eq!(b.max_transfer_paths(), 4);
-        assert!(!b.is_single_stack_arm_only());
+        assert_eq!(b.to_string(), "D1A2S1H2");
     }
 
     #[test]

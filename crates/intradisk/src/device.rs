@@ -2,7 +2,7 @@
 //!
 //! [`simulate`] is the only arrival-versus-event merge in the
 //! workspace: the drive, the array controller, the overlapped drive and
-//! the DRPM/MAID baselines all run through it as [`Device`]s, so request
+//! the DRPM baseline all run through it as [`Device`]s, so request
 //! accounting and observer hooks cannot drift apart between engines.
 //! The loop opens no host-time profiler scope: per-request costs are
 //! timed by perfbench's batch micro-timings, and `--profile` stays on

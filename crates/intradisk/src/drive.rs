@@ -239,11 +239,6 @@ impl DiskDrive {
         self.capacity
     }
 
-    /// The drive's power model.
-    pub fn power_model(&self) -> &PowerModel {
-        &self.power
-    }
-
     /// Statistics collected so far.
     pub fn metrics(&self) -> &DriveMetrics {
         &self.metrics
@@ -847,7 +842,7 @@ mod tests {
     #[test]
     fn power_breakdown_within_physical_bounds() {
         let d = drive(2);
-        let pm = *d.power_model();
+        let pm = PowerModel::new(&presets::barracuda_es_750gb());
         let reqs = scattered(200, d.capacity_sectors());
         let br = run(d, reqs).power;
         assert!(br.total_w() >= pm.idle_w() - 1e-9, "below idle floor");

@@ -13,11 +13,11 @@ use crate::drive::DiskDrive;
 
 /// One scheduled actuator deconfiguration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActuatorFailure {
+struct ActuatorFailure {
     /// When the SMART prediction fires.
-    pub at: SimTime,
+    at: SimTime,
     /// Which assembly to deconfigure.
-    pub actuator: u32,
+    actuator: u32,
 }
 
 /// A time-ordered schedule of actuator failures.
@@ -36,21 +36,10 @@ impl FailureSchedule {
         Self::default()
     }
 
-    /// Creates a schedule from a list of failures (sorted internally).
-    pub fn from_events(mut events: Vec<ActuatorFailure>) -> Self {
-        events.sort_by_key(|e| e.at);
-        FailureSchedule { events, next: 0 }
-    }
-
     /// Adds a failure event.
     pub fn push(&mut self, at: SimTime, actuator: u32) {
         self.events.push(ActuatorFailure { at, actuator });
         self.events.sort_by_key(|e| e.at);
-    }
-
-    /// True if no events remain to fire.
-    pub fn is_exhausted(&self) -> bool {
-        self.next >= self.events.len()
     }
 
     /// The time of the next pending failure.
@@ -101,21 +90,14 @@ mod tests {
         assert_eq!(d.live_actuators(), 3);
         assert_eq!(sched.apply_due(&mut d, SimTime::from_millis(25.0)), 1);
         assert_eq!(d.live_actuators(), 2);
-        assert!(sched.is_exhausted());
+        assert_eq!(sched.next_at(), None);
     }
 
     #[test]
     fn last_arm_protected() {
-        let mut sched = FailureSchedule::from_events(vec![
-            ActuatorFailure {
-                at: SimTime::ZERO,
-                actuator: 0,
-            },
-            ActuatorFailure {
-                at: SimTime::ZERO,
-                actuator: 1,
-            },
-        ]);
+        let mut sched = FailureSchedule::new();
+        sched.push(SimTime::ZERO, 0);
+        sched.push(SimTime::ZERO, 1);
         let mut d = drive(2);
         let applied = sched.apply_due(&mut d, SimTime::ZERO);
         assert_eq!(applied, 1, "second deconfiguration must be refused");
@@ -135,7 +117,6 @@ mod tests {
     #[test]
     fn empty_schedule() {
         let mut sched = FailureSchedule::new();
-        assert!(sched.is_exhausted());
         assert_eq!(sched.next_at(), None);
         let mut d = drive(2);
         assert_eq!(sched.apply_due(&mut d, SimTime::MAX), 0);

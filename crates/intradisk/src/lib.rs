@@ -22,7 +22,7 @@
 //!   chosen arm assembly (the mechanical inner loop).
 //! * [`drive`] — the drive state machine gluing the above together.
 //! * [`device`] — the [`Device`] contract and [`simulate`], the one run
-//!   loop every engine (drive, array, overlap, DRPM, MAID) runs under.
+//!   loop every engine (drive, array, overlap, DRPM) runs under.
 //! * [`metrics`] — per-drive statistics and the four-mode power
 //!   attribution of Figures 3 and 6.
 //! * [`failure`] — SMART-style actuator deconfiguration (§8).
@@ -56,7 +56,6 @@ pub mod device;
 pub mod drive;
 pub mod drpm;
 pub mod failure;
-pub mod freeblock;
 pub mod metrics;
 pub mod overlap;
 pub mod request;

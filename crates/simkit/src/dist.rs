@@ -232,11 +232,6 @@ impl Zipf {
             (1.0 + x * (1.0 - self.s)).powf(1.0 / (1.0 - self.s)) - 1.0
         }
     }
-
-    /// Number of ranks.
-    pub fn item_count(&self) -> u64 {
-        self.n
-    }
 }
 
 impl Sample for Zipf {

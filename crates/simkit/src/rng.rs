@@ -102,19 +102,6 @@ impl Rng64 {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi]` inclusive.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi`.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range [{lo}, {hi}]");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Returns `true` with probability `p`.
     ///
     /// # Panics
@@ -178,22 +165,6 @@ mod tests {
             // Expected 10_000 per bucket; allow 10% slack.
             assert!((9_000..=11_000).contains(&c), "bucket count {c}");
         }
-    }
-
-    #[test]
-    fn range_inclusive_hits_endpoints() {
-        let mut r = Rng64::new(3);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            match r.range_inclusive(4, 6) {
-                4 => saw_lo = true,
-                6 => saw_hi = true,
-                5 => {}
-                other => panic!("out of range: {other}"),
-            }
-        }
-        assert!(saw_lo && saw_hi);
     }
 
     #[test]

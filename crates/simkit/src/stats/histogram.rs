@@ -232,16 +232,6 @@ impl Pdf {
     pub fn mass(&self) -> &[f64] {
         &self.mass
     }
-
-    /// The upper edge of the last bucket holding at least `threshold`
-    /// probability mass — the "tail" the paper reads off Figure 5's PDFs.
-    /// Returns `None` if no bounded bucket qualifies.
-    pub fn tail_edge(&self, threshold: f64) -> Option<f64> {
-        (0..self.edges.len())
-            .rev()
-            .find(|&i| self.mass[i] >= threshold)
-            .map(|i| self.edges[i])
-    }
 }
 
 impl fmt::Display for Pdf {
@@ -292,20 +282,6 @@ mod tests {
         let pdf = h.pdf();
         let s: f64 = pdf.mass().iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pdf_tail_edge() {
-        let mut h = Histogram::new(&[1.0, 3.0, 5.0, 7.0]);
-        for _ in 0..90 {
-            h.record(0.5);
-        }
-        for _ in 0..10 {
-            h.record(4.0); // bucket (3,5]
-        }
-        let pdf = h.pdf();
-        assert_eq!(pdf.tail_edge(0.05), Some(5.0));
-        assert_eq!(pdf.tail_edge(0.5), Some(1.0));
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!
 //! # Error bound
 //!
-//! With relative error `r`, bucket edges grow by `(1 + r)^2` per
-//! bucket and a percentile estimate is the geometric mean of its
+//! Every histogram has the same layout: relative error `r = 1%`, bucket
+//! edges growing by `(1 + r)^2` per bucket from `floor = 1 µs` until
+//! they reach `cap = 1000 s` (in milliseconds), ~1 040 buckets
+//! (≈ 8 KiB). A percentile estimate is the geometric mean of its
 //! bucket's bounds, so for any true value `v` inside the resolvable
 //! range `[floor, cap]`:
 //!
@@ -21,15 +23,15 @@
 //!
 //! Values at or below `floor` report the exact tracked minimum
 //! (absolute error ≤ `floor`); values above `cap` report the exact
-//! tracked maximum. The defaults (`r = 1%`, `floor = 1 µs`,
-//! `cap = 1000 s`, expressed in milliseconds) cover every latency this
-//! simulator can produce with ~1 040 buckets (≈ 8 KiB).
+//! tracked maximum. That covers every latency this simulator can
+//! produce.
 //!
 //! # Determinism
 //!
-//! Bucket edges are precomputed by repeated multiplication — the same
-//! float operations in the same order on every run — and lookups are a
-//! binary search, so the histogram is a pure function of its sample
+//! The bucket edges are computed once per process by repeated
+//! multiplication — the same float operations in the same order on
+//! every run — and shared by every histogram; lookups are a binary
+//! search, so the histogram is a pure function of its sample
 //! multiset. Counts (and therefore percentiles, min, max, total) are
 //! order-independent; only `sum` (and thus `mean`) depends on the
 //! insertion order of float additions, which the deterministic
@@ -39,23 +41,20 @@ use std::sync::{Arc, OnceLock};
 
 use super::codec::{self, DecodeError, Reader};
 
-/// Default relative-error bound for percentile estimates (1%).
-pub const DEFAULT_RELATIVE_ERROR: f64 = 0.01;
+/// Relative-error bound for percentile estimates (1%).
+const RELATIVE_ERROR: f64 = 0.01;
+/// Smallest resolvable value (1 µs, in ms).
+const FLOOR: f64 = 1e-3;
+/// Largest resolvable value (1000 s, in ms).
+const CAP: f64 = 1e6;
 
 /// Format tag for serialized histograms (see [`StreamingHistogram::to_bytes`]).
 const MAGIC: &[u8; 4] = b"SHG1";
-/// Default smallest resolvable value (1 µs, in ms).
-pub const DEFAULT_FLOOR: f64 = 1e-3;
-/// Default largest resolvable value (1000 s, in ms).
-pub const DEFAULT_CAP: f64 = 1e6;
 
 /// A bounded-memory histogram over geometrically spaced buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingHistogram {
-    /// Upper bucket edges: `edges[0] = floor`, `edges[i] = floor·g^i`,
-    /// strictly increasing, last edge ≥ `cap`. Shared, like
-    /// `exp_index`: every default-configured histogram points at the
-    /// one table [`default_layout`] builds.
+    /// Upper bucket edges of the one [`Layout`] every histogram shares.
     edges: Arc<[f64]>,
     /// `edges.len() + 1` buckets: bucket `0` holds values `≤ floor`,
     /// bucket `i` holds `(edges[i-1], edges[i]]`, and the final bucket
@@ -65,14 +64,7 @@ pub struct StreamingHistogram {
     sum: f64,
     min: f64,
     max: f64,
-    rel_err: f64,
-    growth: f64,
-    /// First-edge index per f64 binary exponent: `exp_index[e]` is the
-    /// number of edges below the smallest value whose biased exponent
-    /// is `e` (entry 2048 = `edges.len()`, the bound for infinities).
-    /// Narrows [`record`](Self::record)'s search to one octave —
-    /// ~`ln 2 / ln(growth)` edges — instead of the whole edge array.
-    /// Derived from `edges`, so equal configurations compare equal.
+    /// The shared layout's exponent index (see [`Layout::exp_index`]).
     exp_index: Arc<[u32]>,
     /// Deterministic record counter, flushed to
     /// [`crate::counters::STREAMHIST_RECORDS`] on drop. Clones to zero
@@ -82,50 +74,18 @@ pub struct StreamingHistogram {
 }
 
 impl StreamingHistogram {
-    /// Creates a histogram with the default 1% error bound over the
-    /// default `[1 µs, 1000 s]` range (in milliseconds).
+    /// Creates an empty histogram: 1% error bound over
+    /// `[1 µs, 1000 s]` (in milliseconds).
     pub fn new() -> Self {
-        Self::with_relative_error(DEFAULT_RELATIVE_ERROR)
-    }
-
-    /// Creates a histogram with the given relative-error bound over
-    /// the default range.
-    ///
-    /// # Panics
-    /// Panics if `rel_err` is outside `(0, 0.5]`.
-    pub fn with_relative_error(rel_err: f64) -> Self {
-        Self::with_config(rel_err, DEFAULT_FLOOR, DEFAULT_CAP)
-    }
-
-    /// Creates a histogram resolving `[floor, cap]` with relative
-    /// error `rel_err`.
-    ///
-    /// # Panics
-    /// Panics if `rel_err` is outside `(0, 0.5]` or `0 < floor < cap`
-    /// does not hold.
-    pub fn with_config(rel_err: f64, floor: f64, cap: f64) -> Self {
-        assert!(
-            rel_err > 0.0 && rel_err <= 0.5,
-            "relative error must be in (0, 0.5]: {rel_err}"
-        );
-        assert!(
-            floor > 0.0 && floor < cap && cap.is_finite(),
-            "need 0 < floor < cap: [{floor}, {cap}]"
-        );
-        let growth = (1.0 + rel_err) * (1.0 + rel_err);
-        let (edges, exp_index) = shared_layout(rel_err, floor, cap)
-            .unwrap_or_else(|| build_layout(growth, floor, cap));
-        let counts = vec![0; edges.len() + 1];
+        let layout = Layout::get();
         StreamingHistogram {
-            edges,
-            counts,
+            edges: Arc::clone(&layout.edges),
+            counts: vec![0; layout.edges.len() + 1],
             total: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            rel_err,
-            growth,
-            exp_index,
+            exp_index: Arc::clone(&layout.exp_index),
             records: crate::counters::DropCounter::new(&crate::counters::STREAMHIST_RECORDS),
         }
     }
@@ -133,7 +93,7 @@ impl StreamingHistogram {
     /// The documented relative-error bound for percentile estimates of
     /// values inside the resolvable range.
     pub fn relative_error(&self) -> f64 {
-        self.rel_err
+        RELATIVE_ERROR
     }
 
     /// Smallest resolvable value; everything at or below it shares
@@ -299,7 +259,7 @@ impl StreamingHistogram {
             self.max
         } else {
             // Geometric mean of the bucket bounds: off by at most a
-            // factor of sqrt(growth) = 1 + rel_err either way.
+            // factor of sqrt(growth) = 1 + RELATIVE_ERROR either way.
             (self.edges[idx - 1] * self.edges[idx]).sqrt()
         };
         est.clamp(self.min, self.max)
@@ -326,20 +286,10 @@ impl StreamingHistogram {
         out
     }
 
-    /// Merges another histogram with the same configuration into this
-    /// one. Counts, totals, min/max merge exactly; `sum` (and so
-    /// `mean`) is subject to float-addition ordering, which plan-order
-    /// sweep reduction makes deterministic.
-    ///
-    /// # Panics
-    /// Panics if the configurations differ.
+    /// Merges another histogram into this one. Counts, totals, min/max
+    /// merge exactly; `sum` (and so `mean`) is subject to float-addition
+    /// ordering, which plan-order sweep reduction makes deterministic.
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        assert!(
-            self.edges.len() == other.edges.len()
-                && (self.growth - other.growth).abs() < 1e-12
-                && (self.edges[0] - other.edges[0]).abs() < 1e-12,
-            "incompatible streaming-histogram configurations"
-        );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -351,22 +301,19 @@ impl StreamingHistogram {
 
     /// Serializes the full histogram state to a canonical byte string.
     ///
-    /// The encoding stores the configuration (`rel_err`, floor, last
-    /// edge) plus the moments and a sparse `(bucket, count)` list, all
-    /// little-endian, so the blob is a pure function of the histogram
-    /// state — equal histograms encode to equal bytes on every host.
-    /// [`from_bytes`](Self::from_bytes) rebuilds the edge table by
-    /// re-running the constructor's multiplication chain (or, for the
-    /// default configuration, reuses the shared table that chain
-    /// produced), which reproduces the exact same floats; the round
-    /// trip is the identity under `==`.
+    /// The encoding stores the layout header (relative error, floor,
+    /// last edge) plus the moments and a sparse `(bucket, count)` list,
+    /// all little-endian, so the blob is a pure function of the
+    /// histogram state — equal histograms encode to equal bytes on
+    /// every host. The round trip through
+    /// [`from_bytes`](Self::from_bytes) is the identity under `==`.
     pub fn to_bytes(&self) -> Vec<u8> {
         let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
         let mut out = Vec::with_capacity(4 + 8 * 7 + nonzero * 12);
         out.extend_from_slice(MAGIC);
-        codec::put_f64(&mut out, self.rel_err);
-        codec::put_f64(&mut out, self.edges[0]);
-        codec::put_f64(&mut out, self.edges[self.edges.len() - 1]);
+        codec::put_f64(&mut out, RELATIVE_ERROR);
+        codec::put_f64(&mut out, self.floor());
+        codec::put_f64(&mut out, self.cap());
         codec::put_u64(&mut out, self.total);
         codec::put_f64(&mut out, self.sum);
         codec::put_f64(&mut out, self.min);
@@ -383,6 +330,10 @@ impl StreamingHistogram {
 
     /// Reconstructs a histogram from [`to_bytes`](Self::to_bytes)
     /// output. The result compares equal to the encoded histogram.
+    ///
+    /// # Errors
+    /// [`DecodeError::Corrupt`] if the header is not the one layout's,
+    /// bit for bit, or the payload is inconsistent.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(bytes);
         let h = Self::read_from(&mut r)?;
@@ -396,23 +347,10 @@ impl StreamingHistogram {
     /// used by `ResponseStats` snapshots).
     pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         r.expect_magic(MAGIC)?;
-        let rel_err = r.f64()?;
-        let floor = r.f64()?;
-        let last_edge = r.f64()?;
-        if !(rel_err > 0.0 && rel_err <= 0.5) {
-            return Err(DecodeError::Corrupt("relative error out of range"));
-        }
-        if !(floor > 0.0 && floor < last_edge && last_edge.is_finite()) {
-            return Err(DecodeError::Corrupt("edge range invalid"));
-        }
-        // `with_config` stops as soon as an edge reaches the cap, so
-        // passing the original last edge back in regenerates exactly
-        // the original edge table (same multiplications, same floats);
-        // for a default histogram it is the shared default table, whose
-        // last edge the check below then compares against.
-        let mut h = Self::with_config(rel_err, floor, last_edge);
-        if h.edges[h.edges.len() - 1] != last_edge {
-            return Err(DecodeError::Corrupt("edge table does not regenerate"));
+        let header = [r.f64()?, r.f64()?, r.f64()?];
+        let mut h = Self::new();
+        if header.map(f64::to_bits) != [RELATIVE_ERROR, h.floor(), h.cap()].map(f64::to_bits) {
+            return Err(DecodeError::Corrupt("not the histogram layout"));
         }
         h.total = r.u64()?;
         h.sum = r.f64()?;
@@ -450,59 +388,53 @@ impl StreamingHistogram {
     }
 }
 
-/// A bucket layout: the edge table and its exponent index.
-type Layout = (Arc<[f64]>, Arc<[u32]>);
+/// The bucket layout every histogram shares: the edge table and its
+/// exponent index, built once per process.
+#[derive(Debug)]
+struct Layout {
+    /// Upper bucket edges: `edges[0] = FLOOR`, `edges[i] = FLOOR·g^i`
+    /// with `g = (1 + RELATIVE_ERROR)^2`, strictly increasing, last
+    /// edge ≥ `CAP`.
+    edges: Arc<[f64]>,
+    /// First-edge index per f64 binary exponent: `exp_index[e]` is the
+    /// number of edges below the smallest value whose biased exponent
+    /// is `e` (entry 2048 = `edges.len()`, the bound for infinities).
+    /// Narrows [`StreamingHistogram::record`]'s search to one octave —
+    /// ~`ln 2 / ln(g)` edges — instead of the whole edge array.
+    exp_index: Arc<[u32]>,
+}
 
-/// Builds the bucket layout for `[floor, cap]` at growth `growth`.
-fn build_layout(growth: f64, floor: f64, cap: f64) -> Layout {
-    let mut edges = vec![floor];
-    let mut edge = floor;
-    while edge < cap {
-        edge *= growth;
-        edges.push(edge);
+impl Layout {
+    /// The shared layout, built on first use.
+    fn get() -> &'static Layout {
+        static LAYOUT: OnceLock<Layout> = OnceLock::new();
+        LAYOUT.get_or_init(Layout::build)
     }
-    // exp_index[e] = edges.partition_point(< 2^(e-1023)); the bit
-    // pattern `e << 52` IS that power of two (0.0 for e = 0, +inf
-    // for e = 2047), so one table covers subnormals through inf.
-    let exp_index = (0..=2048u64)
-        .map(|e| {
-            let boundary = f64::from_bits(e.min(2047) << 52);
-            let idx = if e == 2048 {
-                edges.len()
-            } else {
-                edges.partition_point(|&x| x < boundary)
-            };
-            idx as u32
-        })
-        .collect();
-    (edges.into(), exp_index)
-}
 
-/// The default configuration's layout, built once per process. It is
-/// an immutable function of the default constants, so sharing it
-/// changes no histogram's behavior — only the ~1 040-edge rebuild and
-/// its 16 KiB per histogram go away.
-fn default_layout() -> &'static Layout {
-    static DEFAULT: OnceLock<Layout> = OnceLock::new();
-    DEFAULT.get_or_init(|| {
-        let growth = (1.0 + DEFAULT_RELATIVE_ERROR) * (1.0 + DEFAULT_RELATIVE_ERROR);
-        build_layout(growth, DEFAULT_FLOOR, DEFAULT_CAP)
-    })
-}
-
-/// The shared default layout, if `(rel_err, floor, cap)` regenerates
-/// it: same error bound and floor, and a cap that stops the edge
-/// chain on the default table's last edge — above the second-to-last
-/// edge and at most the last. That holds for `DEFAULT_CAP` and for
-/// the decoded last edge of a default histogram alike.
-fn shared_layout(rel_err: f64, floor: f64, cap: f64) -> Option<Layout> {
-    let (edges, exp_index) = default_layout();
-    let n = edges.len();
-    let regenerates = rel_err.to_bits() == DEFAULT_RELATIVE_ERROR.to_bits()
-        && floor.to_bits() == DEFAULT_FLOOR.to_bits()
-        && edges[n - 2] < cap
-        && cap <= edges[n - 1];
-    regenerates.then(|| (Arc::clone(edges), Arc::clone(exp_index)))
+    fn build() -> Layout {
+        let growth = (1.0 + RELATIVE_ERROR) * (1.0 + RELATIVE_ERROR);
+        let mut edges = vec![FLOOR];
+        let mut edge = FLOOR;
+        while edge < CAP {
+            edge *= growth;
+            edges.push(edge);
+        }
+        // exp_index[e] = edges.partition_point(< 2^(e-1023)); the bit
+        // pattern `e << 52` IS that power of two (0.0 for e = 0, +inf
+        // for e = 2047), so one table covers subnormals through inf.
+        let exp_index = (0..=2048u64)
+            .map(|e| {
+                let boundary = f64::from_bits(e.min(2047) << 52);
+                let idx = if e == 2048 {
+                    edges.len()
+                } else {
+                    edges.partition_point(|&x| x < boundary)
+                };
+                idx as u32
+            })
+            .collect();
+        Layout { edges: edges.into(), exp_index }
+    }
 }
 
 impl Default for StreamingHistogram {
@@ -523,7 +455,7 @@ mod tests {
         // zero, sub-floor, and above-cap samples.
         let mut h = StreamingHistogram::new();
         let mut rng = crate::Rng64::new(7);
-        let mut probes = vec![0.0, 1e-9, DEFAULT_FLOOR, DEFAULT_CAP, 2.0 * DEFAULT_CAP];
+        let mut probes = vec![0.0, 1e-9, FLOOR, CAP, 2.0 * CAP];
         probes.extend(h.edges.iter().step_by(97).copied());
         for _ in 0..2_000 {
             let mag = rng.f64() * 24.0 - 12.0;
@@ -552,8 +484,8 @@ mod tests {
     #[test]
     fn default_range_and_size() {
         let h = StreamingHistogram::new();
-        assert!(h.floor() <= DEFAULT_FLOOR);
-        assert!(h.cap() >= DEFAULT_CAP);
+        assert!(h.floor() <= FLOOR);
+        assert!(h.cap() >= CAP);
         // ln(1e9) / ln(1.01^2) ≈ 1 042 buckets — bounded memory.
         assert!(h.buckets() < 1_200, "{} buckets", h.buckets());
     }
@@ -660,14 +592,29 @@ mod tests {
         assert_eq!(back.to_bytes(), h.to_bytes());
     }
 
+    /// `h`'s encoding with the header field at `offset` (4: relative
+    /// error, 12: floor, 20: last edge) replaced by `value`.
+    fn with_header_field(h: &StreamingHistogram, offset: usize, value: f64) -> Vec<u8> {
+        let mut bytes = h.to_bytes();
+        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn bytes_round_trip_empty_and_custom_config() {
-        for h in [
-            StreamingHistogram::new(),
-            StreamingHistogram::with_config(0.05, 0.5, 300.0),
-        ] {
-            let back = StreamingHistogram::from_bytes(&h.to_bytes()).unwrap();
-            assert_eq!(back, h);
+        let empty = StreamingHistogram::new();
+        let back = StreamingHistogram::from_bytes(&empty.to_bytes()).unwrap();
+        assert_eq!(back, empty);
+        assert_eq!(back.to_bytes(), empty.to_bytes());
+        // Any other layout's header is not decoded onto this one, not
+        // even one whose edge chain would never end: (1 + 1e-17)^2
+        // rounds to 1.0.
+        for (offset, value) in [(4, 0.02), (4, 1e-17), (12, 0.5), (20, 300.0)] {
+            assert_eq!(
+                StreamingHistogram::from_bytes(&with_header_field(&empty, offset, value)),
+                Err(DecodeError::Corrupt("not the histogram layout")),
+                "header field at byte {offset} = {value}"
+            );
         }
     }
 
@@ -686,42 +633,21 @@ mod tests {
     }
 
     #[test]
-    fn default_layout_is_shared_and_custom_is_not() {
+    fn every_histogram_shares_one_layout() {
         let a = StreamingHistogram::new();
-        let b = StreamingHistogram::with_config(DEFAULT_RELATIVE_ERROR, DEFAULT_FLOOR, DEFAULT_CAP);
         let mut recorded = StreamingHistogram::new();
         recorded.record(2.5);
         let decoded = StreamingHistogram::from_bytes(&recorded.to_bytes()).unwrap();
-        for h in [&b, &recorded, &decoded] {
+        for h in [&recorded, &decoded] {
             assert!(Arc::ptr_eq(&a.edges, &h.edges));
             assert!(Arc::ptr_eq(&a.exp_index, &h.exp_index));
         }
-        assert_eq!(a, b);
         assert_eq!(decoded, recorded);
         // The shared table is exactly what the multiplication chain
-        // builds for the default configuration.
-        let growth = (1.0 + DEFAULT_RELATIVE_ERROR) * (1.0 + DEFAULT_RELATIVE_ERROR);
-        let (edges, exp_index) = build_layout(growth, DEFAULT_FLOOR, DEFAULT_CAP);
-        assert_eq!(edges, a.edges);
-        assert_eq!(exp_index, a.exp_index);
-
-        let custom = StreamingHistogram::with_config(0.05, 0.5, 300.0);
-        assert!(!Arc::ptr_eq(&a.edges, &custom.edges));
-        let other_err = StreamingHistogram::with_relative_error(0.02);
-        assert!(!Arc::ptr_eq(&a.edges, &other_err.edges));
-        assert_ne!(a, other_err);
-        // A larger cap extends the chain past the default table.
-        let wider =
-            StreamingHistogram::with_config(DEFAULT_RELATIVE_ERROR, DEFAULT_FLOOR, 2.0 * DEFAULT_CAP);
-        assert!(!Arc::ptr_eq(&a.edges, &wider.edges));
-        assert!(wider.buckets() > a.buckets());
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible")]
-    fn merge_rejects_mismatched_config() {
-        let mut a = StreamingHistogram::with_relative_error(0.01);
-        let b = StreamingHistogram::with_relative_error(0.05);
-        a.merge(&b);
+        // builds.
+        let built = Layout::build();
+        assert_eq!(built.edges, a.edges);
+        assert_eq!(built.exp_index, a.exp_index);
+        assert_eq!(a.relative_error(), RELATIVE_ERROR);
     }
 }

@@ -188,7 +188,7 @@ const DEFAULT_IGNORES: &[&str] = &["target", ".git", "crates/simlint/tests/fixtu
 /// The skip list for a workspace walk.
 ///
 /// Loaded from `<root>/.simlintignore` (one entry per line, `#`
-/// comments); falls back to [`DEFAULT_IGNORES`]. An entry containing
+/// comments); falls back to `DEFAULT_IGNORES`. An entry containing
 /// `/` is anchored at the workspace root and skips that exact path
 /// (and everything under it); a bare name skips any directory with
 /// that name at any depth.

@@ -264,11 +264,6 @@ impl TraceAnalysis {
         analysis
     }
 
-    /// True if the recorder evicted events before analysis.
-    pub fn is_truncated(&self) -> bool {
-        self.dropped > 0
-    }
-
     /// The analysis for `scope`, if that scope emitted anything.
     pub fn scope(&self, scope: u32) -> Option<&ScopeAnalysis> {
         self.scopes.get(&scope)
@@ -487,14 +482,13 @@ mod tests {
         }
         let a = TraceAnalysis::from_recorder(&r);
         assert_eq!(a.dropped, 4);
-        assert!(a.is_truncated());
         let text = a.render_text();
         assert!(text.contains("WARNING: 4 event(s) dropped"));
         // An intact recorder analyzes clean.
         let mut intact = RingRecorder::new();
         intact.record(SimTime::ZERO, TraceEvent::Complete { req: 0 });
         let a = TraceAnalysis::from_recorder(&intact);
-        assert!(!a.is_truncated());
+        assert_eq!(a.dropped, 0);
         assert!(!a.render_text().contains("WARNING"));
     }
 

@@ -40,8 +40,9 @@ use std::collections::BTreeMap;
 
 use simkit::{Histogram, SimDuration, SimTime, StreamingHistogram};
 
-/// Default gauge sampling cadence (virtual time between snapshots).
-pub const DEFAULT_CADENCE: SimDuration = SimDuration::from_nanos(100_000_000); // 100 ms
+/// Gauge sampling cadence (virtual time between snapshots) until a
+/// series first fills up.
+pub const CADENCE: SimDuration = SimDuration::from_nanos(100_000_000); // 100 ms
 
 /// Cap on retained samples per gauge series. When a series fills up it
 /// is decimated (every second sample dropped) and the effective
@@ -167,7 +168,6 @@ struct HistogramMetric {
 /// streaming histograms, sampled on a virtual-time cadence.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    cadence: SimDuration,
     // simlint: allow(unbounded-sim-state) — grows only at metric
     // registration (a fixed, setup-time vocabulary of keys); recording
     // into an existing metric never allocates. Same for the five
@@ -187,20 +187,10 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry with the default sampling cadence.
-    pub fn new() -> Self {
-        Self::with_cadence(DEFAULT_CADENCE)
-    }
-
-    /// Creates an empty registry sampling gauges every `cadence` of
+    /// Creates an empty registry sampling gauges every [`CADENCE`] of
     /// virtual time.
-    ///
-    /// # Panics
-    /// Panics if `cadence` is zero.
-    pub fn with_cadence(cadence: SimDuration) -> Self {
-        assert!(!cadence.is_zero(), "cadence must be positive");
+    pub fn new() -> Self {
         MetricsRegistry {
-            cadence,
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
@@ -243,7 +233,7 @@ impl MetricsRegistry {
             max: 0.0,
             series: Vec::new(),
             next_sample: SimTime::ZERO,
-            cadence: self.cadence,
+            cadence: CADENCE,
         });
         GaugeId(i)
     }
@@ -281,12 +271,6 @@ impl MetricsRegistry {
     /// cadence samples due.
     pub fn set_gauge(&mut self, id: GaugeId, t: SimTime, value: f64) {
         self.gauges[id.0].set(t, value);
-    }
-
-    /// Adds `delta` to a gauge's current value at instant `t`.
-    pub fn add_gauge(&mut self, id: GaugeId, t: SimTime, delta: f64) {
-        let cur = self.gauges[id.0].current;
-        self.gauges[id.0].set(t, cur + delta);
     }
 
     /// Records one histogram sample.
@@ -449,35 +433,41 @@ mod tests {
 
     #[test]
     fn gauge_time_weighted_mean_and_series() {
-        let mut r = MetricsRegistry::with_cadence(SimDuration::from_millis(10.0));
+        let mut r = MetricsRegistry::new();
         let g = r.gauge(key("depth"), "queue depth");
-        // 0 until 10 ms, 4 until 30 ms, 1 until 40 ms.
-        r.set_gauge(g, SimTime::from_millis(10.0), 4.0);
-        r.set_gauge(g, SimTime::from_millis(30.0), 1.0);
-        r.finalize(SimTime::from_millis(40.0));
+        // 0 until 100 ms, 4 until 300 ms, 1 until 400 ms.
+        r.set_gauge(g, SimTime::from_millis(100.0), 4.0);
+        r.set_gauge(g, SimTime::from_millis(300.0), 1.0);
+        r.finalize(SimTime::from_millis(400.0));
         let s = r.snapshot();
         let gs = &s.gauges[0];
-        // (0·10 + 4·20 + 1·10) / 40 = 2.25
+        // (0·100 + 4·200 + 1·100) / 400 = 2.25
         assert!((gs.time_weighted_mean - 2.25).abs() < 1e-12);
         assert_eq!(gs.max, 4.0);
         assert_eq!(gs.last, 1.0);
-        // Left-continuous samples at 0,10,20,30,40 ms.
+        // Left-continuous samples at 0,100,200,300,400 ms, one per
+        // CADENCE.
         let vals: Vec<f64> = gs.series.iter().map(|&(_, v)| v).collect();
         assert_eq!(vals, vec![0.0, 0.0, 4.0, 4.0, 1.0]);
     }
 
     #[test]
     fn gauge_series_is_bounded_by_decimation() {
-        let mut r = MetricsRegistry::with_cadence(SimDuration::from_millis(1.0));
+        let mut r = MetricsRegistry::new();
         let g = r.gauge(key("depth"), "queue depth");
+        // One change per cadence step, for four series' worth of steps:
+        // the series must decimate, doubling the cadence, at least twice.
+        let step = CADENCE.as_millis();
         for i in 0..(MAX_SERIES_SAMPLES as u64 * 4) {
-            r.set_gauge(g, SimTime::from_millis(i as f64), (i % 7) as f64);
+            r.set_gauge(g, SimTime::from_millis(i as f64 * step), (i % 7) as f64);
         }
         let s = r.snapshot();
         assert!(s.gauges[0].series.len() <= MAX_SERIES_SAMPLES + 1);
         // Samples stay strictly increasing in time after decimation.
         let ser = &s.gauges[0].series;
         assert!(ser.windows(2).all(|w| w[0].0 < w[1].0));
+        let last_step = ser[ser.len() - 1].0.saturating_since(ser[ser.len() - 2].0);
+        assert!(last_step.as_nanos() >= 4 * CADENCE.as_nanos(), "{last_step:?}");
     }
 
     #[test]

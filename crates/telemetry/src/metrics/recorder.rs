@@ -73,16 +73,10 @@ pub struct MetricsRecorder {
 }
 
 impl MetricsRecorder {
-    /// Creates a recorder around a default-cadence registry.
+    /// Creates a recorder around an empty registry.
     pub fn new() -> Self {
-        Self::with_registry(MetricsRegistry::new())
-    }
-
-    /// Creates a recorder around a caller-configured registry (custom
-    /// cadence, pre-registered experiment-level metrics, ...).
-    pub fn with_registry(registry: MetricsRegistry) -> Self {
         MetricsRecorder {
-            registry,
+            registry: MetricsRegistry::new(),
             scopes: BTreeMap::new(),
             inflight: BTreeMap::new(),
             seeking: BTreeMap::new(),
@@ -100,12 +94,6 @@ impl MetricsRecorder {
     /// drained run).
     pub fn in_flight(&self) -> usize {
         self.inflight.len()
-    }
-
-    /// Direct access to the underlying registry, for experiment-level
-    /// metrics that don't come from trace events.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
     }
 
     /// Finalizes gauge integrals at the latest observed instant and

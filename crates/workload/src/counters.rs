@@ -1,7 +1,7 @@
 //! Deterministic workload-ingestion counters.
 //!
-//! One counter: requests pulled through [`CountingSource`]
-//! (`crate::source::CountingSource`) wrappers. A pure function of the
+//! One counter: requests pulled through
+//! [`CountingSource`](crate::CountingSource) wrappers. A pure function of the
 //! workload spec, so the exported total is byte-identical across runs,
 //! hosts, and `--jobs`.
 

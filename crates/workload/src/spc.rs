@@ -21,6 +21,13 @@
 //! in [`crate::profiles`] exist only because the originals are not
 //! redistributable.
 //!
+//! Every line is checked at this boundary: a field that does not
+//! parse, an address or size past what the simulator can address, a
+//! timestamp that is not finite or lies past the simulation clock, and
+//! an ASU set whose concatenation overflows the sector space are each a
+//! [`ParseSpcError`] naming the line and its [`SpcErrorKind`], so a
+//! replay never starts on input it cannot represent.
+//!
 //! Two ingestion paths share the same parser:
 //!
 //! * [`read_trace`] materializes a [`Trace`] (small traces, tests).
@@ -59,24 +66,66 @@ pub struct SpcRecord {
     pub arrival: SimTime,
 }
 
+/// Timestamps must lie in the first half of the simulation clock
+/// (2^63 ns, about 292 years), which leaves the replay the second half
+/// to finish in.
+const MAX_TIMESTAMP_S: f64 = (1u64 << 63) as f64 / 1e9;
+
+/// What is wrong with an SPC line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpcErrorKind {
+    /// A field is missing or does not parse, or the size is zero.
+    Malformed,
+    /// The request's last sector, `LBA + ⌈Size / 512⌉`, is past `u64`.
+    LbaOverflow,
+    /// The request spans more than `u32::MAX` sectors.
+    SizeOverflow,
+    /// The timestamp is NaN or infinite.
+    NonFiniteTimestamp,
+    /// The timestamp is negative.
+    NegativeTimestamp,
+    /// The timestamp lies past the simulation clock's range.
+    TimestampOverflow,
+    /// The ASUs, laid back to back, overflow the `u64` sector space.
+    AddressSpaceOverflow,
+    /// The file could not be opened or read.
+    Io,
+}
+
 /// Error parsing an SPC trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseSpcError {
     line: usize,
+    kind: SpcErrorKind,
     message: String,
 }
 
 impl ParseSpcError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
+    fn new(line: usize, kind: SpcErrorKind, message: impl Into<String>) -> Self {
         ParseSpcError {
             line,
+            kind,
             message: message.into(),
         }
     }
 
-    /// 1-based line number the error occurred on.
+    fn malformed(line: usize, message: impl Into<String>) -> Self {
+        Self::new(line, SpcErrorKind::Malformed, message)
+    }
+
+    fn io(line: usize, e: std::io::Error) -> Self {
+        Self::new(line, SpcErrorKind::Io, format!("I/O error: {e}"))
+    }
+
+    /// 1-based line number the error occurred on (0 for a file that
+    /// could not be opened).
     pub fn line(&self) -> usize {
         self.line
+    }
+
+    /// What is wrong with the line.
+    pub fn kind(&self) -> SpcErrorKind {
+        self.kind
     }
 }
 
@@ -95,32 +144,61 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<SpcRecord, ParseSpcError>
         fields
             .next()
             .filter(|s| !s.is_empty())
-            .ok_or_else(|| ParseSpcError::new(lineno, format!("missing {what} field")))
+            .ok_or_else(|| ParseSpcError::malformed(lineno, format!("missing {what} field")))
     };
     let asu = next("ASU")?
         .parse::<u32>()
-        .map_err(|e| ParseSpcError::new(lineno, format!("bad ASU: {e}")))?;
+        .map_err(|e| ParseSpcError::malformed(lineno, format!("bad ASU: {e}")))?;
     let lba = next("LBA")?
         .parse::<u64>()
-        .map_err(|e| ParseSpcError::new(lineno, format!("bad LBA: {e}")))?;
+        .map_err(|e| ParseSpcError::malformed(lineno, format!("bad LBA: {e}")))?;
     let bytes = next("Size")?
         .parse::<u64>()
-        .map_err(|e| ParseSpcError::new(lineno, format!("bad size: {e}")))?;
+        .map_err(|e| ParseSpcError::malformed(lineno, format!("bad size: {e}")))?;
     if bytes == 0 {
-        return Err(ParseSpcError::new(lineno, "zero-byte request"));
+        return Err(ParseSpcError::malformed(lineno, "zero-byte request"));
+    }
+    let sectors = bytes.div_ceil(512);
+    if sectors > u64::from(u32::MAX) {
+        return Err(ParseSpcError::new(
+            lineno,
+            SpcErrorKind::SizeOverflow,
+            format!("{bytes}-byte request spans more than {} sectors", u32::MAX),
+        ));
+    }
+    if lba.checked_add(sectors).is_none() {
+        return Err(ParseSpcError::new(
+            lineno,
+            SpcErrorKind::LbaOverflow,
+            format!("request of {sectors} sectors at LBA {lba} ends past the last addressable sector"),
+        ));
     }
     let kind = match next("Opcode")? {
         "r" | "R" => IoKind::Read,
         "w" | "W" => IoKind::Write,
         other => {
-            return Err(ParseSpcError::new(lineno, format!("bad opcode {other:?}")));
+            return Err(ParseSpcError::malformed(lineno, format!("bad opcode {other:?}")));
         }
     };
     let secs = next("Timestamp")?
         .parse::<f64>()
-        .map_err(|e| ParseSpcError::new(lineno, format!("bad timestamp: {e}")))?;
-    if !(secs.is_finite() && secs >= 0.0) {
-        return Err(ParseSpcError::new(lineno, "negative timestamp"));
+        .map_err(|e| ParseSpcError::malformed(lineno, format!("bad timestamp: {e}")))?;
+    if !secs.is_finite() {
+        return Err(ParseSpcError::new(
+            lineno,
+            SpcErrorKind::NonFiniteTimestamp,
+            format!("timestamp {secs} is not finite"),
+        ));
+    }
+    if secs < 0.0 {
+        return Err(ParseSpcError::new(lineno, SpcErrorKind::NegativeTimestamp, "negative timestamp"));
+    }
+    if secs > MAX_TIMESTAMP_S {
+        return Err(ParseSpcError::new(
+            lineno,
+            SpcErrorKind::TimestampOverflow,
+            format!("timestamp {secs} s is past the simulation clock's {MAX_TIMESTAMP_S:.0} s"),
+        ));
     }
     Ok(SpcRecord {
         asu,
@@ -149,34 +227,94 @@ pub fn read_trace(
     asu_align: u64,
     max_requests: Option<usize>,
 ) -> Result<Trace, ParseSpcError> {
-    assert!(asu_align > 0, "alignment must be positive");
+    let mut extents = Extents::new(asu_align);
     let mut records = Vec::new();
     for (i, line) in reader.lines().enumerate() {
         let lineno = i + 1;
-        let line = line.map_err(|e| ParseSpcError::new(lineno, format!("I/O error: {e}")))?;
+        let line = line.map_err(|e| ParseSpcError::io(lineno, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        records.push(parse_line(trimmed, lineno)?);
+        let record = parse_line(trimmed, lineno)?;
+        extents.observe(&record, lineno)?;
+        records.push((record, lineno));
         if let Some(max) = max_requests {
             if records.len() >= max {
                 break;
             }
         }
     }
-    Ok(concatenate(name, &records, asu_align))
-}
-
-/// Concatenates parsed records into a single-volume [`Trace`].
-pub fn concatenate(name: &str, records: &[SpcRecord], asu_align: u64) -> Trace {
-    let layout = AsuLayout::from_records(records, asu_align);
+    let layout = extents.into_layout();
     let requests = records
         .iter()
         .enumerate()
-        .map(|(i, r)| layout.place(i as u64, r))
-        .collect();
-    Trace::new(name, requests, layout.footprint_sectors())
+        .map(|(i, (r, lineno))| layout.place(i as u64, r, *lineno))
+        .collect::<Result<_, _>>()?;
+    Ok(Trace::new(name, requests, layout.footprint_sectors()))
+}
+
+/// Per-ASU extents (the end of each ASU's furthest request) and the
+/// aligned total they concatenate to, checked line by line so an
+/// overflowing layout names the line that overflowed it.
+struct Extents {
+    // simlint: allow(unbounded-sim-state) — one entry per ASU, the
+    // O(#ASUs) state the layout needs; lives for one scan.
+    sizes: BTreeMap<u32, u64>,
+    align: u64,
+    /// Σ over ASUs of the extent rounded up to `align`.
+    total: u64,
+}
+
+impl Extents {
+    fn new(align: u64) -> Self {
+        assert!(align > 0, "alignment must be positive");
+        Extents {
+            sizes: BTreeMap::new(),
+            align,
+            total: 0,
+        }
+    }
+
+    /// Grows `r`'s ASU to cover it. `r` came from [`parse_line`], so
+    /// its end sector fits in a `u64`.
+    fn observe(&mut self, r: &SpcRecord, lineno: usize) -> Result<(), ParseSpcError> {
+        let end = r.lba + r.bytes.div_ceil(512);
+        let size = self.sizes.entry(r.asu).or_insert(0);
+        if end <= *size {
+            return Ok(());
+        }
+        let align = self.align;
+        let aligned = |s: u64| s.div_ceil(align).checked_mul(align);
+        // The old extent's aligned size is already part of the total.
+        let old = aligned(*size).unwrap_or(0);
+        let total = aligned(end).and_then(|new| (self.total - old).checked_add(new));
+        let Some(total) = total else {
+            return Err(ParseSpcError::new(
+                lineno,
+                SpcErrorKind::AddressSpaceOverflow,
+                format!("ASU {} extended to {end} sectors overflows the concatenated address space", r.asu),
+            ));
+        };
+        *size = end;
+        self.total = total;
+        Ok(())
+    }
+
+    /// Lays the ASUs out back to back in ASU order.
+    fn into_layout(self) -> AsuLayout {
+        let mut bases = BTreeMap::new();
+        let mut base = 0u64;
+        for (asu, size) in self.sizes {
+            bases.insert(asu, base);
+            // No overflow: the running sum never exceeds `self.total`.
+            base += size.div_ceil(self.align) * self.align;
+        }
+        AsuLayout {
+            bases,
+            footprint: base.max(1),
+        }
+    }
 }
 
 /// The concatenated address-space layout of a trace's ASUs: each ASU is
@@ -194,67 +332,36 @@ pub struct AsuLayout {
 }
 
 impl AsuLayout {
-    /// Builds the layout from already-parsed records.
-    ///
-    /// # Panics
-    /// Panics if `asu_align == 0`.
-    pub fn from_records(records: &[SpcRecord], asu_align: u64) -> Self {
-        let mut sizes = BTreeMap::new();
-        records
-            .iter()
-            .for_each(|r| Self::observe(&mut sizes, r));
-        Self::from_sizes(sizes, asu_align)
-    }
-
     /// Builds the layout by scanning an SPC reader line by line
     /// (bounded memory: only per-ASU maxima are kept). Honors the same
     /// comment/blank-line and `max_requests` rules as [`read_trace`],
     /// so the layout matches what `read_trace` would compute.
     ///
     /// # Errors
-    /// Returns the first malformed line, or an I/O error at its line.
+    /// Returns the first malformed line (including the line whose ASU
+    /// extent overflows the concatenated address space), or an I/O
+    /// error at its line.
     pub fn scan(
         reader: impl BufRead,
         asu_align: u64,
         max_requests: Option<usize>,
     ) -> Result<Self, ParseSpcError> {
-        assert!(asu_align > 0, "alignment must be positive");
-        let mut sizes = BTreeMap::new();
+        let mut extents = Extents::new(asu_align);
         let mut seen = 0usize;
         for (i, line) in reader.lines().enumerate() {
             let lineno = i + 1;
-            let line = line.map_err(|e| ParseSpcError::new(lineno, format!("I/O error: {e}")))?;
+            let line = line.map_err(|e| ParseSpcError::io(lineno, e))?;
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            Self::observe(&mut sizes, &parse_line(trimmed, lineno)?);
+            extents.observe(&parse_line(trimmed, lineno)?, lineno)?;
             seen += 1;
             if max_requests.is_some_and(|max| seen >= max) {
                 break;
             }
         }
-        Ok(Self::from_sizes(sizes, asu_align))
-    }
-
-    fn observe(sizes: &mut BTreeMap<u32, u64>, r: &SpcRecord) {
-        let end = r.lba + r.bytes.div_ceil(512);
-        let e = sizes.entry(r.asu).or_insert(0);
-        *e = (*e).max(end);
-    }
-
-    fn from_sizes(sizes: BTreeMap<u32, u64>, asu_align: u64) -> Self {
-        assert!(asu_align > 0, "alignment must be positive");
-        let mut bases = BTreeMap::new();
-        let mut base = 0u64;
-        for (asu, size) in sizes {
-            bases.insert(asu, base);
-            base += size.div_ceil(asu_align) * asu_align;
-        }
-        AsuLayout {
-            bases,
-            footprint: base.max(1),
-        }
+        Ok(extents.into_layout())
     }
 
     /// Concatenated base address of an ASU, if it appeared in the scan.
@@ -267,13 +374,22 @@ impl AsuLayout {
         self.footprint
     }
 
-    /// Maps a record into the concatenated space. ASUs absent from the
-    /// layout land at base 0 (cannot happen when the layout was built
-    /// from the same records).
-    fn place(&self, id: u64, r: &SpcRecord) -> IoRequest {
-        let sectors = r.bytes.div_ceil(512).max(1) as u32;
+    /// Maps a record from line `lineno` into the concatenated space.
+    /// ASUs absent from the layout land at base 0; a layout built from
+    /// the same lines holds every ASU and every address, so only a
+    /// layout scanned from other lines can fail here.
+    fn place(&self, id: u64, r: &SpcRecord, lineno: usize) -> Result<IoRequest, ParseSpcError> {
+        // `parse_line` bounds the sector count by `u32::MAX`.
+        let sectors = r.bytes.div_ceil(512) as u32;
         let base = self.base(r.asu).unwrap_or(0);
-        IoRequest::new(id, r.arrival, base + r.lba, sectors, r.kind)
+        let lba = base.checked_add(r.lba).ok_or_else(|| {
+            ParseSpcError::new(
+                lineno,
+                SpcErrorKind::AddressSpaceOverflow,
+                format!("LBA {} of ASU {} lies past the layout's address space", r.lba, r.asu),
+            )
+        })?;
+        Ok(IoRequest::new(id, r.arrival, lba, sectors, r.kind))
     }
 }
 
@@ -356,7 +472,9 @@ impl SpcSource<BufReader<File>> {
         let open = |p: &Path| {
             File::open(p)
                 .map(BufReader::new)
-                .map_err(|e| ParseSpcError::new(0, format!("open {}: {e}", p.display())))
+                .map_err(|e| {
+                    ParseSpcError::new(0, SpcErrorKind::Io, format!("open {}: {e}", p.display()))
+                })
         };
         let layout = AsuLayout::scan(open(path)?, asu_align, max_requests)?;
         Ok(SpcSource::new(open(path)?, layout, name, max_requests))
@@ -376,8 +494,7 @@ impl<R: BufRead> RequestSource for SpcSource<R> {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(e) => {
-                    self.error =
-                        Some(ParseSpcError::new(self.lineno, format!("I/O error: {e}")));
+                    self.error = Some(ParseSpcError::io(self.lineno, e));
                     return None;
                 }
             }
@@ -385,14 +502,15 @@ impl<R: BufRead> RequestSource for SpcSource<R> {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let record = match parse_line(trimmed, self.lineno) {
-                Ok(r) => r,
+            let placed = parse_line(trimmed, self.lineno)
+                .and_then(|record| self.layout.place(self.next_id, &record, self.lineno));
+            let mut req = match placed {
+                Ok(req) => req,
                 Err(e) => {
                     self.error = Some(e);
                     return None;
                 }
             };
-            let mut req = self.layout.place(self.next_id, &record);
             // Clamp stray backwards timestamps (see type docs).
             req.arrival = req.arrival.max(self.last_arrival);
             self.last_arrival = req.arrival;
@@ -444,17 +562,33 @@ mod tests {
     }
 
     #[test]
+    fn accepts_the_largest_representable_request() {
+        // u32::MAX sectors ending on the last u64 sector, in the last
+        // accepted second.
+        let r = parse_line("0,18446744069414584320,2199023255040,r,9200000000", 1).unwrap();
+        assert_eq!(r.lba.checked_add(r.bytes / 512), Some(u64::MAX));
+        assert_eq!(r.bytes / 512, u64::from(u32::MAX));
+    }
+
+    #[test]
     fn rejects_malformed_lines() {
-        for bad in [
-            "",
-            "0,5,1024,R",          // missing timestamp
-            "x,5,1024,R,0.1",      // bad ASU
-            "0,5,0,R,0.1",         // zero bytes
-            "0,5,1024,q,0.1",      // bad opcode
-            "0,5,1024,R,-1.0",     // negative time
+        use SpcErrorKind::*;
+        for (bad, kind) in [
+            ("", Malformed),
+            ("0,5,1024,R", Malformed),      // missing timestamp
+            ("x,5,1024,R,0.1", Malformed),  // bad ASU
+            ("0,5,0,R,0.1", Malformed),     // zero bytes
+            ("0,5,1024,q,0.1", Malformed),  // bad opcode
+            ("0,5,1024,R,-1.0", NegativeTimestamp),
+            ("0,18446744073709551615,4096,r,0.0", LbaOverflow),
+            ("0,0,9999999999999,r,0.0", SizeOverflow),
+            ("0,0,2199023255041,r,0.0", SizeOverflow), // u32::MAX sectors + 1 byte
+            ("0,0,4096,r,1e300", TimestampOverflow),
+            ("0,0,4096,r,inf", NonFiniteTimestamp),
+            ("0,0,4096,r,NaN", NonFiniteTimestamp),
         ] {
             let err = parse_line(bad, 7).unwrap_err();
-            assert_eq!(err.line(), 7, "{bad}");
+            assert_eq!((err.line(), err.kind()), (7, kind), "{bad}: {err}");
         }
     }
 
@@ -508,8 +642,7 @@ mod tests {
 
     #[test]
     fn sub_sector_sizes_round_up() {
-        let r = parse_line("0,9,100,r,0.0", 1).unwrap();
-        let t = concatenate("s", &[r], 1);
+        let t = read_trace(Cursor::new("0,9,100,r,0.0"), "s", 1, None).unwrap();
         assert_eq!(t.requests()[0].sectors, 1);
     }
 

@@ -1,9 +1,8 @@
-//! Three ways to cut storage power, head to head (§5's related work
+//! Two ways to cut storage power, head to head (§5's related work
 //! versus the paper's proposal):
 //!
 //! * **DRPM** — one conventional drive that modulates its spindle speed
 //!   with load;
-//! * **MAID** — an array that spins idle members all the way down;
 //! * **intra-disk parallelism** — one fixed low-RPM drive with four arm
 //!   assemblies.
 //!
@@ -11,7 +10,6 @@
 //! cargo run --release -p experiments --example power_management
 //! ```
 
-use array::{MaidArray, MaidConfig};
 use diskmodel::presets;
 use experiments::{run_drive, simulate};
 use intradisk::drpm::{DrpmConfig, DrpmDrive};
@@ -64,19 +62,6 @@ fn main() {
         d.average_power_w()
     );
 
-    // MAID needs an array to have members to sleep: 4 small drives.
-    let member = presets::array_drive_10k_19gb();
-    let maid = MaidArray::new(&member, MaidConfig::typical(), 4);
-    let m = simulate(&trace, maid, &mut NullRecorder, &mut NullObserver).expect("replay succeeds");
-    let m_rt = &m.response_time_ms;
-    println!(
-        "{:<28} {:>10.1} {:>10.1} {:>10.2}",
-        "MAID 4x19GB (spin-down)",
-        m_rt.mean(),
-        m_rt.percentile(99.0),
-        m.average_power_w()
-    );
-
     let sa = run_drive(&presets::barracuda_es_at_rpm(4_200), DriveConfig::sa(4), &trace)
         .expect("replay succeeds");
     let sa_rt = &sa.metrics.response_time_ms;
@@ -89,8 +74,8 @@ fn main() {
     );
 
     println!(
-        "\nDRPM and MAID save power by going slow/cold and pay for it in the \
-         tail (transition and spin-up latencies); the intra-disk parallel \
+        "\nDRPM saves power by going slow and pays for it in the tail \
+         (speed-transition latencies); the intra-disk parallel \
          drive holds a flat low power with no latency cliffs."
     );
 }

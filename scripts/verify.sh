@@ -2,7 +2,10 @@
 # Pre-PR verification gate.
 #
 # Runs the tier-1 check from ROADMAP.md (release build + full test
-# suite), with the simlint gates between build and tests (the workspace
+# suite), with a release build of the standalone perfbench ledger
+# against the workspace's current API (a deleted or renamed item the
+# benchmark uses fails here), a warning-free rustdoc build, the
+# simlint gates between build and tests (the workspace
 # must be finding-free against the committed simlint.baseline.json —
 # new findings fail, stale baseline entries fail — and the JSON
 # diagnostics must be byte-identical across two runs),
@@ -49,6 +52,13 @@ trap 'rm -rf "$sweep_dir"' EXIT
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
+
+echo "==> gate: perfbench ledger builds against the workspace API"
+cargo build --release --offline --manifest-path perfbench/ledger/Cargo.toml \
+  --target-dir "$sweep_dir/ledger-target"
+
+echo "==> gate: rustdoc builds without warnings"
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 
 echo "==> gate: simlint --deny-all against simlint.baseline.json"
 cargo run --release -p simlint -- --deny-all --baseline simlint.baseline.json

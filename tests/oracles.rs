@@ -696,26 +696,6 @@ fn bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-/// MAID's archival pattern: bursts of 20 requests to random members,
-/// separated by one-to-two-minute silences.
-fn maid_archival(disks: u64, n: u64, seed: u64) -> Vec<intradisk::IoRequest> {
-    use simkit::SimDuration;
-    let member = presets::array_drive_10k_19gb();
-    let per_disk = intradisk::service::Mechanics::new(&member).geometry().total_sectors();
-    let mut rng = simkit::Rng64::new(seed);
-    let mut t = simkit::SimTime::ZERO;
-    (0..n)
-        .map(|i| {
-            t += match i % 20 {
-                0 => SimDuration::from_secs(60.0 + rng.f64() * 60.0),
-                _ => SimDuration::from_millis(rng.f64() * 20.0),
-            };
-            let lba = rng.below(disks) * per_disk + rng.below(per_disk);
-            intradisk::IoRequest::new(i, t, lba, 8, intradisk::IoKind::Read)
-        })
-        .collect()
-}
-
 /// Replays an in-memory request list through the shared run loop.
 fn replay<D: intradisk::Device>(reqs: &[intradisk::IoRequest], device: D) -> D::Report {
     intradisk::simulate(reqs.iter().copied(), device, &mut NullRecorder, &mut NullObserver)
@@ -732,7 +712,6 @@ fn stat_bits(rt: &simkit::ResponseStats, energy_j: Option<f64>, power_w: f64) ->
 
 /// One line per engine run: the bits of every reported number.
 fn engine_fingerprints() -> String {
-    use array::{MaidArray, MaidConfig};
     use intradisk::drpm::{DrpmConfig, DrpmDrive};
     use intradisk::{DriveMode, IoKind, IoRequest, OverlapConfig, OverlapMode, OverlappedDrive};
     let mut out = String::new();
@@ -770,16 +749,6 @@ fn engine_fingerprints() -> String {
             r.upshifts
         );
     }
-    let maid = MaidArray::new(&presets::array_drive_10k_19gb(), MaidConfig::typical(), 4);
-    let r = replay(&maid_archival(4, 400, 1), maid);
-    let stats = stat_bits(&r.response_time_ms, Some(r.energy_j), r.average_power_w());
-    out += &format!(
-        "maid archival n={} {stats} dur={:?} standby={} spin_ups={}\n",
-        r.completed,
-        r.duration,
-        bits(r.standby_fraction),
-        r.spin_ups
-    );
     let t = trace(3.0, 2_000, 23);
     for mode in [OverlapMode::SingleArmMotion, OverlapMode::MultiMotion, OverlapMode::MultiChannel] {
         let m = replay(t.requests(), OverlappedDrive::new(&params, OverlapConfig::new(4, mode)))
@@ -799,7 +768,7 @@ fn engine_fingerprints() -> String {
 }
 
 /// The engine fingerprints pinned on the hand-rolled replay loops the
-/// DRPM, MAID and overlap engines had before they were ported onto the
+/// DRPM and overlap engines had before they were ported onto the
 /// shared run loop. Any drift in the low bits of a mean,
 /// percentile, energy or mode fraction fails here.
 const ENGINE_FINGERPRINTS: &str = "\
@@ -810,7 +779,6 @@ drpm TPC-H n=2000 mean=40314698ca1dbd4c p90=4040a5a871a3b14b energy=4068015b063f
 drpm upshift-burst n=50 mean=4097a26105bedbc9 p90=4098f975d3996fa8 energy=40508f1eefab1c68 power=4016c6748655368f dur=SimDuration(11633042615) low=3fe60bb5a86c7630 upshifts=1
 drpm same-instant-trio n=3 mean=40326f50f9a60217 p90=403fc823a6ce3583 energy=4049670d301842f7 power=401441f594e2c895 dur=SimDuration(10031781794) low=3fe99eca66e20420 upshifts=0
 drpm same-instant-burst n=50 mean=4099644e08769c14 p90=409b1967c5ac471b energy=40512796fac3980d power=401748b96baf2e48 dur=SimDuration(11788070156) low=3fe5b784dd271cd2 upshifts=1
-maid archival n=400 mean=40b74436c57ee541 p90=40b77934242d05f3 energy=40e8143b7f5dca60 power=403bfa979e939ac7 dur=SimDuration(1762538968558) standby=3fe31370b50ce324 spin_ups=79
 overlap SingleArmMotion n=2000 mean=406b8394446921be p90=407fb3340a2877ee power=402b56a597aa5594 dur=SimDuration(6686613443) modes=3f9ece28a3724ce9,3fe6730910604e65,3fd0563449f293b4,3f8adae162b55647
 overlap MultiMotion n=2000 mean=4043287306f897a9 p90=4054e6bc382a12f9 power=402a30ea87ce9259 dur=SimDuration(12452006051) modes=3f908acb9034e596,3fe3890aba7e24ba,3fd771c6ecdc54b1,3f7cddb94904e003
 overlap MultiChannel n=2000 mean=402c37a719fde092 p90=403660e6d15ad107 power=402a98fb307f2670 dur=SimDuration(20869470226) modes=3f8ad5c3a0a14751,3fe49b14a17c9e40,3fd5ad06992b191b,3f718881b5a80a4d
