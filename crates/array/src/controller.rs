@@ -21,8 +21,8 @@ use std::collections::VecDeque;
 use diskmodel::{DiskParams, DriveError};
 use intradisk::{Device, DiskDrive, DriveConfig, IoRequest, PowerBreakdown};
 use simkit::{
-    Calendar, EventQueue, Histogram, QueueStats, ResponseStats, SimDuration, SimTime, Slab,
-    SlotId, StatsMode,
+    Calendar, EventQueue, Histogram, QueueStats, ResponseStats, SimDuration, SimTime, Slab, SlotId,
+    StatsMode,
 };
 use telemetry::{NullRecorder, Recorder, ScopedRecorder, TraceEvent};
 
@@ -205,12 +205,7 @@ impl ArrayController {
     ///
     /// # Panics
     /// Panics if `disks == 0` (or `< 2` for RAID-5).
-    pub fn new(
-        params: &DiskParams,
-        member: DriveConfig,
-        disks: usize,
-        layout: Layout,
-    ) -> Self {
+    pub fn new(params: &DiskParams, member: DriveConfig, disks: usize, layout: Layout) -> Self {
         Self::with_calendar(params, member, disks, layout, EventQueue::with_capacity(64))
     }
 }
@@ -256,7 +251,8 @@ impl<Q> ArrayController<Q> {
 
     /// Logical volume capacity in sectors.
     pub fn logical_capacity(&self) -> u64 {
-        self.layout.logical_capacity(self.disks.len(), self.per_disk)
+        self.layout
+            .logical_capacity(self.disks.len(), self.per_disk)
     }
 
     /// Array-level statistics.
@@ -293,7 +289,9 @@ impl<Q> ArrayController<Q> {
         now: SimTime,
         rec: &mut R,
     ) -> Result<Vec<(usize, SimTime)>, DriveError> {
-        let mapped = self.layout.map_request(self.disks.len(), self.per_disk, &req);
+        let mapped = self
+            .layout
+            .map_request(self.disks.len(), self.per_disk, &req);
         assert!(!mapped.is_empty(), "mapping produced no sub-requests");
         if R::ENABLED {
             rec.record_scoped(0, now, req.submitted());
@@ -470,7 +468,12 @@ impl<Q: Calendar<usize>> Device for ArrayController<Q> {
             duration: end.saturating_since(SimTime::ZERO),
             completed: self.metrics.completed,
             kernel: self.events.stats(),
-            member_queue_peak: self.disks.iter().map(DiskDrive::queue_peak).max().unwrap_or(0),
+            member_queue_peak: self
+                .disks
+                .iter()
+                .map(DiskDrive::queue_peak)
+                .max()
+                .unwrap_or(0),
         }
     }
 }
@@ -515,8 +518,13 @@ mod tests {
         let a = controller(4, Layout::striped_default());
         let cap = a.logical_capacity();
         let mut rec = telemetry::RingRecorder::new();
-        let r = intradisk::simulate(reads(200, cap, 1.0), a, &mut rec, &mut intradisk::NullObserver)
-            .expect("valid replay");
+        let r = intradisk::simulate(
+            reads(200, cap, 1.0),
+            a,
+            &mut rec,
+            &mut intradisk::NullObserver,
+        )
+        .expect("valid replay");
         assert_eq!(r.completed, 200);
         let mut ids: Vec<u64> = rec
             .samples()

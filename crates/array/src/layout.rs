@@ -122,23 +122,14 @@ impl Layout {
     ///
     /// # Panics
     /// Panics if `disks == 0` (or `< 2` for RAID-5).
-    pub fn map_request(
-        &self,
-        disks: usize,
-        per_disk: u64,
-        req: &IoRequest,
-    ) -> MappedRequest {
+    pub fn map_request(&self, disks: usize, per_disk: u64, req: &IoRequest) -> MappedRequest {
         assert!(disks > 0, "array needs at least one disk");
         let cap = self.logical_capacity(disks, per_disk);
         let lba = req.lba % cap;
         match self {
             Layout::Concatenated => map_concat(disks, per_disk, lba, req),
-            Layout::Striped { stripe_sectors } => {
-                map_striped(disks, *stripe_sectors, lba, req)
-            }
-            Layout::Raid5 { stripe_sectors } => {
-                map_raid5(disks, *stripe_sectors, lba, req)
-            }
+            Layout::Striped { stripe_sectors } => map_striped(disks, *stripe_sectors, lba, req),
+            Layout::Raid5 { stripe_sectors } => map_raid5(disks, *stripe_sectors, lba, req),
         }
     }
 }
@@ -331,7 +322,9 @@ mod tests {
 
     #[test]
     fn striped_round_robin() {
-        let layout = Layout::Striped { stripe_sectors: 128 };
+        let layout = Layout::Striped {
+            stripe_sectors: 128,
+        };
         for unit in 0..8u64 {
             let m = layout.map_request(4, PER_DISK, &read(unit * 128, 8));
             assert_eq!(m.phase_one.len(), 1);
@@ -342,7 +335,9 @@ mod tests {
 
     #[test]
     fn striped_split_across_disks() {
-        let layout = Layout::Striped { stripe_sectors: 128 };
+        let layout = Layout::Striped {
+            stripe_sectors: 128,
+        };
         let m = layout.map_request(4, PER_DISK, &read(120, 16));
         assert_eq!(m.phase_one.len(), 2);
         assert_eq!(m.phase_one[0].disk, 0);
@@ -355,10 +350,11 @@ mod tests {
 
     #[test]
     fn striped_large_request_touches_all_disks() {
-        let layout = Layout::Striped { stripe_sectors: 128 };
+        let layout = Layout::Striped {
+            stripe_sectors: 128,
+        };
         let m = layout.map_request(4, PER_DISK, &read(0, 4 * 128));
-        let disks: std::collections::HashSet<usize> =
-            m.phase_one.iter().map(|s| s.disk).collect();
+        let disks: std::collections::HashSet<usize> = m.phase_one.iter().map(|s| s.disk).collect();
         assert_eq!(disks.len(), 4);
     }
 
@@ -444,7 +440,9 @@ mod tests {
     fn coalescing_merges_contiguous_runs() {
         // A sequential run on one disk (stripe of a 1-disk array) stays
         // one sub-request.
-        let layout = Layout::Striped { stripe_sectors: 128 };
+        let layout = Layout::Striped {
+            stripe_sectors: 128,
+        };
         let m = layout.map_request(1, PER_DISK, &read(0, 512));
         assert_eq!(m.phase_one.len(), 1);
         assert_eq!(m.phase_one[0].sectors, 512);
@@ -452,10 +450,7 @@ mod tests {
 
     #[test]
     fn sectors_conserved_over_layouts() {
-        for layout in [
-            Layout::Concatenated,
-            Layout::striped_default(),
-        ] {
+        for layout in [Layout::Concatenated, Layout::striped_default()] {
             for (lba, sectors) in [(0u64, 8u32), (1234, 300), (PER_DISK - 1, 64)] {
                 let m = layout.map_request(4, PER_DISK, &read(lba, sectors));
                 let total: u32 = m.phase_one.iter().map(|s| s.sectors).sum();

@@ -56,7 +56,11 @@ fn ablate_policy() {
         ("policy_sptf", QueuePolicy::Sptf),
     ] {
         bench(name, WARMUP, SAMPLES, || {
-            black_box(run_drive(&params, DriveConfig::sa(1).with_policy(policy), &t))
+            black_box(run_drive(
+                &params,
+                DriveConfig::sa(1).with_policy(policy),
+                &t,
+            ))
         });
         let r = run_drive(&params, DriveConfig::sa(1).with_policy(policy), &t);
         println!("{name}: mean {:.2} ms", r.metrics.response_time_ms.mean());
@@ -69,7 +73,11 @@ fn ablate_window() {
     for window in [4usize, 16, 64, 256] {
         let name = format!("sptf_window_{window}");
         bench(&name, WARMUP, SAMPLES, || {
-            black_box(run_drive(&params, DriveConfig::sa(2).with_window(window), &t))
+            black_box(run_drive(
+                &params,
+                DriveConfig::sa(2).with_window(window),
+                &t,
+            ))
         });
         let r = run_drive(&params, DriveConfig::sa(2).with_window(window), &t);
         println!("{name}: mean {:.2} ms", r.metrics.response_time_ms.mean());
@@ -122,7 +130,13 @@ fn ablate_stripe() {
         };
         let name = format!("stripe_{stripe}_sectors");
         bench(&name, WARMUP, SAMPLES, || {
-            black_box(run_array(&params, DriveConfig::conventional(), 4, layout, &t))
+            black_box(run_array(
+                &params,
+                DriveConfig::conventional(),
+                4,
+                layout,
+                &t,
+            ))
         });
         let r = run_array(&params, DriveConfig::conventional(), 4, layout, &t);
         println!("{name}: mean {:.2} ms", r.response_time_ms.mean());
@@ -142,9 +156,7 @@ fn ablate_overlap() {
         ("overlap_multi_motion", OverlapMode::MultiMotion),
         ("overlap_multi_channel", OverlapMode::MultiChannel),
     ] {
-        bench(name, WARMUP, SAMPLES, || {
-            black_box(replay(mode))
-        });
+        bench(name, WARMUP, SAMPLES, || black_box(replay(mode)));
         let m = replay(mode).metrics;
         println!("{name}: mean {:.2} ms", m.response_time_ms.mean());
     }

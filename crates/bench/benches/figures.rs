@@ -28,7 +28,12 @@ fn limit_one(kind: WorkloadKind) -> limit_study::WorkloadComparison {
 }
 
 fn bench_table1() {
-    bench("table1_tech_comparison", WARMUP, SAMPLES, tech_table::render);
+    bench(
+        "table1_tech_comparison",
+        WARMUP,
+        SAMPLES,
+        tech_table::render,
+    );
     println!("{}", tech_table::render());
 }
 
@@ -106,9 +111,13 @@ fn bench_fig8() {
     let scale = bench_scale();
     let exec = Executor::serial();
     bench("fig8_raid_sweep_4ms", WARMUP, SAMPLES, || {
-        RaidStudy::only(4.0).run(scale, &exec).expect("replays cleanly")
+        RaidStudy::only(4.0)
+            .run(scale, &exec)
+            .expect("replays cleanly")
     });
-    let report = RaidStudy::only(1.0).run(scale, &exec).expect("replays cleanly");
+    let report = RaidStudy::only(1.0)
+        .run(scale, &exec)
+        .expect("replays cleanly");
     let iso = report.sweeps[0].iso_performance(1.15);
     for p in iso {
         println!(
@@ -122,7 +131,10 @@ fn bench_fig8() {
 
 fn bench_cost() {
     bench("table9a_fig9b_cost_model", WARMUP, SAMPLES, || {
-        (cost_analysis::render_table9a(), cost_analysis::render_figure9b())
+        (
+            cost_analysis::render_table9a(),
+            cost_analysis::render_figure9b(),
+        )
     });
     println!("{}", cost_analysis::render_figure9b());
 }

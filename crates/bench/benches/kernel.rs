@@ -80,7 +80,12 @@ struct KernelRun {
 
 /// Replays the open-loop workload over `servers` SA-style servers
 /// through `queue`, returning the completion count and response stats.
-fn run_kernel<Q: Calendar<Ev>>(mut queue: Q, w: &Workload, servers: usize, exact: bool) -> KernelRun {
+fn run_kernel<Q: Calendar<Ev>>(
+    mut queue: Q,
+    w: &Workload,
+    servers: usize,
+    exact: bool,
+) -> KernelRun {
     // Preschedule every arrival: the pending population stays ~n while
     // the run drains, which is the regime under test.
     for (id, &t) in w.arrivals.iter().enumerate() {
@@ -145,7 +150,15 @@ fn scenario(name: &str, n: u64, servers: usize, warmup: usize, samples: usize) {
         check_exact_oracle(&run_kernel(HeapEventQueue::new(), &w, servers, true));
     }
     let heap = bench(&format!("{name}_heap"), warmup, samples, || {
-        black_box(run_kernel(HeapEventQueue::with_capacity(n as usize), &w, servers, false).completed)
+        black_box(
+            run_kernel(
+                HeapEventQueue::with_capacity(n as usize),
+                &w,
+                servers,
+                false,
+            )
+            .completed,
+        )
     });
     let wheel = bench(&format!("{name}_wheel"), warmup, samples, || {
         black_box(run_kernel(WheelEventQueue::with_capacity(64), &w, servers, false).completed)

@@ -69,7 +69,12 @@ impl BenchResult {
 ///
 /// # Panics
 /// Panics if `samples == 0`.
-pub fn bench<T>(name: &str, warmup: usize, samples: usize, mut f: impl FnMut() -> T) -> BenchResult {
+pub fn bench<T>(
+    name: &str,
+    warmup: usize,
+    samples: usize,
+    mut f: impl FnMut() -> T,
+) -> BenchResult {
     bench_inner(name, warmup, samples, 1, &mut |iters| {
         let start = Instant::now();
         for _ in 0..iters {

@@ -128,9 +128,9 @@ impl Component {
         match self {
             Component::Media => platters,
             Component::SpindleMotor | Component::DiskController => 1,
-            Component::VoiceCoilMotor
-            | Component::PivotBearing
-            | Component::Preamplifier => actuators,
+            Component::VoiceCoilMotor | Component::PivotBearing | Component::Preamplifier => {
+                actuators
+            }
             Component::HeadSuspension => platters * actuators,
             Component::Head => 2 * platters * actuators,
             // Handled specially in `component_cost`.
@@ -162,11 +162,12 @@ impl fmt::Display for Component {
 /// $2 portion plus $1.5–2.0 per actuator (reproducing the quoted
 /// 3.5–4 / 5–6 / 8–10 progression for 1/2/4 actuators).
 pub fn component_cost(component: Component, platters: u32, actuators: u32) -> CostRange {
-    assert!(platters > 0 && actuators > 0, "need at least one platter/actuator");
+    assert!(
+        platters > 0 && actuators > 0,
+        "need at least one platter/actuator"
+    );
     match component {
-        Component::MotorDriver => {
-            CostRange::point(2.0) + CostRange::new(1.5, 2.0).times(actuators)
-        }
+        Component::MotorDriver => CostRange::point(2.0) + CostRange::new(1.5, 2.0).times(actuators),
         c => c.unit_cost().times(c.unit_count(platters, actuators)),
     }
 }

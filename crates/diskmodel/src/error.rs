@@ -78,7 +78,10 @@ impl fmt::Display for DriveError {
             }
             DriveError::NotInService => write!(f, "no request in service"),
             DriveError::WrongCompletionTime { promised, at } => {
-                write!(f, "complete() at {at}, but completion was promised at {promised}")
+                write!(
+                    f,
+                    "complete() at {at}, but completion was promised at {promised}"
+                )
             }
             DriveError::NoLiveArm => write!(f, "no live arm assembly"),
             DriveError::UnknownSubRequest { sub_id } => {
@@ -117,7 +120,9 @@ mod tests {
             at: SimTime::from_millis(1.0),
         };
         assert!(e.to_string().contains("promised"));
-        assert!(DriveError::NotInService.to_string().contains("no request in service"));
+        assert!(DriveError::NotInService
+            .to_string()
+            .contains("no request in service"));
         assert!(DriveError::NoLiveArm.to_string().contains("no live arm"));
     }
 }

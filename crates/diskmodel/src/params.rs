@@ -347,7 +347,9 @@ impl DiskParamsBuilder {
             return Err(DiskModelError::new("technology factor must be positive"));
         }
         if self.electronics_w < 0.0 {
-            return Err(DiskModelError::new("electronics power must be non-negative"));
+            return Err(DiskModelError::new(
+                "electronics power must be non-negative",
+            ));
         }
         // Sanity: the geometry must be able to hold the capacity with a
         // plausible sectors-per-track count.

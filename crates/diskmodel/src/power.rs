@@ -159,7 +159,11 @@ mod tests {
     fn barracuda_calibration() {
         let p = PowerModel::new(&barracuda_like());
         assert!((p.idle_w() - 9.3).abs() < 0.5, "idle {}", p.idle_w());
-        assert!((p.operating_w() - 13.0).abs() < 1.0, "op {}", p.operating_w());
+        assert!(
+            (p.operating_w() - 13.0).abs() < 1.0,
+            "op {}",
+            p.operating_w()
+        );
         assert!((p.peak_w(4) - 34.0).abs() < 1.5, "peak4 {}", p.peak_w(4));
     }
 

@@ -168,7 +168,10 @@ mod tests {
         let b = 29_999 / 3;
         let below = s.seek_time(b - 1).as_millis();
         let at = s.seek_time(b).as_millis();
-        assert!((at - below).abs() < 0.1, "jump at boundary: {below} -> {at}");
+        assert!(
+            (at - below).abs() < 0.1,
+            "jump at boundary: {below} -> {at}"
+        );
     }
 
     #[test]

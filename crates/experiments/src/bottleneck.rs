@@ -79,7 +79,9 @@ pub struct BottleneckStudy {
 impl BottleneckStudy {
     /// All four workloads, in the paper's order.
     pub fn all() -> Self {
-        BottleneckStudy { kinds: WorkloadKind::ALL.to_vec() }
+        BottleneckStudy {
+            kinds: WorkloadKind::ALL.to_vec(),
+        }
     }
 
     /// A single workload (tests and focused runs).
@@ -213,26 +215,17 @@ impl BottleneckResult {
 impl BottleneckReport {
     /// Renders Figure 4 (both rows: seek impact, rotational impact).
     pub fn render(&self) -> String {
-        let mut out =
-            String::from("Figure 4: Bottleneck analysis of HC-SD performance\n\n");
+        let mut out = String::from("Figure 4: Bottleneck analysis of HC-SD performance\n\n");
         for w in &self.workloads {
             let labels = ["HC-SD", "(1/2)S", "(1/4)S", "S=0", "MD"];
-            let cdfs: Vec<&Cdf> = w
-                .seek_scaled
-                .iter()
-                .chain(std::iter::once(&w.md))
-                .collect();
+            let cdfs: Vec<&Cdf> = w.seek_scaled.iter().chain(std::iter::once(&w.md)).collect();
             out.push_str(&report::cdf_series(
                 &format!("{} — impact of seek time", w.kind.name()),
                 &labels,
                 &cdfs,
             ));
             let labels = ["HC-SD", "(1/2)R", "(1/4)R", "R=0", "MD"];
-            let cdfs: Vec<&Cdf> = w
-                .rot_scaled
-                .iter()
-                .chain(std::iter::once(&w.md))
-                .collect();
+            let cdfs: Vec<&Cdf> = w.rot_scaled.iter().chain(std::iter::once(&w.md)).collect();
             out.push_str(&report::cdf_series(
                 &format!("{} — impact of rotational latency", w.kind.name()),
                 &labels,

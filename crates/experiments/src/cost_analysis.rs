@@ -76,7 +76,13 @@ pub fn figure9b() -> Vec<IsoCostBar> {
 /// Renders Figure 9b.
 pub fn render_figure9b() -> String {
     let bars = figure9b();
-    let headers = ["configuration", "cost low", "cost mid", "cost high", "vs conventional"];
+    let headers = [
+        "configuration",
+        "cost low",
+        "cost mid",
+        "cost high",
+        "vs conventional",
+    ];
     let base = bars[0].cost.midpoint();
     let rows: Vec<Vec<String>> = bars
         .iter()

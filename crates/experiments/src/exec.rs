@@ -70,10 +70,18 @@ pub enum StudyError {
 impl fmt::Display for StudyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StudyError::PointPanicked { study, label, message } => {
+            StudyError::PointPanicked {
+                study,
+                label,
+                message,
+            } => {
                 write!(f, "study {study}: point `{label}` panicked: {message}")
             }
-            StudyError::Drive { study, label, source } => {
+            StudyError::Drive {
+                study,
+                label,
+                source,
+            } => {
                 write!(f, "study {study}: point `{label}` failed: {source}")
             }
         }
@@ -103,7 +111,10 @@ pub struct Executor {
 impl Executor {
     /// An executor with `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
-        Executor { jobs: jobs.max(1), progress: false }
+        Executor {
+            jobs: jobs.max(1),
+            progress: false,
+        }
     }
 
     /// The single-worker executor: points run inline, in plan order.
@@ -171,7 +182,10 @@ where
         match catch_unwind(AssertUnwindSafe(|| f(i, p))) {
             Ok(v) => out.push(v),
             Err(payload) => {
-                return Err(PointPanic { index: i, message: panic_message(payload) })
+                return Err(PointPanic {
+                    index: i,
+                    message: panic_message(payload),
+                })
             }
         }
     }
@@ -200,7 +214,8 @@ where
     slots.resize_with(points.len(), || None);
     let mut panics: Vec<PointPanic> = Vec::new();
     crate::counters::WORKERS_SPAWNED.add(workers as u64);
-    std::thread::scope(|scope| { // simlint: allow(no-thread-in-sim) — the executor is the one sanctioned thread user
+    // simlint: allow(no-thread-in-sim) — the executor is the one sanctioned thread user
+    std::thread::scope(|scope| {
         for w in 0..workers {
             let tx = tx.clone();
             let queues = &queues;
@@ -210,8 +225,8 @@ where
                     let Some(i) = idx else { break };
                     // AssertUnwindSafe: see `map_serial` — a panic
                     // fails the study, results are never consumed.
-                    let out = catch_unwind(AssertUnwindSafe(|| f(i, &points[i])))
-                        .map_err(panic_message);
+                    let out =
+                        catch_unwind(AssertUnwindSafe(|| f(i, &points[i]))).map_err(panic_message);
                     if tx.send((i, out)).is_err() {
                         break; // collector gone; nothing left to report to
                     }
@@ -246,7 +261,11 @@ fn next_index(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     }
     for off in 1..queues.len() {
         let victim = (w + off) % queues.len();
-        if let Some(i) = queues[victim].lock().expect("queue lock poisoned").pop_back() {
+        if let Some(i) = queues[victim]
+            .lock()
+            .expect("queue lock poisoned")
+            .pop_back()
+        {
             crate::counters::STEALS.add(1);
             return Some(i);
         }
@@ -369,7 +388,10 @@ mod tests {
                     i
                 })
                 .expect_err("two points panic");
-            assert_eq!(err.index, 5, "jobs={jobs} must report the lowest panicking index");
+            assert_eq!(
+                err.index, 5,
+                "jobs={jobs} must report the lowest panicking index"
+            );
             assert_eq!(err.message, "boom at 5");
         }
     }
@@ -421,8 +443,12 @@ mod tests {
     #[test]
     fn study_run_reduces_in_plan_order() {
         let scale = Scale::quick().with_requests(6);
-        let serial = Doubler.run(scale, &Executor::serial()).expect("no failing point");
-        let parallel = Doubler.run(scale, &Executor::new(4)).expect("no failing point");
+        let serial = Doubler
+            .run(scale, &Executor::serial())
+            .expect("no failing point");
+        let parallel = Doubler
+            .run(scale, &Executor::new(4))
+            .expect("no failing point");
         assert_eq!(serial, vec![0, 2, 4, 6, 8, 10]);
         assert_eq!(serial, parallel);
     }
@@ -430,10 +456,15 @@ mod tests {
     #[test]
     fn study_drive_error_names_the_point() {
         let scale = Scale::quick().with_requests(8);
-        let err = Doubler.run(scale, &Executor::new(2)).expect_err("point 7 errs");
+        let err = Doubler
+            .run(scale, &Executor::new(2))
+            .expect_err("point 7 errs");
         let text = err.to_string();
         assert!(text.contains("doubler"), "missing study name: {text}");
         assert!(text.contains("x=7"), "missing point label: {text}");
-        assert!(text.contains("no request in service"), "missing source: {text}");
+        assert!(
+            text.contains("no request in service"),
+            "missing source: {text}"
+        );
     }
 }

@@ -65,7 +65,11 @@ pub fn thermal_study() -> Vec<ThermalRow> {
     for (n, rpm) in [(2u32, 7_200u32), (4, 7_200), (4, 4_200)] {
         push(format!("SA({n}) @{rpm} RPM, 1 arm moving"), rpm, 1.min(n));
     }
-    push("SA(4) @7200 RPM, relaxed (4 arms moving)".to_string(), 7_200, 4);
+    push(
+        "SA(4) @7200 RPM, relaxed (4 arms moving)".to_string(),
+        7_200,
+        4,
+    );
     // Why 10k-RPM products exist anyway: vendors shrank the media —
     // diameter^4.6 beats RPM^2.8 (the Table 2 enterprise drives use
     // ~3.3-inch platters). Same law, opposite lever; but unlike extra
@@ -162,9 +166,7 @@ pub fn drpm_comparison(kind: WorkloadKind, scale: Scale) -> Result<Vec<DrpmRow>,
 
 /// Renders the DRPM comparison for every workload.
 pub fn render_drpm(scale: Scale) -> Result<String, DriveError> {
-    let mut out = String::from(
-        "Extension: intra-disk parallelism vs DRPM power management\n\n",
-    );
+    let mut out = String::from("Extension: intra-disk parallelism vs DRPM power management\n\n");
     for kind in WorkloadKind::ALL {
         let rows = drpm_comparison(kind, scale)?;
         let headers = ["configuration", "mean ms", "avg W"];
@@ -178,7 +180,11 @@ pub fn render_drpm(scale: Scale) -> Result<String, DriveError> {
                 ]
             })
             .collect();
-        out.push_str(&format!("{}\n{}\n", kind.name(), report::table(&headers, &cells)));
+        out.push_str(&format!(
+            "{}\n{}\n",
+            kind.name(),
+            report::table(&headers, &cells)
+        ));
     }
     Ok(out)
 }
@@ -220,10 +226,7 @@ fn half_stack() -> DiskParams {
 /// capacity: `D2` (two half-capacity small-platter stacks), `A2`
 /// (two arm assemblies), and `H2` (two heads per arm), against the
 /// conventional `D1A1S1H1` drive.
-pub fn dash_dimension_study(
-    kind: WorkloadKind,
-    scale: Scale,
-) -> Result<Vec<DashRow>, DriveError> {
+pub fn dash_dimension_study(kind: WorkloadKind, scale: Scale) -> Result<Vec<DashRow>, DriveError> {
     let base = hcsd_params();
     let mode = scale.stats;
     let book = scale.book();
@@ -295,9 +298,13 @@ pub fn render_dash(scale: Scale) -> Result<String, DriveError> {
                 ]
             })
             .collect();
-        out.push_str(&format!("{}
+        out.push_str(&format!(
+            "{}
 {}
-", kind.name(), report::table(&headers, &cells)));
+",
+            kind.name(),
+            report::table(&headers, &cells)
+        ));
     }
     Ok(out)
 }
@@ -333,8 +340,14 @@ mod tests {
         // patterns" trade-off the section discusses.)
         let rows = dash_dimension_study(WorkloadKind::TpcH, Scale::quick().with_requests(5_000))
             .expect("replay succeeds");
-        let a2 = rows.iter().find(|r| r.label.starts_with("D1A2")).expect("A2");
-        let h2 = rows.iter().find(|r| r.label.starts_with("D1A1S1H2")).expect("H2");
+        let a2 = rows
+            .iter()
+            .find(|r| r.label.starts_with("D1A2"))
+            .expect("A2");
+        let h2 = rows
+            .iter()
+            .find(|r| r.label.starts_with("D1A1S1H2"))
+            .expect("H2");
         assert!(
             a2.mean_ms <= h2.mean_ms * 1.05,
             "A2 {} vs H2 {}",
@@ -348,10 +361,16 @@ mod tests {
         let rows = thermal_study();
         assert_eq!(rows.len(), 8);
         // Shrinking platters rescues 10k RPM (the enterprise practice).
-        let small10k = rows.iter().find(|r| r.label.contains("3.3in")).expect("row");
+        let small10k = rows
+            .iter()
+            .find(|r| r.label.contains("3.3in"))
+            .expect("row");
         assert!(small10k.within_envelope, "{small10k:?}");
         // 15k RPM conventional is infeasible...
-        let r15k = rows.iter().find(|r| r.label.contains("15000")).expect("row");
+        let r15k = rows
+            .iter()
+            .find(|r| r.label.contains("15000"))
+            .expect("row");
         assert!(!r15k.within_envelope, "{:?}", r15k);
         // ...while the HC-SD-SA(4) designs (one arm in motion) fit, and
         // the low-RPM variant runs coolest of all.
@@ -368,7 +387,10 @@ mod tests {
         assert!(sa4_low.steady_c < sa4.steady_c);
         // The relaxed all-arms design is what the envelope rejects —
         // quantifying why §7.2 keeps one arm in motion.
-        let relaxed = rows.iter().find(|r| r.label.contains("relaxed")).expect("row");
+        let relaxed = rows
+            .iter()
+            .find(|r| r.label.contains("relaxed"))
+            .expect("row");
         assert!(!relaxed.within_envelope, "{relaxed:?}");
     }
 

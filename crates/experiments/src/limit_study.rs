@@ -69,7 +69,9 @@ pub struct LimitStudy {
 impl LimitStudy {
     /// All four workloads, in the paper's order.
     pub fn all() -> Self {
-        LimitStudy { kinds: WorkloadKind::ALL.to_vec() }
+        LimitStudy {
+            kinds: WorkloadKind::ALL.to_vec(),
+        }
     }
 
     /// A single workload (tests and focused runs).

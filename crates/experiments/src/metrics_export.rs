@@ -74,7 +74,11 @@ pub enum ExportError {
 impl fmt::Display for ExportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExportError::Io { path, action, source } => {
+            ExportError::Io {
+                path,
+                action,
+                source,
+            } => {
                 write!(f, "cannot {action} {}: {source}", path.display())
             }
             ExportError::Simulation { scenario, source } => {
@@ -196,7 +200,10 @@ fn load_explore(dir: &Path) -> Result<Option<jsonv::Value>, ExportError> {
     if json.get("schema").and_then(jsonv::Value::as_str) != Some(report::EXPLORE_SCHEMA) {
         return Err(ExportError::InvalidInput {
             path,
-            message: format!("missing or unknown schema tag (want {})", report::EXPLORE_SCHEMA),
+            message: format!(
+                "missing or unknown schema tag (want {})",
+                report::EXPLORE_SCHEMA
+            ),
         });
     }
     Ok(Some(json))
@@ -231,7 +238,10 @@ pub fn write_report(dir: &Path) -> Result<PathBuf, ExportError> {
         if json.get("schema").and_then(jsonv::Value::as_str) != Some(export::JSON_SCHEMA) {
             return Err(ExportError::InvalidInput {
                 path: path.clone(),
-                message: format!("missing or unknown schema tag (want {})", export::JSON_SCHEMA),
+                message: format!(
+                    "missing or unknown schema tag (want {})",
+                    export::JSON_SCHEMA
+                ),
             });
         }
         let name = path
@@ -249,8 +259,11 @@ pub fn write_report(dir: &Path) -> Result<PathBuf, ExportError> {
         });
     }
     let out = dir.join("report.html");
-    fs::write(&out, report::render_html_with_explore(&inputs, explore.as_ref()))
-        .map_err(io_err(&out, "write"))?;
+    fs::write(
+        &out,
+        report::render_html_with_explore(&inputs, explore.as_ref()),
+    )
+    .map_err(io_err(&out, "write"))?;
     Ok(out)
 }
 
@@ -266,7 +279,9 @@ mod tests {
         let files = export_metrics(&dir, scale).expect("export succeeds");
         assert_eq!(files.len(), 10, "5 scenarios x 2 files");
         for f in &files {
-            assert!(!fs::read_to_string(dir.join(f)).expect("file exists").is_empty());
+            assert!(!fs::read_to_string(dir.join(f))
+                .expect("file exists")
+                .is_empty());
         }
         let report = write_report(&dir).expect("report renders");
         let html = fs::read_to_string(report).expect("report exists");

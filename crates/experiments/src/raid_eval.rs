@@ -89,12 +89,16 @@ pub struct RaidStudy {
 impl RaidStudy {
     /// All three load levels.
     pub fn all() -> Self {
-        RaidStudy { inter_arrivals_ms: INTER_ARRIVALS_MS.to_vec() }
+        RaidStudy {
+            inter_arrivals_ms: INTER_ARRIVALS_MS.to_vec(),
+        }
     }
 
     /// A single load level (tests and focused runs).
     pub fn only(inter_arrival_ms: f64) -> Self {
-        RaidStudy { inter_arrivals_ms: vec![inter_arrival_ms] }
+        RaidStudy {
+            inter_arrivals_ms: vec![inter_arrival_ms],
+        }
     }
 }
 
@@ -166,7 +170,10 @@ impl Study for RaidStudy {
         for (ia, point) in outputs {
             match sweeps.last_mut() {
                 Some(s) if s.inter_arrival_ms == ia => s.points.push(point),
-                _ => sweeps.push(RaidSweep { inter_arrival_ms: ia, points: vec![point] }),
+                _ => sweeps.push(RaidSweep {
+                    inter_arrival_ms: ia,
+                    points: vec![point],
+                }),
             }
         }
         RaidReport { sweeps }

@@ -108,7 +108,9 @@ pub struct RpmStudy {
 impl RpmStudy {
     /// All four workloads, in the paper's order.
     pub fn all() -> Self {
-        RpmStudy { kinds: WorkloadKind::ALL.to_vec() }
+        RpmStudy {
+            kinds: WorkloadKind::ALL.to_vec(),
+        }
     }
 
     /// A single workload (tests and focused runs).
@@ -140,7 +142,11 @@ impl Study for RpmStudy {
                     .chain(RPMS.iter().flat_map(move |&rpm| {
                         ACTUATORS
                             .iter()
-                            .map(move |&actuators| RpmPointSpec::Design { kind, actuators, rpm })
+                            .map(move |&actuators| RpmPointSpec::Design {
+                                kind,
+                                actuators,
+                                rpm,
+                            })
                     }))
             })
             .collect()
@@ -149,7 +155,11 @@ impl Study for RpmStudy {
     fn label(&self, point: &RpmPointSpec) -> String {
         match point {
             RpmPointSpec::Md(k) => format!("{}/MD", k.name()),
-            RpmPointSpec::Design { kind, actuators, rpm } => {
+            RpmPointSpec::Design {
+                kind,
+                actuators,
+                rpm,
+            } => {
                 format!("{}/SA({actuators})/{rpm}", kind.name())
             }
         }
@@ -177,7 +187,11 @@ impl Study for RpmStudy {
                     mean_ms: md.response_time_ms.mean(),
                 })
             }
-            RpmPointSpec::Design { kind, actuators, rpm } => {
+            RpmPointSpec::Design {
+                kind,
+                actuators,
+                rpm,
+            } => {
                 let params = presets::barracuda_es_at_rpm(rpm);
                 let r = run_drive(
                     &params,
@@ -256,9 +270,8 @@ impl RpmReport {
     /// Renders Figure 6: power bars for every design point, per
     /// workload.
     pub fn render_figure6(&self) -> String {
-        let mut out = String::from(
-            "Figure 6: Average power of reduced-RPM intra-disk parallel designs\n\n",
-        );
+        let mut out =
+            String::from("Figure 6: Average power of reduced-RPM intra-disk parallel designs\n\n");
         for w in &self.workloads {
             let mut labels = vec!["HC-SD".to_string()];
             let mut bars = vec![w.hcsd.power];
@@ -308,7 +321,11 @@ mod tests {
     fn design(kind: WorkloadKind, scale: Scale, actuators: u32, rpm: u32) -> RpmPoint {
         let out = RpmStudy::only(kind)
             .run_point(
-                &RpmPointSpec::Design { kind, actuators, rpm },
+                &RpmPointSpec::Design {
+                    kind,
+                    actuators,
+                    rpm,
+                },
                 scale,
                 &scale.book(),
             )

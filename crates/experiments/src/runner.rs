@@ -40,7 +40,12 @@ pub fn simulate<D: Device, R: Recorder, O: RunObserver>(
     obs: &mut O,
 ) -> Result<D::Report, DriveError> {
     let mut source = CountingSource::new(workload.into_source());
-    intradisk::simulate(std::iter::from_fn(|| source.next_request()), device, rec, obs)
+    intradisk::simulate(
+        std::iter::from_fn(|| source.next_request()),
+        device,
+        rec,
+        obs,
+    )
 }
 
 /// Replays a workload against one drive.
@@ -49,7 +54,12 @@ pub fn run_drive(
     config: DriveConfig,
     workload: impl IntoRequestSource,
 ) -> Result<DriveRunResult, DriveError> {
-    simulate(workload, DiskDrive::new(params, config), &mut NullRecorder, &mut NullObserver)
+    simulate(
+        workload,
+        DiskDrive::new(params, config),
+        &mut NullRecorder,
+        &mut NullObserver,
+    )
 }
 
 /// Replays a workload against an array of `disks` drives of model
@@ -113,8 +123,7 @@ mod tests {
         let spec = SyntheticSpec::paper(6.0, 200_000_000, 3_000);
         let trace = spec.generate(11);
         let params = presets::barracuda_es_750gb();
-        let from_trace =
-            run_drive(&params, DriveConfig::sa(2), &trace).expect("replay succeeds");
+        let from_trace = run_drive(&params, DriveConfig::sa(2), &trace).expect("replay succeeds");
         let from_source =
             run_drive(&params, DriveConfig::sa(2), spec.source(11)).expect("replay succeeds");
         assert_eq!(from_trace.metrics.completed, from_source.metrics.completed);

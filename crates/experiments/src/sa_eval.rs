@@ -97,7 +97,9 @@ pub struct SaStudy {
 impl SaStudy {
     /// All four workloads, in the paper's order.
     pub fn all() -> Self {
-        SaStudy { kinds: WorkloadKind::ALL.to_vec() }
+        SaStudy {
+            kinds: WorkloadKind::ALL.to_vec(),
+        }
     }
 
     /// A single workload (tests and focused runs).
@@ -187,7 +189,14 @@ impl Study for SaStudy {
                     nonzero_seek_fraction: Vec::new(),
                     power: Vec::new(),
                 }),
-                SaOutput::Sa { cdf, pdf, mean_ms, rot_mean_ms, nonzero_seek, power } => {
+                SaOutput::Sa {
+                    cdf,
+                    pdf,
+                    mean_ms,
+                    rot_mean_ms,
+                    nonzero_seek,
+                    power,
+                } => {
                     let w = workloads.last_mut().expect("plan leads with MD");
                     w.cdfs.push(cdf);
                     w.pdfs.push(pdf);
@@ -217,9 +226,8 @@ impl SaResult {
 impl SaReport {
     /// Renders Figure 5's top row (response-time CDFs).
     pub fn render_cdfs(&self) -> String {
-        let mut out = String::from(
-            "Figure 5 (top): Response-time CDFs of the HC-SD-SA(n) design\n\n",
-        );
+        let mut out =
+            String::from("Figure 5 (top): Response-time CDFs of the HC-SD-SA(n) design\n\n");
         for w in &self.workloads {
             let labels = ["HC-SD", "HC-SD-SA(2)", "HC-SD-SA(3)", "HC-SD-SA(4)", "MD"];
             let cdfs: Vec<&Cdf> = w.cdfs.iter().chain(std::iter::once(&w.md_cdf)).collect();
@@ -257,9 +265,7 @@ impl SaReport {
 
     /// Renders the 7200-RPM power bars (left part of Figure 6).
     pub fn render_power(&self) -> String {
-        let mut out = String::from(
-            "Figure 6 (7200 RPM columns): Average power of HC-SD-SA(n)\n\n",
-        );
+        let mut out = String::from("Figure 6 (7200 RPM columns): Average power of HC-SD-SA(n)\n\n");
         for w in &self.workloads {
             let labels = ["HC-SD", "SA(2)/7200", "SA(3)/7200", "SA(4)/7200"];
             out.push_str(&report::power_bars(w.kind.name(), &labels, &w.power));
@@ -284,7 +290,11 @@ mod tests {
             assert!(w[1] <= w[0] * 1.02, "means not improving: {:?}", r.means_ms);
         }
         for w in r.rot_means_ms.windows(2) {
-            assert!(w[1] <= w[0] * 1.05, "rot not improving: {:?}", r.rot_means_ms);
+            assert!(
+                w[1] <= w[0] * 1.05,
+                "rot not improving: {:?}",
+                r.rot_means_ms
+            );
         }
     }
 

@@ -49,8 +49,7 @@ pub fn table1() -> Vec<TechRow> {
         let modeled = if modern_projection(&params, actuators) {
             pm.peak_w(actuators)
         } else {
-            pm.idle_w()
-                + actuators as f64 * pm.vcm_w() * diskmodel::power::OPERATING_SEEK_DUTY
+            pm.idle_w() + actuators as f64 * pm.vcm_w() * diskmodel::power::OPERATING_SEEK_DUTY
         };
         TechRow {
             params,
@@ -62,8 +61,20 @@ pub fn table1() -> Vec<TechRow> {
         }
     };
     vec![
-        row(presets::ibm_3380_ak4(), 14.0, 4, 6_600.0, Some((10.0, 18.0))),
-        row(presets::fujitsu_m2361a(), 12.0, 1, 640.0, Some((17.0, 20.0))),
+        row(
+            presets::ibm_3380_ak4(),
+            14.0,
+            4,
+            6_600.0,
+            Some((10.0, 18.0)),
+        ),
+        row(
+            presets::fujitsu_m2361a(),
+            12.0,
+            1,
+            640.0,
+            Some((17.0, 20.0)),
+        ),
         row(presets::conner_cp3100(), 10.5, 1, 10.0, Some((7.0, 10.0))),
         row(
             presets::barracuda_es_750gb(),

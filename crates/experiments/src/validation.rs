@@ -21,9 +21,11 @@
 //! [`SeekProfile::mean_random_seek`]: diskmodel::SeekProfile::mean_random_seek
 
 use diskmodel::{presets, DriveError, SeekProfile};
-use intradisk::{DiskDrive, DriveConfig, DriveMetrics, IoKind, IoRequest, NullObserver, QueuePolicy};
-use telemetry::NullRecorder;
+use intradisk::{
+    DiskDrive, DriveConfig, DriveMetrics, IoKind, IoRequest, NullObserver, QueuePolicy,
+};
 use simkit::{Rng64, SimDuration, SimTime};
+use telemetry::NullRecorder;
 use workload::TraceBook;
 
 use crate::configs::Scale;
@@ -166,7 +168,9 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
     // Measure the fixed service time from an isolated request.
     let mut probe = make();
     let r0 = IoRequest::new(0, SimTime::ZERO, 0, 1, IoKind::Read);
-    let f = probe.submit(r0, SimTime::ZERO)?.expect("idle drive serves immediately");
+    let f = probe
+        .submit(r0, SimTime::ZERO)?
+        .expect("idle drive serves immediately");
     let service_ms = (f - SimTime::ZERO).as_millis();
     let _ = probe.complete(f)?;
 
@@ -181,7 +185,13 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
                 t += SimDuration::from_millis(-mean_gap * rng.f64_open().ln());
                 // Distinct uncached blocks so every request pays the
                 // same media path.
-                IoRequest::new(i, t, (i * 1_000_003) % drive.capacity_sectors(), 1, IoKind::Write)
+                IoRequest::new(
+                    i,
+                    t,
+                    (i * 1_000_003) % drive.capacity_sectors(),
+                    1,
+                    IoKind::Write,
+                )
             })
             .collect();
         Ok(replay(drive, reqs)?.response_time_ms.mean() - service_ms)

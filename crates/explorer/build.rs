@@ -44,10 +44,7 @@ fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) {
                 continue;
             }
             collect_files(&path, out);
-        } else if path
-            .extension()
-            .is_some_and(|e| e == "rs" || e == "toml")
-        {
+        } else if path.extension().is_some_and(|e| e == "rs" || e == "toml") {
             out.push(path);
         }
     }
@@ -79,7 +76,10 @@ fn main() {
     }
     // New files in any sim crate must also re-trigger the fingerprint.
     for krate in SIM_CRATES {
-        println!("cargo:rerun-if-changed={}", crates_root.join(krate).display());
+        println!(
+            "cargo:rerun-if-changed={}",
+            crates_root.join(krate).display()
+        );
     }
 
     let version = digest.finish_hex();

@@ -296,14 +296,24 @@ fn parse_args() -> Result<Args, String> {
 fn run_explore(args: &Args) -> Result<(), String> {
     let defaults = explorer::SweepScale::default();
     let scale = explorer::SweepScale {
-        requests: if args.requests_set { args.scale.requests } else { defaults.requests },
+        requests: if args.requests_set {
+            args.scale.requests
+        } else {
+            defaults.requests
+        },
         seed: args.scale.seed,
-        stats: if args.stats_set { args.scale.stats } else { defaults.stats },
+        stats: if args.stats_set {
+            args.scale.stats
+        } else {
+            defaults.stats
+        },
     };
     let coverage = match args.explore_grid.as_str() {
         "coarse" => explorer::Coverage::Coarse,
         "full" => explorer::Coverage::Full,
-        _ => explorer::Coverage::Adaptive { passes: args.explore_refine },
+        _ => explorer::Coverage::Adaptive {
+            passes: args.explore_refine,
+        },
     };
     let latency = match args.explore_latency.as_str() {
         "mean" => explorer::LatencyAxis::Mean,
@@ -427,7 +437,8 @@ impl experiments::RunObserver for HeartbeatObserver {
         if self.completed & Self::CHECK_MASK != 0 {
             return;
         }
-        self.hb.maybe_beat(self.completed, || stats.percentile_stream(90.0));
+        self.hb
+            .maybe_beat(self.completed, || stats.percentile_stream(90.0));
     }
 }
 
@@ -447,8 +458,7 @@ fn run_scale(args: &Args) -> Result<(), String> {
     let config = intradisk::DriveConfig::sa(args.actuators).with_stats_mode(args.scale.stats);
     let r = if let Some(every) = args.heartbeat_secs {
         let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
-        let mut obs =
-            HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
+        let mut obs = HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
         experiments::simulate(
             spec.source(args.scale.seed),
             intradisk::DiskDrive::new(&params, config),

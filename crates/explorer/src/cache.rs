@@ -126,7 +126,11 @@ impl Pack {
     fn writer(&mut self, root: &Path, path: &Path) -> io::Result<&File> {
         if !self.writable {
             fs::create_dir_all(root)?;
-            let file = OpenOptions::new().read(true).append(true).create(true).open(path)?;
+            let file = OpenOptions::new()
+                .read(true)
+                .append(true)
+                .create(true)
+                .open(path)?;
             self.file = Some(file);
             self.writable = true;
         }
@@ -228,9 +232,11 @@ impl PointCache {
     pub fn load(&self, d: &PointDescriptor) -> Option<PointOutcome> {
         let hash = d.hash();
         self.with_pack(|pack| {
-            pack.index.get(&hash)?.iter().rev().find_map(|range| {
-                decode_line(&pack.read(range)?, d, &self.code_version)
-            })
+            pack.index
+                .get(&hash)?
+                .iter()
+                .rev()
+                .find_map(|range| decode_line(&pack.read(range)?, d, &self.code_version))
         })
     }
 
@@ -272,7 +278,10 @@ mod tests {
     }
 
     fn points(n: usize) -> Vec<PointOutcome> {
-        let scale = SweepScale { requests: 300, ..SweepScale::default() };
+        let scale = SweepScale {
+            requests: 300,
+            ..SweepScale::default()
+        };
         grid(GridResolution::Coarse, scale)
             .iter()
             .take(n)
@@ -302,15 +311,25 @@ mod tests {
         PointCache::with_code_version(&dir, "cv-1")
             .store(&out)
             .expect("store succeeds");
-        assert!(PointCache::with_code_version(&dir, "cv-2").load(&d).is_none());
+        assert!(PointCache::with_code_version(&dir, "cv-2")
+            .load(&d)
+            .is_none());
         // Versions sharing a 16-char prefix share a pack, but the
         // embedded full-version check still distinguishes them.
         let long = "0123456789abcdef-a";
-        PointCache::with_code_version(&dir, long).store(&out).expect("store succeeds");
+        PointCache::with_code_version(&dir, long)
+            .store(&out)
+            .expect("store succeeds");
         let sibling = PointCache::with_code_version(&dir, "0123456789abcdef-b");
-        assert_eq!(sibling.pack_path(), PointCache::with_code_version(&dir, long).pack_path());
+        assert_eq!(
+            sibling.pack_path(),
+            PointCache::with_code_version(&dir, long).pack_path()
+        );
         assert!(sibling.load(&d).is_none());
-        assert_eq!(PointCache::with_code_version(&dir, long).load(&d), Some(out));
+        assert_eq!(
+            PointCache::with_code_version(&dir, long).load(&d),
+            Some(out)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -326,7 +345,9 @@ mod tests {
 
         // The pack replaced by garbage.
         fs::write(&path, "{garbage").expect("clobber");
-        assert!(PointCache::with_code_version(&dir, "cv-1").load(&d).is_none());
+        assert!(PointCache::with_code_version(&dir, "cv-1")
+            .load(&d)
+            .is_none());
 
         // A well-formed record whose value changed: the record still
         // parses, so only the checksum catches it.
@@ -335,17 +356,30 @@ mod tests {
         assert!(text.contains(&mean));
         let altered = text.replacen(&mean, &format!("\"mean_ms\":{}", out.mean_ms + 1.0), 1);
         fs::write(&path, altered).expect("clobber");
-        assert!(PointCache::with_code_version(&dir, "cv-1").load(&d).is_none());
+        assert!(PointCache::with_code_version(&dir, "cv-1")
+            .load(&d)
+            .is_none());
 
         // A line whose checksum is right but whose record is not.
-        let record = out.to_record("cv-1").replace("intradisk-explore-point-v1", "v0");
-        let line = format!("{} {:016x} {record}\n", d.hash(), checksum(record.as_bytes()));
+        let record = out
+            .to_record("cv-1")
+            .replace("intradisk-explore-point-v1", "v0");
+        let line = format!(
+            "{} {:016x} {record}\n",
+            d.hash(),
+            checksum(record.as_bytes())
+        );
         fs::write(&path, line).expect("clobber");
-        assert!(PointCache::with_code_version(&dir, "cv-1").load(&d).is_none());
+        assert!(PointCache::with_code_version(&dir, "cv-1")
+            .load(&d)
+            .is_none());
 
         // Restored bytes load again.
         fs::write(&path, good).expect("restore");
-        assert_eq!(PointCache::with_code_version(&dir, "cv-1").load(&d), Some(out));
+        assert_eq!(
+            PointCache::with_code_version(&dir, "cv-1").load(&d),
+            Some(out)
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -354,7 +388,10 @@ mod tests {
         let dir = tmpdir("newest");
         let cache = PointCache::with_code_version(&dir, "cv-1");
         let old = points(1).remove(0);
-        let new = PointOutcome { cache_hits: old.cache_hits + 1, ..old.clone() };
+        let new = PointOutcome {
+            cache_hits: old.cache_hits + 1,
+            ..old.clone()
+        };
         cache.store(&old).expect("store succeeds");
         cache.store(&new).expect("store succeeds");
         assert_eq!(cache.load(&old.descriptor), Some(new.clone()));
@@ -379,7 +416,10 @@ mod tests {
         let bytes = fs::read(&path).expect("pack written");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("tear");
         let cache = PointCache::with_code_version(&dir, "cv-1");
-        assert!(cache.load(&outs[0].descriptor).is_none(), "torn line misses");
+        assert!(
+            cache.load(&outs[0].descriptor).is_none(),
+            "torn line misses"
+        );
         cache.store(&outs[1]).expect("store succeeds");
         assert_eq!(cache.load(&outs[1].descriptor), Some(outs[1].clone()));
         let reopened = PointCache::with_code_version(&dir, "cv-1");
@@ -403,7 +443,10 @@ mod tests {
             fs::read(cache.pack_path()).expect("pack written")
         };
         let len = pristine.len() as u64;
-        let config = Config { cases: 256, ..Config::default() };
+        let config = Config {
+            cases: 256,
+            ..Config::default()
+        };
         check_with(config, "damaged_pack_loads_exactly_or_misses", |t| {
             let cut = t.draw(&gen::bool_any());
             let cut_at = t.draw(&gen::u64_in(0..=len - 1));

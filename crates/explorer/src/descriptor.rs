@@ -167,14 +167,35 @@ mod tests {
         let base = sample();
         let h0 = base.hash();
         let variants = [
-            PointDescriptor { dash: DashConfig::sa(3), ..base },
-            PointDescriptor { policy: QueuePolicy::Fcfs, ..base },
-            PointDescriptor { cache_mib: 16, ..base },
-            PointDescriptor { rpm: 10_000, ..base },
-            PointDescriptor { workload: WorkloadKind::TpcH, ..base },
-            PointDescriptor { requests: 2001, ..base },
+            PointDescriptor {
+                dash: DashConfig::sa(3),
+                ..base
+            },
+            PointDescriptor {
+                policy: QueuePolicy::Fcfs,
+                ..base
+            },
+            PointDescriptor {
+                cache_mib: 16,
+                ..base
+            },
+            PointDescriptor {
+                rpm: 10_000,
+                ..base
+            },
+            PointDescriptor {
+                workload: WorkloadKind::TpcH,
+                ..base
+            },
+            PointDescriptor {
+                requests: 2001,
+                ..base
+            },
             PointDescriptor { seed: 43, ..base },
-            PointDescriptor { stats: StatsMode::Exact, ..base },
+            PointDescriptor {
+                stats: StatsMode::Exact,
+                ..base
+            },
         ];
         for v in variants {
             assert_ne!(v.hash(), h0, "{}", v.canonical());

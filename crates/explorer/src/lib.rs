@@ -221,7 +221,13 @@ fn run_batch(
             }
         }
     }
-    Ok((outcomes.into_iter().map(|o| o.expect("slot filled")).collect(), executed))
+    Ok((
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("slot filled"))
+            .collect(),
+        executed,
+    ))
 }
 
 /// Runs the exploration: seed grid, optional refinement passes, Pareto
@@ -308,7 +314,9 @@ fn render_json(opts: &ExploreOptions, points: &[PointOutcome], frontier: &[usize
          \"latency_axis\": \"{}\",\n  \"requests\": {},\n  \"seed\": {},\n  \"stats\": \"{}\",\n  \
          \"points\": [",
         EXPLORE_SCHEMA,
-        opts.cache.as_ref().map_or(CODE_VERSION, |c| c.code_version()),
+        opts.cache
+            .as_ref()
+            .map_or(CODE_VERSION, |c| c.code_version()),
         opts.coverage.name(),
         opts.latency.name(),
         opts.scale.requests,
@@ -359,7 +367,10 @@ mod tests {
 
     fn tiny_opts() -> ExploreOptions {
         ExploreOptions {
-            scale: SweepScale { requests: 200, ..SweepScale::default() },
+            scale: SweepScale {
+                requests: 200,
+                ..SweepScale::default()
+            },
             coverage: Coverage::Coarse,
             latency: LatencyAxis::P90,
             cache: None,
@@ -381,15 +392,25 @@ mod tests {
     fn explore_json_parses_and_marks_frontier() {
         let out = explore(&tiny_opts(), &Executor::new(2)).expect("explore succeeds");
         let doc = jsonv::parse(&out.json).expect("export is valid JSON");
-        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(EXPLORE_SCHEMA));
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some(EXPLORE_SCHEMA)
+        );
         let pts = doc.get("points").and_then(Value::as_array).expect("points");
         assert_eq!(pts.len(), out.points.len());
         let marked = pts
             .iter()
-            .filter(|p| p.get("frontier").map(|v| matches!(v, Value::Bool(true))).unwrap_or(false))
+            .filter(|p| {
+                p.get("frontier")
+                    .map(|v| matches!(v, Value::Bool(true)))
+                    .unwrap_or(false)
+            })
             .count();
         assert_eq!(marked, out.frontier.len());
-        let fr = doc.get("frontier").and_then(Value::as_array).expect("frontier");
+        let fr = doc
+            .get("frontier")
+            .and_then(Value::as_array)
+            .expect("frontier");
         assert_eq!(fr.len(), out.frontier.len());
     }
 

@@ -84,7 +84,11 @@ mod tests {
     use super::*;
 
     fn ax(l: f64, e: f64, c: f64) -> Axes {
-        Axes { latency_ms: l, energy_j: e, cost_usd: c }
+        Axes {
+            latency_ms: l,
+            energy_j: e,
+            cost_usd: c,
+        }
     }
 
     #[test]
@@ -93,7 +97,10 @@ mod tests {
         assert!(!a.dominates(&a));
         assert!(a.dominates(&ax(2.0, 1.0, 1.0)));
         assert!(a.dominates(&ax(2.0, 2.0, 2.0)));
-        assert!(!a.dominates(&ax(0.5, 2.0, 2.0)), "trade-offs don't dominate");
+        assert!(
+            !a.dominates(&ax(0.5, 2.0, 2.0)),
+            "trade-offs don't dominate"
+        );
     }
 
     #[test]

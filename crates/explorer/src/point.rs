@@ -211,7 +211,10 @@ mod tests {
     use crate::space::{grid, GridResolution, SweepScale};
 
     fn small_point() -> PointDescriptor {
-        let scale = SweepScale { requests: 300, ..SweepScale::default() };
+        let scale = SweepScale {
+            requests: 300,
+            ..SweepScale::default()
+        };
         grid(GridResolution::Coarse, scale)[1]
     }
 
@@ -232,7 +235,10 @@ mod tests {
         let out = run_point(&d).expect("replay succeeds");
         let body = out.to_record("cv-a");
         assert!(PointOutcome::from_record(&body, &d, "cv-b").is_none());
-        let other = PointDescriptor { seed: d.seed + 1, ..d };
+        let other = PointDescriptor {
+            seed: d.seed + 1,
+            ..d
+        };
         assert!(PointOutcome::from_record(&body, &other, "cv-a").is_none());
         assert!(PointOutcome::from_record("{not json", &d, "cv-a").is_none());
     }
@@ -253,7 +259,9 @@ mod tests {
 
     #[test]
     fn hex_decode_accepts_only_what_the_encoder_writes() {
-        for bad in ["+f", "0+", "-1", "FF", "aB", "0A", "g0", " 0", "0x", "abc", "a"] {
+        for bad in [
+            "+f", "0+", "-1", "FF", "aB", "0A", "g0", " 0", "0x", "abc", "a",
+        ] {
             assert_eq!(hex_decode(bad), None, "{bad:?} must not decode");
         }
         assert_eq!(hex_decode("é"), None, "non-ASCII pair");
@@ -262,12 +270,24 @@ mod tests {
     #[test]
     fn cost_grows_with_actuators_and_heads() {
         let d = small_point();
-        let sa1 = PointDescriptor { dash: intradisk::DashConfig::sa(1), ..d };
-        let sa4 = PointDescriptor { dash: intradisk::DashConfig::sa(4), ..d };
-        let mh2 = PointDescriptor { dash: intradisk::DashConfig::new(1, 1, 1, 2), ..d };
+        let sa1 = PointDescriptor {
+            dash: intradisk::DashConfig::sa(1),
+            ..d
+        };
+        let sa4 = PointDescriptor {
+            dash: intradisk::DashConfig::sa(4),
+            ..d
+        };
+        let mh2 = PointDescriptor {
+            dash: intradisk::DashConfig::new(1, 1, 1, 2),
+            ..d
+        };
         assert!(cost_usd(&sa4) > cost_usd(&sa1));
         assert!(cost_usd(&mh2) > cost_usd(&sa1));
-        assert!(cost_usd(&sa4) > cost_usd(&mh2), "extra actuators cost more than extra heads");
+        assert!(
+            cost_usd(&sa4) > cost_usd(&mh2),
+            "extra actuators cost more than extra heads"
+        );
     }
 
     #[test]

@@ -141,18 +141,30 @@ pub fn neighbors(d: &PointDescriptor) -> Vec<PointDescriptor> {
     let mut out = Vec::new();
     if let Some(ci) = CACHE_MIB.iter().position(|&c| c == d.cache_mib) {
         if ci > 0 {
-            out.push(PointDescriptor { cache_mib: CACHE_MIB[ci - 1], ..*d });
+            out.push(PointDescriptor {
+                cache_mib: CACHE_MIB[ci - 1],
+                ..*d
+            });
         }
         if ci + 1 < CACHE_MIB.len() {
-            out.push(PointDescriptor { cache_mib: CACHE_MIB[ci + 1], ..*d });
+            out.push(PointDescriptor {
+                cache_mib: CACHE_MIB[ci + 1],
+                ..*d
+            });
         }
     }
     if let Some(ri) = RPM.iter().position(|&r| r == d.rpm) {
         if ri > 0 {
-            out.push(PointDescriptor { rpm: RPM[ri - 1], ..*d });
+            out.push(PointDescriptor {
+                rpm: RPM[ri - 1],
+                ..*d
+            });
         }
         if ri + 1 < RPM.len() {
-            out.push(PointDescriptor { rpm: RPM[ri + 1], ..*d });
+            out.push(PointDescriptor {
+                rpm: RPM[ri + 1],
+                ..*d
+            });
         }
     }
     out
@@ -205,7 +217,11 @@ mod tests {
         assert_eq!(n[0].cache_mib, 8);
         assert_eq!(n[1].rpm, 7_200);
         // An interior full-grid point has all four.
-        let interior = PointDescriptor { cache_mib: 8, rpm: 7_200, ..*corner };
+        let interior = PointDescriptor {
+            cache_mib: 8,
+            rpm: 7_200,
+            ..*corner
+        };
         assert_eq!(neighbors(&interior).len(), 4);
     }
 

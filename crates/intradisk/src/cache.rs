@@ -56,7 +56,11 @@ impl SegmentedCache {
         SegmentedCache {
             segments: Vec::with_capacity(segments),
             max_segments: segments,
-            segment_sectors: if total_sectors == 0 { 0 } else { segment_sectors },
+            segment_sectors: if total_sectors == 0 {
+                0
+            } else {
+                segment_sectors
+            },
             tick: 0,
             hits: 0,
             misses: 0,
@@ -165,8 +169,7 @@ impl SegmentedCache {
         }
         let first = self.segment_of(lba);
         let last = self.segment_of(lba + sectors as u64 - 1);
-        self.segments
-            .retain(|s| s.start < first || s.start > last);
+        self.segments.retain(|s| s.start < first || s.start > last);
     }
 
     /// Number of resident segments.

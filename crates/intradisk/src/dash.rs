@@ -107,7 +107,11 @@ pub struct ParseDashError {
 
 impl fmt::Display for ParseDashError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid DASH label: {:?} (expected e.g. \"D1A2S1H1\")", self.input)
+        write!(
+            f,
+            "invalid DASH label: {:?} (expected e.g. \"D1A2S1H1\")",
+            self.input
+        )
     }
 }
 
@@ -117,7 +121,9 @@ impl FromStr for DashConfig {
     type Err = ParseDashError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = || ParseDashError { input: s.to_string() };
+        let err = || ParseDashError {
+            input: s.to_string(),
+        };
         let upper = s.to_ascii_uppercase();
         let rest = upper.strip_prefix('D').ok_or_else(err)?;
         let (d, rest) = rest.split_once('A').ok_or_else(err)?;

@@ -300,13 +300,21 @@ mod tests {
     #[test]
     fn close_idle_span_counts_tail() {
         let mut modes = ModeAccumulator::new();
-        close_idle_span(&mut modes, SimTime::from_millis(5.0), SimTime::from_millis(9.0));
+        close_idle_span(
+            &mut modes,
+            SimTime::from_millis(5.0),
+            SimTime::from_millis(9.0),
+        );
         assert_eq!(
             modes.time_in(DriveMode::Idle.key()),
             SimDuration::from_millis(4.0)
         );
         // No-op when already past the end.
-        close_idle_span(&mut modes, SimTime::from_millis(9.0), SimTime::from_millis(9.0));
+        close_idle_span(
+            &mut modes,
+            SimTime::from_millis(9.0),
+            SimTime::from_millis(9.0),
+        );
         assert_eq!(
             modes.time_in(DriveMode::Idle.key()),
             SimDuration::from_millis(4.0)
@@ -323,8 +331,7 @@ mod tests {
         let exact = m.response_time_ms.percentile(90.0);
         let stream = m.response_time_ms.percentile_stream(90.0);
         assert!(
-            (stream - exact).abs() / exact
-                <= m.response_time_ms.relative_error() + 1e-12,
+            (stream - exact).abs() / exact <= m.response_time_ms.relative_error() + 1e-12,
             "stream {stream} vs exact {exact}"
         );
         assert_eq!(

@@ -130,7 +130,9 @@ impl CompletedIo {
 #[cfg(test)]
 pub(crate) fn random_reads(n: u64, mean_gap_ms: f64, seed: u64) -> Vec<IoRequest> {
     let params = diskmodel::presets::barracuda_es_750gb();
-    let cap = crate::service::Mechanics::new(&params).geometry().total_sectors();
+    let cap = crate::service::Mechanics::new(&params)
+        .geometry()
+        .total_sectors();
     let mut rng = simkit::Rng64::new(seed);
     let mut t = SimTime::ZERO;
     (0..n)

@@ -8,15 +8,19 @@ use intradisk::cache::DEFAULT_SEGMENTS;
 use intradisk::sched::{PendingQueue, ScanCost};
 use intradisk::service::{ArmSet, Mechanics};
 use intradisk::{
-    simulate, DiskDrive, DriveConfig, IoKind, IoRequest, LatencyScaling, NullObserver,
-    QueuePolicy, SegmentedCache,
+    simulate, DiskDrive, DriveConfig, IoKind, IoRequest, LatencyScaling, NullObserver, QueuePolicy,
+    SegmentedCache,
 };
 use simkit::{SimDuration, SimTime};
 use telemetry::NullRecorder;
 use testkit::{check, gen, Gen};
 
 fn arb_policy() -> Gen<QueuePolicy> {
-    gen::one_of(vec![QueuePolicy::Fcfs, QueuePolicy::Sstf, QueuePolicy::Sptf])
+    gen::one_of(vec![
+        QueuePolicy::Fcfs,
+        QueuePolicy::Sstf,
+        QueuePolicy::Sptf,
+    ])
 }
 
 fn arb_requests(max_len: usize) -> Gen<Vec<IoRequest>> {
@@ -227,44 +231,51 @@ fn queue_sptf_pops_cheapest_inside_window() {
 
 #[test]
 fn drive_services_single_sector_and_end_of_disk_requests() {
-    check("drive_services_single_sector_and_end_of_disk_requests", |t| {
-        let params = presets::barracuda_es_750gb();
-        let cap = params.capacity_sectors();
-        let actuators = t.draw(&gen::u32_in(1..=4));
-        // A mix of single-sector I/Os and ranges that start so close to
-        // the end of the disk that they wrap past the last LBA.
-        let n = t.draw(&gen::usize_in(1..=12));
-        let mut reqs = Vec::new();
-        for id in 0..n as u64 {
-            let near_end = t.draw_silent(&gen::bool_any());
-            let lba = if near_end {
-                cap - 1 - t.draw_silent(&gen::u64_in(0..=255))
-            } else {
-                t.draw_silent(&gen::u64_in(0..=cap - 1))
-            };
-            let sectors = if near_end {
-                // Deliberately allowed to run past the end of the disk.
-                t.draw_silent(&gen::u32_in(1..=512))
-            } else {
-                1
-            };
-            let kind = if t.draw_silent(&gen::bool_any()) {
-                IoKind::Read
-            } else {
-                IoKind::Write
-            };
-            reqs.push(IoRequest::new(
-                id,
-                SimTime::from_millis(id as f64),
-                lba,
-                sectors,
-                kind,
-            ));
-        }
-        let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
-        let r = simulate(reqs, drive, &mut NullRecorder, &mut NullObserver).expect("valid replay");
-        assert_eq!(r.metrics.completed, n as u64, "every request must complete");
-        // Causality: no request completes before it arrives.
-        assert!(r.metrics.response_time_ms.min() >= 0.0, "completed before arrival");
-    });
+    check(
+        "drive_services_single_sector_and_end_of_disk_requests",
+        |t| {
+            let params = presets::barracuda_es_750gb();
+            let cap = params.capacity_sectors();
+            let actuators = t.draw(&gen::u32_in(1..=4));
+            // A mix of single-sector I/Os and ranges that start so close to
+            // the end of the disk that they wrap past the last LBA.
+            let n = t.draw(&gen::usize_in(1..=12));
+            let mut reqs = Vec::new();
+            for id in 0..n as u64 {
+                let near_end = t.draw_silent(&gen::bool_any());
+                let lba = if near_end {
+                    cap - 1 - t.draw_silent(&gen::u64_in(0..=255))
+                } else {
+                    t.draw_silent(&gen::u64_in(0..=cap - 1))
+                };
+                let sectors = if near_end {
+                    // Deliberately allowed to run past the end of the disk.
+                    t.draw_silent(&gen::u32_in(1..=512))
+                } else {
+                    1
+                };
+                let kind = if t.draw_silent(&gen::bool_any()) {
+                    IoKind::Read
+                } else {
+                    IoKind::Write
+                };
+                reqs.push(IoRequest::new(
+                    id,
+                    SimTime::from_millis(id as f64),
+                    lba,
+                    sectors,
+                    kind,
+                ));
+            }
+            let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
+            let r =
+                simulate(reqs, drive, &mut NullRecorder, &mut NullObserver).expect("valid replay");
+            assert_eq!(r.metrics.completed, n as u64, "every request must complete");
+            // Causality: no request completes before it arrives.
+            assert!(
+                r.metrics.response_time_ms.min() >= 0.0,
+                "completed before arrival"
+            );
+        },
+    );
 }

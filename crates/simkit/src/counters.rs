@@ -48,12 +48,20 @@ pub struct Counter {
 impl Counter {
     /// A summing counter (event count).
     pub const fn new(name: &'static str) -> Self {
-        Self { name, kind: Kind::Sum, value: AtomicU64::new(0) }
+        Self {
+            name,
+            kind: Kind::Sum,
+            value: AtomicU64::new(0),
+        }
     }
 
     /// A maximum-tracking counter (high-water mark).
     pub const fn new_max(name: &'static str) -> Self {
-        Self { name, kind: Kind::Max, value: AtomicU64::new(0) }
+        Self {
+            name,
+            kind: Kind::Max,
+            value: AtomicU64::new(0),
+        }
     }
 
     /// Stable export name, e.g. `"simkit.wheel.pushes"`.
@@ -130,7 +138,10 @@ impl fmt::Debug for DropCounter {
 impl DropCounter {
     /// A batcher for `target` with nothing pending.
     pub fn new(target: &'static Counter) -> Self {
-        Self { pending: Cell::new(0), target }
+        Self {
+            pending: Cell::new(0),
+            target,
+        }
     }
 
     /// Count one event.

@@ -70,7 +70,10 @@ impl UniformRange {
     /// # Panics
     /// Panics unless `lo < hi` and both are finite.
     pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range [{lo}, {hi})");
+        assert!(
+            lo.is_finite() && hi.is_finite() && lo < hi,
+            "bad range [{lo}, {hi})"
+        );
         UniformRange { lo, hi }
     }
 }
@@ -177,8 +180,7 @@ impl Sample for Pareto {
         let u = rng.f64();
         let la = self.lo.powf(self.alpha);
         let ha = self.hi.powf(self.alpha);
-        (-(u * ha - u * la - ha) / (ha * la))
-            .powf(-1.0 / self.alpha)
+        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
     }
 }
 

@@ -22,8 +22,8 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::BTreeMap;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -472,9 +472,7 @@ impl<E> WheelEventQueue<E> {
             // The granule being drained: sorted insert (descending) so
             // the back of `current` stays the earliest pending event.
             let key = (time, seq);
-            let at = self
-                .current
-                .partition_point(|e| (e.time, e.seq) > key);
+            let at = self.current.partition_point(|e| (e.time, e.seq) > key);
             self.current.insert(at, entry);
         } else if g < self.base[0] + L0_SPAN {
             let idx = (g - self.base[0]) as usize;

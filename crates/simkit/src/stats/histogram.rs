@@ -238,10 +238,18 @@ impl fmt::Display for Pdf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut lo = 0.0;
         for (i, e) in self.edges.iter().enumerate() {
-            writeln!(f, "  ({lo:>5.1}, {e:>5.1}] ms : {:>6.2}%", self.mass[i] * 100.0)?;
+            writeln!(
+                f,
+                "  ({lo:>5.1}, {e:>5.1}] ms : {:>6.2}%",
+                self.mass[i] * 100.0
+            )?;
             lo = *e;
         }
-        writeln!(f, "  ({lo:>5.1},   inf) ms : {:>6.2}%", self.mass[self.edges.len()] * 100.0)
+        writeln!(
+            f,
+            "  ({lo:>5.1},   inf) ms : {:>6.2}%",
+            self.mass[self.edges.len()] * 100.0
+        )
     }
 }
 

@@ -490,7 +490,11 @@ mod tests {
         let mut b = ResponseStats::exact();
         let mut whole = ResponseStats::exact();
         for (i, v) in latency_mix(2_000).enumerate() {
-            if i % 2 == 0 { a.record(v) } else { b.record(v) }
+            if i % 2 == 0 {
+                a.record(v)
+            } else {
+                b.record(v)
+            }
             whole.record(v);
         }
         a.merge(&b);
@@ -519,7 +523,11 @@ mod tests {
         let mut b = ResponseStats::streaming();
         let mut whole = ResponseStats::streaming();
         for (i, v) in latency_mix(3_000).enumerate() {
-            if i % 3 == 0 { a.record(v) } else { b.record(v) }
+            if i % 3 == 0 {
+                a.record(v)
+            } else {
+                b.record(v)
+            }
             whole.record(v);
         }
         a.merge(&b);

@@ -349,7 +349,11 @@ mod tests {
         let mut whole = Summary::new();
         for i in 0..100 {
             let v = (i as f64) * 0.7 - 10.0;
-            if i % 2 == 0 { a.record(v) } else { b.record(v) }
+            if i % 2 == 0 {
+                a.record(v)
+            } else {
+                b.record(v)
+            }
             whole.record(v);
         }
         a.merge(&b);

@@ -226,7 +226,12 @@ impl Add<SimDuration> for SimTime {
     fn add(self, rhs: SimDuration) -> SimTime {
         // Operator impls cannot return Result; clock overflow after
         // ~584 years of simulated nanoseconds is a harness bug.
-        SimTime(self.0.checked_add(rhs.0).expect("simulation clock overflow")) // simlint: allow(no-panic-in-lib)
+        SimTime(
+            self.0
+                .checked_add(rhs.0)
+                // simlint: allow(no-panic-in-lib)
+                .expect("simulation clock overflow"),
+        )
     }
 }
 
@@ -370,7 +375,10 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert_eq!(SimTime::from_millis(3.0).max(SimTime::ZERO), SimTime::from_millis(3.0));
+        assert_eq!(
+            SimTime::from_millis(3.0).max(SimTime::ZERO),
+            SimTime::from_millis(3.0)
+        );
     }
 
     #[test]
@@ -378,7 +386,10 @@ mod tests {
         let total: SimDuration = (1..=4).map(|i| SimDuration::from_millis(i as f64)).sum();
         assert_eq!(total, SimDuration::from_millis(10.0));
         assert_eq!(total / 2, SimDuration::from_millis(5.0));
-        assert_eq!(SimDuration::from_millis(2.0) * 3, SimDuration::from_millis(6.0));
+        assert_eq!(
+            SimDuration::from_millis(2.0) * 3,
+            SimDuration::from_millis(6.0)
+        );
     }
 
     #[test]

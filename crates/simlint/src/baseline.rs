@@ -109,7 +109,10 @@ impl Baseline {
 
     /// Parses a baseline file.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut p = Parser { chars: text.chars().collect(), i: 0 };
+        let mut p = Parser {
+            chars: text.chars().collect(),
+            i: 0,
+        };
         p.skip_ws();
         p.expect('{')?;
         let mut counts: BTreeMap<(String, String, String), usize> = BTreeMap::new();
@@ -228,10 +231,10 @@ impl Parser {
                         'r' => out.push('\r'),
                         't' => out.push('\t'),
                         'u' => {
-                            let hex: String =
-                                self.chars[self.i..(self.i + 4).min(self.chars.len())]
-                                    .iter()
-                                    .collect();
+                            let hex: String = self.chars
+                                [self.i..(self.i + 4).min(self.chars.len())]
+                                .iter()
+                                .collect();
                             if hex.len() != 4 {
                                 return Err("truncated \\u escape".into());
                             }
@@ -304,7 +307,11 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let fs = vec![finding("a.rs", "m1"), finding("a.rs", "m1"), finding("b.rs", "m\"2\"")];
+        let fs = vec![
+            finding("a.rs", "m1"),
+            finding("a.rs", "m1"),
+            finding("b.rs", "m\"2\""),
+        ];
         let b = Baseline::from_findings(&fs);
         let parsed = Baseline::parse(&b.render()).expect("round trip");
         assert_eq!(parsed, b);
@@ -341,7 +348,10 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(Baseline::parse("not json").is_err());
-        assert!(Baseline::parse("{\"entries\": []}").is_err(), "missing version tag");
+        assert!(
+            Baseline::parse("{\"entries\": []}").is_err(),
+            "missing version tag"
+        );
         assert!(Baseline::parse("{\"simlint_baseline\": 1, \"entries\": []}").is_err());
     }
 }

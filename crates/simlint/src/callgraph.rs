@@ -62,7 +62,11 @@ impl<'a> CallGraph<'a> {
                 fns.push(GraphFn { file: fi, idx: i });
             }
         }
-        CallGraph { files, fns, by_name }
+        CallGraph {
+            files,
+            fns,
+            by_name,
+        }
     }
 
     /// The outline fn behind a graph node.
@@ -103,7 +107,11 @@ impl<'a> CallGraph<'a> {
                 .filter(|&n| self.item(n).owner.is_none())
                 .collect(),
             CallKind::Qualified(q) => {
-                let owner = if q == "Self" { caller_owner } else { Some(q.as_str()) };
+                let owner = if q == "Self" {
+                    caller_owner
+                } else {
+                    Some(q.as_str())
+                };
                 named
                     .iter()
                     .copied()
@@ -206,8 +214,7 @@ mod tests {
                 (toks, o)
             })
             .collect();
-        let refs: Vec<(&[Tok], &Outline)> =
-            parsed.iter().map(|(t, o)| (t.as_slice(), o)).collect();
+        let refs: Vec<(&[Tok], &Outline)> = parsed.iter().map(|(t, o)| (t.as_slice(), o)).collect();
         let g = CallGraph::build(&refs);
         let hot = g.hot_reachable();
         let mut names: Vec<String> = hot.keys().map(|&n| g.display_name(n)).collect();
@@ -217,8 +224,7 @@ mod tests {
 
     #[test]
     fn hot_propagates_through_method_and_free_calls() {
-        let (_, hot) = graph_of(&[
-            "impl Drive {\n\
+        let (_, hot) = graph_of(&["impl Drive {\n\
                  // simlint: hot\n\
                  fn dispatch(&mut self) { self.scan(); helper(); }\n\
                  fn scan(&mut self) { self.cost(); }\n\
@@ -226,8 +232,7 @@ mod tests {
                  fn cold(&self) {}\n\
              }\n\
              fn helper() {}\n\
-             fn unrelated() {}\n",
-        ]);
+             fn unrelated() {}\n"]);
         assert_eq!(
             hot,
             vec!["Drive::cost", "Drive::dispatch", "Drive::scan", "helper"]
@@ -236,29 +241,31 @@ mod tests {
 
     #[test]
     fn self_call_prefers_own_impl_and_tests_are_excluded() {
-        let (_, hot) = graph_of(&[
-            "impl A {\n\
+        let (_, hot) = graph_of(&["impl A {\n\
                  // simlint: hot\n\
                  fn go(&self) { self.step(); }\n\
                  fn step(&self) {}\n\
              }\n\
              impl B { fn step(&self) {} }\n\
-             #[cfg(test)]\nmod tests { fn step() { } }\n",
-        ]);
-        assert_eq!(hot, vec!["A::go", "A::step"], "B::step must not be pulled in via self call");
+             #[cfg(test)]\nmod tests { fn step() { } }\n"]);
+        assert_eq!(
+            hot,
+            vec!["A::go", "A::step"],
+            "B::step must not be pulled in via self call"
+        );
     }
 
     #[test]
     fn field_receiver_resolves_through_declared_type() {
-        let (_, hot) = graph_of(&[
-            "struct Drive { cache: SegmentedCache, slots: Vec<u32> }\n\
+        let (_, hot) = graph_of(
+            &["struct Drive { cache: SegmentedCache, slots: Vec<u32> }\n\
              impl Drive {\n\
                  // simlint: hot\n\
                  fn dispatch(&mut self) { self.cache.lookup(1); self.slots.push(2); }\n\
              }\n\
              impl SegmentedCache { fn lookup(&self, _x: u32) {} }\n\
-             impl Other { fn push(&mut self, _x: u32) {} }\n",
-        ]);
+             impl Other { fn push(&mut self, _x: u32) {} }\n"],
+        );
         // `cache: SegmentedCache` types the lookup edge; `slots: Vec`
         // has no in-crate impl, so Other::push is not pulled in.
         assert_eq!(hot, vec!["Drive::dispatch", "SegmentedCache::lookup"]);

@@ -115,7 +115,11 @@ pub fn calls(toks: &[Tok], range: (usize, usize)) -> Vec<Call> {
                 .map(|j| toks[j].is_op("(") || toks[j].is_op("[") || toks[j].is_op("{"))
                 .unwrap_or(false);
             if delim {
-                out.push(Call { kind: CallKind::Macro, name: t.text.clone(), tok: i });
+                out.push(Call {
+                    kind: CallKind::Macro,
+                    name: t.text.clone(),
+                    tok: i,
+                });
                 continue;
             }
         }
@@ -130,9 +134,8 @@ pub fn calls(toks: &[Tok], range: (usize, usize)) -> Vec<Call> {
         let prev = prev_code(toks, i);
         match prev.map(|p| &toks[p]) {
             Some(p) if p.is_op(".") => {
-                let recv = prev_code(toks, prev.expect("is_op checked")).and_then(|r| {
-                    (toks[r].kind == TokKind::Ident).then(|| toks[r].text.clone())
-                });
+                let recv = prev_code(toks, prev.expect("is_op checked"))
+                    .and_then(|r| (toks[r].kind == TokKind::Ident).then(|| toks[r].text.clone()));
                 out.push(Call {
                     kind: CallKind::Method { receiver: recv },
                     name: t.text.clone(),
@@ -144,14 +147,22 @@ pub fn calls(toks: &[Tok], range: (usize, usize)) -> Vec<Call> {
                     .filter(|&q| toks[q].kind == TokKind::Ident)
                     .map(|q| toks[q].text.clone())
                     .unwrap_or_default();
-                out.push(Call { kind: CallKind::Qualified(qualifier), name: t.text.clone(), tok: i });
+                out.push(Call {
+                    kind: CallKind::Qualified(qualifier),
+                    name: t.text.clone(),
+                    tok: i,
+                });
             }
             Some(p) if p.is_ident("fn") => {
                 // A definition, not a call.
             }
             _ => {
                 if !is_keyword(&t.text) {
-                    out.push(Call { kind: CallKind::Free, name: t.text.clone(), tok: i });
+                    out.push(Call {
+                        kind: CallKind::Free,
+                        name: t.text.clone(),
+                        tok: i,
+                    });
                 }
             }
         }
@@ -163,8 +174,22 @@ pub fn calls(toks: &[Tok], range: (usize, usize)) -> Vec<Call> {
 fn is_keyword(s: &str) -> bool {
     matches!(
         s,
-        "if" | "while" | "for" | "match" | "return" | "in" | "let" | "else" | "loop" | "move"
-            | "as" | "mut" | "ref" | "break" | "continue" | "unsafe" | "where"
+        "if" | "while"
+            | "for"
+            | "match"
+            | "return"
+            | "in"
+            | "let"
+            | "else"
+            | "loop"
+            | "move"
+            | "as"
+            | "mut"
+            | "ref"
+            | "break"
+            | "continue"
+            | "unsafe"
+            | "where"
     )
 }
 
@@ -226,15 +251,22 @@ pub fn bindings(toks: &[Tok], br: &Brackets, range: (usize, usize)) -> Vec<Bindi
                 continue;
             }
             let lowercase_ident = t.kind == TokKind::Ident
-                && t.text.chars().next().is_some_and(|c| c.is_lowercase() || c == '_');
+                && t.text
+                    .chars()
+                    .next()
+                    .is_some_and(|c| c.is_lowercase() || c == '_');
             if t.kind == TokKind::Ident
                 && !matches!(t.text.as_str(), "mut" | "ref" | "box")
                 && lowercase_ident
             {
                 // Lowercase idents bind; `Some`/`Ok`/struct names don't.
                 // A path segment (`m::CONST`) is not a binding either.
-                let path = prev_code(toks, j).map(|p| toks[p].is_op("::")).unwrap_or(false)
-                    || next_code(toks, j + 1, end).map(|n| toks[n].is_op("::")).unwrap_or(false);
+                let path = prev_code(toks, j)
+                    .map(|p| toks[p].is_op("::"))
+                    .unwrap_or(false)
+                    || next_code(toks, j + 1, end)
+                        .map(|n| toks[n].is_op("::"))
+                        .unwrap_or(false);
                 if !path {
                     names.push(t.text.clone());
                 }
@@ -266,7 +298,11 @@ pub fn bindings(toks: &[Tok], br: &Brackets, range: (usize, usize)) -> Vec<Bindi
             }
             k += 1;
         }
-        out.push(Binding { names, simple, init: (init_start, k) });
+        out.push(Binding {
+            names,
+            simple,
+            init: (init_start, k),
+        });
         i = k;
     }
     out
@@ -295,7 +331,9 @@ pub fn methods_on(
         if is_field {
             // A field use is `<recv>.name` — require a preceding dot
             // (so a local that shadows the field name doesn't match).
-            let dotted = prev_code(toks, i).map(|p| toks[p].is_op(".")).unwrap_or(false);
+            let dotted = prev_code(toks, i)
+                .map(|p| toks[p].is_op("."))
+                .unwrap_or(false);
             if !dotted {
                 continue;
             }
@@ -310,7 +348,9 @@ pub fn methods_on(
         // `.subfield`, stopping at anything else.
         let mut j = i + 1;
         while j < end {
-            let Some(c) = next_code(toks, j, end) else { break };
+            let Some(c) = next_code(toks, j, end) else {
+                break;
+            };
             let t = &toks[c];
             if t.is_op("[") {
                 j = br.close_of(c).map(|x| x + 1).unwrap_or(c + 1);
@@ -321,7 +361,9 @@ pub fn methods_on(
                 continue;
             }
             if t.is_op(".") {
-                let Some(m) = next_code(toks, c + 1, end) else { break };
+                let Some(m) = next_code(toks, c + 1, end) else {
+                    break;
+                };
                 if toks[m].kind != TokKind::Ident {
                     break;
                 }
@@ -355,7 +397,9 @@ pub fn is_reset(toks: &[Tok], br: &Brackets, range: (usize, usize), name: &str) 
         // `mem :: take ( ... name ... )`.
         if t.kind == TokKind::Ident
             && matches!(t.text.as_str(), "take" | "swap" | "replace")
-            && prev_code(toks, i).map(|p| toks[p].is_op("::")).unwrap_or(false)
+            && prev_code(toks, i)
+                .map(|p| toks[p].is_op("::"))
+                .unwrap_or(false)
         {
             let qual_ok = prev_code(toks, i)
                 .and_then(|p| prev_code(toks, p))
@@ -364,7 +408,10 @@ pub fn is_reset(toks: &[Tok], br: &Brackets, range: (usize, usize), name: &str) 
             if qual_ok {
                 if let Some(open) = next_code(toks, i + 1, end).filter(|&o| toks[o].is_op("(")) {
                     let close = br.close_of(open).unwrap_or(end.saturating_sub(1));
-                    if toks[open..=close.min(end - 1)].iter().any(|a| a.is_ident(name)) {
+                    if toks[open..=close.min(end - 1)]
+                        .iter()
+                        .any(|a| a.is_ident(name))
+                    {
                         return true;
                     }
                 }
@@ -375,7 +422,9 @@ pub fn is_reset(toks: &[Tok], br: &Brackets, range: (usize, usize), name: &str) 
         if t.is_ident(name) {
             let mut j = i + 1;
             while j < end {
-                let Some(c) = next_code(toks, j, end) else { break };
+                let Some(c) = next_code(toks, j, end) else {
+                    break;
+                };
                 if toks[c].is_op("[") {
                     j = br.close_of(c).map(|x| x + 1).unwrap_or(c + 1);
                     continue;
@@ -404,13 +453,23 @@ mod tests {
 
     #[test]
     fn calls_classify_method_qualified_free_macro() {
-        let (toks, _) = with("self.q.push(x); Vec::new(); helper(1); format!(\"{x}\"); fn defn() {}");
+        let (toks, _) =
+            with("self.q.push(x); Vec::new(); helper(1); format!(\"{x}\"); fn defn() {}");
         let cs = calls(&toks, (0, toks.len()));
         let find = |n: &str| cs.iter().find(|c| c.name == n);
-        assert!(matches!(&find("push").expect("push").kind, CallKind::Method { .. }));
+        assert!(matches!(
+            &find("push").expect("push").kind,
+            CallKind::Method { .. }
+        ));
         assert!(matches!(&find("new").expect("new").kind, CallKind::Qualified(q) if q == "Vec"));
-        assert!(matches!(&find("helper").expect("helper").kind, CallKind::Free));
-        assert!(matches!(&find("format").expect("format").kind, CallKind::Macro));
+        assert!(matches!(
+            &find("helper").expect("helper").kind,
+            CallKind::Free
+        ));
+        assert!(matches!(
+            &find("format").expect("format").kind,
+            CallKind::Macro
+        ));
         assert!(find("defn").is_none(), "definitions are not calls");
     }
 
@@ -430,13 +489,16 @@ mod tests {
         assert!(bs[0].simple);
         assert_eq!(bs[1].names, vec!["e"], "Some is not a binding");
         assert!(!bs[1].simple, "Some(e) destructures");
-        let init_text: Vec<_> = (bs[0].init.0..bs[0].init.1).map(|i| toks[i].text.as_str()).collect();
+        let init_text: Vec<_> = (bs[0].init.0..bs[0].init.1)
+            .map(|i| toks[i].text.as_str())
+            .collect();
         assert_eq!(init_text, vec!["q", ".", "pop", "(", ")"]);
     }
 
     #[test]
     fn methods_on_field_follow_the_chain() {
-        let (toks, br) = with("self.overflow.entry(g).or_default().push(e); self.slots[i].push(x);");
+        let (toks, br) =
+            with("self.overflow.entry(g).or_default().push(e); self.slots[i].push(x);");
         let ms = methods_on(&toks, &br, (0, toks.len()), "overflow", true);
         let names: Vec<_> = ms.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["entry", "or_default", "push"]);

@@ -75,7 +75,10 @@ mod tests {
 
     #[test]
     fn empty_report_renders() {
-        let r = Report { findings: vec![], files_scanned: 3 };
+        let r = Report {
+            findings: vec![],
+            files_scanned: 3,
+        };
         let s = render_report(&r);
         assert!(s.contains("\"files_scanned\": 3"));
         assert!(s.contains("\"findings\": []"));
@@ -90,7 +93,10 @@ mod tests {
             rule: "no-wall-clock",
             message: "msg with \"quotes\"".into(),
         };
-        let r = Report { findings: vec![f.clone(), f], files_scanned: 1 };
+        let r = Report {
+            findings: vec![f.clone(), f],
+            files_scanned: 1,
+        };
         let s = render_report(&r);
         assert_eq!(s.matches("{\"file\":\"a.rs\"").count(), 2);
         assert!(s.contains("\\\"quotes\\\""));

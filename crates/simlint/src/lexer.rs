@@ -104,8 +104,8 @@ fn is_ident_continue(c: char) -> bool {
 /// Three- and two-character operators, longest match first.
 const OPS3: &[&str] = &["..=", "<<=", ">>="];
 const OPS2: &[&str] = &[
-    "==", "!=", "<=", ">=", "::", "->", "=>", "..", "&&", "||", "<<", ">>", "+=", "-=", "*=",
-    "/=", "%=", "^=", "&=", "|=",
+    "==", "!=", "<=", ">=", "::", "->", "=>", "..", "&&", "||", "<<", ">>", "+=", "-=", "*=", "/=",
+    "%=", "^=", "&=", "|=",
 ];
 
 /// Tokenizes `src`, never failing: unrecognised bytes become one-char
@@ -134,7 +134,12 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                 text.push(ch);
                 cur.bump();
             }
-            toks.push(Tok { kind: TokKind::LineComment, text, line, col });
+            toks.push(Tok {
+                kind: TokKind::LineComment,
+                text,
+                line,
+                col,
+            });
             continue;
         }
         if c == '/' && cur.peek(1) == Some('*') {
@@ -157,7 +162,12 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     Some(_) => cur.take(1, &mut text),
                 }
             }
-            toks.push(Tok { kind: TokKind::BlockComment, text, line, col });
+            toks.push(Tok {
+                kind: TokKind::BlockComment,
+                text,
+                line,
+                col,
+            });
             continue;
         }
         // Raw / byte string prefixes: r"", r#""#, b"", br#""#, b''.
@@ -176,7 +186,12 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                 text.push(ch);
                 cur.bump();
             }
-            toks.push(Tok { kind: TokKind::Ident, text, line, col });
+            toks.push(Tok {
+                kind: TokKind::Ident,
+                text,
+                line,
+                col,
+            });
             continue;
         }
         if c.is_ascii_digit() {
@@ -199,14 +214,29 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
         if OPS3.contains(&three.as_str()) {
             let mut text = String::new();
             cur.take(3, &mut text);
-            toks.push(Tok { kind: TokKind::Op, text, line, col });
+            toks.push(Tok {
+                kind: TokKind::Op,
+                text,
+                line,
+                col,
+            });
         } else if OPS2.contains(&two.as_str()) {
             let mut text = String::new();
             cur.take(2, &mut text);
-            toks.push(Tok { kind: TokKind::Op, text, line, col });
+            toks.push(Tok {
+                kind: TokKind::Op,
+                text,
+                line,
+                col,
+            });
         } else {
             cur.bump();
-            toks.push(Tok { kind: TokKind::Op, text: c.to_string(), line, col });
+            toks.push(Tok {
+                kind: TokKind::Op,
+                text: c.to_string(),
+                line,
+                col,
+            });
         }
     }
     toks
@@ -222,16 +252,30 @@ fn lex_prefixed_literal(cur: &mut Cursor, line: u32, col: u32) -> Option<Tok> {
         let mut text = String::new();
         cur.take(1, &mut text); // b
         let tok = lex_quote(cur, line, col);
-        return Some(Tok { kind: TokKind::Char, text: text + &tok.text, line, col });
+        return Some(Tok {
+            kind: TokKind::Char,
+            text: text + &tok.text,
+            line,
+            col,
+        });
     }
     // Determine where the hashes / quote would start.
-    let body = if c0 == 'b' && cur.peek(1) == Some('r') { 2 } else { 1 };
+    let body = if c0 == 'b' && cur.peek(1) == Some('r') {
+        2
+    } else {
+        1
+    };
     let raw = c0 == 'r' || (c0 == 'b' && cur.peek(1) == Some('r'));
     if c0 == 'b' && !raw && cur.peek(1) == Some('"') {
         let mut text = String::new();
         cur.take(1, &mut text); // b
         let tok = lex_plain_string(cur, line, col);
-        return Some(Tok { kind: TokKind::Str, text: text + &tok.text, line, col });
+        return Some(Tok {
+            kind: TokKind::Str,
+            text: text + &tok.text,
+            line,
+            col,
+        });
     }
     if raw {
         let mut hashes = 0usize;
@@ -255,7 +299,12 @@ fn lex_prefixed_literal(cur: &mut Cursor, line: u32, col: u32) -> Option<Tok> {
                     Some(_) => cur.take(1, &mut text),
                 }
             }
-            return Some(Tok { kind: TokKind::Str, text, line, col });
+            return Some(Tok {
+                kind: TokKind::Str,
+                text,
+                line,
+                col,
+            });
         }
     }
     None
@@ -275,7 +324,12 @@ fn lex_plain_string(cur: &mut Cursor, line: u32, col: u32) -> Tok {
             Some(_) => cur.take(1, &mut text),
         }
     }
-    Tok { kind: TokKind::Str, text, line, col }
+    Tok {
+        kind: TokKind::Str,
+        text,
+        line,
+        col,
+    }
 }
 
 /// Lexes either a char literal or a lifetime starting at `'`.
@@ -291,12 +345,22 @@ fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Tok {
                 break;
             }
         }
-        return Tok { kind: TokKind::Char, text, line, col };
+        return Tok {
+            kind: TokKind::Char,
+            text,
+            line,
+            col,
+        };
     }
     // Plain char 'x' (the char after next is the closing quote).
     if cur.peek(1).is_some() && cur.peek(2) == Some('\'') {
         cur.take(3, &mut text);
-        return Tok { kind: TokKind::Char, text, line, col };
+        return Tok {
+            kind: TokKind::Char,
+            text,
+            line,
+            col,
+        };
     }
     // Lifetime.
     cur.take(1, &mut text);
@@ -306,7 +370,12 @@ fn lex_quote(cur: &mut Cursor, line: u32, col: u32) -> Tok {
         }
         cur.take(1, &mut text);
     }
-    Tok { kind: TokKind::Lifetime, text, line, col }
+    Tok {
+        kind: TokKind::Lifetime,
+        text,
+        line,
+        col,
+    }
 }
 
 fn lex_number(cur: &mut Cursor, line: u32, col: u32) -> Tok {
@@ -321,7 +390,12 @@ fn lex_number(cur: &mut Cursor, line: u32, col: u32) -> Tok {
             }
             cur.take(1, &mut text);
         }
-        return Tok { kind: TokKind::Int, text, line, col };
+        return Tok {
+            kind: TokKind::Int,
+            text,
+            line,
+            col,
+        };
     }
     while let Some(ch) = cur.peek(0) {
         if !(ch.is_ascii_digit() || ch == '_') {
@@ -349,7 +423,11 @@ fn lex_number(cur: &mut Cursor, line: u32, col: u32) -> Tok {
     if matches!(cur.peek(0), Some('e' | 'E')) {
         let sign = matches!(cur.peek(1), Some('+' | '-'));
         let digit_at = if sign { 2 } else { 1 };
-        if cur.peek(digit_at).map(|c| c.is_ascii_digit()).unwrap_or(false) {
+        if cur
+            .peek(digit_at)
+            .map(|c| c.is_ascii_digit())
+            .unwrap_or(false)
+        {
             float = true;
             cur.take(digit_at + 1, &mut text);
             while let Some(ch) = cur.peek(0) {
@@ -388,7 +466,10 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        tokenize(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        tokenize(src)
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect()
     }
 
     #[test]
@@ -404,7 +485,9 @@ mod tests {
         let t = kinds(r#"let s = "HashMap == 1.0 // not a comment";"#);
         assert!(t.iter().all(|(k, _)| *k != TokKind::Float));
         assert!(t.iter().any(|(k, _)| *k == TokKind::Str));
-        assert!(!t.iter().any(|(k, x)| *k == TokKind::Ident && x == "HashMap"));
+        assert!(!t
+            .iter()
+            .any(|(k, x)| *k == TokKind::Ident && x == "HashMap"));
     }
 
     #[test]
@@ -430,10 +513,7 @@ mod tests {
     #[test]
     fn lifetimes_vs_chars() {
         let t = kinds("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
-        assert_eq!(
-            t.iter().filter(|(k, _)| *k == TokKind::Lifetime).count(),
-            2
-        );
+        assert_eq!(t.iter().filter(|(k, _)| *k == TokKind::Lifetime).count(), 2);
         assert_eq!(t.iter().filter(|(k, _)| *k == TokKind::Char).count(), 2);
     }
 
@@ -457,7 +537,9 @@ mod tests {
         let t = kinds("/* outer /* inner */ still comment */ let x = 1;");
         assert!(t.iter().any(|(k, x)| *k == TokKind::Ident && x == "x"));
         assert_eq!(
-            t.iter().filter(|(k, _)| *k == TokKind::BlockComment).count(),
+            t.iter()
+                .filter(|(k, _)| *k == TokKind::BlockComment)
+                .count(),
             1
         );
     }

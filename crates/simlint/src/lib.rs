@@ -127,7 +127,10 @@ pub fn lint_files(files: &[ParsedFile], enabled: &BTreeSet<String>) -> Vec<Findi
     // call graph or the field-usage evidence).
     let mut by_crate: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, pf) in files.iter().enumerate() {
-        by_crate.entry(pf.class.crate_name.as_str()).or_default().push(i);
+        by_crate
+            .entry(pf.class.crate_name.as_str())
+            .or_default()
+            .push(i);
     }
     let by_label: BTreeMap<&str, &ParsedFile> =
         files.iter().map(|pf| (pf.label.as_str(), pf)).collect();
@@ -163,8 +166,13 @@ pub fn lint_files(files: &[ParsedFile], enabled: &BTreeSet<String>) -> Vec<Findi
     }
 
     findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col, a.rule, a.message.as_str())
-            .cmp(&(b.file.as_str(), b.line, b.col, b.rule, b.message.as_str()))
+        (a.file.as_str(), a.line, a.col, a.rule, a.message.as_str()).cmp(&(
+            b.file.as_str(),
+            b.line,
+            b.col,
+            b.rule,
+            b.message.as_str(),
+        ))
     });
     findings
 }
@@ -286,7 +294,10 @@ pub fn lint_workspace(root: &Path, enabled: &BTreeSet<String>) -> io::Result<Rep
         parsed.push(parse_source(&label, &source, &class));
     }
     let findings = lint_files(&parsed, enabled);
-    Ok(Report { findings, files_scanned })
+    Ok(Report {
+        findings,
+        files_scanned,
+    })
 }
 
 /// The default rule set: every rule enabled.
@@ -305,7 +316,10 @@ mod tests {
     use scope::FileKind;
 
     fn lib_class(krate: &str) -> FileClass {
-        FileClass { crate_name: krate.into(), kind: FileKind::Lib }
+        FileClass {
+            crate_name: krate.into(),
+            kind: FileKind::Lib,
+        }
     }
 
     #[test]
@@ -386,8 +400,15 @@ mod tests {
             &lib_class("simkit"),
         );
         let f = lint_files(&[a, b], &all_rules());
-        let alloc: Vec<_> = f.iter().filter(|f| f.rule == "no-alloc-in-hot-path").collect();
-        assert_eq!(alloc.len(), 2, "Vec::new and push in the cross-file callee: {f:?}");
+        let alloc: Vec<_> = f
+            .iter()
+            .filter(|f| f.rule == "no-alloc-in-hot-path")
+            .collect();
+        assert_eq!(
+            alloc.len(),
+            2,
+            "Vec::new and push in the cross-file callee: {f:?}"
+        );
         assert!(alloc.iter().all(|f| f.file == "crates/simkit/src/b.rs"));
     }
 
@@ -419,8 +440,14 @@ mod tests {
         assert!(ig.matches("crates/foo/target/debug/x.rs"));
         assert!(ig.matches("crates/simlint/tests/fixtures"));
         assert!(ig.matches("crates/simlint/tests/fixtures/hot.rs"));
-        assert!(!ig.matches("crates/other/tests/fixtures/x.rs"), "anchored entry");
-        assert!(!ig.matches("crates/simlint/tests/fixtures_helper.rs"), "prefix only at /");
+        assert!(
+            !ig.matches("crates/other/tests/fixtures/x.rs"),
+            "anchored entry"
+        );
+        assert!(
+            !ig.matches("crates/simlint/tests/fixtures_helper.rs"),
+            "prefix only at /"
+        );
     }
 
     #[test]
@@ -437,7 +464,12 @@ mod tests {
         let files = collect_sources(&base).expect("walk");
         let rels: Vec<String> = files
             .iter()
-            .map(|p| p.strip_prefix(&base).expect("rel").to_string_lossy().replace('\\', "/"))
+            .map(|p| {
+                p.strip_prefix(&base)
+                    .expect("rel")
+                    .to_string_lossy()
+                    .replace('\\', "/")
+            })
             .collect();
         assert_eq!(
             rels,

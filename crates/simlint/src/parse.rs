@@ -66,14 +66,13 @@ pub fn token_tree(toks: &[Tok]) -> (Vec<Node>, Brackets) {
     let mut stack: Vec<(usize, &'static str, Vec<Node>)> = Vec::new();
     let mut top: Vec<Node> = Vec::new();
 
-    let push_node = |stack: &mut Vec<(usize, &'static str, Vec<Node>)>,
-                     top: &mut Vec<Node>,
-                     node: Node| {
-        match stack.last_mut() {
-            Some((_, _, children)) => children.push(node),
-            None => top.push(node),
-        }
-    };
+    let push_node =
+        |stack: &mut Vec<(usize, &'static str, Vec<Node>)>, top: &mut Vec<Node>, node: Node| {
+            match stack.last_mut() {
+                Some((_, _, children)) => children.push(node),
+                None => top.push(node),
+            }
+        };
 
     for (i, t) in toks.iter().enumerate() {
         let open_close = match t.kind {
@@ -95,7 +94,15 @@ pub fn token_tree(toks: &[Tok]) -> (Vec<Node>, Brackets) {
                 Some((_, expected, _)) if *expected == t.text => {
                     let (open, _, children) = stack.pop().expect("non-empty: just matched");
                     close[open] = Some(i);
-                    push_node(&mut stack, &mut top, Node::Group { open, close: i, children });
+                    push_node(
+                        &mut stack,
+                        &mut top,
+                        Node::Group {
+                            open,
+                            close: i,
+                            children,
+                        },
+                    );
                 }
                 _ => {
                     // Stray close: leaf, stream unbalanced.
@@ -200,7 +207,10 @@ fn parse_items(
                 match next_code(toks, j, end).filter(|&o| toks[o].is_op("[")) {
                     Some(open) => {
                         let close = br.close_of(open).unwrap_or(open);
-                        if toks[open..=close.min(end - 1)].iter().any(|a| a.is_ident("test")) {
+                        if toks[open..=close.min(end - 1)]
+                            .iter()
+                            .any(|a| a.is_ident("test"))
+                        {
                             pending.test = true;
                         }
                         i = close + 1;
@@ -671,7 +681,11 @@ mod tests {
              const T: Foo = Foo { bar: 1 };\n\
              fn after() {}\n",
         );
-        assert!(o.structs.is_empty(), "enum arms are not structs: {:?}", o.structs);
+        assert!(
+            o.structs.is_empty(),
+            "enum arms are not structs: {:?}",
+            o.structs
+        );
         assert_eq!(o.fns.len(), 1);
         assert_eq!(o.fns[0].name, "after");
     }

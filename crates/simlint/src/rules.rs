@@ -30,8 +30,14 @@ pub const SIM_CRATES: &[&str] = &[
 
 /// Crates holding simulator *state*, where iteration order and panics
 /// directly threaten reproducibility of results.
-pub const CORE_CRATES: &[&str] =
-    &["simkit", "diskmodel", "intradisk", "array", "workload", "telemetry"];
+pub const CORE_CRATES: &[&str] = &[
+    "simkit",
+    "diskmodel",
+    "intradisk",
+    "array",
+    "workload",
+    "telemetry",
+];
 
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,7 +234,12 @@ const OFFSET_PAIR: (&str, &str) = ("lba", "sectors");
 /// Runs `rule` over the token stream of one file. `skip` marks token
 /// indices to ignore (test regions); allowlist filtering happens in the
 /// engine, which knows line numbers.
-pub fn check(rule: &RuleInfo, file: &str, toks: &[Tok], skip: &dyn Fn(usize) -> bool) -> Vec<Finding> {
+pub fn check(
+    rule: &RuleInfo,
+    file: &str,
+    toks: &[Tok],
+    skip: &dyn Fn(usize) -> bool,
+) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut push = |t: &Tok, message: String| {
         out.push(Finding {
@@ -262,7 +273,11 @@ pub fn check(rule: &RuleInfo, file: &str, toks: &[Tok], skip: &dyn Fn(usize) -> 
                     continue;
                 }
                 if t.is_ident("HashMap") || t.is_ident("HashSet") {
-                    let ordered = if t.text == "HashMap" { "BTreeMap" } else { "BTreeSet" };
+                    let ordered = if t.text == "HashMap" {
+                        "BTreeMap"
+                    } else {
+                        "BTreeSet"
+                    };
                     push(
                         t,
                         format!(
@@ -278,11 +293,11 @@ pub fn check(rule: &RuleInfo, file: &str, toks: &[Tok], skip: &dyn Fn(usize) -> 
                 if skip(i) {
                     continue;
                 }
-                let ambient = t.kind == TokKind::Ident
-                    && AMBIENT_RNG_IDENTS.contains(&t.text.as_str());
+                let ambient =
+                    t.kind == TokKind::Ident && AMBIENT_RNG_IDENTS.contains(&t.text.as_str());
                 // A path starting `rand::` (the external crate).
-                let rand_path = t.is_ident("rand")
-                    && toks.get(i + 1).map(|n| n.is_op("::")).unwrap_or(false);
+                let rand_path =
+                    t.is_ident("rand") && toks.get(i + 1).map(|n| n.is_op("::")).unwrap_or(false);
                 if ambient || rand_path {
                     push(
                         t,
@@ -345,7 +360,10 @@ pub fn check(rule: &RuleInfo, file: &str, toks: &[Tok], skip: &dyn Fn(usize) -> 
                 {
                     push(
                         t,
-                        format!("`{}!` in core library code; return a typed error instead", t.text),
+                        format!(
+                            "`{}!` in core library code; return a typed error instead",
+                            t.text
+                        ),
                     );
                 }
             }
@@ -359,7 +377,10 @@ pub fn check(rule: &RuleInfo, file: &str, toks: &[Tok], skip: &dyn Fn(usize) -> 
                     continue;
                 }
                 let prev_float = i > 0 && toks[i - 1].kind == TokKind::Float;
-                let next_float = toks.get(i + 1).map(|n| n.kind == TokKind::Float).unwrap_or(false);
+                let next_float = toks
+                    .get(i + 1)
+                    .map(|n| n.kind == TokKind::Float)
+                    .unwrap_or(false);
                 if prev_float || next_float {
                     push(
                         t,
@@ -380,18 +401,16 @@ pub fn check(rule: &RuleInfo, file: &str, toks: &[Tok], skip: &dyn Fn(usize) -> 
                 if !(t.kind == TokKind::Op && SAME_UNIT_OPS.contains(&t.text.as_str())) {
                     continue;
                 }
-                let (Some(prev), Some(next)) = (
-                    i.checked_sub(1).map(|j| &toks[j]),
-                    toks.get(i + 1),
-                ) else {
+                let (Some(prev), Some(next)) =
+                    (i.checked_sub(1).map(|j| &toks[j]), toks.get(i + 1))
+                else {
                     continue;
                 };
                 let (Some(a), Some(b)) = (unit_suffix(prev), unit_suffix(next)) else {
                     continue;
                 };
                 let additive = matches!(t.text.as_str(), "+" | "-" | "+=" | "-=");
-                let offset_math = additive
-                    && ((a, b) == OFFSET_PAIR || (b, a) == OFFSET_PAIR);
+                let offset_math = additive && ((a, b) == OFFSET_PAIR || (b, a) == OFFSET_PAIR);
                 if a != b && !offset_math {
                     push(
                         t,
@@ -519,9 +538,7 @@ pub fn check_crate(rule: &RuleInfo, files: &[CrateFile<'_>]) -> Vec<Finding> {
             Vec::new()
         }
     };
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col))
-    });
+    out.sort_by(|a, b| (a.file.as_str(), a.line, a.col).cmp(&(b.file.as_str(), b.line, b.col)));
     out
 }
 
@@ -529,8 +546,7 @@ pub fn check_crate(rule: &RuleInfo, files: &[CrateFile<'_>]) -> Vec<Finding> {
 /// `// simlint: hot` roots and flag every allocating call in a
 /// reachable body.
 fn check_hot_alloc(files: &[CrateFile<'_>]) -> Vec<Finding> {
-    let parsed: Vec<(&[Tok], &Outline)> =
-        files.iter().map(|f| (f.toks, f.outline)).collect();
+    let parsed: Vec<(&[Tok], &Outline)> = files.iter().map(|f| (f.toks, f.outline)).collect();
     let graph = CallGraph::build(&parsed);
     let hot = graph.hot_reachable();
     let mut out = Vec::new();
@@ -596,13 +612,19 @@ fn check_unbounded_state(files: &[CrateFile<'_>]) -> Vec<Finding> {
                 continue;
             }
             for field in &s.fields {
-                if COLLECTION_TYPES.iter().any(|c| Outline::ty_mentions(&field.ty, c)) {
-                    candidates.entry(field.name.as_str()).or_default().push(Candidate {
-                        file: f.label,
-                        strukt: s.name.clone(),
-                        line: field.line,
-                        col: field.col,
-                    });
+                if COLLECTION_TYPES
+                    .iter()
+                    .any(|c| Outline::ty_mentions(&field.ty, c))
+                {
+                    candidates
+                        .entry(field.name.as_str())
+                        .or_default()
+                        .push(Candidate {
+                            file: f.label,
+                            strukt: s.name.clone(),
+                            line: field.line,
+                            col: field.col,
+                        });
                 }
             }
         }
@@ -626,15 +648,13 @@ fn check_unbounded_state(files: &[CrateFile<'_>]) -> Vec<Finding> {
                 // One level of alias flow: `let e = self.field...` makes
                 // methods on `e` count toward `field`.
                 for b in &binds {
-                    let mentions = (b.init.0..b.init.1.min(f.toks.len()))
-                        .any(|i| f.toks[i].is_ident(name));
+                    let mentions =
+                        (b.init.0..b.init.1.min(f.toks.len())).any(|i| f.toks[i].is_ident(name));
                     if !mentions {
                         continue;
                     }
                     for alias in &b.names {
-                        methods.extend(flow::methods_on(
-                            f.toks, f.brackets, range, alias, false,
-                        ));
+                        methods.extend(flow::methods_on(f.toks, f.brackets, range, alias, false));
                     }
                 }
                 for (m, _) in &methods {
@@ -710,22 +730,23 @@ fn check_slot_id(files: &[CrateFile<'_>]) -> Vec<Finding> {
                 if !b.simple {
                     continue;
                 }
-                let init_mentions_slab = (b.init.0..b.init.1.min(f.toks.len()))
-                    .any(|i| f.toks[i].is_ident("Slab"));
+                let init_mentions_slab =
+                    (b.init.0..b.init.1.min(f.toks.len())).any(|i| f.toks[i].is_ident("Slab"));
                 if init_mentions_slab {
                     for n in &b.names {
                         slab_locals.insert(n.as_str());
                     }
                 }
             }
-            let is_slab = |name: &str| {
-                slab_fields.contains(name) || slab_locals.contains(name)
-            };
+            let is_slab = |name: &str| slab_fields.contains(name) || slab_locals.contains(name);
             for call in flow::calls(f.toks, range) {
                 if !matches!(call.name.as_str(), "get" | "get_mut") {
                     continue;
                 }
-                let CallKind::Method { receiver: Some(recv) } = &call.kind else {
+                let CallKind::Method {
+                    receiver: Some(recv),
+                } = &call.kind
+                else {
                     continue;
                 };
                 if !is_slab(recv) {
@@ -761,8 +782,9 @@ fn check_slot_id(files: &[CrateFile<'_>]) -> Vec<Finding> {
                 .map(|(k, t)| (k + range.0, t))
             {
                 if t.kind == TokKind::Ident && tainted.contains(t.text.as_str()) {
-                    let dotted =
-                        flow::prev_code(f.toks, i).map(|p| f.toks[p].is_op(".")).unwrap_or(false);
+                    let dotted = flow::prev_code(f.toks, i)
+                        .map(|p| f.toks[p].is_op("."))
+                        .unwrap_or(false);
                     if dotted {
                         continue; // a field named like the local
                     }
@@ -798,12 +820,8 @@ fn unwrap_after(toks: &[Tok], br: &Brackets, from: usize, end: usize) -> Option<
                 return None;
             }
             let name = toks[m].text.as_str();
-            let open = flow::next_code(
-                toks,
-                flow::after_turbofish(toks, m + 1, end),
-                end,
-            )
-            .filter(|&o| toks[o].is_op("("));
+            let open = flow::next_code(toks, flow::after_turbofish(toks, m + 1, end), end)
+                .filter(|&o| toks[o].is_op("("));
             match (name, open) {
                 ("unwrap" | "expect", Some(_)) => return Some(m),
                 // Option-preserving adapters: keep walking.
@@ -894,7 +912,9 @@ fn check_event_match(files: &[CrateFile<'_>]) -> Vec<Finding> {
                         }
                         pattern.clear();
                         // Skip the arm body.
-                        let Some(b) = flow::next_code(f.toks, k + 1, close) else { break };
+                        let Some(b) = flow::next_code(f.toks, k + 1, close) else {
+                            break;
+                        };
                         if f.toks[b].is_op("{") {
                             k = f.brackets.close_of(b).map(|c| c + 1).unwrap_or(b + 1);
                         } else {
@@ -984,7 +1004,10 @@ mod tests {
 
     #[test]
     fn ambient_rng_hits() {
-        assert_eq!(run("no-ambient-rng", "let mut r = rand::thread_rng();").len(), 2);
+        assert_eq!(
+            run("no-ambient-rng", "let mut r = rand::thread_rng();").len(),
+            2
+        );
         assert!(run("no-ambient-rng", "let mut r = Rng64::new(42).fork();").is_empty());
         // `rand` as a plain word (no path) is left alone.
         assert!(run("no-ambient-rng", "let rand = 3;").is_empty());
@@ -995,8 +1018,14 @@ mod tests {
         assert_eq!(run("no-thread-in-sim", "use std::thread;").len(), 1);
         // `std::thread::scope` mentions `thread` with `::` on both
         // sides — still one finding per token occurrence.
-        assert_eq!(run("no-thread-in-sim", "std::thread::scope(|s| {});").len(), 1);
-        assert_eq!(run("no-thread-in-sim", "let h: JoinHandle<()> = f();").len(), 1);
+        assert_eq!(
+            run("no-thread-in-sim", "std::thread::scope(|s| {});").len(),
+            1
+        );
+        assert_eq!(
+            run("no-thread-in-sim", "let h: JoinHandle<()> = f();").len(),
+            1
+        );
         // A local named `thread` is not a thread API.
         assert!(run("no-thread-in-sim", "let thread = 3; f(thread);").is_empty());
     }
@@ -1004,7 +1033,10 @@ mod tests {
     #[test]
     fn panic_hits() {
         assert_eq!(run("no-panic-in-lib", "let x = y.unwrap();").len(), 1);
-        assert_eq!(run("no-panic-in-lib", "let x = y.expect(\"msg\");").len(), 1);
+        assert_eq!(
+            run("no-panic-in-lib", "let x = y.expect(\"msg\");").len(),
+            1
+        );
         assert_eq!(run("no-panic-in-lib", "panic!(\"boom\")").len(), 1);
         // unwrap_or and field accesses do not count.
         assert!(run("no-panic-in-lib", "let x = y.unwrap_or(0);").is_empty());
@@ -1021,28 +1053,61 @@ mod tests {
 
     #[test]
     fn unit_suffix_hits() {
-        let f = run("unit-suffix-consistency", "let t = arrival_ms + size_sectors;");
+        let f = run(
+            "unit-suffix-consistency",
+            "let t = arrival_ms + size_sectors;",
+        );
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("mixes units"));
-        assert!(run("unit-suffix-consistency", "let t = arrival_ms + service_ms;").is_empty());
+        assert!(run(
+            "unit-suffix-consistency",
+            "let t = arrival_ms + service_ms;"
+        )
+        .is_empty());
         // Unsuffixed identifiers are unconstrained.
         assert!(run("unit-suffix-consistency", "let t = arrival_ms + x;").is_empty());
         // Multiplication converts units legitimately.
-        assert!(run("unit-suffix-consistency", "let b = size_sectors * per_sector_bytes;").is_empty());
+        assert!(run(
+            "unit-suffix-consistency",
+            "let b = size_sectors * per_sector_bytes;"
+        )
+        .is_empty());
         // Index + count is offset math, but comparing them is not.
-        assert!(run("unit-suffix-consistency", "let end = start_lba + len_sectors;").is_empty());
-        assert_eq!(run("unit-suffix-consistency", "if start_lba < len_sectors {}").len(), 1);
+        assert!(run(
+            "unit-suffix-consistency",
+            "let end = start_lba + len_sectors;"
+        )
+        .is_empty());
+        assert_eq!(
+            run("unit-suffix-consistency", "if start_lba < len_sectors {}").len(),
+            1
+        );
     }
 
     #[test]
     fn scoping_rules() {
         use crate::scope::{FileClass, FileKind};
         let panic_rule = rule_by_name("no-panic-in-lib").expect("rule");
-        let lib = FileClass { crate_name: "simkit".into(), kind: FileKind::Lib };
-        let bin = FileClass { crate_name: "simkit".into(), kind: FileKind::Bin };
-        let harness_bin = FileClass { crate_name: "experiments".into(), kind: FileKind::Bin };
-        let test = FileClass { crate_name: "simkit".into(), kind: FileKind::Test };
-        let tool = FileClass { crate_name: "testkit".into(), kind: FileKind::Lib };
+        let lib = FileClass {
+            crate_name: "simkit".into(),
+            kind: FileKind::Lib,
+        };
+        let bin = FileClass {
+            crate_name: "simkit".into(),
+            kind: FileKind::Bin,
+        };
+        let harness_bin = FileClass {
+            crate_name: "experiments".into(),
+            kind: FileKind::Bin,
+        };
+        let test = FileClass {
+            crate_name: "simkit".into(),
+            kind: FileKind::Test,
+        };
+        let tool = FileClass {
+            crate_name: "testkit".into(),
+            kind: FileKind::Lib,
+        };
         assert!(rule_applies(panic_rule, &lib));
         assert!(!rule_applies(panic_rule, &bin), "bins may panic");
         assert!(!rule_applies(panic_rule, &test));

@@ -42,7 +42,10 @@ impl FileClass {
     /// True for roles that run only under `cargo test`/examples/benches
     /// and are therefore exempt from every rule.
     pub fn is_test_like(&self) -> bool {
-        matches!(self.kind, FileKind::Test | FileKind::Example | FileKind::Bench)
+        matches!(
+            self.kind,
+            FileKind::Test | FileKind::Example | FileKind::Bench
+        )
     }
 }
 
@@ -244,10 +247,16 @@ mod tests {
         let c = |p: &str| classify(&PathBuf::from(p));
         assert_eq!(
             c("crates/simkit/src/event.rs"),
-            FileClass { crate_name: "simkit".into(), kind: FileKind::Lib }
+            FileClass {
+                crate_name: "simkit".into(),
+                kind: FileKind::Lib
+            }
         );
         assert_eq!(c("crates/experiments/src/bin/repro.rs").kind, FileKind::Bin);
-        assert_eq!(c("crates/intradisk/tests/edge_cases.rs").kind, FileKind::Test);
+        assert_eq!(
+            c("crates/intradisk/tests/edge_cases.rs").kind,
+            FileKind::Test
+        );
         assert_eq!(c("crates/bench/benches/figures.rs").kind, FileKind::Bench);
         assert_eq!(c("tests/oracles.rs").kind, FileKind::Test);
         assert_eq!(c("examples/quickstart.rs").kind, FileKind::Example);
@@ -261,7 +270,10 @@ mod tests {
         let toks = tokenize(src);
         let spans = test_spans(&toks);
         assert_eq!(spans.len(), 1);
-        let helper = toks.iter().position(|t| t.is_ident("helper")).expect("helper");
+        let helper = toks
+            .iter()
+            .position(|t| t.is_ident("helper"))
+            .expect("helper");
         let lib = toks.iter().position(|t| t.is_ident("lib")).expect("lib");
         assert!(in_test(&spans, helper));
         assert!(!in_test(&spans, lib));
@@ -283,7 +295,10 @@ mod tests {
         let src = "mod tests { fn inner() {} }\nfn outer() {}";
         let toks = tokenize(src);
         let spans = test_spans(&toks);
-        let inner = toks.iter().position(|t| t.is_ident("inner")).expect("inner");
+        let inner = toks
+            .iter()
+            .position(|t| t.is_ident("inner"))
+            .expect("inner");
         assert!(in_test(&spans, inner));
     }
 
@@ -327,7 +342,10 @@ let samples = Vec::new();
 ";
         let toks = tokenize(src);
         let map = allow_map(&toks);
-        assert!(map[&3].contains("unbounded-sim-state"), "attaches past comment lines");
+        assert!(
+            map[&3].contains("unbounded-sim-state"),
+            "attaches past comment lines"
+        );
         assert!(!map.contains_key(&2));
     }
 

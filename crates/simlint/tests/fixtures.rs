@@ -160,7 +160,14 @@ fn exhaustive_event_match_fixture() {
 #[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
-    for krate in ["simkit", "diskmodel", "intradisk", "array", "workload", "experiments"] {
+    for krate in [
+        "simkit",
+        "diskmodel",
+        "intradisk",
+        "array",
+        "workload",
+        "experiments",
+    ] {
         assert!(
             findings("clean.rs", src, &lib(krate)).is_empty(),
             "clean fixture fired in {krate}"
@@ -194,21 +201,41 @@ fn every_fixture_violation_fires_without_its_allowances() {
             include_str!("fixtures/exhaustive_event_match.rs"),
             "telemetry",
         ),
-        ("no_wall_clock.rs", include_str!("fixtures/no_wall_clock.rs"), "simkit"),
+        (
+            "no_wall_clock.rs",
+            include_str!("fixtures/no_wall_clock.rs"),
+            "simkit",
+        ),
         (
             "no_unordered_iteration.rs",
             include_str!("fixtures/no_unordered_iteration.rs"),
             "intradisk",
         ),
-        ("no_ambient_rng.rs", include_str!("fixtures/no_ambient_rng.rs"), "workload"),
-        ("no_panic_in_lib.rs", include_str!("fixtures/no_panic_in_lib.rs"), "array"),
-        ("no_float_eq.rs", include_str!("fixtures/no_float_eq.rs"), "simkit"),
+        (
+            "no_ambient_rng.rs",
+            include_str!("fixtures/no_ambient_rng.rs"),
+            "workload",
+        ),
+        (
+            "no_panic_in_lib.rs",
+            include_str!("fixtures/no_panic_in_lib.rs"),
+            "array",
+        ),
+        (
+            "no_float_eq.rs",
+            include_str!("fixtures/no_float_eq.rs"),
+            "simkit",
+        ),
         (
             "no_thread_in_sim.rs",
             include_str!("fixtures/no_thread_in_sim.rs"),
             "experiments",
         ),
-        ("unit_suffix.rs", include_str!("fixtures/unit_suffix.rs"), "diskmodel"),
+        (
+            "unit_suffix.rs",
+            include_str!("fixtures/unit_suffix.rs"),
+            "diskmodel",
+        ),
     ];
     for (name, src, krate) in cases {
         assert!(

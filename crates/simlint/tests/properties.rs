@@ -87,7 +87,9 @@ fn pipeline_is_total_on_adversarial_sources() {
         // source is unbalanced: every recorded pair points at a
         // matching open/close of the same shape, in order.
         for open in 0..toks.len() {
-            let Some(close) = br.close_of(open) else { continue };
+            let Some(close) = br.close_of(open) else {
+                continue;
+            };
             assert!(open < close && close < toks.len(), "pair out of range");
             let expect = match toks[open].text.as_str() {
                 "(" => ")",
@@ -103,14 +105,20 @@ fn pipeline_is_total_on_adversarial_sources() {
         for f in &o.fns {
             if let Some((a, b)) = f.body {
                 assert!(a < b && b < toks.len(), "fn body span out of range");
-                assert!(toks[a].is_op("{") && toks[b].is_op("}"), "fn body not a brace block");
+                assert!(
+                    toks[a].is_op("{") && toks[b].is_op("}"),
+                    "fn body not a brace block"
+                );
             }
         }
 
         // The full engine (file rules + crate rules over the one-file
         // crate) must not panic either, for every crate class.
         for krate in ["simkit", "intradisk", "telemetry", "testkit"] {
-            let class = FileClass { crate_name: krate.to_string(), kind: FileKind::Lib };
+            let class = FileClass {
+                crate_name: krate.to_string(),
+                kind: FileKind::Lib,
+            };
             let _ = lint_source("fuzz.rs", &src, &class, &all_rules());
         }
     });
@@ -119,7 +127,16 @@ fn pipeline_is_total_on_adversarial_sources() {
 /// One non-delimiter atom.
 fn atom() -> testkit::Gen<String> {
     gen::one_of(vec![
-        "x", "1", ";", ",", "fn", "f", "+", "ident", "// note\n", "\"s\"",
+        "x",
+        "1",
+        ";",
+        ",",
+        "fn",
+        "f",
+        "+",
+        "ident",
+        "// note\n",
+        "\"s\"",
     ])
     .map(|a| format!("{a} "))
 }
@@ -145,11 +162,17 @@ fn balanced_sources_report_balanced_brackets() {
         let src = t.draw(&balanced_source(4));
         let toks = tokenize(&src);
         let br = brackets(&toks);
-        assert!(br.balanced, "generator produced only matched delimiters: {src:?}");
+        assert!(
+            br.balanced,
+            "generator produced only matched delimiters: {src:?}"
+        );
         // Every open delimiter has a recorded partner.
         for (i, tok) in toks.iter().enumerate() {
             if matches!(tok.text.as_str(), "(" | "[" | "{") {
-                assert!(br.close_of(i).is_some(), "open at {i} unpaired in balanced source");
+                assert!(
+                    br.close_of(i).is_some(),
+                    "open at {i} unpaired in balanced source"
+                );
             }
         }
     });

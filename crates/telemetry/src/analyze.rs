@@ -190,7 +190,9 @@ impl TraceAnalysis {
                 TraceEvent::RequestQueued { depth, .. } => {
                     acc.depth_changes.push((s.time, depth));
                 }
-                TraceEvent::Dispatched { actuator, depth, .. } => {
+                TraceEvent::Dispatched {
+                    actuator, depth, ..
+                } => {
                     acc.actuators.entry(actuator).or_default().dispatches += 1;
                     acc.depth_changes.push((s.time, depth));
                 }
@@ -399,7 +401,14 @@ mod tests {
                 op: IoOp::Read,
             },
         );
-        r.record(t0, TraceEvent::Dispatched { req: 0, actuator: 0, depth: 0 });
+        r.record(
+            t0,
+            TraceEvent::Dispatched {
+                req: 0,
+                actuator: 0,
+                depth: 0,
+            },
+        );
         r.record(
             t0,
             TraceEvent::SeekStart {
@@ -410,7 +419,13 @@ mod tests {
             },
         );
         let t_seek_end = SimTime::from_millis(2.0);
-        r.record(t_seek_end, TraceEvent::SeekEnd { req: 0, actuator: 0 });
+        r.record(
+            t_seek_end,
+            TraceEvent::SeekEnd {
+                req: 0,
+                actuator: 0,
+            },
+        );
         r.record(
             t_seek_end,
             TraceEvent::RotWait {
@@ -429,7 +444,10 @@ mod tests {
         );
         r.record(SimTime::from_millis(6.0), TraceEvent::Complete { req: 0 });
         // Trace ends at 10 ms with an idle marker.
-        r.record(SimTime::from_millis(10.0), TraceEvent::ActuatorIdle { actuator: 0 });
+        r.record(
+            SimTime::from_millis(10.0),
+            TraceEvent::ActuatorIdle { actuator: 0 },
+        );
 
         let a = TraceAnalysis::from_samples(&r.sorted_samples());
         let sc = a.scope(0).unwrap();
@@ -439,7 +457,10 @@ mod tests {
             sc.time_in(PowerMode::RotationalWait),
             SimDuration::from_millis(3.0)
         );
-        assert_eq!(sc.time_in(PowerMode::Transfer), SimDuration::from_millis(1.0));
+        assert_eq!(
+            sc.time_in(PowerMode::Transfer),
+            SimDuration::from_millis(1.0)
+        );
         assert_eq!(sc.time_in(PowerMode::Idle), SimDuration::from_millis(4.0));
         let act = sc.actuators.get(&0).unwrap();
         assert_eq!(act.dispatches, 1);

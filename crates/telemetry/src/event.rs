@@ -286,9 +286,24 @@ mod tests {
     fn sort_orders_by_time_then_seq() {
         let ev = TraceEvent::Complete { req: 0 };
         let mut v = vec![
-            Sample { time: SimTime::from_millis(2.0), scope: 0, seq: 0, event: ev },
-            Sample { time: SimTime::from_millis(1.0), scope: 0, seq: 2, event: ev },
-            Sample { time: SimTime::from_millis(1.0), scope: 0, seq: 1, event: ev },
+            Sample {
+                time: SimTime::from_millis(2.0),
+                scope: 0,
+                seq: 0,
+                event: ev,
+            },
+            Sample {
+                time: SimTime::from_millis(1.0),
+                scope: 0,
+                seq: 2,
+                event: ev,
+            },
+            Sample {
+                time: SimTime::from_millis(1.0),
+                scope: 0,
+                seq: 1,
+                event: ev,
+            },
         ];
         sort_samples(&mut v);
         assert_eq!(v[0].seq, 1);

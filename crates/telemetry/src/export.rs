@@ -276,7 +276,13 @@ mod tests {
             },
         );
         let t2 = t + SimDuration::from_millis(2.0);
-        r.record(t2, TraceEvent::SeekEnd { req: 0, actuator: 1 });
+        r.record(
+            t2,
+            TraceEvent::SeekEnd {
+                req: 0,
+                actuator: 1,
+            },
+        );
         r.record(
             t2,
             TraceEvent::RotWait {
@@ -285,7 +291,12 @@ mod tests {
                 dur: SimDuration::from_millis(3.0),
             },
         );
-        r.record(t2, TraceEvent::PowerModeChange { mode: PowerMode::Seek });
+        r.record(
+            t2,
+            TraceEvent::PowerModeChange {
+                mode: PowerMode::Seek,
+            },
+        );
         r.record(
             t2 + SimDuration::from_millis(3.0),
             TraceEvent::Complete { req: 0 },

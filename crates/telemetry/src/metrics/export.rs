@@ -28,10 +28,7 @@ use super::{GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
 pub const JSON_SCHEMA: &str = "intradisk-metrics-v1";
 
 fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{v}\""))
-        .collect();
+    let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
     if let Some((k, v)) = extra {
         parts.push(format!("{k}=\"{v}\""));
     }
@@ -56,7 +53,13 @@ fn prom_gauge_family(out: &mut String, gauges: &[GaugeSnapshot]) {
     let mut last = String::new();
     for g in gauges {
         prom_header(out, &g.key.name, g.help, "gauge", &mut last);
-        let _ = writeln!(out, "{}{} {}", g.key.name, prom_labels(&g.key.labels, None), g.last);
+        let _ = writeln!(
+            out,
+            "{}{} {}",
+            g.key.name,
+            prom_labels(&g.key.labels, None),
+            g.last
+        );
     }
     for (suffix, help_suffix) in [("_mean", "time-weighted mean"), ("_max", "maximum")] {
         let mut last = String::new();
@@ -64,8 +67,18 @@ fn prom_gauge_family(out: &mut String, gauges: &[GaugeSnapshot]) {
             let name = format!("{}{}", g.key.name, suffix);
             let help = format!("{} ({})", g.help, help_suffix);
             prom_header(out, &name, &help, "gauge", &mut last);
-            let value = if suffix == "_mean" { g.time_weighted_mean } else { g.max };
-            let _ = writeln!(out, "{}{} {}", name, prom_labels(&g.key.labels, None), value);
+            let value = if suffix == "_mean" {
+                g.time_weighted_mean
+            } else {
+                g.max
+            };
+            let _ = writeln!(
+                out,
+                "{}{} {}",
+                name,
+                prom_labels(&g.key.labels, None),
+                value
+            );
         }
     }
 }
@@ -92,8 +105,20 @@ fn prom_histogram_family(out: &mut String, hists: &[HistogramSnapshot]) {
                     cum
                 );
             }
-            let _ = writeln!(out, "{}_sum{} {}", name, prom_labels(&h.key.labels, None), h.stream.sum());
-            let _ = writeln!(out, "{}_count{} {}", name, prom_labels(&h.key.labels, None), h.stream.count());
+            let _ = writeln!(
+                out,
+                "{}_sum{} {}",
+                name,
+                prom_labels(&h.key.labels, None),
+                h.stream.sum()
+            );
+            let _ = writeln!(
+                out,
+                "{}_count{} {}",
+                name,
+                prom_labels(&h.key.labels, None),
+                h.stream.count()
+            );
         } else {
             prom_header(out, name, h.help, "summary", &mut last);
             for (q, p) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
@@ -105,8 +130,20 @@ fn prom_histogram_family(out: &mut String, hists: &[HistogramSnapshot]) {
                     h.stream.percentile(p)
                 );
             }
-            let _ = writeln!(out, "{}_sum{} {}", name, prom_labels(&h.key.labels, None), h.stream.sum());
-            let _ = writeln!(out, "{}_count{} {}", name, prom_labels(&h.key.labels, None), h.stream.count());
+            let _ = writeln!(
+                out,
+                "{}_sum{} {}",
+                name,
+                prom_labels(&h.key.labels, None),
+                h.stream.sum()
+            );
+            let _ = writeln!(
+                out,
+                "{}_count{} {}",
+                name,
+                prom_labels(&h.key.labels, None),
+                h.stream.count()
+            );
         }
     }
 }
@@ -117,7 +154,13 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
     let mut last = String::new();
     for c in &snap.counters {
         prom_header(&mut out, &c.key.name, c.help, "counter", &mut last);
-        let _ = writeln!(out, "{}{} {}", c.key.name, prom_labels(&c.key.labels, None), c.value);
+        let _ = writeln!(
+            out,
+            "{}{} {}",
+            c.key.name,
+            prom_labels(&c.key.labels, None),
+            c.value
+        );
     }
     prom_gauge_family(&mut out, &snap.gauges);
     prom_histogram_family(&mut out, &snap.histograms);
@@ -252,7 +295,12 @@ mod tests {
         let mut rec = MetricsRecorder::new();
         rec.record(
             SimTime::ZERO,
-            TraceEvent::RequestSubmitted { req: 0, lba: 0, sectors: 8, op: IoOp::Read },
+            TraceEvent::RequestSubmitted {
+                req: 0,
+                lba: 0,
+                sectors: 8,
+                op: IoOp::Read,
+            },
         );
         rec.record(
             SimTime::ZERO,

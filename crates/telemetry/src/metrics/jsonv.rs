@@ -250,13 +250,12 @@ impl<'a> Parser<'a> {
                         }
                         self.pos += 1;
                     }
-                    let run =
-                        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
-                            ParseError {
-                                message: "invalid UTF-8".to_string(),
-                                offset: start,
-                            }
-                        })?;
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
+                        ParseError {
+                            message: "invalid UTF-8".to_string(),
+                            offset: start,
+                        }
+                    })?;
                     out.push_str(run);
                 }
             }

@@ -467,7 +467,10 @@ mod tests {
         let ser = &s.gauges[0].series;
         assert!(ser.windows(2).all(|w| w[0].0 < w[1].0));
         let last_step = ser[ser.len() - 1].0.saturating_since(ser[ser.len() - 2].0);
-        assert!(last_step.as_nanos() >= 4 * CADENCE.as_nanos(), "{last_step:?}");
+        assert!(
+            last_step.as_nanos() >= 4 * CADENCE.as_nanos(),
+            "{last_step:?}"
+        );
     }
 
     #[test]
@@ -492,7 +495,10 @@ mod tests {
         let s = r.snapshot();
         let hs = &s.histograms[0];
         assert_eq!(hs.stream.count(), 3);
-        assert_eq!(hs.fixed.as_ref().map(|f| f.counts().to_vec()), Some(vec![1, 1, 1]));
+        assert_eq!(
+            hs.fixed.as_ref().map(|f| f.counts().to_vec()),
+            Some(vec![1, 1, 1])
+        );
     }
 
     #[test]

@@ -205,10 +205,12 @@ impl Recorder for MetricsRecorder {
                 self.inflight.insert((scope, req), time);
             }
             TraceEvent::RequestQueued { depth, .. } => {
-                self.registry.set_gauge(ids.queue_depth, time, f64::from(depth));
+                self.registry
+                    .set_gauge(ids.queue_depth, time, f64::from(depth));
             }
             TraceEvent::Dispatched { depth, .. } => {
-                self.registry.set_gauge(ids.queue_depth, time, f64::from(depth));
+                self.registry
+                    .set_gauge(ids.queue_depth, time, f64::from(depth));
             }
             TraceEvent::SeekStart { actuator, .. } => {
                 self.registry.inc(ids.seeks, 1);
@@ -268,31 +270,66 @@ mod tests {
     fn run_tiny(rec: &mut MetricsRecorder) {
         rec.record(
             t(0.0),
-            TraceEvent::RequestSubmitted { req: 0, lba: 100, sectors: 8, op: IoOp::Read },
+            TraceEvent::RequestSubmitted {
+                req: 0,
+                lba: 100,
+                sectors: 8,
+                op: IoOp::Read,
+            },
         );
         rec.record(t(0.0), TraceEvent::CacheMiss { req: 0 });
-        rec.record(t(0.0), TraceEvent::Dispatched { req: 0, actuator: 1, depth: 0 });
         rec.record(
             t(0.0),
-            TraceEvent::PowerModeChange { mode: PowerMode::Seek },
+            TraceEvent::Dispatched {
+                req: 0,
+                actuator: 1,
+                depth: 0,
+            },
         );
         rec.record(
             t(0.0),
-            TraceEvent::SeekStart { req: 0, actuator: 1, from_cylinder: 0, to_cylinder: 5 },
+            TraceEvent::PowerModeChange {
+                mode: PowerMode::Seek,
+            },
         );
-        rec.record(t(2.0), TraceEvent::SeekEnd { req: 0, actuator: 1 });
+        rec.record(
+            t(0.0),
+            TraceEvent::SeekStart {
+                req: 0,
+                actuator: 1,
+                from_cylinder: 0,
+                to_cylinder: 5,
+            },
+        );
         rec.record(
             t(2.0),
-            TraceEvent::RotWait { req: 0, actuator: 1, dur: SimDuration::from_millis(3.0) },
+            TraceEvent::SeekEnd {
+                req: 0,
+                actuator: 1,
+            },
+        );
+        rec.record(
+            t(2.0),
+            TraceEvent::RotWait {
+                req: 0,
+                actuator: 1,
+                dur: SimDuration::from_millis(3.0),
+            },
         );
         rec.record(
             t(5.0),
-            TraceEvent::Transfer { req: 0, actuator: 1, dur: SimDuration::from_millis(1.0) },
+            TraceEvent::Transfer {
+                req: 0,
+                actuator: 1,
+                dur: SimDuration::from_millis(1.0),
+            },
         );
         rec.record(t(6.0), TraceEvent::Complete { req: 0 });
         rec.record(
             t(6.0),
-            TraceEvent::PowerModeChange { mode: PowerMode::Idle },
+            TraceEvent::PowerModeChange {
+                mode: PowerMode::Idle,
+            },
         );
     }
 
@@ -375,7 +412,12 @@ mod tests {
             rec.record_scoped(
                 scope,
                 t(0.0),
-                TraceEvent::RequestSubmitted { req: 0, lba: 0, sectors: 1, op: IoOp::Write },
+                TraceEvent::RequestSubmitted {
+                    req: 0,
+                    lba: 0,
+                    sectors: 1,
+                    op: IoOp::Write,
+                },
             );
         }
         let snap = rec.finish();

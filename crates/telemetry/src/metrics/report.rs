@@ -63,7 +63,9 @@ fn fmt_num(v: f64) -> String {
 }
 
 fn esc(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    s.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 #[derive(Debug, Clone)]
@@ -81,7 +83,11 @@ struct Scale {
 
 impl Scale {
     fn new(min: f64, max: f64, lo_px: f64, hi_px: f64) -> Scale {
-        let span = if (max - min).abs() < 1e-12 { 1.0 } else { max - min };
+        let span = if (max - min).abs() < 1e-12 {
+            1.0
+        } else {
+            max - min
+        };
         Scale {
             min,
             span,
@@ -464,7 +470,11 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
     }
     let xs = Scale::new(x_min, x_max, MARGIN_L, CHART_W - MARGIN_R);
     let ys = Scale::new(y_min, y_max, CHART_H - MARGIN_B, MARGIN_T);
-    let c_span = if (c_max - c_min).abs() < 1e-12 { 1.0 } else { c_max - c_min };
+    let c_span = if (c_max - c_min).abs() < 1e-12 {
+        1.0
+    } else {
+        c_max - c_min
+    };
     let radius = |cost: f64| 2.0 + 4.0 * (cost - c_min) / c_span;
 
     let title = format!("Latency vs energy, cost as marker size ({latency_name} latency)");
@@ -566,11 +576,16 @@ fn explore_section(doc: &Value) -> String {
         ("frontier", frontier.len().to_string()),
         (
             "coverage",
-            doc.get("coverage").and_then(Value::as_str).unwrap_or("?").to_string(),
+            doc.get("coverage")
+                .and_then(Value::as_str)
+                .unwrap_or("?")
+                .to_string(),
         ),
         (
             "requests/point",
-            doc.get("requests").and_then(Value::as_u64).map_or("?".into(), |v| v.to_string()),
+            doc.get("requests")
+                .and_then(Value::as_u64)
+                .map_or("?".into(), |v| v.to_string()),
         ),
         ("latency axis", latency_name.to_string()),
     ] {
@@ -590,7 +605,11 @@ fn explore_section(doc: &Value) -> String {
         );
     }
     if !points.is_empty() {
-        let _ = write!(out, "<figure>{}</figure>", explore_scatter(&points, latency_name));
+        let _ = write!(
+            out,
+            "<figure>{}</figure>",
+            explore_scatter(&points, latency_name)
+        );
     }
     if !frontier.is_empty() {
         let mut rows = String::new();
@@ -651,16 +670,29 @@ fn scenario_section(input: &ReportInput) -> String {
     // Queue-depth + power-mode timelines.
     let depth = gauge_series(doc, "queue_depth", "0");
     if !depth.is_empty() {
-        let s = [Series { label: "queue depth".to_string(), points: depth }];
+        let s = [Series {
+            label: "queue depth".to_string(),
+            points: depth,
+        }];
         let _ = write!(
             out,
             "<figure>{}</figure>",
-            line_chart("Queue depth over time", "sim time (ms)", "requests", &s, true, None)
+            line_chart(
+                "Queue depth over time",
+                "sim time (ms)",
+                "requests",
+                &s,
+                true,
+                None
+            )
         );
     }
     let mode = gauge_series(doc, "power_mode", "0");
     if !mode.is_empty() {
-        let s = [Series { label: "mode".to_string(), points: mode }];
+        let s = [Series {
+            label: "mode".to_string(),
+            points: mode,
+        }];
         let _ = write!(
             out,
             "<figure>{}</figure>",
@@ -800,9 +832,21 @@ mod tests {
             let t = SimTime::from_millis(i as f64 * 10.0);
             rec.record(
                 t,
-                TraceEvent::RequestSubmitted { req: i, lba: i * 100, sectors: 8, op: IoOp::Read },
+                TraceEvent::RequestSubmitted {
+                    req: i,
+                    lba: i * 100,
+                    sectors: 8,
+                    op: IoOp::Read,
+                },
             );
-            rec.record(t, TraceEvent::Dispatched { req: i, actuator: (i % 2) as u32, depth: 0 });
+            rec.record(
+                t,
+                TraceEvent::Dispatched {
+                    req: i,
+                    actuator: (i % 2) as u32,
+                    depth: 0,
+                },
+            );
             rec.record(
                 t,
                 TraceEvent::Transfer {

@@ -352,7 +352,11 @@ impl ProfReport {
             })
             .collect();
         lines.sort_by(|a, b| a.path.cmp(&b.path));
-        ProfReport { wall_ns, lines, scope_ns: calibrate_scope_ns() }
+        ProfReport {
+            wall_ns,
+            lines,
+            scope_ns: calibrate_scope_ns(),
+        }
     }
 
     /// Scope entries over all phase paths.
@@ -387,7 +391,9 @@ impl ProfReport {
         let prefix = &self.lines[idx].path;
         self.lines
             .iter()
-            .filter(|l| l.path.len() >= prefix.len() && &l.path[..prefix.len()] == prefix.as_slice())
+            .filter(|l| {
+                l.path.len() >= prefix.len() && &l.path[..prefix.len()] == prefix.as_slice()
+            })
             .map(|l| l.self_ns)
             .sum()
     }
@@ -547,7 +553,11 @@ impl Heartbeat {
         let rss = peak_rss_kb().unwrap_or(0);
         let eta_s = self.total.map(|t| {
             let left = t.saturating_sub(completed) as f64;
-            if rate > 0.0 { left / rate } else { f64::INFINITY }
+            if rate > 0.0 {
+                left / rate
+            } else {
+                f64::INFINITY
+            }
         });
         let mut line = match (self.total, eta_s) {
             (Some(t), Some(eta)) => format!(
@@ -644,7 +654,10 @@ mod tests {
         assert_eq!(r.scopes(), 2, "calibration scopes are not counted");
         assert!(r.scope_ns > 0.0);
         assert!(!enabled(), "calibration restores the disabled state");
-        assert!(ProfReport::take(1).lines.is_empty(), "calibration drains its own lines");
+        assert!(
+            ProfReport::take(1).lines.is_empty(),
+            "calibration drains its own lines"
+        );
         let footer = r.table().lines().last().unwrap_or_default().to_string();
         assert!(footer.starts_with("overhead ≈ 2 scopes × "), "{footer}");
         assert!(footer.ends_with("% of wall)"), "{footer}");
@@ -722,7 +735,10 @@ mod tests {
         assert_eq!(r.folded(), "run 1000\nrun;run_point 2500\n");
         let table = r.table();
         assert!(table.contains("unattributed"));
-        assert!(table.contains("overhead ≈ 5 scopes × 50.0 ns = 0.000 ms (0.01% of wall)"), "{table}");
+        assert!(
+            table.contains("overhead ≈ 5 scopes × 50.0 ns = 0.000 ms (0.01% of wall)"),
+            "{table}"
+        );
         assert!(table.contains("run_point"));
         assert_eq!(r.attributed_ns(), 3_500_000);
         assert_eq!(r.unattributed_ns(), 500_000);

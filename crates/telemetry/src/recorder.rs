@@ -88,7 +88,10 @@ impl RingRecorder {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring recorder needs room for at least one sample");
+        assert!(
+            capacity > 0,
+            "ring recorder needs room for at least one sample"
+        );
         RingRecorder {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
@@ -251,7 +254,11 @@ mod tests {
             s.record_scoped(9, SimTime::ZERO, ev(1));
         }
         let scopes: Vec<u32> = r.samples().map(|s| s.scope).collect();
-        assert_eq!(scopes, vec![4, 4], "nested scopes collapse to the wrapper's");
+        assert_eq!(
+            scopes,
+            vec![4, 4],
+            "nested scopes collapse to the wrapper's"
+        );
     }
 
     #[test]

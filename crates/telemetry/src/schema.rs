@@ -130,7 +130,10 @@ pub fn validate(samples: &[Sample], actuators: u32) -> Result<(), Vec<String>> {
                 if !submitted.contains(&(s.scope, req)) {
                     push(
                         &mut violations,
-                        format!("request {req} completed without submission in scope {}", s.scope),
+                        format!(
+                            "request {req} completed without submission in scope {}",
+                            s.scope
+                        ),
                     );
                 }
                 if !completed.insert((s.scope, req)) {
@@ -217,7 +220,13 @@ mod tests {
                 to_cylinder: 1,
             },
         );
-        r.record(SimTime::from_millis(2.0), TraceEvent::SeekEnd { req: 0, actuator: 1 });
+        r.record(
+            SimTime::from_millis(2.0),
+            TraceEvent::SeekEnd {
+                req: 0,
+                actuator: 1,
+            },
+        );
         r.record(SimTime::from_millis(3.0), TraceEvent::Complete { req: 0 });
         assert!(validate(&r.sorted_samples(), 2).is_ok());
     }
@@ -246,7 +255,13 @@ mod tests {
         assert!(err.iter().any(|m| m.contains("unmatched SeekStart")));
 
         let mut r = RingRecorder::new();
-        r.record(SimTime::ZERO, TraceEvent::SeekEnd { req: 0, actuator: 0 });
+        r.record(
+            SimTime::ZERO,
+            TraceEvent::SeekEnd {
+                req: 0,
+                actuator: 0,
+            },
+        );
         let err = validate(&r.sorted_samples(), 1).unwrap_err();
         assert!(err[0].contains("SeekEnd without SeekStart"));
     }

@@ -90,7 +90,10 @@ pub fn usize_in(range: RangeInclusive<usize>) -> Gen<usize> {
 /// # Panics
 /// Panics unless `lo < hi` and both are finite.
 pub fn f64_in(lo: f64, hi: f64) -> Gen<f64> {
-    assert!(lo < hi && lo.is_finite() && hi.is_finite(), "bad range [{lo}, {hi})");
+    assert!(
+        lo < hi && lo.is_finite() && hi.is_finite(),
+        "bad range [{lo}, {hi})"
+    );
     Gen::new(move |src| {
         let frac = (src.next_choice() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         lo + frac * (hi - lo)
@@ -160,7 +163,10 @@ mod tests {
         assert_eq!(f64_in(1.5, 8.0).generate(&mut src), 1.5);
         assert!(!bool_any().generate(&mut src));
         assert_eq!(one_of(vec!['a', 'b']).generate(&mut src), 'a');
-        assert_eq!(vec_of(u64_any(), 0..=8).generate(&mut src), Vec::<u64>::new());
+        assert_eq!(
+            vec_of(u64_any(), 0..=8).generate(&mut src),
+            Vec::<u64>::new()
+        );
     }
 
     #[test]

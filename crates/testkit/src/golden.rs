@@ -36,10 +36,7 @@ pub fn assert_abs(name: &str, got: f64, want: f64, abs: f64) {
 
 /// Asserts `got` lies in the closed band `[lo, hi]`.
 pub fn assert_in_band(name: &str, got: f64, lo: f64, hi: f64) {
-    assert!(
-        lo <= hi,
-        "golden `{name}`: empty band [{lo}, {hi}]"
-    );
+    assert!(lo <= hi, "golden `{name}`: empty band [{lo}, {hi}]");
     assert!(
         (lo..=hi).contains(&got),
         "golden `{name}`: got {got}, outside band [{lo}, {hi}]"
@@ -88,16 +85,14 @@ mod tests {
         assert_monotone_nonincreasing("ok", &[5.0, 4.0, 4.1], 0.05);
         assert_strictly_increasing("ok", &[1.0, 2.0, 3.0]);
         assert!(catch_unwind(|| assert_in_band("bad", 2.0, 0.0, 1.0)).is_err());
-        assert!(
-            catch_unwind(|| assert_monotone_nonincreasing("bad", &[1.0, 2.0], 0.05)).is_err()
-        );
+        assert!(catch_unwind(|| assert_monotone_nonincreasing("bad", &[1.0, 2.0], 0.05)).is_err());
         assert!(catch_unwind(|| assert_strictly_increasing("bad", &[2.0, 2.0])).is_err());
     }
 
     #[test]
     fn failure_messages_name_the_check() {
-        let err = catch_unwind(|| assert_rel("seek_avg_ms", 9.9, 8.5, 0.05))
-            .expect_err("must fail");
+        let err =
+            catch_unwind(|| assert_rel("seek_avg_ms", 9.9, 8.5, 0.05)).expect_err("must fail");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("seek_avg_ms"), "{msg}");
     }

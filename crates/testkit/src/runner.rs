@@ -222,16 +222,15 @@ pub fn check_with(config: Config, name: &str, prop: impl Fn(&mut TestCase)) {
             let recording = src.recording().to_vec();
             let minimal = shrink(&prop, recording, config.max_shrink_runs);
             // Re-run the minimal case to collect its inputs and message.
-            let (message, log) =
-                match run_once(&prop, &mut Source::replay(minimal.clone())) {
+            let (message, log) = match run_once(&prop, &mut Source::replay(minimal.clone())) {
+                RunOutcome::Fail { message, log } => (message, log),
+                // The property flickered (non-deterministic); report
+                // the unshrunk case instead.
+                RunOutcome::Pass => match run_once(&prop, &mut Source::from_seed(*seed)) {
                     RunOutcome::Fail { message, log } => (message, log),
-                    // The property flickered (non-deterministic); report
-                    // the unshrunk case instead.
-                    RunOutcome::Pass => match run_once(&prop, &mut Source::from_seed(*seed)) {
-                        RunOutcome::Fail { message, log } => (message, log),
-                        RunOutcome::Pass => ("<non-deterministic property>".into(), Vec::new()),
-                    },
-                };
+                    RunOutcome::Pass => ("<non-deterministic property>".into(), Vec::new()),
+                },
+            };
             panic!(
                 "property `{name}` failed at case {i}/{n}\n  \
                  minimal inputs: [{inputs}]\n  \
@@ -309,7 +308,10 @@ mod tests {
         let collect = || {
             let drawn = std::cell::RefCell::new(Vec::new());
             check_with(
-                Config { cases: 8, max_shrink_runs: 0 },
+                Config {
+                    cases: 8,
+                    max_shrink_runs: 0,
+                },
                 "determinism_probe",
                 |t| drawn.borrow_mut().push(t.draw(&gen::u64_any())),
             );

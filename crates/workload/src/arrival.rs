@@ -137,7 +137,11 @@ impl ArrivalSampler {
                 } else {
                     quiet.sample(rng)
                 };
-                let switch = if *in_burst { *leave_burst } else { *enter_burst };
+                let switch = if *in_burst {
+                    *leave_burst
+                } else {
+                    *enter_burst
+                };
                 if rng.chance(switch) {
                     *in_burst = !*in_burst;
                 }
@@ -215,7 +219,10 @@ mod tests {
     fn gaps_nonnegative() {
         for p in [
             ArrivalProcess::Exponential { mean_ms: 1.0 },
-            ArrivalProcess::LogNormal { mean_ms: 1.0, cv: 2.0 },
+            ArrivalProcess::LogNormal {
+                mean_ms: 1.0,
+                cv: 2.0,
+            },
             ArrivalProcess::Mmpp(Mmpp {
                 quiet_mean_ms: 5.0,
                 burst_mean_ms: 0.2,

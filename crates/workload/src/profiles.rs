@@ -23,7 +23,7 @@
 //! able to service I/O requests faster than they arrive").
 
 use intradisk::{IoKind, IoRequest};
-use simkit::{Rng64, SimDuration, SimTime, Sample, Zipf};
+use simkit::{Rng64, Sample, SimDuration, SimTime, Zipf};
 
 use crate::arrival::{ArrivalProcess, Mmpp};
 use crate::source::RequestSource;
@@ -150,11 +150,7 @@ impl SizeMix {
 
     /// Mean size in sectors.
     pub fn mean(&self) -> f64 {
-        self.choices
-            .iter()
-            .map(|&(s, w)| s as f64 * w)
-            .sum::<f64>()
-            / self.total
+        self.choices.iter().map(|&(s, w)| s as f64 * w).sum::<f64>() / self.total
     }
 }
 
@@ -423,7 +419,11 @@ mod tests {
             let p = profile_for(kind);
             let footprint = kind.footprint_sectors();
             let trace = p.generate(5_000, 4);
-            assert!(trace.requests().iter().all(|r| r.lba < footprint), "{}", kind.name());
+            assert!(
+                trace.requests().iter().all(|r| r.lba < footprint),
+                "{}",
+                kind.name()
+            );
         }
     }
 
@@ -513,6 +513,9 @@ mod tests {
         let mut skipped = p.source(800, 13);
         assert_eq!(skipped.skip(500), 500);
         let trace = p.generate(800, 13);
-        assert_eq!(skipped.next_request().as_ref(), Some(&trace.requests()[500]));
+        assert_eq!(
+            skipped.next_request().as_ref(),
+            Some(&trace.requests()[500])
+        );
     }
 }

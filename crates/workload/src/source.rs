@@ -236,9 +236,7 @@ mod tests {
 
     fn trace(n: u64) -> Trace {
         let reqs = (0..n)
-            .map(|i| {
-                IoRequest::new(i, SimTime::from_millis(i as f64), i * 8, 8, IoKind::Read)
-            })
+            .map(|i| IoRequest::new(i, SimTime::from_millis(i as f64), i * 8, 8, IoKind::Read))
             .collect();
         Trace::new("t", reqs, 10_000)
     }
@@ -250,7 +248,9 @@ mod tests {
         assert_eq!(src.len_hint(), Some(5));
         assert_eq!(src.name(), "t");
         assert_eq!(src.footprint_sectors(), 10_000);
-        let ids: Vec<u64> = std::iter::from_fn(|| src.next_request()).map(|r| r.id).collect();
+        let ids: Vec<u64> = std::iter::from_fn(|| src.next_request())
+            .map(|r| r.id)
+            .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert_eq!(src.len_hint(), Some(0));
         assert!(src.next_request().is_none());

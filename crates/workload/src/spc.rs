@@ -170,14 +170,19 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<SpcRecord, ParseSpcError>
         return Err(ParseSpcError::new(
             lineno,
             SpcErrorKind::LbaOverflow,
-            format!("request of {sectors} sectors at LBA {lba} ends past the last addressable sector"),
+            format!(
+                "request of {sectors} sectors at LBA {lba} ends past the last addressable sector"
+            ),
         ));
     }
     let kind = match next("Opcode")? {
         "r" | "R" => IoKind::Read,
         "w" | "W" => IoKind::Write,
         other => {
-            return Err(ParseSpcError::malformed(lineno, format!("bad opcode {other:?}")));
+            return Err(ParseSpcError::malformed(
+                lineno,
+                format!("bad opcode {other:?}"),
+            ));
         }
     };
     let secs = next("Timestamp")?
@@ -191,7 +196,11 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<SpcRecord, ParseSpcError>
         ));
     }
     if secs < 0.0 {
-        return Err(ParseSpcError::new(lineno, SpcErrorKind::NegativeTimestamp, "negative timestamp"));
+        return Err(ParseSpcError::new(
+            lineno,
+            SpcErrorKind::NegativeTimestamp,
+            "negative timestamp",
+        ));
     }
     if secs > MAX_TIMESTAMP_S {
         return Err(ParseSpcError::new(
@@ -293,7 +302,10 @@ impl Extents {
             return Err(ParseSpcError::new(
                 lineno,
                 SpcErrorKind::AddressSpaceOverflow,
-                format!("ASU {} extended to {end} sectors overflows the concatenated address space", r.asu),
+                format!(
+                    "ASU {} extended to {end} sectors overflows the concatenated address space",
+                    r.asu
+                ),
             ));
         };
         *size = end;
@@ -386,7 +398,10 @@ impl AsuLayout {
             ParseSpcError::new(
                 lineno,
                 SpcErrorKind::AddressSpaceOverflow,
-                format!("LBA {} of ASU {} lies past the layout's address space", r.lba, r.asu),
+                format!(
+                    "LBA {} of ASU {} lies past the layout's address space",
+                    r.lba, r.asu
+                ),
             )
         })?;
         Ok(IoRequest::new(id, r.arrival, lba, sectors, r.kind))
@@ -430,7 +445,12 @@ pub struct SpcSource<R: BufRead> {
 impl<R: BufRead> SpcSource<R> {
     /// Creates a streaming source over `reader` with a prebuilt layout.
     /// At most `max_requests` requests are yielded if given.
-    pub fn new(reader: R, layout: AsuLayout, name: impl Into<String>, max_requests: Option<usize>) -> Self {
+    pub fn new(
+        reader: R,
+        layout: AsuLayout,
+        name: impl Into<String>,
+        max_requests: Option<usize>,
+    ) -> Self {
         SpcSource {
             reader,
             layout,
@@ -470,11 +490,9 @@ impl SpcSource<BufReader<File>> {
     ) -> Result<Self, ParseSpcError> {
         let path = path.as_ref();
         let open = |p: &Path| {
-            File::open(p)
-                .map(BufReader::new)
-                .map_err(|e| {
-                    ParseSpcError::new(0, SpcErrorKind::Io, format!("open {}: {e}", p.display()))
-                })
+            File::open(p).map(BufReader::new).map_err(|e| {
+                ParseSpcError::new(0, SpcErrorKind::Io, format!("open {}: {e}", p.display()))
+            })
         };
         let layout = AsuLayout::scan(open(path)?, asu_align, max_requests)?;
         Ok(SpcSource::new(open(path)?, layout, name, max_requests))
@@ -575,10 +593,10 @@ mod tests {
         use SpcErrorKind::*;
         for (bad, kind) in [
             ("", Malformed),
-            ("0,5,1024,R", Malformed),      // missing timestamp
-            ("x,5,1024,R,0.1", Malformed),  // bad ASU
-            ("0,5,0,R,0.1", Malformed),     // zero bytes
-            ("0,5,1024,q,0.1", Malformed),  // bad opcode
+            ("0,5,1024,R", Malformed),     // missing timestamp
+            ("x,5,1024,R,0.1", Malformed), // bad ASU
+            ("0,5,0,R,0.1", Malformed),    // zero bytes
+            ("0,5,1024,q,0.1", Malformed), // bad opcode
             ("0,5,1024,R,-1.0", NegativeTimestamp),
             ("0,18446744073709551615,4096,r,0.0", LbaOverflow),
             ("0,0,9999999999999,r,0.0", SizeOverflow),
@@ -609,8 +627,15 @@ mod tests {
         let trace = read_trace(Cursor::new(SAMPLE), "s", 1, None).unwrap();
         // ASU 0 spans [0, 1005); ASU 1 must start at or after 1005.
         let reqs = trace.requests();
-        let asu1 = reqs.iter().find(|r| r.sectors == 16).expect("the 8 KiB write");
-        assert!(asu1.lba >= 1005 + 2000, "ASU 1 base not offset: {}", asu1.lba);
+        let asu1 = reqs
+            .iter()
+            .find(|r| r.sectors == 16)
+            .expect("the 8 KiB write");
+        assert!(
+            asu1.lba >= 1005 + 2000,
+            "ASU 1 base not offset: {}",
+            asu1.lba
+        );
         assert!(trace.footprint_sectors() >= asu1.end_lba());
     }
 

@@ -176,10 +176,7 @@ mod tests {
     fn addresses_within_footprint() {
         let spec = SyntheticSpec::paper(1.0, FOOTPRINT, 10_000);
         let trace = spec.generate(2);
-        assert!(trace
-            .requests()
-            .iter()
-            .all(|r| r.lba < FOOTPRINT));
+        assert!(trace.requests().iter().all(|r| r.lba < FOOTPRINT));
     }
 
     #[test]

@@ -16,7 +16,11 @@ impl Trace {
     ///
     /// # Panics
     /// Panics if `footprint_sectors == 0`.
-    pub fn new(name: impl Into<String>, mut requests: Vec<IoRequest>, footprint_sectors: u64) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        mut requests: Vec<IoRequest>,
+        footprint_sectors: u64,
+    ) -> Self {
         assert!(footprint_sectors > 0, "empty footprint");
         requests.sort_by_key(|r| (r.arrival, r.id));
         Trace {
@@ -66,8 +70,16 @@ impl Trace {
         }
         let reads = self.requests.iter().filter(|r| r.kind.is_read()).count();
         let total_sectors: u64 = self.requests.iter().map(|r| r.sectors as u64).sum();
-        let first = self.requests.first().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
-        let last = self.requests.last().map(|r| r.arrival).unwrap_or(SimTime::ZERO);
+        let first = self
+            .requests
+            .first()
+            .map(|r| r.arrival)
+            .unwrap_or(SimTime::ZERO);
+        let last = self
+            .requests
+            .last()
+            .map(|r| r.arrival)
+            .unwrap_or(SimTime::ZERO);
         let span_ms = (last.saturating_since(first)).as_millis();
         let sequential = self
             .requests

@@ -39,7 +39,10 @@ fn main() {
     let reqs = bursty_trace(2_000, params.capacity_sectors(), 17);
     let trace = workload::Trace::new("bursty", reqs, params.capacity_sectors());
 
-    println!("{:<28} {:>10} {:>10} {:>10}", "design", "mean ms", "p99 ms", "avg W");
+    println!(
+        "{:<28} {:>10} {:>10} {:>10}",
+        "design", "mean ms", "p99 ms", "avg W"
+    );
 
     let conv = run_drive(&params, DriveConfig::conventional(), &trace).expect("replay succeeds");
     let conv_rt = &conv.metrics.response_time_ms;
@@ -62,8 +65,12 @@ fn main() {
         d.average_power_w()
     );
 
-    let sa = run_drive(&presets::barracuda_es_at_rpm(4_200), DriveConfig::sa(4), &trace)
-        .expect("replay succeeds");
+    let sa = run_drive(
+        &presets::barracuda_es_at_rpm(4_200),
+        DriveConfig::sa(4),
+        &trace,
+    )
+    .expect("replay succeeds");
     let sa_rt = &sa.metrics.response_time_ms;
     println!(
         "{:<28} {:>10.1} {:>10.1} {:>10.2}",

@@ -19,7 +19,11 @@ fn main() {
     let spec = SyntheticSpec::paper(10.0, params.capacity_sectors(), 50_000);
     let trace = spec.generate(7);
 
-    println!("workload: {} requests, stats {:?}\n", trace.len(), trace.stats());
+    println!(
+        "workload: {} requests, stats {:?}\n",
+        trace.len(),
+        trace.stats()
+    );
 
     for actuators in [1u32, 2, 4] {
         let result =

@@ -20,7 +20,10 @@ fn main() {
     let trace = spec.generate(3);
 
     println!("steady 1 ms inter-arrival load; 90th-percentile response time (ms):\n");
-    println!("{:>6} {:>12} {:>12} {:>12}", "disks", "HC-SD", "SA(2)", "SA(4)");
+    println!(
+        "{:>6} {:>12} {:>12} {:>12}",
+        "disks", "HC-SD", "SA(2)", "SA(4)"
+    );
     let mut iso: Vec<(String, f64)> = Vec::new();
     for disks in [2usize, 4, 8, 16] {
         let mut row = format!("{disks:>6}");

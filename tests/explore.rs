@@ -7,11 +7,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
+use experiments::Executor;
 use explorer::{
     axes_of, explore, pareto, Coverage, ExploreOptions, LatencyAxis, PointCache, PointDescriptor,
     SweepScale, CODE_VERSION,
 };
-use experiments::Executor;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("explore-test-{tag}"));
@@ -22,7 +22,10 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn tiny_opts(cache: Option<PointCache>) -> ExploreOptions {
     ExploreOptions {
-        scale: SweepScale { requests: 200, ..SweepScale::default() },
+        scale: SweepScale {
+            requests: 200,
+            ..SweepScale::default()
+        },
         coverage: Coverage::Coarse,
         latency: LatencyAxis::P90,
         cache,
@@ -57,7 +60,11 @@ fn cold_explore_leaves_one_pack_file() {
         .expect("cache root exists")
         .map(|e| e.expect("readable entry"))
         .collect();
-    assert_eq!(entries.len(), 1, "one entry under the cache root: {entries:?}");
+    assert_eq!(
+        entries.len(),
+        1,
+        "one entry under the cache root: {entries:?}"
+    );
     assert!(entries[0].file_type().expect("file type").is_file());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -67,16 +74,25 @@ fn cold_explore_leaves_one_pack_file() {
 #[test]
 fn cache_key_sensitivity() {
     let dir = tmpdir("keys");
-    let scale = SweepScale { requests: 200, ..SweepScale::default() };
+    let scale = SweepScale {
+        requests: 200,
+        ..SweepScale::default()
+    };
     let d = explorer::space::grid(explorer::GridResolution::Coarse, scale)[0];
     let cache = PointCache::new(&dir);
     let out = explorer::point::run_point(&d).expect("point runs");
     cache.store(&out).expect("store");
 
     assert_eq!(cache.load(&d), Some(out), "identical descriptor hits");
-    let reseeded = PointDescriptor { seed: d.seed + 1, ..d };
+    let reseeded = PointDescriptor {
+        seed: d.seed + 1,
+        ..d
+    };
     assert!(cache.load(&reseeded).is_none(), "seed change misses");
-    let resized = PointDescriptor { cache_mib: d.cache_mib + 4, ..d };
+    let resized = PointDescriptor {
+        cache_mib: d.cache_mib + 4,
+        ..d
+    };
     assert!(cache.load(&resized).is_none(), "config change misses");
     let newer = PointCache::with_code_version(&dir, &format!("{CODE_VERSION}x"));
     assert!(newer.load(&d).is_none(), "code-version change misses");
@@ -89,7 +105,11 @@ fn cache_key_sensitivity() {
 #[test]
 fn frontier_is_mutually_nondominated_over_real_points() {
     let out = explore(&tiny_opts(None), &Executor::new(2)).expect("explore");
-    let axes: Vec<_> = out.points.iter().map(|p| axes_of(p, LatencyAxis::P90)).collect();
+    let axes: Vec<_> = out
+        .points
+        .iter()
+        .map(|p| axes_of(p, LatencyAxis::P90))
+        .collect();
     assert_eq!(pareto::frontier_indices(&axes), out.frontier);
     for &i in &out.frontier {
         for &j in &out.frontier {
@@ -134,7 +154,11 @@ fn repro_explore_cold_warm_end_to_end() {
             ])
             .output()
             .expect("repro explore runs");
-        assert!(r.status.success(), "stderr: {}", String::from_utf8_lossy(&r.stderr));
+        assert!(
+            r.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&r.stderr)
+        );
         (
             r.stdout,
             fs::read(out_dir.join("explore.json")).expect("explore.json written"),
@@ -147,8 +171,14 @@ fn repro_explore_cold_warm_end_to_end() {
     assert_eq!(cold_out, warm_out, "stdout is byte-identical");
     assert_eq!(cold_json, warm_json, "explore.json is byte-identical");
     assert_eq!(cold_html, warm_html, "report.html is byte-identical");
-    assert!(cold_err.contains("(288 executed, 0 cached)"), "stderr: {cold_err}");
-    assert!(warm_err.contains("(0 executed, 288 cached)"), "stderr: {warm_err}");
+    assert!(
+        cold_err.contains("(288 executed, 0 cached)"),
+        "stderr: {cold_err}"
+    );
+    assert!(
+        warm_err.contains("(0 executed, 288 cached)"),
+        "stderr: {warm_err}"
+    );
     let html = String::from_utf8(cold_html).expect("utf8 html");
     assert!(html.contains("Pareto"), "report carries the Pareto panel");
     let _ = fs::remove_dir_all(&root);
@@ -178,7 +208,11 @@ fn repro_rejects_bad_cli_input_with_a_one_line_error() {
             .output()
             .expect("repro runs");
         let stderr = String::from_utf8_lossy(&r.stderr);
-        assert_eq!(r.status.code(), Some(1), "{argv:?} exit status; stderr: {stderr}");
+        assert_eq!(
+            r.status.code(),
+            Some(1),
+            "{argv:?} exit status; stderr: {stderr}"
+        );
         assert_eq!(stderr.lines().count(), 1, "{argv:?} stderr: {stderr}");
         assert!(!stderr.contains("panicked"), "{argv:?} stderr: {stderr}");
         assert!(r.stdout.is_empty(), "{argv:?} wrote stdout");

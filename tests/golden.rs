@@ -115,7 +115,12 @@ fn golden_rotation_period_and_latency_bounds() {
         assert!(wait < period_ms, "wait {wait} >= period {period_ms}");
         acc += wait;
     }
-    assert_rel("mean rotational latency (1 head)", acc / N as f64, period_ms / 2.0, 0.02);
+    assert_rel(
+        "mean rotational latency (1 head)",
+        acc / N as f64,
+        period_ms / 2.0,
+        0.02,
+    );
 }
 
 #[test]
@@ -189,7 +194,12 @@ fn golden_power_mode_ordering() {
         "power modes",
         &[p.idle_w(), p.transfer_w(), p.seek_w(1), p.seek_w(2)],
     );
-    assert_rel("rotational wait draws idle power", p.rotational_wait_w(), p.idle_w(), 1e-12);
+    assert_rel(
+        "rotational wait draws idle power",
+        p.rotational_wait_w(),
+        p.idle_w(),
+        1e-12,
+    );
 }
 
 // --------------------------------------------- service-time curve (Fig 5)

@@ -46,8 +46,18 @@ fn every_request_completes_exactly_once_on_drive() {
 #[test]
 fn every_request_completes_exactly_once_on_array() {
     let trace = synthetic(2.0, 5_000, 2);
-    for layout in [Layout::striped_default(), Layout::Concatenated, Layout::raid5_default()] {
-        let r = run_array(&hcsd_params(), DriveConfig::conventional(), 4, layout, &trace);
+    for layout in [
+        Layout::striped_default(),
+        Layout::Concatenated,
+        Layout::raid5_default(),
+    ] {
+        let r = run_array(
+            &hcsd_params(),
+            DriveConfig::conventional(),
+            4,
+            layout,
+            &trace,
+        );
         assert_eq!(r.completed, 5_000, "{layout:?}");
     }
 }
@@ -116,9 +126,7 @@ fn sptf_no_worse_than_fcfs_under_load() {
         &trace,
     );
     let sptf = run_drive(&hcsd_params(), DriveConfig::sa(1), &trace);
-    assert!(
-        sptf.metrics.response_time_ms.mean() <= fcfs.metrics.response_time_ms.mean()
-    );
+    assert!(sptf.metrics.response_time_ms.mean() <= fcfs.metrics.response_time_ms.mean());
 }
 
 #[test]
@@ -221,7 +229,11 @@ fn trace_replay_is_independent_of_request_order_metadata() {
                 SimTime::from_millis(i as f64 * 5.0),
                 (i * 104_729) % params.capacity_sectors(),
                 8,
-                if i % 3 == 0 { IoKind::Write } else { IoKind::Read },
+                if i % 3 == 0 {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                },
             )
         })
         .collect();

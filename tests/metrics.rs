@@ -194,7 +194,10 @@ fn json_export_roundtrips_through_jsonv() {
         .iter()
         .find(|c| c.get("name").and_then(jsonv::Value::as_str) == Some("requests_completed_total"))
         .expect("completed counter present");
-    assert_eq!(completed.get("value").and_then(jsonv::Value::as_u64), Some(2));
+    assert_eq!(
+        completed.get("value").and_then(jsonv::Value::as_u64),
+        Some(2)
+    );
 }
 
 #[test]
@@ -245,10 +248,17 @@ fn report_is_selfcontained_and_deterministic() {
     };
     let a = render();
     let b = render();
-    assert_eq!(a.as_bytes(), b.as_bytes(), "report HTML diverged across runs");
+    assert_eq!(
+        a.as_bytes(),
+        b.as_bytes(),
+        "report HTML diverged across runs"
+    );
     assert!(a.starts_with("<!DOCTYPE html>"));
     for banned in ["<script", "http://", "https://", "src=", "@import"] {
-        assert!(!a.contains(banned), "report must be self-contained: found {banned}");
+        assert!(
+            !a.contains(banned),
+            "report must be self-contained: found {banned}"
+        );
     }
 }
 
@@ -265,7 +275,11 @@ fn exports_are_byte_identical_across_runs() {
     };
     let (prom1, json1) = run(29);
     let (prom2, json2) = run(29);
-    assert_eq!(prom1.as_bytes(), prom2.as_bytes(), "Prometheus export diverged");
+    assert_eq!(
+        prom1.as_bytes(),
+        prom2.as_bytes(),
+        "Prometheus export diverged"
+    );
     assert_eq!(json1.as_bytes(), json2.as_bytes(), "JSON export diverged");
 }
 

@@ -45,8 +45,8 @@ fn completion_ids(config: DriveConfig, trace: &Trace) -> Vec<u64> {
     let params = presets::barracuda_es_750gb();
     let mut rec = telemetry::RingRecorder::new();
     let drive = DiskDrive::new(&params, config);
-    let r = experiments::simulate(trace, drive, &mut rec, &mut NullObserver)
-        .expect("replay succeeds");
+    let r =
+        experiments::simulate(trace, drive, &mut rec, &mut NullObserver).expect("replay succeeds");
     assert!(
         r.metrics.response_time_ms.min() >= 0.0,
         "a request completed before its arrival"
@@ -249,8 +249,8 @@ fn oracle_telemetry_agrees_with_power_accounting() {
     for actuators in [1u32, 4] {
         let mut rec = RingRecorder::new();
         let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
-        let r = experiments::simulate(&t, drive, &mut rec, &mut NullObserver)
-            .expect("replay succeeds");
+        let r =
+            experiments::simulate(&t, drive, &mut rec, &mut NullObserver).expect("replay succeeds");
         assert_eq!(rec.dropped(), 0, "ring overflowed");
         let analysis = TraceAnalysis::from_samples(&rec.sorted_samples());
         let scope = analysis.scope(0).expect("scope 0 present");
@@ -296,10 +296,14 @@ fn full_sweep_rendering(exec: &experiments::Executor) -> String {
     };
     let scale = Scale::quick().with_requests(2_000);
     let mut out = String::new();
-    let limit = LimitStudy::all().run(scale, exec).expect("limit study replays");
+    let limit = LimitStudy::all()
+        .run(scale, exec)
+        .expect("limit study replays");
     out.push_str(&limit.render_figure2());
     out.push_str(&limit.render_figure3());
-    let bott = BottleneckStudy::all().run(scale, exec).expect("bottleneck study replays");
+    let bott = BottleneckStudy::all()
+        .run(scale, exec)
+        .expect("bottleneck study replays");
     out.push_str(&bott.render());
     let sa = SaStudy::all().run(scale, exec).expect("SA study replays");
     out.push_str(&sa.render_cdfs());
@@ -308,10 +312,14 @@ fn full_sweep_rendering(exec: &experiments::Executor) -> String {
     let rpm = RpmStudy::all().run(scale, exec).expect("RPM study replays");
     out.push_str(&rpm.render_figure6());
     out.push_str(&rpm.render_figure7());
-    let raid = RaidStudy::all().run(scale, exec).expect("RAID study replays");
+    let raid = RaidStudy::all()
+        .run(scale, exec)
+        .expect("RAID study replays");
     out.push_str(&raid.render_performance());
     out.push_str(&raid.render_power());
-    let validation = ValidationStudy::all().run(scale, exec).expect("validation replays");
+    let validation = ValidationStudy::all()
+        .run(scale, exec)
+        .expect("validation replays");
     out.push_str(&validation.render());
     out
 }
@@ -349,8 +357,15 @@ fn oracle_rotation_model_scales_with_rpm_and_track_density() {
     for sectors_per_track in [500u32, 1_000, 2_000] {
         transfer.push(rot.transfer_time(64, sectors_per_track).as_millis());
     }
-    testkit::golden::assert_monotone_nonincreasing("transfer time vs track density", &transfer, 0.0);
-    assert!(transfer[2] < transfer[0], "denser tracks must transfer faster");
+    testkit::golden::assert_monotone_nonincreasing(
+        "transfer time vs track density",
+        &transfer,
+        0.0,
+    );
+    assert!(
+        transfer[2] < transfer[0],
+        "denser tracks must transfer faster"
+    );
 }
 
 // ------------------------------------------- event-kernel equivalence
@@ -412,7 +427,10 @@ fn oracle_wheel_replays_array_pop_for_pop_identically_to_heap() {
         wheel.as_bytes(),
         "wheel replay diverged from heap replay"
     );
-    assert!(heap.lines().count() > 3_000, "replay actually popped events");
+    assert!(
+        heap.lines().count() > 3_000,
+        "replay actually popped events"
+    );
 }
 
 // ------------------------------------------ streaming-ingestion oracles
@@ -496,14 +514,23 @@ fn oracle_spc_streaming_replay_matches_materialized_replay() {
 
     let source = workload::SpcSource::from_path(&path, "spc", 1, None).expect("fixture parses");
     assert_eq!(source.len_hint(), None, "SPC streams without a length hint");
-    let streamed = experiments::run_drive(&params, DriveConfig::sa(2), source)
-        .expect("replay succeeds");
+    let streamed =
+        experiments::run_drive(&params, DriveConfig::sa(2), source).expect("replay succeeds");
     std::fs::remove_file(&path).expect("fixture cleanup");
 
     assert_eq!(streamed.metrics.completed, 600);
-    let a = format!("{:?} {:?} {:?}", materialized.metrics, materialized.power, materialized.duration);
-    let b = format!("{:?} {:?} {:?}", streamed.metrics, streamed.power, streamed.duration);
-    assert_eq!(a, b, "streamed SPC replay diverged from materialized replay");
+    let a = format!(
+        "{:?} {:?} {:?}",
+        materialized.metrics, materialized.power, materialized.duration
+    );
+    let b = format!(
+        "{:?} {:?} {:?}",
+        streamed.metrics, streamed.power, streamed.duration
+    );
+    assert_eq!(
+        a, b,
+        "streamed SPC replay diverged from materialized replay"
+    );
 }
 
 #[test]
@@ -661,28 +688,40 @@ fn golden_kernel_swap_report_is_byte_identical() {
 fn golden_kernel_swap_exports_are_byte_identical() {
     // The 22 trace/metrics export files pinned (as SHA-256) on the old
     // kernel must hash identically when regenerated on the new one.
-    let manifest =
-        std::fs::read_to_string(goldens_dir().join("kernel_swap_exports.sha256"))
-            .expect("golden pinned");
+    let manifest = std::fs::read_to_string(goldens_dir().join("kernel_swap_exports.sha256"))
+        .expect("golden pinned");
     let dir = std::env::temp_dir().join(format!("kernel-swap-exports-{}", std::process::id()));
     let trace_dir = dir.join("trace");
     let metrics_dir = dir.join("metrics");
     std::fs::create_dir_all(&trace_dir).expect("temp trace dir");
     std::fs::create_dir_all(&metrics_dir).expect("temp metrics dir");
     repro(&[
-        "validate", "--requests", "2000", "--jobs", "1",
-        "--trace", trace_dir.to_str().expect("utf-8 path"),
+        "validate",
+        "--requests",
+        "2000",
+        "--jobs",
+        "1",
+        "--trace",
+        trace_dir.to_str().expect("utf-8 path"),
     ]);
     repro(&[
-        "sa_eval", "--requests", "2000", "--jobs", "1",
-        "--metrics", metrics_dir.to_str().expect("utf-8 path"),
+        "sa_eval",
+        "--requests",
+        "2000",
+        "--jobs",
+        "1",
+        "--metrics",
+        metrics_dir.to_str().expect("utf-8 path"),
     ]);
     let mut checked = 0;
     for line in manifest.lines().filter(|l| !l.trim().is_empty()) {
         let (want, path) = line.split_once("  ").expect("sha256sum manifest line");
         let bytes = std::fs::read(dir.join(path)).expect("export regenerated");
         let got = sha256::hex(&bytes);
-        assert_eq!(got, want, "export {path} diverged from the pre-kernel-swap hash");
+        assert_eq!(
+            got, want,
+            "export {path} diverged from the pre-kernel-swap hash"
+        );
         checked += 1;
     }
     assert_eq!(checked, 22, "manifest covers all pinned exports");
@@ -698,8 +737,13 @@ fn bits(x: f64) -> String {
 
 /// Replays an in-memory request list through the shared run loop.
 fn replay<D: intradisk::Device>(reqs: &[intradisk::IoRequest], device: D) -> D::Report {
-    intradisk::simulate(reqs.iter().copied(), device, &mut NullRecorder, &mut NullObserver)
-        .expect("replay succeeds")
+    intradisk::simulate(
+        reqs.iter().copied(),
+        device,
+        &mut NullRecorder,
+        &mut NullObserver,
+    )
+    .expect("replay succeeds")
 }
 
 /// The bits of a run's mean and p90 response time, and of its energy
@@ -719,7 +763,14 @@ fn engine_fingerprints() -> String {
     let scale = experiments::Scale::quick().with_requests(2_000);
     let mut drpm_runs: Vec<(&str, Vec<IoRequest>)> = workload::WorkloadKind::ALL
         .iter()
-        .map(|&k| (k.name(), experiments::configs::trace_for(k, scale).requests().to_vec()))
+        .map(|&k| {
+            (
+                k.name(),
+                experiments::configs::trace_for(k, scale)
+                    .requests()
+                    .to_vec(),
+            )
+        })
         .collect();
     // The burst from the DRPM upshift test: a long idle, then 50 reads.
     let burst = (0..50u64).map(|i| {
@@ -733,7 +784,13 @@ fn engine_fingerprints() -> String {
     let same_instant: Vec<IoRequest> = (0..50u64)
         .map(|i| {
             let lba = (i * 29_999_999) % 1_400_000_000;
-            IoRequest::new(i, simkit::SimTime::from_millis(10_000.0), lba, 8, IoKind::Read)
+            IoRequest::new(
+                i,
+                simkit::SimTime::from_millis(10_000.0),
+                lba,
+                8,
+                IoKind::Read,
+            )
         })
         .collect();
     drpm_runs.push(("same-instant-trio", same_instant[..3].to_vec()));
@@ -750,12 +807,24 @@ fn engine_fingerprints() -> String {
         );
     }
     let t = trace(3.0, 2_000, 23);
-    for mode in [OverlapMode::SingleArmMotion, OverlapMode::MultiMotion, OverlapMode::MultiChannel] {
-        let m = replay(t.requests(), OverlappedDrive::new(&params, OverlapConfig::new(4, mode)))
-            .metrics;
+    for mode in [
+        OverlapMode::SingleArmMotion,
+        OverlapMode::MultiMotion,
+        OverlapMode::MultiChannel,
+    ] {
+        let m = replay(
+            t.requests(),
+            OverlappedDrive::new(&params, OverlapConfig::new(4, mode)),
+        )
+        .metrics;
         let power = PowerBreakdown::from_modes(&m.modes, &PowerModel::new(&params)).total_w();
-        let modes = [DriveMode::Idle, DriveMode::Seek, DriveMode::RotationalWait, DriveMode::Transfer]
-            .map(|d| bits(m.modes.fraction_in(d.key())));
+        let modes = [
+            DriveMode::Idle,
+            DriveMode::Seek,
+            DriveMode::RotationalWait,
+            DriveMode::Transfer,
+        ]
+        .map(|d| bits(m.modes.fraction_in(d.key())));
         out += &format!(
             "overlap {mode:?} n={} {} dur={:?} modes={}\n",
             m.completed,

@@ -42,7 +42,10 @@ fn counter_export_is_identical_across_runs_and_jobs() {
     let _g = lock();
     let first = run_limit_study(1);
     let second = run_limit_study(1);
-    assert_eq!(first, second, "two serial runs must export identical counters");
+    assert_eq!(
+        first, second,
+        "two serial runs must export identical counters"
+    );
     let parallel = run_limit_study(2);
     assert_eq!(
         first, parallel,
@@ -88,7 +91,9 @@ fn folded_stack_format_is_pinned() {
     );
     for l in &lines {
         let (path, count) = l.rsplit_once(' ').expect("space-separated count");
-        assert!(path.chars().all(|c| c.is_ascii_lowercase() || c == '_' || c == ';'));
+        assert!(path
+            .chars()
+            .all(|c| c.is_ascii_lowercase() || c == '_' || c == ';'));
         count.parse::<u64>().expect("integer microsecond count");
     }
 }

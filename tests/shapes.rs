@@ -22,22 +22,30 @@ fn exec() -> Executor {
 }
 
 fn limit_one(kind: WorkloadKind) -> limit_study::WorkloadComparison {
-    let report = LimitStudy::only(kind).run(scale(), &exec()).expect("replays cleanly");
+    let report = LimitStudy::only(kind)
+        .run(scale(), &exec())
+        .expect("replays cleanly");
     report.workloads.into_iter().next().expect("one workload")
 }
 
 fn bottleneck_one(kind: WorkloadKind) -> bottleneck::BottleneckResult {
-    let report = BottleneckStudy::only(kind).run(scale(), &exec()).expect("replays cleanly");
+    let report = BottleneckStudy::only(kind)
+        .run(scale(), &exec())
+        .expect("replays cleanly");
     report.workloads.into_iter().next().expect("one workload")
 }
 
 fn sa_one(kind: WorkloadKind) -> sa_eval::SaResult {
-    let report = SaStudy::only(kind).run(scale(), &exec()).expect("replays cleanly");
+    let report = SaStudy::only(kind)
+        .run(scale(), &exec())
+        .expect("replays cleanly");
     report.workloads.into_iter().next().expect("one workload")
 }
 
 fn rpm_one(kind: WorkloadKind) -> rpm_study::RpmResult {
-    let report = RpmStudy::only(kind).run(scale(), &exec()).expect("replays cleanly");
+    let report = RpmStudy::only(kind)
+        .run(scale(), &exec())
+        .expect("replays cleanly");
     report.workloads.into_iter().next().expect("one workload")
 }
 
@@ -136,7 +144,11 @@ fn figure4_rotational_latency_is_primary_bottleneck() {
 fn figure4_quarter_rotational_latency_surpasses_md() {
     // "for Websearch, TPC-C, and TPC-H ... (1/4)R ... would allow us to
     // surpass the performance of even the MD system".
-    for kind in [WorkloadKind::Websearch, WorkloadKind::TpcC, WorkloadKind::TpcH] {
+    for kind in [
+        WorkloadKind::Websearch,
+        WorkloadKind::TpcC,
+        WorkloadKind::TpcH,
+    ] {
         let r = bottleneck_one(kind);
         let quarter_r = r.rot_means[2];
         assert!(
@@ -319,11 +331,20 @@ fn figure8_parallel_arrays_need_fewer_disks() {
                 .expect("swept")
                 .p90_ms
         };
-        assert!(p(4) <= p(1) * 1.05, "{d} disks: SA(4) {} vs HC-SD {}", p(4), p(1));
+        assert!(
+            p(4) <= p(1) * 1.05,
+            "{d} disks: SA(4) {} vs HC-SD {}",
+            p(4),
+            p(1)
+        );
     }
     // And the iso-performance sets get smaller with more actuators.
     let iso = sweep.iso_performance(1.15);
-    let disks_of = |n: u32| iso.iter().find(|p| p.member_actuators == n).map(|p| p.disks);
+    let disks_of = |n: u32| {
+        iso.iter()
+            .find(|p| p.member_actuators == n)
+            .map(|p| p.disks)
+    };
     if let (Some(c), Some(s4)) = (disks_of(1), disks_of(4)) {
         assert!(s4 <= c, "SA(4) iso config {s4} disks vs conventional {c}");
     }

@@ -122,7 +122,12 @@ fn schema_valid_on_overlapped_and_array_runs() {
     schema::validate(&rec.sorted_samples(), 4).expect("overlap stream well-formed");
 
     let mut rec = RingRecorder::new();
-    let array = array::ArrayController::new(&params, DriveConfig::sa(2), 4, array::Layout::raid5_default());
+    let array = array::ArrayController::new(
+        &params,
+        DriveConfig::sa(2),
+        4,
+        array::Layout::raid5_default(),
+    );
     experiments::simulate(&t, array, &mut rec, &mut NullObserver).expect("array replay succeeds");
     let samples = rec.sorted_samples();
     schema::validate(&samples, 2).expect("array stream well-formed");
