@@ -102,7 +102,13 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-fn parse_args() -> Result<Args, String> {
+/// What `--help` returns, as its `Err`: the one multi-line message
+/// `parse_args` gives.
+const USAGE: &str = "usage: repro [table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|table9|fig9|thermal|drpm|dash|validate|robust|all] [--jobs N] [--requests N] [--seed S] [--stats exact|streaming] [--trace DIR] [--metrics DIR] [--profile DIR]\n       repro report <metrics-dir>\n       repro spc <trace-file> [--actuators N] [--requests N]\n       repro scale [--requests N] [--actuators N] [--inter-arrival MS] [--stats exact|streaming] [--seed S] [--heartbeat SECS] [--heartbeat-file PATH]\n       repro explore [--grid coarse|adaptive|full] [--refine N] [--latency mean|p90] [--out DIR] [--cache DIR|none] [--jobs N] [--requests N] [--seed S]";
+
+/// Parses the arguments after the program name. Every rejection is one
+/// line, except the `--help` text.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut experiment = "all".to_string();
     let mut scale = Scale::report();
     let mut spc_file = None;
@@ -122,7 +128,7 @@ fn parse_args() -> Result<Args, String> {
     let mut explore_latency = "p90".to_string();
     let mut explore_out = "explore-out".to_string();
     let mut explore_cache = Some(".explore-cache".to_string());
-    let mut it = env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => {
@@ -239,12 +245,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse::<u64>()
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: repro [table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|table9|fig9|thermal|drpm|dash|validate|robust|all] [--jobs N] [--requests N] [--seed S] [--stats exact|streaming] [--trace DIR] [--metrics DIR] [--profile DIR]\n       repro report <metrics-dir>\n       repro spc <trace-file> [--actuators N] [--requests N]\n       repro scale [--requests N] [--actuators N] [--inter-arrival MS] [--stats exact|streaming] [--seed S] [--heartbeat SECS] [--heartbeat-file PATH]\n       repro explore [--grid coarse|adaptive|full] [--refine N] [--latency mean|p90] [--out DIR] [--cache DIR|none] [--jobs N] [--requests N] [--seed S]"
-                        .to_string(),
-                );
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other if !other.starts_with('-') => {
                 if experiment == "spc" && spc_file.is_none() {
                     spc_file = Some(other.to_string());
@@ -254,7 +255,7 @@ fn parse_args() -> Result<Args, String> {
                     experiment = other.to_string();
                 }
             }
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
     // `sa_eval` is the study behind the paper's Figure 5 CDFs; accept
@@ -364,7 +365,7 @@ fn run_explore(args: &Args) -> Result<(), String> {
             },
             p.energy_j,
             p.cost_usd,
-            &p.hash()[..12],
+            &out.hashes[i][..12],
         );
     }
     Ok(())
@@ -597,8 +598,20 @@ fn run_experiments(args: &Args, exec: &Executor) -> Result<(), StudyError> {
     Ok(())
 }
 
+/// The command line after the program name, or a one-line error naming
+/// the first argument that is not UTF-8.
+fn argv() -> Result<Vec<String>, String> {
+    env::args_os()
+        .skip(1)
+        .map(|a| {
+            a.into_string()
+                .map_err(|a| format!("argument {a:?} is not valid UTF-8"))
+        })
+        .collect()
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match argv().and_then(parse_args) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -738,4 +751,117 @@ fn dispatch(args: &Args) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use testkit::{check, gen, Gen};
+
+    /// Every flag `parse_args` knows.
+    const FLAGS: [&str; 18] = [
+        "--trace",
+        "--metrics",
+        "--profile",
+        "--heartbeat",
+        "--heartbeat-file",
+        "--actuators",
+        "--jobs",
+        "--requests",
+        "--grid",
+        "--refine",
+        "--latency",
+        "--out",
+        "--cache",
+        "--stats",
+        "--inter-arrival",
+        "--seed",
+        "--help",
+        "-h",
+    ];
+
+    /// Flag values, good and bad: counts at and past their limits,
+    /// floats the interval flags refuse, every enum name and none.
+    const VALUES: [&str; 24] = [
+        "0",
+        "1",
+        "2",
+        "64",
+        "-1",
+        "1.5",
+        "6.0",
+        "1e3",
+        "inf",
+        "NaN",
+        "18446744073709551615",
+        "18446744073709551616",
+        "",
+        "none",
+        "coarse",
+        "adaptive",
+        "full",
+        "mean",
+        "p90",
+        "exact",
+        "streaming",
+        "fig5",
+        "explore",
+        "-",
+    ];
+
+    /// One argument: a flag, a value, an experiment name or garbage
+    /// (which may hold a newline or non-ASCII text).
+    fn arb_arg() -> Gen<String> {
+        let garbage = gen::vec_of(gen::one_of("-a1 .\né=x".chars().collect()), 0..=6)
+            .map(|cs| cs.into_iter().collect::<String>());
+        Gen::new(move |src| match gen::u32_in(0..=3).generate(src) {
+            0 => gen::one_of(FLAGS.to_vec()).generate(src).to_string(),
+            1 => gen::one_of(VALUES.to_vec()).generate(src).to_string(),
+            2 => gen::one_of(vec!["all", "scale", "spc", "report", "sa_eval", "limit"])
+                .generate(src)
+                .to_string(),
+            _ => garbage.generate(src),
+        })
+    }
+
+    /// Any argv gives `Args` or one line of error (the `--help` text
+    /// aside), and never panics.
+    #[test]
+    fn any_argv_parses_or_fails_with_one_line() {
+        check("any_argv_parses_or_fails_with_one_line", |t| {
+            let argv: Vec<String> = t.draw(&gen::vec_of(arb_arg(), 0..=8));
+            if let Err(msg) = parse_args(argv) {
+                assert!(
+                    msg == USAGE || (!msg.is_empty() && !msg.contains('\n')),
+                    "{msg:?}"
+                );
+            }
+        });
+    }
+
+    /// Well-formed `--jobs`, `--requests` and `--seed`, in any order
+    /// and beside an experiment name, land in `Args` as given.
+    #[test]
+    fn well_formed_counts_land_in_args() {
+        check("well_formed_counts_land_in_args", |t| {
+            let jobs = t.draw(&gen::usize_in(1..=1024));
+            let requests = t.draw(&gen::usize_in(1..=1 << 40));
+            let seed = t.draw(&gen::u64_any());
+            let rotate = t.draw(&gen::usize_in(0..=2));
+            let experiment = t.draw(&gen::one_of(vec!["explore", "scale", "fig4"]));
+            let mut pairs = [
+                ["--jobs", &jobs.to_string()].map(str::to_string),
+                ["--requests", &requests.to_string()].map(str::to_string),
+                ["--seed", &seed.to_string()].map(str::to_string),
+            ];
+            pairs.rotate_left(rotate);
+            let argv = std::iter::once(experiment.to_string()).chain(pairs.into_iter().flatten());
+            let args = parse_args(argv).expect("well-formed argv parses");
+            assert_eq!(args.experiment, experiment);
+            assert_eq!(args.jobs, jobs);
+            assert_eq!(args.scale.requests, requests);
+            assert!(args.requests_set);
+            assert_eq!(args.scale.seed, seed);
+        });
+    }
 }

@@ -1,7 +1,7 @@
 //! The content-addressed on-disk point cache: one append-only pack per
 //! build.
 //!
-//! Layout: `<root>/points-<code16>.jsonl`, where `code16` is the
+//! Layout: `<root>/points-<code16>.pack`, where `code16` is the
 //! leading 16 hex chars of the build's `CODE_VERSION` fingerprint. Each
 //! stored point is one line,
 //!
@@ -9,20 +9,23 @@
 //! <descriptor-hash> <check16> <record>\n
 //! ```
 //!
-//! where `<record>` is [`PointOutcome::to_record`]'s single-line JSON
-//! and `<check16>` is a 64-bit checksum of the record bytes in 16
-//! lowercase hex digits. The full code version is embedded in — and
-//! checked against — the record body, so a truncated-prefix collision
-//! cannot serve a stale result.
+//! where `<record>` is the point module's flat record: the schema, the
+//! full code version, the descriptor hash, the eight metrics and the
+//! stats in hex, space-separated in that fixed order. `<check16>` is a
+//! 64-bit checksum of the record bytes in 16 lowercase hex digits. The
+//! full code version is embedded in — and checked against — the record
+//! body, so a truncated-prefix collision cannot serve a stale result.
 //!
 //! A [`store`](PointCache::store) is one `write_all` of one line on an
 //! `O_APPEND` handle. A [`load`](PointCache::load) answers from an
 //! in-memory `hash → byte ranges` index, read from the pack on a
 //! handle's first use and kept current by its stores; the newest line
 //! for a hash that validates wins. The index only locates lines: every
-//! load re-checks the checksum and then runs the full
-//! [`PointOutcome::from_record`] validation (schema, code version,
-//! descriptor hash, stats decode).
+//! load re-checks the checksum and then the whole record (schema, code
+//! version, descriptor hash, exact field count, every metric, stats
+//! decode). `load` and `store` hash the descriptor they are given; the
+//! explorer, which hashes each descriptor once per run, hands that hash
+//! to the probe and the store instead.
 //!
 //! Robustness policy: *any* defect in a line (torn, flipped bytes,
 //! wrong schema, wrong code version, hash mismatch) is a miss, never an
@@ -34,10 +37,10 @@
 //! pack ending in a torn line starts its first append with a newline,
 //! so the torn bytes never absorb the next record. A pack has one
 //! writer at a time (one `repro explore`); clones of a handle share its
-//! index.
+//! index. A code version is one word: with a space in it, no record
+//! would have the right field count, and every load would miss.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -45,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::descriptor::PointDescriptor;
-use crate::point::PointOutcome;
+use crate::point::{hex_decode, PointOutcome};
 
 /// The compiled-in source fingerprint (see `build.rs`).
 pub const CODE_VERSION: &str = env!("CODE_VERSION");
@@ -176,14 +179,20 @@ fn checksum(record: &[u8]) -> u64 {
     h
 }
 
-/// Decodes one `<check16> <record>` line body, or `None` if the
-/// checksum or the record's own validation fails.
-fn decode_line(body: &[u8], expect: &PointDescriptor, code_version: &str) -> Option<PointOutcome> {
+/// Decodes one `<check16> <record>` line body for `expect`, whose hash
+/// is `hash`, or `None` if the checksum or the record's own validation
+/// fails.
+fn decode_line(
+    body: &[u8],
+    expect: &PointDescriptor,
+    hash: &str,
+    code_version: &str,
+) -> Option<PointOutcome> {
     let (check, record) = body.split_at_checked(CHECK_PREFIX)?;
-    if format!("{:016x} ", checksum(record)).as_bytes() != check {
+    if hex_decode(check.strip_suffix(b" ")?)? != checksum(record).to_be_bytes() {
         return None;
     }
-    PointOutcome::from_record(std::str::from_utf8(record).ok()?, expect, code_version)
+    PointOutcome::from_record(record, expect, hash, code_version)
 }
 
 impl PointCache {
@@ -216,7 +225,7 @@ impl PointCache {
     /// On-disk path of this code version's pack.
     fn pack_path(&self) -> PathBuf {
         let code16 = self.code_version.get(..16).unwrap_or(&self.code_version);
-        self.root.join(format!("points-{code16}.jsonl"))
+        self.root.join(format!("points-{code16}.pack"))
     }
 
     /// Runs `f` on the pack, indexing it first if this is the handle's
@@ -230,35 +239,50 @@ impl PointCache {
     /// Loads a point's cached outcome, or `None` on any miss (absent,
     /// unreadable, corrupt, wrong code version).
     pub fn load(&self, d: &PointDescriptor) -> Option<PointOutcome> {
-        let hash = d.hash();
+        self.load_hashed(d, &d.hash())
+    }
+
+    /// [`load`](Self::load) for a descriptor whose
+    /// [`hash`](PointDescriptor::hash) the caller already holds.
+    pub(crate) fn load_hashed(&self, d: &PointDescriptor, hash: &str) -> Option<PointOutcome> {
         self.with_pack(|pack| {
             pack.index
-                .get(&hash)?
+                .get(hash)?
                 .iter()
                 .rev()
-                .find_map(|range| decode_line(&pack.read(range)?, d, &self.code_version))
+                .find_map(|range| decode_line(&pack.read(range)?, d, hash, &self.code_version))
         })
     }
 
     /// Appends a point's line to the pack (creating the root and the
     /// pack as needed) with one `write_all`, and indexes it.
     pub fn store(&self, outcome: &PointOutcome) -> io::Result<()> {
-        let record = outcome.to_record(&self.code_version);
-        let hash = outcome.hash();
-        let mut line = String::with_capacity(1 + hash.len() + 1 + CHECK_PREFIX + record.len() + 1);
+        self.store_hashed(outcome, &outcome.descriptor.hash())
+    }
+
+    /// [`store`](Self::store) for an outcome whose descriptor's
+    /// [`hash`](PointDescriptor::hash) the caller already holds.
+    pub(crate) fn store_hashed(&self, outcome: &PointOutcome, hash: &str) -> io::Result<()> {
+        let record = outcome.to_record(hash, &self.code_version);
+        let mut line = Vec::with_capacity(1 + hash.len() + 1 + CHECK_PREFIX + record.len() + 1);
         self.with_pack(|pack| {
             if pack.torn {
-                line.push('\n');
+                line.push(b'\n');
             }
-            let _ = writeln!(line, "{hash} {:016x} {record}", checksum(record.as_bytes()));
+            write!(line, "{hash} {:016x} ", checksum(&record))?;
+            line.extend_from_slice(&record);
+            line.push(b'\n');
             // Until the write is known whole, the tail may be torn.
             pack.torn = true;
             let mut file = pack.writer(&self.root, &self.pack_path())?;
-            file.write_all(line.as_bytes())?;
+            file.write_all(&line)?;
             let end = file.stream_position()?;
             pack.torn = false;
             let start = end - 1 - (CHECK_PREFIX + record.len()) as u64;
-            pack.index.entry(hash).or_default().push(start..end - 1);
+            pack.index
+                .entry(hash.to_string())
+                .or_default()
+                .push(start..end - 1);
             Ok(())
         })
     }
@@ -267,7 +291,7 @@ impl PointCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::run_point;
+    use crate::point::{run_point, RECORD_SCHEMA};
     use crate::space::{grid, GridResolution, SweepScale};
     use testkit::{check_with, gen, Config};
 
@@ -275,6 +299,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("explorer-cache-{tag}"));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A pack line filed under `hash`, with a correct checksum over
+    /// whatever `record` is.
+    fn checked_line(hash: &str, record: &str) -> String {
+        format!("{hash} {:016x} {record}\n", checksum(record.as_bytes()))
     }
 
     fn points(n: usize) -> Vec<PointOutcome> {
@@ -344,32 +374,29 @@ mod tests {
         let good = fs::read(&path).expect("pack written");
 
         // The pack replaced by garbage.
-        fs::write(&path, "{garbage").expect("clobber");
+        fs::write(&path, "garbage\n").expect("clobber");
         assert!(PointCache::with_code_version(&dir, "cv-1")
             .load(&d)
             .is_none());
 
         // A well-formed record whose value changed: the record still
-        // parses, so only the checksum catches it.
+        // parses, so only the checksum catches it. The line's fields are
+        // the hash, the checksum and the record's; `mean_ms` is the
+        // record's ninth.
         let text = String::from_utf8(good.clone()).expect("utf8 pack");
-        let mean = format!("\"mean_ms\":{}", out.mean_ms);
-        assert!(text.contains(&mean));
-        let altered = text.replacen(&mean, &format!("\"mean_ms\":{}", out.mean_ms + 1.0), 1);
-        fs::write(&path, altered).expect("clobber");
+        let mut fields: Vec<String> = text.trim_end().split(' ').map(str::to_string).collect();
+        assert_eq!(fields[10], out.mean_ms.to_string());
+        fields[10] = (out.mean_ms + 1.0).to_string();
+        fs::write(&path, fields.join(" ") + "\n").expect("clobber");
         assert!(PointCache::with_code_version(&dir, "cv-1")
             .load(&d)
             .is_none());
 
         // A line whose checksum is right but whose record is not.
-        let record = out
-            .to_record("cv-1")
-            .replace("intradisk-explore-point-v1", "v0");
-        let line = format!(
-            "{} {:016x} {record}\n",
-            d.hash(),
-            checksum(record.as_bytes())
-        );
-        fs::write(&path, line).expect("clobber");
+        let record = String::from_utf8(out.to_record(&d.hash(), "cv-1"))
+            .expect("record is ASCII")
+            .replace(RECORD_SCHEMA, "v0");
+        fs::write(&path, checked_line(&d.hash(), &record)).expect("clobber");
         assert!(PointCache::with_code_version(&dir, "cv-1")
             .load(&d)
             .is_none());
@@ -380,6 +407,72 @@ mod tests {
             PointCache::with_code_version(&dir, "cv-1").load(&d),
             Some(out)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record with a field too many or too few is a miss even when
+    /// its checksum is right, wherever the field went.
+    #[test]
+    fn wrong_field_count_under_a_good_checksum_is_a_miss() {
+        let dir = tmpdir("fields");
+        let out = points(1).remove(0);
+        let d = out.descriptor;
+        let hash = d.hash();
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        cache.store(&out).expect("store succeeds");
+        let path = cache.pack_path();
+        let record = String::from_utf8(out.to_record(&hash, "cv-1")).expect("record is ASCII");
+        let fields: Vec<&str> = record.split(' ').collect();
+        for i in 0..=fields.len() {
+            let mut more = fields.clone();
+            more.insert(i, "0");
+            let mut edits = vec![more];
+            if i < fields.len() {
+                let mut fewer = fields.clone();
+                fewer.remove(i);
+                edits.push(fewer);
+            }
+            for edited in edits {
+                fs::write(&path, checked_line(&hash, &edited.join(" "))).expect("clobber");
+                assert!(
+                    PointCache::with_code_version(&dir, "cv-1")
+                        .load(&d)
+                        .is_none(),
+                    "{} fields, edit at {i}",
+                    edited.len()
+                );
+            }
+        }
+        // The unedited fields under the same framing load.
+        fs::write(&path, checked_line(&hash, &record)).expect("restore");
+        assert_eq!(
+            PointCache::with_code_version(&dir, "cv-1").load(&d),
+            Some(out)
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record stored for one descriptor never loads for another: not
+    /// through the index, and not when its line is filed under the
+    /// other's hash with a correct checksum.
+    #[test]
+    fn a_record_never_loads_for_another_descriptor() {
+        let dir = tmpdir("other");
+        let outs = points(2);
+        let (a, b) = (&outs[0], &outs[1]);
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        cache.store(a).expect("store succeeds");
+        assert!(cache.load(&b.descriptor).is_none());
+        let record =
+            String::from_utf8(a.to_record(&a.descriptor.hash(), "cv-1")).expect("record is ASCII");
+        fs::write(
+            cache.pack_path(),
+            checked_line(&b.descriptor.hash(), &record),
+        )
+        .expect("refile");
+        let reopened = PointCache::with_code_version(&dir, "cv-1");
+        assert!(reopened.load(&b.descriptor).is_none());
+        assert!(reopened.load(&a.descriptor).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -453,7 +546,7 @@ mod tests {
             // Overwritten bytes come from the record's own alphabet as
             // often as not: a digit changed into another digit is the
             // damage a parser cannot see.
-            let alphabet = b"0123456789abcdef.-e \n{}\":,".to_vec();
+            let alphabet = b"0123456789abcdef.-e \n".to_vec();
             let byte = gen::bool_any().and_then(move |plausible| {
                 if plausible {
                     gen::one_of(alphabet.clone())
@@ -467,7 +560,7 @@ mod tests {
             ));
             let flip_to = t.draw(&gen::vec_of(byte, 4..=4));
             let garbage = t.draw(&gen::vec_of(
-                gen::one_of(b"0123456789abcdef \n{}\":,".to_vec()),
+                gen::one_of(b"0123456789abcdef.-e \n".to_vec()),
                 0..=96,
             ));
 

@@ -158,7 +158,7 @@ mod tests {
         assert!(c.starts_with("{\"cache_mib\":8,"));
         assert!(c.contains("\"dash\":\"D1A2S1H1\""));
         assert!(c.contains("\"workload\":\"TPC-C\""));
-        // Canonical form parses as JSON (the cache embeds it verbatim).
+        // Canonical form parses as JSON.
         telemetry::metrics::jsonv::parse(&c).expect("canonical form is JSON");
     }
 

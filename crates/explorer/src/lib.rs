@@ -98,6 +98,8 @@ pub struct ExploreOptions {
 pub struct ExploreOutcome {
     /// Every evaluated point, in canonical design-space order.
     pub points: Vec<PointOutcome>,
+    /// Each point's descriptor hash, in the same order as `points`.
+    pub hashes: Vec<String>,
     /// Indices into `points` of the Pareto frontier.
     pub frontier: Vec<usize>,
     /// Points simulated this run (cache misses).
@@ -178,16 +180,18 @@ fn sort_key(d: &PointDescriptor) -> (usize, usize, u32, u32, usize) {
 
 /// Runs one batch: cache hits load, misses simulate (in plan order, on
 /// the executor) and are stored back. Returns outcomes in the batch's
-/// plan order, plus the number executed.
+/// plan order, each with its descriptor's hash (computed here, once),
+/// plus the number executed.
 fn run_batch(
     batch: &[PointDescriptor],
     opts: &ExploreOptions,
     exec: &Executor,
-) -> Result<(Vec<PointOutcome>, usize), StudyError> {
+) -> Result<(Vec<(PointOutcome, String)>, usize), StudyError> {
+    let hashes: Vec<String> = batch.iter().map(PointDescriptor::hash).collect();
     let mut outcomes: Vec<Option<PointOutcome>> = Vec::with_capacity(batch.len());
     let mut misses = Vec::new();
-    for d in batch {
-        match opts.cache.as_ref().and_then(|c| c.load(d)) {
+    for (d, hash) in batch.iter().zip(&hashes) {
+        match opts.cache.as_ref().and_then(|c| c.load_hashed(d, hash)) {
             Some(hit) => outcomes.push(Some(hit)),
             None => {
                 misses.push(*d);
@@ -203,10 +207,14 @@ fn run_batch(
             seed: opts.scale.seed,
             stats: opts.scale.stats,
         };
-        let fresh = pass.run(scale, exec)?;
-        if let Some(cache) = opts.cache.as_ref() {
-            for out in &fresh {
-                if let Err(e) = cache.store(out) {
+        let mut fresh = pass.run(scale, exec)?.into_iter();
+        for (slot, hash) in outcomes.iter_mut().zip(&hashes) {
+            if slot.is_some() {
+                continue;
+            }
+            *slot = fresh.next();
+            if let (Some(cache), Some(out)) = (opts.cache.as_ref(), slot.as_ref()) {
+                if let Err(e) = cache.store_hashed(out, hash) {
                     // A dead cache must not kill the sweep, but it does
                     // forfeit the warm-run guarantee — say so once per
                     // point on stderr (stdout stays deterministic).
@@ -214,17 +222,12 @@ fn run_batch(
                 }
             }
         }
-        let mut fresh = fresh.into_iter();
-        for slot in outcomes.iter_mut() {
-            if slot.is_none() {
-                *slot = fresh.next();
-            }
-        }
     }
     Ok((
         outcomes
             .into_iter()
             .map(|o| o.expect("slot filled"))
+            .zip(hashes)
             .collect(),
         executed,
     ))
@@ -241,8 +244,10 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
     };
     let seed = space::grid(seed_resolution, opts.scale);
 
-    let mut evaluated: Vec<PointOutcome> = Vec::with_capacity(seed.len());
-    let mut seen: HashSet<String> = seed.iter().map(PointDescriptor::hash).collect();
+    let mut evaluated: Vec<(PointOutcome, String)> = Vec::with_capacity(seed.len());
+    // Equal descriptors are equal canonical forms, so this dedups
+    // exactly as their hashes would, without hashing.
+    let mut seen: HashSet<PointDescriptor> = seed.iter().copied().collect();
     let mut executed = 0usize;
 
     eprintln!(
@@ -259,13 +264,15 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
         for pass_no in 1..=passes {
             // Frontier over everything evaluated so far, in evaluation
             // order (deterministic: seed order, then candidate order).
-            let axes: Vec<Axes> = evaluated.iter().map(|p| axes_of(p, opts.latency)).collect();
+            let axes: Vec<Axes> = evaluated
+                .iter()
+                .map(|(p, _)| axes_of(p, opts.latency))
+                .collect();
             let frontier = pareto::frontier_indices(&axes);
             let mut batch = Vec::new();
             for &i in &frontier {
-                for n in space::neighbors(&evaluated[i].descriptor) {
-                    let h = n.hash();
-                    if seen.insert(h) {
+                for n in space::neighbors(&evaluated[i].0.descriptor) {
+                    if seen.insert(n) {
                         batch.push(n);
                     }
                 }
@@ -287,13 +294,15 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
 
     // Canonical export order: the design-space nesting order, not the
     // discovery order — so coverage changes reorder nothing they share.
-    evaluated.sort_by_key(|p| sort_key(&p.descriptor));
-    let axes: Vec<Axes> = evaluated.iter().map(|p| axes_of(p, opts.latency)).collect();
+    evaluated.sort_by_key(|(p, _)| sort_key(&p.descriptor));
+    let (points, hashes): (Vec<PointOutcome>, Vec<String>) = evaluated.into_iter().unzip();
+    let axes: Vec<Axes> = points.iter().map(|p| axes_of(p, opts.latency)).collect();
     let frontier = pareto::frontier_indices(&axes);
-    let cached = evaluated.len() - executed;
-    let json = render_json(opts, &evaluated, &frontier);
+    let cached = points.len() - executed;
+    let json = render_json(opts, &points, &hashes, &frontier);
     Ok(ExploreOutcome {
-        points: evaluated,
+        points,
+        hashes,
         frontier,
         executed,
         cached,
@@ -305,7 +314,12 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
 /// newline, fixed key order, floats in shortest-round-trip form. The
 /// body deliberately excludes anything cache- or wall-clock-dependent
 /// (hit counts, timings), so cold and warm runs emit identical bytes.
-fn render_json(opts: &ExploreOptions, points: &[PointOutcome], frontier: &[usize]) -> String {
+fn render_json(
+    opts: &ExploreOptions,
+    points: &[PointOutcome],
+    hashes: &[String],
+    frontier: &[usize],
+) -> String {
     let on_frontier: HashSet<usize> = frontier.iter().copied().collect();
     let mut out = String::new();
     let _ = write!(
@@ -323,7 +337,7 @@ fn render_json(opts: &ExploreOptions, points: &[PointOutcome], frontier: &[usize
         opts.scale.seed,
         descriptor::stats_name(opts.scale.stats),
     );
-    for (i, p) in points.iter().enumerate() {
+    for (i, (p, hash)) in points.iter().zip(hashes).enumerate() {
         let d = &p.descriptor;
         let _ = write!(
             out,
@@ -338,7 +352,7 @@ fn render_json(opts: &ExploreOptions, points: &[PointOutcome], frontier: &[usize
             d.dash,
             p.energy_j,
             on_frontier.contains(&i),
-            p.hash(),
+            hash,
             p.mean_ms,
             p.p90_ms,
             descriptor::policy_name(d.policy),
@@ -353,7 +367,7 @@ fn render_json(opts: &ExploreOptions, points: &[PointOutcome], frontier: &[usize
             out,
             "{}\n    \"{}\"",
             if k == 0 { "" } else { "," },
-            points[i].hash()
+            hashes[i]
         );
     }
     out.push_str("\n  ]\n}\n");
@@ -386,6 +400,8 @@ mod tests {
         assert_eq!(a.frontier, b.frontier);
         assert_eq!(a.points.len(), 6 * 3 * 2 * 2 * 4);
         assert_eq!(a.executed, a.points.len(), "no cache: everything runs");
+        let hashes: Vec<String> = a.points.iter().map(|p| p.descriptor.hash()).collect();
+        assert_eq!(a.hashes, hashes, "each point's hash, in point order");
     }
 
     #[test]

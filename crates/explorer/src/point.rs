@@ -4,25 +4,44 @@
 //! [`run_point`] is a pure function of the descriptor (the same
 //! contract as [`experiments::Study::run_point`]); [`PointOutcome`]
 //! carries everything downstream consumers need — the objective triple
-//! plus the serialized streaming stats — and round-trips through a
-//! `jsonv`-compatible JSON record ([`PointOutcome::to_record`] /
-//! [`PointOutcome::from_record`]).
+//! plus the serialized streaming stats — and round-trips through the
+//! point cache's flat record: twelve space-separated fields in a fixed
+//! order (wrapped here, one line on disk),
+//!
+//! ```text
+//! <schema> <code-version> <descriptor-hash> <cache_hits> <completed>
+//!     <cost_usd> <duration_ms> <energy_j> <mean_ms> <p90_ms> <power_w>
+//!     <stats-hex>
+//! ```
+//!
+//! where `<stats-hex>` is [`ResponseStats::to_bytes`] in lowercase hex.
+//! A reader splits the record and parses each field in place. The
+//! record carries the descriptor's hash, not its canonical form: a
+//! reader already holds the descriptor it asks for, and the hash pins
+//! it. The explorer hashes each descriptor once per run and hands that
+//! hash to the writer and the reader.
 //!
 //! Byte-stability: every float in the record is written with Rust's
 //! `{}` formatting (shortest round-trip) and re-read with
 //! `str::parse::<f64>`, so a warm-cache value is bit-identical to the
 //! cold-run value it was stored from.
 
+use std::io::Write as _;
+use std::str::FromStr;
+
 use diskmodel::cost::{drive_cost, Component};
 use diskmodel::DriveError;
 use simkit::ResponseStats;
-use telemetry::metrics::jsonv::{self, Value};
 use workload::TraceBook;
 
 use crate::descriptor::PointDescriptor;
 
 /// Schema tag of a point-cache record.
-pub const RECORD_SCHEMA: &str = "intradisk-explore-point-v1";
+pub const RECORD_SCHEMA: &str = "intradisk-explore-point-v2";
+
+/// Fields in a record: schema, code version, descriptor hash, eight
+/// metrics, stats.
+const RECORD_FIELDS: usize = 12;
 
 /// Everything one evaluated point contributes to the exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,58 +121,71 @@ pub fn run_point_with(d: &PointDescriptor, book: &TraceBook) -> Result<PointOutc
     })
 }
 
-/// The lowercase digits the record's `stats_hex` field is written in.
+/// The lowercase digits the record's `stats-hex` field is written in.
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX_DIGITS[usize::from(b >> 4)] as char);
-        out.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
+/// Value of each byte as a hex digit [`hex_encode`] writes; 0xff for
+/// anything else (uppercase, signs, non-hex).
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        values[HEX_DIGITS[i] as usize] = i as u8;
+        i += 1;
     }
-    out
-}
+    values
+};
 
-/// Value of one digit [`hex_encode`] writes; anything else (uppercase,
-/// signs, non-hex) is `None`.
-fn hex_digit(c: u8) -> Option<u8> {
-    match c {
-        b'0'..=b'9' => Some(c - b'0'),
-        b'a'..=b'f' => Some(c - b'a' + 10),
-        _ => None,
+/// Appends `bytes` to `out` as lowercase hex, two digits a byte.
+fn hex_encode(bytes: &[u8], out: &mut Vec<u8>) {
+    out.reserve(bytes.len() * 2);
+    for &b in bytes {
+        out.extend_from_slice(&[
+            HEX_DIGITS[usize::from(b >> 4)],
+            HEX_DIGITS[usize::from(b & 0xf)],
+        ]);
     }
 }
 
 /// Inverse of [`hex_encode`]: accepts exactly its output.
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    let digits = s.as_bytes();
+pub(crate) fn hex_decode(digits: &[u8]) -> Option<Vec<u8>> {
     if !digits.len().is_multiple_of(2) {
         return None;
     }
-    digits
-        .chunks_exact(2)
-        .map(|pair| Some(hex_digit(pair[0])? << 4 | hex_digit(pair[1])?))
-        .collect()
+    let mut out = vec![0; digits.len() / 2];
+    // Any byte that is not a digit sets the high nibble here: one test
+    // at the end instead of a branch per byte.
+    let mut bad = 0;
+    for (byte, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+        let (hi, lo) = (
+            HEX_VALUES[usize::from(pair[0])],
+            HEX_VALUES[usize::from(pair[1])],
+        );
+        bad |= hi | lo;
+        *byte = hi << 4 | lo;
+    }
+    (bad <= 0xf).then_some(out)
+}
+
+/// One record field parsed as a `T`, or `None` if it is missing or
+/// does not parse.
+fn parse<T: FromStr>(field: Option<&[u8]>) -> Option<T> {
+    std::str::from_utf8(field?).ok()?.parse().ok()
 }
 
 impl PointOutcome {
-    /// The point's descriptor hash (content address).
-    pub fn hash(&self) -> String {
-        self.descriptor.hash()
-    }
-
-    /// Serializes to the cache record: single-line JSON, fixed key
-    /// order, floats in shortest-round-trip form.
-    pub fn to_record(&self, code_version: &str) -> String {
-        format!(
-            "{{\"schema\":\"{}\",\"code_version\":\"{}\",\"descriptor\":{},\
-             \"descriptor_hash\":\"{}\",\"metrics\":{{\"cache_hits\":{},\"completed\":{},\
-             \"cost_usd\":{},\"duration_ms\":{},\"energy_j\":{},\"mean_ms\":{},\"p90_ms\":{},\
-             \"power_w\":{}}},\"stats_hex\":\"{}\"}}",
-            RECORD_SCHEMA,
-            code_version,
-            self.descriptor.canonical(),
-            self.hash(),
+    /// Serializes to the cache record (see the module docs): fixed
+    /// field order, floats in shortest-round-trip form. `hash` is the
+    /// descriptor's [`hash`](PointDescriptor::hash), which the caller
+    /// already holds.
+    pub(crate) fn to_record(&self, hash: &str, code_version: &str) -> Vec<u8> {
+        let stats = self.stats.to_bytes();
+        // Room for the leading fields, then the hex.
+        let mut out = Vec::with_capacity(320 + 2 * stats.len());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "{RECORD_SCHEMA} {code_version} {hash} {} {} {} {} {} {} {} {} ",
             self.cache_hits,
             self.completed,
             self.cost_usd,
@@ -162,44 +194,53 @@ impl PointOutcome {
             self.mean_ms,
             self.p90_ms,
             self.power_w,
-            hex_encode(&self.stats.to_bytes()),
-        )
+        );
+        hex_encode(&stats, &mut out);
+        out
     }
 
-    /// Parses a cache record back. Returns `None` if the record does
-    /// not parse, carries the wrong schema/code-version, or its
-    /// embedded hash disagrees with `expect` — all of which the cache
-    /// treats as a miss.
-    pub fn from_record(
-        body: &str,
+    /// Parses a cache record back for `expect`, whose
+    /// [`hash`](PointDescriptor::hash) is `hash`. Returns `None` — which
+    /// the cache treats as a miss — unless the record has exactly the
+    /// fields [`to_record`](Self::to_record) writes, carries this schema,
+    /// `code_version` and `hash`, every metric parses, and the stats
+    /// decode.
+    pub(crate) fn from_record(
+        record: &[u8],
         expect: &PointDescriptor,
+        hash: &str,
         code_version: &str,
     ) -> Option<PointOutcome> {
-        let doc = jsonv::parse(body).ok()?;
-        if doc.get("schema").and_then(Value::as_str) != Some(RECORD_SCHEMA) {
+        // The stats hex, last, takes the rest of the record unsplit: a
+        // space is not a hex digit, so a field too many fails its
+        // decode, and a field too few leaves it missing.
+        let mut fields = record.splitn(RECORD_FIELDS, |&b| b == b' ');
+        let mut field = || fields.next();
+        if field()? != RECORD_SCHEMA.as_bytes()
+            || field()? != code_version.as_bytes()
+            || field()? != hash.as_bytes()
+        {
             return None;
         }
-        if doc.get("code_version").and_then(Value::as_str) != Some(code_version) {
-            return None;
-        }
-        if doc.get("descriptor_hash").and_then(Value::as_str) != Some(expect.hash().as_str()) {
-            return None;
-        }
-        let m = doc.get("metrics")?;
-        let f = |k: &str| m.get(k).and_then(Value::as_f64);
-        let u = |k: &str| m.get(k).and_then(Value::as_u64);
-        let stats_hex = doc.get("stats_hex").and_then(Value::as_str)?;
-        let stats = ResponseStats::from_bytes(&hex_decode(stats_hex)?).ok()?;
+        let cache_hits = parse(field())?;
+        let completed = parse(field())?;
+        let cost_usd = parse(field())?;
+        let duration_ms = parse(field())?;
+        let energy_j = parse(field())?;
+        let mean_ms = parse(field())?;
+        let p90_ms = parse(field())?;
+        let power_w = parse(field())?;
+        let stats = ResponseStats::from_bytes(&hex_decode(field()?)?).ok()?;
         Some(PointOutcome {
             descriptor: *expect,
-            mean_ms: f("mean_ms")?,
-            p90_ms: f("p90_ms")?,
-            power_w: f("power_w")?,
-            duration_ms: f("duration_ms")?,
-            energy_j: f("energy_j")?,
-            cost_usd: f("cost_usd")?,
-            completed: u("completed")?,
-            cache_hits: u("cache_hits")?,
+            mean_ms,
+            p90_ms,
+            power_w,
+            duration_ms,
+            energy_j,
+            cost_usd,
+            completed,
+            cache_hits,
             stats,
         })
     }
@@ -218,43 +259,153 @@ mod tests {
         grid(GridResolution::Coarse, scale)[1]
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        let mut out = Vec::new();
+        hex_encode(bytes, &mut out);
+        String::from_utf8(out).expect("hex is ASCII")
+    }
+
     #[test]
     fn record_round_trip_is_exact() {
         let d = small_point();
         let out = run_point(&d).expect("replay succeeds");
-        let body = out.to_record("cv-test");
-        let back = PointOutcome::from_record(&body, &d, "cv-test").expect("record parses");
+        let body = out.to_record(&d.hash(), "cv-test");
+        let back =
+            PointOutcome::from_record(&body, &d, &d.hash(), "cv-test").expect("record parses");
         assert_eq!(back, out);
         // Re-encoding is byte-identical: warm runs rewrite nothing new.
-        assert_eq!(back.to_record("cv-test"), body);
+        assert_eq!(back.to_record(&d.hash(), "cv-test"), body);
+        // Twelve space-separated fields, the last the stats in hex.
+        let text = String::from_utf8(body).expect("record is ASCII");
+        let fields: Vec<&str> = text.split(' ').collect();
+        assert_eq!(fields.len(), RECORD_FIELDS, "{text}");
+        assert_eq!(fields[..3], [RECORD_SCHEMA, "cv-test", d.hash().as_str()]);
+        assert_eq!(fields[11], hex(&out.stats.to_bytes()));
     }
 
     #[test]
     fn record_rejects_wrong_version_or_descriptor() {
         let d = small_point();
         let out = run_point(&d).expect("replay succeeds");
-        let body = out.to_record("cv-a");
-        assert!(PointOutcome::from_record(&body, &d, "cv-b").is_none());
+        let body = out.to_record(&d.hash(), "cv-a");
+        assert!(PointOutcome::from_record(&body, &d, &d.hash(), "cv-b").is_none());
         let other = PointDescriptor {
             seed: d.seed + 1,
             ..d
         };
-        assert!(PointOutcome::from_record(&body, &other, "cv-a").is_none());
-        assert!(PointOutcome::from_record("{not json", &d, "cv-a").is_none());
+        assert!(PointOutcome::from_record(&body, &other, &other.hash(), "cv-a").is_none());
+        assert!(PointOutcome::from_record(b"not a record", &d, &d.hash(), "cv-a").is_none());
+        assert!(PointOutcome::from_record(b"", &d, &d.hash(), "cv-a").is_none());
+    }
+
+    /// A field that does not parse is a miss: a schema of another
+    /// version, a signed or fractional count, a metric that is not a
+    /// number, stats hex cut short, in uppercase or decoding to no
+    /// stats, or a space or newline past the last field. (The cache
+    /// tests add and drop whole fields.)
+    #[test]
+    fn record_rejects_unparsable_fields() {
+        let d = small_point();
+        let out = run_point(&d).expect("replay succeeds");
+        let hash = d.hash();
+        let text = String::from_utf8(out.to_record(&hash, "cv-a")).expect("record is ASCII");
+        let fields: Vec<&str> = text.split(' ').collect();
+        let rejects = |what: &str, record: &[u8]| {
+            assert!(
+                PointOutcome::from_record(record, &d, &hash, "cv-a").is_none(),
+                "{what}: {}",
+                String::from_utf8_lossy(record)
+            );
+        };
+        rejects("a trailing space", format!("{text} ").as_bytes());
+        rejects("a trailing newline", format!("{text}\n").as_bytes());
+        for (i, bad) in [
+            (0, "intradisk-explore-point-v1"),
+            (3, "-1"),
+            (4, "1.5"),
+            (5, "x"),
+            (9, ""),
+            (11, "52535431"),
+            (11, &fields[11][1..]),
+            (11, &fields[11].to_uppercase()),
+        ] {
+            let mut edited = fields.clone();
+            edited[i] = bad;
+            rejects(&format!("field {i} = {bad:?}"), edited.join(" ").as_bytes());
+        }
+    }
+
+    /// Every metric comes back bit for bit, at the values shortest
+    /// round-trip formatting could plausibly lose: signed zero,
+    /// subnormals, the extremes and integers past 2⁵³.
+    #[test]
+    fn record_metrics_round_trip_bit_for_bit() {
+        let d = small_point();
+        let base = run_point(&d).expect("replay succeeds");
+        let hash = d.hash();
+        let hard = [
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE.next_down(),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            f64::EPSILON,
+            0.1 + 0.2,
+            9_007_199_254_740_993.0,
+            1e-300,
+            123_456.789e200,
+        ];
+        for (k, &v) in hard.iter().enumerate() {
+            // Each metric takes each value in turn, beside the others.
+            let w = hard[(k + 1) % hard.len()];
+            let out = PointOutcome {
+                mean_ms: v,
+                p90_ms: w,
+                power_w: -v,
+                duration_ms: v,
+                energy_j: w,
+                cost_usd: v,
+                completed: u64::MAX,
+                cache_hits: 0,
+                ..base.clone()
+            };
+            let back = PointOutcome::from_record(&out.to_record(&hash, "cv"), &d, &hash, "cv")
+                .expect("record parses");
+            let bits = |p: &PointOutcome| {
+                [
+                    p.mean_ms,
+                    p.p90_ms,
+                    p.power_w,
+                    p.duration_ms,
+                    p.energy_j,
+                    p.cost_usd,
+                ]
+                .map(f64::to_bits)
+            };
+            assert_eq!(bits(&back), bits(&out), "at {v:e}");
+            assert_eq!((back.completed, back.cache_hits), (u64::MAX, 0), "at {v:e}");
+            assert_eq!(back.stats, out.stats);
+        }
     }
 
     #[test]
     fn hex_codec_round_trips_every_byte() {
         let all: Vec<u8> = (0..=255u8).collect();
-        let hex = hex_encode(&all);
-        assert_eq!(hex.len(), 512);
+        let digits = hex(&all);
+        assert_eq!(digits.len(), 512);
         for b in 0..=255u8 {
-            let pair = hex_encode(&[b]);
+            let pair = hex(&[b]);
             assert_eq!(pair, format!("{b:02x}"), "encoding of {b}");
-            assert_eq!(hex_decode(&pair), Some(vec![b]), "decoding of {pair}");
+            assert_eq!(
+                hex_decode(pair.as_bytes()),
+                Some(vec![b]),
+                "decoding of {pair}"
+            );
         }
-        assert_eq!(hex_decode(&hex), Some(all));
-        assert_eq!(hex_decode(""), Some(Vec::new()));
+        assert_eq!(hex_decode(digits.as_bytes()), Some(all));
+        assert_eq!(hex_decode(b""), Some(Vec::new()));
     }
 
     #[test]
@@ -262,9 +413,16 @@ mod tests {
         for bad in [
             "+f", "0+", "-1", "FF", "aB", "0A", "g0", " 0", "0x", "abc", "a",
         ] {
-            assert_eq!(hex_decode(bad), None, "{bad:?} must not decode");
+            assert_eq!(hex_decode(bad.as_bytes()), None, "{bad:?} must not decode");
         }
-        assert_eq!(hex_decode("é"), None, "non-ASCII pair");
+        assert_eq!(hex_decode("é".as_bytes()), None, "non-ASCII pair");
+        // Every byte that is not a lowercase hex digit, in either place.
+        for c in 0..=255u8 {
+            if !HEX_DIGITS.contains(&c) {
+                assert_eq!(hex_decode(&[c, b'0']), None, "{c:#x} first");
+                assert_eq!(hex_decode(&[b'0', c]), None, "{c:#x} second");
+            }
+        }
     }
 
     #[test]

@@ -116,14 +116,19 @@ impl ResponseStats {
     /// Records one sample.
     ///
     /// # Panics
-    /// Panics if `value` is NaN or negative (response times are
-    /// non-negative; a negative sample is an upstream unit bug).
+    /// Panics, in either mode, if `value` is NaN, negative or infinite
+    /// (response times are finite and non-negative; anything else is an
+    /// upstream unit bug, and an infinite sample would leave a NaN
+    /// moment that [`from_bytes`](Self::from_bytes) rejects).
     // simlint: hot — per-completion stats path.
     #[inline]
     pub fn record(&mut self, value: f64) {
+        assert!(
+            (0.0..f64::INFINITY).contains(&value),
+            "negative, infinite or NaN sample: {value}"
+        );
         let n = match self.exact.as_mut() {
             Some(s) => {
-                assert!(value >= 0.0, "negative or NaN sample: {value}");
                 s.record(value);
                 self.stream.defer_record();
                 s.count()
@@ -415,6 +420,18 @@ mod tests {
     fn latency_mix(n: u64) -> impl Iterator<Item = f64> {
         // Four decades, latency-shaped.
         (1..=n).map(|i| 0.05 * (i as f64).powf(1.3))
+    }
+
+    #[test]
+    #[should_panic(expected = "infinite")]
+    fn exact_mode_rejects_an_infinite_sample() {
+        ResponseStats::exact().record(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "infinite")]
+    fn streaming_mode_rejects_an_infinite_sample() {
+        ResponseStats::streaming().record(f64::INFINITY);
     }
 
     #[test]

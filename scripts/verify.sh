@@ -22,9 +22,11 @@
 # report.html byte-identical across runs and --jobs values), the
 # design-space explorer gates (a small-grid `repro explore` must be
 # byte-identical across --jobs values and across cold/warm/disabled
-# point-cache states, with the warm run re-executing nothing; a pack
-# cut mid-way through its last record must cost exactly one re-run and
-# still give the same bytes; and the cache directories must be
+# point-cache states, with the warm run re-executing nothing; the
+# points-<code16>.pack files cold --jobs 1 and --jobs 2 runs write must
+# be byte-identical, and a warm run must leave its pack unchanged; a
+# pack cut mid-way through its last record must cost exactly one re-run
+# and still give the same bytes; and the cache directories must be
 # gitignored), the
 # bounded-RSS gate (a 10^7-request streaming-stats run must stay under
 # a fixed memory budget, proving request count never reaches peak
@@ -121,13 +123,26 @@ target/release/repro explore --grid coarse --requests 500 --jobs 1 \
   --out "$sweep_dir/ex-cold" --cache "$sweep_dir/ex-cache" \
   > "$sweep_dir/ex-cold.txt" 2>/dev/null
 target/release/repro explore --grid coarse --requests 500 --jobs 2 \
+  --out "$sweep_dir/ex-cold2" --cache "$sweep_dir/ex-cache2" \
+  > "$sweep_dir/ex-cold2.txt" 2>/dev/null
+# Each point cache is one pack. Stores go in plan order, so the packs
+# the two cold runs wrote are the same bytes whatever the --jobs.
+packs=("$sweep_dir"/ex-cache/points-*.pack "$sweep_dir"/ex-cache2/points-*.pack)
+test "${#packs[@]}" -eq 2 && test -f "${packs[0]}" && test -f "${packs[1]}" \
+  || { echo "expected exactly one point-cache pack per cache" >&2; exit 1; }
+cmp "${packs[0]}" "${packs[1]}"
+target/release/repro explore --grid coarse --requests 500 --jobs 2 \
   --out "$sweep_dir/ex-warm" --cache "$sweep_dir/ex-cache" \
   > "$sweep_dir/ex-warm.txt" 2> "$sweep_dir/ex-warm.err"
+# A warm run loads every point and appends nothing.
+cmp "${packs[0]}" "${packs[1]}"
 target/release/repro explore --grid coarse --requests 500 --jobs 2 \
   --out "$sweep_dir/ex-nocache" --cache none \
   > "$sweep_dir/ex-nocache.txt" 2>/dev/null
+cmp "$sweep_dir/ex-cold.txt" "$sweep_dir/ex-cold2.txt"
 cmp "$sweep_dir/ex-cold.txt" "$sweep_dir/ex-warm.txt"
 cmp "$sweep_dir/ex-cold.txt" "$sweep_dir/ex-nocache.txt"
+cmp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-cold2/explore.json"
 cmp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-warm/explore.json"
 cmp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-nocache/explore.json"
 cmp "$sweep_dir/ex-cold/report.html" "$sweep_dir/ex-warm/report.html"
@@ -139,9 +154,6 @@ echo "==> gate: explore cache survives a torn pack tail"
 # torn last line. Cut the cold pack half-way through its last record:
 # the rerun must miss exactly that point, re-run it, and still emit the
 # cold explore.json byte for byte.
-packs=("$sweep_dir"/ex-cache/points-*.jsonl)
-test "${#packs[@]}" -eq 1 && test -f "${packs[0]}" \
-  || { echo "expected exactly one point-cache pack" >&2; exit 1; }
 pack_bytes=$(stat -c %s "${packs[0]}")
 last_line_bytes=$(tail -n 1 "${packs[0]}" | wc -c)
 truncate -s $((pack_bytes - last_line_bytes / 2)) "${packs[0]}"

@@ -219,3 +219,20 @@ fn repro_rejects_bad_cli_input_with_a_one_line_error() {
     }
     let _ = fs::remove_dir_all(&root);
 }
+
+/// An argument that is not UTF-8 is refused like any other bad input:
+/// one line on stderr and exit code 1, not a panic in `env::args`.
+#[cfg(unix)]
+#[test]
+fn repro_rejects_a_non_utf8_argument_with_a_one_line_error() {
+    use std::os::unix::ffi::OsStrExt;
+    let r = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg(std::ffi::OsStr::from_bytes(b"fig\xff"))
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&r.stderr);
+    assert_eq!(r.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains("not valid UTF-8"), "stderr: {stderr}");
+    assert!(r.stdout.is_empty());
+}
