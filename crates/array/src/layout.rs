@@ -49,8 +49,8 @@ pub struct SubRequest {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MappedRequest {
     /// Sub-requests issuable immediately.
-    // simlint: allow(unbounded-sim-state) — per-request decomposition,
-    // bounded by the stripe width; consumed and dropped at issue time.
+    // Per-request decomposition, bounded by the stripe width; consumed
+    // and dropped at issue time.
     pub phase_one: Vec<SubRequest>,
     /// Sub-requests gated on phase one (empty except for RAID-5
     /// writes).
@@ -354,7 +354,7 @@ mod tests {
             stripe_sectors: 128,
         };
         let m = layout.map_request(4, PER_DISK, &read(0, 4 * 128));
-        let disks: std::collections::HashSet<usize> = m.phase_one.iter().map(|s| s.disk).collect();
+        let disks: std::collections::BTreeSet<usize> = m.phase_one.iter().map(|s| s.disk).collect();
         assert_eq!(disks.len(), 4);
     }
 
@@ -389,7 +389,7 @@ mod tests {
     fn raid5_parity_rotates() {
         let layout = Layout::raid5_default();
         let n = 4u64;
-        let mut parity_disks = std::collections::HashSet::new();
+        let mut parity_disks = std::collections::BTreeSet::new();
         for row in 0..n {
             // First data unit of each row.
             let lba = row * (n - 1) * 128;

@@ -7,8 +7,7 @@
 //! ROADMAP item 1 cares about (10⁸-request studies keep that many
 //! events in flight across a sweep). A binary heap pays O(log n) with a
 //! cache miss per level there; the wheel pays O(1). Closed-loop runs
-//! with a handful of pending events sit at parity and are covered by
-//! `substrates.rs`'s `drive_sim_1000_requests`.
+//! with a handful of pending events sit at parity.
 //!
 //! Each popped arrival checks request state out of a [`Slab`], draws an
 //! exponential service time on one of `servers` SA-style servers, and

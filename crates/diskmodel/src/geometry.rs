@@ -239,7 +239,7 @@ impl Geometry {
     /// `first` must be `locate(lba)`, or the last sector's location if
     /// `lba` is past the end (the walk is then empty); a debug build
     /// asserts it.
-    // simlint: hot — walked once per media access (transfer time and
+    // Hot path: walked once per media access (transfer time and
     // end cylinder).
     pub fn track_segments_at(
         &self,

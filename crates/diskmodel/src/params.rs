@@ -307,6 +307,10 @@ impl DiskParamsBuilder {
     /// Returns [`DiskModelError`] if any parameter is physically
     /// meaningless (zero platters, non-positive capacity, seek times out
     /// of order, ...).
+    #[expect(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "each `!(x > 0.0)` rejects NaN along with non-positive values"
+    )]
     pub fn build(&self) -> Result<DiskParams, DiskModelError> {
         if self.name.is_empty() {
             return Err(DiskModelError::new("name must be non-empty"));

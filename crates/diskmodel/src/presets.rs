@@ -14,12 +14,13 @@
 
 use crate::params::DiskParams;
 
+#[expect(
+    clippy::expect_used,
+    reason = "presets are hard-coded constants validated once at construction; a failure is a bug in the preset, not a condition a caller could recover from"
+)]
 fn must(b: &mut crate::params::DiskParamsBuilder) -> DiskParams {
-    // Presets are hard-coded constants validated once at construction;
-    // a failure here is a bug in the preset itself, not a request-path
-    // condition a caller could recover from.
     b.build()
-        .expect("preset parameters are valid by construction") // simlint: allow(no-panic-in-lib)
+        .expect("preset parameters are valid by construction")
 }
 
 /// Seagate Barracuda ES 750 GB (ST3750640NS-class): the paper's HC-SD.

@@ -57,7 +57,7 @@ impl RotationModel {
 
     /// Where in its revolution the platter is at time `t`: `t mod
     /// period`, in nanoseconds.
-    // simlint: hot — once per dispatch scan.
+    // Hot path: once per dispatch scan.
     #[inline]
     pub fn phase(&self, t: SimTime) -> u64 {
         t.as_nanos() % self.period_ns
@@ -68,7 +68,7 @@ impl RotationModel {
     /// It divides only when `by` spans two revolutions or more, which
     /// few seeks do; the two subtractions compile to selects, so the
     /// per-arm loop takes no branch on where the seek ends.
-    // simlint: hot — once per priced arm.
+    // Hot path: once per priced arm.
     #[inline]
     pub fn advance(&self, phase: u64, by: SimDuration) -> u64 {
         debug_assert!(phase < self.period_ns, "phase {phase} not reduced");
@@ -110,7 +110,7 @@ impl RotationModel {
 
     /// [`wait_until_under`](Self::wait_until_under) from the instant
     /// whose [`phase`](Self::phase) is `phase`, bit for bit.
-    // simlint: hot — cost-model primitive; once per priced head.
+    // Hot path: cost-model primitive; once per priced head.
     #[inline]
     pub fn wait_at_phase(&self, sector_angle: f64, head_azimuth: f64, phase: u64) -> SimDuration {
         let sector_now = wrap_unit(sector_angle + self.offset_at_phase(phase));

@@ -12,9 +12,9 @@
 //!
 //! Threads live *here* and nowhere else in the simulation crates: the
 //! simulator itself stays single-threaded and deterministic, the pool
-//! only fans out independent replays. simlint's `no-thread-in-sim`
-//! rule enforces that split; the uses below carry the justification
-//! allowances.
+//! only fans out independent replays. The workspace `clippy.toml`
+//! disallows `std::thread::{spawn, scope}` to enforce that split; the
+//! one use below carries an `#[expect]` with its justification.
 //!
 //! Failure semantics are deterministic too: if any point panics, the
 //! study fails with the *lowest-indexed* panicking point; if any point
@@ -214,7 +214,10 @@ where
     slots.resize_with(points.len(), || None);
     let mut panics: Vec<PointPanic> = Vec::new();
     crate::counters::WORKERS_SPAWNED.add(workers as u64);
-    // simlint: allow(no-thread-in-sim) — the executor is the one sanctioned thread user
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the executor is the one sanctioned thread user; results are reassembled in plan order"
+    )]
     std::thread::scope(|scope| {
         for w in 0..workers {
             let tx = tx.clone();

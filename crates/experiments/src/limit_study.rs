@@ -53,6 +53,10 @@ pub enum LimitPoint {
 
 /// Output of one [`LimitPoint`].
 #[derive(Debug, Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one value per sweep point, moved once into reduce; boxing would add an allocation and save nothing"
+)]
 pub enum LimitOutput {
     /// Array replay result.
     Md(WorkloadKind, ArrayRunResult),

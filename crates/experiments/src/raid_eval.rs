@@ -168,8 +168,10 @@ impl Study for RaidStudy {
     fn reduce(&self, outputs: Vec<(f64, RaidPoint)>) -> RaidReport {
         let mut sweeps: Vec<RaidSweep> = Vec::new();
         for (ia, point) in outputs {
+            // `ia` is copied from the plan, never computed, so equal
+            // sweep rates are equal bit patterns.
             match sweeps.last_mut() {
-                Some(s) if s.inter_arrival_ms == ia => s.points.push(point),
+                Some(s) if s.inter_arrival_ms.to_bits() == ia.to_bits() => s.points.push(point),
                 _ => sweeps.push(RaidSweep {
                     inter_arrival_ms: ia,
                     points: vec![point],

@@ -19,9 +19,9 @@ mod sha256 {
     include!("src/sha256.rs");
 }
 
-/// Crates whose sources determine simulation output. Docs-only crates
-/// (simlint, testkit, bench) are deliberately absent: changing a lint
-/// rule must not invalidate the cache.
+/// Crates whose sources determine simulation output. Tooling crates
+/// (testkit, bench) are deliberately absent: changing a test helper or
+/// a benchmark must not invalidate the cache.
 const SIM_CRATES: &[&str] = &[
     "simkit",
     "diskmodel",

@@ -97,7 +97,7 @@ struct Args {
 }
 
 fn default_jobs() -> usize {
-    std::thread::available_parallelism() // simlint: allow(no-thread-in-sim) — CLI sizing the executor
+    std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
 }

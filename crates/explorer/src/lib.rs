@@ -29,6 +29,14 @@
 //! whole exploration inherits the repo's plan-order determinism
 //! contract.
 
+// The workspace `clippy.toml` bans hashed collections for simulator
+// state. Here they only index the point cache and dedup plan points:
+// explore's outputs follow plan order, never a hash iteration order.
+#![expect(
+    clippy::disallowed_types,
+    reason = "hash-keyed cache index and plan dedup; no output iterates them"
+)]
+
 use std::collections::HashSet;
 use std::fmt::Write as _;
 

@@ -393,7 +393,7 @@ impl DiskDrive {
     }
 
     /// Chooses and starts the next queued request, if any.
-    // simlint: hot — the per-event SPTF dispatch loop; runs once per
+    // Hot path: the per-event SPTF dispatch loop; runs once per
     // completion for the whole simulated run.
     fn dispatch_next<R: Recorder>(
         &mut self,
@@ -711,9 +711,12 @@ mod tests {
         let mut rec = telemetry::RingRecorder::new();
         simulate(reqs, drive, &mut rec, &mut NullObserver).expect("valid replay");
         rec.samples()
-            .filter_map(|s| match s.event {
-                TraceEvent::Complete { req } => Some(req),
-                _ => None,
+            .filter_map(|s| {
+                if let TraceEvent::Complete { req } = s.event {
+                    Some(req)
+                } else {
+                    None
+                }
             })
             .collect()
     }

@@ -268,7 +268,7 @@ impl Device for DrpmDrive {
                 self.response.record((now - arrival).as_millis());
                 1
             }
-            _ => 0,
+            State::Idle { .. } | State::Deciding { .. } => 0,
         };
         self.decide(now);
         Ok(completed)

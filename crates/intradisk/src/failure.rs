@@ -23,9 +23,8 @@ struct ActuatorFailure {
 /// A time-ordered schedule of actuator failures.
 #[derive(Debug, Clone, Default)]
 pub struct FailureSchedule {
-    // simlint: allow(unbounded-sim-state) — fixed experiment input,
-    // written once at config time; `next` advances instead of popping
-    // so the schedule can be replayed.
+    // Fixed experiment input, written once at config time; `next`
+    // advances instead of popping so the schedule can be replayed.
     events: Vec<ActuatorFailure>,
     next: usize,
 }

@@ -72,8 +72,8 @@ pub struct DriveMetrics {
     /// Time spent per operating mode.
     pub modes: ModeAccumulator,
     /// Requests dispatched per actuator.
-    // simlint: allow(unbounded-sim-state) — fixed length (one counter
-    // per actuator assembly), sized once in `new`.
+    // Fixed length (one counter per actuator assembly), sized once in
+    // `new`.
     pub per_actuator: Vec<u64>,
 }
 

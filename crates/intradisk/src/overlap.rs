@@ -191,6 +191,10 @@ impl OverlappedDrive {
     }
 
     /// Plans and starts `req` on the best idle arm at `now`.
+    #[expect(
+        clippy::expect_used,
+        reason = "dispatch() verified an idle live arm exists before popping the queue, so the arm loop finds a candidate"
+    )]
     fn start_service<R: Recorder>(
         &mut self,
         req: IoRequest,
@@ -237,7 +241,7 @@ impl OverlappedDrive {
             // Seek start waits for the motion resource in baseline mode.
             let seek_start = match self.config.mode {
                 OverlapMode::SingleArmMotion => (now + overhead).max(self.motion_free_at),
-                _ => now + overhead,
+                OverlapMode::MultiMotion | OverlapMode::MultiChannel => now + overhead,
             };
             let dist = self.arms.cylinder(a).abs_diff(target.loc.cylinder);
             let seek = self.mech.seek_profile().seek_time(dist);
@@ -246,7 +250,9 @@ impl OverlappedDrive {
             // re-align rotationally.
             let channel_gate = match self.config.mode {
                 OverlapMode::MultiChannel => pos_done,
-                _ => pos_done.max(self.channel_free_at),
+                OverlapMode::SingleArmMotion | OverlapMode::MultiMotion => {
+                    pos_done.max(self.channel_free_at)
+                }
             };
             let rot = self.mech.rotation().wait_until_under(
                 target.angle,
@@ -254,14 +260,12 @@ impl OverlappedDrive {
                 channel_gate,
             );
             let transfer_start = channel_gate + rot;
-            if best.map_or(true, |b| transfer_start < b.4) {
+            if best.is_none_or(|b| transfer_start < b.4) {
                 best = Some((a, seek_start, seek, rot, transfer_start));
             }
         }
-        // Invariant: dispatch() verified an idle live arm exists before
-        // popping the queue, so the loop found a candidate.
         let (arm, seek_start, seek, _rot, transfer_start) =
-            best.expect("dispatch only runs with an idle live arm"); // simlint: allow(no-panic-in-lib)
+            best.expect("dispatch only runs with an idle live arm");
 
         let (transfer, end_cylinder) = self.mech.transfer_at(target.loc, lba, req.sectors);
         let finish = transfer_start + transfer;

@@ -197,7 +197,7 @@ impl PendingQueue {
     /// achieves it (the first such), so the caller can plan the access
     /// without pricing the arms again. `prof`, if given, counts the
     /// scan's work.
-    // simlint: hot — the dispatch scan; runs once per dispatch for the
+    // Hot path: the dispatch scan; runs once per dispatch for the
     // whole simulated run.
     pub fn pop_next(
         &mut self,

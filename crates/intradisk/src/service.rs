@@ -289,7 +289,7 @@ impl Mechanics {
     ///
     /// # Panics
     /// Panics if `lba` is beyond the drive's capacity.
-    // simlint: hot — cost-model primitive; the dispatch scan calls it
+    // Hot path: cost-model primitive; the dispatch scan calls it
     // once per queued request.
     #[inline]
     pub fn target(&self, lba: u64) -> Target {
@@ -302,7 +302,7 @@ impl Mechanics {
 
     /// Seek time (already scaled) of an assembly parked over cylinder
     /// `from` to cylinder `to`.
-    // simlint: hot — cost-model primitive.
+    // Hot path: cost-model primitive.
     #[inline]
     pub fn seek(&self, from: u32, to: u32, scaling: LatencyScaling) -> SimDuration {
         self.seek_curve
@@ -322,7 +322,7 @@ impl Mechanics {
     /// not `1/heads` — the geometric reason the paper calls
     /// H-parallelism fine-grained and prefers the A dimension, whose
     /// assemblies mount anywhere around the enclosure.
-    // simlint: hot — cost-model primitive.
+    // Hot path: cost-model primitive.
     pub fn rot(
         &self,
         target: Target,
@@ -338,7 +338,7 @@ impl Mechanics {
     /// ([`RotationModel::phase`]) is `phase`: the form a dispatch scan
     /// uses, reducing its start's phase once and advancing it by each
     /// arm's seek.
-    // simlint: hot — cost-model primitive; once per priced arm.
+    // Hot path: cost-model primitive; once per priced arm.
     #[inline]
     pub fn rot_at_phase(
         &self,
@@ -410,7 +410,7 @@ impl Mechanics {
     /// [`transfer`](Self::transfer) of a block already located: `first`
     /// is `geometry().locate(lba)`, and the walk starts there instead
     /// of locating `lba` again.
-    // simlint: hot — cost-model primitive; once per media access.
+    // Hot path: cost-model primitive; once per media access.
     pub(crate) fn transfer_at(&self, first: PhysLoc, lba: u64, sectors: u32) -> (SimDuration, u32) {
         let mut total = SimDuration::ZERO;
         let mut prev_cyl: Option<u32> = None;

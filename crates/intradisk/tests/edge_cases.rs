@@ -159,7 +159,7 @@ fn queue_conserves_requests_under_every_policy() {
             q.push(*r);
         }
         assert_eq!(q.len(), reqs.len());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         while let Some(r) = pop(&mut q, &mech, &arms, policy) {
             assert!(seen.insert(r.id), "request {} popped twice", r.id);
         }

@@ -446,7 +446,7 @@ impl<E> WheelEventQueue<E> {
     /// # Panics
     /// Panics if `time` is earlier than the last popped event — pushing
     /// into the past would silently corrupt causality.
-    // simlint: hot — kernel enqueue; every scheduled event goes
+    // Hot path: kernel enqueue; every scheduled event goes
     // through here on the steady-state path.
     pub fn push(&mut self, time: SimTime, payload: E) {
         assert!(
@@ -476,32 +476,32 @@ impl<E> WheelEventQueue<E> {
             self.current.insert(at, entry);
         } else if g < self.base[0] + L0_SPAN {
             let idx = (g - self.base[0]) as usize;
-            // simlint: allow(no-alloc-in-hot-path) — slot Vecs keep
-            // their capacity across wheel rotations, so pushes are
-            // amortized O(1) with no steady-state allocation.
+            // Slot Vecs keep their capacity across wheel rotations, so
+            // pushes are amortized O(1) with no steady-state
+            // allocation.
             self.levels[0].slots[idx].push(entry);
             self.levels[0].set(idx);
         } else if g < self.base[1] + L1_SPAN {
             let idx = ((g - self.base[1]) >> SLOT_BITS) as usize;
-            // simlint: allow(no-alloc-in-hot-path) — amortized, as above.
+            // Amortized, as above.
             self.levels[1].slots[idx].push(entry);
             self.levels[1].set(idx);
         } else if g < self.base[2] + L2_SPAN {
             let idx = ((g - self.base[2]) >> (2 * SLOT_BITS)) as usize;
-            // simlint: allow(no-alloc-in-hot-path) — amortized, as above.
+            // Amortized, as above.
             self.levels[2].slots[idx].push(entry);
             self.levels[2].set(idx);
         } else {
             self.overflow_hits += 1;
-            // simlint: allow(no-alloc-in-hot-path) — overflow holds
-            // events beyond the 2^18-granule horizon; reaching it is
-            // rare by construction, not a per-event cost.
+            // Overflow holds events beyond the 2^18-granule horizon;
+            // reaching it is rare by construction, not a per-event
+            // cost.
             self.overflow.entry(g).or_default().push(entry);
         }
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
-    // simlint: hot — kernel dequeue; runs once per simulated event.
+    // Hot path: kernel dequeue; runs once per simulated event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         if self.len == 0 {
             return None;
@@ -562,6 +562,10 @@ impl<E> WheelEventQueue<E> {
     /// Earliest pending time, by scanning (not draining) the first
     /// non-empty source. The sources cover disjoint, increasing granule
     /// ranges, so the first non-empty one contains the minimum.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller guarantees a non-empty queue, so some level or the overflow calendar holds an event"
+    )]
     fn scan_earliest(&self) -> SimTime {
         debug_assert!(self.len > 0);
         if let Some(e) = self.current.last() {
@@ -575,13 +579,17 @@ impl<E> WheelEventQueue<E> {
         let (_, v) = self
             .overflow
             .first_key_value()
-            .expect("non-empty queue with empty levels has overflow entries"); // simlint: allow(no-panic-in-lib)
+            .expect("non-empty queue with empty levels has overflow entries");
         slot_min_time(v)
     }
 
     /// Refills `current` with the earliest pending granule and advances
     /// the cursor to it. Caller guarantees `len > 0` and `current` is
     /// empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller guarantees a non-empty queue, so some level or the overflow calendar holds an event"
+    )]
     fn advance(&mut self) {
         let idx = match self.levels[0].first_occupied() {
             Some(idx) => idx,
@@ -589,7 +597,7 @@ impl<E> WheelEventQueue<E> {
                 self.refill_level0();
                 self.levels[0]
                     .first_occupied()
-                    .expect("refill left level 0 empty") // simlint: allow(no-panic-in-lib)
+                    .expect("refill left level 0 empty")
             }
         };
         self.levels[0].clear(idx);
@@ -600,11 +608,15 @@ impl<E> WheelEventQueue<E> {
         self.cursor = self.base[0] + idx as u64;
         // Descending, so Vec::pop yields ascending (time, seq).
         self.current
-            .sort_unstable_by(|a, b| (b.time, b.seq).cmp(&(a.time, a.seq)));
+            .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
     }
 
     /// Moves the first occupied level-1 slot down into level 0.
     /// Caller guarantees levels 0 is empty and the queue is non-empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller guarantees a non-empty queue, so some level or the overflow calendar holds an event"
+    )]
     fn refill_level0(&mut self) {
         let j = match self.levels[1].first_occupied() {
             Some(j) => j,
@@ -612,7 +624,7 @@ impl<E> WheelEventQueue<E> {
                 self.refill_level1();
                 self.levels[1]
                     .first_occupied()
-                    .expect("refill left level 1 empty") // simlint: allow(no-panic-in-lib)
+                    .expect("refill left level 1 empty")
             }
         };
         self.levels[1].clear(j);
@@ -621,8 +633,8 @@ impl<E> WheelEventQueue<E> {
         std::mem::swap(&mut batch, &mut self.levels[1].slots[j]);
         for e in batch.drain(..) {
             let idx = (e.granule() - self.base[0]) as usize;
-            // simlint: allow(no-alloc-in-hot-path) — redistribution
-            // into capacity-retaining slot Vecs; amortized O(1).
+            // Redistribution into capacity-retaining slot Vecs;
+            // amortized O(1).
             self.levels[0].slots[idx].push(e);
             self.levels[0].set(idx);
         }
@@ -632,6 +644,10 @@ impl<E> WheelEventQueue<E> {
     /// Moves the first occupied level-2 slot down into level 1.
     /// Caller guarantees levels 0–1 are empty and the queue is
     /// non-empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller guarantees a non-empty queue, so some level or the overflow calendar holds an event"
+    )]
     fn refill_level1(&mut self) {
         let k = match self.levels[2].first_occupied() {
             Some(k) => k,
@@ -639,7 +655,7 @@ impl<E> WheelEventQueue<E> {
                 self.refill_level2();
                 self.levels[2]
                     .first_occupied()
-                    .expect("refill left level 2 empty") // simlint: allow(no-panic-in-lib)
+                    .expect("refill left level 2 empty")
             }
         };
         self.levels[2].clear(k);
@@ -648,8 +664,8 @@ impl<E> WheelEventQueue<E> {
         std::mem::swap(&mut batch, &mut self.levels[2].slots[k]);
         for e in batch.drain(..) {
             let idx = ((e.granule() - self.base[1]) >> SLOT_BITS) as usize;
-            // simlint: allow(no-alloc-in-hot-path) — redistribution
-            // into capacity-retaining slot Vecs; amortized O(1).
+            // Redistribution into capacity-retaining slot Vecs;
+            // amortized O(1).
             self.levels[1].slots[idx].push(e);
             self.levels[1].set(idx);
         }
@@ -660,11 +676,15 @@ impl<E> WheelEventQueue<E> {
     /// and promotes every overflow entry that now fits. Caller
     /// guarantees levels 0–2 are empty and the queue is non-empty, so
     /// the overflow calendar must hold events.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller guarantees a non-empty queue, so some level or the overflow calendar holds an event"
+    )]
     fn refill_level2(&mut self) {
         let (&g0, _) = self
             .overflow
             .first_key_value()
-            .expect("non-empty queue with empty levels has overflow entries"); // simlint: allow(no-panic-in-lib)
+            .expect("non-empty queue with empty levels has overflow entries");
         let base2 = g0 & !(L2_SPAN - 1);
         self.base[2] = base2;
         let end = base2 + L2_SPAN;

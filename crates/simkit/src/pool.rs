@@ -141,7 +141,7 @@ impl<T> Slab<T> {
     /// Stores `value`, reusing the most recently freed slot if one
     /// exists (LIFO keeps the hot slot cache-resident), growing the
     /// slab otherwise.
-    // simlint: hot — request-lifetime allocation point; one call per
+    // Hot path: request-lifetime allocation point; one call per
     // submitted request.
     pub fn insert(&mut self, value: T) -> SlotId {
         self.len += 1;
@@ -158,15 +158,15 @@ impl<T> Slab<T> {
                         generation: self.generations[index as usize],
                     }
                 }
-                Slot::Full(_) => unreachable!("free list points at an occupied slot"), // simlint: allow(no-panic-in-lib)
+                Slot::Full(_) => unreachable!("free list points at an occupied slot"),
             }
         } else {
             let index = self.slots.len() as u32;
-            // simlint: allow(no-alloc-in-hot-path) — pool growth: runs
-            // only while the in-flight population exceeds every prior
-            // peak; steady state recycles through the free list above.
+            // Pool growth: runs only while the in-flight population
+            // exceeds every prior peak; steady state recycles through
+            // the free list above.
             self.slots.push(Slot::Full(value));
-            // simlint: allow(no-alloc-in-hot-path) — grows with slots.
+            // Grows with slots.
             self.generations.push(0);
             SlotId {
                 index,
@@ -180,7 +180,7 @@ impl<T> Slab<T> {
     pub fn get(&self, id: SlotId) -> Option<&T> {
         match self.slots.get(id.index as usize)? {
             Slot::Full(v) if self.generations[id.index as usize] == id.generation => Some(v),
-            _ => None,
+            Slot::Full(_) | Slot::Free(_) => None,
         }
     }
 
@@ -189,14 +189,14 @@ impl<T> Slab<T> {
     pub fn get_mut(&mut self, id: SlotId) -> Option<&mut T> {
         match self.slots.get_mut(id.index as usize)? {
             Slot::Full(v) if self.generations[id.index as usize] == id.generation => Some(v),
-            _ => None,
+            Slot::Full(_) | Slot::Free(_) => None,
         }
     }
 
     /// Removes and returns the value behind `id`, bumping the slot's
     /// generation so `id` (and any copy of it) goes stale. Returns
     /// `None` if the id is already stale.
-    // simlint: hot — request-lifetime release point.
+    // Hot path: request-lifetime release point.
     pub fn remove(&mut self, id: SlotId) -> Option<T> {
         let idx = id.index as usize;
         match self.slots.get(idx) {
@@ -205,7 +205,7 @@ impl<T> Slab<T> {
         }
         let value = match std::mem::replace(&mut self.slots[idx], Slot::Free(self.free_head)) {
             Slot::Full(v) => v,
-            Slot::Free(_) => unreachable!("checked occupied above"), // simlint: allow(no-panic-in-lib)
+            Slot::Free(_) => unreachable!("checked occupied above"),
         };
         self.free_head = id.index;
         self.generations[idx] = self.generations[idx].wrapping_add(1);

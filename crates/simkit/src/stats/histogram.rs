@@ -182,14 +182,15 @@ impl Cdf {
     ///
     /// # Panics
     /// Panics if `edge` is not one of the configured edges.
+    #[expect(
+        clippy::panic,
+        reason = "documented panic contract: querying an unconfigured edge is a caller bug, not a recoverable state"
+    )]
     pub fn at(&self, edge: f64) -> f64 {
         let i = self
             .edges
             .iter()
             .position(|&e| (e - edge).abs() < 1e-9)
-            // Documented panic contract: querying an unconfigured edge
-            // is a caller bug, not a recoverable state.
-            // simlint: allow(no-panic-in-lib)
             .unwrap_or_else(|| panic!("{edge} is not a CDF edge"));
         self.cumulative[i]
     }

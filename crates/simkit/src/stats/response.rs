@@ -120,7 +120,7 @@ impl ResponseStats {
     /// (response times are finite and non-negative; anything else is an
     /// upstream unit bug, and an infinite sample would leave a NaN
     /// moment that [`from_bytes`](Self::from_bytes) rejects).
-    // simlint: hot — per-completion stats path.
+    // Hot path: per-completion stats path.
     #[inline]
     pub fn record(&mut self, value: f64) {
         assert!(
@@ -147,7 +147,7 @@ impl ResponseStats {
     /// view of the same samples. Streaming mode buckets it at once;
     /// exact mode leaves the bucketing to [`sync_hist`](Self::sync_hist),
     /// which fills `hist` from the sorted samples at the end of a run.
-    // simlint: hot — per-completion stats path.
+    // Hot path: per-completion stats path.
     #[inline]
     pub fn record_binned(&mut self, value: f64, hist: &mut Histogram) {
         self.record(value);

@@ -134,7 +134,7 @@ impl StreamingHistogram {
     /// # Panics
     /// Panics if `value` is NaN or negative (latencies are
     /// non-negative; a negative sample is an upstream unit bug).
-    // simlint: hot — per-sample stats path; called for every completed
+    // Hot path: per-sample stats path; called for every completed
     // request.
     pub fn record(&mut self, value: f64) {
         assert!(value >= 0.0, "negative or NaN sample: {value}");

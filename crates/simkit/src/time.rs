@@ -39,10 +39,10 @@ const UNIT_FACTOR_BITS: u64 = 1.0f64.to_bits();
 /// assert_eq!(round_ns(0.49999999999999994), 0);
 /// assert_eq!(round_ns(-0.7), 0);
 /// ```
-// simlint: hot — every millisecond-to-nanosecond conversion.
+// Hot path: every millisecond-to-nanosecond conversion.
 #[inline]
 pub fn round_ns(x: f64) -> u64 {
-    if x >= 0.0 && x < F64_INTEGRAL_FROM {
+    if (0.0..F64_INTEGRAL_FROM).contains(&x) {
         let t = x as i64;
         (t + i64::from(x - t as f64 >= 0.5)) as u64
     } else {
@@ -223,13 +223,14 @@ impl SimDuration {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; clock overflow after ~584 years of simulated nanoseconds is a harness bug"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
-        // Operator impls cannot return Result; clock overflow after
-        // ~584 years of simulated nanoseconds is a harness bug.
         SimTime(
             self.0
                 .checked_add(rhs.0)
-                // simlint: allow(no-panic-in-lib)
                 .expect("simulation clock overflow"),
         )
     }
@@ -247,11 +248,15 @@ impl Sub<SimTime> for SimTime {
     /// # Panics
     /// Panics if `rhs` is later than `self`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow or a negative duration is a harness bug"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                .expect("negative duration: rhs later than self"), // simlint: allow(no-panic-in-lib)
+                .expect("negative duration: rhs later than self"),
         )
     }
 }
@@ -259,8 +264,12 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow or a negative duration is a harness bug"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_add(rhs.0).expect("duration overflow")) // simlint: allow(no-panic-in-lib)
+        SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
@@ -276,8 +285,12 @@ impl Sub for SimDuration {
     /// # Panics
     /// Panics if `rhs > self`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow or a negative duration is a harness bug"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.checked_sub(rhs.0).expect("negative duration")) // simlint: allow(no-panic-in-lib)
+        SimDuration(self.0.checked_sub(rhs.0).expect("negative duration"))
     }
 }
 
@@ -290,8 +303,12 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "operator impls cannot return Result; overflow or a negative duration is a harness bug"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0.checked_mul(rhs).expect("duration overflow")) // simlint: allow(no-panic-in-lib)
+        SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
 }
 

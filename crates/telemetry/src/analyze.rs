@@ -103,8 +103,8 @@ pub struct ScopeAnalysis {
     /// Run span (origin to the latest event anywhere in the trace).
     pub span: SimDuration,
     /// Per-actuator activity, keyed by actuator id.
-    // simlint: allow(unbounded-sim-state) — post-run analysis output,
-    // keyed by actuator id (fixed hardware topology, not run length).
+    // Post-run analysis output, keyed by actuator id (fixed hardware
+    // topology, not run length).
     pub actuators: BTreeMap<u32, ActuatorTimeline>,
     /// Queue-depth statistics.
     pub queue_depth: QueueDepthStats,
@@ -163,12 +163,11 @@ struct ScopeAccum {
     completed: u64,
     cache_hits: u64,
     cache_misses: u64,
-    // simlint: allow(unbounded-sim-state) — one entry per actuator id.
+    // One entry per actuator id.
     actuators: BTreeMap<u32, ActuatorTimeline>,
     open_seeks: BTreeMap<u32, SimTime>,
-    // simlint: allow(unbounded-sim-state) — offline analysis scratch
-    // over an already-bounded recorded trace (RingRecorder caps the
-    // stream), freed when analyze() returns.
+    // Offline analysis scratch over an already-bounded recorded trace
+    // (RingRecorder caps the stream), freed when analyze() returns.
     depth_changes: Vec<(SimTime, u32)>,
 }
 

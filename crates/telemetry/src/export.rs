@@ -118,19 +118,17 @@ pub fn chrome_trace_json(samples: &[Sample]) -> String {
                 open_seeks.insert((pid, actuator), (ns, req, from_cylinder, to_cylinder));
                 None
             }
-            TraceEvent::SeekEnd { req: _, actuator } => {
-                match open_seeks.remove(&(pid, actuator)) {
-                    Some((start_ns, req, from, to)) => Some(format!(
+            // An End without a Start means the ring dropped the opening
+            // edge; render nothing rather than invent a span.
+            TraceEvent::SeekEnd { req: _, actuator } => open_seeks
+                .remove(&(pid, actuator))
+                .map(|(start_ns, req, from, to)| {
+                    format!(
                         "{{\"ph\":\"X\",\"name\":\"seek\",\"cat\":\"mech\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{req},\"from\":{from},\"to\":{to}}}}}",
                         us(start_ns),
                         us(ns - start_ns)
-                    )),
-                    // An End without a Start means the ring dropped the
-                    // opening edge; render nothing rather than invent a
-                    // span.
-                    None => None,
-                }
-            }
+                    )
+                }),
             TraceEvent::RotWait { req, actuator, dur } => Some(format!(
                 "{{\"ph\":\"X\",\"name\":\"rot_wait\",\"cat\":\"mech\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{req}}}}}",
                 us(dur.as_nanos())

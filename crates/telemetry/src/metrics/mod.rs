@@ -129,7 +129,7 @@ impl Gauge {
                 continue;
             }
             self.series.push((self.next_sample, self.current));
-            self.next_sample = self.next_sample + self.cadence;
+            self.next_sample += self.cadence;
         }
     }
 
@@ -168,20 +168,19 @@ struct HistogramMetric {
 /// streaming histograms, sampled on a virtual-time cadence.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    // simlint: allow(unbounded-sim-state) — grows only at metric
-    // registration (a fixed, setup-time vocabulary of keys); recording
-    // into an existing metric never allocates. Same for the five
-    // parallel tables below.
+    // Grows only at metric registration (a fixed, setup-time vocabulary
+    // of keys); recording into an existing metric never allocates. Same
+    // for the five parallel tables below.
     counters: Vec<Counter>,
-    // simlint: allow(unbounded-sim-state) — registration-time only.
+    // Registration-time only.
     gauges: Vec<Gauge>,
-    // simlint: allow(unbounded-sim-state) — registration-time only.
+    // Registration-time only.
     hists: Vec<HistogramMetric>,
-    // simlint: allow(unbounded-sim-state) — registration-time only.
+    // Registration-time only.
     counter_ids: BTreeMap<MetricKey, usize>,
-    // simlint: allow(unbounded-sim-state) — registration-time only.
+    // Registration-time only.
     gauge_ids: BTreeMap<MetricKey, usize>,
-    // simlint: allow(unbounded-sim-state) — registration-time only.
+    // Registration-time only.
     hist_ids: BTreeMap<MetricKey, usize>,
     end: SimTime,
 }
@@ -400,11 +399,11 @@ pub struct MetricsSnapshot {
     /// End of the observed run.
     pub end: SimTime,
     /// Counters sorted by key.
-    // simlint: allow(unbounded-sim-state) — one-shot snapshot output,
-    // sized by the registered metric vocabulary.
+    // One-shot snapshot output, sized by the registered metric
+    // vocabulary.
     pub counters: Vec<CounterSnapshot>,
     /// Gauges sorted by key.
-    // simlint: allow(unbounded-sim-state) — one-shot snapshot output.
+    // One-shot snapshot output.
     pub gauges: Vec<GaugeSnapshot>,
     /// Histograms sorted by key.
     pub histograms: Vec<HistogramSnapshot>,

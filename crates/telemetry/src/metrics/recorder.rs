@@ -64,8 +64,8 @@ pub struct MetricsRecorder {
     /// `(scope, actuator)` → seek start instant, for seek durations.
     seeking: BTreeMap<(u32, u32), SimTime>,
     /// `(scope, actuator)` → (cumulative busy ms, gauge id).
-    // simlint: allow(unbounded-sim-state) — keyed by hardware topology
-    // (scope × actuator), a fixed set for any configured rig.
+    // Keyed by hardware topology (scope × actuator), a fixed set for
+    // any configured rig.
     busy: BTreeMap<(u32, u32), (f64, GaugeId)>,
     /// Latest timestamp seen anywhere (future-stamped events included):
     /// the natural end-of-run instant for [`MetricsRecorder::finish`].

@@ -338,9 +338,13 @@ fn gauge_series(doc: &Value, name: &str, scope: &str) -> Vec<(f64, f64)> {
         .unwrap_or_default()
 }
 
+/// Bucket edges, per-bucket counts and `(edge, cumulative fraction)`
+/// points of one Figure-5 CDF.
+type Fig5Cdf = (Vec<f64>, Vec<u64>, Vec<(f64, f64)>);
+
 /// The paper's Figure-5 CDF for one scenario: cumulative fraction at
 /// each fixed bucket edge, from the exact fixed-edge histogram.
-fn fig5_cdf(doc: &Value) -> Option<(Vec<f64>, Vec<u64>, Vec<(f64, f64)>)> {
+fn fig5_cdf(doc: &Value) -> Option<Fig5Cdf> {
     let fixed = metric(doc, "histograms", "response_time_ms", "0")?.get("fixed")?;
     let edges: Vec<f64> = fixed
         .get("edges")?
@@ -773,9 +777,9 @@ pub fn render_html_with_explore(inputs: &[ReportInput], explore: Option<&Value>)
          </style>\n</head>\n<body>\n",
     );
     html.push_str("<h1>Intra-disk parallelism — metrics report</h1>\n");
-    let _ = write!(
+    let _ = writeln!(
         html,
-        "<p class=\"meta\">{} scenario(s) · deterministic export schema <code>{}</code> · all timestamps are virtual sim-time</p>\n",
+        "<p class=\"meta\">{} scenario(s) · deterministic export schema <code>{}</code> · all timestamps are virtual sim-time</p>",
         inputs.len(),
         super::export::JSON_SCHEMA
     );
@@ -791,9 +795,9 @@ pub fn render_html_with_explore(inputs: &[ReportInput], explore: Option<&Value>)
         })
         .collect();
     if !cdf_series.is_empty() {
-        let _ = write!(
+        let _ = writeln!(
             html,
-            "<section><h2>Response-time CDF (paper Figure 5 buckets)</h2><figure>{}</figure></section>\n",
+            "<section><h2>Response-time CDF (paper Figure 5 buckets)</h2><figure>{}</figure></section>",
             line_chart(
                 "Cumulative fraction of requests vs response time",
                 "response time (ms)",

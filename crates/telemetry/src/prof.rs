@@ -14,14 +14,13 @@
 //!
 //! # The wall-clock carve-out
 //!
-//! simlint's `no-wall-clock` rule bans host-time types in sim crates
+//! The workspace `clippy.toml` disallows host-time types and calls
 //! because host time feeding simulation state destroys reproducibility.
 //! This module *reads* the host clock but its measurements flow only
 //! outward — to stderr, profile files, and heartbeat snapshots — never
 //! into simulated state, event ordering, or results. The carve-out is
-//! therefore a single aliased import below, annotated with a scoped
-//! `simlint: allow`; the baseline stays empty and every other use site
-//! in the crate remains lint-clean.
+//! therefore one module-level `#[expect]` below; every other use site
+//! in the workspace's simulation crates stays lint-clean.
 //!
 //! # Design
 //!
@@ -45,6 +44,12 @@
 //! [`Stopwatch`] gives callers a plain monotonic timer for progress
 //! lines.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the profiler reads the host clock; its measurements flow only to stderr and profile files, never into simulated state"
+)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -53,9 +58,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-// The one sanctioned host-clock import in the sim crates: prof
-// measurements flow outward (files/stderr), never into sim state.
-// simlint: allow(no-wall-clock)
 use std::time::Instant as HostInstant;
 
 /// Maximum profiled scope nesting depth; deeper scopes are no-ops.

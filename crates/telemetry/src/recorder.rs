@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn null_recorder_is_disabled_and_inert() {
-        assert!(!NullRecorder::ENABLED);
+        const { assert!(!NullRecorder::ENABLED) };
         let mut r = NullRecorder;
         r.record(SimTime::ZERO, ev(0));
         r.record_scoped(3, SimTime::ZERO, ev(1));

@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn vec_lengths_cover_range() {
         let g = vec_of(u64_any(), 0..=5);
-        let lens: std::collections::HashSet<usize> =
+        let lens: std::collections::BTreeSet<usize> =
             take(&g, 9, 500).into_iter().map(|v| v.len()).collect();
         assert_eq!(lens.len(), 6, "{lens:?}");
     }

@@ -212,6 +212,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test races two threads on a book's first use"
+    )]
     fn concurrent_first_use_shares_one_trace() {
         let book = TraceBook::new(4_000, 9);
         let barrier = std::sync::Barrier::new(2);

@@ -30,6 +30,22 @@
 //!   materialized ([`spc::read_trace`]) or streamed line by line
 //!   ([`spc::SpcSource`]).
 
+// Determinism and robustness lints for simulator state (DESIGN.md §6),
+// gated by `cargo clippy -- -D warnings` in scripts/verify.sh. They sit
+// here rather than under `[lints]` because every crate inherits
+// `[lints] workspace = true`, which cargo cannot mix with per-crate
+// entries. `float_cmp` is off under `cfg(test)`, where comparing a
+// pinned result bit for bit is the point.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm
+)]
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+
 pub mod arrival;
 pub mod book;
 pub mod counters;

@@ -134,6 +134,7 @@ impl SizeMix {
     }
 
     /// Draws a size.
+    #[expect(clippy::expect_used, reason = "`new` asserts the mix is non-empty")]
     pub fn sample(&self, rng: &mut Rng64) -> u32 {
         let mut x = rng.f64() * self.total;
         for &(s, w) in &self.choices {
@@ -143,9 +144,8 @@ impl SizeMix {
             x -= w;
         }
         // Rounding can leave `x` epsilon above the final cumulative
-        // weight; fall back to the last choice. `new` asserts the mix
-        // is non-empty.
-        self.choices.last().expect("non-empty").0 // simlint: allow(no-panic-in-lib)
+        // weight; fall back to the last choice.
+        self.choices.last().expect("non-empty").0
     }
 
     /// Mean size in sectors.
@@ -460,7 +460,7 @@ mod tests {
         p.scatter_hot_extents = true;
         let trace = p.generate(20_000, 8);
         let extent_of = |lba: u64| lba / p.extent_sectors;
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for r in trace.requests() {
             *counts.entry(extent_of(r.lba)).or_insert(0usize) += 1;
         }

@@ -267,8 +267,8 @@ pub fn read_trace(
 /// aligned total they concatenate to, checked line by line so an
 /// overflowing layout names the line that overflowed it.
 struct Extents {
-    // simlint: allow(unbounded-sim-state) — one entry per ASU, the
-    // O(#ASUs) state the layout needs; lives for one scan.
+    // One entry per ASU, the O(#ASUs) state the layout needs; lives for
+    // one scan.
     sizes: BTreeMap<u32, u64>,
     align: u64,
     /// Σ over ASUs of the extent rounded up to `align`.

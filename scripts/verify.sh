@@ -9,12 +9,12 @@
 # build, a
 # rustfmt check (`cargo fmt --all --check`: the workspace must be
 # rustfmt-clean; perfbench/ledger is a workspace of its own and is not
-# checked), the
-# simlint gates between build and tests (the workspace
-# must be finding-free against the committed simlint.baseline.json —
-# new findings fail, stale baseline entries fail — and the JSON
-# diagnostics must be byte-identical across two runs),
-# a reduced-scale parallel-sweep determinism check (the `repro` report
+# checked), a clippy gate (`cargo clippy --workspace --all-targets --
+# -D warnings`: the root clippy.toml bans host clocks, hashed
+# collections, ambient hashers and OS threads; the core crates' lib.rs
+# turn on the lints against panicking calls, `_` arms over enums and
+# float equality; an unfulfilled `#[expect]` fails too), a reduced-scale
+# parallel-sweep determinism check (the `repro` report
 # must be byte-identical at --jobs 2 and --jobs 1), the telemetry
 # trace-export determinism check (every `--trace` file byte-identical
 # across runs and --jobs values), the metrics-export and `repro report`
@@ -73,13 +73,8 @@ RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 echo "==> gate: workspace is rustfmt-clean"
 cargo fmt --all --check
 
-echo "==> gate: simlint --deny-all against simlint.baseline.json"
-cargo run --release -p simlint -- --deny-all --baseline simlint.baseline.json
-
-echo "==> gate: simlint --format json byte-identical across two runs"
-cargo run --release -p simlint -- --format json > "$sweep_dir/lint1.json"
-cargo run --release -p simlint -- --format json > "$sweep_dir/lint2.json"
-cmp "$sweep_dir/lint1.json" "$sweep_dir/lint2.json"
+echo "==> gate: workspace is clippy-clean"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> gate: reduced-scale sweep, --jobs 2 byte-identical to --jobs 1"
 target/release/repro all --requests 2000 --jobs 1 > "$sweep_dir/serial.txt" 2>/dev/null

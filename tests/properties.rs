@@ -554,7 +554,7 @@ fn response_stats_stream_p90_within_one_percent_of_exact() {
             let mut values: Vec<f64> = Vec::new();
             values.extend(&cluster);
             values.extend(&tail);
-            values.extend(std::iter::repeat(plateau_v).take(plateau_n));
+            values.extend(std::iter::repeat_n(plateau_v, plateau_n));
             values.extend(&floorish);
             let mut rng = Rng64::new(salt);
             for i in (1..values.len()).rev() {
