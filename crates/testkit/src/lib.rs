@@ -16,6 +16,8 @@
 //! * [`golden`] — named assertions with explicit tolerances for the
 //!   paper's replicated numbers (calibration points, power tables,
 //!   service-time orderings).
+//! * [`lexer`] — a Rust tokenizer for tests that scan the workspace's
+//!   own sources (comments and string literals stay opaque).
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@
 
 pub mod gen;
 pub mod golden;
+pub mod lexer;
 pub mod runner;
 pub mod source;
 

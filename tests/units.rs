@@ -1,12 +1,14 @@
 //! Unit-suffix consistency: `arrival_ms + size_sectors` is almost
 //! always a unit bug, and neither rustc nor clippy sees it in raw
-//! `f64`/`u64` fields. Scans the simulation crates' sources for
-//! `<ident>_<unit> <op> <ident>_<unit>` with two different units under
-//! an operator that needs one unit on both sides. `_lba` (an index)
-//! plus or minus `_sectors` (a count) is offset math; comparing them is
-//! not.
+//! `f64`/`u64` fields. Tokenizes the simulation crates' sources with
+//! `testkit::lexer` (so comments and string literals are never read as
+//! code) and looks for `<ident>_<unit> <op> <ident>_<unit>` with two
+//! different units under an operator that needs one unit on both
+//! sides. `_lba` (an index) plus or minus `_sectors` (a count) is
+//! offset math; comparing them is not.
 
 use std::path::{Path, PathBuf};
+use testkit::lexer::{tokenize, Tok, TokKind};
 
 const CRATES: &str = "simkit diskmodel intradisk array workload telemetry experiments";
 const UNITS: [&str; 6] = ["ms", "us", "ns", "sectors", "lba", "bytes"];
@@ -28,27 +30,6 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// 1 for identifier characters, 2 for operator characters, else 0.
-fn class(c: char) -> u8 {
-    u8::from(c.is_alphanumeric() || c == '_') + 2 * u8::from("+-<>=!".contains(c))
-}
-
-/// Identifier and operator runs of `src` with `//` comments dropped;
-/// any other non-blank character is a word of its own.
-fn words(src: &str) -> Vec<String> {
-    let (mut words, mut prev) = (Vec::<String>::new(), ' ');
-    let code = src.lines().flat_map(|l| l.split("//").next());
-    for c in code.flat_map(|l| l.chars().chain([' '])) {
-        match words.last_mut() {
-            Some(w) if class(c) != 0 && class(c) == class(prev) => w.push(c),
-            _ if !c.is_whitespace() => words.push(c.to_string()),
-            _ => {}
-        }
-        prev = c;
-    }
-    words
-}
-
 #[test]
 fn no_operator_mixes_unit_suffixes() {
     let (root, mut files, mut mixed) = (Path::new(env!("CARGO_MANIFEST_DIR")), vec![], vec![]);
@@ -56,14 +37,23 @@ fn no_operator_mixes_unit_suffixes() {
         rust_files(&root.join("..").join(krate).join("src"), &mut files);
     }
     for file in &files {
-        for t in words(&std::fs::read_to_string(file).expect("source")).windows(3) {
-            let (Some(a), Some(b)) = (unit(&t[0]), unit(&t[2])) else {
+        let toks: Vec<Tok> = tokenize(&std::fs::read_to_string(file).expect("source"))
+            .into_iter()
+            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+            .collect();
+        for t in toks.windows(3) {
+            let [l, op, r] = t else { continue };
+            let (TokKind::Ident, TokKind::Op, TokKind::Ident) = (l.kind, op.kind, r.kind) else {
                 continue;
             };
-            let additive = ["+", "-", "+=", "-="].contains(&t[1].as_str());
+            let (Some(a), Some(b)) = (unit(&l.text), unit(&r.text)) else {
+                continue;
+            };
+            let additive = ["+", "-", "+=", "-="].contains(&op.text.as_str());
             let offset = additive && matches!((a, b), ("lba", "sectors") | ("sectors", "lba"));
-            if SAME_UNIT_OPS.contains(&t[1].as_str()) && a != b && !offset {
-                mixed.push(format!("{}: {} {} {}", file.display(), t[0], t[1], t[2]));
+            if SAME_UNIT_OPS.contains(&op.text.as_str()) && a != b && !offset {
+                let at = format!("{}:{}", file.display(), l.line);
+                mixed.push(format!("{at}: {} {} {}", l.text, op.text, r.text));
             }
         }
     }
