@@ -57,6 +57,13 @@ pub enum ExportError {
         /// The drive's typed error.
         source: DriveError,
     },
+    /// A `--trace` scenario's event stream failed [`telemetry::schema::validate`].
+    MalformedTrace {
+        /// Scenario name.
+        scenario: &'static str,
+        /// The first violation reported.
+        violation: String,
+    },
     /// An input file exists but does not hold what it should.
     InvalidInput {
         /// The offending file.
@@ -83,6 +90,15 @@ impl fmt::Display for ExportError {
             }
             ExportError::Simulation { scenario, source } => {
                 write!(f, "scenario {scenario} failed: {source}")
+            }
+            ExportError::MalformedTrace {
+                scenario,
+                violation,
+            } => {
+                write!(
+                    f,
+                    "scenario {scenario} traced a malformed stream: {violation}"
+                )
             }
             ExportError::InvalidInput { path, message } => {
                 write!(f, "invalid input {}: {message}", path.display())

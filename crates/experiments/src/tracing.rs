@@ -23,7 +23,7 @@ use std::path::Path;
 use array::{ArrayController, Layout};
 use diskmodel::{DiskParams, PowerModel};
 use intradisk::{DiskDrive, DriveConfig, OverlapConfig, OverlapMode, OverlappedDrive};
-use telemetry::{chrome_trace_json, timeline_csv, ModePowers, RingRecorder, TraceAnalysis};
+use telemetry::{chrome_trace_json, schema, timeline_csv, ModePowers, RingRecorder, TraceAnalysis};
 use workload::{SyntheticSpec, Trace};
 
 use crate::configs::{hcsd_params, Scale};
@@ -61,35 +61,36 @@ pub(crate) fn scenario_trace(scale: Scale, footprint_sectors: u64) -> Trace {
     SyntheticSpec::paper(6.0, footprint_sectors, n).generate(TRACE_SEED)
 }
 
-fn analysis_text(rec: &RingRecorder, powers: &ModePowers) -> String {
-    let analysis = TraceAnalysis::from_recorder(rec);
-    let mut out = analysis.render_text();
+/// Writes one scenario's three files from a single sorted copy of the
+/// ring, then checks the stream's structure against `actuators` arm
+/// assemblies per scope. A ring that dropped events is not checked (a
+/// `SeekEnd` whose `SeekStart` was evicted is legitimate there); its
+/// analysis carries the drop count, which stamps a WARNING line in
+/// instead of silently under-reporting utilization and energy.
+fn write_scenario(
+    dir: &Path,
+    name: &'static str,
+    rec: &RingRecorder,
+    actuators: u32,
+    powers: &ModePowers,
+    files: &mut Vec<String>,
+) -> Result<(), ExportError> {
+    let samples = rec.sorted_samples();
+    let mut analysis = TraceAnalysis::from_samples(&samples);
+    analysis.dropped = rec.dropped();
+    let mut analysis_text = analysis.render_text();
     for (scope, s) in &analysis.scopes {
         let _ = writeln!(
-            out,
+            analysis_text,
             "scope {scope}: energy {:.3} J, average power {:.3} W",
             s.energy_joules(powers),
             s.average_power_w(powers)
         );
     }
-    out
-}
-
-fn write_scenario(
-    dir: &Path,
-    name: &str,
-    rec: &RingRecorder,
-    powers: &ModePowers,
-    files: &mut Vec<String>,
-) -> Result<(), ExportError> {
-    let samples = rec.sorted_samples();
     for (suffix, body) in [
         ("trace.json", chrome_trace_json(&samples)),
         ("timeline.csv", timeline_csv(&samples)),
-        // from_recorder carries the drop count, so a truncated ring
-        // stamps a WARNING line into the analysis instead of silently
-        // under-reporting utilization and energy.
-        ("analysis.txt", analysis_text(rec, powers)),
+        ("analysis.txt", analysis_text),
     ] {
         let file = format!("{name}.{suffix}");
         let path = dir.join(&file);
@@ -99,6 +100,14 @@ fn write_scenario(
             source,
         })?;
         files.push(file);
+    }
+    if rec.dropped() == 0 {
+        if let Err(violations) = schema::validate(&samples, actuators) {
+            return Err(ExportError::MalformedTrace {
+                scenario: name,
+                violation: violations.into_iter().next().unwrap_or_default(),
+            });
+        }
     }
     Ok(())
 }
@@ -118,7 +127,9 @@ pub struct TraceExport {
 
 /// Replays the trace scenarios and exports them under `dir` (created
 /// if missing). Returns the file names written and per-scenario ring
-/// drop counts, in a fixed order.
+/// drop counts, in a fixed order. Fails with
+/// [`ExportError::MalformedTrace`] if an intact scenario's event stream
+/// breaks [`schema::validate`].
 pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportError> {
     fs::create_dir_all(dir).map_err(|source| ExportError::Io {
         path: dir.to_path_buf(),
@@ -137,21 +148,18 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
         let mut rec = RingRecorder::new();
         let drive = DiskDrive::new(&params, DriveConfig::sa(actuators));
         replay_scenario(name, &trace, drive, &mut rec)?;
-        write_scenario(dir, name, &rec, &powers, &mut files)?;
+        write_scenario(dir, name, &rec, actuators, &powers, &mut files)?;
         drops.push((name, rec.dropped()));
     }
 
     // Figure 8's direction: an array built from intra-disk parallel
     // members, here with RAID-5 parity traffic to make the per-member
-    // tracks interesting.
+    // tracks interesting. Each member is SA(2).
     {
-        let layout = Layout::raid5_default();
-        let disks = 4;
-        let array_trace = scenario_trace(scale, TRACE_FOOTPRINT_SECTORS);
         let mut rec = RingRecorder::new();
-        let array = ArrayController::new(&params, DriveConfig::sa(2), disks, layout);
-        replay_scenario("array-raid5", &array_trace, array, &mut rec)?;
-        write_scenario(dir, "array-raid5", &rec, &powers, &mut files)?;
+        let array = ArrayController::new(&params, DriveConfig::sa(2), 4, Layout::raid5_default());
+        replay_scenario("array-raid5", &trace, array, &mut rec)?;
+        write_scenario(dir, "array-raid5", &rec, 2, &powers, &mut files)?;
         drops.push(("array-raid5", rec.dropped()));
     }
 
@@ -162,7 +170,7 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
         let mut rec = RingRecorder::new();
         let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
         replay_scenario("overlap-multichannel", &trace, drive, &mut rec)?;
-        write_scenario(dir, "overlap-multichannel", &rec, &powers, &mut files)?;
+        write_scenario(dir, "overlap-multichannel", &rec, 4, &powers, &mut files)?;
         drops.push(("overlap-multichannel", rec.dropped()));
     }
 

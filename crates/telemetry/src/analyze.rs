@@ -2,7 +2,9 @@
 //!
 //! Reconstructs, purely from the event stream, the quantities the
 //! paper's figures are built from: per-actuator utilization, queue-depth
-//! percentiles, and power-mode time-in-mode (and thus energy). The
+//! percentiles, and power-mode time-in-mode (and thus energy). It is
+//! the [`EventFold`] run over a `(time, seq)`-sorted trace, plus the
+//! queue-depth timeline the fold's `Depth` reports trace out. The
 //! point of recomputing them here is cross-checking — `tests/oracles.rs`
 //! asserts the telemetry view agrees with the independently accumulated
 //! `DriveMetrics`/power-model aggregates, so the trace cannot silently
@@ -12,7 +14,8 @@ use std::collections::BTreeMap;
 
 use simkit::{SimDuration, SimTime};
 
-use crate::event::{sort_samples, PowerMode, Sample, TraceEvent};
+use crate::event::{in_canonical_order, PowerMode, Sample};
+use crate::fold::{ActuatorTimeline, Closed, EventFold};
 use crate::recorder::RingRecorder;
 
 /// Per-mode power levels in watts, decoupled from the disk model so the
@@ -57,35 +60,6 @@ pub struct QueueDepthStats {
     pub observed: SimDuration,
 }
 
-/// What one arm assembly did over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ActuatorTimeline {
-    /// Requests dispatched to this assembly.
-    pub dispatches: u64,
-    /// Total time spent seeking.
-    pub seek: SimDuration,
-    /// Total rotational (and shared-channel) wait.
-    pub rotational: SimDuration,
-    /// Total transfer time.
-    pub transfer: SimDuration,
-}
-
-impl ActuatorTimeline {
-    /// Total mechanically busy time.
-    pub fn busy(&self) -> SimDuration {
-        self.seek + self.rotational + self.transfer
-    }
-
-    /// Busy time as a fraction of `span` (0 when the span is empty).
-    pub fn utilization(&self, span: SimDuration) -> f64 {
-        if span.is_zero() {
-            0.0
-        } else {
-            self.busy().as_millis() / span.as_millis()
-        }
-    }
-}
-
 /// Everything reconstructed for one scope (one drive, or one member
 /// disk of an array).
 #[derive(Debug, Clone, PartialEq)]
@@ -103,8 +77,6 @@ pub struct ScopeAnalysis {
     /// Run span (origin to the latest event anywhere in the trace).
     pub span: SimDuration,
     /// Per-actuator activity, keyed by actuator id.
-    // Post-run analysis output, keyed by actuator id (fixed hardware
-    // topology, not run length).
     pub actuators: BTreeMap<u32, ActuatorTimeline>,
     /// Queue-depth statistics.
     pub queue_depth: QueueDepthStats,
@@ -150,80 +122,39 @@ pub struct TraceAnalysis {
     /// Events evicted by the bounded recorder before analysis
     /// ([`RingRecorder::dropped`]). When nonzero the stream is
     /// truncated: counts are lower bounds and utilization/energy can
-    /// be silently low. [`TraceAnalysis::render_text`] prints a
-    /// warning, and [`crate::schema::validate_recorded`] reports it as
-    /// a typed issue.
+    /// be silently low, and [`TraceAnalysis::render_text`] prints a
+    /// warning.
     pub dropped: u64,
 }
 
-/// Mutable accumulation state for one scope while walking the stream.
-#[derive(Debug, Default)]
-struct ScopeAccum {
-    submitted: u64,
-    completed: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    // One entry per actuator id.
-    actuators: BTreeMap<u32, ActuatorTimeline>,
-    open_seeks: BTreeMap<u32, SimTime>,
-    // Offline analysis scratch over an already-bounded recorded trace
-    // (RingRecorder caps the stream), freed when analyze() returns.
-    depth_changes: Vec<(SimTime, u32)>,
-}
-
 impl TraceAnalysis {
-    /// Analyzes a sample set (sorted internally, so emission order does
-    /// not matter).
+    /// Analyzes a sample set: the [`EventFold`] over it in canonical
+    /// `(time, seq)` order, plus each scope's queue-depth timeline.
+    /// Emission order does not matter; input already in canonical order
+    /// (as [`RingRecorder::sorted_samples`] returns it) is not copied.
     pub fn from_samples(samples: &[Sample]) -> TraceAnalysis {
-        let mut sorted: Vec<Sample> = samples.to_vec();
-        sort_samples(&mut sorted);
-
-        let span_end = sorted.last().map(|s| s.time).unwrap_or(SimTime::ZERO);
+        let samples = &*in_canonical_order(samples);
+        let span_end = samples.last().map_or(SimTime::ZERO, |s| s.time);
         let span = span_end.saturating_since(SimTime::ZERO);
 
-        let mut accums: BTreeMap<u32, ScopeAccum> = BTreeMap::new();
-        for s in &sorted {
-            let acc = accums.entry(s.scope).or_default();
-            match s.event {
-                TraceEvent::RequestSubmitted { .. } => acc.submitted += 1,
-                TraceEvent::RequestQueued { depth, .. } => {
-                    acc.depth_changes.push((s.time, depth));
-                }
-                TraceEvent::Dispatched {
-                    actuator, depth, ..
-                } => {
-                    acc.actuators.entry(actuator).or_default().dispatches += 1;
-                    acc.depth_changes.push((s.time, depth));
-                }
-                TraceEvent::SeekStart { actuator, .. } => {
-                    acc.open_seeks.insert(actuator, s.time);
-                }
-                TraceEvent::SeekEnd { actuator, .. } => {
-                    if let Some(start) = acc.open_seeks.remove(&actuator) {
-                        acc.actuators.entry(actuator).or_default().seek +=
-                            s.time.saturating_since(start);
-                    }
-                }
-                TraceEvent::RotWait { actuator, dur, .. } => {
-                    acc.actuators.entry(actuator).or_default().rotational += dur;
-                }
-                TraceEvent::Transfer { actuator, dur, .. } => {
-                    acc.actuators.entry(actuator).or_default().transfer += dur;
-                }
-                TraceEvent::CacheHit { .. } => acc.cache_hits += 1,
-                TraceEvent::CacheMiss { .. } => acc.cache_misses += 1,
-                TraceEvent::Complete { .. } => acc.completed += 1,
-                TraceEvent::PowerModeChange { .. } | TraceEvent::ActuatorIdle { .. } => {}
+        let mut fold = EventFold::new();
+        // Per scope, `(time, depth-after-change)` in time order. Offline
+        // scratch over an already-bounded recorded trace.
+        let mut depths: BTreeMap<u32, Vec<(SimTime, u32)>> = BTreeMap::new();
+        for s in samples {
+            if let Closed::Depth(depth) = fold.apply(s.scope, s.time, &s.event) {
+                depths.entry(s.scope).or_default().push((s.time, depth));
             }
         }
 
-        let scopes = accums
+        let scopes = fold
+            .into_scopes()
             .into_iter()
-            .map(|(scope, acc)| {
+            .map(|(scope, f)| {
                 let mut seek = SimDuration::ZERO;
                 let mut rot = SimDuration::ZERO;
                 let mut xfer = SimDuration::ZERO;
-                for t in acc.actuators.values() {
+                for t in f.actuators.values() {
                     seek += t.seek;
                     rot += t.rotational;
                     xfer += t.transfer;
@@ -232,18 +163,18 @@ impl TraceAnalysis {
                     .saturating_sub(seek)
                     .saturating_sub(rot)
                     .saturating_sub(xfer);
-                let queue_depth = depth_stats(&acc.depth_changes, span_end);
+                let changes = depths.get(&scope).map_or(&[][..], Vec::as_slice);
                 (
                     scope,
                     ScopeAnalysis {
                         scope,
-                        submitted: acc.submitted,
-                        completed: acc.completed,
-                        cache_hits: acc.cache_hits,
-                        cache_misses: acc.cache_misses,
+                        submitted: f.submitted,
+                        completed: f.completed,
+                        cache_hits: f.cache_hits,
+                        cache_misses: f.cache_misses,
                         span,
-                        actuators: acc.actuators,
-                        queue_depth,
+                        actuators: f.actuators,
+                        queue_depth: depth_stats(changes, span_end),
                         time_in_mode: [idle, seek, rot, xfer],
                     },
                 )
@@ -252,7 +183,7 @@ impl TraceAnalysis {
 
         TraceAnalysis {
             scopes,
-            samples: sorted.len(),
+            samples: samples.len(),
             dropped: 0,
         }
     }
@@ -384,7 +315,7 @@ fn depth_stats(changes: &[(SimTime, u32)], end: SimTime) -> QueueDepthStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::IoOp;
+    use crate::event::{IoOp, TraceEvent};
     use crate::recorder::{Recorder, RingRecorder};
 
     #[test]

@@ -15,6 +15,8 @@
 //! number; exporters and analyzers order samples by `(time, seq)`,
 //! which is total and deterministic.
 
+use std::borrow::Cow;
+
 use simkit::{SimDuration, SimTime};
 
 /// Read or write, as seen by the telemetry layer.
@@ -258,6 +260,18 @@ pub struct Sample {
 /// analysis order.
 pub fn sort_samples(samples: &mut [Sample]) {
     samples.sort_by_key(|s| (s.time, s.seq));
+}
+
+/// `samples` in canonical order: borrowed if they already are (as
+/// [`crate::RingRecorder::sorted_samples`] returns them), else a
+/// sorted copy.
+pub(crate) fn in_canonical_order(samples: &[Sample]) -> Cow<'_, [Sample]> {
+    if samples.is_sorted_by_key(|s| (s.time, s.seq)) {
+        return Cow::Borrowed(samples);
+    }
+    let mut sorted = samples.to_vec();
+    sort_samples(&mut sorted);
+    Cow::Owned(sorted)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::event::{sort_samples, Sample, TraceEvent};
+use crate::event::{in_canonical_order, Sample, TraceEvent};
 
 /// Synthetic Perfetto thread id for the request-lifecycle track
 /// (submit/queued/cache/complete events, which have no actuator).
@@ -39,19 +39,19 @@ fn tid_for(event: &TraceEvent) -> u32 {
 
 /// Exports samples as Chrome trace-event JSON (open in Perfetto).
 ///
-/// Samples are re-sorted into canonical `(time, seq)` order internally,
-/// so the output depends only on the recorded set, not emission order.
+/// Samples are taken in canonical `(time, seq)` order (sorted into a
+/// copy only if they are not already), so the output depends only on
+/// the recorded set, not emission order.
 /// Seek `Start`/`End` pairs become complete (`ph:"X"`) slices; an
 /// unmatched `SeekStart` (trace truncated by the ring) becomes a
 /// zero-length slice.
 pub fn chrome_trace_json(samples: &[Sample]) -> String {
-    let mut sorted: Vec<Sample> = samples.to_vec();
-    sort_samples(&mut sorted);
+    let sorted = &*in_canonical_order(samples);
 
     // Track discovery first so metadata rows lead the file in a stable
     // order regardless of when each track first appears.
     let mut tracks: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for s in &sorted {
+    for s in sorted {
         tracks.insert((s.scope, tid_for(&s.event)));
     }
 
@@ -98,7 +98,7 @@ pub fn chrome_trace_json(samples: &[Sample]) -> String {
     // Open seeks keyed by (scope, actuator): (start_ns, req, from, to).
     let mut open_seeks: BTreeMap<(u32, u32), (u64, u64, u32, u32)> = BTreeMap::new();
 
-    for s in &sorted {
+    for s in sorted {
         let ns = s.time.as_nanos();
         let pid = s.scope;
         let tid = tid_for(&s.event);
@@ -179,14 +179,13 @@ pub fn chrome_trace_json(samples: &[Sample]) -> String {
 /// `(time, seq)` order. Numeric fields that do not apply to an event
 /// kind are left empty.
 pub fn timeline_csv(samples: &[Sample]) -> String {
-    let mut sorted: Vec<Sample> = samples.to_vec();
-    sort_samples(&mut sorted);
+    let sorted = &*in_canonical_order(samples);
 
     let mut out = String::with_capacity(64 + sorted.len() * 48);
     out.push_str(
         "time_ns,scope,seq,event,req,actuator,lba,sectors,op,depth,from_cylinder,to_cylinder,dur_ns,mode\n",
     );
-    for s in &sorted {
+    for s in sorted {
         let ns = s.time.as_nanos();
         let kind = s.event.kind();
         let req = s.event.req().map(|r| r.to_string()).unwrap_or_default();

@@ -8,7 +8,7 @@
 //! that can be exported to Perfetto, cross-checked against the
 //! aggregates, and analyzed post hoc.
 //!
-//! Four guarantees shape the design:
+//! Five guarantees shape the design:
 //!
 //! 1. **Virtual time only.** Every event is stamped with [`SimTime`];
 //!    the trace plane never reads a wall clock, so a trace is part of
@@ -29,8 +29,11 @@
 //!    and emits its future phase boundaries immediately). Every
 //!    [`Sample`] carries a sequence number; `(time, seq)` is the total,
 //!    canonical order used by the exporters ([`chrome_trace_json`],
-//!    [`timeline_csv`]), the analyzer ([`TraceAnalysis`]), and the
-//!    validator ([`schema::validate`]).
+//!    [`timeline_csv`]), the analyzer, and the validator.
+//! 5. **One fold.** [`EventFold`] pairs seeks, matches completions to
+//!    submissions and counts requests, once. The analyzer
+//!    ([`TraceAnalysis`]) runs it over a sorted trace, [`MetricsRecorder`]
+//!    runs it online, and [`schema::validate`] takes its pairing from it.
 //!
 //! ```
 //! use simkit::SimTime;
@@ -64,15 +67,17 @@
 pub mod analyze;
 pub mod event;
 pub mod export;
+pub mod fold;
 pub mod metrics;
 pub mod prof;
 pub mod recorder;
 pub mod schema;
 
-pub use analyze::{ActuatorTimeline, ModePowers, QueueDepthStats, ScopeAnalysis, TraceAnalysis};
+pub use analyze::{ModePowers, QueueDepthStats, ScopeAnalysis, TraceAnalysis};
 pub use event::{sort_samples, IoOp, PowerMode, Sample, TraceEvent};
 pub use export::{chrome_trace_json, timeline_csv, MODE_TID, REQUESTS_TID};
-pub use metrics::{MetricsRecorder, MetricsRegistry, MetricsSnapshot};
+pub use fold::{ActuatorTimeline, Closed, EventFold, ScopeFold};
+pub use metrics::{MetricsRecorder, MetricsSnapshot};
 pub use recorder::{NullRecorder, Recorder, RingRecorder, ScopedRecorder, DEFAULT_CAPACITY};
 
 #[doc(no_inline)]

@@ -50,35 +50,20 @@ fn prom_header(out: &mut String, name: &str, help: &str, kind: &str, last: &mut 
 fn prom_gauge_family(out: &mut String, gauges: &[GaugeSnapshot]) {
     // Final value, then the time-weighted mean and max companions —
     // each its own family, grouped per Prometheus exposition rules.
-    let mut last = String::new();
-    for g in gauges {
-        prom_header(out, &g.key.name, g.help, "gauge", &mut last);
-        let _ = writeln!(
-            out,
-            "{}{} {}",
-            g.key.name,
-            prom_labels(&g.key.labels, None),
-            g.last
-        );
-    }
-    for (suffix, help_suffix) in [("_mean", "time-weighted mean"), ("_max", "maximum")] {
+    type Value = fn(&GaugeSnapshot) -> f64;
+    let families: [(&str, &str, Value); 3] = [
+        ("", "", |g| g.last),
+        ("_mean", " (time-weighted mean)", |g| g.time_weighted_mean),
+        ("_max", " (maximum)", |g| g.max),
+    ];
+    for (suffix, help_suffix, value) in families {
         let mut last = String::new();
         for g in gauges {
-            let name = format!("{}{}", g.key.name, suffix);
-            let help = format!("{} ({})", g.help, help_suffix);
+            let name = format!("{}{suffix}", g.key.name);
+            let help = format!("{}{help_suffix}", g.help);
             prom_header(out, &name, &help, "gauge", &mut last);
-            let value = if suffix == "_mean" {
-                g.time_weighted_mean
-            } else {
-                g.max
-            };
-            let _ = writeln!(
-                out,
-                "{}{} {}",
-                name,
-                prom_labels(&g.key.labels, None),
-                value
-            );
+            let labels = prom_labels(&g.key.labels, None);
+            let _ = writeln!(out, "{name}{labels} {}", value(g));
         }
     }
 }
@@ -105,20 +90,6 @@ fn prom_histogram_family(out: &mut String, hists: &[HistogramSnapshot]) {
                     cum
                 );
             }
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                name,
-                prom_labels(&h.key.labels, None),
-                h.stream.sum()
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                name,
-                prom_labels(&h.key.labels, None),
-                h.stream.count()
-            );
         } else {
             prom_header(out, name, h.help, "summary", &mut last);
             for (q, p) in [("0.5", 50.0), ("0.9", 90.0), ("0.99", 99.0)] {
@@ -130,21 +101,10 @@ fn prom_histogram_family(out: &mut String, hists: &[HistogramSnapshot]) {
                     h.stream.percentile(p)
                 );
             }
-            let _ = writeln!(
-                out,
-                "{}_sum{} {}",
-                name,
-                prom_labels(&h.key.labels, None),
-                h.stream.sum()
-            );
-            let _ = writeln!(
-                out,
-                "{}_count{} {}",
-                name,
-                prom_labels(&h.key.labels, None),
-                h.stream.count()
-            );
         }
+        let labels = prom_labels(&h.key.labels, None);
+        let _ = writeln!(out, "{name}_sum{labels} {}", h.stream.sum());
+        let _ = writeln!(out, "{name}_count{labels} {}", h.stream.count());
     }
 }
 

@@ -5,18 +5,17 @@
 //! retains every event; this module answers "how is the run going" in
 //! O(metrics) memory, with or without full tracing:
 //!
-//! * [`MetricsRegistry`] holds typed metrics — [`CounterId`] counters,
-//!   [`GaugeId`] *time-weighted* gauges (queue depth, power mode,
-//!   per-actuator busy), and [`HistogramId`] streaming histograms
-//!   ([`simkit::StreamingHistogram`], optionally paired with a
-//!   fixed-edge [`simkit::Histogram`] so the paper's exact Figure-5
-//!   bucket counts survive) — and samples every gauge on a
-//!   deterministic sim-time cadence into bounded time series.
-//! * [`MetricsRecorder`] implements [`crate::Recorder`], deriving the
-//!   standard drive/array metric set from the event stream the
-//!   simulators already emit — the same instrumentation that feeds
-//!   Perfetto traces feeds the registry, so attaching metrics costs
-//!   nothing when off (the `NullRecorder` path is untouched).
+//! * [`MetricsRecorder`] implements [`crate::Recorder`]: it runs the
+//!   [`crate::EventFold`] online and reduces what each event closes into
+//!   a fixed per-scope metric set — counters read from the fold,
+//!   *time-weighted* gauges (queue depth, power mode, per-actuator busy
+//!   time) sampled on a deterministic sim-time cadence into bounded
+//!   series, and streaming histograms ([`simkit::StreamingHistogram`],
+//!   with a fixed-edge [`simkit::Histogram`] beside the response-time
+//!   one so the paper's exact Figure-5 bucket counts survive). The
+//!   instrumentation that feeds Perfetto traces feeds the metrics, so
+//!   attaching them costs nothing when off (the `NullRecorder` path is
+//!   untouched).
 //! * [`export`] renders a [`MetricsSnapshot`] as Prometheus text
 //!   exposition or stable JSON — both built by deterministic string
 //!   assembly, byte-identical across runs, hosts, and `--jobs` values.
@@ -36,8 +35,6 @@ pub mod report;
 
 pub use recorder::MetricsRecorder;
 
-use std::collections::BTreeMap;
-
 use simkit::{Histogram, SimDuration, SimTime, StreamingHistogram};
 
 /// Gauge sampling cadence (virtual time between snapshots) until a
@@ -50,20 +47,8 @@ pub const CADENCE: SimDuration = SimDuration::from_nanos(100_000_000); // 100 ms
 /// how long the run is.
 pub const MAX_SERIES_SAMPLES: usize = 2_048;
 
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered time-weighted gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered streaming histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// Metric identity: name plus sorted `(key, value)` labels. Two
-/// registrations with the same key return the same id.
+/// Metric identity: name plus sorted `(key, value)` labels; snapshots
+/// are ordered by it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Metric family name (Prometheus-style snake case).
@@ -87,17 +72,11 @@ impl MetricKey {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Counter {
-    key: MetricKey,
-    help: &'static str,
-    value: u64,
-}
-
+/// A time-weighted gauge: starts at 0 at `SimTime::ZERO`, integrates
+/// its value over virtual time, and samples itself every [`CADENCE`]
+/// into a bounded series.
 #[derive(Debug, Clone)]
 struct Gauge {
-    key: MetricKey,
-    help: &'static str,
     current: f64,
     last_change: SimTime,
     /// ∫ value dt in value·milliseconds, for the time-weighted mean.
@@ -109,6 +88,18 @@ struct Gauge {
 }
 
 impl Gauge {
+    fn new() -> Self {
+        Gauge {
+            current: 0.0,
+            last_change: SimTime::ZERO,
+            integral_vms: 0.0,
+            max: 0.0,
+            series: Vec::new(),
+            next_sample: SimTime::ZERO,
+            cadence: CADENCE,
+        }
+    }
+
     /// Emits cadence samples of the *current* value for every boundary
     /// at or before `t` (left-continuous sampling), decimating when
     /// the series hits its cap.
@@ -133,10 +124,13 @@ impl Gauge {
         }
     }
 
+    /// Sets the gauge at virtual instant `t`, accumulating the
+    /// time-weighted integral of the previous value and emitting any
+    /// cadence samples due.
     fn set(&mut self, t: SimTime, value: f64) {
-        // Clamp non-monotone stamps (a component replaying planned
-        // future events never goes backwards in practice; this keeps
-        // the integral well-defined if one ever does).
+        // Clamp non-monotone stamps: events arrive in emission order,
+        // which the drive's plan-ahead dispatch makes non-monotone, and
+        // the integral must stay well-defined regardless.
         let t = t.max(self.last_change);
         self.sample_up_to(t);
         self.integral_vms += self.current * t.saturating_since(self.last_change).as_millis();
@@ -147,206 +141,63 @@ impl Gauge {
         }
     }
 
+    /// Extends the integral and the series to `end`. Idempotent for a
+    /// fixed `end`.
     fn finalize(&mut self, end: SimTime) {
         let end = end.max(self.last_change);
         self.sample_up_to(end);
         self.integral_vms += self.current * end.saturating_since(self.last_change).as_millis();
         self.last_change = end;
     }
+
+    /// The frozen state, with the mean taken over `[0, end]`.
+    fn snapshot(&self, key: MetricKey, help: &'static str, end: SimTime) -> GaugeSnapshot {
+        let span_ms = end.saturating_since(SimTime::ZERO).as_millis();
+        GaugeSnapshot {
+            key,
+            help,
+            last: self.current,
+            max: self.max,
+            time_weighted_mean: if span_ms > 0.0 {
+                self.integral_vms / span_ms
+            } else {
+                0.0
+            },
+            series: self.series.clone(),
+        }
+    }
 }
 
+/// A streaming histogram, optionally paired with an exact fixed-edge
+/// view (e.g. the paper's response-time CDF buckets).
 #[derive(Debug, Clone)]
-struct HistogramMetric {
-    key: MetricKey,
-    help: &'static str,
+struct Hist {
     stream: StreamingHistogram,
-    /// Optional exact fixed-edge view (the paper's CDF buckets).
     fixed: Option<Histogram>,
 }
 
-/// A deterministic registry of counters, time-weighted gauges, and
-/// streaming histograms, sampled on a virtual-time cadence.
-#[derive(Debug, Clone)]
-pub struct MetricsRegistry {
-    // Grows only at metric registration (a fixed, setup-time vocabulary
-    // of keys); recording into an existing metric never allocates. Same
-    // for the five parallel tables below.
-    counters: Vec<Counter>,
-    // Registration-time only.
-    gauges: Vec<Gauge>,
-    // Registration-time only.
-    hists: Vec<HistogramMetric>,
-    // Registration-time only.
-    counter_ids: BTreeMap<MetricKey, usize>,
-    // Registration-time only.
-    gauge_ids: BTreeMap<MetricKey, usize>,
-    // Registration-time only.
-    hist_ids: BTreeMap<MetricKey, usize>,
-    end: SimTime,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry sampling gauges every [`CADENCE`] of
-    /// virtual time.
-    pub fn new() -> Self {
-        MetricsRegistry {
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hists: Vec::new(),
-            counter_ids: BTreeMap::new(),
-            gauge_ids: BTreeMap::new(),
-            hist_ids: BTreeMap::new(),
-            end: SimTime::ZERO,
-        }
-    }
-
-    /// Registers (or looks up) a counter.
-    pub fn counter(&mut self, key: MetricKey, help: &'static str) -> CounterId {
-        if let Some(&i) = self.counter_ids.get(&key) {
-            return CounterId(i);
-        }
-        let i = self.counters.len();
-        self.counter_ids.insert(key.clone(), i);
-        self.counters.push(Counter {
-            key,
-            help,
-            value: 0,
-        });
-        CounterId(i)
-    }
-
-    /// Registers (or looks up) a time-weighted gauge. Gauges start at
-    /// value 0 at `SimTime::ZERO`.
-    pub fn gauge(&mut self, key: MetricKey, help: &'static str) -> GaugeId {
-        if let Some(&i) = self.gauge_ids.get(&key) {
-            return GaugeId(i);
-        }
-        let i = self.gauges.len();
-        self.gauge_ids.insert(key.clone(), i);
-        self.gauges.push(Gauge {
-            key,
-            help,
-            current: 0.0,
-            last_change: SimTime::ZERO,
-            integral_vms: 0.0,
-            max: 0.0,
-            series: Vec::new(),
-            next_sample: SimTime::ZERO,
-            cadence: CADENCE,
-        });
-        GaugeId(i)
-    }
-
-    /// Registers (or looks up) a streaming histogram;
-    /// `fixed_edges` additionally keeps an exact fixed-edge
-    /// [`Histogram`] (e.g. the paper's response-time CDF buckets).
-    pub fn histogram(
-        &mut self,
-        key: MetricKey,
-        help: &'static str,
-        fixed_edges: Option<&[f64]>,
-    ) -> HistogramId {
-        if let Some(&i) = self.hist_ids.get(&key) {
-            return HistogramId(i);
-        }
-        let i = self.hists.len();
-        self.hist_ids.insert(key.clone(), i);
-        self.hists.push(HistogramMetric {
-            key,
-            help,
+impl Hist {
+    fn new(fixed_edges: Option<&[f64]>) -> Self {
+        Hist {
             stream: StreamingHistogram::new(),
             fixed: fixed_edges.map(Histogram::new),
-        });
-        HistogramId(i)
+        }
     }
 
-    /// Increments a counter.
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0].value += by;
-    }
-
-    /// Sets a gauge at virtual instant `t`, accumulating the
-    /// time-weighted integral of the previous value and emitting any
-    /// cadence samples due.
-    pub fn set_gauge(&mut self, id: GaugeId, t: SimTime, value: f64) {
-        self.gauges[id.0].set(t, value);
-    }
-
-    /// Records one histogram sample.
-    pub fn observe(&mut self, id: HistogramId, value: f64) {
-        let h = &mut self.hists[id.0];
-        h.stream.record(value);
-        if let Some(fixed) = &mut h.fixed {
+    fn observe(&mut self, value: f64) {
+        self.stream.record(value);
+        if let Some(fixed) = &mut self.fixed {
             fixed.record(value);
         }
     }
 
-    /// Closes the run at `end`: extends every gauge integral and
-    /// series to the end of the run. Idempotent for a fixed `end`.
-    pub fn finalize(&mut self, end: SimTime) {
-        self.end = self.end.max(end);
-        for g in &mut self.gauges {
-            g.finalize(end);
+    fn snapshot(&self, key: MetricKey, help: &'static str) -> HistogramSnapshot {
+        HistogramSnapshot {
+            key,
+            help,
+            stream: self.stream.clone(),
+            fixed: self.fixed.clone(),
         }
-    }
-
-    /// Takes a deterministic snapshot: every metric, sorted by
-    /// `(name, labels)`.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<CounterSnapshot> = self
-            .counters
-            .iter()
-            .map(|c| CounterSnapshot {
-                key: c.key.clone(),
-                help: c.help,
-                value: c.value,
-            })
-            .collect();
-        counters.sort_by(|a, b| a.key.cmp(&b.key));
-
-        let span_ms = self.end.saturating_since(SimTime::ZERO).as_millis();
-        let mut gauges: Vec<GaugeSnapshot> = self
-            .gauges
-            .iter()
-            .map(|g| GaugeSnapshot {
-                key: g.key.clone(),
-                help: g.help,
-                last: g.current,
-                max: g.max,
-                time_weighted_mean: if span_ms > 0.0 {
-                    g.integral_vms / span_ms
-                } else {
-                    0.0
-                },
-                series: g.series.clone(),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.key.cmp(&b.key));
-
-        let mut histograms: Vec<HistogramSnapshot> = self
-            .hists
-            .iter()
-            .map(|h| HistogramSnapshot {
-                key: h.key.clone(),
-                help: h.help,
-                stream: h.stream.clone(),
-                fixed: h.fixed.clone(),
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.key.cmp(&b.key));
-
-        MetricsSnapshot {
-            end: self.end,
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -389,18 +240,18 @@ pub struct HistogramSnapshot {
     pub help: &'static str,
     /// Bounded-memory log-bucketed histogram.
     pub stream: StreamingHistogram,
-    /// Exact fixed-edge histogram, when registered with edges.
+    /// Exact fixed-edge histogram, when the metric keeps one.
     pub fixed: Option<Histogram>,
 }
 
-/// Everything a registry knew at snapshot time, in sorted order.
+/// Every metric at snapshot time, in sorted order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// End of the observed run.
     pub end: SimTime,
     /// Counters sorted by key.
-    // One-shot snapshot output, sized by the registered metric
-    // vocabulary.
+    // One-shot snapshot output, sized by the fixed per-scope metric
+    // set.
     pub counters: Vec<CounterSnapshot>,
     /// Gauges sorted by key.
     // One-shot snapshot output.
@@ -418,28 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn counter_roundtrip_and_dedup() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter(key("requests"), "help");
-        let b = r.counter(key("requests"), "help");
-        assert_eq!(a, b);
-        r.inc(a, 2);
-        r.inc(b, 3);
-        let s = r.snapshot();
-        assert_eq!(s.counters.len(), 1);
-        assert_eq!(s.counters[0].value, 5);
-    }
-
-    #[test]
     fn gauge_time_weighted_mean_and_series() {
-        let mut r = MetricsRegistry::new();
-        let g = r.gauge(key("depth"), "queue depth");
+        let mut g = Gauge::new();
         // 0 until 100 ms, 4 until 300 ms, 1 until 400 ms.
-        r.set_gauge(g, SimTime::from_millis(100.0), 4.0);
-        r.set_gauge(g, SimTime::from_millis(300.0), 1.0);
-        r.finalize(SimTime::from_millis(400.0));
-        let s = r.snapshot();
-        let gs = &s.gauges[0];
+        g.set(SimTime::from_millis(100.0), 4.0);
+        g.set(SimTime::from_millis(300.0), 1.0);
+        let end = SimTime::from_millis(400.0);
+        g.finalize(end);
+        let gs = g.snapshot(key("depth"), "queue depth", end);
         // (0·100 + 4·200 + 1·100) / 400 = 2.25
         assert!((gs.time_weighted_mean - 2.25).abs() < 1e-12);
         assert_eq!(gs.max, 4.0);
@@ -452,18 +289,17 @@ mod tests {
 
     #[test]
     fn gauge_series_is_bounded_by_decimation() {
-        let mut r = MetricsRegistry::new();
-        let g = r.gauge(key("depth"), "queue depth");
+        let mut g = Gauge::new();
         // One change per cadence step, for four series' worth of steps:
         // the series must decimate, doubling the cadence, at least twice.
         let step = CADENCE.as_millis();
         for i in 0..(MAX_SERIES_SAMPLES as u64 * 4) {
-            r.set_gauge(g, SimTime::from_millis(i as f64 * step), (i % 7) as f64);
+            g.set(SimTime::from_millis(i as f64 * step), (i % 7) as f64);
         }
-        let s = r.snapshot();
-        assert!(s.gauges[0].series.len() <= MAX_SERIES_SAMPLES + 1);
+        let gs = g.snapshot(key("depth"), "queue depth", SimTime::ZERO);
+        assert!(gs.series.len() <= MAX_SERIES_SAMPLES + 1);
         // Samples stay strictly increasing in time after decimation.
-        let ser = &s.gauges[0].series;
+        let ser = &gs.series;
         assert!(ser.windows(2).all(|w| w[0].0 < w[1].0));
         let last_step = ser[ser.len() - 1].0.saturating_since(ser[ser.len() - 2].0);
         assert!(
@@ -474,25 +310,23 @@ mod tests {
 
     #[test]
     fn gauge_clamps_backwards_time() {
-        let mut r = MetricsRegistry::new();
-        let g = r.gauge(key("depth"), "queue depth");
-        r.set_gauge(g, SimTime::from_millis(5.0), 2.0);
-        r.set_gauge(g, SimTime::from_millis(3.0), 7.0); // clamped to 5 ms
-        r.finalize(SimTime::from_millis(10.0));
-        let s = r.snapshot();
+        let mut g = Gauge::new();
+        g.set(SimTime::from_millis(5.0), 2.0);
+        g.set(SimTime::from_millis(3.0), 7.0); // clamped to 5 ms
+        let end = SimTime::from_millis(10.0);
+        g.finalize(end);
+        let gs = g.snapshot(key("depth"), "queue depth", end);
         // 0 for 5 ms, then 7 for 5 ms (the 2.0 held for zero time).
-        assert!((s.gauges[0].time_weighted_mean - 3.5).abs() < 1e-12);
+        assert!((gs.time_weighted_mean - 3.5).abs() < 1e-12);
     }
 
     #[test]
     fn histogram_observes_into_both_views() {
-        let mut r = MetricsRegistry::new();
-        let h = r.histogram(key("rt_ms"), "response", Some(&[5.0, 10.0]));
+        let mut h = Hist::new(Some(&[5.0, 10.0]));
         for v in [1.0, 7.0, 40.0] {
-            r.observe(h, v);
+            h.observe(v);
         }
-        let s = r.snapshot();
-        let hs = &s.histograms[0];
+        let hs = h.snapshot(key("rt_ms"), "response");
         assert_eq!(hs.stream.count(), 3);
         assert_eq!(
             hs.fixed.as_ref().map(|f| f.counts().to_vec()),
@@ -502,19 +336,39 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
-        let mut r = MetricsRegistry::new();
-        r.counter(MetricKey::new("zeta", &[]), "z");
-        r.counter(MetricKey::new("alpha", &[("scope", "1")]), "a");
-        r.counter(MetricKey::new("alpha", &[("scope", "0")]), "a");
-        let s = r.snapshot();
-        let names: Vec<String> = s
-            .counters
-            .iter()
-            .map(|c| format!("{}{:?}", c.key.name, c.key.labels))
-            .collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted);
-        assert_eq!(r.snapshot(), s);
+        use crate::event::TraceEvent;
+        use crate::recorder::Recorder;
+
+        let mut r = MetricsRecorder::new();
+        // Scope ids whose string order differs from numeric order.
+        for scope in [10u32, 2, 0, 1] {
+            let actuator = scope % 3;
+            r.record_scoped(
+                scope,
+                SimTime::from_millis(1.0),
+                TraceEvent::Transfer {
+                    req: 0,
+                    actuator,
+                    dur: SimDuration::from_millis(1.0),
+                },
+            );
+        }
+        let s = r.finish();
+        let ids = |keys: Vec<&MetricKey>| -> Vec<String> {
+            keys.iter()
+                .map(|k| format!("{}{:?}", k.name, k.labels))
+                .collect()
+        };
+        for names in [
+            ids(s.counters.iter().map(|c| &c.key).collect()),
+            ids(s.gauges.iter().map(|g| &g.key).collect()),
+            ids(s.histograms.iter().map(|h| &h.key).collect()),
+        ] {
+            let mut sorted = names.clone();
+            sorted.sort();
+            assert_eq!(names, sorted);
+        }
+        assert_eq!(s.counters.len(), 4 * 5);
+        assert_eq!(r.finish(), s);
     }
 }

@@ -1,30 +1,29 @@
-//! [`MetricsRecorder`] — a [`Recorder`] that folds the event stream
-//! into a [`MetricsRegistry`] online, in O(metrics) memory.
+//! [`MetricsRecorder`] — a [`Recorder`] that runs the [`EventFold`]
+//! online and reduces each event into metrics, in O(metrics) memory.
 //!
 //! The simulators are already instrumented for tracing; this recorder
 //! reuses that instrumentation verbatim. Where a [`RingRecorder`]
-//! retains events, `MetricsRecorder` reduces each one into the
-//! standard drive/array metric set immediately and forgets it:
+//! retains events, `MetricsRecorder` folds each one immediately and
+//! forgets it. Each scope has a fixed metric set; the fold's counts
+//! become its counters at [`MetricsRecorder::finish`], and what each
+//! event closes feeds its gauges and histograms:
 //!
-//! | event                    | effect                                         |
-//! |--------------------------|------------------------------------------------|
-//! | `RequestSubmitted`       | `requests_submitted_total`; request in flight  |
-//! | `RequestQueued`/`Dispatched` | `queue_depth` gauge                        |
-//! | `SeekStart`/`SeekEnd`    | `seeks_total`, `seek_time_ms` hist, busy time  |
-//! | `RotWait`                | `rot_wait_ms` hist, busy time                  |
-//! | `Transfer`               | `transfer_ms` hist, busy time                  |
-//! | `CacheHit`/`CacheMiss`   | `cache_hits_total` / `cache_misses_total`      |
-//! | `Complete`               | `requests_completed_total`, `response_time_ms` |
-//! | `PowerModeChange`        | `power_mode` gauge (mode index)                |
+//! | the fold reports (event)                     | effect                               |
+//! |----------------------------------------------|--------------------------------------|
+//! | a queue depth (`RequestQueued`/`Dispatched`) | `queue_depth` gauge                  |
+//! | a seek (`SeekEnd`)                           | `seek_time_ms` hist, busy time       |
+//! | a rotational wait (`RotWait`)                | `rot_wait_ms` hist, busy time        |
+//! | a transfer (`Transfer`)                      | `transfer_ms` hist, busy time        |
+//! | a response time (`Complete`)                 | `response_time_ms` hist              |
+//! | a mode change (`PowerModeChange`)            | `power_mode` gauge (mode index)      |
 //!
-//! Transient state is bounded by the simulator itself: the in-flight
-//! map never exceeds the queue depth plus outstanding services, and
-//! the per-actuator seek map never exceeds the actuator count.
-//!
+//! The `*_total` counters are the fold's per-scope counts. Busy time
+//! is `actuator_busy_ms`, one gauge per actuator holding a running sum
+//! of per-phase milliseconds, set at each phase's end. Transient state
+//! is the fold's: requests in flight and one open seek per actuator.
 //! Events arrive in *emission* order, which the drive's plan-ahead
 //! dispatch makes non-monotone in timestamps; gauges clamp backwards
-//! stamps (see [`MetricsRegistry::set_gauge`]) so the time-weighted
-//! integrals stay well-defined regardless.
+//! stamps so the time-weighted integrals stay well-defined regardless.
 //!
 //! [`RingRecorder`]: crate::RingRecorder
 
@@ -32,164 +31,145 @@ use std::collections::BTreeMap;
 
 use simkit::{Histogram, SimTime};
 
-use crate::event::TraceEvent;
+use crate::event::{PowerMode, TraceEvent};
+use crate::fold::{Closed, EventFold};
 use crate::recorder::Recorder;
 
-use super::{CounterId, GaugeId, HistogramId, MetricKey, MetricsRegistry, MetricsSnapshot};
+use super::{CounterSnapshot, Gauge, Hist, MetricKey, MetricsSnapshot};
 
-/// Per-scope metric handles, registered lazily on the first event a
-/// scope emits.
-#[derive(Debug, Clone, Copy)]
-struct ScopeIds {
-    submitted: CounterId,
-    completed: CounterId,
-    cache_hits: CounterId,
-    cache_misses: CounterId,
-    seeks: CounterId,
-    queue_depth: GaugeId,
-    power_mode: GaugeId,
-    response: HistogramId,
-    seek_ms: HistogramId,
-    rot_wait_ms: HistogramId,
-    transfer_ms: HistogramId,
+/// `(name, help)` of each scope's counters: submitted, completed, cache
+/// hits, cache misses, seeks.
+const COUNTERS: [(&str, &str); 5] = [
+    (
+        "requests_submitted_total",
+        "Requests entering the storage system",
+    ),
+    ("requests_completed_total", "Requests completed"),
+    ("cache_hits_total", "Reads served from the on-board cache"),
+    ("cache_misses_total", "Reads that went to the media"),
+    ("seeks_total", "Arm assembly movements"),
+];
+/// Each scope's gauges: queue depth, power mode.
+const GAUGES: [(&str, &str); 2] = [
+    ("queue_depth", "Pending requests (time-weighted)"),
+    (
+        "power_mode",
+        "Operating mode index (0 idle, 1 seek, 2 rot_wait, 3 transfer)",
+    ),
+];
+/// The per-actuator busy-time gauge.
+const BUSY: (&str, &str) = (
+    "actuator_busy_ms",
+    "Cumulative busy time per arm assembly (ms)",
+);
+/// Each scope's histograms: response, seek, rotational wait, transfer.
+const HISTOGRAMS: [(&str, &str); 4] = [
+    ("response_time_ms", "Submit-to-complete latency (ms)"),
+    ("seek_time_ms", "Seek duration (ms)"),
+    ("rot_wait_ms", "Rotational (and shared-channel) wait (ms)"),
+    ("transfer_ms", "Media/cache-bus transfer time (ms)"),
+];
+
+/// One scope's gauges and histograms, created on the first event the
+/// scope emits. Its counters live in the fold.
+#[derive(Debug, Clone)]
+struct ScopeMetrics {
+    queue_depth: Gauge,
+    power_mode: Gauge,
+    // Keyed by actuator id (fixed hardware topology); each gauge's value
+    // is the actuator's running busy milliseconds.
+    busy: BTreeMap<u32, Gauge>,
+    response: Hist,
+    seek_ms: Hist,
+    rot_wait_ms: Hist,
+    transfer_ms: Hist,
+}
+
+impl ScopeMetrics {
+    fn new() -> Self {
+        ScopeMetrics {
+            queue_depth: Gauge::new(),
+            power_mode: Gauge::new(),
+            busy: BTreeMap::new(),
+            response: Hist::new(Some(Histogram::paper_response_time_edges())),
+            seek_ms: Hist::new(None),
+            rot_wait_ms: Hist::new(None),
+            transfer_ms: Hist::new(None),
+        }
+    }
 }
 
 /// A recorder that folds trace events into metrics online.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRecorder {
-    registry: MetricsRegistry,
-    scopes: BTreeMap<u32, ScopeIds>,
-    /// `(scope, req)` → submission instant, for response times.
-    inflight: BTreeMap<(u32, u64), SimTime>,
-    /// `(scope, actuator)` → seek start instant, for seek durations.
-    seeking: BTreeMap<(u32, u32), SimTime>,
-    /// `(scope, actuator)` → (cumulative busy ms, gauge id).
-    // Keyed by hardware topology (scope × actuator), a fixed set for
-    // any configured rig.
-    busy: BTreeMap<(u32, u32), (f64, GaugeId)>,
-    /// Latest timestamp seen anywhere (future-stamped events included):
-    /// the natural end-of-run instant for [`MetricsRecorder::finish`].
+    fold: EventFold,
+    // Same keys as the fold's scopes: both gain a scope on its first
+    // event.
+    scopes: BTreeMap<u32, ScopeMetrics>,
+    /// Latest timestamp seen anywhere (phase ends included): the
+    /// natural end-of-run instant for [`MetricsRecorder::finish`].
     end: SimTime,
 }
 
 impl MetricsRecorder {
-    /// Creates a recorder around an empty registry.
+    /// Creates a recorder that has seen nothing.
     pub fn new() -> Self {
-        MetricsRecorder {
-            registry: MetricsRegistry::new(),
-            scopes: BTreeMap::new(),
-            inflight: BTreeMap::new(),
-            seeking: BTreeMap::new(),
-            busy: BTreeMap::new(),
-            end: SimTime::ZERO,
-        }
-    }
-
-    /// Latest virtual instant observed on any event.
-    pub fn end(&self) -> SimTime {
-        self.end
+        Self::default()
     }
 
     /// Requests submitted but not yet completed (should be 0 after a
     /// drained run).
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.fold.in_flight()
     }
 
     /// Finalizes gauge integrals at the latest observed instant and
-    /// snapshots every metric.
+    /// snapshots every metric, sorted by `(name, labels)`.
     pub fn finish(&mut self) -> MetricsSnapshot {
         let end = self.end;
-        self.registry.finalize(end);
-        self.registry.snapshot()
-    }
-
-    fn scope_ids(&mut self, scope: u32) -> ScopeIds {
-        if let Some(&ids) = self.scopes.get(&scope) {
-            return ids;
-        }
-        let s = scope.to_string();
-        let labels = [("scope", s.as_str())];
-        let r = &mut self.registry;
-        let ids = ScopeIds {
-            submitted: r.counter(
-                MetricKey::new("requests_submitted_total", &labels),
-                "Requests entering the storage system",
-            ),
-            completed: r.counter(
-                MetricKey::new("requests_completed_total", &labels),
-                "Requests completed",
-            ),
-            cache_hits: r.counter(
-                MetricKey::new("cache_hits_total", &labels),
-                "Reads served from the on-board cache",
-            ),
-            cache_misses: r.counter(
-                MetricKey::new("cache_misses_total", &labels),
-                "Reads that went to the media",
-            ),
-            seeks: r.counter(
-                MetricKey::new("seeks_total", &labels),
-                "Arm assembly movements",
-            ),
-            queue_depth: r.gauge(
-                MetricKey::new("queue_depth", &labels),
-                "Pending requests (time-weighted)",
-            ),
-            power_mode: r.gauge(
-                MetricKey::new("power_mode", &labels),
-                "Operating mode index (0 idle, 1 seek, 2 rot_wait, 3 transfer)",
-            ),
-            response: r.histogram(
-                MetricKey::new("response_time_ms", &labels),
-                "Submit-to-complete latency (ms)",
-                Some(Histogram::paper_response_time_edges()),
-            ),
-            seek_ms: r.histogram(
-                MetricKey::new("seek_time_ms", &labels),
-                "Seek duration (ms)",
-                None,
-            ),
-            rot_wait_ms: r.histogram(
-                MetricKey::new("rot_wait_ms", &labels),
-                "Rotational (and shared-channel) wait (ms)",
-                None,
-            ),
-            transfer_ms: r.histogram(
-                MetricKey::new("transfer_ms", &labels),
-                "Media/cache-bus transfer time (ms)",
-                None,
-            ),
+        let mut snap = MetricsSnapshot {
+            end,
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            histograms: Vec::new(),
         };
-        self.scopes.insert(scope, ids);
-        ids
-    }
-
-    fn add_busy(&mut self, scope: u32, actuator: u32, at: SimTime, dur_ms: f64) {
-        let gauge = match self.busy.get(&(scope, actuator)) {
-            Some(&(_, g)) => g,
-            None => {
-                let s = scope.to_string();
-                let a = actuator.to_string();
-                self.registry.gauge(
-                    MetricKey::new(
-                        "actuator_busy_ms",
-                        &[("scope", s.as_str()), ("actuator", a.as_str())],
-                    ),
-                    "Cumulative busy time per arm assembly (ms)",
-                )
+        for ((&scope, f), m) in self.fold.scopes().iter().zip(self.scopes.values_mut()) {
+            let s = scope.to_string();
+            let key = |name: &str| MetricKey::new(name, &[("scope", s.as_str())]);
+            let counts = [
+                f.submitted,
+                f.completed,
+                f.cache_hits,
+                f.cache_misses,
+                f.seeks,
+            ];
+            for ((name, help), value) in COUNTERS.into_iter().zip(counts) {
+                let key = key(name);
+                snap.counters.push(CounterSnapshot { key, help, value });
             }
-        };
-        let entry = self.busy.entry((scope, actuator)).or_insert((0.0, gauge));
-        entry.0 += dur_ms;
-        let total_ms = entry.0;
-        self.registry.set_gauge(gauge, at, total_ms);
-    }
-}
-
-impl Default for MetricsRecorder {
-    fn default() -> Self {
-        Self::new()
+            for ((name, help), g) in GAUGES
+                .into_iter()
+                .zip([&mut m.queue_depth, &mut m.power_mode])
+            {
+                g.finalize(end);
+                snap.gauges.push(g.snapshot(key(name), help, end));
+            }
+            for (a, g) in &mut m.busy {
+                g.finalize(end);
+                let a = a.to_string();
+                let key =
+                    MetricKey::new(BUSY.0, &[("scope", s.as_str()), ("actuator", a.as_str())]);
+                snap.gauges.push(g.snapshot(key, BUSY.1, end));
+            }
+            let hists = [&m.response, &m.seek_ms, &m.rot_wait_ms, &m.transfer_ms];
+            for ((name, help), h) in HISTOGRAMS.into_iter().zip(hists) {
+                snap.histograms.push(h.snapshot(key(name), help));
+            }
+        }
+        snap.counters.sort_by(|a, b| a.key.cmp(&b.key));
+        snap.gauges.sort_by(|a, b| a.key.cmp(&b.key));
+        snap.histograms.sort_by(|a, b| a.key.cmp(&b.key));
+        snap
     }
 }
 
@@ -198,61 +178,30 @@ impl Recorder for MetricsRecorder {
 
     fn record_scoped(&mut self, scope: u32, time: SimTime, event: TraceEvent) {
         self.end = self.end.max(time);
-        let ids = self.scope_ids(scope);
-        match event {
-            TraceEvent::RequestSubmitted { req, .. } => {
-                self.registry.inc(ids.submitted, 1);
-                self.inflight.insert((scope, req), time);
+        let m = self.scopes.entry(scope).or_insert_with(ScopeMetrics::new);
+        match self.fold.apply(scope, time, &event) {
+            Closed::Depth(depth) => m.queue_depth.set(time, f64::from(depth)),
+            Closed::Mode(mode) => m.power_mode.set(time, mode.index() as f64),
+            Closed::Busy {
+                mode,
+                actuator,
+                dur,
+                end,
+            } => {
+                let ms = dur.as_millis();
+                let hist = match mode {
+                    PowerMode::Seek => &mut m.seek_ms,
+                    PowerMode::RotationalWait => &mut m.rot_wait_ms,
+                    // The fold reports no idle phase.
+                    PowerMode::Transfer | PowerMode::Idle => &mut m.transfer_ms,
+                };
+                hist.observe(ms);
+                self.end = self.end.max(end);
+                let g = m.busy.entry(actuator).or_insert_with(Gauge::new);
+                g.set(end, g.current + ms);
             }
-            TraceEvent::RequestQueued { depth, .. } => {
-                self.registry
-                    .set_gauge(ids.queue_depth, time, f64::from(depth));
-            }
-            TraceEvent::Dispatched { depth, .. } => {
-                self.registry
-                    .set_gauge(ids.queue_depth, time, f64::from(depth));
-            }
-            TraceEvent::SeekStart { actuator, .. } => {
-                self.registry.inc(ids.seeks, 1);
-                self.seeking.insert((scope, actuator), time);
-            }
-            TraceEvent::SeekEnd { actuator, .. } => {
-                if let Some(start) = self.seeking.remove(&(scope, actuator)) {
-                    let dur_ms = time.saturating_since(start).as_millis();
-                    self.registry.observe(ids.seek_ms, dur_ms);
-                    self.add_busy(scope, actuator, time, dur_ms);
-                }
-            }
-            TraceEvent::RotWait { actuator, dur, .. } => {
-                let dur_ms = dur.as_millis();
-                self.registry.observe(ids.rot_wait_ms, dur_ms);
-                self.end = self.end.max(time + dur);
-                self.add_busy(scope, actuator, time + dur, dur_ms);
-            }
-            TraceEvent::Transfer { actuator, dur, .. } => {
-                let dur_ms = dur.as_millis();
-                self.registry.observe(ids.transfer_ms, dur_ms);
-                self.end = self.end.max(time + dur);
-                self.add_busy(scope, actuator, time + dur, dur_ms);
-            }
-            TraceEvent::CacheHit { .. } => {
-                self.registry.inc(ids.cache_hits, 1);
-            }
-            TraceEvent::CacheMiss { .. } => {
-                self.registry.inc(ids.cache_misses, 1);
-            }
-            TraceEvent::Complete { req } => {
-                self.registry.inc(ids.completed, 1);
-                if let Some(submitted) = self.inflight.remove(&(scope, req)) {
-                    let rt_ms = time.saturating_since(submitted).as_millis();
-                    self.registry.observe(ids.response, rt_ms);
-                }
-            }
-            TraceEvent::PowerModeChange { mode } => {
-                let idx = mode.index();
-                self.registry.set_gauge(ids.power_mode, time, idx as f64);
-            }
-            TraceEvent::ActuatorIdle { .. } => {}
+            Closed::Response(rt) => m.response.observe(rt.as_millis()),
+            Closed::Nothing | Closed::Unpaired => {}
         }
     }
 }

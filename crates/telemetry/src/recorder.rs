@@ -127,12 +127,6 @@ impl RingRecorder {
         sort_samples(&mut v);
         v
     }
-
-    /// Forgets everything recorded so far (sequence numbers keep
-    /// increasing, so ordering stays total across a clear).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
 }
 
 impl Default for RingRecorder {

@@ -197,3 +197,105 @@ fn analysis_reconstructs_request_accounting() {
     let q = &scope.queue_depth;
     assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.max);
 }
+
+/// Replays `t` on a device `make` builds, once with each recorder: the
+/// online fold sees events in emission order, the post-hoc one sorted.
+fn online_and_post_hoc<D: intradisk::Device>(
+    t: &Trace,
+    make: impl Fn() -> D,
+) -> (telemetry::MetricsSnapshot, TraceAnalysis) {
+    let mut metrics = telemetry::MetricsRecorder::new();
+    experiments::simulate(t, make(), &mut metrics, &mut NullObserver)
+        .expect("metrics replay succeeds");
+    let mut rec = RingRecorder::new();
+    experiments::simulate(t, make(), &mut rec, &mut NullObserver).expect("traced replay succeeds");
+    assert_eq!(rec.dropped(), 0, "ring overflowed; grow the capacity");
+    (
+        metrics.finish(),
+        TraceAnalysis::from_samples(&rec.sorted_samples()),
+    )
+}
+
+#[test]
+fn online_metrics_agree_with_post_hoc_analysis() {
+    let t = bench_trace(1_000, 41);
+    let params = presets::barracuda_es_750gb();
+    let runs = [
+        (
+            "sa1",
+            online_and_post_hoc(&t, || DiskDrive::new(&params, DriveConfig::sa(1))),
+        ),
+        (
+            "sa4",
+            online_and_post_hoc(&t, || DiskDrive::new(&params, DriveConfig::sa(4))),
+        ),
+        (
+            "overlap-multichannel",
+            online_and_post_hoc(&t, || {
+                OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel))
+            }),
+        ),
+        (
+            "array-raid5",
+            online_and_post_hoc(&t, || {
+                let layout = array::Layout::raid5_default();
+                array::ArrayController::new(&params, DriveConfig::sa(2), 4, layout)
+            }),
+        ),
+    ];
+    for (design, (snap, analysis)) in &runs {
+        let label = |k: &telemetry::metrics::MetricKey, name: &str| -> Option<u32> {
+            k.labels
+                .iter()
+                .find(|(l, _)| l == name)
+                .and_then(|(_, v)| v.parse().ok())
+        };
+        let counter = |name: &str, scope: u32| -> Option<u64> {
+            snap.counters
+                .iter()
+                .find(|c| c.key.name == name && label(&c.key, "scope") == Some(scope))
+                .map(|c| c.value)
+        };
+        assert!(!analysis.scopes.is_empty(), "{design}: nothing traced");
+        for (&scope, sc) in &analysis.scopes {
+            for (name, post_hoc) in [
+                ("requests_submitted_total", sc.submitted),
+                ("requests_completed_total", sc.completed),
+                ("cache_hits_total", sc.cache_hits),
+                ("cache_misses_total", sc.cache_misses),
+            ] {
+                assert_eq!(
+                    counter(name, scope),
+                    Some(post_hoc),
+                    "{design} scope {scope}: {name}"
+                );
+            }
+        }
+        let busy: Vec<_> = snap
+            .gauges
+            .iter()
+            .filter(|g| g.key.name == "actuator_busy_ms")
+            .collect();
+        for g in &busy {
+            let (scope, actuator) = (label(&g.key, "scope"), label(&g.key, "actuator"));
+            let tl = scope
+                .and_then(|s| analysis.scope(s))
+                .and_then(|sc| actuator.and_then(|a| sc.actuators.get(&a)))
+                .unwrap_or_else(|| panic!("{design}: no timeline for {:?}", g.key));
+            let post_hoc = tl.busy().as_millis();
+            assert!(
+                (g.last - post_hoc).abs() <= 1e-6,
+                "{design} {:?}: online {} ms vs post-hoc {post_hoc} ms",
+                g.key,
+                g.last
+            );
+        }
+        let busy_timelines = analysis
+            .scopes
+            .values()
+            .flat_map(|sc| sc.actuators.values())
+            .filter(|tl| !tl.busy().is_zero())
+            .count();
+        assert_eq!(busy.len(), busy_timelines, "{design}: busy actuator sets");
+    }
+}
