@@ -13,10 +13,10 @@ use intradisk::{DriveConfig, LatencyScaling};
 use simkit::Cdf;
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, md_config, Scale};
+use crate::configs::{hcsd_params, run_md, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::{run_array, run_drive};
+use crate::runner::run_drive;
 
 /// The scaling factors evaluated per dimension (1, ½, ¼, 0).
 pub const FACTORS: [f64; 4] = [1.0, 0.5, 0.25, 0.0];
@@ -126,14 +126,7 @@ impl Study for BottleneckStudy {
     ) -> Result<BottleneckOutput, DriveError> {
         match *point {
             BottleneckPoint::Md(kind) => {
-                let cfg = md_config(kind);
-                let md = run_array(
-                    &cfg.drive,
-                    DriveConfig::conventional().with_stats_mode(scale.stats),
-                    cfg.disks,
-                    cfg.layout,
-                    book.source(kind),
-                )?;
+                let md = run_md(kind, scale, book)?;
                 Ok(BottleneckOutput::Md(
                     kind,
                     md.response_time_ms.mean(),

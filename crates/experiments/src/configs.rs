@@ -7,9 +7,12 @@
 //! wider confidence intervals).
 
 use array::Layout;
-use diskmodel::{presets, DiskParams};
+use diskmodel::{presets, DiskParams, DriveError};
+use intradisk::DriveConfig;
 use simkit::StatsMode;
 use workload::{profile_for, ProfileSource, Trace, TraceBook, WorkloadKind};
+
+use crate::runner::{run_array, ArrayRunResult};
 
 /// How many requests to replay per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,15 +32,6 @@ impl Scale {
     pub fn quick() -> Self {
         Scale {
             requests: 15_000,
-            seed: 42,
-            stats: StatsMode::Exact,
-        }
-    }
-
-    /// Bench scale used by the Criterion harness.
-    pub fn bench() -> Self {
-        Scale {
-            requests: 40_000,
             seed: 42,
             stats: StatsMode::Exact,
         }
@@ -106,6 +100,23 @@ pub fn md_config(kind: WorkloadKind) -> MdConfig {
         // every disk carries its share of the hot set.
         layout: Layout::striped_default(),
     }
+}
+
+/// Replays `kind` from `book` against its Table 2 storage system
+/// ([`md_config`]), every member a conventional drive.
+pub fn run_md(
+    kind: WorkloadKind,
+    scale: Scale,
+    book: &TraceBook,
+) -> Result<ArrayRunResult, DriveError> {
+    let cfg = md_config(kind);
+    run_array(
+        &cfg.drive,
+        DriveConfig::conventional().with_stats_mode(scale.stats),
+        cfg.disks,
+        cfg.layout,
+        book.source(kind),
+    )
 }
 
 /// The High-Capacity Single Drive of the limit study (§7.1): the

@@ -1,4 +1,4 @@
-//! Extension studies beyond the paper's figures, quantifying two of its
+//! Extension studies beyond the paper's figures, quantifying its
 //! supporting arguments:
 //!
 //! * [`thermal_study`] — §7.1 dismisses raising RPM because of heat:
@@ -7,20 +7,23 @@
 //!   conventional drives vs. intra-disk parallel designs, showing that
 //!   actuator parallelism buys performance *within* the thermal
 //!   envelope where RPM scaling cannot.
-//! * [`drpm_comparison`] — §5 contrasts with DRPM-style power
-//!   management \[11\]. We replay a workload against (a) a conventional
-//!   full-speed drive, (b) a DRPM two-speed conventional drive, and
-//!   (c) a fixed low-RPM 4-actuator drive, comparing response time and
-//!   average power.
+//! * [`DesignStudy`] — one workload × design sweep comparing response
+//!   time and average power. [`DesignStudy::drpm`] is §5's contrast
+//!   with DRPM-style power management \[11\]: a conventional
+//!   full-speed drive, a DRPM two-speed conventional drive, and a fixed
+//!   low-RPM 4-actuator drive. [`DesignStudy::dash`] takes one design
+//!   point per DASH dimension (§4, §7.2).
 
 use array::Layout;
 use diskmodel::{presets, DiskParams, DriveError, PowerModel, ThermalModel};
 use intradisk::drpm::{DrpmConfig, DrpmDrive};
 use intradisk::{DriveConfig, NullObserver};
 use telemetry::NullRecorder;
-use workload::WorkloadKind;
+use workload::{TraceBook, WorkloadKind};
 
 use crate::configs::{hcsd_params, Scale};
+use crate::exec::{Executor, StudyError};
+use crate::plan::{ExperimentPlan, Study};
 use crate::report;
 use crate::runner::{run_array, run_drive, simulate};
 
@@ -49,43 +52,30 @@ pub fn thermal_study() -> Vec<ThermalRow> {
     let thermal = ThermalModel::default();
     let base = presets::barracuda_es_750gb();
     let mut rows = Vec::new();
-    let mut push = |label: String, rpm: u32, moving_arms: u32| {
-        let p = PowerModel::new(&base.with_rpm(rpm));
-        let peak = p.seek_w(moving_arms);
+    let mut push = |label: &str, params: &DiskParams, moving_arms: u32| {
+        let peak = PowerModel::new(params).seek_w(moving_arms);
         rows.push(ThermalRow {
-            label,
+            label: label.to_string(),
             peak_w: peak,
             steady_c: thermal.steady_state_c(peak),
             within_envelope: thermal.within_envelope(peak),
         });
     };
     for rpm in [7_200u32, 10_000, 15_000] {
-        push(format!("conventional @{rpm} RPM"), rpm, 1);
+        push(&format!("conventional @{rpm} RPM"), &base.with_rpm(rpm), 1);
     }
     for (n, rpm) in [(2u32, 7_200u32), (4, 7_200), (4, 4_200)] {
-        push(format!("SA({n}) @{rpm} RPM, 1 arm moving"), rpm, 1.min(n));
+        let label = format!("SA({n}) @{rpm} RPM, 1 arm moving");
+        push(&label, &base.with_rpm(rpm), 1);
     }
-    push(
-        "SA(4) @7200 RPM, relaxed (4 arms moving)".to_string(),
-        7_200,
-        4,
-    );
+    let relaxed = "SA(4) @7200 RPM, relaxed (4 arms moving)";
+    push(relaxed, &base.with_rpm(7_200), 4);
     // Why 10k-RPM products exist anyway: vendors shrank the media —
     // diameter^4.6 beats RPM^2.8 (the Table 2 enterprise drives use
     // ~3.3-inch platters). Same law, opposite lever; but unlike extra
     // actuators, it sacrifices capacity.
-    {
-        let enterprise = presets::array_drive_10k_19gb();
-        let p = PowerModel::new(&enterprise);
-        let peak = p.seek_w(1);
-        let thermal = ThermalModel::default();
-        rows.push(ThermalRow {
-            label: "conventional @10000 RPM, 3.3in platters".to_string(),
-            peak_w: peak,
-            steady_c: thermal.steady_state_c(peak),
-            within_envelope: thermal.within_envelope(peak),
-        });
-    }
+    let enterprise = presets::array_drive_10k_19gb();
+    push("conventional @10000 RPM, 3.3in platters", &enterprise, 1);
     rows
 }
 
@@ -112,92 +102,77 @@ pub fn render_thermal() -> String {
     )
 }
 
-/// One row of the DRPM comparison.
+/// What one design of a comparison replays its workload against.
 #[derive(Debug, Clone)]
-pub struct DrpmRow {
-    /// Configuration label.
-    pub label: String,
-    /// Mean response time, ms.
-    pub mean_ms: f64,
-    /// Average power, W.
-    pub power_w: f64,
+enum Build {
+    /// One drive.
+    Drive(DiskParams, DriveConfig),
+    /// An array: member model and config, disk count, layout.
+    Array(DiskParams, DriveConfig, usize, Layout),
+    /// The DRPM two-speed drive.
+    Drpm(DiskParams, DrpmConfig),
 }
 
-/// Replays `kind` against the three designs, all three replaying one
-/// workload from a local [`workload::TraceBook`].
-pub fn drpm_comparison(kind: WorkloadKind, scale: Scale) -> Result<Vec<DrpmRow>, DriveError> {
-    let params = hcsd_params();
-    let book = scale.book();
-
-    let conventional = run_drive(
-        &params,
-        DriveConfig::conventional().with_stats_mode(scale.stats),
-        book.source(kind),
-    )?;
-    let drpm = simulate(
-        book.source(kind),
-        DrpmDrive::new(&params, DrpmConfig::typical()),
-        &mut NullRecorder,
-        &mut NullObserver,
-    )?;
-    let low_rpm_sa4 = run_drive(
-        &presets::barracuda_es_at_rpm(4_200),
-        DriveConfig::sa(4).with_stats_mode(scale.stats),
-        book.source(kind),
-    )?;
-    Ok(vec![
-        DrpmRow {
-            label: "conventional @7200".to_string(),
-            mean_ms: conventional.metrics.response_time_ms.mean(),
-            power_w: conventional.power.total_w(),
-        },
-        DrpmRow {
-            label: "DRPM 7200/4200".to_string(),
-            mean_ms: drpm.response_time_ms.mean(),
-            power_w: drpm.average_power_w(),
-        },
-        DrpmRow {
-            label: "SA(4) @4200 (fixed)".to_string(),
-            mean_ms: low_rpm_sa4.metrics.response_time_ms.mean(),
-            power_w: low_rpm_sa4.power.total_w(),
-        },
-    ])
+/// A workload × design sweep: each labelled design replays every
+/// workload from the sweep's [`TraceBook`], and the report tabulates
+/// mean response time and average power per workload. The paper's two
+/// comparisons are [`DesignStudy::drpm`] and [`DesignStudy::dash`].
+#[derive(Debug, Clone)]
+pub struct DesignStudy {
+    name: &'static str,
+    title: &'static str,
+    first_header: &'static str,
+    kinds: Vec<WorkloadKind>,
+    designs: Vec<(&'static str, Build)>,
 }
 
-/// Renders the DRPM comparison for every workload.
-pub fn render_drpm(scale: Scale) -> Result<String, DriveError> {
-    let mut out = String::from("Extension: intra-disk parallelism vs DRPM power management\n\n");
-    for kind in WorkloadKind::ALL {
-        let rows = drpm_comparison(kind, scale)?;
-        let headers = ["configuration", "mean ms", "avg W"];
-        let cells: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    format!("{:.2}", r.mean_ms),
-                    format!("{:.2}", r.power_w),
-                ]
-            })
-            .collect();
-        out.push_str(&format!(
-            "{}\n{}\n",
-            kind.name(),
-            report::table(&headers, &cells)
-        ));
+impl DesignStudy {
+    /// §5's DRPM comparison: a conventional full-speed drive, a DRPM
+    /// two-speed conventional drive and a fixed low-RPM 4-actuator
+    /// drive.
+    pub fn drpm() -> Self {
+        let drpm = Build::Drpm(hcsd_params(), DrpmConfig::typical());
+        let low_rpm_sa4 = Build::Drive(presets::barracuda_es_at_rpm(4_200), DriveConfig::sa(4));
+        DesignStudy {
+            name: "drpm",
+            title: "Extension: intra-disk parallelism vs DRPM power management",
+            first_header: "configuration",
+            kinds: WorkloadKind::ALL.to_vec(),
+            designs: vec![
+                ("conventional @7200", hcsd(DriveConfig::conventional())),
+                ("DRPM 7200/4200", drpm),
+                ("SA(4) @4200 (fixed)", low_rpm_sa4),
+            ],
+        }
     }
-    Ok(out)
+
+    /// One design point per DASH dimension at equal total capacity:
+    /// `D2` (two half-capacity small-platter stacks), `A2` (two arm
+    /// assemblies) and `H2` (two heads per arm), against the
+    /// conventional `D1A1S1H1` drive.
+    pub fn dash() -> Self {
+        let conventional = DriveConfig::conventional();
+        let striped = Layout::striped_default();
+        let d2 = Build::Array(half_stack(), conventional.clone(), 2, striped);
+        let h2 = hcsd(DriveConfig::dash(1, 2));
+        DesignStudy {
+            name: "dash",
+            title: "Extension: one design point per DASH dimension (equal capacity)",
+            first_header: "design",
+            kinds: WorkloadKind::ALL.to_vec(),
+            designs: vec![
+                ("D1A1S1H1 (conventional)", hcsd(conventional)),
+                ("D2A1S1H1 (two small stacks)", d2),
+                ("D1A2S1H1 (two assemblies)", hcsd(DriveConfig::sa(2))),
+                ("D1A1S1H2 (two heads per arm)", h2),
+            ],
+        }
+    }
 }
 
-/// One row of the DASH-dimension comparison.
-#[derive(Debug, Clone)]
-pub struct DashRow {
-    /// Taxonomy label.
-    pub label: String,
-    /// Mean response time, ms.
-    pub mean_ms: f64,
-    /// Average power, W.
-    pub power_w: f64,
+/// The HC-SD drive under `config`.
+fn hcsd(config: DriveConfig) -> Build {
+    Build::Drive(hcsd_params(), config)
 }
 
 /// A half-capacity small-platter stack for the D-dimension design
@@ -222,101 +197,147 @@ fn half_stack() -> DiskParams {
         .expect("valid preset")
 }
 
-/// Compares one design point per DASH dimension at equal total
-/// capacity: `D2` (two half-capacity small-platter stacks), `A2`
-/// (two arm assemblies), and `H2` (two heads per arm), against the
-/// conventional `D1A1S1H1` drive.
-pub fn dash_dimension_study(kind: WorkloadKind, scale: Scale) -> Result<Vec<DashRow>, DriveError> {
-    let base = hcsd_params();
-    let mode = scale.stats;
-    let book = scale.book();
-
-    let conventional = run_drive(
-        &base,
-        DriveConfig::conventional().with_stats_mode(mode),
-        book.source(kind),
-    )?;
-    let d2 = run_array(
-        &half_stack(),
-        DriveConfig::conventional().with_stats_mode(mode),
-        2,
-        Layout::striped_default(),
-        book.source(kind),
-    )?;
-    let a2 = run_drive(
-        &base,
-        DriveConfig::sa(2).with_stats_mode(mode),
-        book.source(kind),
-    )?;
-    let h2 = run_drive(
-        &base,
-        DriveConfig::dash(1, 2).with_stats_mode(mode),
-        book.source(kind),
-    )?;
-
-    Ok(vec![
-        DashRow {
-            label: "D1A1S1H1 (conventional)".to_string(),
-            mean_ms: conventional.metrics.response_time_ms.mean(),
-            power_w: conventional.power.total_w(),
-        },
-        DashRow {
-            label: "D2A1S1H1 (two small stacks)".to_string(),
-            mean_ms: d2.response_time_ms.mean(),
-            power_w: d2.power.total_w(),
-        },
-        DashRow {
-            label: "D1A2S1H1 (two assemblies)".to_string(),
-            mean_ms: a2.metrics.response_time_ms.mean(),
-            power_w: a2.power.total_w(),
-        },
-        DashRow {
-            label: "D1A1S1H2 (two heads per arm)".to_string(),
-            mean_ms: h2.metrics.response_time_ms.mean(),
-            power_w: h2.power.total_w(),
-        },
-    ])
+/// One design's result on one workload: the output of one
+/// [`DesignStudy`] point.
+#[derive(Debug, Clone)]
+pub struct DesignRow {
+    /// Design label.
+    pub label: &'static str,
+    /// Mean response time, ms.
+    pub mean_ms: f64,
+    /// Average power, W.
+    pub power_w: f64,
 }
 
-/// Renders the DASH-dimension comparison for every workload.
-pub fn render_dash(scale: Scale) -> Result<String, DriveError> {
-    let mut out = String::from(
-        "Extension: one design point per DASH dimension (equal capacity)
+/// The reduced [`DesignStudy`]: one table per workload.
+#[derive(Debug, Clone)]
+pub struct DesignReport {
+    title: &'static str,
+    first_header: &'static str,
+    /// Each workload's rows, in design order.
+    pub workloads: Vec<(WorkloadKind, Vec<DesignRow>)>,
+}
 
-",
-    );
-    for kind in WorkloadKind::ALL {
-        let rows = dash_dimension_study(kind, scale)?;
-        let headers = ["design", "mean ms", "avg W"];
-        let cells: Vec<Vec<String>> = rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    format!("{:.2}", r.mean_ms),
-                    format!("{:.2}", r.power_w),
-                ]
-            })
-            .collect();
-        out.push_str(&format!(
-            "{}
-{}
-",
-            kind.name(),
-            report::table(&headers, &cells)
-        ));
+impl DesignReport {
+    /// Renders the title and one table per workload.
+    pub fn render(&self) -> String {
+        let headers = [self.first_header, "mean ms", "avg W"];
+        let mut out = format!("{}\n\n", self.title);
+        for (kind, rows) in &self.workloads {
+            let cells: Vec<Vec<String>> = rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.label.to_string(),
+                        format!("{:.2}", r.mean_ms),
+                        format!("{:.2}", r.power_w),
+                    ]
+                })
+                .collect();
+            let table = report::table(&headers, &cells);
+            out.push_str(&format!("{}\n{table}\n", kind.name()));
+        }
+        out
     }
-    Ok(out)
+}
+
+impl Study for DesignStudy {
+    /// A workload and an index into the study's designs.
+    type Point = (WorkloadKind, usize);
+    type Output = DesignRow;
+    type Report = DesignReport;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn plan(&self, _scale: Scale) -> ExperimentPlan<(WorkloadKind, usize)> {
+        let designs = 0..self.designs.len();
+        self.kinds
+            .iter()
+            .flat_map(|&k| designs.clone().map(move |d| (k, d)))
+            .collect()
+    }
+
+    fn label(&self, &(kind, d): &(WorkloadKind, usize)) -> String {
+        format!("{}/{}", kind.name(), self.designs[d].0)
+    }
+
+    fn run_point(
+        &self,
+        &(kind, d): &(WorkloadKind, usize),
+        scale: Scale,
+        book: &TraceBook,
+    ) -> Result<DesignRow, DriveError> {
+        let (label, build) = &self.designs[d];
+        let source = book.source(kind);
+        let stats = |config: &DriveConfig| config.clone().with_stats_mode(scale.stats);
+        let (mean_ms, power_w) = match build {
+            Build::Drive(params, config) => {
+                let r = run_drive(params, stats(config), source)?;
+                (r.metrics.response_time_ms.mean(), r.power.total_w())
+            }
+            Build::Array(params, member, disks, layout) => {
+                let r = run_array(params, stats(member), *disks, *layout, source)?;
+                (r.response_time_ms.mean(), r.power.total_w())
+            }
+            Build::Drpm(params, config) => {
+                let drive = DrpmDrive::new(params, *config);
+                let r = simulate(source, drive, &mut NullRecorder, &mut NullObserver)?;
+                (r.response_time_ms.mean(), r.average_power_w())
+            }
+        };
+        Ok(DesignRow {
+            label,
+            mean_ms,
+            power_w,
+        })
+    }
+
+    fn reduce(&self, outputs: Vec<DesignRow>) -> DesignReport {
+        let per_kind = outputs.chunks(self.designs.len()).map(<[_]>::to_vec);
+        DesignReport {
+            title: self.title,
+            first_header: self.first_header,
+            workloads: self.kinds.iter().copied().zip(per_kind).collect(),
+        }
+    }
+}
+
+/// [`DesignStudy::drpm`], run serially and rendered. Exists only for
+/// `perfbench/ledger`.
+pub fn render_drpm(scale: Scale) -> Result<String, StudyError> {
+    let report = DesignStudy::drpm().run(scale, &Executor::serial())?;
+    Ok(report.render())
+}
+
+/// [`DesignStudy::dash`], run serially and rendered. Exists only for
+/// `perfbench/ledger`.
+pub fn render_dash(scale: Scale) -> Result<String, StudyError> {
+    let report = DesignStudy::dash().run(scale, &Executor::serial())?;
+    Ok(report.render())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One workload's rows of `study` at `requests`, on two workers.
+    fn study_rows(study: DesignStudy, kind: WorkloadKind, requests: usize) -> Vec<DesignRow> {
+        let scale = Scale::quick().with_requests(requests);
+        let study = DesignStudy {
+            kinds: vec![kind],
+            ..study
+        };
+        let mut report = study
+            .run(scale, &Executor::new(2))
+            .expect("replay succeeds");
+        report.workloads.remove(0).1
+    }
+
     #[test]
     fn dash_dimensions_all_parallel_designs_beat_conventional() {
-        let rows = dash_dimension_study(WorkloadKind::TpcC, Scale::quick().with_requests(5_000))
-            .expect("replay succeeds");
+        let rows = study_rows(DesignStudy::dash(), WorkloadKind::TpcC, 5_000);
         assert_eq!(rows.len(), 4);
         let conv = rows[0].mean_ms;
         for r in &rows[1..] {
@@ -338,8 +359,7 @@ mod tests {
         // — its rotational benefit is unconditional — which is exactly
         // the "fine-grained parallelism depends on data access
         // patterns" trade-off the section discusses.)
-        let rows = dash_dimension_study(WorkloadKind::TpcH, Scale::quick().with_requests(5_000))
-            .expect("replay succeeds");
+        let rows = study_rows(DesignStudy::dash(), WorkloadKind::TpcH, 5_000);
         let a2 = rows
             .iter()
             .find(|r| r.label.starts_with("D1A2"))
@@ -396,8 +416,7 @@ mod tests {
 
     #[test]
     fn drpm_rows_sensible_for_tpch() {
-        let rows = drpm_comparison(WorkloadKind::TpcH, Scale::quick().with_requests(4_000))
-            .expect("replay succeeds");
+        let rows = study_rows(DesignStudy::drpm(), WorkloadKind::TpcH, 4_000);
         assert_eq!(rows.len(), 3);
         let conv = &rows[0];
         let drpm = &rows[1];
@@ -413,7 +432,10 @@ mod tests {
     #[test]
     fn renders_nonempty() {
         assert!(render_thermal().contains("envelope"));
-        let s = render_drpm(Scale::quick().with_requests(1_500)).expect("replay succeeds");
+        let s = DesignStudy::drpm()
+            .run(Scale::quick().with_requests(1_500), &Executor::new(2))
+            .expect("replay succeeds")
+            .render();
         assert!(s.contains("DRPM"));
         assert!(s.contains("TPC-H"));
     }

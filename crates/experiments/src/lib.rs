@@ -13,7 +13,7 @@
 //! | [`rpm_study`] | Figures 6 & 7 — reduced-RPM power and performance |
 //! | [`raid_eval`] | Figure 8 — arrays of intra-disk parallel drives |
 //! | [`cost_analysis`] | Table 9a & Figure 9b — cost-benefit analysis |
-//! | [`extensions`] | beyond the paper: thermal feasibility, DRPM comparison, DASH dimensions |
+//! | [`extensions`] | beyond the paper: thermal feasibility; [`DesignStudy`], the DRPM and DASH-dimension comparisons |
 //! | [`validation`] | simulator cross-checks against closed-form results |
 //! | [`replication`] | seed-robustness of the headline conclusions |
 //! | [`tracing`] | `--trace` — Perfetto/CSV event-trace export of fixed scenarios |
@@ -62,6 +62,7 @@ pub mod validation;
 pub use bottleneck::BottleneckStudy;
 pub use configs::Scale;
 pub use exec::{Executor, StudyError};
+pub use extensions::DesignStudy;
 pub use limit_study::LimitStudy;
 pub use plan::{ExperimentPlan, Study};
 pub use raid_eval::RaidStudy;

@@ -7,10 +7,10 @@ use intradisk::DriveConfig;
 use simkit::Cdf;
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, md_config, Scale};
+use crate::configs::{hcsd_params, run_md, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::{run_array, run_drive, ArrayRunResult, DriveRunResult};
+use crate::runner::{run_drive, ArrayRunResult, DriveRunResult};
 
 /// MD vs HC-SD results for one workload.
 #[derive(Debug, Clone)]
@@ -115,14 +115,7 @@ impl Study for LimitStudy {
     ) -> Result<LimitOutput, DriveError> {
         match *point {
             LimitPoint::Md(kind) => {
-                let cfg = md_config(kind);
-                let md = run_array(
-                    &cfg.drive,
-                    DriveConfig::conventional().with_stats_mode(scale.stats),
-                    cfg.disks,
-                    cfg.layout,
-                    book.source(kind),
-                )?;
+                let md = run_md(kind, scale, book)?;
                 Ok(LimitOutput::Md(kind, md))
             }
             LimitPoint::Hcsd(kind) => {

@@ -9,10 +9,10 @@ use intradisk::{DriveConfig, PowerBreakdown};
 use simkit::Cdf;
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{md_config, Scale};
+use crate::configs::{run_md, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::{run_array, run_drive};
+use crate::runner::run_drive;
 
 /// The spindle speeds evaluated (7200 is the baseline drive).
 pub const RPMS: [u32; 4] = [7200, 6200, 5200, 4200];
@@ -173,14 +173,7 @@ impl Study for RpmStudy {
     ) -> Result<RpmOutput, DriveError> {
         match *point {
             RpmPointSpec::Md(kind) => {
-                let cfg = md_config(kind);
-                let md = run_array(
-                    &cfg.drive,
-                    DriveConfig::conventional().with_stats_mode(scale.stats),
-                    cfg.disks,
-                    cfg.layout,
-                    book.source(kind),
-                )?;
+                let md = run_md(kind, scale, book)?;
                 Ok(RpmOutput::Md {
                     kind,
                     cdf: md.response_hist.cdf(),

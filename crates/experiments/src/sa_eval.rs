@@ -9,10 +9,10 @@ use intradisk::{DriveConfig, PowerBreakdown};
 use simkit::{Cdf, Pdf};
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, md_config, Scale};
+use crate::configs::{hcsd_params, run_md, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::{run_array, run_drive};
+use crate::runner::run_drive;
 
 /// The actuator counts evaluated.
 pub const ACTUATORS: [u32; 4] = [1, 2, 3, 4];
@@ -142,14 +142,7 @@ impl Study for SaStudy {
     ) -> Result<SaOutput, DriveError> {
         match *point {
             SaPoint::Md(kind) => {
-                let cfg = md_config(kind);
-                let md = run_array(
-                    &cfg.drive,
-                    DriveConfig::conventional().with_stats_mode(scale.stats),
-                    cfg.disks,
-                    cfg.layout,
-                    book.source(kind),
-                )?;
+                let md = run_md(kind, scale, book)?;
                 Ok(SaOutput::Md {
                     kind,
                     cdf: md.response_hist.cdf(),

@@ -69,8 +69,8 @@ use std::process::ExitCode;
 
 use experiments::configs::{hcsd_params, Scale};
 use experiments::{
-    cost_analysis, extensions, tech_table, BottleneckStudy, Executor, LimitStudy, RaidStudy,
-    RpmStudy, SaStudy, Study, StudyError, ValidationStudy,
+    cost_analysis, extensions, tech_table, BottleneckStudy, DesignStudy, Executor, LimitStudy,
+    RaidStudy, RpmStudy, SaStudy, Study, StudyError, ValidationStudy,
 };
 use simkit::StatsMode;
 
@@ -557,13 +557,7 @@ fn run_experiments(args: &Args, exec: &Executor) -> Result<(), StudyError> {
         println!("{}", extensions::render_thermal());
     }
     if want("drpm") {
-        eprintln!("[drpm: 4 workloads x 3 designs]");
-        let out = extensions::render_drpm(scale).map_err(|source| StudyError::Drive {
-            study: "drpm",
-            label: "DRPM comparison".to_string(),
-            source,
-        })?;
-        println!("{out}");
+        println!("{}", DesignStudy::drpm().run(scale, exec)?.render());
     }
     if want("validate") {
         let report = ValidationStudy::all().run(scale, exec)?;
@@ -577,13 +571,7 @@ fn run_experiments(args: &Args, exec: &Executor) -> Result<(), StudyError> {
         );
     }
     if want("dash") {
-        eprintln!("[dash: 4 workloads x 4 designs]");
-        let out = extensions::render_dash(scale).map_err(|source| StudyError::Drive {
-            study: "dash",
-            label: "DASH dimension comparison".to_string(),
-            source,
-        })?;
-        println!("{out}");
+        println!("{}", DesignStudy::dash().run(scale, exec)?.render());
     }
     // Kernel high-water marks accumulated across the studies above
     // (event-queue traffic and the deepest any drive's pending queue

@@ -44,7 +44,7 @@
 # shared workload traces, a --profile smoke
 # run must attribute >= 95% of wall time to the coarse phases in
 # profile.txt, and a 10^6-request
-# `repro scale --heartbeat 1` must emit live snapshots plus a
+# `repro scale --heartbeat 0.1` must emit live snapshots plus a
 # Prometheus textfile), and then the test suite again with ignored
 # tests included.
 # Everything is offline: the workspace has no external dependencies.
@@ -241,7 +241,9 @@ jq -n --argjson c "$coverage" \
   'if $c >= 95 then empty else error("phase profiler attributed < 95% of wall time") end'
 
 echo "==> gate: scale --heartbeat emits live snapshots and a Prometheus textfile"
-target/release/repro scale --requests 1000000 --stats streaming --heartbeat 1 \
+# A sub-second interval: a fast host finishes the 10^6 requests in
+# about a second, before a 1-second first beat would fire.
+target/release/repro scale --requests 1000000 --stats streaming --heartbeat 0.1 \
   --heartbeat-file "$sweep_dir/hb.prom" > "$sweep_dir/hb.out" 2> "$sweep_dir/hb.err"
 grep -q "completed 1000000" "$sweep_dir/hb.out"
 grep -q "^\[hb " "$sweep_dir/hb.err" \

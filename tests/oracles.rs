@@ -292,7 +292,8 @@ fn oracle_telemetry_agrees_with_power_accounting() {
 /// invisible to the science.
 fn full_sweep_rendering(exec: &experiments::Executor) -> String {
     use experiments::{
-        BottleneckStudy, LimitStudy, RaidStudy, RpmStudy, SaStudy, Scale, Study, ValidationStudy,
+        BottleneckStudy, DesignStudy, LimitStudy, RaidStudy, RpmStudy, SaStudy, Scale, Study,
+        ValidationStudy,
     };
     let scale = Scale::quick().with_requests(2_000);
     let mut out = String::new();
@@ -321,6 +322,10 @@ fn full_sweep_rendering(exec: &experiments::Executor) -> String {
         .run(scale, exec)
         .expect("validation replays");
     out.push_str(&validation.render());
+    for study in [DesignStudy::drpm(), DesignStudy::dash()] {
+        let report = study.run(scale, exec).expect("design comparison replays");
+        out.push_str(&report.render());
+    }
     out
 }
 
