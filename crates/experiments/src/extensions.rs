@@ -282,7 +282,7 @@ impl Study for DesignStudy {
                 (r.response_time_ms.mean(), r.power.total_w())
             }
             Build::Drpm(params, config) => {
-                let drive = DrpmDrive::new(params, *config);
+                let drive = DrpmDrive::new(params, config.with_stats_mode(scale.stats));
                 let r = simulate(source, drive, &mut NullRecorder, &mut NullObserver)?;
                 (r.response_time_ms.mean(), r.average_power_w())
             }

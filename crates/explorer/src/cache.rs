@@ -10,9 +10,10 @@
 //! ```
 //!
 //! where `<record>` is the point module's flat record: the schema, the
-//! full code version, the descriptor hash, the eight metrics and the
-//! stats in hex, space-separated in that fixed order. `<check16>` is a
-//! 64-bit checksum of the record bytes in 16 lowercase hex digits. The
+//! full code version, the descriptor hash and the eight metrics,
+//! space-separated in that fixed order. `<check16>` is a 64-bit
+//! checksum of the record bytes in 16 lowercase hex digits, and a
+//! reader accepts only those exact digits. The
 //! full code version is embedded in — and checked against — the record
 //! body, so a truncated-prefix collision cannot serve a stale result.
 //!
@@ -22,8 +23,8 @@
 //! handle's first use and kept current by its stores; the newest line
 //! for a hash that validates wins. The index only locates lines: every
 //! load re-checks the checksum and then the whole record (schema, code
-//! version, descriptor hash, exact field count, every metric, stats
-//! decode). `load` and `store` hash the descriptor they are given; the
+//! version, descriptor hash, exact field count, every metric). `load`
+//! and `store` hash the descriptor they are given; the
 //! explorer, which hashes each descriptor once per run, hands that hash
 //! to the probe and the store instead.
 //!
@@ -48,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::descriptor::PointDescriptor;
-use crate::point::{hex_decode, PointOutcome};
+use crate::point::PointOutcome;
 
 /// The compiled-in source fingerprint (see `build.rs`).
 pub const CODE_VERSION: &str = env!("CODE_VERSION");
@@ -179,9 +180,19 @@ fn checksum(record: &[u8]) -> u64 {
     h
 }
 
+/// The `<check16> ` a line carries in front of `record`: its
+/// [`checksum`] in 16 lowercase hex digits and a space.
+fn check_prefix(record: &[u8]) -> [u8; CHECK_PREFIX] {
+    let mut prefix = [b' '; CHECK_PREFIX];
+    // Sixteen digits fit in front of the space, so this cannot fail.
+    let _ = write!(&mut prefix[..], "{:016x}", checksum(record));
+    prefix
+}
+
 /// Decodes one `<check16> <record>` line body for `expect`, whose hash
-/// is `hash`, or `None` if the checksum or the record's own validation
-/// fails.
+/// is `hash`, or `None` if the check field is not byte for byte the one
+/// [`check_prefix`] writes for the record, or the record's own
+/// validation fails.
 fn decode_line(
     body: &[u8],
     expect: &PointDescriptor,
@@ -189,7 +200,7 @@ fn decode_line(
     code_version: &str,
 ) -> Option<PointOutcome> {
     let (check, record) = body.split_at_checked(CHECK_PREFIX)?;
-    if hex_decode(check.strip_suffix(b" ")?)? != checksum(record).to_be_bytes() {
+    if check != check_prefix(record) {
         return None;
     }
     PointOutcome::from_record(record, expect, hash, code_version)
@@ -269,7 +280,9 @@ impl PointCache {
             if pack.torn {
                 line.push(b'\n');
             }
-            write!(line, "{hash} {:016x} ", checksum(&record))?;
+            line.extend_from_slice(hash.as_bytes());
+            line.push(b' ');
+            line.extend_from_slice(&check_prefix(&record));
             line.extend_from_slice(&record);
             line.push(b'\n');
             // Until the write is known whole, the tail may be torn.
@@ -407,6 +420,41 @@ mod tests {
             PointCache::with_code_version(&dir, "cv-1").load(&d),
             Some(out)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The check field loads only as the writer prints it: uppercase
+    /// digits, a sign, fifteen digits or one non-hex digit is a miss,
+    /// though the rest of the line is intact and a lenient hex parser
+    /// could read some of them as the right sum.
+    #[test]
+    fn check_field_accepts_only_what_the_writer_prints() {
+        let dir = tmpdir("check16");
+        let out = points(1).remove(0);
+        let d = out.descriptor;
+        let hash = d.hash();
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        cache.store(&out).expect("store succeeds");
+        let path = cache.pack_path();
+        let record = String::from_utf8(out.to_record(&hash, "cv-1")).expect("record is ASCII");
+        let check = format!("{:016x}", checksum(record.as_bytes()));
+        let loads = |check: &str| {
+            fs::write(&path, format!("{hash} {check} {record}\n")).expect("clobber");
+            PointCache::with_code_version(&dir, "cv-1").load(&d)
+        };
+        assert_ne!(check.to_uppercase(), check, "the sum has a letter digit");
+        let mut non_hex = check.clone();
+        non_hex.replace_range(7..8, "g");
+        for bad in [
+            check.to_uppercase(),
+            format!("+{check}"),
+            format!("+{}", &check[1..]),
+            check[1..].to_string(),
+            non_hex,
+        ] {
+            assert_eq!(loads(&bad), None, "check field {bad:?}");
+        }
+        assert_eq!(loads(&check), Some(out));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -3,18 +3,16 @@
 //!
 //! [`run_point`] is a pure function of the descriptor (the same
 //! contract as [`experiments::Study::run_point`]); [`PointOutcome`]
-//! carries everything downstream consumers need — the objective triple
-//! plus the serialized streaming stats — and round-trips through the
-//! point cache's flat record: twelve space-separated fields in a fixed
-//! order (wrapped here, one line on disk),
+//! carries the eight scalar metrics every downstream consumer reads and
+//! round-trips through the point cache's flat record: eleven
+//! space-separated fields in a fixed order (wrapped here, one line on
+//! disk),
 //!
 //! ```text
 //! <schema> <code-version> <descriptor-hash> <cache_hits> <completed>
 //!     <cost_usd> <duration_ms> <energy_j> <mean_ms> <p90_ms> <power_w>
-//!     <stats-hex>
 //! ```
 //!
-//! where `<stats-hex>` is [`ResponseStats::to_bytes`] in lowercase hex.
 //! A reader splits the record and parses each field in place. The
 //! record carries the descriptor's hash, not its canonical form: a
 //! reader already holds the descriptor it asks for, and the hash pins
@@ -31,17 +29,16 @@ use std::str::FromStr;
 
 use diskmodel::cost::{drive_cost, Component};
 use diskmodel::DriveError;
-use simkit::ResponseStats;
 use workload::TraceBook;
 
 use crate::descriptor::PointDescriptor;
 
 /// Schema tag of a point-cache record.
-pub const RECORD_SCHEMA: &str = "intradisk-explore-point-v2";
+pub const RECORD_SCHEMA: &str = "intradisk-explore-point-v3";
 
 /// Fields in a record: schema, code version, descriptor hash, eight
-/// metrics, stats.
-const RECORD_FIELDS: usize = 12;
+/// metrics.
+const RECORD_FIELDS: usize = 11;
 
 /// Everything one evaluated point contributes to the exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,8 +62,6 @@ pub struct PointOutcome {
     pub completed: u64,
     /// On-drive cache hits.
     pub cache_hits: u64,
-    /// The serialized response-time accumulator (streaming state).
-    pub stats: ResponseStats,
 }
 
 /// Material cost of a descriptor's drive (USD, midpoint of the Table 9a
@@ -117,54 +112,7 @@ pub fn run_point_with(d: &PointDescriptor, book: &TraceBook) -> Result<PointOutc
         cost_usd: cost_usd(d),
         completed: r.metrics.completed,
         cache_hits: r.metrics.cache_hits,
-        stats: stats.clone(),
     })
-}
-
-/// The lowercase digits the record's `stats-hex` field is written in.
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Value of each byte as a hex digit [`hex_encode`] writes; 0xff for
-/// anything else (uppercase, signs, non-hex).
-const HEX_VALUES: [u8; 256] = {
-    let mut values = [0xff; 256];
-    let mut i = 0;
-    while i < 16 {
-        values[HEX_DIGITS[i] as usize] = i as u8;
-        i += 1;
-    }
-    values
-};
-
-/// Appends `bytes` to `out` as lowercase hex, two digits a byte.
-fn hex_encode(bytes: &[u8], out: &mut Vec<u8>) {
-    out.reserve(bytes.len() * 2);
-    for &b in bytes {
-        out.extend_from_slice(&[
-            HEX_DIGITS[usize::from(b >> 4)],
-            HEX_DIGITS[usize::from(b & 0xf)],
-        ]);
-    }
-}
-
-/// Inverse of [`hex_encode`]: accepts exactly its output.
-pub(crate) fn hex_decode(digits: &[u8]) -> Option<Vec<u8>> {
-    if !digits.len().is_multiple_of(2) {
-        return None;
-    }
-    let mut out = vec![0; digits.len() / 2];
-    // Any byte that is not a digit sets the high nibble here: one test
-    // at the end instead of a branch per byte.
-    let mut bad = 0;
-    for (byte, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
-        let (hi, lo) = (
-            HEX_VALUES[usize::from(pair[0])],
-            HEX_VALUES[usize::from(pair[1])],
-        );
-        bad |= hi | lo;
-        *byte = hi << 4 | lo;
-    }
-    (bad <= 0xf).then_some(out)
 }
 
 /// One record field parsed as a `T`, or `None` if it is missing or
@@ -179,13 +127,11 @@ impl PointOutcome {
     /// descriptor's [`hash`](PointDescriptor::hash), which the caller
     /// already holds.
     pub(crate) fn to_record(&self, hash: &str, code_version: &str) -> Vec<u8> {
-        let stats = self.stats.to_bytes();
-        // Room for the leading fields, then the hex.
-        let mut out = Vec::with_capacity(320 + 2 * stats.len());
+        let mut out = Vec::with_capacity(320);
         // Writing into a `Vec` cannot fail.
         let _ = write!(
             out,
-            "{RECORD_SCHEMA} {code_version} {hash} {} {} {} {} {} {} {} {} ",
+            "{RECORD_SCHEMA} {code_version} {hash} {} {} {} {} {} {} {} {}",
             self.cache_hits,
             self.completed,
             self.cost_usd,
@@ -195,7 +141,6 @@ impl PointOutcome {
             self.p90_ms,
             self.power_w,
         );
-        hex_encode(&stats, &mut out);
         out
     }
 
@@ -203,17 +148,16 @@ impl PointOutcome {
     /// [`hash`](PointDescriptor::hash) is `hash`. Returns `None` — which
     /// the cache treats as a miss — unless the record has exactly the
     /// fields [`to_record`](Self::to_record) writes, carries this schema,
-    /// `code_version` and `hash`, every metric parses, and the stats
-    /// decode.
+    /// `code_version` and `hash`, and every metric parses.
     pub(crate) fn from_record(
         record: &[u8],
         expect: &PointDescriptor,
         hash: &str,
         code_version: &str,
     ) -> Option<PointOutcome> {
-        // The stats hex, last, takes the rest of the record unsplit: a
-        // space is not a hex digit, so a field too many fails its
-        // decode, and a field too few leaves it missing.
+        // `power_w`, last, takes the rest of the record unsplit: a
+        // space does not parse as a float, so a field too many fails
+        // its parse, and a field too few leaves it missing.
         let mut fields = record.splitn(RECORD_FIELDS, |&b| b == b' ');
         let mut field = || fields.next();
         if field()? != RECORD_SCHEMA.as_bytes()
@@ -230,7 +174,6 @@ impl PointOutcome {
         let mean_ms = parse(field())?;
         let p90_ms = parse(field())?;
         let power_w = parse(field())?;
-        let stats = ResponseStats::from_bytes(&hex_decode(field()?)?).ok()?;
         Some(PointOutcome {
             descriptor: *expect,
             mean_ms,
@@ -241,7 +184,6 @@ impl PointOutcome {
             cost_usd,
             completed,
             cache_hits,
-            stats,
         })
     }
 }
@@ -259,12 +201,6 @@ mod tests {
         grid(GridResolution::Coarse, scale)[1]
     }
 
-    fn hex(bytes: &[u8]) -> String {
-        let mut out = Vec::new();
-        hex_encode(bytes, &mut out);
-        String::from_utf8(out).expect("hex is ASCII")
-    }
-
     #[test]
     fn record_round_trip_is_exact() {
         let d = small_point();
@@ -275,12 +211,12 @@ mod tests {
         assert_eq!(back, out);
         // Re-encoding is byte-identical: warm runs rewrite nothing new.
         assert_eq!(back.to_record(&d.hash(), "cv-test"), body);
-        // Twelve space-separated fields, the last the stats in hex.
+        // Eleven space-separated fields, the last `power_w`.
         let text = String::from_utf8(body).expect("record is ASCII");
         let fields: Vec<&str> = text.split(' ').collect();
         assert_eq!(fields.len(), RECORD_FIELDS, "{text}");
         assert_eq!(fields[..3], [RECORD_SCHEMA, "cv-test", d.hash().as_str()]);
-        assert_eq!(fields[11], hex(&out.stats.to_bytes()));
+        assert_eq!(fields[10], out.power_w.to_string());
     }
 
     #[test]
@@ -300,8 +236,7 @@ mod tests {
 
     /// A field that does not parse is a miss: a schema of another
     /// version, a signed or fractional count, a metric that is not a
-    /// number, stats hex cut short, in uppercase or decoding to no
-    /// stats, or a space or newline past the last field. (The cache
+    /// number, or a space or newline past the last field. (The cache
     /// tests add and drop whole fields.)
     #[test]
     fn record_rejects_unparsable_fields() {
@@ -320,14 +255,12 @@ mod tests {
         rejects("a trailing space", format!("{text} ").as_bytes());
         rejects("a trailing newline", format!("{text}\n").as_bytes());
         for (i, bad) in [
-            (0, "intradisk-explore-point-v1"),
+            (0, "intradisk-explore-point-v2"),
             (3, "-1"),
             (4, "1.5"),
             (5, "x"),
             (9, ""),
-            (11, "52535431"),
-            (11, &fields[11][1..]),
-            (11, &fields[11].to_uppercase()),
+            (10, "1e"),
         ] {
             let mut edited = fields.clone();
             edited[i] = bad;
@@ -386,42 +319,6 @@ mod tests {
             };
             assert_eq!(bits(&back), bits(&out), "at {v:e}");
             assert_eq!((back.completed, back.cache_hits), (u64::MAX, 0), "at {v:e}");
-            assert_eq!(back.stats, out.stats);
-        }
-    }
-
-    #[test]
-    fn hex_codec_round_trips_every_byte() {
-        let all: Vec<u8> = (0..=255u8).collect();
-        let digits = hex(&all);
-        assert_eq!(digits.len(), 512);
-        for b in 0..=255u8 {
-            let pair = hex(&[b]);
-            assert_eq!(pair, format!("{b:02x}"), "encoding of {b}");
-            assert_eq!(
-                hex_decode(pair.as_bytes()),
-                Some(vec![b]),
-                "decoding of {pair}"
-            );
-        }
-        assert_eq!(hex_decode(digits.as_bytes()), Some(all));
-        assert_eq!(hex_decode(b""), Some(Vec::new()));
-    }
-
-    #[test]
-    fn hex_decode_accepts_only_what_the_encoder_writes() {
-        for bad in [
-            "+f", "0+", "-1", "FF", "aB", "0A", "g0", " 0", "0x", "abc", "a",
-        ] {
-            assert_eq!(hex_decode(bad.as_bytes()), None, "{bad:?} must not decode");
-        }
-        assert_eq!(hex_decode("é".as_bytes()), None, "non-ASCII pair");
-        // Every byte that is not a lowercase hex digit, in either place.
-        for c in 0..=255u8 {
-            if !HEX_DIGITS.contains(&c) {
-                assert_eq!(hex_decode(&[c, b'0']), None, "{c:#x} first");
-                assert_eq!(hex_decode(&[b'0', c]), None, "{c:#x} second");
-            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! a fixed low-RPM intra-disk parallel drive on the paper's workloads.
 
 use diskmodel::{DiskParams, DriveError, PowerModel};
-use simkit::{ResponseStats, SimDuration, SimTime};
+use simkit::{ResponseStats, SimDuration, SimTime, StatsMode};
 use telemetry::Recorder;
 
 use crate::device::Device;
@@ -39,18 +39,29 @@ pub struct DrpmConfig {
     pub upshift_queue: usize,
     /// Time to move between the two speeds.
     pub transition: SimDuration,
+    /// How response times are collected, as in
+    /// [`DriveConfig::stats`](crate::DriveConfig::stats).
+    pub stats: StatsMode,
 }
 
 impl DrpmConfig {
     /// The configuration used by the extension study: 7200 → 4200 RPM,
-    /// 2 s spin-down, upshift at queue depth 4, 1.5 s transitions.
+    /// 2 s spin-down, upshift at queue depth 4, 1.5 s transitions,
+    /// exact stats.
     pub fn typical() -> Self {
         DrpmConfig {
             low_rpm: 4_200,
             spin_down_after: SimDuration::from_secs(2.0),
             upshift_queue: 4,
             transition: SimDuration::from_secs(1.5),
+            stats: StatsMode::Exact,
         }
+    }
+
+    /// Replaces the statistics collection mode.
+    pub fn with_stats_mode(mut self, stats: StatsMode) -> Self {
+        self.stats = stats;
+        self
     }
 }
 
@@ -152,7 +163,7 @@ impl DrpmDrive {
                 since: SimTime::ZERO,
             },
             at_low: false,
-            response: ResponseStats::exact(),
+            response: ResponseStats::with_mode(config.stats),
             energy_j: 0.0,
             low_time: SimDuration::ZERO,
             upshifts: 0,
@@ -323,6 +334,25 @@ mod tests {
         let r = replay(&params, DrpmConfig::typical(), &reqs);
         assert_eq!(r.completed, 500);
         assert!(r.average_power_w() > 0.0);
+    }
+
+    /// A streaming config streams, and its mean is the exact run's bit
+    /// for bit: both are `sum / n`, summed in completion order.
+    #[test]
+    fn streaming_stats_keep_the_exact_mean() {
+        let params = presets::barracuda_es_750gb();
+        let reqs = random_reads(500, 10.0, 5);
+        let exact = replay(&params, DrpmConfig::typical(), &reqs);
+        let streaming = DrpmConfig::typical().with_stats_mode(StatsMode::Streaming);
+        let r = replay(&params, streaming, &reqs);
+        assert_eq!(exact.response_time_ms.mode(), StatsMode::Exact);
+        assert_eq!(r.response_time_ms.mode(), StatsMode::Streaming);
+        assert_eq!(r.completed, exact.completed);
+        assert_eq!(
+            r.response_time_ms.mean().to_bits(),
+            exact.response_time_ms.mean().to_bits()
+        );
+        assert_eq!(r.energy_j.to_bits(), exact.energy_j.to_bits());
     }
 
     #[test]

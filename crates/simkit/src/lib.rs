@@ -71,6 +71,6 @@ pub use event::{
 pub use pool::{Slab, SlotId};
 pub use rng::Rng64;
 pub use stats::{
-    Cdf, DecodeError, Histogram, ModeAccumulator, Pdf, ResponseStats, StatsMode, StreamingHistogram,
+    Cdf, Histogram, ModeAccumulator, Pdf, ResponseStats, StatsMode, StreamingHistogram,
 };
 pub use time::{SimDuration, SimTime};

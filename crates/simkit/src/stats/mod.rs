@@ -2,14 +2,12 @@
 //! CDFs/PDFs over fixed bucket edges, percentiles, and time-weighted
 //! operating-mode accounting for power attribution.
 
-mod codec;
 mod histogram;
 mod response;
 mod streamhist;
 mod summary;
 mod timeweight;
 
-pub use codec::DecodeError;
 pub use histogram::{Cdf, Histogram, Pdf};
 pub use response::{ResponseStats, StatsMode};
 pub use streamhist::StreamingHistogram;

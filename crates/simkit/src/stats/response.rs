@@ -34,13 +34,9 @@
 
 use std::borrow::Cow;
 
-use super::codec::{self, DecodeError, Reader};
 use super::histogram::Histogram;
 use super::streamhist::StreamingHistogram;
 use super::summary::Summary;
-
-/// Format tag for serialized accumulators (see [`ResponseStats::to_bytes`]).
-const MAGIC: &[u8; 4] = b"RST1";
 
 /// How a [`ResponseStats`] stores its samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -118,8 +114,9 @@ impl ResponseStats {
     /// # Panics
     /// Panics, in either mode, if `value` is NaN, negative or infinite
     /// (response times are finite and non-negative; anything else is an
-    /// upstream unit bug, and an infinite sample would leave a NaN
-    /// moment that [`from_bytes`](Self::from_bytes) rejects).
+    /// upstream unit bug, and an infinite sample would turn the Welford
+    /// moments, and with them the streaming-mode
+    /// [`stddev`](Self::stddev), into NaN).
     // Hot path: per-completion stats path.
     #[inline]
     pub fn record(&mut self, value: f64) {
@@ -352,48 +349,6 @@ impl ResponseStats {
             }
         }
     }
-
-    /// Serializes the streaming state — histogram buckets plus the
-    /// Welford moments — to a canonical little-endian byte string.
-    ///
-    /// This is the persistence format of the explorer's point cache and
-    /// the groundwork for run checkpointing (ROADMAP item 2): equal
-    /// accumulators encode to equal bytes on every host. The exact
-    /// sample store is deliberately *not* serialized (it is unbounded;
-    /// the formats that need it are the raw reports, which re-run), so
-    /// [`from_bytes`](Self::from_bytes) always yields a
-    /// [`StatsMode::Streaming`] accumulator. For an accumulator already
-    /// in streaming mode the round trip is the identity under `==`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        codec::put_f64(&mut out, self.welford_mean);
-        codec::put_f64(&mut out, self.welford_m2);
-        self.stream().write_to(&mut out);
-        out
-    }
-
-    /// Reconstructs a streaming-mode accumulator from
-    /// [`to_bytes`](Self::to_bytes) output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        r.expect_magic(MAGIC)?;
-        let welford_mean = r.f64()?;
-        let welford_m2 = r.f64()?;
-        if welford_mean.is_nan() || welford_m2.is_nan() {
-            return Err(DecodeError::Corrupt("NaN Welford moment"));
-        }
-        let stream = StreamingHistogram::read_from(&mut r)?;
-        if !r.is_done() {
-            return Err(DecodeError::Corrupt("trailing bytes"));
-        }
-        Ok(ResponseStats {
-            exact: None,
-            stream,
-            welford_mean,
-            welford_m2,
-        })
-    }
 }
 
 /// Equal samples (and, in exact mode, sample order) give equal stats,
@@ -551,50 +506,6 @@ mod tests {
         assert!((a.stddev() - whole.stddev()).abs() / whole.stddev() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn bytes_round_trip_is_identity_for_streaming() {
-        let mut r = ResponseStats::streaming();
-        for v in latency_mix(5_000) {
-            r.record(v);
-        }
-        let back = ResponseStats::from_bytes(&r.to_bytes()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_bytes(), r.to_bytes());
-    }
-
-    #[test]
-    fn bytes_round_trip_empty() {
-        let r = ResponseStats::streaming();
-        let back = ResponseStats::from_bytes(&r.to_bytes()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn bytes_from_exact_mode_yield_equivalent_streaming_view() {
-        let mut r = ResponseStats::exact();
-        for v in latency_mix(2_000) {
-            r.record(v);
-        }
-        let back = ResponseStats::from_bytes(&r.to_bytes()).unwrap();
-        assert_eq!(back.mode(), StatsMode::Streaming);
-        assert_eq!(back.count(), r.count());
-        assert_eq!(back.min(), r.min());
-        assert_eq!(back.max(), r.max());
-        assert_eq!(back.stream(), r.stream());
-        assert!((back.stddev() - r.stddev()).abs() / r.stddev() < 1e-9);
-    }
-
-    #[test]
-    fn corrupt_bytes_rejected() {
-        let mut r = ResponseStats::streaming();
-        r.record(3.0);
-        let good = r.to_bytes();
-        assert!(ResponseStats::from_bytes(&good[..good.len() - 2]).is_err());
-        let mut bad = good.clone();
-        bad[1] = b'!';
-        assert!(ResponseStats::from_bytes(&bad).is_err());
     }
 
     #[test]

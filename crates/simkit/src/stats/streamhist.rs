@@ -43,8 +43,6 @@
 
 use std::sync::{Arc, OnceLock};
 
-use super::codec::{self, DecodeError, Reader};
-
 /// Relative-error bound for percentile estimates (1%).
 const RELATIVE_ERROR: f64 = 0.01;
 /// Smallest resolvable value (1 µs, in ms).
@@ -64,9 +62,6 @@ const CELL_SHIFT: u32 = 52 - CELL_BITS;
 /// value below it is below the first edge.
 const FIRST_KEY: u64 = (FLOOR.to_bits() >> 52) << CELL_BITS;
 
-/// Format tag for serialized histograms (see [`StreamingHistogram::to_bytes`]).
-const MAGIC: &[u8; 4] = b"SHG1";
-
 /// A bounded-memory histogram over geometrically spaced buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingHistogram {
@@ -85,7 +80,7 @@ pub struct StreamingHistogram {
     /// Deterministic record counter, flushed to
     /// [`crate::counters::STREAMHIST_RECORDS`] on drop. Clones to zero
     /// and always compares equal, so the derived `Clone` / `PartialEq`
-    /// semantics (and the `to_bytes` round trip) are unchanged.
+    /// semantics are those of the histogram state alone.
     records: crate::counters::DropCounter,
 }
 
@@ -317,102 +312,6 @@ impl StreamingHistogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// Serializes the full histogram state to a canonical byte string.
-    ///
-    /// The encoding stores the layout header (relative error, floor,
-    /// last edge) plus the moments and a sparse `(bucket, count)` list,
-    /// all little-endian, so the blob is a pure function of the
-    /// histogram state — equal histograms encode to equal bytes on
-    /// every host. The round trip through
-    /// [`from_bytes`](Self::from_bytes) is the identity under `==`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        let mut out = Vec::with_capacity(4 + 8 * 7 + nonzero * 12);
-        out.extend_from_slice(MAGIC);
-        codec::put_f64(&mut out, RELATIVE_ERROR);
-        codec::put_f64(&mut out, self.floor());
-        codec::put_f64(&mut out, self.cap());
-        codec::put_u64(&mut out, self.total);
-        codec::put_f64(&mut out, self.sum);
-        codec::put_f64(&mut out, self.min);
-        codec::put_f64(&mut out, self.max);
-        codec::put_u64(&mut out, nonzero as u64);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                codec::put_u32(&mut out, i as u32);
-                codec::put_u64(&mut out, c);
-            }
-        }
-        out
-    }
-
-    /// Reconstructs a histogram from [`to_bytes`](Self::to_bytes)
-    /// output. The result compares equal to the encoded histogram.
-    ///
-    /// # Errors
-    /// [`DecodeError::Corrupt`] if the header is not the one layout's,
-    /// bit for bit, or the payload is inconsistent.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let h = Self::read_from(&mut r)?;
-        if !r.is_done() {
-            return Err(DecodeError::Corrupt("trailing bytes"));
-        }
-        Ok(h)
-    }
-
-    /// Decodes one histogram at the reader's cursor (embedded form,
-    /// used by `ResponseStats` snapshots).
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        r.expect_magic(MAGIC)?;
-        let header = [r.f64()?, r.f64()?, r.f64()?];
-        let mut h = Self::new();
-        if header.map(f64::to_bits) != [RELATIVE_ERROR, h.floor(), h.cap()].map(f64::to_bits) {
-            return Err(DecodeError::Corrupt("not the histogram layout"));
-        }
-        h.total = r.u64()?;
-        h.sum = r.f64()?;
-        h.min = r.f64()?;
-        h.max = r.f64()?;
-        let nonzero = r.u64()?;
-        let mut seen = 0u64;
-        // The encoder lists buckets in ascending order, once each; any
-        // other list would decode to a histogram that re-encodes to
-        // other bytes.
-        let mut first_free = 0;
-        for _ in 0..nonzero {
-            let idx = r.u32()? as usize;
-            let count = r.u64()?;
-            if idx >= h.counts.len() {
-                return Err(DecodeError::Corrupt("bucket index out of range"));
-            }
-            if idx < first_free {
-                return Err(DecodeError::Corrupt("bucket indices not ascending"));
-            }
-            first_free = idx + 1;
-            if count == 0 {
-                return Err(DecodeError::Corrupt("zero count in sparse list"));
-            }
-            h.counts[idx] = count;
-            seen = seen
-                .checked_add(count)
-                .ok_or(DecodeError::Corrupt("count overflow"))?;
-        }
-        if seen != h.total {
-            return Err(DecodeError::Corrupt("bucket counts disagree with total"));
-        }
-        if h.sum.is_nan() || h.min.is_nan() || h.max.is_nan() {
-            return Err(DecodeError::Corrupt("NaN moment"));
-        }
-        Ok(h)
-    }
-
-    /// Serializes into an existing buffer (embedded form, used by
-    /// `ResponseStats` snapshots).
-    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bytes());
     }
 }
 
@@ -651,89 +550,16 @@ mod tests {
     }
 
     #[test]
-    fn bytes_round_trip_is_identity() {
-        let mut h = StreamingHistogram::new();
-        for i in 0..5_000u64 {
-            h.record(0.01 * (i as f64).powf(1.4));
-        }
-        h.record(0.0); // sub-floor bucket
-        h.record(5e7); // overflow bucket
-        let back = StreamingHistogram::from_bytes(&h.to_bytes()).unwrap();
-        assert_eq!(back, h);
-        // And the re-encoding is byte-identical (canonical form).
-        assert_eq!(back.to_bytes(), h.to_bytes());
-    }
-
-    /// `h`'s encoding with the header field at `offset` (4: relative
-    /// error, 12: floor, 20: last edge) replaced by `value`.
-    fn with_header_field(h: &StreamingHistogram, offset: usize, value: f64) -> Vec<u8> {
-        let mut bytes = h.to_bytes();
-        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
-        bytes
-    }
-
-    #[test]
-    fn bytes_round_trip_empty_and_custom_config() {
-        let empty = StreamingHistogram::new();
-        let back = StreamingHistogram::from_bytes(&empty.to_bytes()).unwrap();
-        assert_eq!(back, empty);
-        assert_eq!(back.to_bytes(), empty.to_bytes());
-        // Any other layout's header is not decoded onto this one, not
-        // even one whose edge chain would never end: (1 + 1e-17)^2
-        // rounds to 1.0.
-        for (offset, value) in [(4, 0.02), (4, 1e-17), (12, 0.5), (20, 300.0)] {
-            assert_eq!(
-                StreamingHistogram::from_bytes(&with_header_field(&empty, offset, value)),
-                Err(DecodeError::Corrupt("not the histogram layout")),
-                "header field at byte {offset} = {value}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupt_bytes_rejected() {
-        let mut h = StreamingHistogram::new();
-        h.record(1.0);
-        let good = h.to_bytes();
-        assert!(StreamingHistogram::from_bytes(&good[..good.len() - 1]).is_err());
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        assert!(StreamingHistogram::from_bytes(&bad_magic).is_err());
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(StreamingHistogram::from_bytes(&trailing).is_err());
-        // The sparse list must name each bucket once, in ascending
-        // order: swapped or repeated entries are rejected.
-        let mut two = StreamingHistogram::new();
-        two.record(1.0);
-        two.record(3.0);
-        let good = two.to_bytes();
-        let entries = good.len() - 24;
-        let mut swapped = good[..entries].to_vec();
-        swapped.extend_from_slice(&good[entries + 12..]);
-        swapped.extend_from_slice(&good[entries..entries + 12]);
-        let mut repeated = good[..entries].to_vec();
-        repeated.extend_from_slice(&good[entries..entries + 12]);
-        repeated.extend_from_slice(&good[entries..entries + 12]);
-        for bytes in [swapped, repeated] {
-            assert_eq!(
-                StreamingHistogram::from_bytes(&bytes),
-                Err(DecodeError::Corrupt("bucket indices not ascending"))
-            );
-        }
-    }
-
-    #[test]
     fn every_histogram_shares_one_layout() {
         let a = StreamingHistogram::new();
         let mut recorded = StreamingHistogram::new();
         recorded.record(2.5);
-        let decoded = StreamingHistogram::from_bytes(&recorded.to_bytes()).unwrap();
-        for h in [&recorded, &decoded] {
+        let cloned = recorded.clone();
+        for h in [&recorded, &cloned] {
             assert!(Arc::ptr_eq(&a.edges, &h.edges));
             assert!(Arc::ptr_eq(&a.cells, &h.cells));
         }
-        assert_eq!(decoded, recorded);
+        assert_eq!(cloned, recorded);
         // The shared table is exactly what the multiplication chain
         // builds.
         let built = Layout::build();

@@ -13,9 +13,12 @@
 //! * [`timeline_csv`] — a flat one-row-per-event CSV for ad-hoc
 //!   analysis in any spreadsheet or dataframe tool.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+
+use simkit::SimTime;
 
 use crate::event::{in_canonical_order, Sample, TraceEvent};
+use crate::fold::{Closed, EventFold, OpenSeek};
 
 /// Synthetic Perfetto thread id for the request-lifecycle track
 /// (submit/queued/cache/complete events, which have no actuator).
@@ -27,6 +30,19 @@ pub const MODE_TID: u32 = 901;
 /// Chrome trace `ts`/`dur` fields expect, without going through `f64`.
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
+}
+
+/// A seek's complete (`ph:"X"`) slice, from its start edge to `end`.
+fn seek_slice(pid: u32, actuator: u32, seek: &OpenSeek, end: SimTime) -> String {
+    let start_ns = seek.start.as_nanos();
+    format!(
+        "{{\"ph\":\"X\",\"name\":\"seek\",\"cat\":\"mech\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{},\"from\":{},\"to\":{}}}}}",
+        us(start_ns),
+        us(end.as_nanos() - start_ns),
+        seek.req,
+        seek.from_cylinder,
+        seek.to_cylinder,
+    )
 }
 
 /// The Perfetto thread a sample renders on.
@@ -42,9 +58,9 @@ fn tid_for(event: &TraceEvent) -> u32 {
 /// Samples are taken in canonical `(time, seq)` order (sorted into a
 /// copy only if they are not already), so the output depends only on
 /// the recorded set, not emission order.
-/// Seek `Start`/`End` pairs become complete (`ph:"X"`) slices; an
-/// unmatched `SeekStart` (trace truncated by the ring) becomes a
-/// zero-length slice.
+/// Seek `Start`/`End` pairs, as the [`EventFold`] pairs them, become
+/// complete (`ph:"X"`) slices; an unmatched `SeekStart` (trace
+/// truncated by the ring) becomes a zero-length slice.
 pub fn chrome_trace_json(samples: &[Sample]) -> String {
     let sorted = &*in_canonical_order(samples);
 
@@ -95,14 +111,12 @@ pub fn chrome_trace_json(samples: &[Sample]) -> String {
         );
     }
 
-    // Open seeks keyed by (scope, actuator): (start_ns, req, from, to).
-    let mut open_seeks: BTreeMap<(u32, u32), (u64, u64, u32, u32)> = BTreeMap::new();
-
+    let mut fold = EventFold::new();
     for s in sorted {
-        let ns = s.time.as_nanos();
+        let closed = fold.apply(s.scope, s.time, &s.event);
         let pid = s.scope;
         let tid = tid_for(&s.event);
-        let ts = us(ns);
+        let ts = us(s.time.as_nanos());
         let row = match s.event {
             TraceEvent::RequestSubmitted { req, lba, sectors, op } => Some(format!(
                 "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"submit\",\"cat\":\"request\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"req\":{req},\"lba\":{lba},\"sectors\":{sectors},\"op\":\"{}\"}}}}",
@@ -114,21 +128,16 @@ pub fn chrome_trace_json(samples: &[Sample]) -> String {
             TraceEvent::Dispatched { req, actuator, depth } => Some(format!(
                 "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"dispatch\",\"cat\":\"sched\",\"ts\":{ts},\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{req},\"depth\":{depth}}}}}"
             )),
-            TraceEvent::SeekStart { req, actuator, from_cylinder, to_cylinder } => {
-                open_seeks.insert((pid, actuator), (ns, req, from_cylinder, to_cylinder));
-                None
-            }
+            TraceEvent::SeekStart { .. } => None,
             // An End without a Start means the ring dropped the opening
             // edge; render nothing rather than invent a span.
-            TraceEvent::SeekEnd { req: _, actuator } => open_seeks
-                .remove(&(pid, actuator))
-                .map(|(start_ns, req, from, to)| {
-                    format!(
-                        "{{\"ph\":\"X\",\"name\":\"seek\",\"cat\":\"mech\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{req},\"from\":{from},\"to\":{to}}}}}",
-                        us(start_ns),
-                        us(ns - start_ns)
-                    )
-                }),
+            TraceEvent::SeekEnd { .. } => {
+                if let Closed::Busy { actuator, end, seek: Some(seek), .. } = closed {
+                    Some(seek_slice(pid, actuator, &seek, end))
+                } else {
+                    None
+                }
+            }
             TraceEvent::RotWait { req, actuator, dur } => Some(format!(
                 "{{\"ph\":\"X\",\"name\":\"rot_wait\",\"cat\":\"mech\",\"ts\":{ts},\"dur\":{},\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{req}}}}}",
                 us(dur.as_nanos())
@@ -161,14 +170,10 @@ pub fn chrome_trace_json(samples: &[Sample]) -> String {
 
     // Seeks still open when the trace ends (ring truncation): render as
     // zero-length slices so the start edge is at least visible.
-    for (&(pid, actuator), &(start_ns, req, from, to)) in &open_seeks {
-        push_row(
-            &mut out,
-            format!(
-                "{{\"ph\":\"X\",\"name\":\"seek\",\"cat\":\"mech\",\"ts\":{},\"dur\":0.000,\"pid\":{pid},\"tid\":{actuator},\"args\":{{\"req\":{req},\"from\":{from},\"to\":{to}}}}}",
-                us(start_ns)
-            ),
-        );
+    for (&pid, scope) in fold.scopes() {
+        for (actuator, seek) in scope.open_seeks() {
+            push_row(&mut out, seek_slice(pid, actuator, &seek, seek.start));
+        }
     }
 
     out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
@@ -348,6 +353,9 @@ mod tests {
             },
         );
         let json = chrome_trace_json(&r.sorted_samples());
-        assert!(json.contains("\"dur\":0.000"));
+        // The start edge's fields, from the fold's open seek.
+        assert!(json.contains(
+            "\"name\":\"seek\",\"cat\":\"mech\",\"ts\":1000.000,\"dur\":0.000,\"pid\":0,\"tid\":0,\"args\":{\"req\":3,\"from\":1,\"to\":2}"
+        ));
     }
 }

@@ -1,8 +1,9 @@
 //! [`EventFold`] — the one state machine the telemetry views reduce.
 //!
 //! Post-hoc analysis ([`crate::TraceAnalysis`]), online metrics
-//! ([`crate::MetricsRecorder`]) and structural validation
-//! ([`crate::schema::validate`]) all pair `SeekStart`/`SeekEnd` per
+//! ([`crate::MetricsRecorder`]), structural validation
+//! ([`crate::schema::validate`]) and the Perfetto export
+//! ([`crate::chrome_trace_json`]) all pair `SeekStart`/`SeekEnd` per
 //! actuator, match completions to submissions, and count requests. They
 //! do it here, once: each feeds events to [`EventFold::apply`] and
 //! reduces what it reports closed. The state is bounded by the requests
@@ -44,6 +45,19 @@ impl ActuatorTimeline {
     }
 }
 
+/// A seek the fold saw start: its `SeekStart` edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenSeek {
+    /// When the seek started.
+    pub start: SimTime,
+    /// The request it serves.
+    pub req: u64,
+    /// Cylinder the arm left.
+    pub from_cylinder: u32,
+    /// Cylinder the arm is bound for.
+    pub to_cylinder: u32,
+}
+
 /// The fold's state for one scope (one drive, or one member disk of an
 /// array): event counts, actuator timelines, open seeks, and the submit
 /// instant of each request in flight.
@@ -62,16 +76,16 @@ pub struct ScopeFold {
     /// Per-actuator activity, keyed by actuator id (fixed hardware
     /// topology, not run length).
     pub actuators: BTreeMap<u32, ActuatorTimeline>,
-    // Actuator → start of its open seek.
-    open_seeks: BTreeMap<u32, SimTime>,
+    // Actuator → its open seek.
+    open_seeks: BTreeMap<u32, OpenSeek>,
     // Request → submit instant.
     inflight: BTreeMap<u64, SimTime>,
 }
 
 impl ScopeFold {
-    /// Seeks started but not yet ended, as `(actuator, start)`.
-    pub fn open_seeks(&self) -> impl Iterator<Item = (u32, SimTime)> + '_ {
-        self.open_seeks.iter().map(|(&a, &t)| (a, t))
+    /// Seeks started but not yet ended, by actuator.
+    pub fn open_seeks(&self) -> impl Iterator<Item = (u32, OpenSeek)> + '_ {
+        self.open_seeks.iter().map(|(&a, &seek)| (a, seek))
     }
 }
 
@@ -92,6 +106,8 @@ pub enum Closed {
         dur: SimDuration,
         /// When the phase ends.
         end: SimTime,
+        /// A seek's start edge; `None` for the planned phases.
+        seek: Option<OpenSeek>,
     },
     /// A request completed, this long after its submission.
     Response(SimDuration),
@@ -122,7 +138,7 @@ impl EventFold {
     pub fn apply(&mut self, scope: u32, time: SimTime, event: &TraceEvent) -> Closed {
         let s = self.scopes.entry(scope).or_default();
         // Every arm but the three busy phases returns early.
-        let (mode, actuator, dur, end) = match *event {
+        let (mode, actuator, dur, end, seek) = match *event {
             TraceEvent::RequestSubmitted { req, .. } => {
                 s.submitted += 1;
                 s.inflight.insert(req, time);
@@ -135,28 +151,39 @@ impl EventFold {
                 s.actuators.entry(actuator).or_default().dispatches += 1;
                 return Closed::Depth(depth);
             }
-            TraceEvent::SeekStart { actuator, .. } => {
+            TraceEvent::SeekStart {
+                req,
+                actuator,
+                from_cylinder,
+                to_cylinder,
+            } => {
                 s.seeks += 1;
-                return match s.open_seeks.insert(actuator, time) {
+                let seek = OpenSeek {
+                    start: time,
+                    req,
+                    from_cylinder,
+                    to_cylinder,
+                };
+                return match s.open_seeks.insert(actuator, seek) {
                     Some(_) => Closed::Unpaired,
                     None => Closed::Nothing,
                 };
             }
             TraceEvent::SeekEnd { actuator, .. } => {
-                let Some(start) = s.open_seeks.remove(&actuator) else {
+                let Some(seek) = s.open_seeks.remove(&actuator) else {
                     return Closed::Unpaired;
                 };
-                let dur = time.saturating_since(start);
+                let dur = time.saturating_since(seek.start);
                 s.actuators.entry(actuator).or_default().seek += dur;
-                (PowerMode::Seek, actuator, dur, time)
+                (PowerMode::Seek, actuator, dur, time, Some(seek))
             }
             TraceEvent::RotWait { actuator, dur, .. } => {
                 s.actuators.entry(actuator).or_default().rotational += dur;
-                (PowerMode::RotationalWait, actuator, dur, time + dur)
+                (PowerMode::RotationalWait, actuator, dur, time + dur, None)
             }
             TraceEvent::Transfer { actuator, dur, .. } => {
                 s.actuators.entry(actuator).or_default().transfer += dur;
-                (PowerMode::Transfer, actuator, dur, time + dur)
+                (PowerMode::Transfer, actuator, dur, time + dur, None)
             }
             TraceEvent::CacheHit { .. } => {
                 s.cache_hits += 1;
@@ -181,6 +208,7 @@ impl EventFold {
             actuator,
             dur,
             end,
+            seek,
         }
     }
 
@@ -238,7 +266,13 @@ mod tests {
                 mode: PowerMode::Seek,
                 actuator: 1,
                 dur: SimDuration::from_millis(2.0),
-                end: ms(3.0)
+                end: ms(3.0),
+                seek: Some(OpenSeek {
+                    start: ms(1.0),
+                    req: 3,
+                    from_cylinder: 0,
+                    to_cylinder: 9
+                })
             }
         );
         assert_eq!(f.in_flight(), 1);
@@ -266,10 +300,22 @@ mod tests {
             from_cylinder: 0,
             to_cylinder: 1,
         };
+        let restart = TraceEvent::SeekStart {
+            req: 5,
+            actuator: 0,
+            from_cylinder: 1,
+            to_cylinder: 7,
+        };
         assert_eq!(f.apply(0, ms(1.0), &start), Closed::Nothing);
-        assert_eq!(f.apply(0, ms(4.0), &start), Closed::Unpaired);
+        assert_eq!(f.apply(0, ms(4.0), &restart), Closed::Unpaired);
         let open: Vec<_> = f.scopes()[&0].open_seeks().collect();
-        assert_eq!(open, vec![(0, ms(4.0))]);
+        let newer = OpenSeek {
+            start: ms(4.0),
+            req: 5,
+            from_cylinder: 1,
+            to_cylinder: 7,
+        };
+        assert_eq!(open, vec![(0, newer)]);
     }
 
     #[test]
@@ -291,7 +337,8 @@ mod tests {
                 mode: PowerMode::Transfer,
                 actuator: 0,
                 dur,
-                end: ms(8.0)
+                end: ms(8.0),
+                seek: None
             }
         );
         assert_eq!(f.scopes()[&2].actuators[&0].busy(), dur);

@@ -33,7 +33,8 @@
 //! 5. **One fold.** [`EventFold`] pairs seeks, matches completions to
 //!    submissions and counts requests, once. The analyzer
 //!    ([`TraceAnalysis`]) runs it over a sorted trace, [`MetricsRecorder`]
-//!    runs it online, and [`schema::validate`] takes its pairing from it.
+//!    runs it online, and [`schema::validate`] and [`chrome_trace_json`]
+//!    take their seek pairing from it.
 //!
 //! ```
 //! use simkit::SimTime;
@@ -76,7 +77,7 @@ pub mod schema;
 pub use analyze::{ModePowers, QueueDepthStats, ScopeAnalysis, TraceAnalysis};
 pub use event::{sort_samples, IoOp, PowerMode, Sample, TraceEvent};
 pub use export::{chrome_trace_json, timeline_csv, MODE_TID, REQUESTS_TID};
-pub use fold::{ActuatorTimeline, Closed, EventFold, ScopeFold};
+pub use fold::{ActuatorTimeline, Closed, EventFold, OpenSeek, ScopeFold};
 pub use metrics::{MetricsRecorder, MetricsSnapshot};
 pub use recorder::{NullRecorder, Recorder, RingRecorder, ScopedRecorder, DEFAULT_CAPACITY};
 

@@ -187,6 +187,7 @@ impl Recorder for MetricsRecorder {
                 actuator,
                 dur,
                 end,
+                ..
             } => {
                 let ms = dur.as_millis();
                 let hist = match mode {

@@ -112,9 +112,10 @@ pub fn validate(samples: &[Sample], actuators: u32) -> Result<(), Vec<String>> {
     }
 
     for (&scope, f) in fold.scopes() {
-        for (actuator, start) in f.open_seeks() {
+        for (actuator, seek) in f.open_seeks() {
             push(format!(
-                "unmatched SeekStart on scope {scope} actuator {actuator} (started {start})"
+                "unmatched SeekStart on scope {scope} actuator {actuator} (started {})",
+                seek.start
             ));
         }
     }

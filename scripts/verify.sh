@@ -33,7 +33,9 @@
 # memory), the stats-mode gate (a 2*10^5-request SA(4) `repro scale`
 # must print the same `completed | mean | p90(stream)` line with exact
 # and with streaming stats: exact mode's sketch, derived from its kept
-# samples, equals the one streaming mode records), and then the
+# samples, equals the one streaming mode records; and `repro drpm`, whose
+# table prints only means and power, must print the same stdout in both
+# modes, DRPM points included), and then the
 # event-kernel swap gates (report and exports byte-identical to
 # the goldens pinned on the retired binary-heap kernel, the named
 # kernel-swap golden oracles, the differential property suite, and a
@@ -182,7 +184,7 @@ echo "    max RSS ${rss_kb} kB"
 test -n "$rss_kb" && test "$rss_kb" -le 65536 \
   || { echo "streaming 10^7 run exceeded the 65536 kB RSS budget" >&2; exit 1; }
 
-echo "==> gate: scale streamed view identical under exact and streaming stats"
+echo "==> gate: scale streamed view and drpm table identical under exact and streaming stats"
 # Exact mode keeps every sample and derives its streaming sketch from
 # them when the run ends; streaming mode records each sample into the
 # sketch. The line the sketch prints must not tell them apart.
@@ -193,6 +195,13 @@ for mode in exact streaming; do
     || { echo "scale --stats $mode printed no completed line" >&2; exit 1; }
 done
 cmp "$sweep_dir/scale-exact.line" "$sweep_dir/scale-streaming.line"
+# Every design of the DRPM comparison, the DRPM drive included, takes
+# the mode from --stats; means are sum / n in both modes.
+for mode in exact streaming; do
+  target/release/repro drpm --requests 2000 --stats "$mode" \
+    > "$sweep_dir/drpm-$mode.out" 2>/dev/null
+done
+cmp "$sweep_dir/drpm-exact.out" "$sweep_dir/drpm-streaming.out"
 
 echo "==> gate: kernel-swap golden oracles (ignored-by-default, run here by name)"
 cargo test -q --test oracles -- --include-ignored golden_kernel_swap

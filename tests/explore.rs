@@ -66,6 +66,18 @@ fn cold_explore_leaves_one_pack_file() {
         "one entry under the cache root: {entries:?}"
     );
     assert!(entries[0].file_type().expect("file type").is_file());
+    // One line a point: the hash, the check field and the eleven
+    // record fields (schema, code version, hash, eight metrics).
+    let pack = fs::read_to_string(entries[0].path()).expect("pack is UTF-8");
+    assert_eq!(pack.lines().count(), cold.points.len());
+    for line in pack.lines() {
+        let fields: Vec<&str> = line.split(' ').collect();
+        assert_eq!(fields.len(), 2 + 11, "{line}");
+        assert_eq!(fields[1].len(), 16, "check16 in {line}");
+        assert_eq!(fields[2], explorer::point::RECORD_SCHEMA);
+        assert_eq!(fields[3], CODE_VERSION);
+        assert_eq!(fields[4], fields[0], "the record's hash is the line's");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

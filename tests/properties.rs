@@ -697,41 +697,6 @@ fn arb_boundary_samples() -> Gen<Vec<f64>> {
     gen::vec_of(sample, 0..=150)
 }
 
-/// The `ResponseStats` byte codec, which the explore point cache
-/// persists: in either stats mode an encoding decodes to a value that
-/// re-encodes to the same bytes, and a damaged encoding (cut short, or
-/// with one byte flipped) is rejected with a `DecodeError` or decodes to
-/// a value whose encoding is exactly the damaged bytes. Decoding never
-/// panics.
-#[test]
-fn response_stats_codec_round_trips_and_rejects_damage() {
-    check("response_stats_codec_round_trips_and_rejects_damage", |t| {
-        use simkit::{ResponseStats, StatsMode};
-        let xs = t.draw(&arb_boundary_samples());
-        let mode = t.draw(&gen::one_of(vec![StatsMode::Exact, StatsMode::Streaming]));
-        let cut = t.draw(&gen::u64_any());
-        let at = t.draw(&gen::u64_any());
-        let flip = t.draw(&gen::u32_in(1..=255)) as u8;
-        let mut s = ResponseStats::with_mode(mode);
-        for &v in &xs {
-            s.record(v);
-        }
-        let bytes = s.to_bytes();
-        let back = ResponseStats::from_bytes(&bytes).expect("an encoding decodes");
-        assert_eq!(back.to_bytes(), bytes, "round trip in {mode:?} mode");
-        let damaged_ok = |what: &str, damaged: &[u8]| {
-            if let Ok(v) = ResponseStats::from_bytes(damaged) {
-                assert_eq!(v.to_bytes(), damaged, "{what} decoded to another encoding");
-            }
-        };
-        let len = bytes.len() as u64;
-        damaged_ok("truncated", &bytes[..(cut % len) as usize]);
-        let mut flipped = bytes.clone();
-        flipped[(at % len) as usize] ^= flip;
-        damaged_ok("flipped", &flipped);
-    });
-}
-
 /// Exact-mode stats derive their streaming view from the kept samples;
 /// a streaming-mode accumulator records into it. Both must read back
 /// bit-identically at every stage: before and after finalize, after a
@@ -754,7 +719,14 @@ fn response_stats_derived_views_equal_recorded_views() {
         };
         let same = |stage: &str, e: &ResponseStats, s: &ResponseStats| {
             assert_eq!(*e.stream(), *s.stream(), "{stage}: stream()");
-            assert_eq!(e.to_bytes(), s.to_bytes(), "{stage}: to_bytes()");
+            // Exact mode reads `stddev` from its samples; demoted to
+            // streaming, both sides read it from their Welford moments.
+            let welford = |r: &ResponseStats| {
+                let mut r = r.clone();
+                r.merge(&ResponseStats::streaming());
+                r.stddev().to_bits()
+            };
+            assert_eq!(welford(e), welford(s), "{stage}: Welford stddev");
             assert_eq!(e.count(), s.count(), "{stage}: count");
             assert_eq!(e.is_empty(), s.is_empty(), "{stage}: is_empty");
             assert_eq!(e.mean().to_bits(), s.mean().to_bits(), "{stage}: mean");
