@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 use diskmodel::DriveError;
-use telemetry::prof::{self, Phase};
+use telemetry::prof::{Stopwatch, StudyTimes, SLOWEST_POINTS};
 
 use crate::configs::Scale;
 use crate::plan::Study;
@@ -98,14 +98,16 @@ impl std::error::Error for StudyError {
 }
 
 /// How a sweep runs: how many worker threads, and whether per-point
-/// progress lines go to stderr.
+/// progress lines go to stderr. It keeps the host times of the study
+/// runs it executed ([`StudyTimes`]) for profiles, never for reports.
 ///
 /// Progress goes to *stderr* so stdout — the rendered report — stays
 /// byte-identical between serial and parallel runs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Executor {
     jobs: usize,
     progress: bool,
+    times: Mutex<Vec<StudyTimes>>,
 }
 
 impl Executor {
@@ -114,6 +116,7 @@ impl Executor {
         Executor {
             jobs: jobs.max(1),
             progress: false,
+            times: Mutex::new(Vec::new()),
         }
     }
 
@@ -136,6 +139,11 @@ impl Executor {
     /// True if per-point progress lines are enabled.
     pub fn progress(&self) -> bool {
         self.progress
+    }
+
+    /// The host times of the study runs since the last call, in run order.
+    pub fn take_times(&self) -> Vec<StudyTimes> {
+        std::mem::take(&mut *self.times.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Applies `f` to every point, returning the results in input
@@ -237,9 +245,6 @@ where
             });
         }
         drop(tx);
-        // The collector thread spends this loop blocked on the channel
-        // while workers replay points: executor idle time.
-        let _idle = prof::scope(Phase::ExecIdle);
         for (i, out) in rx.iter() {
             match out {
                 Ok(v) => slots[i] = Some(v),
@@ -276,7 +281,9 @@ fn next_index(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
     None
 }
 
-/// Plans, executes, and reduces one study on `exec`'s workers.
+/// Plans, executes, and reduces one study on `exec`'s workers, and
+/// records the run's host times in `exec`. A failed run records none;
+/// its error names the point.
 ///
 /// This is the engine behind [`Study::run`]; call that instead.
 pub fn run_study<S: Study>(
@@ -284,23 +291,21 @@ pub fn run_study<S: Study>(
     scale: Scale,
     exec: &Executor,
 ) -> Result<S::Report, StudyError> {
-    let plan = {
-        let _plan = prof::scope(Phase::Plan);
-        study.plan(scale)
-    };
+    let clock = Stopwatch::start();
+    let plan = study.plan(scale);
+    let plan_ns = clock.elapsed_ns();
     let points = plan.points();
     let total = points.len();
     let done = AtomicUsize::new(0);
-    let clock = prof::Stopwatch::start();
     // One book per study run: each profile's trace is generated by the
     // first point that needs it and replayed by the rest.
     let book = scale.book();
+    let clock = Stopwatch::start();
     let outcome = exec.map(points, |_, p| {
-        let out = {
-            let _rp = prof::scope(Phase::RunPoint);
-            crate::counters::POINTS_RUN.add(1);
-            study.run_point(p, scale, &book)
-        };
+        let point_clock = Stopwatch::start();
+        crate::counters::POINTS_RUN.add(1);
+        let out = study.run_point(p, scale, &book);
+        let ns = point_clock.elapsed_ns();
         if exec.progress() {
             let n = done.fetch_add(1, Ordering::Relaxed) + 1;
             let secs = clock.elapsed_secs().max(1e-9);
@@ -315,8 +320,9 @@ pub fn run_study<S: Study>(
             );
             let _ = std::io::stderr().lock().write_all(line.as_bytes());
         }
-        out
+        (out, ns)
     });
+    let map_ns = clock.elapsed_ns();
     let results = match outcome {
         Ok(results) => results,
         Err(p) => {
@@ -327,8 +333,10 @@ pub fn run_study<S: Study>(
             })
         }
     };
-    let mut outputs = Vec::with_capacity(results.len());
-    for (i, r) in results.into_iter().enumerate() {
+    let mut outputs = Vec::with_capacity(total);
+    let mut point_ns = Vec::with_capacity(total);
+    for (i, (r, ns)) in results.into_iter().enumerate() {
+        point_ns.push(ns);
         match r {
             Ok(o) => outputs.push(o),
             Err(source) => {
@@ -340,8 +348,30 @@ pub fn run_study<S: Study>(
             }
         }
     }
-    let _reduce = prof::scope(Phase::Reduce);
-    Ok(study.reduce(outputs))
+    let clock = Stopwatch::start();
+    let report = study.reduce(outputs);
+    let reduce_ns = clock.elapsed_ns();
+    let mut slowest: Vec<usize> = (0..total).collect();
+    slowest.sort_by_key(|&i| std::cmp::Reverse(point_ns[i]));
+    let parallel = exec.jobs > 1 && total > 1;
+    let times = StudyTimes {
+        study: study.name(),
+        parallel,
+        plan_ns,
+        // Fanned out, the calling thread spent the map waiting.
+        idle_ns: if parallel { map_ns } else { 0 },
+        reduce_ns,
+        slowest: slowest[..total.min(SLOWEST_POINTS)]
+            .iter()
+            .map(|&i| (study.label(&points[i]), point_ns[i]))
+            .collect(),
+        point_ns,
+    };
+    exec.times
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push(times);
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //!   with `--jobs` (worker count, steals). The `"deterministic"`
 //!   section is **byte-identical** across runs, hosts, and `--jobs`;
 //!   `scripts/verify.sh` gates on exactly that.
-//! * `profile.txt` — the coarse phase table ([`ProfReport::table`]),
-//!   ending in the profiler's own measured overhead.
+//! * `profile.txt` — the coarse phase tree ([`ProfReport::table`]) and
+//!   the profiler's own measured overhead, then the study runs and each
+//!   run's ten slowest points.
 //! * `profile.folded` — collapsed-stack lines, one per phase path,
 //!   ready for any flamegraph renderer.
 //!

@@ -15,15 +15,21 @@
 //!
 //! EXPERIMENT: table1 | fig2 (alias: limit) | fig3 | fig4 |
 //!             fig5 (alias: sa_eval) | fig6 | fig7 | fig8 | table9 |
-//!             fig9 | thermal | drpm |
+//!             fig9 | thermal | drpm | dash | validate | robust |
 //!             all (default: all; `all` includes the extension studies)
 //! ```
 //!
-//! `--profile DIR` turns on the self-profiler for the run and writes
-//! three artifacts into DIR afterwards: `profile.txt` (host wall-clock
-//! table of the coarse phases, ending in the profiler's own measured
-//! overhead), `profile.folded` (collapsed stacks for flamegraph tools)
-//! and `counters.json` (deterministic kernel counters; the
+//! `--jobs`, `--requests`, `--seed`, `--stats` and `--profile` apply to
+//! every mode; every other flag only to the modes listed with it. An
+//! unknown or second experiment name, or a flag outside its mode, is
+//! refused with one line on stderr and exit code 1.
+//!
+//! `--profile DIR` writes three artifacts into DIR after the run:
+//! `profile.txt` (the host wall-clock tree of the coarse phases, ending
+//! in the profiler's own measured overhead, then one row per study run
+//! and each run's ten slowest points), `profile.folded` (collapsed
+//! stacks for flamegraph tools) and `counters.json` (deterministic
+//! kernel counters; the
 //! `"deterministic"` section is byte-identical across runs, hosts, and
 //! `--jobs`). Per-layer host timings come from perfbench
 //! (`python3 perfbench/run.py --trace 1`). `--heartbeat SECS` makes
@@ -73,19 +79,20 @@ use experiments::{
     RaidStudy, RpmStudy, SaStudy, Study, StudyError, ValidationStudy,
 };
 use simkit::StatsMode;
+use telemetry::prof::{Phase, ProfReport, RunTimes, Stopwatch};
 
 struct Args {
     experiment: String,
     scale: Scale,
     requests_set: bool,
     stats_set: bool,
-    spc_file: Option<String>,
+    /// The trace file of `spc`, or the metrics directory of `report`.
+    operand: Option<String>,
     actuators: u32,
     inter_arrival_ms: f64,
     jobs: usize,
     trace_dir: Option<String>,
     metrics_dir: Option<String>,
-    report_dir: Option<String>,
     profile_dir: Option<String>,
     heartbeat_secs: Option<f64>,
     heartbeat_file: Option<String>,
@@ -106,12 +113,33 @@ fn default_jobs() -> usize {
 /// `parse_args` gives.
 const USAGE: &str = "usage: repro [table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|table9|fig9|thermal|drpm|dash|validate|robust|all] [--jobs N] [--requests N] [--seed S] [--stats exact|streaming] [--trace DIR] [--metrics DIR] [--profile DIR]\n       repro report <metrics-dir>\n       repro spc <trace-file> [--actuators N] [--requests N]\n       repro scale [--requests N] [--actuators N] [--inter-arrival MS] [--stats exact|streaming] [--seed S] [--heartbeat SECS] [--heartbeat-file PATH]\n       repro explore [--grid coarse|adaptive|full] [--refine N] [--latency mean|p90] [--out DIR] [--cache DIR|none] [--jobs N] [--requests N] [--seed S]";
 
+/// The study experiments `USAGE` lists, with the aliases `limit`
+/// (fig2) and `sa_eval` (fig5). Every other mode is its own name.
+const STUDIES: [&str; 18] = [
+    "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table9", "fig9", "thermal",
+    "drpm", "dash", "validate", "robust", "all", "limit", "sa_eval",
+];
+
+/// The modes a flag applies to (`study` is every name in `STUDIES`),
+/// or `None` for `--jobs`, `--requests`, `--seed`, `--stats` and
+/// `--profile`, which apply everywhere.
+fn modes_of(flag: &str) -> Option<&'static [&'static str]> {
+    match flag {
+        "--trace" | "--metrics" => Some(&["study"]),
+        "--heartbeat" | "--heartbeat-file" | "--inter-arrival" => Some(&["scale"]),
+        "--actuators" => Some(&["scale", "spc"]),
+        "--grid" | "--refine" | "--latency" | "--out" | "--cache" => Some(&["explore"]),
+        _ => None,
+    }
+}
+
 /// Parses the arguments after the program name. Every rejection is one
 /// line, except the `--help` text.
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
-    let mut experiment = "all".to_string();
+    let mut experiment: Option<String> = None;
+    let mut mode_flags = Vec::new();
     let mut scale = Scale::report();
-    let mut spc_file = None;
+    let mut operand = None;
     let mut actuators = 4u32;
     let mut inter_arrival_ms = 6.0;
     let mut jobs = default_jobs();
@@ -119,7 +147,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut stats_set = false;
     let mut trace_dir = None;
     let mut metrics_dir = None;
-    let mut report_dir = None;
     let mut profile_dir = None;
     let mut heartbeat_secs = None;
     let mut heartbeat_file = None;
@@ -130,6 +157,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut explore_cache = Some(".explore-cache".to_string());
     let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
+        if let Some(modes) = modes_of(&arg) {
+            mode_flags.push((arg.clone(), modes));
+        }
         match arg.as_str() {
             "--trace" => {
                 trace_dir = Some(it.next().ok_or("--trace needs a directory")?);
@@ -246,17 +276,33 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
                     .map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
-            other if !other.starts_with('-') => {
-                if experiment == "spc" && spc_file.is_none() {
-                    spc_file = Some(other.to_string());
-                } else if experiment == "report" && report_dir.is_none() {
-                    report_dir = Some(other.to_string());
-                } else {
-                    experiment = other.to_string();
+            other if !other.starts_with('-') => match experiment.as_deref() {
+                None if !STUDIES.contains(&other)
+                    && !["report", "spc", "scale", "explore"].contains(&other) =>
+                {
+                    return Err(format!(
+                        "unknown experiment {other:?} (repro --help lists them)"
+                    ));
                 }
-            }
+                None => experiment = Some(other.to_string()),
+                Some("spc" | "report") if operand.is_none() => operand = Some(other.to_string()),
+                Some(first) => {
+                    return Err(format!(
+                        "unexpected argument {other:?} after experiment {first:?} (repro runs one experiment; `all` runs every study)"
+                    ));
+                }
+            },
             other => return Err(format!("unknown flag {other:?}")),
         }
+    }
+    let mut experiment = experiment.unwrap_or_else(|| "all".to_string());
+    let mode = if STUDIES.contains(&experiment.as_str()) {
+        "study"
+    } else {
+        experiment.as_str()
+    };
+    if let Some((flag, _)) = mode_flags.iter().find(|(_, modes)| !modes.contains(&mode)) {
+        return Err(format!("{flag} does not apply to `repro {experiment}`"));
     }
     // `sa_eval` is the study behind the paper's Figure 5 CDFs; accept
     // it as an alias so metrics tooling can name the study directly.
@@ -272,13 +318,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         scale,
         requests_set,
         stats_set,
-        spc_file,
+        operand,
         actuators,
         inter_arrival_ms,
         jobs,
         trace_dir,
         metrics_dir,
-        report_dir,
         profile_dir,
         heartbeat_secs,
         heartbeat_file,
@@ -294,7 +339,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 /// cache, write `<out>/explore.json`, and render `<out>/report.html`
 /// with the Pareto panel. Cache hit/miss counts go to stderr; stdout
 /// and the artifacts are byte-identical across jobs and cache states.
-fn run_explore(args: &Args) -> Result<(), String> {
+fn run_explore(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     let defaults = explorer::SweepScale::default();
     let scale = explorer::SweepScale {
         requests: if args.requests_set {
@@ -327,7 +372,9 @@ fn run_explore(args: &Args) -> Result<(), String> {
         cache: args.explore_cache.as_deref().map(explorer::PointCache::new),
     };
     let exec = Executor::new(args.jobs);
-    let out = explorer::explore(&opts, &exec).map_err(|e| e.to_string())?;
+    let out = explorer::explore(&opts, &exec);
+    times.studies.extend(exec.take_times());
+    let out = out.map_err(|e| e.to_string())?;
     eprintln!(
         "[explore: {} points ({} executed, {} cached), {} on the frontier]",
         out.points.len(),
@@ -343,7 +390,11 @@ fn run_explore(args: &Args) -> Result<(), String> {
     std::fs::write(&json_path, &out.json)
         .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
     eprintln!("[explore: {}]", json_path.display());
-    let report = experiments::metrics_export::write_report(out_dir).map_err(|e| e.to_string())?;
+    let report = times
+        .time(Phase::ExportReport, || {
+            experiments::metrics_export::write_report(out_dir)
+        })
+        .map_err(|e| e.to_string())?;
     eprintln!("[report: {}]", report.display());
 
     // The deterministic stdout summary: the frontier, one line per
@@ -377,7 +428,7 @@ fn run_explore(args: &Args) -> Result<(), String> {
 /// ([`workload::spc::SpcSource`]); the scan pass validates every line
 /// up front, so multi-gigabyte traces replay in flat memory.
 fn run_spc(args: &Args) -> Result<(), String> {
-    let Some(path) = args.spc_file.as_deref() else {
+    let Some(path) = args.operand.as_deref() else {
         return Err("spc mode needs a trace file: repro spc <file>".to_string());
     };
     for (i, n) in [1u32, args.actuators].into_iter().enumerate() {
@@ -423,13 +474,6 @@ impl HeartbeatObserver {
     /// Check the clock every 1024 completions: ~millisecond-granular
     /// at simulator throughput, invisible in the per-request cost.
     const CHECK_MASK: u64 = 1023;
-
-    fn new(every_secs: f64, total: Option<u64>, file: Option<&std::path::Path>) -> Self {
-        HeartbeatObserver {
-            hb: telemetry::prof::Heartbeat::new(every_secs, total, file),
-            completed: 0,
-        }
-    }
 }
 
 impl experiments::RunObserver for HeartbeatObserver {
@@ -449,7 +493,7 @@ impl experiments::RunObserver for HeartbeatObserver {
 /// count can far exceed what would fit materialized. Stats go to
 /// stdout; the peak-RSS probe goes to stderr so stdout stays
 /// deterministic for a given configuration.
-fn run_scale(args: &Args) -> Result<(), String> {
+fn run_scale(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     let params = hcsd_params();
     let spec = workload::SyntheticSpec::paper(
         args.inter_arrival_ms,
@@ -459,13 +503,18 @@ fn run_scale(args: &Args) -> Result<(), String> {
     let config = intradisk::DriveConfig::sa(args.actuators).with_stats_mode(args.scale.stats);
     let r = if let Some(every) = args.heartbeat_secs {
         let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
-        let mut obs = HeartbeatObserver::new(every, Some(args.scale.requests as u64), file);
-        experiments::simulate(
+        let mut obs = HeartbeatObserver {
+            hb: telemetry::prof::Heartbeat::new(every, Some(args.scale.requests as u64), file),
+            completed: 0,
+        };
+        let r = experiments::simulate(
             spec.source(args.scale.seed),
             intradisk::DiskDrive::new(&params, config),
             &mut telemetry::NullRecorder,
             &mut obs,
-        )
+        );
+        times.add(Phase::Heartbeat, obs.hb.time());
+        r
     } else {
         experiments::run_drive(&params, config, spec.source(args.scale.seed))
     }
@@ -607,20 +656,19 @@ fn main() -> ExitCode {
         }
     };
 
-    // With --profile, the whole dispatch runs under the profiler (and
-    // under a root `run` phase scope) and the artifacts are written
-    // after it returns.
-    let clock = if args.profile_dir.is_some() {
+    // The dispatch gathers its host times as it goes; with --profile
+    // they become the phase profile, written after it returns.
+    if args.profile_dir.is_some() {
         experiments::profile::reset_counters();
-        telemetry::prof::enable();
-        Some(telemetry::prof::Stopwatch::start())
-    } else {
-        None
-    };
-    let code = dispatch(&args);
-    if let (Some(dir), Some(clock)) = (args.profile_dir.as_deref(), clock) {
-        telemetry::prof::disable();
-        let report = telemetry::prof::ProfReport::take(clock.elapsed_ns());
+    }
+    let mut times = RunTimes::default();
+    let clock = Stopwatch::start();
+    let outcome = dispatch(&args, &mut times);
+    if let Err(msg) = &outcome {
+        eprintln!("{msg}");
+    }
+    if let Some(dir) = args.profile_dir.as_deref() {
+        let report = ProfReport::new(clock.elapsed_ns(), times);
         eprintln!(
             "[profile: {:.0} ms wall, {:.1}% attributed, {:.1} ms unattributed]",
             report.wall_ns as f64 / 1e6,
@@ -639,106 +687,76 @@ fn main() -> ExitCode {
             }
         }
     }
-    code
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(_) => ExitCode::FAILURE,
+    }
 }
 
-fn dispatch(args: &Args) -> ExitCode {
-    let _run = telemetry::prof::scope(telemetry::prof::Phase::Run);
-
-    if args.experiment == "scale" {
-        return match run_scale(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
+/// Runs the mode `args` names, gathering its host times into `times`.
+fn dispatch(args: &Args, times: &mut RunTimes) -> Result<(), String> {
+    match args.experiment.as_str() {
+        "scale" => run_scale(args, times),
+        "spc" => run_spc(args),
+        "explore" => run_explore(args, times),
+        "report" => {
+            let dir = args
+                .operand
+                .as_deref()
+                .ok_or("report mode needs a directory: repro report <metrics-dir>")?;
+            let path = times
+                .time(Phase::ExportReport, || {
+                    experiments::metrics_export::write_report(std::path::Path::new(dir))
+                })
+                .map_err(|e| format!("report failed: {e}"))?;
+            eprintln!("[report: {}]", path.display());
+            Ok(())
+        }
+        _ => run_studies(args, times),
     }
+}
 
-    if args.experiment == "spc" {
-        return match run_spc(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if args.experiment == "report" {
-        let Some(dir) = args.report_dir.as_deref() else {
-            eprintln!("report mode needs a directory: repro report <metrics-dir>");
-            return ExitCode::FAILURE;
-        };
-        return match experiments::metrics_export::write_report(std::path::Path::new(dir)) {
-            Ok(path) => {
-                eprintln!("[report: {}]", path.display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("report failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if args.experiment == "explore" {
-        return match run_explore(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
+/// The study modes: the studies on the executor, then the trace and
+/// metrics exports.
+fn run_studies(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     let exec = Executor::new(args.jobs).with_progress();
-    if let Err(e) = run_experiments(args, &exec) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    let studies = run_experiments(args, &exec);
+    times.studies.extend(exec.take_times());
+    studies.map_err(|e| e.to_string())?;
 
     // Trace and metrics exports run serially after the sweeps, and
     // their file lists go to stderr: stdout stays byte-identical
     // whether or not (and with whatever --jobs) they are enabled.
     if let Some(dir) = args.trace_dir.as_deref() {
-        let _exp = telemetry::prof::scope(telemetry::prof::Phase::ExportTrace);
         let dir = std::path::Path::new(dir);
-        match experiments::tracing::export_traces(dir, args.scale) {
-            Ok(export) => {
-                for f in &export.files {
-                    eprintln!("[trace: {}]", dir.join(f).display());
-                }
-                let drops = export
-                    .drops
-                    .iter()
-                    .map(|(name, n)| format!("{name} {n}"))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                eprintln!("[trace-drops: {drops}]");
-            }
-            Err(e) => {
-                eprintln!("trace export failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        let export = times
+            .time(Phase::ExportTrace, || {
+                experiments::tracing::export_traces(dir, args.scale)
+            })
+            .map_err(|e| format!("trace export failed: {e}"))?;
+        for f in &export.files {
+            eprintln!("[trace: {}]", dir.join(f).display());
         }
+        let drops = export
+            .drops
+            .iter()
+            .map(|(name, n)| format!("{name} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        eprintln!("[trace-drops: {drops}]");
     }
     if let Some(dir) = args.metrics_dir.as_deref() {
-        let _exp = telemetry::prof::scope(telemetry::prof::Phase::ExportMetrics);
         let dir = std::path::Path::new(dir);
-        match experiments::metrics_export::export_metrics(dir, args.scale) {
-            Ok(files) => {
-                for f in files {
-                    eprintln!("[metrics: {}]", dir.join(f).display());
-                }
-            }
-            Err(e) => {
-                eprintln!("metrics export failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        let files = times
+            .time(Phase::ExportMetrics, || {
+                experiments::metrics_export::export_metrics(dir, args.scale)
+            })
+            .map_err(|e| format!("metrics export failed: {e}"))?;
+        for f in files {
+            eprintln!("[metrics: {}]", dir.join(f).display());
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 #[cfg(test)]
@@ -805,9 +823,17 @@ mod tests {
         Gen::new(move |src| match gen::u32_in(0..=3).generate(src) {
             0 => gen::one_of(FLAGS.to_vec()).generate(src).to_string(),
             1 => gen::one_of(VALUES.to_vec()).generate(src).to_string(),
-            2 => gen::one_of(vec!["all", "scale", "spc", "report", "sa_eval", "limit"])
-                .generate(src)
-                .to_string(),
+            2 => gen::one_of(vec![
+                "all",
+                "scale",
+                "spc",
+                "report",
+                "sa_eval",
+                "limit",
+                "nosuchfig",
+            ])
+            .generate(src)
+            .to_string(),
             _ => garbage.generate(src),
         })
     }
@@ -851,5 +877,50 @@ mod tests {
             assert!(args.requests_set);
             assert_eq!(args.scale.seed, seed);
         });
+    }
+
+    /// The command lines `perfbench/run.py` builds parse, and land in
+    /// `Args` as given: each workload's timed run, `scale_sa4`'s
+    /// one-request set-up run, and each with the reference run's
+    /// trailing `--profile`.
+    #[test]
+    fn benchmark_command_lines_parse_as_given() {
+        let all = "all --jobs 1 --requests 10000 --seed 42 --metrics m";
+        let explore = "explore --grid full --jobs 2 --requests 500 --seed 42 --cache c --out o";
+        for profile in ["", " --profile p"] {
+            let parse = |words: &str| {
+                let words = format!("{words}{profile}");
+                let a = parse_args(words.split(' ').map(str::to_string))
+                    .unwrap_or_else(|e| panic!("{words}: {e}"));
+                let want_profile = (!profile.is_empty()).then(|| "p".to_string());
+                assert_eq!(a.profile_dir, want_profile, "{words}");
+                a
+            };
+            for requests in [1_000_000, 1] {
+                let a = parse(&format!(
+                    "scale --requests {requests} --actuators 4 --inter-arrival 6.0 --stats streaming --seed 42"
+                ));
+                assert_eq!(
+                    (a.experiment.as_str(), a.scale.requests, a.actuators),
+                    ("scale", requests, 4)
+                );
+                assert_eq!(a.inter_arrival_ms.to_bits(), 6.0f64.to_bits());
+                assert_eq!((a.scale.stats, a.scale.seed), (StatsMode::Streaming, 42));
+            }
+            let a = parse(all);
+            assert_eq!(a.experiment, "all");
+            assert_eq!((a.jobs, a.scale.requests, a.scale.seed), (1, 10_000, 42));
+            assert_eq!(a.metrics_dir.as_deref(), Some("m"));
+            let a = parse(explore);
+            assert_eq!(
+                (a.experiment.as_str(), a.explore_grid.as_str()),
+                ("explore", "full")
+            );
+            assert_eq!((a.jobs, a.scale.requests, a.scale.seed), (2, 500, 42));
+            assert_eq!(
+                (a.explore_cache.as_deref(), a.explore_out.as_str()),
+                (Some("c"), "o")
+            );
+        }
     }
 }

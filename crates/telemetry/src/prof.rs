@@ -3,14 +3,14 @@
 //! Everything else in this crate (and in every sim crate) runs on
 //! *virtual* time; this module is the one sanctioned exception. It
 //! attributes real wall-clock execution time to a few coarse named
-//! phases ([`Phase`]) via scoped timers ([`scope`]): planning, the
-//! per-point simulations, executor idle, reduction, exports and
-//! heartbeats. No scope sits on the per-request path, so the profile
-//! costs a fixed number of clock reads per run point, not per request.
-//! Per-layer questions (source pull, kernel push/pop, dispatch scan,
-//! cost model, stats record) are answered by perfbench's batch
-//! micro-timings (`python3 perfbench/run.py --trace 1`) and by the
-//! deterministic counters, not here.
+//! phases ([`Phase`]): planning, the per-point simulations, executor
+//! idle, reduction, exports and heartbeats. No timer sits on the
+//! per-request path, so the profile costs a fixed number of clock reads
+//! per run point, not per request. Per-layer questions (source pull,
+//! kernel push/pop, dispatch scan, cost model, stats record) are
+//! answered by perfbench's batch micro-timings
+//! (`python3 perfbench/run.py --trace 1`) and by the deterministic
+//! counters, not here.
 //!
 //! # The wall-clock carve-out
 //!
@@ -24,25 +24,19 @@
 //!
 //! # Design
 //!
-//! * Disabled (the default), [`scope`] is one relaxed atomic load and a
-//!   branch.
-//! * Enabled, each scope stamps the monotonic clock on entry and exit
-//!   and accrues *self time* to the innermost open phase, so a parent's
-//!   self time never double-counts its children.
-//! * The open-phase stack is a thread-local `u64` path (8 bits per
-//!   level, up to [`MAX_DEPTH`] levels; deeper scopes become no-ops),
-//!   and per-thread accumulators flush into a global table whenever the
-//!   stack returns to depth zero — worker threads profile without
-//!   cross-thread traffic in steady state.
-//! * [`ProfReport`] renders the table as a human-readable phase tree
-//!   and a collapsed-stack (flamegraph-format) file. The table reports
-//!   the profiler's own cost: scope entries times the cost of one empty
-//!   enabled scope, measured in-process when the report is built.
-//!
-//! [`Heartbeat`] reuses the same clock for periodic live-run snapshots
-//! (stderr + atomically rewritten Prometheus textfile), and
-//! [`Stopwatch`] gives callers a plain monotonic timer for progress
-//! lines.
+//! Host times are plain values of the run that measured them; nothing
+//! here is process-global. Code times a phase where it happens with a
+//! [`Stopwatch`]: one clock-read pair per timed span. The executor
+//! returns one [`StudyTimes`] per study run; the caller gathers these
+//! and the phases it timed itself (exports, [`Heartbeat`] beats) into a
+//! [`RunTimes`], and [`ProfReport::new`] folds them into a phase tree. Points that ran on worker threads
+//! count under a root `run_point`, beside the calling thread's
+//! `run;exec_idle`; points that ran inline count under `run;run_point`.
+//! `run`'s self time is the wall time no calling-thread phase accounts
+//! for. [`ProfReport`] renders the tree as a table and as collapsed
+//! stacks (flamegraph format), plus per-study and slowest-point tables,
+//! and reports its own cost: timed spans times one clock-read pair,
+//! measured in-process when the report is built.
 
 #![expect(
     clippy::disallowed_types,
@@ -50,31 +44,22 @@
     reason = "the profiler reads the host clock; its measurements flow only to stderr and profile files, never into simulated state"
 )]
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant as HostInstant;
 
-/// Maximum profiled scope nesting depth; deeper scopes are no-ops.
-pub const MAX_DEPTH: usize = 8;
-
-/// A named coarse execution phase. Self-time attribution means phases
-/// nest freely without double counting.
+/// A named coarse execution phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum Phase {
     /// Whole-run root (study dispatch, reduction, rendering).
-    Run = 0,
+    Run,
     /// Planning a study's point list.
     Plan,
     /// One plan point's simulation (worker-side root when parallel).
     RunPoint,
-    /// Executor main thread waiting on worker results.
+    /// Executor calling thread waiting on worker results.
     ExecIdle,
     /// Plan-order result reduction.
     Reduce,
@@ -82,21 +67,11 @@ pub enum Phase {
     ExportTrace,
     /// Metrics export (`--metrics`).
     ExportMetrics,
+    /// The `report.html` dashboard write.
+    ExportReport,
     /// Heartbeat snapshot emission.
     Heartbeat,
 }
-
-/// Every phase, indexed by its path code (`Phase as u8`).
-pub const PHASES: [Phase; 8] = [
-    Phase::Run,
-    Phase::Plan,
-    Phase::RunPoint,
-    Phase::ExecIdle,
-    Phase::Reduce,
-    Phase::ExportTrace,
-    Phase::ExportMetrics,
-    Phase::Heartbeat,
-];
 
 impl Phase {
     /// Stable name used in folded stacks and phase tables.
@@ -109,158 +84,115 @@ impl Phase {
             Phase::Reduce => "reduce",
             Phase::ExportTrace => "export_trace",
             Phase::ExportMetrics => "export_metrics",
+            Phase::ExportReport => "export_report",
             Phase::Heartbeat => "heartbeat",
         }
     }
+}
 
-    fn from_code(code: u8) -> Option<Phase> {
-        PHASES.get(code as usize).copied()
+// ---------------------------------------------------------------------
+// Stopwatch
+
+/// A plain monotonic host-time stopwatch: phase timings, progress
+/// lines, ETA math.
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch {
+    start: HostInstant,
+}
+
+impl Stopwatch {
+    /// Starts timing now.
+    pub fn start() -> Self {
+        Stopwatch {
+            start: HostInstant::now(),
+        }
+    }
+
+    /// Nanoseconds elapsed since [`start`](Self::start).
+    pub fn elapsed_ns(&self) -> u64 {
+        self.start.elapsed().as_nanos() as u64
+    }
+
+    /// Seconds elapsed since [`start`](Self::start).
+    pub fn elapsed_secs(&self) -> f64 {
+        self.elapsed_ns() as f64 / 1e9
     }
 }
 
 // ---------------------------------------------------------------------
-// Clock and enable flag
+// Run-scoped timings
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: OnceLock<HostInstant> = OnceLock::new();
-
-/// Nanoseconds since the profiling epoch (first clock use).
-pub fn now_ns() -> u64 {
-    EPOCH.get_or_init(HostInstant::now).elapsed().as_nanos() as u64
+/// How many spans of one phase were timed, and their total host time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTime {
+    /// Timed spans.
+    pub calls: u64,
+    /// Their total, in nanoseconds.
+    pub ns: u64,
 }
 
-/// Turns phase profiling on. Scopes entered while disabled were no-ops
-/// and stay no-ops through their exit.
-pub fn enable() {
-    now_ns(); // pin the epoch
-    ENABLED.store(true, Ordering::Relaxed);
-}
+impl PhaseTime {
+    /// One span of `ns` nanoseconds.
+    pub fn once(ns: u64) -> Self {
+        PhaseTime { calls: 1, ns }
+    }
 
-/// Turns phase profiling off (new scopes become no-ops).
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// True if phase profiling is on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------
-// Per-thread scope stack and accumulator
-
-#[derive(Debug, Default, Clone, Copy)]
-struct PathStat {
-    self_ns: u64,
-    enters: u64,
-    exits: u64,
-}
-
-#[derive(Default)]
-struct Tls {
-    depth: usize,
-    /// Open-phase stack encoded 8 bits per level, innermost in the low
-    /// byte; each byte is `phase code + 1` so 0 means "empty".
-    path: u64,
-    /// Clock stamp of the last scope boundary on this thread.
-    last: u64,
-    acc: BTreeMap<u64, PathStat>,
-}
-
-thread_local! {
-    static TLS: RefCell<Tls> = RefCell::new(Tls::default());
-}
-
-static TOTALS: Mutex<BTreeMap<u64, PathStat>> = Mutex::new(BTreeMap::new());
-
-fn merge_into_totals(acc: BTreeMap<u64, PathStat>) {
-    let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-    for (path, stat) in acc {
-        let t = totals.entry(path).or_default();
-        t.self_ns += stat.self_ns;
-        t.enters += stat.enters;
-        t.exits += stat.exits;
+    /// Adds `other`'s spans to these.
+    pub fn add(&mut self, other: PhaseTime) {
+        self.calls += other.calls;
+        self.ns += other.ns;
     }
 }
 
-/// RAII guard for one profiled phase; created by [`scope`].
-#[derive(Debug)]
-pub struct Scope {
-    active: bool,
+/// Points per study run whose labels a [`StudyTimes`] keeps.
+pub const SLOWEST_POINTS: usize = 10;
+
+/// Host times of one study run, as the executor measured them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StudyTimes {
+    /// The study's name.
+    pub study: &'static str,
+    /// True if the points ran on worker threads, false if inline.
+    pub parallel: bool,
+    /// Planning the point list.
+    pub plan_ns: u64,
+    /// Each point's run, in plan order.
+    pub point_ns: Vec<u64>,
+    /// The calling thread's wait on its workers (0 when inline).
+    pub idle_ns: u64,
+    /// Reducing the outputs.
+    pub reduce_ns: u64,
+    /// Up to [`SLOWEST_POINTS`] points, slowest first (ties in plan
+    /// order), as `(label, ns)`.
+    pub slowest: Vec<(String, u64)>,
 }
 
-/// Opens a profiled scope for `phase`. Disabled or past [`MAX_DEPTH`],
-/// this is a no-op guard.
-#[inline]
-pub fn scope(phase: Phase) -> Scope {
-    if !enabled() {
-        return Scope { active: false };
+/// The host times one run gathers for its [`ProfReport`].
+#[derive(Debug, Default)]
+pub struct RunTimes {
+    /// Study runs, in run order.
+    pub studies: Vec<StudyTimes>,
+    /// Calling-thread phases outside the studies (exports, heartbeats).
+    pub phases: Vec<(Phase, PhaseTime)>,
+}
+
+impl RunTimes {
+    /// Adds `time` to `phase`'s total.
+    pub fn add(&mut self, phase: Phase, time: PhaseTime) {
+        match self.phases.iter_mut().find(|(p, _)| *p == phase) {
+            Some((_, t)) => t.add(time),
+            None if time.calls > 0 => self.phases.push((phase, time)),
+            None => {}
+        }
     }
-    let entered = TLS.with(|tls| {
-        let mut t = tls.borrow_mut();
-        if t.depth >= MAX_DEPTH {
-            return false;
-        }
-        let now = now_ns();
-        if t.depth > 0 {
-            let path = t.path;
-            let since_last = now.saturating_sub(t.last);
-            t.acc.entry(path).or_default().self_ns += since_last;
-        }
-        t.depth += 1;
-        t.path = (t.path << 8) | (phase as u64 + 1);
-        let path = t.path;
-        t.acc.entry(path).or_default().enters += 1;
-        t.last = now;
-        true
-    });
-    Scope { active: entered }
-}
 
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        TLS.with(|tls| {
-            let mut t = tls.borrow_mut();
-            if t.depth == 0 {
-                // Unbalanced exit (only reachable if a caller leaks a
-                // guard across reset); drop silently.
-                return;
-            }
-            let now = now_ns();
-            let path = t.path;
-            let since_last = now.saturating_sub(t.last);
-            {
-                let stat = t.acc.entry(path).or_default();
-                stat.self_ns += since_last;
-                stat.exits += 1;
-            }
-            t.path >>= 8;
-            t.depth -= 1;
-            t.last = now;
-            if t.depth == 0 {
-                let acc = std::mem::take(&mut t.acc);
-                drop(t);
-                merge_into_totals(acc);
-            }
-        });
+    /// Runs `f`, counting its host time as one span of `phase`.
+    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let clock = Stopwatch::start();
+        let out = f();
+        self.add(phase, PhaseTime::once(clock.elapsed_ns()));
+        out
     }
-}
-
-/// Clears accumulated phase data (global table and the calling thread's
-/// in-flight accumulator). Test isolation; call with no scopes open.
-pub fn reset() {
-    TLS.with(|tls| {
-        let mut t = tls.borrow_mut();
-        t.acc.clear();
-        t.depth = 0;
-        t.path = 0;
-    });
-    let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-    // Shrink site: `mem::take` releases the table's nodes.
-    drop(std::mem::take(&mut *totals));
 }
 
 // ---------------------------------------------------------------------
@@ -273,13 +205,11 @@ pub struct PhaseLine {
     pub path: Vec<&'static str>,
     /// Time attributed to exactly this path (children excluded).
     pub self_ns: u64,
-    /// Scope entries.
-    pub enters: u64,
-    /// Scope exits (== `enters` once all scopes are closed).
-    pub exits: u64,
+    /// Timed spans.
+    pub calls: u64,
 }
 
-/// A harvested phase profile over one run.
+/// A phase profile over one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfReport {
     /// End-to-end measured wall time the profile is judged against.
@@ -287,83 +217,79 @@ pub struct ProfReport {
     /// Per-path lines, sorted by path (depth-first, parents before
     /// children).
     pub lines: Vec<PhaseLine>,
-    /// Measured host cost of one enabled empty scope (enter + exit),
-    /// in nanoseconds.
-    pub scope_ns: f64,
+    /// The study runs, in run order.
+    pub studies: Vec<StudyTimes>,
+    /// Measured host cost of one clock-read pair, in nanoseconds.
+    pub pair_ns: f64,
 }
 
-fn decode_path(mut path: u64) -> Vec<&'static str> {
-    let mut codes = Vec::new();
-    while path != 0 {
-        codes.push((path & 0xff) as u8);
-        path >>= 8;
-    }
-    codes.reverse();
-    codes
-        .into_iter()
-        .filter_map(|c| c.checked_sub(1).and_then(Phase::from_code))
-        .map(Phase::name)
-        .collect()
-}
+/// Clock-read pairs timed per calibration batch.
+const CALIBRATION_PAIRS: u32 = 4_096;
 
-fn drain_totals() -> BTreeMap<u64, PathStat> {
-    let mut totals = TOTALS.lock().unwrap_or_else(|e| e.into_inner());
-    std::mem::take(&mut *totals)
-}
-
-/// Empty scopes timed per calibration batch.
-const CALIBRATION_SCOPES: u32 = 4_096;
-
-/// Host cost of one enabled empty scope in nanoseconds: the fastest of
-/// three batches of real [`scope`] calls, each nested under one outer
-/// scope as most run scopes are. The batches' lines are drained and
-/// dropped, so the calibration shows up in no report. Call with no
-/// scopes open and the global table already drained.
-fn calibrate_scope_ns() -> f64 {
-    let was_enabled = enabled();
-    enable();
+/// Host cost of one clock-read pair (a [`Stopwatch`] started and read)
+/// in nanoseconds: the fastest of three batches.
+fn calibrate_pair_ns() -> f64 {
     let batch = || {
-        let start = now_ns();
-        let _outer = scope(Phase::Run);
-        for _ in 0..CALIBRATION_SCOPES {
-            std::hint::black_box(scope(Phase::RunPoint));
+        let clock = Stopwatch::start();
+        for _ in 0..CALIBRATION_PAIRS {
+            std::hint::black_box(std::hint::black_box(Stopwatch::start()).elapsed_ns());
         }
-        now_ns().saturating_sub(start)
+        clock.elapsed_ns()
     };
     let fastest = (0..3).map(|_| batch()).min().unwrap_or(0);
-    if !was_enabled {
-        disable();
-    }
-    drop(drain_totals());
-    fastest as f64 / f64::from(CALIBRATION_SCOPES)
+    fastest as f64 / f64::from(CALIBRATION_PAIRS)
 }
 
 impl ProfReport {
-    /// Builds a report from the global table (draining it) against the
-    /// given measured wall time, then measures the cost of one scope.
-    /// Call with no scopes open.
-    pub fn take(wall_ns: u64) -> Self {
-        let drained = drain_totals();
-        let mut lines: Vec<PhaseLine> = drained
-            .into_iter()
-            .map(|(path, stat)| PhaseLine {
-                path: decode_path(path),
-                self_ns: stat.self_ns,
-                enters: stat.enters,
-                exits: stat.exits,
-            })
+    /// Folds one run's times into a phase tree against its measured
+    /// wall time, then measures the cost of one clock-read pair.
+    pub fn new(wall_ns: u64, mut times: RunTimes) -> Self {
+        let studies = std::mem::take(&mut times.studies);
+        let mut workers = PhaseTime::default();
+        for s in &studies {
+            times.add(Phase::Plan, PhaseTime::once(s.plan_ns));
+            let points = PhaseTime {
+                calls: s.point_ns.len() as u64,
+                ns: s.point_ns.iter().sum(),
+            };
+            if s.parallel {
+                workers.add(points);
+                times.add(Phase::ExecIdle, PhaseTime::once(s.idle_ns));
+            } else {
+                times.add(Phase::RunPoint, points);
+            }
+            times.add(Phase::Reduce, PhaseTime::once(s.reduce_ns));
+        }
+        let line = |path: Vec<&'static str>, t: PhaseTime| PhaseLine {
+            path,
+            self_ns: t.ns,
+            calls: t.calls,
+        };
+        let children_ns: u64 = times.phases.iter().map(|(_, t)| t.ns).sum();
+        let mut lines: Vec<PhaseLine> = times
+            .phases
+            .iter()
+            .map(|&(phase, t)| line(vec![Phase::Run.name(), phase.name()], t))
             .collect();
+        lines.push(line(
+            vec![Phase::Run.name()],
+            PhaseTime::once(wall_ns.saturating_sub(children_ns)),
+        ));
+        if workers.calls > 0 {
+            lines.push(line(vec![Phase::RunPoint.name()], workers));
+        }
         lines.sort_by(|a, b| a.path.cmp(&b.path));
         ProfReport {
             wall_ns,
             lines,
-            scope_ns: calibrate_scope_ns(),
+            studies,
+            pair_ns: calibrate_pair_ns(),
         }
     }
 
-    /// Scope entries over all phase paths.
-    pub fn scopes(&self) -> u64 {
-        self.lines.iter().map(|l| l.enters).sum()
+    /// Timed spans over all phase paths.
+    pub fn spans(&self) -> u64 {
+        self.lines.iter().map(|l| l.calls).sum()
     }
 
     /// Wall time attributed to some named phase: the sum of all self
@@ -412,8 +338,9 @@ impl ProfReport {
     }
 
     /// Human-readable phase table with a wall/attributed/unattributed
-    /// footer and the profiler's own estimated overhead. The
-    /// unattributed remainder is always reported explicitly.
+    /// footer and the profiler's own estimated overhead, then one row
+    /// per study run and the slowest points of each. The unattributed
+    /// remainder is always reported explicitly.
     pub fn table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -429,7 +356,7 @@ impl ProfReport {
                 out,
                 "{:<44} {:>10} {:>12.3} {:>12.3}",
                 label,
-                l.enters,
+                l.calls,
                 l.self_ns as f64 / 1e6,
                 self.total_ns(i) as f64 / 1e6,
             );
@@ -448,43 +375,52 @@ impl ProfReport {
             "unattributed {:>12.3} ms",
             self.unattributed_ns() as f64 / 1e6
         );
-        // The profiler's own cost: scope entries × one measured scope.
-        let overhead = self.scopes() as f64 * self.scope_ns;
+        // The profiler's own cost: timed spans × one clock-read pair.
+        let overhead = self.spans() as f64 * self.pair_ns;
         let _ = writeln!(
             out,
-            "overhead ≈ {} scopes × {:.1} ns = {:.3} ms ({:.2}% of wall)",
-            self.scopes(),
-            self.scope_ns,
+            "overhead ≈ {} spans × {:.1} ns = {:.3} ms ({:.2}% of wall)",
+            self.spans(),
+            self.pair_ns,
             overhead / 1e6,
             overhead * 100.0 / self.wall_ns.max(1) as f64
         );
-        out
-    }
-}
-
-// ---------------------------------------------------------------------
-// Stopwatch
-
-/// A plain monotonic host-time stopwatch (progress lines, ETA math).
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start_ns: u64,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Stopwatch { start_ns: now_ns() }
-    }
-
-    /// Nanoseconds elapsed since [`start`](Self::start).
-    pub fn elapsed_ns(&self) -> u64 {
-        now_ns().saturating_sub(self.start_ns)
-    }
-
-    /// Seconds elapsed since [`start`](Self::start).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed_ns() as f64 / 1e9
+        if self.studies.is_empty() {
+            return out;
+        }
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let _ = writeln!(
+            out,
+            "\n{:>4} {:<12} {:>8} {:>10} {:>12} {:>10} {:>10}",
+            "#", "study", "points", "plan(ms)", "points(ms)", "idle(ms)", "reduce(ms)"
+        );
+        let mut slowest = format!(
+            "\n{:>4} {:<12} {:>10}  slowest points\n",
+            "#", "study", "ms"
+        );
+        for (n, s) in self.studies.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "{:>4} {:<12} {:>8} {:>10.3} {:>12.3} {:>10.3} {:>10.3}",
+                n + 1,
+                s.study,
+                s.point_ns.len(),
+                ms(s.plan_ns),
+                ms(s.point_ns.iter().sum()),
+                ms(s.idle_ns),
+                ms(s.reduce_ns)
+            );
+            for (label, ns) in &s.slowest {
+                let _ = writeln!(
+                    slowest,
+                    "{:>4} {:<12} {:>10.3}  {label}",
+                    n + 1,
+                    s.study,
+                    ms(*ns)
+                );
+            }
+        }
+        out + &slowest
     }
 }
 
@@ -510,11 +446,13 @@ pub fn peak_rss_kb() -> Option<u64> {
 #[derive(Debug)]
 pub struct Heartbeat {
     every_ns: u64,
-    started_ns: u64,
+    clock: Stopwatch,
+    /// When the last beat fired, in nanoseconds since `clock` started.
     last_beat_ns: u64,
     total: Option<u64>,
     file: Option<PathBuf>,
-    beats: u64,
+    /// The beats emitted so far, and the host time they took.
+    beats: PhaseTime,
 }
 
 impl Heartbeat {
@@ -522,19 +460,18 @@ impl Heartbeat {
     /// (expected completions) enables ETA; `file` names a Prometheus
     /// textfile to rewrite atomically on each beat.
     pub fn new(every_secs: f64, total: Option<u64>, file: Option<&Path>) -> Self {
-        let now = now_ns();
         Heartbeat {
             every_ns: (every_secs.max(0.01) * 1e9) as u64,
-            started_ns: now,
-            last_beat_ns: now,
+            clock: Stopwatch::start(),
+            last_beat_ns: 0,
             total,
             file: file.map(Path::to_path_buf),
-            beats: 0,
+            beats: PhaseTime::default(),
         }
     }
 
-    /// Number of beats emitted so far.
-    pub fn beats(&self) -> u64 {
+    /// The beats emitted so far, and the host time they took.
+    pub fn time(&self) -> PhaseTime {
         self.beats
     }
 
@@ -542,14 +479,14 @@ impl Heartbeat {
     /// invoked when a beat actually fires (it may be costly).
     /// Returns true if a beat was emitted.
     pub fn maybe_beat(&mut self, completed: u64, p90_ms: impl FnOnce() -> f64) -> bool {
-        let now = now_ns();
+        let now = self.clock.elapsed_ns();
         if now.saturating_sub(self.last_beat_ns) < self.every_ns {
             return false;
         }
-        let _hb = scope(Phase::Heartbeat);
+        let beat = Stopwatch::start();
         self.last_beat_ns = now;
-        self.beats += 1;
-        let elapsed_s = (now.saturating_sub(self.started_ns)) as f64 / 1e9;
+        self.beats.calls += 1;
+        let elapsed_s = now as f64 / 1e9;
         let rate = completed as f64 / elapsed_s.max(1e-9);
         let p90 = p90_ms();
         let rss = peak_rss_kb().unwrap_or(0);
@@ -564,9 +501,9 @@ impl Heartbeat {
         let mut line = match (self.total, eta_s) {
             (Some(t), Some(eta)) => format!(
                 "[hb {}: {completed}/{t} req, {rate:.0} req/s, eta {eta:.0}s",
-                self.beats
+                self.beats.calls
             ),
-            _ => format!("[hb {}: {completed} req, {rate:.0} req/s", self.beats),
+            _ => format!("[hb {}: {completed} req, {rate:.0} req/s", self.beats.calls),
         };
         let _ = write!(line, ", p90 {p90:.3} ms, rss {rss} kB]");
         line.push('\n');
@@ -578,6 +515,7 @@ impl Heartbeat {
         if let Some(path) = self.file.clone() {
             self.write_textfile(&path, completed, rate, p90, rss, eta_s);
         }
+        self.beats.ns += beat.elapsed_ns();
         true
     }
 
@@ -606,7 +544,7 @@ impl Heartbeat {
             }
         }
         let _ = writeln!(body, "# TYPE repro_heartbeats_total counter");
-        let _ = writeln!(body, "repro_heartbeats_total {}", self.beats);
+        let _ = writeln!(body, "repro_heartbeats_total {}", self.beats.calls);
         // Atomic rewrite: scrapers never observe a torn file.
         let tmp = path.with_extension("prom.tmp");
         if fs::write(&tmp, body).is_ok() {
@@ -619,99 +557,63 @@ impl Heartbeat {
 mod tests {
     use super::*;
 
-    /// Profiling state is process-global; tests that touch it serialize
-    /// on this lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn disabled_scope_records_nothing() {
-        let _g = locked();
-        disable();
-        reset();
-        {
-            let _s = scope(Phase::Run);
-            let _t = scope(Phase::RunPoint);
-        }
-        let r = ProfReport::take(1);
-        assert!(r.lines.is_empty());
-    }
-
     #[test]
     fn calibration_leaves_no_line_and_reports_its_cost() {
-        let _g = locked();
-        reset();
-        enable();
-        {
-            let _run = scope(Phase::Run);
-            let _p = scope(Phase::RunPoint);
-        }
-        disable();
-        let r = ProfReport::take(1_000_000);
+        let mut times = RunTimes::default();
+        times.add(Phase::ExportMetrics, PhaseTime::once(1_000));
+        let r = ProfReport::new(1_000_000, times);
         let paths: Vec<_> = r.lines.iter().map(|l| l.path.clone()).collect();
-        assert_eq!(paths, [vec!["run"], vec!["run", "run_point"]]);
-        assert_eq!(r.scopes(), 2, "calibration scopes are not counted");
-        assert!(r.scope_ns > 0.0);
-        assert!(!enabled(), "calibration restores the disabled state");
-        assert!(
-            ProfReport::take(1).lines.is_empty(),
-            "calibration drains its own lines"
-        );
+        assert_eq!(paths, [vec!["run"], vec!["run", "export_metrics"]]);
+        assert_eq!(r.spans(), 2, "calibration pairs are not counted");
+        assert!(r.pair_ns > 0.0);
         let footer = r.table().lines().last().unwrap_or_default().to_string();
-        assert!(footer.starts_with("overhead ≈ 2 scopes × "), "{footer}");
+        assert!(footer.starts_with("overhead ≈ 2 spans × "), "{footer}");
         assert!(footer.ends_with("% of wall)"), "{footer}");
     }
 
     #[test]
     fn nested_scopes_attribute_self_time_without_double_counting() {
-        let _g = locked();
-        reset();
-        enable();
-        {
-            let _run = scope(Phase::Run);
-            for _ in 0..3 {
-                let _p = scope(Phase::RunPoint);
-                std::hint::black_box(0u64);
-            }
-        }
-        disable();
-        let r = ProfReport::take(now_ns());
-        let run: Vec<_> = r.lines.iter().filter(|l| l.path == ["run"]).collect();
-        let point: Vec<_> = r
+        let study = |study, parallel, point_ns| StudyTimes {
+            study,
+            parallel,
+            plan_ns: 10,
+            point_ns,
+            idle_ns: if parallel { 500 } else { 0 },
+            reduce_ns: 20,
+            slowest: vec![("p0".to_string(), 300)],
+        };
+        let mut times = RunTimes::default();
+        times
+            .studies
+            .push(study("serial", false, vec![100, 300, 200]));
+        times.studies.push(study("fanned", true, vec![400, 400]));
+        times.add(Phase::Heartbeat, PhaseTime::once(5));
+        times.add(Phase::Heartbeat, PhaseTime::once(7));
+        let r = ProfReport::new(10_000, times);
+        let lines: Vec<_> = r
             .lines
             .iter()
-            .filter(|l| l.path == ["run", "run_point"])
+            .map(|l| (l.path.join(";"), l.calls, l.self_ns))
             .collect();
-        assert_eq!(run.len(), 1);
-        assert_eq!(point.len(), 1);
-        assert_eq!(run[0].enters, 1);
-        assert_eq!(run[0].exits, 1);
-        assert_eq!(point[0].enters, 3);
-        assert_eq!(point[0].exits, 3);
-        // run's *total* covers its children; self never double counts.
-        assert!(r.total_ns(0) >= point[0].self_ns);
-    }
-
-    #[test]
-    fn depth_overflow_is_a_balanced_no_op() {
-        let _g = locked();
-        reset();
-        enable();
-        {
-            let mut guards = Vec::new();
-            for _ in 0..(MAX_DEPTH + 4) {
-                guards.push(scope(Phase::RunPoint));
-            }
-        }
-        disable();
-        let r = ProfReport::take(now_ns());
-        for l in &r.lines {
-            assert_eq!(l.enters, l.exits, "unbalanced at {:?}", l.path);
-            assert!(l.path.len() <= MAX_DEPTH);
-        }
+        // The calling thread's children never count twice: `run`'s self
+        // time is the wall they leave. Worker time sits beside it.
+        let want = [
+            ("run", 1, 10_000 - 1_172),
+            ("run;exec_idle", 1, 500),
+            ("run;heartbeat", 2, 12),
+            ("run;plan", 2, 20),
+            ("run;reduce", 2, 40),
+            ("run;run_point", 3, 600),
+            ("run_point", 2, 800),
+        ];
+        assert_eq!(lines, want.map(|(p, calls, ns)| (p.to_string(), calls, ns)));
+        assert_eq!(r.total_ns(0), 10_000);
+        let table = r.table();
+        assert!(table.contains("   1 serial              3"), "{table}");
+        assert!(
+            table.contains("   2 fanned            0.000  p0"),
+            "{table}"
+        );
     }
 
     #[test]
@@ -722,23 +624,22 @@ mod tests {
                 PhaseLine {
                     path: vec!["run"],
                     self_ns: 1_000_000,
-                    enters: 1,
-                    exits: 1,
+                    calls: 1,
                 },
                 PhaseLine {
                     path: vec!["run", "run_point"],
                     self_ns: 2_500_000,
-                    enters: 4,
-                    exits: 4,
+                    calls: 4,
                 },
             ],
-            scope_ns: 50.0,
+            studies: Vec::new(),
+            pair_ns: 50.0,
         };
         assert_eq!(r.folded(), "run 1000\nrun;run_point 2500\n");
         let table = r.table();
         assert!(table.contains("unattributed"));
         assert!(
-            table.contains("overhead ≈ 5 scopes × 50.0 ns = 0.000 ms (0.01% of wall)"),
+            table.contains("overhead ≈ 5 spans × 50.0 ns = 0.000 ms (0.01% of wall)"),
             "{table}"
         );
         assert!(table.contains("run_point"));
@@ -749,7 +650,6 @@ mod tests {
 
     #[test]
     fn heartbeat_fires_on_interval_and_writes_textfile() {
-        let _g = locked();
         let dir = std::env::temp_dir().join(format!("prof-hb-{}", std::process::id()));
         let _ = fs::create_dir_all(&dir);
         let file = dir.join("hb.prom");
@@ -760,7 +660,7 @@ mod tests {
             std::hint::black_box(0u64);
         }
         assert!(hb.maybe_beat(50, || 0.5));
-        assert_eq!(hb.beats(), 1);
+        assert_eq!(hb.time().calls, 1, "a beat counts itself");
         let body = fs::read_to_string(&file).unwrap();
         assert!(body.contains("repro_requests_completed 50"));
         assert!(body.contains("repro_heartbeats_total 1"));

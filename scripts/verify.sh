@@ -45,7 +45,9 @@
 # a cache-less explore whose --jobs 2 workers race to generate the
 # shared workload traces, a --profile smoke
 # run must attribute >= 95% of wall time to the coarse phases in
-# profile.txt, and a 10^6-request
+# profile.txt, two `repro all --jobs 2 --profile` runs must print the
+# same phase tree (phase and calls columns) whose run_point calls equal
+# the sum of the per-study table's point counts, and a 10^6-request
 # `repro scale --heartbeat 0.1` must emit live snapshots plus a
 # Prometheus textfile), and then the test suite again with ignored
 # tests included.
@@ -248,6 +250,23 @@ test -n "$coverage" \
 echo "    phase coverage ${coverage}%"
 jq -n --argjson c "$coverage" \
   'if $c >= 95 then empty else error("phase profiler attributed < 95% of wall time") end'
+
+echo "==> gate: --profile tree is stable and its study table accounts for every point"
+# Each study run reports one timing per plan point, so the per-study
+# table's point counts must sum to the tree's run_point calls; phases
+# and call counts depend on the plan, not on timing, so two runs agree.
+for run in 1 2; do
+  target/release/repro all --requests 2000 --jobs 2 --profile "$sweep_dir/prof-all$run" \
+    >/dev/null 2>&1
+done
+tree() { awk 'NR > 1 && NF == 0 { exit } NR > 1 { print $1, $2 }' "$1/profile.txt"; }
+diff <(tree "$sweep_dir/prof-all1") <(tree "$sweep_dir/prof-all2")
+point_calls=$(tree "$sweep_dir/prof-all1" | awk '$1 == "run_point" { n += $2 } END { print n + 0 }')
+study_points=$(awk '/^ *# study .*reduce\(ms\)$/ { on = 1; next } on && NF == 0 { exit }
+  on { n += $3 } END { print n + 0 }' "$sweep_dir/prof-all1/profile.txt")
+echo "    run_point calls ${point_calls}, study-table points ${study_points}"
+test "$point_calls" -gt 0 && test "$point_calls" -eq "$study_points" \
+  || { echo "per-study point counts do not add up to the run_point calls" >&2; exit 1; }
 
 echo "==> gate: scale --heartbeat emits live snapshots and a Prometheus textfile"
 # A sub-second interval: a fast host finishes the 10^6 requests in

@@ -205,7 +205,9 @@ fn repro_rejects_bad_cli_input_with_a_one_line_error() {
     let trace = root.join("tiny.spc");
     fs::write(&trace, "0,0,4096,r,0.000\n0,64,4096,w,0.010\n").expect("write trace");
     let trace = trace.to_str().unwrap();
-    let cases: [&[&str]; 7] = [
+    let unwritten = root.join("unwritten");
+    let unwritten = unwritten.to_str().unwrap();
+    let cases: [&[&str]; 21] = [
         &["scale", "--requests", "100", "--actuators", "0"],
         &["spc", trace, "--actuators", "0"],
         &["fig2", "--requests", "0"],
@@ -213,6 +215,20 @@ fn repro_rejects_bad_cli_input_with_a_one_line_error() {
         &["scale", "--requests", "100", "--inter-arrival", "inf"],
         &["scale", "--requests", "100", "--heartbeat", "inf"],
         &["scale", "--requests", "100", "--heartbeat", "NaN"],
+        &["nosuchfig", "--requests", "10"],
+        &["fig2", "fig5"],
+        &["scale", "--requests", "100", "--trace", unwritten],
+        &["fig2", "--requests", "100", "--heartbeat", "1"],
+        &["fig2", "--requests", "100", "--actuators", "2"],
+        &["explore", "--requests", "10", "--metrics", unwritten],
+        &["report", unwritten, "extra"],
+        &["--heartbeat-file", unwritten, "fig4"],
+        &["spc", trace, "--inter-arrival", "5"],
+        &["scale", "--grid", "coarse"],
+        &["fig4", "--refine", "1"],
+        &["all", "--latency", "mean"],
+        &["spc", trace, "--out", unwritten],
+        &["--cache", "none"],
     ];
     for argv in cases {
         let r = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -229,6 +245,10 @@ fn repro_rejects_bad_cli_input_with_a_one_line_error() {
         assert!(!stderr.contains("panicked"), "{argv:?} stderr: {stderr}");
         assert!(r.stdout.is_empty(), "{argv:?} wrote stdout");
     }
+    assert!(
+        !std::path::Path::new(unwritten).exists(),
+        "a refused run wrote its export"
+    );
     let _ = fs::remove_dir_all(&root);
 }
 

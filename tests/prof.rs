@@ -1,16 +1,16 @@
 //! Self-profiler oracles: counter-export determinism, the pinned
-//! collapsed-stack format, scope-balance properties, and a scope count
-//! that does not grow with the request count.
+//! collapsed-stack format, and one host timing per plan point whatever
+//! the request count or worker count.
 //!
-//! Counters and the profiler are process-global, so every test here
-//! serializes on one lock and resets the global state it touches.
+//! Counters are process-global, so every test that runs a study
+//! serializes on one lock and resets the counters it reads.
 
 use std::sync::Mutex;
 
 use experiments::configs::Scale;
-use experiments::{Executor, LimitStudy, Study};
-use simkit::Rng64;
-use telemetry::prof::{self, Phase, PHASES};
+use experiments::{BottleneckStudy, Executor, LimitStudy, Study};
+use telemetry::prof::{PhaseLine, ProfReport, RunTimes};
+use workload::WorkloadKind;
 
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
@@ -58,19 +58,22 @@ fn counter_export_is_identical_across_runs_and_jobs() {
 
 #[test]
 fn folded_stack_format_is_pinned() {
-    let _g = lock();
-    prof::reset();
-    prof::enable();
-    {
-        let _run = prof::scope(Phase::Run);
-        {
-            let _point = prof::scope(Phase::RunPoint);
-            let _export = prof::scope(Phase::ExportMetrics);
-        }
-        let _reduce = prof::scope(Phase::Reduce);
-    }
-    prof::disable();
-    let report = prof::ProfReport::take(1_000_000);
+    let line = |path: &[&'static str], self_ns, calls| PhaseLine {
+        path: path.to_vec(),
+        self_ns,
+        calls,
+    };
+    let report = ProfReport {
+        wall_ns: 1_000_000,
+        lines: vec![
+            line(&["run"], 400_000, 1),
+            line(&["run", "reduce"], 1_500, 1),
+            line(&["run", "run_point"], 500_000, 1),
+            line(&["run", "run_point", "export_metrics"], 90_999, 1),
+        ],
+        studies: Vec::new(),
+        pair_ns: 25.0,
+    };
     let folded = report.folded();
     let lines: Vec<&str> = folded.lines().collect();
     // One line per distinct path: `a;b;c <self-µs>`, parents sorted
@@ -98,74 +101,45 @@ fn folded_stack_format_is_pinned() {
     }
 }
 
-/// Profiling costs nothing per request: a drive run opens the same
-/// number of scopes whatever its request count, so `--profile` cannot
-/// distort the per-request loop it runs alongside.
+/// Profiling costs nothing per request: a study run records exactly one
+/// host timing per plan point, whatever its request count or worker
+/// count, so `--profile` cannot distort the per-request loop it runs
+/// alongside. The executor keeps the study runs in run order.
 #[test]
 fn profiled_scope_count_is_independent_of_request_count() {
     let _g = lock();
-    let params = experiments::configs::hcsd_params();
-    let scopes_at = |requests: usize| {
-        prof::reset();
-        prof::enable();
-        {
-            let _point = prof::scope(Phase::RunPoint);
-            let spec = workload::SyntheticSpec::paper(6.0, params.capacity_sectors(), requests);
-            let r = experiments::run_drive(&params, intradisk::DriveConfig::sa(4), spec.source(42))
-                .expect("drive run");
-            assert_eq!(r.metrics.response_time_ms.count(), requests);
+    for requests in [400, 1_600] {
+        for jobs in [1, 2] {
+            let scale = Scale::quick().with_requests(requests);
+            let limit = LimitStudy::all();
+            let bottleneck = BottleneckStudy::only(WorkloadKind::TpcH);
+            let plans = [limit.plan(scale).len(), bottleneck.plan(scale).len()];
+            let exec = Executor::new(jobs);
+            limit.run(scale, &exec).expect("limit study runs");
+            bottleneck.run(scale, &exec).expect("bottleneck study runs");
+            let studies = exec.take_times();
+            assert!(exec.take_times().is_empty(), "taking the times drains them");
+            // One row per study run, in run order: its name, one timing
+            // per plan point, where the points ran, and its slowest ten.
+            let rows: Vec<_> = studies
+                .iter()
+                .map(|s| (s.study, s.point_ns.len(), s.parallel, s.slowest.len()))
+                .collect();
+            let want = [("limit", plans[0]), ("bottleneck", plans[1])]
+                .map(|(name, n)| (name, n, jobs > 1, n.min(10)));
+            let at = format!("{requests} requests, --jobs {jobs}");
+            assert_eq!(rows, want, "{at}");
+            let times = RunTimes {
+                studies,
+                phases: Vec::new(),
+            };
+            let point_calls: u64 = ProfReport::new(1, times)
+                .lines
+                .iter()
+                .filter(|l| l.path.last() == Some(&"run_point"))
+                .map(|l| l.calls)
+                .sum();
+            assert_eq!(point_calls, (plans[0] + plans[1]) as u64, "{at}");
         }
-        prof::disable();
-        prof::ProfReport::take(1).scopes()
-    };
-    let small = scopes_at(500);
-    let large = scopes_at(2_000);
-    assert_eq!(small, large, "scope entries grow with the request count");
-    assert_eq!(small, 1, "only the enclosing run_point scope is entered");
-}
-
-/// Random nesting always balances: every path's enters equal its
-/// exits, and attributed self-time never exceeds the elapsed wall.
-#[test]
-fn random_scope_nesting_balances() {
-    let _g = lock();
-
-    fn nest(rng: &mut Rng64, depth: u32) {
-        let phase = PHASES[rng.below(PHASES.len() as u64) as usize];
-        let _s = prof::scope(phase);
-        if depth >= 12 {
-            return; // deeper than MAX_DEPTH: must still balance as no-ops
-        }
-        let children = rng.below(3);
-        for _ in 0..children {
-            nest(rng, depth + 1);
-        }
-    }
-
-    for seed in 0..8u64 {
-        prof::reset();
-        prof::enable();
-        let clock = prof::Stopwatch::start();
-        let mut rng = Rng64::new(0xC0FFEE ^ seed);
-        for _ in 0..50 {
-            nest(&mut rng, 0);
-        }
-        let wall = clock.elapsed_ns();
-        prof::disable();
-        let report = prof::ProfReport::take(wall.max(1));
-        let mut attributed = 0u64;
-        for line in &report.lines {
-            assert_eq!(
-                line.enters, line.exits,
-                "unbalanced scope at {:?} (seed {seed})",
-                line.path
-            );
-            attributed += line.self_ns;
-        }
-        assert_eq!(attributed, report.attributed_ns());
-        assert!(
-            attributed <= wall.max(1),
-            "self-time {attributed} exceeds wall {wall} (seed {seed})"
-        );
     }
 }
