@@ -13,10 +13,10 @@ use intradisk::{DriveConfig, LatencyScaling};
 use simkit::Cdf;
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, run_md, Scale};
+use crate::configs::Scale;
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::run_drive;
+use crate::sweep::{Design, Load, Outcome, SimPoint};
 
 /// The scaling factors evaluated per dimension (1, ½, ¼, 0).
 pub const FACTORS: [f64; 4] = [1.0, 0.5, 0.25, 0.0];
@@ -48,28 +48,6 @@ pub struct BottleneckReport {
     pub workloads: Vec<BottleneckResult>,
 }
 
-/// One sweep point of the bottleneck isolation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BottleneckPoint {
-    /// The MD reference array.
-    Md(WorkloadKind),
-    /// HC-SD with seek time scaled by the factor.
-    Seek(WorkloadKind, f64),
-    /// HC-SD with rotational latency scaled by the factor.
-    Rot(WorkloadKind, f64),
-}
-
-/// Output of one [`BottleneckPoint`].
-#[derive(Debug, Clone)]
-pub enum BottleneckOutput {
-    /// MD reference: `(kind, mean ms, CDF)`.
-    Md(WorkloadKind, f64, Cdf),
-    /// Seek-scaled HC-SD: `(mean ms, CDF)`.
-    Seek(f64, Cdf),
-    /// Rotation-scaled HC-SD: `(mean ms, CDF)`.
-    Rot(f64, Cdf),
-}
-
 /// The bottleneck study driver (Figure 4).
 #[derive(Debug, Clone)]
 pub struct BottleneckStudy {
@@ -91,102 +69,71 @@ impl BottleneckStudy {
 }
 
 impl Study for BottleneckStudy {
-    type Point = BottleneckPoint;
-    type Output = BottleneckOutput;
+    type Point = SimPoint;
+    type Output = Outcome;
     type Report = BottleneckReport;
 
     fn name(&self) -> &'static str {
         "bottleneck"
     }
 
-    fn plan(&self, _scale: Scale) -> ExperimentPlan<BottleneckPoint> {
-        self.kinds
-            .iter()
-            .flat_map(|&k| {
-                std::iter::once(BottleneckPoint::Md(k))
-                    .chain(FACTORS.iter().map(move |&f| BottleneckPoint::Seek(k, f)))
-                    .chain(FACTORS.iter().map(move |&f| BottleneckPoint::Rot(k, f)))
-            })
-            .collect()
+    /// Per workload: MD, then HC-SD with seek time scaled by each of
+    /// [`FACTORS`], then with rotational latency scaled by each.
+    fn plan(&self, scale: Scale) -> ExperimentPlan<SimPoint> {
+        let mut points = Vec::new();
+        for &kind in &self.kinds {
+            let load = Load::Profile(kind, scale.seed);
+            let hcsd = |dim: String, scaling| {
+                let config = DriveConfig::conventional().with_scaling(scaling);
+                SimPoint::new(format!("{}/{dim}", kind.name()), load, Design::hcsd(config))
+            };
+            let md = SimPoint::new(format!("{}/MD", kind.name()), load, Design::md(kind));
+            points.push(md);
+            let seek = FACTORS.map(|f| hcsd(format!("seek x{f}"), LatencyScaling::seek_only(f)));
+            points.extend(seek);
+            let rot =
+                FACTORS.map(|f| hcsd(format!("rot x{f}"), LatencyScaling::rotational_only(f)));
+            points.extend(rot);
+        }
+        ExperimentPlan::new(points)
     }
 
-    fn label(&self, point: &BottleneckPoint) -> String {
-        match point {
-            BottleneckPoint::Md(k) => format!("{}/MD", k.name()),
-            BottleneckPoint::Seek(k, f) => format!("{}/seek x{f}", k.name()),
-            BottleneckPoint::Rot(k, f) => format!("{}/rot x{f}", k.name()),
-        }
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
     }
 
     fn run_point(
         &self,
-        point: &BottleneckPoint,
+        point: &SimPoint,
         scale: Scale,
         book: &TraceBook,
-    ) -> Result<BottleneckOutput, DriveError> {
-        match *point {
-            BottleneckPoint::Md(kind) => {
-                let md = run_md(kind, scale, book)?;
-                Ok(BottleneckOutput::Md(
-                    kind,
-                    md.response_time_ms.mean(),
-                    md.response_hist.cdf(),
-                ))
-            }
-            BottleneckPoint::Seek(kind, f) => {
-                let r = run_drive(
-                    &hcsd_params(),
-                    DriveConfig::conventional()
-                        .with_scaling(LatencyScaling::seek_only(f))
-                        .with_stats_mode(scale.stats),
-                    book.source(kind),
-                )?;
-                Ok(BottleneckOutput::Seek(
-                    r.metrics.response_time_ms.mean(),
-                    r.metrics.response_hist.cdf(),
-                ))
-            }
-            BottleneckPoint::Rot(kind, f) => {
-                let r = run_drive(
-                    &hcsd_params(),
-                    DriveConfig::conventional()
-                        .with_scaling(LatencyScaling::rotational_only(f))
-                        .with_stats_mode(scale.stats),
-                    book.source(kind),
-                )?;
-                Ok(BottleneckOutput::Rot(
-                    r.metrics.response_time_ms.mean(),
-                    r.metrics.response_hist.cdf(),
-                ))
-            }
-        }
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
     }
 
-    fn reduce(&self, outputs: Vec<BottleneckOutput>) -> BottleneckReport {
-        let mut workloads: Vec<BottleneckResult> = Vec::new();
-        for out in outputs {
-            match out {
-                BottleneckOutput::Md(kind, mean, cdf) => workloads.push(BottleneckResult {
+    fn reduce(&self, outputs: Vec<Outcome>) -> BottleneckReport {
+        let per_kind = outputs.chunks(1 + 2 * FACTORS.len());
+        let workloads = self
+            .kinds
+            .iter()
+            .zip(per_kind)
+            .map(|(&kind, outs)| {
+                let (md, scaled) = outs.split_first().expect("plan leads with MD");
+                let (seek, rot) = scaled.split_at(FACTORS.len());
+                let cdfs =
+                    |outs: &[Outcome]| outs.iter().map(|o| o.response_cdf().clone()).collect();
+                let means = |outs: &[Outcome]| outs.iter().map(|o| o.mean_ms).collect();
+                BottleneckResult {
                     kind,
-                    md: cdf,
-                    md_mean_ms: mean,
-                    seek_scaled: Vec::new(),
-                    rot_scaled: Vec::new(),
-                    seek_means: Vec::new(),
-                    rot_means: Vec::new(),
-                }),
-                BottleneckOutput::Seek(mean, cdf) => {
-                    let w = workloads.last_mut().expect("plan leads with MD");
-                    w.seek_means.push(mean);
-                    w.seek_scaled.push(cdf);
+                    md: md.response_cdf().clone(),
+                    md_mean_ms: md.mean_ms,
+                    seek_scaled: cdfs(seek),
+                    rot_scaled: cdfs(rot),
+                    seek_means: means(seek),
+                    rot_means: means(rot),
                 }
-                BottleneckOutput::Rot(mean, cdf) => {
-                    let w = workloads.last_mut().expect("plan leads with MD");
-                    w.rot_means.push(mean);
-                    w.rot_scaled.push(cdf);
-                }
-            }
-        }
+            })
+            .collect();
         BottleneckReport { workloads }
     }
 }

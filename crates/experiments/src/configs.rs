@@ -7,12 +7,9 @@
 //! wider confidence intervals).
 
 use array::Layout;
-use diskmodel::{presets, DiskParams, DriveError};
-use intradisk::DriveConfig;
+use diskmodel::{presets, DiskParams};
 use simkit::StatsMode;
 use workload::{profile_for, ProfileSource, Trace, TraceBook, WorkloadKind};
-
-use crate::runner::{run_array, ArrayRunResult};
 
 /// How many requests to replay per run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,23 +97,6 @@ pub fn md_config(kind: WorkloadKind) -> MdConfig {
         // every disk carries its share of the hot set.
         layout: Layout::striped_default(),
     }
-}
-
-/// Replays `kind` from `book` against its Table 2 storage system
-/// ([`md_config`]), every member a conventional drive.
-pub fn run_md(
-    kind: WorkloadKind,
-    scale: Scale,
-    book: &TraceBook,
-) -> Result<ArrayRunResult, DriveError> {
-    let cfg = md_config(kind);
-    run_array(
-        &cfg.drive,
-        DriveConfig::conventional().with_stats_mode(scale.stats),
-        cfg.disks,
-        cfg.layout,
-        book.source(kind),
-    )
 }
 
 /// The High-Capacity Single Drive of the limit study (§7.1): the

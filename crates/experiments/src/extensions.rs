@@ -16,16 +16,15 @@
 
 use array::Layout;
 use diskmodel::{presets, DiskParams, DriveError, PowerModel, ThermalModel};
-use intradisk::drpm::{DrpmConfig, DrpmDrive};
-use intradisk::{DriveConfig, NullObserver};
-use telemetry::NullRecorder;
+use intradisk::drpm::DrpmConfig;
+use intradisk::DriveConfig;
 use workload::{TraceBook, WorkloadKind};
 
 use crate::configs::{hcsd_params, Scale};
 use crate::exec::{Executor, StudyError};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::{run_array, run_drive, simulate};
+use crate::sweep::{Design, Load, Outcome, SimPoint};
 
 /// One row of the thermal table.
 #[derive(Debug, Clone)]
@@ -102,17 +101,6 @@ pub fn render_thermal() -> String {
     )
 }
 
-/// What one design of a comparison replays its workload against.
-#[derive(Debug, Clone)]
-enum Build {
-    /// One drive.
-    Drive(DiskParams, DriveConfig),
-    /// An array: member model and config, disk count, layout.
-    Array(DiskParams, DriveConfig, usize, Layout),
-    /// The DRPM two-speed drive.
-    Drpm(DiskParams, DrpmConfig),
-}
-
 /// A workload × design sweep: each labelled design replays every
 /// workload from the sweep's [`TraceBook`], and the report tabulates
 /// mean response time and average power per workload. The paper's two
@@ -123,7 +111,7 @@ pub struct DesignStudy {
     title: &'static str,
     first_header: &'static str,
     kinds: Vec<WorkloadKind>,
-    designs: Vec<(&'static str, Build)>,
+    designs: Vec<(&'static str, Design)>,
 }
 
 impl DesignStudy {
@@ -131,15 +119,16 @@ impl DesignStudy {
     /// two-speed conventional drive and a fixed low-RPM 4-actuator
     /// drive.
     pub fn drpm() -> Self {
-        let drpm = Build::Drpm(hcsd_params(), DrpmConfig::typical());
-        let low_rpm_sa4 = Build::Drive(presets::barracuda_es_at_rpm(4_200), DriveConfig::sa(4));
+        let conventional = Design::hcsd(DriveConfig::conventional());
+        let drpm = Design::Drpm(hcsd_params(), DrpmConfig::typical());
+        let low_rpm_sa4 = Design::Drive(presets::barracuda_es_at_rpm(4_200), DriveConfig::sa(4));
         DesignStudy {
             name: "drpm",
             title: "Extension: intra-disk parallelism vs DRPM power management",
             first_header: "configuration",
             kinds: WorkloadKind::ALL.to_vec(),
             designs: vec![
-                ("conventional @7200", hcsd(DriveConfig::conventional())),
+                ("conventional @7200", conventional),
                 ("DRPM 7200/4200", drpm),
                 ("SA(4) @4200 (fixed)", low_rpm_sa4),
             ],
@@ -153,26 +142,22 @@ impl DesignStudy {
     pub fn dash() -> Self {
         let conventional = DriveConfig::conventional();
         let striped = Layout::striped_default();
-        let d2 = Build::Array(half_stack(), conventional.clone(), 2, striped);
-        let h2 = hcsd(DriveConfig::dash(1, 2));
+        let d2 = Design::Array(half_stack(), conventional.clone(), 2, striped);
+        let a2 = Design::hcsd(DriveConfig::sa(2));
+        let h2 = Design::hcsd(DriveConfig::dash(1, 2));
         DesignStudy {
             name: "dash",
             title: "Extension: one design point per DASH dimension (equal capacity)",
             first_header: "design",
             kinds: WorkloadKind::ALL.to_vec(),
             designs: vec![
-                ("D1A1S1H1 (conventional)", hcsd(conventional)),
+                ("D1A1S1H1 (conventional)", Design::hcsd(conventional)),
                 ("D2A1S1H1 (two small stacks)", d2),
-                ("D1A2S1H1 (two assemblies)", hcsd(DriveConfig::sa(2))),
+                ("D1A2S1H1 (two assemblies)", a2),
                 ("D1A1S1H2 (two heads per arm)", h2),
             ],
         }
     }
-}
-
-/// The HC-SD drive under `config`.
-fn hcsd(config: DriveConfig) -> Build {
-    Build::Drive(hcsd_params(), config)
 }
 
 /// A half-capacity small-platter stack for the D-dimension design
@@ -197,8 +182,7 @@ fn half_stack() -> DiskParams {
         .expect("valid preset")
 }
 
-/// One design's result on one workload: the output of one
-/// [`DesignStudy`] point.
+/// One design's result on one workload: a row of a [`DesignReport`].
 #[derive(Debug, Clone)]
 pub struct DesignRow {
     /// Design label.
@@ -242,60 +226,49 @@ impl DesignReport {
 }
 
 impl Study for DesignStudy {
-    /// A workload and an index into the study's designs.
-    type Point = (WorkloadKind, usize);
-    type Output = DesignRow;
+    type Point = SimPoint;
+    type Output = Outcome;
     type Report = DesignReport;
 
     fn name(&self) -> &'static str {
         self.name
     }
 
-    fn plan(&self, _scale: Scale) -> ExperimentPlan<(WorkloadKind, usize)> {
-        let designs = 0..self.designs.len();
+    fn plan(&self, scale: Scale) -> ExperimentPlan<SimPoint> {
         self.kinds
             .iter()
-            .flat_map(|&k| designs.clone().map(move |d| (k, d)))
+            .flat_map(|&kind| {
+                self.designs.iter().map(move |(label, design)| {
+                    let label = format!("{}/{label}", kind.name());
+                    SimPoint::new(label, Load::Profile(kind, scale.seed), design.clone())
+                })
+            })
             .collect()
     }
 
-    fn label(&self, &(kind, d): &(WorkloadKind, usize)) -> String {
-        format!("{}/{}", kind.name(), self.designs[d].0)
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
     }
 
     fn run_point(
         &self,
-        &(kind, d): &(WorkloadKind, usize),
+        point: &SimPoint,
         scale: Scale,
         book: &TraceBook,
-    ) -> Result<DesignRow, DriveError> {
-        let (label, build) = &self.designs[d];
-        let source = book.source(kind);
-        let stats = |config: &DriveConfig| config.clone().with_stats_mode(scale.stats);
-        let (mean_ms, power_w) = match build {
-            Build::Drive(params, config) => {
-                let r = run_drive(params, stats(config), source)?;
-                (r.metrics.response_time_ms.mean(), r.power.total_w())
-            }
-            Build::Array(params, member, disks, layout) => {
-                let r = run_array(params, stats(member), *disks, *layout, source)?;
-                (r.response_time_ms.mean(), r.power.total_w())
-            }
-            Build::Drpm(params, config) => {
-                let drive = DrpmDrive::new(params, config.with_stats_mode(scale.stats));
-                let r = simulate(source, drive, &mut NullRecorder, &mut NullObserver)?;
-                (r.response_time_ms.mean(), r.average_power_w())
-            }
-        };
-        Ok(DesignRow {
-            label,
-            mean_ms,
-            power_w,
-        })
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
     }
 
-    fn reduce(&self, outputs: Vec<DesignRow>) -> DesignReport {
-        let per_kind = outputs.chunks(self.designs.len()).map(<[_]>::to_vec);
+    fn reduce(&self, outputs: Vec<Outcome>) -> DesignReport {
+        let per_kind = outputs.chunks(self.designs.len()).map(|outs| {
+            let rows = self.designs.iter().zip(outs);
+            rows.map(|(&(label, _), o)| DesignRow {
+                label,
+                mean_ms: o.mean_ms,
+                power_w: o.power_w,
+            })
+            .collect()
+        });
         DesignReport {
             title: self.title,
             first_header: self.first_header,

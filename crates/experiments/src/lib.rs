@@ -16,16 +16,18 @@
 //! | [`extensions`] | beyond the paper: thermal feasibility; [`DesignStudy`], the DRPM and DASH-dimension comparisons |
 //! | [`validation`] | simulator cross-checks against closed-form results |
 //! | [`replication`] | seed-robustness of the headline conclusions |
+//! | [`sweep`] | the one sweep point: [`SimPoint`] (label, [`Load`], [`Design`]) and its [`Outcome`] |
 //! | [`tracing`] | `--trace` — Perfetto/CSV event-trace export of fixed scenarios |
 //!
 //! Every study implements the [`Study`] trait ([`plan`] module): it
 //! *describes* its sweep as an [`ExperimentPlan`] and reduces per-point
 //! outputs to a report; the [`exec`] module's [`Executor`] fans the
 //! points across worker threads with byte-identical (plan-order)
-//! result collection. [`runner`] holds [`simulate`], the entry to the
-//! one run loop every device shares; [`report`] renders results as the
-//! ASCII equivalents of the paper's plots. The `repro` binary drives
-//! everything:
+//! result collection. Every simulation study except [`validation`]
+//! plans [`SimPoint`]s, which [`SimPoint::run`] replays. [`runner`]
+//! holds [`simulate`], the entry to the one run loop every device
+//! shares; [`report`] renders results as the ASCII equivalents of the
+//! paper's plots. The `repro` binary drives everything:
 //!
 //! ```text
 //! cargo run --release -p explorer --bin repro -- all --jobs 4
@@ -53,6 +55,7 @@ pub mod report;
 pub mod rpm_study;
 pub mod runner;
 pub mod sa_eval;
+pub mod sweep;
 pub mod tech_table;
 pub mod tracing;
 pub mod validation;
@@ -72,4 +75,5 @@ pub use runner::{
     RunObserver,
 };
 pub use sa_eval::SaStudy;
+pub use sweep::{Design, Load, Outcome, SimPoint};
 pub use validation::ValidationStudy;

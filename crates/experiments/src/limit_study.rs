@@ -4,13 +4,12 @@
 
 use diskmodel::DriveError;
 use intradisk::DriveConfig;
-use simkit::Cdf;
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, run_md, Scale};
+use crate::configs::Scale;
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::{run_drive, ArrayRunResult, DriveRunResult};
+use crate::sweep::{Design, Load, Outcome, SimPoint};
 
 /// MD vs HC-SD results for one workload.
 #[derive(Debug, Clone)]
@@ -18,21 +17,9 @@ pub struct WorkloadComparison {
     /// Which workload.
     pub kind: WorkloadKind,
     /// The Table 2 array replay.
-    pub md: ArrayRunResult,
+    pub md: Outcome,
     /// The single-drive replay.
-    pub hcsd: DriveRunResult,
-}
-
-impl WorkloadComparison {
-    /// MD's response-time CDF.
-    pub fn md_cdf(&self) -> Cdf {
-        self.md.response_hist.cdf()
-    }
-
-    /// HC-SD's response-time CDF.
-    pub fn hcsd_cdf(&self) -> Cdf {
-        self.hcsd.metrics.response_hist.cdf()
-    }
+    pub hcsd: Outcome,
 }
 
 /// The reduced limit study.
@@ -40,28 +27,6 @@ impl WorkloadComparison {
 pub struct LimitReport {
     /// One comparison per workload, in the paper's order.
     pub workloads: Vec<WorkloadComparison>,
-}
-
-/// One sweep point: one workload's MD array or HC-SD replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LimitPoint {
-    /// The Table 2 multi-disk array.
-    Md(WorkloadKind),
-    /// The high-capacity single drive.
-    Hcsd(WorkloadKind),
-}
-
-/// Output of one [`LimitPoint`].
-#[derive(Debug, Clone)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one value per sweep point, moved once into reduce; boxing would add an allocation and save nothing"
-)]
-pub enum LimitOutput {
-    /// Array replay result.
-    Md(WorkloadKind, ArrayRunResult),
-    /// Single-drive replay result.
-    Hcsd(DriveRunResult),
 }
 
 /// The limit study driver (Figures 2 and 3).
@@ -84,63 +49,62 @@ impl LimitStudy {
     }
 }
 
+/// One workload's MD and HC-SD points, labelled `<kind>/MD` and
+/// `<kind>/HC-SD` after `prefix`.
+pub(crate) fn md_vs_hcsd(prefix: &str, kind: WorkloadKind, load: Load) -> [SimPoint; 2] {
+    let label = |design: &str| format!("{prefix}{}/{design}", kind.name());
+    [
+        SimPoint::new(label("MD"), load, Design::md(kind)),
+        SimPoint::new(
+            label("HC-SD"),
+            load,
+            Design::hcsd(DriveConfig::conventional()),
+        ),
+    ]
+}
+
 impl Study for LimitStudy {
-    type Point = LimitPoint;
-    type Output = LimitOutput;
+    type Point = SimPoint;
+    type Output = Outcome;
     type Report = LimitReport;
 
     fn name(&self) -> &'static str {
         "limit"
     }
 
-    fn plan(&self, _scale: Scale) -> ExperimentPlan<LimitPoint> {
+    fn plan(&self, scale: Scale) -> ExperimentPlan<SimPoint> {
         self.kinds
             .iter()
-            .flat_map(|&k| [LimitPoint::Md(k), LimitPoint::Hcsd(k)])
+            .flat_map(|&k| md_vs_hcsd("", k, Load::Profile(k, scale.seed)))
             .collect()
     }
 
-    fn label(&self, point: &LimitPoint) -> String {
-        match point {
-            LimitPoint::Md(k) => format!("{}/MD", k.name()),
-            LimitPoint::Hcsd(k) => format!("{}/HC-SD", k.name()),
-        }
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
     }
 
     fn run_point(
         &self,
-        point: &LimitPoint,
+        point: &SimPoint,
         scale: Scale,
         book: &TraceBook,
-    ) -> Result<LimitOutput, DriveError> {
-        match *point {
-            LimitPoint::Md(kind) => {
-                let md = run_md(kind, scale, book)?;
-                Ok(LimitOutput::Md(kind, md))
-            }
-            LimitPoint::Hcsd(kind) => {
-                let hcsd = run_drive(
-                    &hcsd_params(),
-                    DriveConfig::conventional().with_stats_mode(scale.stats),
-                    book.source(kind),
-                )?;
-                Ok(LimitOutput::Hcsd(hcsd))
-            }
-        }
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
     }
 
-    fn reduce(&self, outputs: Vec<LimitOutput>) -> LimitReport {
-        let mut pending: Option<(WorkloadKind, ArrayRunResult)> = None;
-        let mut workloads = Vec::new();
-        for out in outputs {
-            match out {
-                LimitOutput::Md(kind, md) => pending = Some((kind, md)),
-                LimitOutput::Hcsd(hcsd) => {
-                    let (kind, md) = pending.take().expect("plan pairs MD before HC-SD");
-                    workloads.push(WorkloadComparison { kind, md, hcsd });
-                }
-            }
-        }
+    fn reduce(&self, outputs: Vec<Outcome>) -> LimitReport {
+        let mut outputs = outputs.into_iter();
+        let workloads = self
+            .kinds
+            .iter()
+            .map(|&kind| WorkloadComparison {
+                kind,
+                md: outputs.next().expect("plan has an MD point per workload"),
+                hcsd: outputs
+                    .next()
+                    .expect("plan has an HC-SD point per workload"),
+            })
+            .collect();
         LimitReport { workloads }
     }
 }
@@ -150,12 +114,10 @@ impl LimitReport {
     pub fn render_figure2(&self) -> String {
         let mut out = String::from("Figure 2: The performance gap between MD and HC-SD\n\n");
         for w in &self.workloads {
-            let md = w.md_cdf();
-            let hcsd = w.hcsd_cdf();
             out.push_str(&report::cdf_series(
                 w.kind.name(),
                 &["MD", "HC-SD"],
-                &[&md, &hcsd],
+                &[w.md.response_cdf(), w.hcsd.response_cdf()],
             ));
             out.push('\n');
         }
@@ -170,7 +132,7 @@ impl LimitReport {
             out.push_str(&report::power_bars(
                 w.kind.name(),
                 &["MD", "HC-SD"],
-                &[w.md.power, w.hcsd.power],
+                &[w.md.modes(), w.hcsd.modes()],
             ));
             out.push('\n');
         }
@@ -193,16 +155,16 @@ mod tests {
             .expect("replay succeeds");
         let w = &report.workloads[0];
         assert_eq!(w.md.completed, 6_000);
-        assert_eq!(w.hcsd.metrics.completed, 6_000);
+        assert_eq!(w.hcsd.completed, 6_000);
         // §7.1: TPC-H "experiences very little performance loss".
-        let md_mean = w.md.response_time_ms.mean();
-        let hcsd_mean = w.hcsd.metrics.response_time_ms.mean();
+        let md_mean = w.md.mean_ms;
+        let hcsd_mean = w.hcsd.mean_ms;
         assert!(
             hcsd_mean < md_mean * 4.0,
             "TPC-H HC-SD mean {hcsd_mean} too far above MD {md_mean}"
         );
         // And an order-of-magnitude power reduction.
-        assert!(w.md.power.total_w() > 5.0 * w.hcsd.power.total_w());
+        assert!(w.md.power_w > 5.0 * w.hcsd.power_w);
     }
 
     #[test]

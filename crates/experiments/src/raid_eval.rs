@@ -16,7 +16,7 @@ use workload::{SyntheticSpec, TraceBook};
 use crate::configs::{hcsd_params, Scale};
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::run_array;
+use crate::sweep::{Design, Load, Outcome, SimPoint};
 
 /// Disk counts swept (the paper's x-axis).
 pub const DISK_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -69,17 +69,6 @@ pub struct RaidReport {
     pub sweeps: Vec<RaidSweep>,
 }
 
-/// One sweep point: an array configuration under one load.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RaidPointSpec {
-    /// Mean inter-arrival time, ms.
-    pub inter_arrival_ms: f64,
-    /// Actuators per member drive.
-    pub member_actuators: u32,
-    /// Number of member disks.
-    pub disks: usize,
-}
-
 /// The RAID study driver (Figure 8).
 #[derive(Debug, Clone)]
 pub struct RaidStudy {
@@ -102,82 +91,84 @@ impl RaidStudy {
     }
 }
 
+/// The `(member actuators, disks)` arrays of one load level, in plan
+/// order.
+fn arrays() -> impl Iterator<Item = (u32, usize)> {
+    MEMBER_ACTUATORS
+        .iter()
+        .flat_map(|&n| DISK_COUNTS.iter().map(move |&d| (n, d)))
+}
+
+/// An array of `disks` HC-SD-SA(`actuators`) members under the
+/// synthetic load of mean inter-arrival `ia` ms.
+fn array_point(ia: f64, actuators: u32, disks: usize, scale: Scale) -> SimPoint {
+    let params = hcsd_params();
+    // Fixed dataset: one HC-SD's worth of data, as in the limit study.
+    let spec = SyntheticSpec::paper(ia, params.capacity_sectors(), scale.requests);
+    let member = DriveConfig::sa(actuators);
+    SimPoint::new(
+        format!("{ia} ms/SA({actuators})/{disks} disks"),
+        Load::Synthetic(spec, scale.seed),
+        Design::Array(params, member, disks, Layout::striped_default()),
+    )
+}
+
+impl RaidPoint {
+    fn new(member_actuators: u32, disks: usize, o: &Outcome) -> Self {
+        RaidPoint {
+            member_actuators,
+            disks,
+            p90_ms: o.p90_ms,
+            mean_ms: o.mean_ms,
+            power: o.modes(),
+        }
+    }
+}
+
 impl Study for RaidStudy {
-    type Point = RaidPointSpec;
-    type Output = (f64, RaidPoint);
+    type Point = SimPoint;
+    type Output = Outcome;
     type Report = RaidReport;
 
     fn name(&self) -> &'static str {
         "raid"
     }
 
-    fn plan(&self, _scale: Scale) -> ExperimentPlan<RaidPointSpec> {
+    /// Per load level, each of `arrays()`.
+    fn plan(&self, scale: Scale) -> ExperimentPlan<SimPoint> {
         self.inter_arrivals_ms
             .iter()
-            .flat_map(|&ia| {
-                MEMBER_ACTUATORS.iter().flat_map(move |&n| {
-                    DISK_COUNTS.iter().map(move |&d| RaidPointSpec {
-                        inter_arrival_ms: ia,
-                        member_actuators: n,
-                        disks: d,
-                    })
-                })
-            })
+            .flat_map(|&ia| arrays().map(move |(n, d)| array_point(ia, n, d, scale)))
             .collect()
     }
 
-    fn label(&self, point: &RaidPointSpec) -> String {
-        format!(
-            "{} ms/SA({})/{} disks",
-            point.inter_arrival_ms, point.member_actuators, point.disks
-        )
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
     }
 
     fn run_point(
         &self,
-        point: &RaidPointSpec,
+        point: &SimPoint,
         scale: Scale,
-        _book: &TraceBook,
-    ) -> Result<(f64, RaidPoint), DriveError> {
-        let params = hcsd_params();
-        // Fixed dataset: one HC-SD's worth of data, as in the limit study.
-        let spec = SyntheticSpec::paper(
-            point.inter_arrival_ms,
-            params.capacity_sectors(),
-            scale.requests,
-        );
-        let r = run_array(
-            &params,
-            DriveConfig::sa(point.member_actuators).with_stats_mode(scale.stats),
-            point.disks,
-            Layout::striped_default(),
-            spec.source(scale.seed),
-        )?;
-        Ok((
-            point.inter_arrival_ms,
-            RaidPoint {
-                member_actuators: point.member_actuators,
-                disks: point.disks,
-                p90_ms: r.p90_ms(),
-                mean_ms: r.response_time_ms.mean(),
-                power: r.power,
-            },
-        ))
+        book: &TraceBook,
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
     }
 
-    fn reduce(&self, outputs: Vec<(f64, RaidPoint)>) -> RaidReport {
-        let mut sweeps: Vec<RaidSweep> = Vec::new();
-        for (ia, point) in outputs {
-            // `ia` is copied from the plan, never computed, so equal
-            // sweep rates are equal bit patterns.
-            match sweeps.last_mut() {
-                Some(s) if s.inter_arrival_ms.to_bits() == ia.to_bits() => s.points.push(point),
-                _ => sweeps.push(RaidSweep {
-                    inter_arrival_ms: ia,
-                    points: vec![point],
-                }),
-            }
-        }
+    fn reduce(&self, outputs: Vec<Outcome>) -> RaidReport {
+        let per_load = outputs.chunks(arrays().count());
+        let sweeps = self
+            .inter_arrivals_ms
+            .iter()
+            .zip(per_load)
+            .map(|(&inter_arrival_ms, outs)| RaidSweep {
+                inter_arrival_ms,
+                points: arrays()
+                    .zip(outs)
+                    .map(|((n, d), o)| RaidPoint::new(n, d, o))
+                    .collect(),
+            })
+            .collect();
         RaidReport { sweeps }
     }
 }
@@ -283,18 +274,10 @@ mod tests {
     use super::*;
 
     fn point(ia: f64, actuators: u32, disks: usize, scale: Scale) -> RaidPoint {
-        RaidStudy::all()
-            .run_point(
-                &RaidPointSpec {
-                    inter_arrival_ms: ia,
-                    member_actuators: actuators,
-                    disks,
-                },
-                scale,
-                &scale.book(),
-            )
-            .expect("replay succeeds")
-            .1
+        let out = array_point(ia, actuators, disks, scale)
+            .run(scale, &scale.book())
+            .expect("replay succeeds");
+        RaidPoint::new(actuators, disks, &out)
     }
 
     #[test]

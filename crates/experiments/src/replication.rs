@@ -7,13 +7,15 @@
 //! intervals, and [`limit_ratio_robustness`] checks the central Figure 2
 //! relationship — the HC-SD/MD mean-response ratio — across seeds.
 
-use workload::WorkloadKind;
+use diskmodel::DriveError;
+use workload::{TraceBook, WorkloadKind};
 
 use crate::configs::Scale;
 use crate::exec::Executor;
-use crate::limit_study::LimitStudy;
-use crate::plan::Study;
+use crate::limit_study::md_vs_hcsd;
+use crate::plan::{ExperimentPlan, Study};
 use crate::report;
+use crate::sweep::{Load, Outcome, SimPoint};
 
 /// Mean and spread of a replicated measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,56 +31,120 @@ pub struct Replicated {
     pub half_ci95: f64,
 }
 
-/// Runs `f` once per seed and summarizes the results.
-///
-/// # Panics
-/// Panics if `seeds` is empty.
-pub fn replicate(seeds: &[u64], mut f: impl FnMut(u64) -> f64) -> Replicated {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let samples: Vec<f64> = seeds.iter().map(|&s| f(s)).collect();
-    let n = samples.len() as f64;
-    let mean = samples.iter().sum::<f64>() / n;
-    let var = if samples.len() < 2 {
-        0.0
-    } else {
-        samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
-    };
-    let stddev = var.sqrt();
-    Replicated {
-        half_ci95: 1.96 * stddev / n.sqrt(),
-        samples,
-        mean,
-        stddev,
+impl Replicated {
+    /// Summarizes per-seed observations.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn from_samples(samples: Vec<f64>) -> Self {
+        assert!(!samples.is_empty(), "need at least one seed");
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = if samples.len() < 2 {
+            0.0
+        } else {
+            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
+        };
+        let stddev = var.sqrt();
+        Replicated {
+            half_ci95: 1.96 * stddev / n.sqrt(),
+            samples,
+            mean,
+            stddev,
+        }
+    }
+}
+
+/// The limit study's MD and HC-SD points for every workload at every
+/// seed, as one plan. Points at the sweep's own seed replay its
+/// [`TraceBook`]; the others generate their workloads lazily.
+pub(crate) struct RobustStudy {
+    pub(crate) kinds: Vec<WorkloadKind>,
+    pub(crate) seeds: Vec<u64>,
+}
+
+impl Study for RobustStudy {
+    type Point = SimPoint;
+    type Output = Outcome;
+    /// The HC-SD/MD mean-response ratio per workload, over the seeds.
+    type Report = Vec<Replicated>;
+
+    fn name(&self) -> &'static str {
+        "robust"
+    }
+
+    fn plan(&self, _scale: Scale) -> ExperimentPlan<SimPoint> {
+        assert!(!self.seeds.is_empty(), "need at least one seed");
+        let mut points = Vec::new();
+        for &kind in &self.kinds {
+            for &seed in &self.seeds {
+                let load = Load::Profile(kind, seed);
+                points.extend(md_vs_hcsd(&format!("seed {seed}/"), kind, load));
+            }
+        }
+        ExperimentPlan::new(points)
+    }
+
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
+    }
+
+    fn run_point(
+        &self,
+        point: &SimPoint,
+        scale: Scale,
+        book: &TraceBook,
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
+    }
+
+    fn reduce(&self, outputs: Vec<Outcome>) -> Vec<Replicated> {
+        outputs
+            .chunks(2 * self.seeds.len())
+            .map(|per_kind| {
+                let ratios = per_kind.chunks(2).map(|p| p[1].mean_ms / p[0].mean_ms);
+                Replicated::from_samples(ratios.collect())
+            })
+            .collect()
     }
 }
 
 /// The HC-SD/MD mean-response ratio for one workload, replicated over
 /// seeds. A ratio well above 1 is Figure 2's "severe performance
 /// loss"; near 1 is TPC-H's "very little loss".
+///
+/// # Panics
+/// Panics if `seeds` is empty or a replay fails.
 pub fn limit_ratio_robustness(
     kind: WorkloadKind,
     scale: Scale,
     seeds: &[u64],
     exec: &Executor,
 ) -> Replicated {
-    replicate(seeds, |seed| {
-        let mut s = scale;
-        s.seed = seed;
-        let report = LimitStudy::only(kind)
-            .run(s, exec)
-            .expect("limit study replays cleanly");
-        let w = &report.workloads[0];
-        w.hcsd.metrics.response_time_ms.mean() / w.md.response_time_ms.mean()
-    })
+    let study = RobustStudy {
+        kinds: vec![kind],
+        seeds: seeds.to_vec(),
+    };
+    let mut ratios = study.run(scale, exec).expect("limit study replays cleanly");
+    ratios.remove(0)
 }
 
 /// Renders the robustness table over the default seed set.
+///
+/// # Panics
+/// Panics if `seeds` is empty or a replay fails.
 pub fn render(scale: Scale, seeds: &[u64], exec: &Executor) -> String {
+    let study = RobustStudy {
+        kinds: WorkloadKind::ALL.to_vec(),
+        seeds: seeds.to_vec(),
+    };
+    let ratios = study.run(scale, exec).expect("limit study replays cleanly");
     let headers = ["workload", "HC-SD/MD ratio", "stddev", "95% CI", "seeds"];
-    let rows: Vec<Vec<String>> = WorkloadKind::ALL
+    let rows: Vec<Vec<String>> = study
+        .kinds
         .iter()
-        .map(|&kind| {
-            let r = limit_ratio_robustness(kind, scale, seeds, exec);
+        .zip(&ratios)
+        .map(|(kind, r)| {
             vec![
                 kind.name().to_string(),
                 format!("{:.2}", r.mean),
@@ -100,7 +166,7 @@ mod tests {
 
     #[test]
     fn replicate_summary_math() {
-        let r = replicate(&[1, 2, 3, 4], |s| s as f64);
+        let r = Replicated::from_samples(vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(r.samples, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(r.mean, 2.5);
         assert!((r.stddev - 1.2909944).abs() < 1e-6);
@@ -109,7 +175,7 @@ mod tests {
 
     #[test]
     fn single_seed_has_zero_spread() {
-        let r = replicate(&[7], |_| 42.0);
+        let r = Replicated::from_samples(vec![42.0]);
         assert_eq!(r.mean, 42.0);
         assert_eq!(r.stddev, 0.0);
         assert_eq!(r.half_ci95, 0.0);
@@ -139,6 +205,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seeds_panic() {
-        replicate(&[], |_| 0.0);
+        Replicated::from_samples(Vec::new());
     }
 }

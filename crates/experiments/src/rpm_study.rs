@@ -9,10 +9,10 @@ use intradisk::{DriveConfig, PowerBreakdown};
 use simkit::Cdf;
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{run_md, Scale};
+use crate::configs::Scale;
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::run_drive;
+use crate::sweep::{Design, Load, Outcome, SimPoint};
 
 /// The spindle speeds evaluated (7200 is the baseline drive).
 pub const RPMS: [u32; 4] = [7200, 6200, 5200, 4200];
@@ -66,39 +66,6 @@ pub struct RpmReport {
     pub workloads: Vec<RpmResult>,
 }
 
-/// One sweep point of the reduced-RPM study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpmPointSpec {
-    /// The MD reference array.
-    Md(WorkloadKind),
-    /// One `(actuators, rpm)` drive design; `(1, 7200)` is the HC-SD
-    /// baseline.
-    Design {
-        /// Which workload.
-        kind: WorkloadKind,
-        /// Number of actuators.
-        actuators: u32,
-        /// Spindle speed.
-        rpm: u32,
-    },
-}
-
-/// Output of one [`RpmPointSpec`].
-#[derive(Debug, Clone)]
-pub enum RpmOutput {
-    /// MD reference results.
-    Md {
-        /// Which workload.
-        kind: WorkloadKind,
-        /// MD response-time CDF.
-        cdf: Cdf,
-        /// MD mean response time, ms.
-        mean_ms: f64,
-    },
-    /// One drive design point.
-    Design(RpmPoint),
-}
-
 /// The reduced-RPM study driver (Figures 6 and 7).
 #[derive(Debug, Clone)]
 pub struct RpmStudy {
@@ -119,132 +86,99 @@ impl RpmStudy {
     }
 }
 
+/// The `(actuators, rpm)` drive designs of one workload, in plan
+/// order: the HC-SD baseline `(1, 7200)`, then the [`RPMS`] ×
+/// [`ACTUATORS`] grid.
+fn designs() -> impl Iterator<Item = (u32, u32)> {
+    std::iter::once((1, 7200)).chain(
+        RPMS.iter()
+            .flat_map(|&rpm| ACTUATORS.iter().map(move |&actuators| (actuators, rpm))),
+    )
+}
+
+/// `kind` replayed against a drive with `actuators` arms at `rpm`.
+fn design_point(kind: WorkloadKind, scale: Scale, actuators: u32, rpm: u32) -> SimPoint {
+    SimPoint::new(
+        format!("{}/SA({actuators})/{rpm}", kind.name()),
+        Load::Profile(kind, scale.seed),
+        Design::Drive(
+            presets::barracuda_es_at_rpm(rpm),
+            DriveConfig::sa(actuators),
+        ),
+    )
+}
+
+impl RpmPoint {
+    fn new(actuators: u32, rpm: u32, o: &Outcome) -> Self {
+        RpmPoint {
+            actuators,
+            rpm,
+            mean_ms: o.mean_ms,
+            p90_ms: o.p90_ms,
+            cdf: o.response_cdf().clone(),
+            power: o.modes(),
+        }
+    }
+}
+
 impl Study for RpmStudy {
-    type Point = RpmPointSpec;
-    type Output = RpmOutput;
+    type Point = SimPoint;
+    type Output = Outcome;
     type Report = RpmReport;
 
     fn name(&self) -> &'static str {
         "rpm"
     }
 
-    fn plan(&self, _scale: Scale) -> ExperimentPlan<RpmPointSpec> {
-        self.kinds
-            .iter()
-            .flat_map(|&kind| {
-                // MD first, then the HC-SD baseline, then the 4×2 grid.
-                std::iter::once(RpmPointSpec::Md(kind))
-                    .chain(std::iter::once(RpmPointSpec::Design {
-                        kind,
-                        actuators: 1,
-                        rpm: 7200,
-                    }))
-                    .chain(RPMS.iter().flat_map(move |&rpm| {
-                        ACTUATORS
-                            .iter()
-                            .map(move |&actuators| RpmPointSpec::Design {
-                                kind,
-                                actuators,
-                                rpm,
-                            })
-                    }))
-            })
-            .collect()
+    /// Per workload: MD, then each of `designs()`.
+    fn plan(&self, scale: Scale) -> ExperimentPlan<SimPoint> {
+        let mut points = Vec::new();
+        for &kind in &self.kinds {
+            let md = Design::md(kind);
+            points.push(SimPoint::new(
+                format!("{}/MD", kind.name()),
+                Load::Profile(kind, scale.seed),
+                md,
+            ));
+            points.extend(designs().map(|(a, rpm)| design_point(kind, scale, a, rpm)));
+        }
+        ExperimentPlan::new(points)
     }
 
-    fn label(&self, point: &RpmPointSpec) -> String {
-        match point {
-            RpmPointSpec::Md(k) => format!("{}/MD", k.name()),
-            RpmPointSpec::Design {
-                kind,
-                actuators,
-                rpm,
-            } => {
-                format!("{}/SA({actuators})/{rpm}", kind.name())
-            }
-        }
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
     }
 
     fn run_point(
         &self,
-        point: &RpmPointSpec,
+        point: &SimPoint,
         scale: Scale,
         book: &TraceBook,
-    ) -> Result<RpmOutput, DriveError> {
-        match *point {
-            RpmPointSpec::Md(kind) => {
-                let md = run_md(kind, scale, book)?;
-                Ok(RpmOutput::Md {
-                    kind,
-                    cdf: md.response_hist.cdf(),
-                    mean_ms: md.response_time_ms.mean(),
-                })
-            }
-            RpmPointSpec::Design {
-                kind,
-                actuators,
-                rpm,
-            } => {
-                let params = presets::barracuda_es_at_rpm(rpm);
-                let r = run_drive(
-                    &params,
-                    DriveConfig::sa(actuators).with_stats_mode(scale.stats),
-                    book.source(kind),
-                )?;
-                Ok(RpmOutput::Design(RpmPoint {
-                    actuators,
-                    rpm,
-                    mean_ms: r.metrics.response_time_ms.mean(),
-                    p90_ms: r.p90_ms(),
-                    cdf: r.metrics.response_hist.cdf(),
-                    power: r.power,
-                }))
-            }
-        }
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
     }
 
-    fn reduce(&self, outputs: Vec<RpmOutput>) -> RpmReport {
-        struct Partial {
-            kind: WorkloadKind,
-            md_cdf: Cdf,
-            md_mean_ms: f64,
-            hcsd: Option<RpmPoint>,
-            points: Vec<RpmPoint>,
-        }
-        let mut partials: Vec<Partial> = Vec::new();
-        for out in outputs {
-            match out {
-                RpmOutput::Md { kind, cdf, mean_ms } => partials.push(Partial {
+    fn reduce(&self, outputs: Vec<Outcome>) -> RpmReport {
+        let per_kind = outputs.chunks(1 + designs().count());
+        let workloads = self
+            .kinds
+            .iter()
+            .zip(per_kind)
+            .map(|(&kind, outs)| {
+                let (md, drives) = outs.split_first().expect("plan leads with MD");
+                let mut points = designs()
+                    .zip(drives)
+                    .map(|((a, rpm), o)| RpmPoint::new(a, rpm, o));
+                RpmResult {
                     kind,
-                    md_cdf: cdf,
-                    md_mean_ms: mean_ms,
-                    hcsd: None,
-                    points: Vec::new(),
-                }),
-                RpmOutput::Design(p) => {
-                    let w = partials.last_mut().expect("plan leads with MD");
-                    // The plan puts the HC-SD baseline immediately
-                    // after MD, then the 4×2 design grid.
-                    if w.hcsd.is_none() {
-                        w.hcsd = Some(p);
-                    } else {
-                        w.points.push(p);
-                    }
+                    md_cdf: md.response_cdf().clone(),
+                    md_mean_ms: md.mean_ms,
+                    hcsd: points.next().expect("plan includes the HC-SD baseline"),
+                    points: points.collect(),
                 }
-            }
-        }
-        RpmReport {
-            workloads: partials
-                .into_iter()
-                .map(|p| RpmResult {
-                    kind: p.kind,
-                    md_cdf: p.md_cdf,
-                    md_mean_ms: p.md_mean_ms,
-                    hcsd: p.hcsd.expect("plan includes the HC-SD baseline"),
-                    points: p.points,
-                })
-                .collect(),
-        }
+            })
+            .collect();
+        RpmReport { workloads }
     }
 }
 
@@ -312,21 +246,10 @@ mod tests {
     use super::*;
 
     fn design(kind: WorkloadKind, scale: Scale, actuators: u32, rpm: u32) -> RpmPoint {
-        let out = RpmStudy::only(kind)
-            .run_point(
-                &RpmPointSpec::Design {
-                    kind,
-                    actuators,
-                    rpm,
-                },
-                scale,
-                &scale.book(),
-            )
+        let out = design_point(kind, scale, actuators, rpm)
+            .run(scale, &scale.book())
             .expect("replay succeeds");
-        match out {
-            RpmOutput::Design(p) => p,
-            other => panic!("expected a design point, got {other:?}"),
-        }
+        RpmPoint::new(actuators, rpm, &out)
     }
 
     #[test]

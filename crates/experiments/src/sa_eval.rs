@@ -9,10 +9,10 @@ use intradisk::{DriveConfig, PowerBreakdown};
 use simkit::{Cdf, Pdf};
 use workload::{TraceBook, WorkloadKind};
 
-use crate::configs::{hcsd_params, run_md, Scale};
+use crate::configs::Scale;
 use crate::plan::{ExperimentPlan, Study};
 use crate::report;
-use crate::runner::run_drive;
+use crate::sweep::{Design, Load, Outcome, SimPoint};
 
 /// The actuator counts evaluated.
 pub const ACTUATORS: [u32; 4] = [1, 2, 3, 4];
@@ -50,44 +50,6 @@ pub struct SaReport {
     pub workloads: Vec<SaResult>,
 }
 
-/// One sweep point of the HC-SD-SA(n) evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SaPoint {
-    /// The MD reference array.
-    Md(WorkloadKind),
-    /// HC-SD-SA(n) with the given actuator count.
-    Sa(WorkloadKind, u32),
-}
-
-/// Output of one [`SaPoint`].
-#[derive(Debug, Clone)]
-pub enum SaOutput {
-    /// MD reference results.
-    Md {
-        /// Which workload.
-        kind: WorkloadKind,
-        /// MD response-time CDF.
-        cdf: Cdf,
-        /// MD mean response time, ms.
-        mean_ms: f64,
-    },
-    /// One actuator-count design point.
-    Sa {
-        /// Response-time CDF.
-        cdf: Cdf,
-        /// Rotational-latency PDF.
-        pdf: Pdf,
-        /// Mean response time, ms.
-        mean_ms: f64,
-        /// Mean rotational latency, ms.
-        rot_mean_ms: f64,
-        /// Fraction of media accesses with a non-zero seek.
-        nonzero_seek: f64,
-        /// Average power breakdown.
-        power: PowerBreakdown,
-    },
-}
-
 /// The HC-SD-SA(n) study driver (Figure 5 + Figure 6's 7200-RPM bars).
 #[derive(Debug, Clone)]
 pub struct SaStudy {
@@ -109,97 +71,67 @@ impl SaStudy {
 }
 
 impl Study for SaStudy {
-    type Point = SaPoint;
-    type Output = SaOutput;
+    type Point = SimPoint;
+    type Output = Outcome;
     type Report = SaReport;
 
     fn name(&self) -> &'static str {
         "sa"
     }
 
-    fn plan(&self, _scale: Scale) -> ExperimentPlan<SaPoint> {
-        self.kinds
-            .iter()
-            .flat_map(|&k| {
-                std::iter::once(SaPoint::Md(k))
-                    .chain(ACTUATORS.iter().map(move |&n| SaPoint::Sa(k, n)))
-            })
-            .collect()
+    /// Per workload: MD, then HC-SD-SA(n) for each of [`ACTUATORS`].
+    fn plan(&self, scale: Scale) -> ExperimentPlan<SimPoint> {
+        let mut points = Vec::new();
+        for &kind in &self.kinds {
+            let load = Load::Profile(kind, scale.seed);
+            let md = SimPoint::new(format!("{}/MD", kind.name()), load, Design::md(kind));
+            points.push(md);
+            for n in ACTUATORS {
+                let label = format!("{}/SA({n})", kind.name());
+                points.push(SimPoint::new(label, load, Design::hcsd(DriveConfig::sa(n))));
+            }
+        }
+        ExperimentPlan::new(points)
     }
 
-    fn label(&self, point: &SaPoint) -> String {
-        match point {
-            SaPoint::Md(k) => format!("{}/MD", k.name()),
-            SaPoint::Sa(k, n) => format!("{}/SA({n})", k.name()),
-        }
+    fn label(&self, point: &SimPoint) -> String {
+        point.label.clone()
     }
 
     fn run_point(
         &self,
-        point: &SaPoint,
+        point: &SimPoint,
         scale: Scale,
         book: &TraceBook,
-    ) -> Result<SaOutput, DriveError> {
-        match *point {
-            SaPoint::Md(kind) => {
-                let md = run_md(kind, scale, book)?;
-                Ok(SaOutput::Md {
-                    kind,
-                    cdf: md.response_hist.cdf(),
-                    mean_ms: md.response_time_ms.mean(),
-                })
-            }
-            SaPoint::Sa(kind, n) => {
-                let r = run_drive(
-                    &hcsd_params(),
-                    DriveConfig::sa(n).with_stats_mode(scale.stats),
-                    book.source(kind),
-                )?;
-                Ok(SaOutput::Sa {
-                    cdf: r.metrics.response_hist.cdf(),
-                    pdf: r.metrics.rotational_hist.pdf(),
-                    mean_ms: r.metrics.response_time_ms.mean(),
-                    rot_mean_ms: r.metrics.rotational_ms.mean(),
-                    nonzero_seek: r.metrics.nonzero_seek_fraction(),
-                    power: r.power,
-                })
-            }
-        }
+    ) -> Result<Outcome, DriveError> {
+        point.run(scale, book)
     }
 
-    fn reduce(&self, outputs: Vec<SaOutput>) -> SaReport {
-        let mut workloads: Vec<SaResult> = Vec::new();
-        for out in outputs {
-            match out {
-                SaOutput::Md { kind, cdf, mean_ms } => workloads.push(SaResult {
+    fn reduce(&self, outputs: Vec<Outcome>) -> SaReport {
+        let per_kind = outputs.chunks(1 + ACTUATORS.len());
+        let workloads = self
+            .kinds
+            .iter()
+            .zip(per_kind)
+            .map(|(&kind, outs)| {
+                let (md, sa) = outs.split_first().expect("plan leads with MD");
+                let drives: Vec<_> = sa
+                    .iter()
+                    .map(|o| o.drive.as_ref().expect("SA(n) points are single drives"))
+                    .collect();
+                SaResult {
                     kind,
-                    md_cdf: cdf,
-                    md_mean_ms: mean_ms,
-                    cdfs: Vec::new(),
-                    pdfs: Vec::new(),
-                    means_ms: Vec::new(),
-                    rot_means_ms: Vec::new(),
-                    nonzero_seek_fraction: Vec::new(),
-                    power: Vec::new(),
-                }),
-                SaOutput::Sa {
-                    cdf,
-                    pdf,
-                    mean_ms,
-                    rot_mean_ms,
-                    nonzero_seek,
-                    power,
-                } => {
-                    let w = workloads.last_mut().expect("plan leads with MD");
-                    w.cdfs.push(cdf);
-                    w.pdfs.push(pdf);
-                    w.means_ms.push(mean_ms);
-                    w.rot_means_ms.push(rot_mean_ms);
-                    w.nonzero_seek_fraction.push(nonzero_seek);
-                    w.power.push(power);
+                    md_cdf: md.response_cdf().clone(),
+                    md_mean_ms: md.mean_ms,
+                    cdfs: sa.iter().map(|o| o.response_cdf().clone()).collect(),
+                    pdfs: drives.iter().map(|d| d.rot_pdf.clone()).collect(),
+                    means_ms: sa.iter().map(|o| o.mean_ms).collect(),
+                    rot_means_ms: drives.iter().map(|d| d.rot_mean_ms).collect(),
+                    nonzero_seek_fraction: drives.iter().map(|d| d.nonzero_seek_fraction).collect(),
+                    power: sa.iter().map(Outcome::modes).collect(),
                 }
-            }
-        }
+            })
+            .collect();
         SaReport { workloads }
     }
 }

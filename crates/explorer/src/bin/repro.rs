@@ -613,7 +613,6 @@ fn run_experiments(args: &Args, exec: &Executor) -> Result<(), StudyError> {
         println!("{}", report.render());
     }
     if want("robust") {
-        eprintln!("[robust: 4 workloads x 5 seeds x (MD + HC-SD)]");
         println!(
             "{}",
             experiments::replication::render(scale, &[42, 1, 2, 3, 4], exec)

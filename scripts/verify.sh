@@ -44,10 +44,12 @@
 # be byte-identical across runs and --jobs values, for a study and for
 # a cache-less explore whose --jobs 2 workers race to generate the
 # shared workload traces, a --profile smoke
-# run must attribute >= 95% of wall time to the coarse phases in
-# profile.txt, two `repro all --jobs 2 --profile` runs must print the
-# same phase tree (phase and calls columns) whose run_point calls equal
-# the sum of the per-study table's point counts, and a 10^6-request
+# run must write profile.txt, profile.folded and counters.json, two
+# `repro all --jobs 2 --profile` runs must print the same phase tree
+# (phase and calls columns) whose run_point calls equal the sum of the
+# per-study table's point counts, `run`'s self time in that profile
+# (host time outside every timed phase) must stay under 5% of wall,
+# and a 10^6-request
 # `repro scale --heartbeat 0.1` must emit live snapshots plus a
 # Prometheus textfile), and then the test suite again with ignored
 # tests included.
@@ -239,17 +241,11 @@ target/release/repro explore --grid coarse --requests 500 --jobs 2 --cache none 
 diff <(jq -S .deterministic "$sweep_dir/ex-prof1/counters.json") \
      <(jq -S .deterministic "$sweep_dir/ex-prof2/counters.json")
 
-echo "==> gate: --profile smoke export (phase coverage >= 95% at --jobs 1)"
+echo "==> gate: --profile smoke export writes every artifact"
 for f in profile.txt profile.folded counters.json; do
   test -s "$sweep_dir/prof1/$f" \
     || { echo "missing or empty profile artifact $f" >&2; exit 1; }
 done
-coverage=$(sed -n 's/^attributed .*(\([0-9.]*\)% of wall)$/\1/p' "$sweep_dir/prof1/profile.txt")
-test -n "$coverage" \
-  || { echo "profile.txt has no attributed line" >&2; exit 1; }
-echo "    phase coverage ${coverage}%"
-jq -n --argjson c "$coverage" \
-  'if $c >= 95 then empty else error("phase profiler attributed < 95% of wall time") end'
 
 echo "==> gate: --profile tree is stable and its study table accounts for every point"
 # Each study run reports one timing per plan point, so the per-study
@@ -267,6 +263,19 @@ study_points=$(awk '/^ *# study .*reduce\(ms\)$/ { on = 1; next } on && NF == 0 
 echo "    run_point calls ${point_calls}, study-table points ${study_points}"
 test "$point_calls" -gt 0 && test "$point_calls" -eq "$study_points" \
   || { echo "per-study point counts do not add up to the run_point calls" >&2; exit 1; }
+
+echo "==> gate: --profile run self time < 5% of wall"
+# `run`'s self time is the host time the dispatch spends outside every
+# timed phase (plan, points, idle, reduce, exports), which the profile
+# cannot attribute; it is about 1% of wall on a 2-vCPU host. A stray
+# blocking call in the dispatch shows up as a jump in it.
+run_self=$(awk '$1 == "run" { print $3; exit }' "$sweep_dir/prof-all1/profile.txt")
+wall=$(awk '$1 == "wall" { print $2; exit }' "$sweep_dir/prof-all1/profile.txt")
+test -n "$run_self" && test -n "$wall" \
+  || { echo "profile.txt has no run or wall line" >&2; exit 1; }
+echo "    run self ${run_self} ms of ${wall} ms wall"
+jq -n --argjson s "$run_self" --argjson w "$wall" \
+  'if $s < 0.05 * $w then empty else error("run self time >= 5% of wall: unprofiled work in the dispatch") end'
 
 echo "==> gate: scale --heartbeat emits live snapshots and a Prometheus textfile"
 # A sub-second interval: a fast host finishes the 10^6 requests in

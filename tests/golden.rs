@@ -225,13 +225,13 @@ fn golden_limit_study_orderings() {
     // Figure 2/3 headline: HC-SD is slower than MD but an order of
     // magnitude cheaper in power.
     let w = limit_one(WorkloadKind::TpcC);
-    let md = w.md.response_time_ms.mean();
-    let hc = w.hcsd.metrics.response_time_ms.mean();
+    let md = w.md.mean_ms;
+    let hc = w.hcsd.mean_ms;
     assert!(hc > md, "HC-SD mean {hc:.2} not above MD {md:.2}");
     assert!(
-        w.md.power.total_w() > 4.0 * w.hcsd.power.total_w(),
+        w.md.power_w > 4.0 * w.hcsd.power_w,
         "MD power {:.1} not well above HC-SD {:.1}",
-        w.md.power.total_w(),
-        w.hcsd.power.total_w()
+        w.md.power_w,
+        w.hcsd.power_w
     );
 }

@@ -66,8 +66,8 @@ fn figure2_hcsd_severely_degrades_io_bound_workloads() {
         WorkloadKind::TpcC,
     ] {
         let w = limit_one(kind);
-        let md = w.md.response_time_ms.mean();
-        let hc = w.hcsd.metrics.response_time_ms.mean();
+        let md = w.md.mean_ms;
+        let hc = w.hcsd.mean_ms;
         assert!(
             hc > 1.8 * md,
             "{}: HC-SD mean {hc:.1} not well above MD {md:.1}",
@@ -81,8 +81,8 @@ fn figure2_tpch_sees_little_loss() {
     // §7.1: TPC-H's storage "is able to service I/O requests faster
     // than they arrive" — little performance loss on HC-SD.
     let w = limit_one(WorkloadKind::TpcH);
-    let md = w.md.response_time_ms.mean();
-    let hc = w.hcsd.metrics.response_time_ms.mean();
+    let md = w.md.mean_ms;
+    let hc = w.hcsd.mean_ms;
     assert!(
         hc < 1.6 * md,
         "TPC-H HC-SD mean {hc:.1} too far above MD {md:.1}"
@@ -95,7 +95,7 @@ fn figure2_tpch_sees_little_loss() {
 fn figure3_order_of_magnitude_power_reduction() {
     for kind in WorkloadKind::ALL {
         let w = limit_one(kind);
-        let ratio = w.md.power.total_w() / w.hcsd.power.total_w();
+        let ratio = w.md.power_w / w.hcsd.power_w;
         assert!(
             ratio > 4.0,
             "{}: MD/HC-SD power ratio only {ratio:.1}",
@@ -104,7 +104,7 @@ fn figure3_order_of_magnitude_power_reduction() {
     }
     // The 24-disk Financial array specifically is an order of magnitude.
     let w = limit_one(WorkloadKind::Financial);
-    assert!(w.md.power.total_w() / w.hcsd.power.total_w() > 10.0);
+    assert!(w.md.power_w / w.hcsd.power_w > 10.0);
 }
 
 #[test]
@@ -113,7 +113,7 @@ fn figure3_md_power_is_idle_dominated() {
     // consumed when the disks are idle".
     for kind in WorkloadKind::ALL {
         let w = limit_one(kind);
-        let p = &w.md.power;
+        let p = w.md.modes();
         assert!(
             p.idle_w > p.seek_w + p.rotational_w + p.transfer_w,
             "{}: MD idle power {:.1} does not dominate {:?}",
