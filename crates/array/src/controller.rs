@@ -2,14 +2,15 @@
 //! tracks sub-request completion (including two-phase RAID-5 writes),
 //! and aggregates response-time and power statistics.
 //!
-//! Like [`intradisk::DiskDrive`], the controller is a passive
-//! discrete-event component. [`ArrayController::submit`] returns the
-//! per-disk completions newly scheduled by an arrival;
-//! [`ArrayController::on_disk_complete`] consumes one completion event
-//! and returns any follow-on events plus the logical request that
-//! finished, if any. As a [`Device`] the controller keeps those
-//! completions in its own event calendar and runs under the shared run
-//! loop ([`intradisk::simulate`]).
+//! [`ArrayController`] is a [`Device`] that runs under the shared run
+//! loop ([`intradisk::simulate`]), and it steps its member drives
+//! through the same trait: it submits each sub-request with
+//! [`Device::submit`], keeps the members' next events in its own
+//! calendar and fires the earliest with [`Device::on_event`], which
+//! names the sub-request that completed. Each logical request is mapped
+//! into a buffer the controller owns, and RAID-5's second phase is
+//! mapped again from the logical request when the first completes, so
+//! a logical request allocates nothing once the buffers have grown.
 
 // In-flight bookkeeping lives in a generation-tagged slab plus a
 // sequential ring window, not maps: slot assignment depends only on
@@ -26,7 +27,7 @@ use simkit::{
 };
 use telemetry::{NullRecorder, Recorder, ScopedRecorder, TraceEvent};
 
-use crate::layout::{Layout, SubRequest};
+use crate::layout::{Layout, MappedRequest, Phase};
 
 /// A finished logical request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +47,8 @@ impl LogicalCompletion {
     }
 }
 
-/// The outcome of consuming one per-disk completion event.
+/// The outcome of consuming one per-disk completion event, as
+/// [`ArrayController::on_disk_complete`] reports it.
 #[derive(Debug, Clone, Default)]
 pub struct DiskCompletion {
     /// Next completion time on the same disk, if it started more work
@@ -100,10 +102,12 @@ impl ArrayMetrics {
 
 #[derive(Debug)]
 struct Outstanding {
-    id: u64,
-    arrival: SimTime,
+    /// The logical request, kept to map its second phase from.
+    req: IoRequest,
+    /// Sub-requests of the current phase still in flight.
     remaining: usize,
-    phase_two: Vec<SubRequest>,
+    /// True until the second phase of a two-phase request is issued.
+    phase_two: bool,
 }
 
 /// Maps sub-request ids back to the owning logical request's slab slot.
@@ -191,6 +195,8 @@ pub struct ArrayController<Q = EventQueue<usize>> {
     outstanding: Slab<Outstanding>,
     next_sub_id: u64,
     metrics: ArrayMetrics,
+    /// The mapping of the request being issued, refilled per mapping.
+    mapped: MappedRequest,
     /// Pending per-disk completion events, payload = disk index.
     events: Q,
     /// Deterministic fan-out counters, flushed to the global registry
@@ -207,6 +213,47 @@ impl ArrayController {
     /// Panics if `disks == 0` (or `< 2` for RAID-5).
     pub fn new(params: &DiskParams, member: DriveConfig, disks: usize, layout: Layout) -> Self {
         Self::with_calendar(params, member, disks, layout, EventQueue::with_capacity(64))
+    }
+
+    /// Submits a logical request at `now`; returns `(disk, completion)`
+    /// for every member disk that started new work, for the caller's
+    /// calendar. Kept only for perfbench's ledger until ROADMAP item 1
+    /// removes it; everything else steps the array as a [`Device`].
+    ///
+    /// # Errors
+    /// As [`Device::submit`].
+    pub fn submit(
+        &mut self,
+        req: IoRequest,
+        now: SimTime,
+    ) -> Result<Vec<(usize, SimTime)>, DriveError> {
+        let mut started = Vec::new();
+        self.accept(req, now, &mut NullRecorder, &mut |_, d, t| {
+            started.push((d, t))
+        })?;
+        Ok(started)
+    }
+
+    /// Consumes the completion event of member `disk` at `now`. Kept
+    /// only for perfbench's ledger until ROADMAP item 1 removes it.
+    ///
+    /// # Errors
+    /// As [`Device::on_event`].
+    pub fn on_disk_complete(
+        &mut self,
+        disk: usize,
+        now: SimTime,
+    ) -> Result<DiskCompletion, DriveError> {
+        let sub_id = self.fire(disk, now, &mut NullRecorder)?;
+        let mut out = DiskCompletion {
+            next_on_disk: self.disks[disk].next_event_time(),
+            ..DiskCompletion::default()
+        };
+        let started = &mut out.started;
+        out.finished = self.retire(sub_id, now, &mut NullRecorder, &mut |_, d, t| {
+            started.push((d, t))
+        })?;
+        Ok(out)
     }
 }
 
@@ -239,6 +286,7 @@ impl<Q> ArrayController<Q> {
             outstanding: Slab::new(),
             next_sub_id: 0,
             metrics: ArrayMetrics::with_mode(stats_mode),
+            mapped: MappedRequest::default(),
             events,
             prof: crate::counters::ArrayProfCounts::new(),
         }
@@ -265,144 +313,123 @@ impl<Q> ArrayController<Q> {
         &self.disks[index]
     }
 
-    /// Submits a logical request at `now`; returns `(disk, completion)`
-    /// pairs for every member disk that started new work.
-    ///
-    /// # Errors
-    /// Propagates [`DriveError`] from a member disk that rejects a
-    /// sub-request (e.g. every assembly failed).
-    pub fn submit(
-        &mut self,
-        req: IoRequest,
-        now: SimTime,
-    ) -> Result<Vec<(usize, SimTime)>, DriveError> {
-        self.submit_traced(req, now, &mut NullRecorder)
-    }
-
-    /// [`ArrayController::submit`] with event tracing: the logical
-    /// request's lifecycle is emitted in scope 0; each member disk's
-    /// events land in scope `1 + disk` (its own process/track group in
-    /// the Perfetto export).
-    pub fn submit_traced<R: Recorder>(
+    /// Maps `req` and issues its first phase at `now`. The controller's
+    /// events land in scope 0 of `rec`, member `disk`'s in scope
+    /// `1 + disk`.
+    fn accept<R: Recorder>(
         &mut self,
         req: IoRequest,
         now: SimTime,
         rec: &mut R,
-    ) -> Result<Vec<(usize, SimTime)>, DriveError> {
-        let mapped = self
-            .layout
-            .map_request(self.disks.len(), self.per_disk, &req);
-        assert!(!mapped.is_empty(), "mapping produced no sub-requests");
+        start: &mut impl FnMut(&mut Q, usize, SimTime),
+    ) -> Result<(), DriveError> {
+        self.layout
+            .map_into(self.disks.len(), self.per_disk, &req, &mut self.mapped);
+        assert!(!self.mapped.is_empty(), "mapping produced no sub-requests");
         if R::ENABLED {
             rec.record_scoped(0, now, req.submitted());
         }
         let key = self.outstanding.insert(Outstanding {
-            id: req.id,
-            arrival: req.arrival,
-            remaining: mapped.phase_one.len(),
-            phase_two: mapped.phase_two,
+            req,
+            remaining: self.mapped.phase_one.len(),
+            phase_two: !self.mapped.phase_two.is_empty(),
         });
         self.prof.logical_submits.bump();
         self.prof.inflight_peak.raise(self.outstanding.len() as u64);
-        self.issue(key, &mapped.phase_one, now, rec)
+        self.issue(key, Phase::One, now, rec, start)
     }
 
+    /// Submits `phase` of the current mapping to the members, calling
+    /// `start` with the calendar for each member that began service.
     fn issue<R: Recorder>(
         &mut self,
         key: SlotId,
-        subs: &[SubRequest],
+        phase: Phase,
         now: SimTime,
         rec: &mut R,
-    ) -> Result<Vec<(usize, SimTime)>, DriveError> {
-        let mut started = Vec::new();
+        start: &mut impl FnMut(&mut Q, usize, SimTime),
+    ) -> Result<(), DriveError> {
+        let subs = match phase {
+            Phase::One => &self.mapped.phase_one,
+            Phase::Two => &self.mapped.phase_two,
+        };
         for sub in subs {
             self.prof.sub_issues.bump();
             let sub_id = self.next_sub_id;
             self.next_sub_id += 1;
             self.sub_owner.insert(sub_id, key);
+            let member = &mut self.disks[sub.disk];
+            let before = member.next_event_time();
             let sreq = IoRequest::new(sub_id, now, sub.lba, sub.sectors, sub.kind);
-            let mut scoped = ScopedRecorder::new(rec, 1 + sub.disk as u32);
-            if let Some(t) = self.disks[sub.disk].submit_traced(sreq, now, &mut scoped)? {
-                started.push((sub.disk, t));
+            let mut scoped = ScopedRecorder::new(&mut *rec, 1 + sub.disk as u32);
+            Device::submit(member, sreq, &mut scoped)?;
+            if let (None, Some(t)) = (before, member.next_event_time()) {
+                start(&mut self.events, sub.disk, t);
             }
         }
-        Ok(started)
+        Ok(())
     }
 
-    /// Consumes the completion event of member `disk` at time `now`.
-    ///
-    /// # Errors
-    /// Propagates [`DriveError`] if the disk has no request in service
-    /// at `now` (event mismatch); returns
-    /// [`DriveError::UnknownSubRequest`] or
-    /// [`DriveError::RetiredRequest`] if the completed sub-request does
-    /// not map to an open logical request.
-    pub fn on_disk_complete(
-        &mut self,
-        disk: usize,
-        now: SimTime,
-    ) -> Result<DiskCompletion, DriveError> {
-        self.on_disk_complete_traced(disk, now, &mut NullRecorder)
-    }
-
-    /// [`ArrayController::on_disk_complete`] with event tracing (see
-    /// [`ArrayController::submit_traced`]).
-    ///
-    /// # Errors
-    /// Same contract as [`ArrayController::on_disk_complete`].
-    pub fn on_disk_complete_traced<R: Recorder>(
+    /// Fires member `disk`'s event at `now` and returns the id of the
+    /// sub-request it completed.
+    fn fire<R: Recorder>(
         &mut self,
         disk: usize,
         now: SimTime,
         rec: &mut R,
-    ) -> Result<DiskCompletion, DriveError> {
-        let (done, next_on_disk) = {
-            let mut scoped = ScopedRecorder::new(&mut *rec, 1 + disk as u32);
-            self.disks[disk].complete_traced(now, &mut scoped)?
-        };
+    ) -> Result<u64, DriveError> {
+        let mut sub_id = None;
+        let mut scoped = ScopedRecorder::new(rec, 1 + disk as u32);
+        Device::on_event(&mut self.disks[disk], now, &mut scoped, |id| {
+            sub_id = Some(id)
+        })?;
+        sub_id.ok_or(DriveError::NotInService)
+    }
+
+    /// Retires sub-request `sub_id` at `now`. The last sub-request of a
+    /// first phase issues the second, if there is one; the last of the
+    /// final phase completes the logical request, which is returned.
+    /// [`DriveError::UnknownSubRequest`] or
+    /// [`DriveError::RetiredRequest`] if `sub_id` does not map to an
+    /// open logical request.
+    fn retire<R: Recorder>(
+        &mut self,
+        sub_id: u64,
+        now: SimTime,
+        rec: &mut R,
+        start: &mut impl FnMut(&mut Q, usize, SimTime),
+    ) -> Result<Option<LogicalCompletion>, DriveError> {
         let key = self
             .sub_owner
-            .take(done.request.id)
-            .ok_or(DriveError::UnknownSubRequest {
-                sub_id: done.request.id,
-            })?;
-        let mut out = DiskCompletion {
-            next_on_disk,
-            ..DiskCompletion::default()
-        };
-        let finished_logical = {
-            let o = self
-                .outstanding
-                .get_mut(key)
-                .ok_or(DriveError::RetiredRequest { key: key.as_u64() })?;
-            o.remaining -= 1;
-            if o.remaining > 0 {
-                None
-            } else if o.phase_two.is_empty() {
-                Some(key)
-            } else {
-                // Launch phase two; the logical request stays open.
-                let subs = std::mem::take(&mut o.phase_two);
-                o.remaining = subs.len();
-                out.started = self.issue(key, &subs, now, rec)?;
-                None
-            }
-        };
-        if let Some(key) = finished_logical {
-            if let Some(o) = self.outstanding.remove(key) {
-                let c = LogicalCompletion {
-                    id: o.id,
-                    arrival: o.arrival,
-                    completed: now,
-                };
-                self.metrics.record(&c);
-                if R::ENABLED {
-                    rec.record_scoped(0, now, TraceEvent::Complete { req: c.id });
-                }
-                out.finished = Some(c);
-            }
+            .take(sub_id)
+            .ok_or(DriveError::UnknownSubRequest { sub_id })?;
+        let retired = || DriveError::RetiredRequest { key: key.as_u64() };
+        let o = self.outstanding.get_mut(key).ok_or_else(retired)?;
+        o.remaining -= 1;
+        if o.remaining > 0 {
+            return Ok(None);
         }
-        Ok(out)
+        if o.phase_two {
+            // The mapping is a pure function of the logical request, so
+            // phase two is mapped again rather than stored.
+            o.phase_two = false;
+            self.layout
+                .map_into(self.disks.len(), self.per_disk, &o.req, &mut self.mapped);
+            o.remaining = self.mapped.phase_two.len();
+            self.issue(key, Phase::Two, now, rec, start)?;
+            return Ok(None);
+        }
+        let req = self.outstanding.remove(key).ok_or_else(retired)?.req;
+        let c = LogicalCompletion {
+            id: req.id,
+            arrival: req.arrival,
+            completed: now,
+        };
+        self.metrics.record(&c);
+        if R::ENABLED {
+            rec.record_scoped(0, now, TraceEvent::Complete { req: c.id });
+        }
+        Ok(Some(c))
     }
 
     /// Closes idle-time accounting on every member disk at `end`, sorts
@@ -431,28 +458,33 @@ impl<Q: Calendar<usize>> Device for ArrayController<Q> {
     /// Member-drive events land in scope `1 + disk`; the controller's
     /// logical submit/complete events land in scope 0.
     fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
-        for (disk, t) in self.submit_traced(req, req.arrival, rec)? {
-            self.events.push(t, disk);
-        }
-        Ok(())
+        self.accept(req, req.arrival, rec, &mut |q, d, t| q.push(t, d))
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
 
-    /// Consumes the earliest per-disk completion (due at `now`).
-    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
+    /// Fires the earliest member event (due at `now`). The member's next
+    /// event is scheduled before any second-phase starts, in mapping
+    /// order: the calendar breaks same-time ties first in, first out.
+    fn on_event<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        rec: &mut R,
+        mut completed: impl FnMut(u64),
+    ) -> Result<(), DriveError> {
         let ev = self.events.pop().ok_or(DriveError::NotInService)?;
         debug_assert_eq!(ev.time, now, "the run loop fires the earliest event");
-        let out = self.on_disk_complete_traced(ev.payload, ev.time, rec)?;
-        if let Some(t) = out.next_on_disk {
-            self.events.push(t, ev.payload);
-        }
-        for (disk, t) in out.started {
+        let disk = ev.payload;
+        let sub_id = self.fire(disk, now, rec)?;
+        if let Some(t) = self.disks[disk].next_event_time() {
             self.events.push(t, disk);
         }
-        Ok(usize::from(out.finished.is_some()))
+        if let Some(c) = self.retire(sub_id, now, rec, &mut |q, d, t| q.push(t, d))? {
+            completed(c.id);
+        }
+        Ok(())
     }
 
     fn stats(&self) -> &ResponseStats {
@@ -640,6 +672,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pins the ledger-only `on_disk_complete` adapter's error"
+    )]
     fn spurious_completion_is_typed_error() {
         use diskmodel::DriveError;
         let mut a = controller(2, Layout::striped_default());

@@ -19,7 +19,8 @@ use intradisk::{IoKind, IoRequest};
 /// Default stripe unit: 128 sectors = 64 KiB.
 pub const DEFAULT_STRIPE_SECTORS: u64 = 128;
 
-/// Which pass of a two-phase operation a sub-request belongs to.
+/// A pass of a two-phase operation: [`MappedRequest`] keeps each
+/// pass's sub-requests in its own list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Immediately issuable work (reads; RAID-5 pre-read of old data
@@ -41,16 +42,15 @@ pub struct SubRequest {
     pub sectors: u32,
     /// Read or write.
     pub kind: IoKind,
-    /// Issue phase.
-    pub phase: Phase,
 }
 
 /// The decomposition of one logical request.
+///
+/// [`Layout::map_into`] refills it in place, so a buffer reused across
+/// requests stops allocating once it has held the widest request.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MappedRequest {
     /// Sub-requests issuable immediately.
-    // Per-request decomposition, bounded by the stripe width; consumed
-    // and dropped at issue time.
     pub phase_one: Vec<SubRequest>,
     /// Sub-requests gated on phase one (empty except for RAID-5
     /// writes).
@@ -58,11 +58,6 @@ pub struct MappedRequest {
 }
 
 impl MappedRequest {
-    /// Total number of sub-requests.
-    pub fn len(&self) -> usize {
-        self.phase_one.len() + self.phase_two.len()
-    }
-
     /// True if the mapping produced no work (request fell entirely
     /// beyond the volume).
     pub fn is_empty(&self) -> bool {
@@ -115,27 +110,32 @@ impl Layout {
         }
     }
 
-    /// Decomposes a logical request into per-disk sub-requests.
+    /// Decomposes a logical request into per-disk sub-requests,
+    /// replacing the contents of `out`. The mapping is a pure function
+    /// of its arguments.
     ///
     /// Addresses beyond the logical capacity wrap (consistent with the
     /// drive model's trace-replay convention).
     ///
     /// # Panics
     /// Panics if `disks == 0` (or `< 2` for RAID-5).
-    pub fn map_request(&self, disks: usize, per_disk: u64, req: &IoRequest) -> MappedRequest {
+    pub fn map_into(&self, disks: usize, per_disk: u64, req: &IoRequest, out: &mut MappedRequest) {
         assert!(disks > 0, "array needs at least one disk");
+        out.phase_one.clear();
+        out.phase_two.clear();
         let cap = self.logical_capacity(disks, per_disk);
         let lba = req.lba % cap;
         match self {
-            Layout::Concatenated => map_concat(disks, per_disk, lba, req),
-            Layout::Striped { stripe_sectors } => map_striped(disks, *stripe_sectors, lba, req),
-            Layout::Raid5 { stripe_sectors } => map_raid5(disks, *stripe_sectors, lba, req),
+            Layout::Concatenated => map_concat(disks, per_disk, lba, req, out),
+            Layout::Striped { stripe_sectors } => {
+                map_striped(disks, *stripe_sectors, lba, req, out)
+            }
+            Layout::Raid5 { stripe_sectors } => map_raid5(disks, *stripe_sectors, lba, req, out),
         }
     }
 }
 
-fn map_concat(disks: usize, per_disk: u64, lba: u64, req: &IoRequest) -> MappedRequest {
-    let mut out = MappedRequest::default();
+fn map_concat(disks: usize, per_disk: u64, lba: u64, req: &IoRequest, out: &mut MappedRequest) {
     let mut cur = lba;
     let mut left = req.sectors as u64;
     let cap = disks as u64 * per_disk;
@@ -148,16 +148,13 @@ fn map_concat(disks: usize, per_disk: u64, lba: u64, req: &IoRequest) -> MappedR
             lba: off,
             sectors: take as u32,
             kind: req.kind,
-            phase: Phase::One,
         });
         cur += take;
         left -= take;
     }
-    out
 }
 
-fn map_striped(disks: usize, stripe: u64, lba: u64, req: &IoRequest) -> MappedRequest {
-    let mut out = MappedRequest::default();
+fn map_striped(disks: usize, stripe: u64, lba: u64, req: &IoRequest, out: &mut MappedRequest) {
     let n = disks as u64;
     let mut cur = lba;
     let mut left = req.sectors as u64;
@@ -174,13 +171,11 @@ fn map_striped(disks: usize, stripe: u64, lba: u64, req: &IoRequest) -> MappedRe
                 lba: row * stripe + within,
                 sectors: take as u32,
                 kind: req.kind,
-                phase: Phase::One,
             },
         );
         cur += take;
         left -= take;
     }
-    out
 }
 
 /// Left-symmetric RAID-5: in row `r`, the parity unit lives on disk
@@ -192,12 +187,13 @@ fn raid5_disks(n: u64, row: u64, data_index: u64) -> (usize, usize) {
     (data, parity)
 }
 
-fn map_raid5(disks: usize, stripe: u64, lba: u64, req: &IoRequest) -> MappedRequest {
+fn map_raid5(disks: usize, stripe: u64, lba: u64, req: &IoRequest, out: &mut MappedRequest) {
     assert!(disks >= 2, "RAID-5 needs at least two disks");
     let n = disks as u64;
     let data_per_row = n - 1;
-    let mut out = MappedRequest::default();
-    let mut parity_rows_touched: Vec<u64> = Vec::new();
+    // Rows are visited in increasing order, so a row's parity is new
+    // exactly when the row differs from the last one that added parity.
+    let mut parity_row = None;
     let mut cur = lba;
     let mut left = req.sectors as u64;
     while left > 0 {
@@ -208,65 +204,26 @@ fn map_raid5(disks: usize, stripe: u64, lba: u64, req: &IoRequest) -> MappedRequ
         let (data_disk, parity_disk) = raid5_disks(n, row, data_index);
         let take = (stripe - within).min(left);
         let disk_lba = row * stripe + within;
-        match req.kind {
-            IoKind::Read => {
-                push_coalesced(
-                    &mut out.phase_one,
-                    SubRequest {
-                        disk: data_disk,
-                        lba: disk_lba,
-                        sectors: take as u32,
-                        kind: IoKind::Read,
-                        phase: Phase::One,
-                    },
-                );
-            }
-            IoKind::Write => {
-                // Read-modify-write: pre-read old data & old parity,
-                // then write both.
-                push_coalesced(
-                    &mut out.phase_one,
-                    SubRequest {
-                        disk: data_disk,
-                        lba: disk_lba,
-                        sectors: take as u32,
-                        kind: IoKind::Read,
-                        phase: Phase::One,
-                    },
-                );
-                push_coalesced(
-                    &mut out.phase_two,
-                    SubRequest {
-                        disk: data_disk,
-                        lba: disk_lba,
-                        sectors: take as u32,
-                        kind: IoKind::Write,
-                        phase: Phase::Two,
-                    },
-                );
-                if !parity_rows_touched.contains(&row) {
-                    parity_rows_touched.push(row);
-                    out.phase_one.push(SubRequest {
-                        disk: parity_disk,
-                        lba: disk_lba,
-                        sectors: take as u32,
-                        kind: IoKind::Read,
-                        phase: Phase::One,
-                    });
-                    out.phase_two.push(SubRequest {
-                        disk: parity_disk,
-                        lba: disk_lba,
-                        sectors: take as u32,
-                        kind: IoKind::Write,
-                        phase: Phase::Two,
-                    });
-                }
+        let sub = |disk, kind| SubRequest {
+            disk,
+            lba: disk_lba,
+            sectors: take as u32,
+            kind,
+        };
+        push_coalesced(&mut out.phase_one, sub(data_disk, IoKind::Read));
+        if req.kind == IoKind::Write {
+            // Read-modify-write: pre-read old data & old parity, then
+            // write both.
+            push_coalesced(&mut out.phase_two, sub(data_disk, IoKind::Write));
+            if parity_row != Some(row) {
+                parity_row = Some(row);
+                out.phase_one.push(sub(parity_disk, IoKind::Read));
+                out.phase_two.push(sub(parity_disk, IoKind::Write));
             }
         }
         cur += take;
         left -= take;
     }
-    out
 }
 
 /// Merges a sub-request into the previous one when physically
@@ -275,7 +232,6 @@ fn push_coalesced(list: &mut Vec<SubRequest>, sub: SubRequest) {
     if let Some(last) = list.last_mut() {
         if last.disk == sub.disk
             && last.kind == sub.kind
-            && last.phase == sub.phase
             && last.lba + last.sectors as u64 == sub.lba
         {
             last.sectors += sub.sectors;
@@ -300,9 +256,16 @@ mod tests {
 
     const PER_DISK: u64 = 1_000_000;
 
+    /// Maps `req` into a fresh buffer.
+    fn map(layout: Layout, disks: usize, req: &IoRequest) -> MappedRequest {
+        let mut m = MappedRequest::default();
+        layout.map_into(disks, PER_DISK, req, &mut m);
+        m
+    }
+
     #[test]
     fn concat_maps_to_single_disk() {
-        let m = Layout::Concatenated.map_request(4, PER_DISK, &read(2_500_000, 8));
+        let m = map(Layout::Concatenated, 4, &read(2_500_000, 8));
         assert_eq!(m.phase_one.len(), 1);
         assert_eq!(m.phase_one[0].disk, 2);
         assert_eq!(m.phase_one[0].lba, 500_000);
@@ -311,7 +274,7 @@ mod tests {
 
     #[test]
     fn concat_split_at_disk_boundary() {
-        let m = Layout::Concatenated.map_request(4, PER_DISK, &read(PER_DISK - 4, 8));
+        let m = map(Layout::Concatenated, 4, &read(PER_DISK - 4, 8));
         assert_eq!(m.phase_one.len(), 2);
         assert_eq!(m.phase_one[0].disk, 0);
         assert_eq!(m.phase_one[0].sectors, 4);
@@ -326,7 +289,7 @@ mod tests {
             stripe_sectors: 128,
         };
         for unit in 0..8u64 {
-            let m = layout.map_request(4, PER_DISK, &read(unit * 128, 8));
+            let m = map(layout, 4, &read(unit * 128, 8));
             assert_eq!(m.phase_one.len(), 1);
             assert_eq!(m.phase_one[0].disk, (unit % 4) as usize);
             assert_eq!(m.phase_one[0].lba, (unit / 4) * 128);
@@ -338,7 +301,7 @@ mod tests {
         let layout = Layout::Striped {
             stripe_sectors: 128,
         };
-        let m = layout.map_request(4, PER_DISK, &read(120, 16));
+        let m = map(layout, 4, &read(120, 16));
         assert_eq!(m.phase_one.len(), 2);
         assert_eq!(m.phase_one[0].disk, 0);
         assert_eq!(m.phase_one[0].sectors, 8);
@@ -353,7 +316,7 @@ mod tests {
         let layout = Layout::Striped {
             stripe_sectors: 128,
         };
-        let m = layout.map_request(4, PER_DISK, &read(0, 4 * 128));
+        let m = map(layout, 4, &read(0, 4 * 128));
         let disks: std::collections::BTreeSet<usize> = m.phase_one.iter().map(|s| s.disk).collect();
         assert_eq!(disks.len(), 4);
     }
@@ -367,7 +330,7 @@ mod tests {
 
     #[test]
     fn raid5_read_is_single_subrequest() {
-        let m = Layout::raid5_default().map_request(4, PER_DISK, &read(0, 8));
+        let m = map(Layout::raid5_default(), 4, &read(0, 8));
         assert_eq!(m.phase_one.len(), 1);
         assert!(m.phase_two.is_empty());
         assert_eq!(m.phase_one[0].kind, IoKind::Read);
@@ -375,7 +338,7 @@ mod tests {
 
     #[test]
     fn raid5_small_write_is_four_ios() {
-        let m = Layout::raid5_default().map_request(4, PER_DISK, &write(0, 8));
+        let m = map(Layout::raid5_default(), 4, &write(0, 8));
         // Read old data + read old parity, then write data + parity.
         assert_eq!(m.phase_one.len(), 2);
         assert_eq!(m.phase_two.len(), 2);
@@ -393,7 +356,7 @@ mod tests {
         for row in 0..n {
             // First data unit of each row.
             let lba = row * (n - 1) * 128;
-            let m = layout.map_request(4, PER_DISK, &write(lba, 8));
+            let m = map(layout, 4, &write(lba, 8));
             let parity = m.phase_two[1].disk;
             parity_disks.insert(parity);
         }
@@ -404,7 +367,7 @@ mod tests {
     fn raid5_data_never_on_parity_disk() {
         let layout = Layout::raid5_default();
         for unit in 0..64u64 {
-            let m = layout.map_request(5, PER_DISK, &write(unit * 128, 8));
+            let m = map(layout, 5, &write(unit * 128, 8));
             let data = m.phase_two[0].disk;
             let parity = m.phase_two[1].disk;
             assert_ne!(data, parity, "unit {unit}");
@@ -415,7 +378,7 @@ mod tests {
     fn raid5_multiunit_write_dedups_parity_per_row() {
         // Two units in the same row share one parity read/write pair.
         let layout = Layout::raid5_default();
-        let m = layout.map_request(4, PER_DISK, &write(0, 256));
+        let m = map(layout, 4, &write(0, 256));
         let parity_writes = m
             .phase_two
             .iter()
@@ -431,9 +394,17 @@ mod tests {
     fn wrap_beyond_capacity() {
         let layout = Layout::striped_default();
         let cap = layout.logical_capacity(4, PER_DISK);
-        let a = layout.map_request(4, PER_DISK, &read(5, 8));
-        let b = layout.map_request(4, PER_DISK, &read(cap + 5, 8));
+        let a = map(layout, 4, &read(5, 8));
+        let b = map(layout, 4, &read(cap + 5, 8));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn map_into_replaces_what_the_buffer_held() {
+        let layout = Layout::raid5_default();
+        let mut m = map(layout, 4, &write(0, 256));
+        layout.map_into(4, PER_DISK, &read(1234, 8), &mut m);
+        assert_eq!(m, map(layout, 4, &read(1234, 8)));
     }
 
     #[test]
@@ -443,7 +414,7 @@ mod tests {
         let layout = Layout::Striped {
             stripe_sectors: 128,
         };
-        let m = layout.map_request(1, PER_DISK, &read(0, 512));
+        let m = map(layout, 1, &read(0, 512));
         assert_eq!(m.phase_one.len(), 1);
         assert_eq!(m.phase_one[0].sectors, 512);
     }
@@ -452,7 +423,7 @@ mod tests {
     fn sectors_conserved_over_layouts() {
         for layout in [Layout::Concatenated, Layout::striped_default()] {
             for (lba, sectors) in [(0u64, 8u32), (1234, 300), (PER_DISK - 1, 64)] {
-                let m = layout.map_request(4, PER_DISK, &read(lba, sectors));
+                let m = map(layout, 4, &read(lba, sectors));
                 let total: u32 = m.phase_one.iter().map(|s| s.sectors).sum();
                 assert_eq!(total, sectors, "{layout:?} at {lba}");
             }
@@ -462,6 +433,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two disks")]
     fn raid5_single_disk_panics() {
-        Layout::raid5_default().map_request(1, PER_DISK, &read(0, 8));
+        map(Layout::raid5_default(), 1, &read(0, 8));
     }
 }

@@ -14,22 +14,27 @@
 //! Both the MD baselines (arrays of conventional drives) and the
 //! arrays-of-intra-disk-parallel-drives of §7.3 are instances of
 //! [`controller::ArrayController`] — the member drives just carry
-//! different [`intradisk::DriveConfig`]s.
+//! different [`intradisk::DriveConfig`]s. The controller is an
+//! [`intradisk::Device`] and steps its members as `Device`s, so an
+//! array runs under the same loop ([`intradisk::simulate`]) as a lone
+//! drive.
 //!
 //! # Example
 //!
 //! ```
 //! use array::{ArrayController, Layout};
 //! use diskmodel::presets;
-//! use intradisk::{DriveConfig, IoKind, IoRequest};
+//! use intradisk::{simulate, DriveConfig, IoKind, IoRequest, NullObserver};
 //! use simkit::SimTime;
+//! use telemetry::NullRecorder;
 //!
 //! let params = presets::array_drive_10k_19gb();
-//! let mut array = ArrayController::new(&params, DriveConfig::conventional(), 4,
-//!                                      Layout::striped_default());
-//! let req = IoRequest::new(0, SimTime::ZERO, 1_000_000, 8, IoKind::Read);
-//! let started = array.submit(req, SimTime::ZERO).expect("submitted at arrival");
-//! assert_eq!(started.len(), 1); // one idle disk began service
+//! let array = ArrayController::new(&params, DriveConfig::conventional(), 4,
+//!                                  Layout::raid5_default());
+//! // A small write: RAID-5 reads old data and parity, then writes both.
+//! let req = IoRequest::new(0, SimTime::ZERO, 1_000_000, 8, IoKind::Write);
+//! let r = simulate([req], array, &mut NullRecorder, &mut NullObserver).expect("valid replay");
+//! assert_eq!(r.completed, 1);
 //! ```
 
 // Determinism and robustness lints for simulator state (DESIGN.md §6),

@@ -166,13 +166,8 @@ pub fn check_queueing_growth() -> Result<ValidationRow, DriveError> {
         )
     };
     // Measure the fixed service time from an isolated request.
-    let mut probe = make();
     let r0 = IoRequest::new(0, SimTime::ZERO, 0, 1, IoKind::Read);
-    let f = probe
-        .submit(r0, SimTime::ZERO)?
-        .expect("idle drive serves immediately");
-    let service_ms = (f - SimTime::ZERO).as_millis();
-    let _ = probe.complete(f)?;
+    let service_ms = replay(make(), vec![r0])?.response_time_ms.max();
 
     // Run at two utilizations with Poisson arrivals.
     let run = |rho: f64, seed: u64| -> Result<f64, DriveError> {

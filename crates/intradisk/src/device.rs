@@ -35,11 +35,17 @@ pub trait Device {
     fn next_event_time(&self) -> Option<SimTime>;
 
     /// Fires the event due at `now` (the current `next_event_time`) and
-    /// returns how many requests completed at it.
+    /// hands the id of each request that completed at it to
+    /// `completed`, in completion order.
     ///
     /// # Errors
     /// A [`DriveError`] if the device detects a protocol violation.
-    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError>;
+    fn on_event<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        rec: &mut R,
+        completed: impl FnMut(u64),
+    ) -> Result<(), DriveError>;
 
     /// The response times recorded so far (what observers see).
     fn stats(&self) -> &ResponseStats;
@@ -92,7 +98,9 @@ pub fn simulate<D: Device, R: Recorder, O: RunObserver>(
                 let Some(e) = event else { break };
                 debug_assert!(e >= end, "event at {e} before {end}: time ran backwards");
                 end = end.max(e);
-                for _ in 0..device.on_event(e, rec)? {
+                let mut completions = 0;
+                device.on_event(e, rec, |_| completions += 1)?;
+                for _ in 0..completions {
                     obs.on_complete(device.stats());
                 }
             }

@@ -1,15 +1,13 @@
 //! The disk-drive state machine.
 //!
-//! [`DiskDrive`] is a passive discrete-event component. An array
-//! controller calls [`DiskDrive::submit`] when a request arrives and
-//! [`DiskDrive::complete`] when a previously returned completion time is
-//! reached; as a [`Device`] the drive runs under the shared run loop
-//! ([`crate::device::simulate`]), its next event being the in-service
-//! request's finish time. The drive services one media request at a time — the
-//! HC-SD-SA(n) design's twin restrictions (one arm in motion, one head
-//! transferring) make sequential service exact, with the parallelism
-//! benefit coming entirely from *which* arm is dispatched and how little
-//! it has to move and wait.
+//! [`DiskDrive`] is a passive discrete-event component stepped as a
+//! [`Device`]: the shared run loop ([`crate::device::simulate`]) and
+//! the array controller submit requests to it and fire its next event,
+//! the in-service request's finish time. The drive services one media
+//! request at a time — the HC-SD-SA(n) design's twin restrictions (one
+//! arm in motion, one head transferring) make sequential service exact,
+//! with the parallelism benefit coming entirely from *which* arm is
+//! dispatched and how little it has to move and wait.
 
 use diskmodel::{DiskParams, DriveError, PowerModel};
 use simkit::{ResponseStats, SimDuration, SimTime, StatsMode};
@@ -38,8 +36,6 @@ pub struct DriveConfig {
     pub policy: QueuePolicy,
     /// Limit-study latency scaling (Figure 4); identity for real runs.
     pub scaling: LatencyScaling,
-    /// Scheduling window for positioning-aware policies.
-    pub window: usize,
     /// Mounting azimuths of the arm assemblies.
     pub placement: ArmPlacement,
     /// Heads per arm per surface (the taxonomy's H dimension; 1 for
@@ -67,7 +63,6 @@ impl DriveConfig {
             actuators: n,
             policy: QueuePolicy::Sptf,
             scaling: LatencyScaling::none(),
-            window: DEFAULT_WINDOW,
             placement: ArmPlacement::EquallySpaced,
             heads_per_arm: 1,
             stats: StatsMode::Exact,
@@ -95,16 +90,6 @@ impl DriveConfig {
     /// Replaces the latency scaling (limit-study knobs).
     pub fn with_scaling(mut self, scaling: LatencyScaling) -> Self {
         self.scaling = scaling;
-        self
-    }
-
-    /// Replaces the scheduling window.
-    ///
-    /// # Panics
-    /// Panics if `window == 0`.
-    pub fn with_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        self.window = window;
         self
     }
 
@@ -198,7 +183,7 @@ impl DiskDrive {
             name: params.name().to_string(),
             power: PowerModel::new(params),
             cache: SegmentedCache::new(params.cache_mib()),
-            queue: PendingQueue::new(config.window, arms.len()),
+            queue: PendingQueue::new(DEFAULT_WINDOW, arms.len()),
             arms,
             metrics: DriveMetrics::with_mode(config.actuators, config.stats),
             config,
@@ -275,37 +260,15 @@ impl DiskDrive {
         self.arms.live_count() as u32
     }
 
-    /// Submits a request at time `now` (which must not precede the
-    /// request's arrival time). Returns the completion time if the
-    /// drive was idle and service started immediately.
-    ///
+    /// Queues `req` at `now`, or starts serving it on an idle drive.
     /// Requests addressing beyond the device are wrapped modulo the
     /// capacity, as trace-replay tools conventionally do.
-    ///
-    /// # Errors
-    /// Returns [`DriveError::SubmitBeforeArrival`] if `now <
-    /// req.arrival`, or [`DriveError::NoLiveArm`] if every assembly has
-    /// failed.
-    pub fn submit(&mut self, req: IoRequest, now: SimTime) -> Result<Option<SimTime>, DriveError> {
-        self.submit_traced(req, now, &mut NullRecorder)
-    }
-
-    /// [`DiskDrive::submit`] with event tracing: every lifecycle step
-    /// (submission, queueing, dispatch, seek/rotation/transfer phases,
-    /// cache interaction) is emitted to `rec`. With
-    /// [`telemetry::NullRecorder`] this is exactly `submit`.
-    pub fn submit_traced<R: Recorder>(
+    fn accept<R: Recorder>(
         &mut self,
         mut req: IoRequest,
         now: SimTime,
         rec: &mut R,
-    ) -> Result<Option<SimTime>, DriveError> {
-        if now < req.arrival {
-            return Err(DriveError::SubmitBeforeArrival {
-                arrival: req.arrival,
-                now,
-            });
-        }
+    ) -> Result<(), DriveError> {
         if req.lba >= self.capacity {
             req.lba %= self.capacity;
         }
@@ -323,33 +286,22 @@ impl DiskDrive {
                     },
                 );
             }
-            return Ok(None);
+            return Ok(());
         }
         // Close the idle span that ends now.
         close_idle_span(&mut self.metrics.modes, self.idle_since, now);
-        Ok(Some(self.start_service(req, now, 0, None, rec)?))
+        self.start_service(req, now, 0, None, rec)
     }
 
-    /// Completes the in-service request (must be called exactly at the
-    /// completion time previously returned). Returns the completion
-    /// record and, if another request was started, its completion time.
-    ///
-    /// # Errors
-    /// Returns [`DriveError::NotInService`] if no request is in
-    /// service, or [`DriveError::WrongCompletionTime`] if `now` is not
-    /// the promised completion time (the in-service request is left
-    /// untouched in that case).
-    pub fn complete(&mut self, now: SimTime) -> Result<(CompletedIo, Option<SimTime>), DriveError> {
-        self.complete_traced(now, &mut NullRecorder)
-    }
-
-    /// [`DiskDrive::complete`] with event tracing (see
-    /// [`DiskDrive::submit_traced`]).
-    pub fn complete_traced<R: Recorder>(
+    /// Retires the request in service at its promised finish `now` and
+    /// dispatches the next queued one, if any. Fails with
+    /// [`DriveError::NotInService`] or, leaving the request in service,
+    /// [`DriveError::WrongCompletionTime`].
+    fn retire<R: Recorder>(
         &mut self,
         now: SimTime,
         rec: &mut R,
-    ) -> Result<(CompletedIo, Option<SimTime>), DriveError> {
+    ) -> Result<CompletedIo, DriveError> {
         let srv = match self.in_service.take() {
             Some(srv) => srv,
             None => return Err(DriveError::NotInService),
@@ -372,8 +324,8 @@ impl DiskDrive {
             );
         }
 
-        let next = self.dispatch_next(now, rec)?;
-        if next.is_none() {
+        self.dispatch_next(now, rec)?;
+        if self.in_service.is_none() {
             self.idle_since = now;
             if R::ENABLED {
                 rec.record(
@@ -389,17 +341,47 @@ impl DiskDrive {
                 }
             }
         }
-        Ok((srv.done, next))
+        Ok(srv.done)
+    }
+
+    /// Submits a request at `now` (not before its arrival); returns its
+    /// completion time if the drive was idle and started it. Kept only
+    /// for perfbench's ledger until ROADMAP item 1 removes it; everything
+    /// else steps the drive as a [`Device`].
+    ///
+    /// # Errors
+    /// Returns [`DriveError::SubmitBeforeArrival`] if `now <
+    /// req.arrival`, or [`DriveError::NoLiveArm`] if every assembly has
+    /// failed.
+    pub fn submit(&mut self, req: IoRequest, now: SimTime) -> Result<Option<SimTime>, DriveError> {
+        if now < req.arrival {
+            return Err(DriveError::SubmitBeforeArrival {
+                arrival: req.arrival,
+                now,
+            });
+        }
+        let was_idle = self.in_service.is_none();
+        self.accept(req, now, &mut NullRecorder)?;
+        Ok(self.next_event_time().filter(|_| was_idle))
+    }
+
+    /// Completes the in-service request at its completion time; returns
+    /// its record and the next request's completion time, if one
+    /// started. Kept only for perfbench's ledger until ROADMAP item 1
+    /// removes it.
+    ///
+    /// # Errors
+    /// [`DriveError::NotInService`] or
+    /// [`DriveError::WrongCompletionTime`].
+    pub fn complete(&mut self, now: SimTime) -> Result<(CompletedIo, Option<SimTime>), DriveError> {
+        let done = self.retire(now, &mut NullRecorder)?;
+        Ok((done, self.next_event_time()))
     }
 
     /// Chooses and starts the next queued request, if any.
     // Hot path: the per-event SPTF dispatch loop; runs once per
     // completion for the whole simulated run.
-    fn dispatch_next<R: Recorder>(
-        &mut self,
-        now: SimTime,
-        rec: &mut R,
-    ) -> Result<Option<SimTime>, DriveError> {
+    fn dispatch_next<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<(), DriveError> {
         self.prof.scans.bump();
         // Positioning starts after the controller overhead; estimating
         // from `now` would systematically pick sectors that have just
@@ -415,13 +397,13 @@ impl DiskDrive {
         let policy = self.config.policy;
         let Some((next, choice)) = self.queue.pop_next(policy, &cost, live, Some(&self.prof))
         else {
-            return Ok(None);
+            return Ok(());
         };
         let depth = self.queue.len() as u32;
-        Ok(Some(self.start_service(next, now, depth, choice, rec)?))
+        self.start_service(next, now, depth, choice, rec)
     }
 
-    /// Starts servicing `req` at `now`; returns the completion time.
+    /// Starts servicing `req` at `now`.
     ///
     /// `depth` is the queue depth left behind by this dispatch (0 when
     /// service starts straight from `submit`); `choice` is the arm the
@@ -436,7 +418,7 @@ impl DiskDrive {
         depth: u32,
         choice: Option<ArmChoice>,
         rec: &mut R,
-    ) -> Result<SimTime, DriveError> {
+    ) -> Result<(), DriveError> {
         let queue_wait = now.saturating_since(req.arrival);
         let overhead = self.overhead;
 
@@ -461,12 +443,11 @@ impl DiskDrive {
                     },
                 );
             }
-            let finish = done.completed;
             self.in_service = Some(InService {
                 done,
                 install: None,
             });
-            return Ok(finish);
+            return Ok(());
         }
 
         if req.kind == IoKind::Write {
@@ -590,7 +571,7 @@ impl DiskDrive {
             done,
             install: req.kind.is_read().then_some((req.lba, req.sectors)),
         });
-        Ok(finish)
+        Ok(())
     }
 
     /// Closes accounting at the end of a run: the span from the last
@@ -653,7 +634,7 @@ impl Device for DiskDrive {
 
     fn submit<R: Recorder>(&mut self, req: IoRequest, rec: &mut R) -> Result<(), DriveError> {
         self.apply_due_failures(req.arrival);
-        self.submit_traced(req, req.arrival, rec).map(drop)
+        self.accept(req, req.arrival, rec)
     }
 
     #[inline]
@@ -661,9 +642,15 @@ impl Device for DiskDrive {
         self.in_service.as_ref().map(|s| s.done.completed)
     }
 
-    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
+    fn on_event<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        rec: &mut R,
+        mut completed: impl FnMut(u64),
+    ) -> Result<(), DriveError> {
         self.apply_due_failures(now);
-        self.complete_traced(now, rec).map(|_| 1)
+        completed(self.retire(now, rec)?.request.id);
+        Ok(())
     }
 
     #[inline]
@@ -692,6 +679,10 @@ impl Drop for DiskDrive {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "these tests pin the ledger-only `submit`/`complete` adapters as well as the drive"
+)]
 mod tests {
     use super::*;
     use crate::device::{simulate, NullObserver};

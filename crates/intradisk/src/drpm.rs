@@ -115,8 +115,8 @@ enum State {
     Idle { since: SimTime },
     /// A service decision is due (after an idle period or an upshift).
     Deciding { at: SimTime },
-    /// Servicing a request that arrived at `arrival`.
-    Serving { arrival: SimTime, finish: SimTime },
+    /// Servicing `req` until `finish`.
+    Serving { req: IoRequest, finish: SimTime },
 }
 
 /// A two-speed DRPM drive.
@@ -246,10 +246,7 @@ impl DrpmDrive {
             self.low_time += finish - now;
         }
         self.arms.set_cylinder(0, plan.end_cylinder);
-        self.state = State::Serving {
-            arrival: req.arrival,
-            finish,
-        };
+        self.state = State::Serving { req, finish };
     }
 }
 
@@ -273,16 +270,18 @@ impl Device for DrpmDrive {
         }
     }
 
-    fn on_event<R: Recorder>(&mut self, now: SimTime, _rec: &mut R) -> Result<usize, DriveError> {
-        let completed = match self.state {
-            State::Serving { arrival, .. } => {
-                self.response.record((now - arrival).as_millis());
-                1
-            }
-            State::Idle { .. } | State::Deciding { .. } => 0,
-        };
+    fn on_event<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        _rec: &mut R,
+        mut completed: impl FnMut(u64),
+    ) -> Result<(), DriveError> {
+        if let State::Serving { req, .. } = self.state {
+            self.response.record((now - req.arrival).as_millis());
+            completed(req.id);
+        }
         self.decide(now);
-        Ok(completed)
+        Ok(())
     }
 
     fn stats(&self) -> &ResponseStats {

@@ -51,8 +51,6 @@ pub struct OverlapConfig {
     pub actuators: u32,
     /// Resource constraints.
     pub mode: OverlapMode,
-    /// Scheduling window.
-    pub window: usize,
     /// Arm mounting azimuths.
     pub placement: ArmPlacement,
 }
@@ -67,7 +65,6 @@ impl OverlapConfig {
         OverlapConfig {
             actuators: n,
             mode,
-            window: DEFAULT_WINDOW,
             placement: ArmPlacement::EquallySpaced,
         }
     }
@@ -120,7 +117,7 @@ impl OverlappedDrive {
             power: PowerModel::new(params),
             cache: SegmentedCache::new(params.cache_mib()),
             arm_busy_until: vec![SimTime::ZERO; arms.len()],
-            queue: PendingQueue::new(config.window, arms.len()),
+            queue: PendingQueue::new(DEFAULT_WINDOW, arms.len()),
             arms,
             motion_free_at: SimTime::ZERO,
             channel_free_at: SimTime::ZERO,
@@ -405,11 +402,15 @@ impl Device for OverlappedDrive {
 
     /// Completes every in-flight request due exactly at `now`, then
     /// dispatches onto the arms that freed up.
-    fn on_event<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<usize, DriveError> {
+    fn on_event<R: Recorder>(
+        &mut self,
+        now: SimTime,
+        rec: &mut R,
+        mut completed: impl FnMut(u64),
+    ) -> Result<(), DriveError> {
         while self.events.peek_time() == Some(now) {
             self.events.pop();
         }
-        let mut finished = 0;
         let mut i = 0;
         while i < self.in_flight.len() {
             if self.in_flight[i].done.completed == now {
@@ -426,7 +427,7 @@ impl Device for OverlappedDrive {
                         },
                     );
                 }
-                finished += 1;
+                completed(f.done.request.id);
             } else {
                 i += 1;
             }
@@ -442,7 +443,7 @@ impl Device for OverlappedDrive {
                 }
             }
         }
-        Ok(finished)
+        Ok(())
     }
 
     fn stats(&self) -> &ResponseStats {
@@ -572,7 +573,12 @@ mod tests {
         d.submit(req, &mut NullRecorder).expect("valid submit");
         let finish = d.next_event_time().expect("service started");
         assert!(!d.is_idle());
-        assert_eq!(d.on_event(finish, &mut NullRecorder), Ok(1));
+        let mut done = Vec::new();
+        assert_eq!(
+            d.on_event(finish, &mut NullRecorder, |id| done.push(id)),
+            Ok(())
+        );
+        assert_eq!(done, [0]);
         assert_eq!(d.next_event_time(), None);
         assert!(d.is_idle());
     }

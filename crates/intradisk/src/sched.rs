@@ -6,10 +6,10 @@
 //! *which arm* services a request, and SPTF naturally exploits it. FCFS
 //! and SSTF are provided as baselines.
 //!
-//! SPTF/SSTF examine a bounded window of the queue head (configurable,
-//! default [`DEFAULT_WINDOW`]); real controllers bound their scheduling
-//! scan the same way, and it keeps the simulator's worst case linear
-//! under overload.
+//! SPTF/SSTF examine a bounded window of the queue head, the first
+//! [`DEFAULT_WINDOW`] requests in every engine; real controllers bound
+//! their scheduling scan the same way, and it keeps the simulator's
+//! worst case linear under overload.
 //!
 //! The SPTF scan repeats no work across dispatch decisions. The queue
 //! keeps window-ordered arrays beside its head: the target of each

@@ -323,6 +323,19 @@ impl<E> Level<E> {
         self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
     }
 
+    /// Slot `idx`, marked occupied. A slot without a buffer first takes
+    /// one from `spare`, where drained coarse slots leave theirs.
+    fn fill(&mut self, idx: usize, spare: &mut Vec<Vec<WheelEntry<E>>>) -> &mut Vec<WheelEntry<E>> {
+        self.set(idx);
+        let slot = &mut self.slots[idx];
+        if slot.capacity() == 0 {
+            if let Some(buf) = spare.pop() {
+                *slot = buf;
+            }
+        }
+        slot
+    }
+
     /// Index of the first occupied slot, if any. Blocks are aligned and
     /// drained slots are cleared, so a plain forward scan (no
     /// wrap-around) is sufficient.
@@ -391,9 +404,11 @@ pub struct WheelEventQueue<E> {
     /// Far-future events (beyond the level-2 block), keyed by granule.
     /// A `BTreeMap` keeps promotion order deterministic.
     overflow: BTreeMap<u64, Vec<WheelEntry<E>>>,
-    /// Scratch buffer reused during redistribution so steady-state
-    /// operation performs no allocation.
-    scratch: Vec<WheelEntry<E>>,
+    /// Buffers of drained level-1 and level-2 slots, handed to the next
+    /// coarse slot that fills. A run allocates coarse-slot storage only
+    /// up to its peak of simultaneously occupied coarse slots, not once
+    /// per slot it ever touches.
+    spare: Vec<Vec<WheelEntry<E>>>,
     /// Cached earliest pending time; `None` = not computed. Interior
     /// mutability keeps `peek_time(&self)` cheap without changing the
     /// public API.
@@ -422,7 +437,7 @@ impl<E> WheelEventQueue<E> {
             levels: [Level::new(), Level::new(), Level::new()],
             base: [0; 3],
             overflow: BTreeMap::new(),
-            scratch: Vec::new(),
+            spare: Vec::new(),
             peek_cache: Cell::new(None),
             len: 0,
             next_seq: 0,
@@ -483,14 +498,12 @@ impl<E> WheelEventQueue<E> {
             self.levels[0].set(idx);
         } else if g < self.base[1] + L1_SPAN {
             let idx = ((g - self.base[1]) >> SLOT_BITS) as usize;
-            // Amortized, as above.
-            self.levels[1].slots[idx].push(entry);
-            self.levels[1].set(idx);
+            // Amortized, with buffers recycled through `spare`.
+            self.levels[1].fill(idx, &mut self.spare).push(entry);
         } else if g < self.base[2] + L2_SPAN {
             let idx = ((g - self.base[2]) >> (2 * SLOT_BITS)) as usize;
             // Amortized, as above.
-            self.levels[2].slots[idx].push(entry);
-            self.levels[2].set(idx);
+            self.levels[2].fill(idx, &mut self.spare).push(entry);
         } else {
             self.overflow_hits += 1;
             // Overflow holds events beyond the 2^18-granule horizon;
@@ -629,8 +642,7 @@ impl<E> WheelEventQueue<E> {
         };
         self.levels[1].clear(j);
         self.base[0] = self.base[1] + ((j as u64) << SLOT_BITS);
-        let mut batch = std::mem::take(&mut self.scratch);
-        std::mem::swap(&mut batch, &mut self.levels[1].slots[j]);
+        let mut batch = std::mem::take(&mut self.levels[1].slots[j]);
         for e in batch.drain(..) {
             let idx = (e.granule() - self.base[0]) as usize;
             // Redistribution into capacity-retaining slot Vecs;
@@ -638,7 +650,7 @@ impl<E> WheelEventQueue<E> {
             self.levels[0].slots[idx].push(e);
             self.levels[0].set(idx);
         }
-        self.scratch = batch;
+        self.spare.push(batch);
     }
 
     /// Moves the first occupied level-2 slot down into level 1.
@@ -660,16 +672,13 @@ impl<E> WheelEventQueue<E> {
         };
         self.levels[2].clear(k);
         self.base[1] = self.base[2] + ((k as u64) << (2 * SLOT_BITS));
-        let mut batch = std::mem::take(&mut self.scratch);
-        std::mem::swap(&mut batch, &mut self.levels[2].slots[k]);
+        let mut batch = std::mem::take(&mut self.levels[2].slots[k]);
         for e in batch.drain(..) {
             let idx = ((e.granule() - self.base[1]) >> SLOT_BITS) as usize;
-            // Redistribution into capacity-retaining slot Vecs;
-            // amortized O(1).
-            self.levels[1].slots[idx].push(e);
-            self.levels[1].set(idx);
+            // Redistribution into recycled slot buffers; amortized O(1).
+            self.levels[1].fill(idx, &mut self.spare).push(e);
         }
-        self.scratch = batch;
+        self.spare.push(batch);
     }
 
     /// Re-homes the level-2 block onto the earliest overflow granule
@@ -694,8 +703,7 @@ impl<E> WheelEventQueue<E> {
             }
             let (g, mut v) = entry.remove_entry();
             let idx = ((g - base2) >> (2 * SLOT_BITS)) as usize;
-            self.levels[2].slots[idx].append(&mut v);
-            self.levels[2].set(idx);
+            self.levels[2].fill(idx, &mut self.spare).append(&mut v);
         }
     }
 }

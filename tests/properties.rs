@@ -7,7 +7,7 @@
 //! heavier end-to-end replays, matching the seed suite); failures
 //! shrink and print a `TESTKIT_SEED=…` replay line.
 
-use array::Layout;
+use array::{Layout, MappedRequest};
 use diskmodel::{presets, DiskParams, Geometry, RotationModel, SeekProfile};
 use intradisk::{Device, DiskDrive, DriveConfig, IoKind, IoRequest, NullObserver, RunObserver};
 use simkit::{Histogram, Rng64, SimTime};
@@ -161,9 +161,11 @@ fn layouts_conserve_sectors() {
         let lba = t.draw(&gen::u64_in(0..=9_999_999));
         let sectors = t.draw(&gen::u32_in(1..=2_048));
         const PER_DISK: u64 = 1_000_000;
+        // One buffer for both layouts, as the controller reuses its own.
+        let mut m = MappedRequest::default();
         for layout in [Layout::Concatenated, Layout::striped_default()] {
             let req = IoRequest::new(0, SimTime::ZERO, lba, sectors, IoKind::Read);
-            let m = layout.map_request(disks, PER_DISK, &req);
+            layout.map_into(disks, PER_DISK, &req, &mut m);
             let total: u64 = m.phase_one.iter().map(|s| s.sectors as u64).sum();
             // Wrapped requests may clamp at the very end of the volume
             // (concatenation only splits, never duplicates).
@@ -185,7 +187,8 @@ fn raid5_writes_touch_data_and_parity() {
         const PER_DISK: u64 = 1_000_000;
         let layout = Layout::raid5_default();
         let req = IoRequest::new(0, SimTime::ZERO, unit * 128, 8, IoKind::Write);
-        let m = layout.map_request(disks, PER_DISK, &req);
+        let mut m = MappedRequest::default();
+        layout.map_into(disks, PER_DISK, &req, &mut m);
         assert_eq!(m.phase_one.len(), 2);
         assert_eq!(m.phase_two.len(), 2);
         // Same pair of disks in both phases, data != parity.

@@ -30,26 +30,15 @@ fn run_traced(t: &Trace, actuators: u32, rec: &mut RingRecorder) -> DriveRunResu
 /// arrives while 0 is in service and queues. Small enough to pin, rich
 /// enough to exercise queueing, seek spans, and both actuators.
 fn tiny_scenario() -> RingRecorder {
-    let params = presets::barracuda_es_750gb();
-    let mut drive = DiskDrive::new(&params, DriveConfig::sa(2));
+    let drive = DiskDrive::new(&presets::barracuda_es_750gb(), DriveConfig::sa(2));
     let mut rec = RingRecorder::new();
     let r0 = IoRequest::new(0, SimTime::ZERO, 1_000_000, 8, IoKind::Read);
     let t1 = SimTime::ZERO + simkit::SimDuration::from_millis(1.0);
     let r1 = IoRequest::new(1, t1, 900_000_000, 16, IoKind::Read);
-    let mut completion = drive
-        .submit_traced(r0, r0.arrival, &mut rec)
-        .expect("submit r0");
-    assert!(drive
-        .submit_traced(r1, r1.arrival, &mut rec)
-        .expect("submit r1")
-        .is_none());
-    let mut end = SimTime::ZERO;
-    while let Some(c) = completion {
-        let (done, next) = drive.complete_traced(c, &mut rec).expect("complete");
-        end = end.max(done.completed);
-        completion = next;
-    }
-    drive.finalize(end);
+    let trace = Trace::new("tiny", vec![r0, r1], drive.capacity_sectors());
+    let run =
+        experiments::simulate(&trace, drive, &mut rec, &mut NullObserver).expect("replay succeeds");
+    assert_eq!(run.queue_peak, 1, "r1 queues behind r0");
     rec
 }
 
