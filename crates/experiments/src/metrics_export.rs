@@ -11,7 +11,11 @@
 //!
 //! `repro report <dir>` reads every `*.metrics.json` back and renders
 //! `report.html`, a single self-contained dashboard (inline SVG, no
-//! scripts, no external assets).
+//! scripts, no external assets). If the directory holds an
+//! `explore.json`, [`write_report`] parses it into the dashboard's
+//! Pareto panel; `repro explore` instead hands the panel of the sweep
+//! it just ran to [`write_report_with_panel`], so only `repro report`
+//! ever parses `explore.json`.
 //!
 //! Determinism: scenarios replay serially on the caller's thread with
 //! fixed seeds, and both exporters are pure functions of the sorted
@@ -199,10 +203,11 @@ pub(crate) fn replay_scenario<D: Device, R: Recorder>(
         .map_err(|source| ExportError::Simulation { scenario, source })
 }
 
-/// Loads `<dir>/explore.json` if present, validating its schema tag.
-/// Absent file → `Ok(None)`; present-but-invalid → typed error (a
-/// half-written explore export should fail loudly, not vanish).
-fn load_explore(dir: &Path) -> Result<Option<jsonv::Value>, ExportError> {
+/// Loads the Pareto panel out of `<dir>/explore.json` if present,
+/// validating its schema tag. Absent file → `Ok(None)`;
+/// present-but-invalid → typed error (a half-written explore export
+/// should fail loudly, not vanish).
+fn load_explore(dir: &Path) -> Result<Option<report::ExplorePanel>, ExportError> {
     let path = dir.join("explore.json");
     let body = match fs::read_to_string(&path) {
         Ok(body) => body,
@@ -222,15 +227,12 @@ fn load_explore(dir: &Path) -> Result<Option<jsonv::Value>, ExportError> {
             ),
         });
     }
-    Ok(Some(json))
+    Ok(Some(report::ExplorePanel::from_json(&json)))
 }
 
-/// Reads every `*.metrics.json` under `dir` — plus `explore.json` if
-/// the design-space explorer left one — and writes `<dir>/report.html`.
-/// Returns the report path.
-pub fn write_report(dir: &Path) -> Result<PathBuf, ExportError> {
+/// Parses every `*.metrics.json` under `dir`, in file-name order.
+fn read_metrics_inputs(dir: &Path) -> Result<Vec<report::ReportInput>, ExportError> {
     let entries = fs::read_dir(dir).map_err(io_err(dir, "read"))?;
-    let mut inputs = Vec::new();
     let mut names: Vec<PathBuf> = Vec::new();
     for entry in entries {
         let entry = entry.map_err(io_err(dir, "read"))?;
@@ -245,6 +247,7 @@ pub fn write_report(dir: &Path) -> Result<PathBuf, ExportError> {
         }
     }
     names.sort();
+    let mut inputs = Vec::with_capacity(names.len());
     for path in names {
         let body = fs::read_to_string(&path).map_err(io_err(&path, "read"))?;
         let json = jsonv::parse(&body).map_err(|e| ExportError::InvalidInput {
@@ -268,19 +271,46 @@ pub fn write_report(dir: &Path) -> Result<PathBuf, ExportError> {
             .to_string();
         inputs.push(report::ReportInput { name, json });
     }
+    Ok(inputs)
+}
+
+/// Writes `<dir>/report.html` from `inputs` and the optional panel.
+fn render_report(
+    dir: &Path,
+    inputs: &[report::ReportInput],
+    explore: Option<&report::ExplorePanel>,
+) -> Result<PathBuf, ExportError> {
+    let out = dir.join("report.html");
+    fs::write(&out, report::render_html_with_explore(inputs, explore))
+        .map_err(io_err(&out, "write"))?;
+    Ok(out)
+}
+
+/// Reads every `*.metrics.json` under `dir` — plus `explore.json` if
+/// the design-space explorer left one — and writes `<dir>/report.html`.
+/// Returns the report path. This is `repro report`: the one reader
+/// that parses `explore.json`.
+pub fn write_report(dir: &Path) -> Result<PathBuf, ExportError> {
+    let inputs = read_metrics_inputs(dir)?;
     let explore = load_explore(dir)?;
     if inputs.is_empty() && explore.is_none() {
         return Err(ExportError::NoInputs {
             dir: dir.to_path_buf(),
         });
     }
-    let out = dir.join("report.html");
-    fs::write(
-        &out,
-        report::render_html_with_explore(&inputs, explore.as_ref()),
-    )
-    .map_err(io_err(&out, "write"))?;
-    Ok(out)
+    render_report(dir, &inputs, explore.as_ref())
+}
+
+/// [`write_report`] with the Pareto panel handed in instead of read
+/// from `<dir>/explore.json`: `repro explore` passes the panel of the
+/// sweep it holds, so the file it just wrote is not parsed back. Every
+/// `*.metrics.json` under `dir` is still read. Returns the report path.
+pub fn write_report_with_panel(
+    dir: &Path,
+    panel: &report::ExplorePanel,
+) -> Result<PathBuf, ExportError> {
+    let inputs = read_metrics_inputs(dir)?;
+    render_report(dir, &inputs, Some(panel))
 }
 
 #[cfg(test)]

@@ -337,8 +337,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 
 /// The `repro explore` mode: sweep the design space through the point
 /// cache, write `<out>/explore.json`, and render `<out>/report.html`
-/// with the Pareto panel. Cache hit/miss counts go to stderr; stdout
-/// and the artifacts are byte-identical across jobs and cache states.
+/// with the Pareto panel. The panel comes from the outcome in memory;
+/// `explore.json` is written for `repro report` and other readers, not
+/// parsed back here. Cache hit/miss counts go to stderr; stdout and
+/// the artifacts are byte-identical across jobs and cache states. With
+/// `--profile`, the cache probes and the two writes are phases under
+/// `run`.
 fn run_explore(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     let defaults = explorer::SweepScale::default();
     let scale = explorer::SweepScale {
@@ -375,6 +379,7 @@ fn run_explore(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     let out = explorer::explore(&opts, &exec);
     times.studies.extend(exec.take_times());
     let out = out.map_err(|e| e.to_string())?;
+    times.add(Phase::CacheProbe, out.probe);
     eprintln!(
         "[explore: {} points ({} executed, {} cached), {} on the frontier]",
         out.points.len(),
@@ -387,12 +392,15 @@ fn run_explore(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
     let json_path = out_dir.join("explore.json");
-    std::fs::write(&json_path, &out.json)
+    times
+        .time(Phase::ExportExplore, || {
+            std::fs::write(&json_path, &out.json)
+        })
         .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
     eprintln!("[explore: {}]", json_path.display());
     let report = times
         .time(Phase::ExportReport, || {
-            experiments::metrics_export::write_report(out_dir)
+            experiments::metrics_export::write_report_with_panel(out_dir, &out.panel(&opts))
         })
         .map_err(|e| e.to_string())?;
     eprintln!("[report: {}]", report.display());

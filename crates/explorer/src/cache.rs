@@ -19,9 +19,13 @@
 //!
 //! A [`store`](PointCache::store) is one `write_all` of one line on an
 //! `O_APPEND` handle. A [`load`](PointCache::load) answers from an
-//! in-memory `hash → byte ranges` index, read from the pack on a
-//! handle's first use and kept current by its stores; the newest line
-//! for a hash that validates wins. The index only locates lines: every
+//! in-memory `hash → byte ranges` index, built on a handle's first use
+//! from one read of the whole pack and kept current by its stores; the
+//! newest line for a hash that validates wins. The handle keeps the
+//! bytes that read gave, and decodes the lines in them in place; only a
+//! line stored through the handle since (past those bytes) is read back
+//! from the file. A run that finds no pack holds no copy of one. The
+//! index only locates lines: every
 //! load re-checks the checksum and then the whole record (schema, code
 //! version, descriptor hash, exact field count, every metric). `load`
 //! and `store` hash the descriptor they are given; the
@@ -43,7 +47,7 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -66,69 +70,64 @@ pub struct PointCache {
     pack: Arc<Mutex<Option<Pack>>>,
 }
 
-/// An opened pack: the file and where each hash's lines sit in it.
+/// An opened pack: the bytes it held when opened, the append handle,
+/// and where each hash's lines sit.
 #[derive(Debug)]
 struct Pack {
-    /// The pack file, if it exists: read-only until the first store,
-    /// then opened for read + append.
+    /// The whole pack as read on open (empty if there was none).
+    bytes: Vec<u8>,
+    /// The read + append handle, opened by the first store.
     file: Option<File>,
-    writable: bool,
     /// Byte ranges of `<check16> <record>` per descriptor hash, oldest
-    /// line first.
+    /// line first. A range inside `bytes` is decoded from them; one
+    /// past them was stored through `file`.
     index: HashMap<String, Vec<Range<u64>>>,
     /// The pack may end in a line without its newline.
     torn: bool,
 }
 
 impl Pack {
-    /// Indexes the pack at `path`; a missing or unreadable pack is an
-    /// empty index (every load misses).
+    /// Reads and indexes the pack at `path`; a missing pack is an empty
+    /// index (every load misses), and so is an unreadable one.
     fn open(path: &Path) -> Pack {
         let mut pack = Pack {
+            bytes: Vec::new(),
             file: None,
-            writable: false,
             index: HashMap::new(),
             torn: false,
         };
-        let Ok(file) = File::open(path) else {
-            return pack;
-        };
-        let mut reader = BufReader::with_capacity(1 << 16, &file);
-        let mut line = Vec::new();
-        let mut offset = 0u64;
-        loop {
-            line.clear();
-            let n = match reader.read_until(b'\n', &mut line) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(_) => {
-                    // Unknown tail: a spare newline before the next
-                    // append is harmless, a missing one is not.
-                    pack.torn = true;
-                    break;
-                }
-            };
-            let start = offset;
-            offset += n as u64;
-            if line.last() != Some(&b'\n') {
+        match fs::read(path) {
+            Ok(bytes) => pack.bytes = bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return pack,
+            // Unknown tail: a spare newline before the next append is
+            // harmless, a missing one is not.
+            Err(_) => {
                 pack.torn = true;
-                break;
-            }
-            let Some(space) = line.iter().position(|&b| b == b' ') else {
-                continue;
-            };
-            if let Ok(hash) = std::str::from_utf8(&line[..space]) {
-                let body = start + space as u64 + 1..offset - 1;
-                pack.index.entry(hash.to_string()).or_default().push(body);
+                return pack;
             }
         }
-        pack.file = Some(file);
+        let mut start = 0;
+        while start < pack.bytes.len() {
+            let rest = &pack.bytes[start..];
+            let Some(newline) = rest.iter().position(|&b| b == b'\n') else {
+                pack.torn = true;
+                break;
+            };
+            let line = &rest[..newline];
+            if let Some(space) = line.iter().position(|&b| b == b' ') {
+                if let Ok(hash) = std::str::from_utf8(&line[..space]) {
+                    let body = (start + space + 1) as u64..(start + newline) as u64;
+                    pack.index.entry(hash.to_string()).or_default().push(body);
+                }
+            }
+            start += newline + 1;
+        }
         pack
     }
 
     /// The append handle, opening (and creating) the pack on first use.
     fn writer(&mut self, root: &Path, path: &Path) -> io::Result<&File> {
-        if !self.writable {
+        if self.file.is_none() {
             fs::create_dir_all(root)?;
             let file = OpenOptions::new()
                 .read(true)
@@ -136,21 +135,31 @@ impl Pack {
                 .create(true)
                 .open(path)?;
             self.file = Some(file);
-            self.writable = true;
         }
         self.file
             .as_ref()
             .ok_or_else(|| io::Error::other("point cache pack is not open"))
     }
 
-    /// Reads the bytes of one indexed line body.
-    fn read(&self, range: &Range<u64>) -> Option<Vec<u8>> {
+    /// Decodes one indexed line body for `expect`: in place if it lies
+    /// in the bytes read on open, else read back from the file.
+    fn decode(
+        &self,
+        range: &Range<u64>,
+        expect: &PointDescriptor,
+        hash: &str,
+        code_version: &str,
+    ) -> Option<PointOutcome> {
+        let start = usize::try_from(range.start).ok()?;
+        let end = usize::try_from(range.end).ok()?;
+        if let Some(body) = self.bytes.get(start..end) {
+            return decode_line(body, expect, hash, code_version);
+        }
         let mut file = self.file.as_ref()?;
-        let len = usize::try_from(range.end - range.start).ok()?;
-        let mut buf = vec![0; len];
+        let mut buf = vec![0; end - start];
         file.seek(SeekFrom::Start(range.start)).ok()?;
         file.read_exact(&mut buf).ok()?;
-        Some(buf)
+        decode_line(&buf, expect, hash, code_version)
     }
 }
 
@@ -261,7 +270,7 @@ impl PointCache {
                 .get(hash)?
                 .iter()
                 .rev()
-                .find_map(|range| decode_line(&pack.read(range)?, d, hash, &self.code_version))
+                .find_map(|range| pack.decode(range, d, hash, &self.code_version))
         })
     }
 
@@ -521,6 +530,44 @@ mod tests {
         let reopened = PointCache::with_code_version(&dir, "cv-1");
         assert!(reopened.load(&b.descriptor).is_none());
         assert!(reopened.load(&a.descriptor).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A handle that opened a pack with lines in it serves those lines
+    /// from the bytes it read and the lines it stores afterwards from
+    /// the file, and both load exactly, through it and through a fresh
+    /// handle. A line it stores for a hash the pack already held wins
+    /// over the one in the opened bytes.
+    #[test]
+    fn opened_and_stored_lines_both_load_exactly() {
+        let dir = tmpdir("split");
+        let outs = points(4);
+        let writer = PointCache::with_code_version(&dir, "cv-1");
+        for out in &outs[..2] {
+            writer.store(out).expect("store succeeds");
+        }
+        let cache = PointCache::with_code_version(&dir, "cv-1");
+        assert_eq!(cache.load(&outs[0].descriptor), Some(outs[0].clone()));
+        let opened = cache.with_pack(|pack| pack.bytes.len());
+        assert_eq!(
+            opened as u64,
+            fs::metadata(cache.pack_path()).unwrap().len()
+        );
+        let newer = PointOutcome {
+            cache_hits: outs[1].cache_hits + 1,
+            ..outs[1].clone()
+        };
+        for out in [&outs[2], &outs[3], &newer] {
+            cache.store(out).expect("store succeeds");
+        }
+        let want = [&outs[0], &newer, &outs[2], &outs[3]];
+        for handle in [&cache, &PointCache::with_code_version(&dir, "cv-1")] {
+            for out in want {
+                assert_eq!(handle.load(&out.descriptor).as_ref(), Some(out));
+            }
+        }
+        // The stores went to the file, not into the opened bytes.
+        assert_eq!(cache.with_pack(|pack| pack.bytes.len()), opened);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -42,6 +42,8 @@ use std::fmt::Write as _;
 
 use diskmodel::DriveError;
 use experiments::{Executor, ExperimentPlan, Scale, Study, StudyError};
+use telemetry::metrics::report::{ExplorePanel, ExplorePoint};
+use telemetry::prof::{PhaseTime, Stopwatch};
 use workload::{TraceBook, WorkloadKind};
 
 pub mod cache;
@@ -101,7 +103,8 @@ pub struct ExploreOptions {
     pub cache: Option<PointCache>,
 }
 
-/// An exploration's reduced result.
+/// An exploration's reduced result. Everything but the host time is
+/// identical across `--jobs` values and cold/warm cache states.
 #[derive(Debug, Clone)]
 pub struct ExploreOutcome {
     /// Every evaluated point, in canonical design-space order.
@@ -116,6 +119,55 @@ pub struct ExploreOutcome {
     pub cached: usize,
     /// The byte-stable `explore.json` body.
     pub json: String,
+    /// Host time spent hashing descriptors and probing the cache, one
+    /// span per batch.
+    pub probe: PhaseTime,
+}
+
+impl ExploreOutcome {
+    /// The report's Pareto panel for this outcome, as `repro report`
+    /// would read it back from [`json`](Self::json): the same labels,
+    /// latency axis and code version, without the round trip through
+    /// the file. `opts` must be the options that produced `self`.
+    pub fn panel(&self, opts: &ExploreOptions) -> ExplorePanel {
+        ExplorePanel {
+            coverage: Some(opts.coverage.name().to_string()),
+            requests: Some(opts.scale.requests as u64),
+            latency_axis: opts.latency.name(),
+            code_version: Some(code_version(opts).to_string()),
+            points: self
+                .points
+                .iter()
+                .zip(&self.hashes)
+                .zip(frontier_mask(self.points.len(), &self.frontier))
+                .map(|((p, hash), frontier)| ExplorePoint {
+                    latency_ms: axes_of(p, opts.latency).latency_ms,
+                    energy_j: p.energy_j,
+                    cost_usd: p.cost_usd,
+                    frontier,
+                    label: p.descriptor.label(),
+                    hash: hash.clone(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// The code version `explore.json` names: the cache's, or this
+/// build's when the run has no cache.
+fn code_version(opts: &ExploreOptions) -> &str {
+    opts.cache
+        .as_ref()
+        .map_or(CODE_VERSION, |c| c.code_version())
+}
+
+/// `mask[i]` is true iff point `i` is on the frontier.
+fn frontier_mask(len: usize, frontier: &[usize]) -> Vec<bool> {
+    let mut mask = vec![false; len];
+    for &i in frontier {
+        mask[i] = true;
+    }
+    mask
 }
 
 /// One batch of descriptors run through the Study machinery.
@@ -189,12 +241,15 @@ fn sort_key(d: &PointDescriptor) -> (usize, usize, u32, u32, usize) {
 /// Runs one batch: cache hits load, misses simulate (in plan order, on
 /// the executor) and are stored back. Returns outcomes in the batch's
 /// plan order, each with its descriptor's hash (computed here, once),
-/// plus the number executed.
+/// plus the number executed. The hash-and-probe pass is timed into
+/// `probe`.
 fn run_batch(
     batch: &[PointDescriptor],
     opts: &ExploreOptions,
     exec: &Executor,
+    probe: &mut PhaseTime,
 ) -> Result<(Vec<(PointOutcome, String)>, usize), StudyError> {
+    let clock = Stopwatch::start();
     let hashes: Vec<String> = batch.iter().map(PointDescriptor::hash).collect();
     let mut outcomes: Vec<Option<PointOutcome>> = Vec::with_capacity(batch.len());
     let mut misses = Vec::new();
@@ -207,6 +262,7 @@ fn run_batch(
             }
         }
     }
+    probe.add(PhaseTime::once(clock.elapsed_ns()));
     let executed = misses.len();
     if !misses.is_empty() {
         let pass = ExplorePass { points: misses };
@@ -257,6 +313,7 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
     // exactly as their hashes would, without hashing.
     let mut seen: HashSet<PointDescriptor> = seed.iter().copied().collect();
     let mut executed = 0usize;
+    let mut probe = PhaseTime::default();
 
     eprintln!(
         "[explore: {} coverage, {} seed points, {} requests/point]",
@@ -264,7 +321,7 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
         seed.len(),
         opts.scale.requests
     );
-    let (outcomes, ran) = run_batch(&seed, opts, exec)?;
+    let (outcomes, ran) = run_batch(&seed, opts, exec, &mut probe)?;
     evaluated.extend(outcomes);
     executed += ran;
 
@@ -294,7 +351,7 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
                 frontier.len(),
                 batch.len()
             );
-            let (outcomes, ran) = run_batch(&batch, opts, exec)?;
+            let (outcomes, ran) = run_batch(&batch, opts, exec, &mut probe)?;
             evaluated.extend(outcomes);
             executed += ran;
         }
@@ -315,6 +372,7 @@ pub fn explore(opts: &ExploreOptions, exec: &Executor) -> Result<ExploreOutcome,
         executed,
         cached,
         json,
+        probe,
     })
 }
 
@@ -328,17 +386,16 @@ fn render_json(
     hashes: &[String],
     frontier: &[usize],
 ) -> String {
-    let on_frontier: HashSet<usize> = frontier.iter().copied().collect();
-    let mut out = String::new();
+    let on_frontier = frontier_mask(points.len(), frontier);
+    // A point's line is about 330 bytes, a frontier entry 72.
+    let mut out = String::with_capacity(512 + 340 * points.len() + 72 * frontier.len());
     let _ = write!(
         out,
         "{{\n  \"schema\": \"{}\",\n  \"code_version\": \"{}\",\n  \"coverage\": \"{}\",\n  \
          \"latency_axis\": \"{}\",\n  \"requests\": {},\n  \"seed\": {},\n  \"stats\": \"{}\",\n  \
          \"points\": [",
         EXPLORE_SCHEMA,
-        opts.cache
-            .as_ref()
-            .map_or(CODE_VERSION, |c| c.code_version()),
+        code_version(opts),
         opts.coverage.name(),
         opts.latency.name(),
         opts.scale.requests,
@@ -359,7 +416,7 @@ fn render_json(
             p.cost_usd,
             d.dash,
             p.energy_j,
-            on_frontier.contains(&i),
+            on_frontier[i],
             hash,
             p.mean_ms,
             p.p90_ms,

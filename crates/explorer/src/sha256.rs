@@ -22,7 +22,9 @@ const K: [u32; 64] = [
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     h: [u32; 8],
-    buf: Vec<u8>,
+    /// The partial block not yet compressed: `buf[..fill]`.
+    buf: [u8; 64],
+    fill: usize,
     len: u64,
 }
 
@@ -34,43 +36,57 @@ impl Sha256 {
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
                 0x5be0cd19,
             ],
-            buf: Vec::with_capacity(64),
+            buf: [0; 64],
+            fill: 0,
             len: 0,
         }
     }
 
-    /// Absorbs bytes.
-    pub fn update(&mut self, data: &[u8]) {
+    /// Absorbs bytes. Whole blocks compress straight from `data`; only
+    /// a partial block is copied into the buffer.
+    pub fn update(&mut self, mut data: &[u8]) {
         self.len += data.len() as u64;
-        self.buf.extend_from_slice(data);
-        let whole = self.buf.len() / 64 * 64;
-        // Indexed split (no retain/drain) keeps this loop allocation-light.
-        for start in (0..whole).step_by(64) {
-            let block: [u8; 64] = self.buf[start..start + 64].try_into().unwrap();
-            compress(&mut self.h, &block);
+        if self.fill > 0 {
+            let take = data.len().min(64 - self.fill);
+            self.buf[self.fill..self.fill + take].copy_from_slice(&data[..take]);
+            self.fill += take;
+            data = &data[take..];
+            if self.fill < 64 {
+                return;
+            }
+            compress(&mut self.h, &self.buf);
+            self.fill = 0;
         }
-        self.buf.copy_within(whole.., 0);
-        self.buf.truncate(self.buf.len() - whole);
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.h, block.try_into().unwrap());
+        }
+        let rest = blocks.remainder();
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.fill = rest.len();
     }
 
     /// Finishes the digest, yielding the 64-char lowercase hex form.
     pub fn finish_hex(mut self) -> String {
         let bit_len = self.len * 8;
-        self.buf.push(0x80);
-        while self.buf.len() % 64 != 56 {
-            self.buf.push(0);
+        // Padding: 0x80, zeros up to 56 bytes mod 64, then the length;
+        // the 0x80 and the length may spill into a second block.
+        let mut tail = [0u8; 128];
+        tail[..self.fill].copy_from_slice(&self.buf[..self.fill]);
+        tail[self.fill] = 0x80;
+        let end = if self.fill < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        for block in tail[..end].chunks_exact(64) {
+            compress(&mut self.h, block.try_into().unwrap());
         }
-        self.buf.extend_from_slice(&bit_len.to_be_bytes());
-        let buf = std::mem::take(&mut self.buf);
-        for chunk in buf.chunks_exact(64) {
-            let block: [u8; 64] = chunk.try_into().unwrap();
-            compress(&mut self.h, &block);
-        }
+        // Digits written one by one: no formatting machinery, and no
+        // import, so build.rs can still include this file.
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut out = String::with_capacity(64);
         for v in self.h {
-            // `write!` needs fmt::Write in scope; push_str keeps the
-            // file build.rs-includable without imports.
-            out.push_str(&format!("{v:08x}"));
+            for shift in (0..8).rev() {
+                out.push(DIGITS[(v >> (4 * shift)) as usize & 0xf] as char);
+            }
         }
         out
     }
@@ -152,10 +168,41 @@ mod tests {
     #[test]
     fn incremental_matches_oneshot() {
         let data: Vec<u8> = (0..1000u32).flat_map(|i| i.to_le_bytes()).collect();
-        let mut s = Sha256::new();
-        for chunk in data.chunks(17) {
-            s.update(chunk);
+        for step in [1, 17, 63, 64, 65, 200] {
+            let mut s = Sha256::new();
+            for chunk in data.chunks(step) {
+                s.update(chunk);
+            }
+            assert_eq!(s.finish_hex(), hex(&data), "chunks of {step}");
         }
-        assert_eq!(s.finish_hex(), hex(&data));
+    }
+
+    /// Every message length around the one- and two-block padding
+    /// boundaries hashes as a one-shot and a byte-at-a-time digest
+    /// agree, and the lengths the padding splits on match known sums.
+    #[test]
+    fn padding_boundaries_agree() {
+        let data = [b'a'; 130];
+        for n in 0..data.len() {
+            let mut s = Sha256::new();
+            for b in &data[..n] {
+                s.update(std::slice::from_ref(b));
+            }
+            assert_eq!(s.finish_hex(), hex(&data[..n]), "length {n}");
+        }
+        // 55, 56 and 64 bytes: the last length that pads in one block,
+        // the first that spills, and one whole block.
+        assert_eq!(
+            hex(&data[..55]),
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"
+        );
+        assert_eq!(
+            hex(&data[..56]),
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"
+        );
+        assert_eq!(
+            hex(&data[..64]),
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+        );
     }
 }

@@ -9,7 +9,11 @@
 //!   numbers behind the curve are auditable);
 //! * queue-depth and power-mode timelines from the gauge cadence
 //!   series;
-//! * per-actuator utilization bars (busy time / run span).
+//! * per-actuator utilization bars (busy time / run span);
+//! * optionally, the design-space explorer's Pareto panel, drawn from a
+//!   typed [`ExplorePanel`]. `repro explore` hands the renderer the
+//!   panel of the sweep it just ran; only `repro report` reads one back
+//!   out of `explore.json` ([`ExplorePanel::from_json`]).
 //!
 //! No external assets, no JavaScript, no fonts beyond the generic CSS
 //! families — the file renders offline and identically everywhere.
@@ -21,7 +25,8 @@ use std::fmt::Write as _;
 use super::jsonv::Value;
 
 /// Schema tag of the design-space explorer's `explore.json` export.
-/// The explorer writes it; the report's Pareto panel renders it.
+/// The explorer writes it; `repro report` checks it before reading the
+/// Pareto panel out of the file.
 pub const EXPLORE_SCHEMA: &str = "intradisk-explore-v1";
 
 /// One scenario's parsed metrics export.
@@ -46,26 +51,53 @@ const PALETTE: [&str; 8] = [
 ];
 
 fn fmt_num(v: f64) -> String {
+    let mut s = String::new();
+    fmt_num_into(&mut s, v);
+    s
+}
+
+/// Appends `v` in the report's compact number form: `∞` if not
+/// finite, whole numbers from 100 up, one decimal (a trailing `.0`
+/// dropped) from 1 up, `0` below 1e-9, else three decimals.
+fn fmt_num_into(out: &mut String, v: f64) {
     if !v.is_finite() {
-        return "∞".to_string();
+        out.push('∞');
+        return;
     }
     let a = v.abs();
     if a >= 100.0 {
-        format!("{v:.0}")
+        let _ = write!(out, "{v:.0}");
     } else if a >= 1.0 {
-        let s = format!("{v:.1}");
-        s.strip_suffix(".0").map(str::to_string).unwrap_or(s)
+        let _ = write!(out, "{v:.1}");
+        if out.ends_with(".0") {
+            out.truncate(out.len() - 2);
+        }
     } else if a < 1e-9 {
-        "0".to_string()
+        out.push('0');
     } else {
-        format!("{v:.3}")
+        let _ = write!(out, "{v:.3}");
     }
 }
 
 fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
+    let mut out = String::with_capacity(s.len());
+    esc_into(&mut out, s);
+    out
+}
+
+/// Appends `s` with `&`, `<` and `>` escaped as HTML entities.
+fn esc_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.find(['&', '<', '>']) {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            _ => "&gt;",
+        });
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 #[derive(Debug, Clone)]
@@ -408,53 +440,106 @@ fn utilization_bars(doc: &Value) -> Vec<(String, f64)> {
 }
 
 /// One explore point reduced to what the Pareto panel draws.
-struct ExplorePoint {
-    latency_ms: f64,
-    energy_j: f64,
-    cost_usd: f64,
-    frontier: bool,
-    label: String,
-    hash: String,
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplorePoint {
+    /// The point's value on the panel's latency axis (ms).
+    pub latency_ms: f64,
+    /// Energy over the run (J).
+    pub energy_j: f64,
+    /// Drive cost (USD).
+    pub cost_usd: f64,
+    /// True if the point is on the Pareto frontier.
+    pub frontier: bool,
+    /// `<dash> <policy> <cache>MiB <rpm>rpm <workload>`.
+    pub label: String,
+    /// The point's descriptor hash.
+    pub hash: String,
 }
 
-/// Pulls the point list out of a parsed `explore.json`, honoring its
-/// declared latency axis. Malformed points are skipped, not fatal.
-fn explore_points(doc: &Value) -> Vec<ExplorePoint> {
-    let latency_key = match doc.get("latency_axis").and_then(Value::as_str) {
-        Some("mean") => "mean_ms",
-        _ => "p90_ms",
-    };
-    let Some(points) = doc.get("points").and_then(Value::as_array) else {
-        return Vec::new();
-    };
-    points
-        .iter()
-        .filter_map(|p| {
-            let f = |k: &str| p.get(k).and_then(Value::as_f64);
-            let s = |k: &str| p.get(k).and_then(Value::as_str);
-            Some(ExplorePoint {
-                latency_ms: f(latency_key)?,
-                energy_j: f("energy_j")?,
-                cost_usd: f("cost_usd")?,
-                frontier: matches!(p.get("frontier"), Some(Value::Bool(true))),
-                label: format!(
-                    "{} {} {}MiB {}rpm {}",
-                    s("dash")?,
-                    s("policy")?,
-                    p.get("cache_mib").and_then(Value::as_u64)?,
-                    p.get("rpm").and_then(Value::as_u64)?,
-                    s("workload")?,
-                ),
-                hash: s("hash")?.to_string(),
+/// What the design-space exploration panel draws: the sweep's headline
+/// settings and its points, in export order.
+///
+/// `repro explore` builds it from the outcome it already holds;
+/// `repro report` builds it from `explore.json` with
+/// [`ExplorePanel::from_json`]. Both give equal panels for one sweep,
+/// so the rendered bytes do not depend on which one drew them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExplorePanel {
+    /// Coverage name (`coarse`, `adaptive`, `full`), if known.
+    pub coverage: Option<String>,
+    /// Requests per point, if known.
+    pub requests: Option<u64>,
+    /// The latency axis: `"mean"` or `"p90"`.
+    pub latency_axis: &'static str,
+    /// The code version the points were cached under, if known.
+    pub code_version: Option<String>,
+    /// Every point, in export order.
+    pub points: Vec<ExplorePoint>,
+}
+
+impl ExplorePanel {
+    /// Reads the panel out of a parsed `explore.json` (schema
+    /// [`EXPLORE_SCHEMA`], which the caller checks), honoring its
+    /// declared latency axis. Malformed points are skipped, not fatal.
+    pub fn from_json(doc: &Value) -> ExplorePanel {
+        let (latency_axis, latency_key) = match doc.get("latency_axis").and_then(Value::as_str) {
+            Some("mean") => ("mean", "mean_ms"),
+            _ => ("p90", "p90_ms"),
+        };
+        let points = doc
+            .get("points")
+            .and_then(Value::as_array)
+            .map(|points| {
+                points
+                    .iter()
+                    .filter_map(|p| {
+                        let f = |k: &str| p.get(k).and_then(Value::as_f64);
+                        let s = |k: &str| p.get(k).and_then(Value::as_str);
+                        Some(ExplorePoint {
+                            latency_ms: f(latency_key)?,
+                            energy_j: f("energy_j")?,
+                            cost_usd: f("cost_usd")?,
+                            frontier: matches!(p.get("frontier"), Some(Value::Bool(true))),
+                            label: format!(
+                                "{} {} {}MiB {}rpm {}",
+                                s("dash")?,
+                                s("policy")?,
+                                p.get("cache_mib").and_then(Value::as_u64)?,
+                                p.get("rpm").and_then(Value::as_u64)?,
+                                s("workload")?,
+                            ),
+                            hash: s("hash")?.to_string(),
+                        })
+                    })
+                    .collect()
             })
-        })
-        .collect()
+            .unwrap_or_default();
+        ExplorePanel {
+            coverage: doc
+                .get("coverage")
+                .and_then(Value::as_str)
+                .map(str::to_string),
+            requests: doc.get("requests").and_then(Value::as_u64),
+            latency_axis,
+            code_version: doc
+                .get("code_version")
+                .and_then(Value::as_str)
+                .map(str::to_string),
+            points,
+        }
+    }
+}
+
+/// `s` cut to its first `n` bytes, or all of `s` if it is shorter or
+/// byte `n` is inside a character.
+fn prefix(s: &str, n: usize) -> &str {
+    s.get(..n).unwrap_or(s)
 }
 
 /// The latency-vs-energy scatter: dominated points gray, frontier
 /// points highlighted, cost encoded as marker radius, every marker
 /// carrying a `<title>` tooltip with its label + descriptor hash.
-fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
+fn explore_scatter(out: &mut String, points: &[ExplorePoint], latency_name: &str) {
     let mut x_min = f64::INFINITY;
     let mut x_max = f64::NEG_INFINITY;
     let mut y_min = f64::INFINITY;
@@ -470,7 +555,7 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
         c_max = c_max.max(p.cost_usd);
     }
     if !x_min.is_finite() {
-        return String::new();
+        return;
     }
     let xs = Scale::new(x_min, x_max, MARGIN_L, CHART_W - MARGIN_R);
     let ys = Scale::new(y_min, y_max, CHART_H - MARGIN_B, MARGIN_T);
@@ -482,14 +567,13 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
     let radius = |cost: f64| 2.0 + 4.0 * (cost - c_min) / c_span;
 
     let title = format!("Latency vs energy, cost as marker size ({latency_name} latency)");
-    let mut svg = String::new();
     let _ = write!(
-        svg,
+        out,
         "<svg viewBox=\"0 0 {CHART_W} {CHART_H}\" role=\"img\" aria-label=\"{}\">",
         esc(&title)
     );
     let _ = write!(
-        svg,
+        out,
         "<text x=\"{MARGIN_L}\" y=\"14\" class=\"title\">{}</text>",
         esc(&title)
     );
@@ -497,14 +581,14 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
     let x1 = CHART_W - MARGIN_R;
     let y0 = CHART_H - MARGIN_B;
     let _ = write!(
-        svg,
+        out,
         "<line x1=\"{x0}\" y1=\"{y0}\" x2=\"{x1}\" y2=\"{y0}\" class=\"axis\"/>\
          <line x1=\"{x0}\" y1=\"{MARGIN_T}\" x2=\"{x0}\" y2=\"{y0}\" class=\"axis\"/>",
     );
     for t in nice_ticks(x_min, x_max) {
         let px = xs.px(t);
         let _ = write!(
-            svg,
+            out,
             "<line x1=\"{px:.1}\" y1=\"{y0}\" x2=\"{px:.1}\" y2=\"{}\" class=\"tick\"/>\
              <text x=\"{px:.1}\" y=\"{}\" class=\"lbl\" text-anchor=\"middle\">{}</text>",
             y0 + 4.0,
@@ -515,7 +599,7 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
     for t in nice_ticks(y_min, y_max) {
         let py = ys.px(t);
         let _ = write!(
-            svg,
+            out,
             "<line x1=\"{}\" y1=\"{py:.1}\" x2=\"{x0}\" y2=\"{py:.1}\" class=\"tick\"/>\
              <text x=\"{}\" y=\"{:.1}\" class=\"lbl\" text-anchor=\"end\">{}</text>",
             x0 - 4.0,
@@ -525,18 +609,19 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
         );
     }
     let _ = write!(
-        svg,
+        out,
         "<text x=\"{:.1}\" y=\"{}\" class=\"axlbl\" text-anchor=\"middle\">{latency_name} response time (ms)</text>",
         (x0 + x1) / 2.0,
         CHART_H - 8.0,
     );
     let _ = write!(
-        svg,
+        out,
         "<text x=\"12\" y=\"{:.1}\" class=\"axlbl\" text-anchor=\"middle\" transform=\"rotate(-90 12 {:.1})\">energy (J)</text>",
         (MARGIN_T + y0) / 2.0,
         (MARGIN_T + y0) / 2.0,
     );
-    // Dominated cloud first, frontier on top of it.
+    // Dominated cloud first, frontier on top of it. Each marker writes
+    // straight into `out`: no string is built per point.
     for pass in [false, true] {
         for p in points.iter().filter(|p| p.frontier == pass) {
             let (class, r) = if p.frontier {
@@ -545,100 +630,88 @@ fn explore_scatter(points: &[ExplorePoint], latency_name: &str) -> String {
                 ("pdom", radius(p.cost_usd))
             };
             let _ = write!(
-                svg,
-                "<circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"{r:.1}\" class=\"{class}\">\
-                 <title>{} | {} ms | {} J | {} USD | {}</title></circle>",
+                out,
+                "<circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"{r:.1}\" class=\"{class}\"><title>",
                 xs.px(p.latency_ms),
                 ys.px(p.energy_j),
-                esc(&p.label),
-                fmt_num(p.latency_ms),
-                fmt_num(p.energy_j),
-                fmt_num(p.cost_usd),
-                esc(&p.hash),
             );
+            esc_into(out, &p.label);
+            out.push_str(" | ");
+            fmt_num_into(out, p.latency_ms);
+            out.push_str(" ms | ");
+            fmt_num_into(out, p.energy_j);
+            out.push_str(" J | ");
+            fmt_num_into(out, p.cost_usd);
+            out.push_str(" USD | ");
+            esc_into(out, &p.hash);
+            out.push_str("</title></circle>");
         }
     }
-    svg.push_str("</svg>");
-    svg
+    out.push_str("</svg>");
+}
+
+/// One headline cell of a `.stats` row.
+fn stat_cell(out: &mut String, value: &str, key: &str) {
+    out.push_str("<div class=\"stat\"><div class=\"v\">");
+    esc_into(out, value);
+    out.push_str("</div><div class=\"k\">");
+    esc_into(out, key);
+    out.push_str("</div></div>");
 }
 
 /// The design-space exploration section: headline stats, the Pareto
 /// scatter, and a frontier table keyed by descriptor hash.
-fn explore_section(doc: &Value) -> String {
-    let points = explore_points(doc);
-    let latency_name = match doc.get("latency_axis").and_then(Value::as_str) {
-        Some("mean") => "mean",
-        _ => "p90",
-    };
-    let frontier: Vec<&ExplorePoint> = points.iter().filter(|p| p.frontier).collect();
+fn explore_section(out: &mut String, panel: &ExplorePanel) {
+    let points = &panel.points;
+    let latency_name = panel.latency_axis;
+    let frontier = points.iter().filter(|p| p.frontier).count();
 
-    let mut out = String::new();
     out.push_str("<section><h2>Design-space exploration — Pareto frontier</h2>");
-    let mut cells = String::new();
-    for (label, value) in [
-        ("points", points.len().to_string()),
-        ("frontier", frontier.len().to_string()),
-        (
-            "coverage",
-            doc.get("coverage")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string(),
-        ),
-        (
-            "requests/point",
-            doc.get("requests")
-                .and_then(Value::as_u64)
-                .map_or("?".into(), |v| v.to_string()),
-        ),
-        ("latency axis", latency_name.to_string()),
-    ] {
-        let _ = write!(
-            cells,
-            "<div class=\"stat\"><div class=\"v\">{}</div><div class=\"k\">{}</div></div>",
-            esc(&value),
-            esc(label)
-        );
-    }
-    let _ = write!(out, "<div class=\"stats\">{cells}</div>");
-    if let Some(cv) = doc.get("code_version").and_then(Value::as_str) {
-        let _ = write!(
-            out,
-            "<p class=\"meta\">cached points keyed on code version <code>{}</code></p>",
-            esc(&cv[..16.min(cv.len())])
-        );
+    out.push_str("<div class=\"stats\">");
+    stat_cell(out, &points.len().to_string(), "points");
+    stat_cell(out, &frontier.to_string(), "frontier");
+    stat_cell(out, panel.coverage.as_deref().unwrap_or("?"), "coverage");
+    stat_cell(
+        out,
+        &panel.requests.map_or("?".into(), |v| v.to_string()),
+        "requests/point",
+    );
+    stat_cell(out, latency_name, "latency axis");
+    out.push_str("</div>");
+    if let Some(cv) = &panel.code_version {
+        out.push_str("<p class=\"meta\">cached points keyed on code version <code>");
+        esc_into(out, prefix(cv, 16));
+        out.push_str("</code></p>");
     }
     if !points.is_empty() {
-        let _ = write!(
-            out,
-            "<figure>{}</figure>",
-            explore_scatter(&points, latency_name)
-        );
+        out.push_str("<figure>");
+        explore_scatter(out, points, latency_name);
+        out.push_str("</figure>");
     }
-    if !frontier.is_empty() {
-        let mut rows = String::new();
-        for p in &frontier {
-            let _ = write!(
-                rows,
-                "<tr><td class=\"cfg\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
-                 <td><code>{}</code></td></tr>",
-                esc(&p.label),
-                fmt_num(p.latency_ms),
-                fmt_num(p.energy_j),
-                fmt_num(p.cost_usd),
-                esc(&p.hash[..12.min(p.hash.len())]),
-            );
-        }
+    if frontier > 0 {
         let _ = write!(
             out,
             "<table class=\"fig5\"><caption>Frontier configurations (non-dominated on \
              {latency_name} latency, energy, cost)</caption>\
              <tr><th>configuration</th><th>latency (ms)</th><th>energy (J)</th>\
-             <th>cost (USD)</th><th>descriptor</th></tr>{rows}</table>"
+             <th>cost (USD)</th><th>descriptor</th></tr>"
         );
+        for p in points.iter().filter(|p| p.frontier) {
+            out.push_str("<tr><td class=\"cfg\">");
+            esc_into(out, &p.label);
+            out.push_str("</td><td>");
+            fmt_num_into(out, p.latency_ms);
+            out.push_str("</td><td>");
+            fmt_num_into(out, p.energy_j);
+            out.push_str("</td><td>");
+            fmt_num_into(out, p.cost_usd);
+            out.push_str("</td><td><code>");
+            esc_into(out, prefix(&p.hash, 12));
+            out.push_str("</code></td></tr>");
+        }
+        out.push_str("</table>");
     }
     out.push_str("</section>");
-    out
 }
 
 const POWER_MODE_NAMES: [&str; 4] = ["idle", "seek", "rot_wait", "transfer"];
@@ -751,12 +824,14 @@ pub fn render_html(inputs: &[ReportInput]) -> String {
 }
 
 /// Renders the dashboard with an optional design-space exploration
-/// panel (a parsed `explore.json` document, schema [`EXPLORE_SCHEMA`]).
-pub fn render_html_with_explore(inputs: &[ReportInput], explore: Option<&Value>) -> String {
+/// panel.
+pub fn render_html_with_explore(inputs: &[ReportInput], explore: Option<&ExplorePanel>) -> String {
     let mut inputs: Vec<&ReportInput> = inputs.iter().collect();
     inputs.sort_by(|a, b| a.name.cmp(&b.name));
 
-    let mut html = String::new();
+    // A panel marker with its tooltip is about 200 bytes.
+    let panel_bytes = explore.map_or(0, |panel| 256 * panel.points.len());
+    let mut html = String::with_capacity(8192 + panel_bytes);
     html.push_str(
         "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
          <title>intradisk metrics report</title>\n<style>\n\
@@ -809,8 +884,8 @@ pub fn render_html_with_explore(inputs: &[ReportInput], explore: Option<&Value>)
         );
     }
 
-    if let Some(doc) = explore {
-        html.push_str(&explore_section(doc));
+    if let Some(panel) = explore {
+        explore_section(&mut html, panel);
         html.push('\n');
     }
 
@@ -913,8 +988,8 @@ mod tests {
         assert!(html.contains("0 scenario(s)"));
     }
 
-    fn sample_explore() -> Value {
-        jsonv::parse(
+    fn sample_explore() -> ExplorePanel {
+        let doc = jsonv::parse(
             r#"{
   "schema": "intradisk-explore-v1",
   "code_version": "deadbeefdeadbeefdeadbeefdeadbeef",
@@ -932,7 +1007,8 @@ mod tests {
   ]
 }"#,
         )
-        .expect("sample explore parses")
+        .expect("sample explore parses");
+        ExplorePanel::from_json(&doc)
     }
 
     #[test]
@@ -962,6 +1038,22 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("0 scenario(s)"));
         assert!(a.contains("Pareto"));
+    }
+
+    /// A code version or hash from outside whose cut point falls inside
+    /// a character renders whole instead of panicking.
+    #[test]
+    fn explore_panel_cuts_text_only_on_char_boundaries() {
+        let mut panel = sample_explore();
+        // One ASCII byte, then two-byte characters: every even byte
+        // offset, 12 and 16 included, is inside a character.
+        let cv = format!("a{}", "é".repeat(10));
+        let hash = format!("a{}", "é".repeat(8));
+        panel.code_version = Some(cv.clone());
+        panel.points[0].hash = hash.clone();
+        let html = render_html_with_explore(&[], Some(&panel));
+        assert!(html.contains(&format!("<code>{cv}</code>")));
+        assert!(html.contains(&format!("<td><code>{hash}</code>")));
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! *virtual* time; this module is the one sanctioned exception. It
 //! attributes real wall-clock execution time to a few coarse named
 //! phases ([`Phase`]): planning, the per-point simulations, executor
-//! idle, reduction, exports and heartbeats. No timer sits on the
-//! per-request path, so the profile costs a fixed number of clock reads
-//! per run point, not per request. Per-layer questions (source pull,
-//! kernel push/pop, dispatch scan, cost model, stats record) are
-//! answered by perfbench's batch micro-timings
-//! (`python3 perfbench/run.py --trace 1`) and by the deterministic
-//! counters, not here.
+//! idle, reduction, the explorer's cache probes, exports and
+//! heartbeats. No timer sits on the per-request path, so the profile
+//! costs a fixed number of clock reads per run point, not per request.
+//! Per-layer questions (source pull, kernel push/pop, dispatch scan,
+//! cost model, stats record) are answered by perfbench's batch
+//! micro-timings (`python3 perfbench/run.py --trace 1`) and by the
+//! deterministic counters, not here.
 //!
 //! # The wall-clock carve-out
 //!
@@ -63,10 +63,15 @@ pub enum Phase {
     ExecIdle,
     /// Plan-order result reduction.
     Reduce,
+    /// `repro explore` hashing its descriptors and probing the point
+    /// cache.
+    CacheProbe,
     /// Trace export (`--trace`).
     ExportTrace,
     /// Metrics export (`--metrics`).
     ExportMetrics,
+    /// The `explore.json` write of `repro explore`.
+    ExportExplore,
     /// The `report.html` dashboard write.
     ExportReport,
     /// Heartbeat snapshot emission.
@@ -82,8 +87,10 @@ impl Phase {
             Phase::RunPoint => "run_point",
             Phase::ExecIdle => "exec_idle",
             Phase::Reduce => "reduce",
+            Phase::CacheProbe => "cache_probe",
             Phase::ExportTrace => "export_trace",
             Phase::ExportMetrics => "export_metrics",
+            Phase::ExportExplore => "export_explore",
             Phase::ExportReport => "export_report",
             Phase::Heartbeat => "heartbeat",
         }

@@ -22,7 +22,9 @@
 # report.html byte-identical across runs and --jobs values), the
 # design-space explorer gates (a small-grid `repro explore` must be
 # byte-identical across --jobs values and across cold/warm/disabled
-# point-cache states, with the warm run re-executing nothing; the
+# point-cache states, with the warm run re-executing nothing;
+# `repro report` over a copy of the run's explore.json must render the
+# report.html `repro explore` drew from memory; the
 # points-<code16>.pack files cold --jobs 1 and --jobs 2 runs write must
 # be byte-identical, and a warm run must leave its pack unchanged; a
 # pack cut mid-way through its last record must cost exactly one re-run
@@ -149,6 +151,13 @@ cmp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-nocache/explore.json"
 cmp "$sweep_dir/ex-cold/report.html" "$sweep_dir/ex-warm/report.html"
 grep -q "(0 executed, " "$sweep_dir/ex-warm.err" \
   || { echo "warm explore re-executed points it should have loaded" >&2; exit 1; }
+# `repro explore` draws its report's Pareto panel from the sweep it
+# holds; `repro report` reads the panel back out of explore.json. Over
+# a copy of that file alone, both must render the same bytes.
+mkdir "$sweep_dir/ex-reread"
+cp "$sweep_dir/ex-cold/explore.json" "$sweep_dir/ex-reread/"
+target/release/repro report "$sweep_dir/ex-reread" >/dev/null 2>&1
+cmp "$sweep_dir/ex-cold/report.html" "$sweep_dir/ex-reread/report.html"
 
 echo "==> gate: explore cache survives a torn pack tail"
 # The point cache is one append-only pack; a crash mid-append leaves a

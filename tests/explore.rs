@@ -12,6 +12,8 @@ use explorer::{
     axes_of, explore, pareto, Coverage, ExploreOptions, LatencyAxis, PointCache, PointDescriptor,
     SweepScale, CODE_VERSION,
 };
+use telemetry::metrics::jsonv;
+use telemetry::metrics::report::ExplorePanel;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("explore-test-{tag}"));
@@ -141,9 +143,36 @@ fn frontier_is_mutually_nondominated_over_real_points() {
     }
 }
 
+/// The Pareto panel `repro explore` builds from the outcome it holds is
+/// the one `repro report` reads back out of that run's `explore.json`,
+/// on either latency axis: same points, labels, hashes, frontier marks
+/// and headline settings, every float bit for bit.
+#[test]
+fn panel_from_memory_equals_panel_from_explore_json() {
+    for latency in [LatencyAxis::P90, LatencyAxis::Mean] {
+        let opts = ExploreOptions {
+            latency,
+            ..tiny_opts(None)
+        };
+        let out = explore(&opts, &Executor::new(2)).expect("explore");
+        let doc = jsonv::parse(&out.json).expect("explore.json parses");
+        let from_json = ExplorePanel::from_json(&doc);
+        let from_memory = out.panel(&opts);
+        assert_eq!(from_memory.points.len(), out.points.len());
+        assert_eq!(
+            from_memory.points.iter().filter(|p| p.frontier).count(),
+            out.frontier.len()
+        );
+        assert_eq!(from_memory.latency_axis, latency.name());
+        assert_eq!(from_memory, from_json, "{} axis", latency.name());
+    }
+}
+
 /// End-to-end through the binary: a cold `repro explore` then a warm
 /// one produce byte-identical stdout, explore.json, and report.html,
-/// and the warm run executes zero points.
+/// and the warm run executes zero points. `repro report` over a copy
+/// of the run's `explore.json` alone renders the same report.html that
+/// `repro explore` drew from memory.
 #[test]
 fn repro_explore_cold_warm_end_to_end() {
     let root = tmpdir("e2e");
@@ -191,6 +220,25 @@ fn repro_explore_cold_warm_end_to_end() {
         warm_err.contains("(0 executed, 288 cached)"),
         "stderr: {warm_err}"
     );
+
+    let reread = root.join("reread");
+    fs::create_dir_all(&reread).expect("report dir");
+    fs::write(reread.join("explore.json"), &cold_json).expect("copy explore.json");
+    let r = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["report", reread.to_str().unwrap()])
+        .output()
+        .expect("repro report runs");
+    assert!(
+        r.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&r.stderr)
+    );
+    assert_eq!(
+        fs::read(reread.join("report.html")).expect("report.html written"),
+        cold_html,
+        "repro report over explore.json draws explore's report byte for byte"
+    );
+
     let html = String::from_utf8(cold_html).expect("utf8 html");
     assert!(html.contains("Pareto"), "report carries the Pareto panel");
     let _ = fs::remove_dir_all(&root);
