@@ -28,9 +28,7 @@ use std::path::{Path, PathBuf};
 
 use array::{ArrayController, Layout};
 use diskmodel::DriveError;
-use intradisk::{
-    Device, DiskDrive, DriveConfig, NullObserver, OverlapConfig, OverlapMode, OverlappedDrive,
-};
+use intradisk::{Device, DiskDrive, DriveConfig, NullObserver, OverlapMode};
 use telemetry::metrics::{export, jsonv, report, MetricsRecorder};
 use telemetry::Recorder;
 use workload::Trace;
@@ -184,7 +182,10 @@ pub fn export_metrics(dir: &Path, scale: Scale) -> Result<Vec<String>, ExportErr
 
     {
         let mut rec = MetricsRecorder::new();
-        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
+        let drive = DiskDrive::new(
+            &params,
+            DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel),
+        );
         replay_scenario("overlap-multichannel", &trace, drive, &mut rec)?;
         write_snapshot(dir, "overlap-multichannel", &mut rec, &mut files)?;
     }

@@ -22,7 +22,7 @@ use std::path::Path;
 
 use array::{ArrayController, Layout};
 use diskmodel::{DiskParams, PowerModel};
-use intradisk::{DiskDrive, DriveConfig, OverlapConfig, OverlapMode, OverlappedDrive};
+use intradisk::{DiskDrive, DriveConfig, OverlapMode};
 use telemetry::{chrome_trace_json, schema, timeline_csv, ModePowers, RingRecorder, TraceAnalysis};
 use workload::{SyntheticSpec, Trace};
 
@@ -163,12 +163,15 @@ pub fn export_traces(dir: &Path, scale: Scale) -> Result<TraceExport, ExportErro
         drops.push(("array-raid5", rec.dropped()));
     }
 
-    // The overlapped engine at its most concurrent: per-arm channels,
+    // The drive at its most concurrent overlap mode: per-arm channels,
     // so seeks and transfers from different actuators interleave on
     // the timeline.
     {
         let mut rec = RingRecorder::new();
-        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
+        let drive = DiskDrive::new(
+            &params,
+            DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel),
+        );
         replay_scenario("overlap-multichannel", &trace, drive, &mut rec)?;
         write_scenario(dir, "overlap-multichannel", &rec, 4, &powers, &mut files)?;
         drops.push(("overlap-multichannel", rec.dropped()));

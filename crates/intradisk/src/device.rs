@@ -1,7 +1,7 @@
 //! One run loop for every simulated device.
 //!
 //! [`simulate`] is the only arrival-versus-event merge in the
-//! workspace: the drive, the array controller, the overlapped drive and
+//! workspace: the drive (in any overlap mode), the array controller and
 //! the DRPM baseline all run through it as [`Device`]s, so request
 //! accounting and observer hooks cannot drift apart between engines.
 //! The loop opens no host-time profiler scope: per-request costs are

@@ -3,11 +3,13 @@
 //! [`DiskDrive`] is a passive discrete-event component stepped as a
 //! [`Device`]: the shared run loop ([`crate::device::simulate`]) and
 //! the array controller submit requests to it and fire its next event,
-//! the in-service request's finish time. The drive services one media
-//! request at a time — the HC-SD-SA(n) design's twin restrictions (one
-//! arm in motion, one head transferring) make sequential service exact,
-//! with the parallelism benefit coming entirely from *which* arm is
-//! dispatched and how little it has to move and wait.
+//! the earliest finish among its requests in service. By default the
+//! drive services one media request at a time — the HC-SD-SA(n)
+//! design's twin restrictions (one arm in motion, one head
+//! transferring) make sequential service exact, with the parallelism
+//! benefit coming entirely from *which* arm is dispatched and how
+//! little it has to move and wait. [`OverlapMode`] lifts those
+//! restrictions for §7.2's relaxations, one request per arm assembly.
 
 use diskmodel::{DiskParams, DriveError, PowerModel};
 use simkit::{ResponseStats, SimDuration, SimTime, StatsMode};
@@ -19,13 +21,43 @@ use crate::failure::FailureSchedule;
 use crate::metrics::{close_idle_span, DriveMetrics, DriveMode, PowerBreakdown};
 use crate::request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 use crate::sched::{PendingQueue, QueuePolicy, ScanCost, DEFAULT_WINDOW};
-use crate::service::{ArmChoice, ArmSet, Mechanics};
+use crate::service::{ArmChoice, ArmSet, Mechanics, ServicePlan};
 
 pub use crate::service::{ArmPlacement, LatencyScaling};
 
 /// Bus rate used for cache-hit transfers, bytes per millisecond
 /// (150 MB/s SATA-era sustained).
 const CACHE_HIT_BUS_BYTES_PER_MS: f64 = 150_000.0 * 1000.0 / 1000.0;
+
+/// Which of a multi-actuator drive's resources requests may share in
+/// time. The default is the paper's HC-SD-SA(n); the other two are the
+/// relaxations of the technical report's §7.2 ("Our first extension
+/// allowed multiple arms to be in motion simultaneously and the second
+/// extension allowed multiple channels to transfer data
+/// simultaneously. We found that these two extensions provide little
+/// benefit over the HC-SD-SA(n) design").
+///
+/// Under either relaxation the drive services up to one request per
+/// free arm assembly at once and records no `PowerModeChange` events:
+/// with several arms busy it has no single mode, while its per-phase
+/// spans (seek, rotational wait, transfer) may overlap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum OverlapMode {
+    /// One arm in motion and one transfer at a time: a request is
+    /// serviced end to end before the next is dispatched.
+    #[default]
+    SingleArmMotion,
+    /// Arms seek concurrently; the single data channel still
+    /// serializes transfers, and a transfer that finds it busy waits
+    /// for it and then re-aligns with its sector. One request is
+    /// positioned ahead while another transfers: binding more would
+    /// serialize through the channel with a rotational re-alignment
+    /// each, while freezing scheduling choices made too early.
+    MultiMotion,
+    /// Every assembly positions and transfers independently (an upper
+    /// bound requiring per-arm read/write channels).
+    MultiChannel,
+}
 
 /// Configuration of one drive instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +77,8 @@ pub struct DriveConfig {
     /// (the oracle, default); `Streaming` keeps bounded-memory sketches
     /// so 10⁸-request runs don't grow with run length.
     pub stats: StatsMode,
+    /// Which resources concurrent requests may share.
+    pub overlap: OverlapMode,
 }
 
 impl DriveConfig {
@@ -66,6 +100,7 @@ impl DriveConfig {
             placement: ArmPlacement::EquallySpaced,
             heads_per_arm: 1,
             stats: StatsMode::Exact,
+            overlap: OverlapMode::SingleArmMotion,
         }
     }
 
@@ -104,6 +139,12 @@ impl DriveConfig {
     /// sample).
     pub fn with_stats_mode(mut self, stats: StatsMode) -> Self {
         self.stats = stats;
+        self
+    }
+
+    /// Replaces the overlap mode (§7.2's relaxations).
+    pub fn with_overlap(mut self, overlap: OverlapMode) -> Self {
+        self.overlap = overlap;
         self
     }
 }
@@ -150,6 +191,16 @@ struct InService {
     install: Option<(u64, u32)>,
 }
 
+/// True if assembly `arm` is live and no media access in service holds
+/// it past `now`. An access that finishes at `now` frees its arm even
+/// while it waits to be retired behind an arrival at `now`.
+fn arm_free(arms: &ArmSet, in_service: &[InService], arm: usize, now: SimTime) -> bool {
+    !arms.is_failed(arm)
+        && in_service
+            .iter()
+            .all(|s| s.done.cache_hit || s.done.actuator as usize != arm || s.done.completed <= now)
+}
+
 /// One simulated disk drive (conventional or intra-disk parallel).
 #[derive(Debug, Clone)]
 pub struct DiskDrive {
@@ -160,7 +211,12 @@ pub struct DiskDrive {
     arms: ArmSet,
     queue: PendingQueue,
     config: DriveConfig,
-    in_service: Option<InService>,
+    /// The requests in service, at most one per live assembly; the
+    /// next event is the earliest finish among them.
+    in_service: Vec<InService>,
+    /// When the shared data channel is next free (`MultiMotion` only;
+    /// zero otherwise).
+    channel_free_at: SimTime,
     idle_since: SimTime,
     metrics: DriveMetrics,
     capacity: u64,
@@ -184,10 +240,11 @@ impl DiskDrive {
             power: PowerModel::new(params),
             cache: SegmentedCache::new(params.cache_mib()),
             queue: PendingQueue::new(DEFAULT_WINDOW, arms.len()),
+            in_service: Vec::with_capacity(arms.len()),
             arms,
             metrics: DriveMetrics::with_mode(config.actuators, config.stats),
             config,
-            in_service: None,
+            channel_free_at: SimTime::ZERO,
             idle_since: SimTime::ZERO,
             mech,
             capacity,
@@ -237,7 +294,7 @@ impl DiskDrive {
 
     /// True if no request is in service or queued.
     pub fn is_idle(&self) -> bool {
-        self.in_service.is_none() && self.queue.is_empty()
+        self.in_service.is_empty() && self.queue.is_empty()
     }
 
     /// Marks actuator `index` as failed (SMART-predicted failure, §8).
@@ -260,6 +317,26 @@ impl DiskDrive {
         self.arms.live_count() as u32
     }
 
+    /// Most requests the overlap mode lets be in service at once.
+    #[inline]
+    fn max_in_service(&self) -> usize {
+        match self.config.overlap {
+            OverlapMode::SingleArmMotion => 1,
+            OverlapMode::MultiMotion => self.arms.live_count().min(2),
+            OverlapMode::MultiChannel => self.arms.live_count(),
+        }
+    }
+
+    /// Records a drive-wide power-mode change. The relaxed overlap
+    /// modes record none: with several arms busy the drive has no
+    /// single mode.
+    #[inline]
+    fn mode_change<R: Recorder>(&self, rec: &mut R, at: SimTime, mode: PowerMode) {
+        if self.config.overlap == OverlapMode::SingleArmMotion {
+            rec.record(at, TraceEvent::PowerModeChange { mode });
+        }
+    }
+
     /// Queues `req` at `now`, or starts serving it on an idle drive.
     /// Requests addressing beyond the device are wrapped modulo the
     /// capacity, as trace-replay tools conventionally do.
@@ -275,65 +352,72 @@ impl DiskDrive {
         if R::ENABLED {
             rec.record(now, req.submitted());
         }
-        if self.in_service.is_some() {
-            self.queue.push(req);
-            if R::ENABLED {
-                rec.record(
-                    now,
-                    TraceEvent::RequestQueued {
-                        req: req.id,
-                        depth: self.queue.len() as u32,
-                    },
-                );
+        if self.in_service.is_empty() {
+            // Close the idle span that ends now.
+            close_idle_span(&mut self.metrics.modes, self.idle_since, now);
+            if self.config.overlap == OverlapMode::SingleArmMotion {
+                return self.start_service(req, now, 0, None, rec);
             }
-            return Ok(());
         }
-        // Close the idle span that ends now.
-        close_idle_span(&mut self.metrics.modes, self.idle_since, now);
-        self.start_service(req, now, 0, None, rec)
+        self.queue.push(req);
+        if R::ENABLED {
+            rec.record(
+                now,
+                TraceEvent::RequestQueued {
+                    req: req.id,
+                    depth: self.queue.len() as u32,
+                },
+            );
+        }
+        self.dispatch(now, rec)
     }
 
-    /// Retires the request in service at its promised finish `now` and
-    /// dispatches the next queued one, if any. Fails with
-    /// [`DriveError::NotInService`] or, leaving the request in service,
-    /// [`DriveError::WrongCompletionTime`].
+    /// Retires every request in service whose promised finish is `now`,
+    /// handing each record to `done` in the order of a `swap_remove`
+    /// scan, then dispatches onto the arms that freed up. Fails with
+    /// [`DriveError::NotInService`] or, changing nothing,
+    /// [`DriveError::WrongCompletionTime`] when nothing finishes at
+    /// `now`.
     fn retire<R: Recorder>(
         &mut self,
         now: SimTime,
         rec: &mut R,
-    ) -> Result<CompletedIo, DriveError> {
-        let srv = match self.in_service.take() {
-            Some(srv) => srv,
-            None => return Err(DriveError::NotInService),
-        };
-        if srv.done.completed != now {
-            let promised = srv.done.completed;
-            self.in_service = Some(srv);
-            return Err(DriveError::WrongCompletionTime { promised, at: now });
-        }
-        if let Some((lba, sectors)) = srv.install {
-            self.cache.install(lba, sectors);
-        }
-        self.metrics.record(&srv.done);
-        if R::ENABLED {
-            rec.record(
-                now,
-                TraceEvent::Complete {
-                    req: srv.done.request.id,
-                },
-            );
-        }
-
-        self.dispatch_next(now, rec)?;
-        if self.in_service.is_none() {
-            self.idle_since = now;
+        mut done: impl FnMut(&CompletedIo),
+    ) -> Result<(), DriveError> {
+        let before = self.in_service.len();
+        let mut i = 0;
+        while i < self.in_service.len() {
+            if self.in_service[i].done.completed != now {
+                i += 1;
+                continue;
+            }
+            let srv = self.in_service.swap_remove(i);
+            if let Some((lba, sectors)) = srv.install {
+                self.cache.install(lba, sectors);
+            }
+            self.metrics.record(&srv.done);
             if R::ENABLED {
                 rec.record(
                     now,
-                    TraceEvent::PowerModeChange {
-                        mode: PowerMode::Idle,
+                    TraceEvent::Complete {
+                        req: srv.done.request.id,
                     },
                 );
+            }
+            done(&srv.done);
+        }
+        if self.in_service.len() == before {
+            return Err(match self.next_event_time() {
+                None => DriveError::NotInService,
+                Some(promised) => DriveError::WrongCompletionTime { promised, at: now },
+            });
+        }
+
+        self.dispatch(now, rec)?;
+        if self.in_service.is_empty() {
+            self.idle_since = now;
+            if R::ENABLED {
+                self.mode_change(rec, now, PowerMode::Idle);
                 for i in 0..self.arms.len() {
                     if !self.arms.is_failed(i) {
                         rec.record(now, TraceEvent::ActuatorIdle { actuator: i as u32 });
@@ -341,7 +425,7 @@ impl DiskDrive {
                 }
             }
         }
-        Ok(srv.done)
+        Ok(())
     }
 
     /// Submits a request at `now` (not before its arrival); returns its
@@ -360,47 +444,103 @@ impl DiskDrive {
                 now,
             });
         }
-        let was_idle = self.in_service.is_none();
+        let was_idle = self.in_service.is_empty();
         self.accept(req, now, &mut NullRecorder)?;
         Ok(self.next_event_time().filter(|_| was_idle))
     }
 
     /// Completes the in-service request at its completion time; returns
-    /// its record and the next request's completion time, if one
-    /// started. Kept only for perfbench's ledger until ROADMAP item 1
-    /// removes it.
+    /// its record (the last retired, if several finish at `now`) and
+    /// the next completion time, if any. Kept only for perfbench's
+    /// ledger until ROADMAP item 1 removes it.
     ///
     /// # Errors
     /// [`DriveError::NotInService`] or
     /// [`DriveError::WrongCompletionTime`].
     pub fn complete(&mut self, now: SimTime) -> Result<(CompletedIo, Option<SimTime>), DriveError> {
-        let done = self.retire(now, &mut NullRecorder)?;
+        let mut last = None;
+        self.retire(now, &mut NullRecorder, |done| last = Some(*done))?;
+        let done = last.ok_or(DriveError::NotInService)?;
         Ok((done, self.next_event_time()))
     }
 
-    /// Chooses and starts the next queued request, if any.
+    /// Dispatches queued requests onto free arms while the overlap mode
+    /// allows another request in service.
     // Hot path: the per-event SPTF dispatch loop; runs once per
     // completion for the whole simulated run.
-    fn dispatch_next<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<(), DriveError> {
-        self.prof.scans.bump();
-        // Positioning starts after the controller overhead; estimating
-        // from `now` would systematically pick sectors that have just
-        // passed the head by the time the seek is issued.
-        let cost = ScanCost {
-            mech: &self.mech,
-            arms: &self.arms,
-            heads: self.config.heads_per_arm,
-            start: now + self.overhead,
-            scaling: self.config.scaling,
-        };
-        let live = |a: usize| !self.arms.is_failed(a);
-        let policy = self.config.policy;
-        let Some((next, choice)) = self.queue.pop_next(policy, &cost, live, Some(&self.prof))
-        else {
-            return Ok(());
-        };
-        let depth = self.queue.len() as u32;
-        self.start_service(next, now, depth, choice, rec)
+    fn dispatch<R: Recorder>(&mut self, now: SimTime, rec: &mut R) -> Result<(), DriveError> {
+        while self.in_service.len() < self.max_in_service() {
+            // Fewer requests in service than the mode allows leaves a
+            // live arm with none, so the scan has an arm to price.
+            let (arms, in_service) = (&self.arms, &self.in_service);
+            let free = |a: usize| arm_free(arms, in_service, a, now);
+            self.prof.scans.bump();
+            // Positioning starts after the controller overhead; estimating
+            // from `now` would systematically pick sectors that have just
+            // passed the head by the time the seek is issued.
+            let cost = ScanCost {
+                mech: &self.mech,
+                arms,
+                heads: self.config.heads_per_arm,
+                start: now + self.overhead,
+                scaling: self.config.scaling,
+            };
+            let policy = self.config.policy;
+            let Some((next, choice)) = self.queue.pop_next(policy, &cost, free, Some(&self.prof))
+            else {
+                break;
+            };
+            let depth = self.queue.len() as u32;
+            self.start_service(next, now, depth, choice, rec)?;
+        }
+        Ok(())
+    }
+
+    /// Plans the access to `lba` under a relaxed overlap mode: each free
+    /// arm's rotational wait runs from the later of its seek's end and
+    /// the shared channel's release, and the arm whose transfer starts
+    /// first wins (a strict `<` keeps the first). The plan's rotational
+    /// wait includes any wait for the channel: the head is over the
+    /// track, not transferring.
+    fn plan_overlapped(
+        &self,
+        lba: u64,
+        sectors: u32,
+        now: SimTime,
+    ) -> Result<ServicePlan, DriveError> {
+        let start = now + self.overhead;
+        let (heads, scaling) = (self.config.heads_per_arm, self.config.scaling);
+        let target = self.mech.target(lba);
+        let mut best: Option<(ArmChoice, SimTime)> = None;
+        for arm in 0..self.arms.len() {
+            if !arm_free(&self.arms, &self.in_service, arm, now) {
+                continue;
+            }
+            let seek = self
+                .mech
+                .seek(self.arms.cylinder(arm), target.loc.cylinder, scaling);
+            let gate = (start + seek).max(self.channel_free_at);
+            let rot = self
+                .mech
+                .rot(target, self.arms.azimuth(arm), heads, gate, scaling);
+            let xfer_start = gate + rot;
+            if best.is_none_or(|(_, b)| xfer_start < b) {
+                let rot = xfer_start - (start + seek);
+                let loc = target.loc;
+                best = Some((
+                    ArmChoice {
+                        arm,
+                        seek,
+                        rot,
+                        lba,
+                        loc,
+                    },
+                    xfer_start,
+                ));
+            }
+        }
+        let (choice, _) = best.ok_or(DriveError::NoLiveArm)?;
+        Ok(self.mech.plan_for(choice, sectors))
     }
 
     /// Starts servicing `req` at `now`.
@@ -428,12 +568,7 @@ impl DiskDrive {
             let done = cache_hit(req, now, overhead, &mut self.metrics);
             if R::ENABLED {
                 rec.record(now, TraceEvent::CacheHit { req: req.id });
-                rec.record(
-                    now + overhead,
-                    TraceEvent::PowerModeChange {
-                        mode: PowerMode::Transfer,
-                    },
-                );
+                self.mode_change(rec, now + overhead, PowerMode::Transfer);
                 rec.record(
                     now + overhead,
                     TraceEvent::Transfer {
@@ -443,7 +578,7 @@ impl DiskDrive {
                     },
                 );
             }
-            self.in_service = Some(InService {
+            self.in_service.push(InService {
                 done,
                 install: None,
             });
@@ -456,9 +591,9 @@ impl DiskDrive {
             self.prof.cache_misses.bump();
         }
 
-        let plan = match choice {
-            Some(choice) => self.mech.plan_for(choice, req.sectors),
-            None => {
+        let plan = match (self.config.overlap, choice) {
+            (OverlapMode::SingleArmMotion, Some(choice)) => self.mech.plan_for(choice, req.sectors),
+            (OverlapMode::SingleArmMotion, None) => {
                 self.prof.plan_evals.bump();
                 self.mech.plan_set_with_heads(
                     &self.arms,
@@ -468,6 +603,13 @@ impl DiskDrive {
                     now + overhead,
                     self.config.scaling,
                 )?
+            }
+            // The scan priced the arms as if every transfer could start
+            // right after its rotational wait; price them again against
+            // the shared channel.
+            (OverlapMode::MultiMotion | OverlapMode::MultiChannel, _) => {
+                self.prof.plan_evals.bump();
+                self.plan_overlapped(req.lba, req.sectors, now)?
             }
         };
         let finish = now + overhead + plan.total();
@@ -490,12 +632,7 @@ impl DiskDrive {
             if req.kind.is_read() {
                 rec.record(now, TraceEvent::CacheMiss { req: req.id });
             }
-            rec.record(
-                seek_start,
-                TraceEvent::PowerModeChange {
-                    mode: PowerMode::Seek,
-                },
-            );
+            self.mode_change(rec, seek_start, PowerMode::Seek);
             rec.record(
                 seek_start,
                 TraceEvent::SeekStart {
@@ -512,12 +649,7 @@ impl DiskDrive {
                     actuator: plan.actuator,
                 },
             );
-            rec.record(
-                seek_end,
-                TraceEvent::PowerModeChange {
-                    mode: PowerMode::RotationalWait,
-                },
-            );
+            self.mode_change(rec, seek_end, PowerMode::RotationalWait);
             rec.record(
                 seek_end,
                 TraceEvent::RotWait {
@@ -526,12 +658,7 @@ impl DiskDrive {
                     dur: plan.rotational,
                 },
             );
-            rec.record(
-                xfer_start,
-                TraceEvent::PowerModeChange {
-                    mode: PowerMode::Transfer,
-                },
-            );
+            self.mode_change(rec, xfer_start, PowerMode::Transfer);
             rec.record(
                 xfer_start,
                 TraceEvent::Transfer {
@@ -544,7 +671,13 @@ impl DiskDrive {
 
         self.arms
             .set_cylinder(plan.actuator as usize, plan.end_cylinder);
+        if self.config.overlap == OverlapMode::MultiMotion {
+            self.channel_free_at = finish;
+        }
 
+        // Concurrent spans of the relaxed modes may overlap: the seek
+        // span adds one VCM's power per moving arm, which is what the
+        // accumulator's per-mode times represent.
         self.metrics.modes.add(DriveMode::Idle.key(), overhead);
         self.metrics.modes.add(DriveMode::Seek.key(), plan.seek);
         self.metrics
@@ -567,7 +700,7 @@ impl DiskDrive {
             cache_hit: false,
             actuator: plan.actuator,
         };
-        self.in_service = Some(InService {
+        self.in_service.push(InService {
             done,
             install: req.kind.is_read().then_some((req.lba, req.sectors)),
         });
@@ -582,7 +715,7 @@ impl DiskDrive {
     /// Panics if a request is still in service.
     pub fn finalize(&mut self, end: SimTime) {
         assert!(
-            self.in_service.is_none(),
+            self.in_service.is_empty(),
             "finalize with a request in service"
         );
         close_idle_span(&mut self.metrics.modes, self.idle_since, end);
@@ -639,7 +772,7 @@ impl Device for DiskDrive {
 
     #[inline]
     fn next_event_time(&self) -> Option<SimTime> {
-        self.in_service.as_ref().map(|s| s.done.completed)
+        self.in_service.iter().map(|s| s.done.completed).min()
     }
 
     fn on_event<R: Recorder>(
@@ -649,8 +782,7 @@ impl Device for DiskDrive {
         mut completed: impl FnMut(u64),
     ) -> Result<(), DriveError> {
         self.apply_due_failures(now);
-        completed(self.retire(now, rec)?.request.id);
-        Ok(())
+        self.retire(now, rec, |done| completed(done.request.id))
     }
 
     #[inline]
@@ -686,6 +818,7 @@ impl Drop for DiskDrive {
 mod tests {
     use super::*;
     use crate::device::{simulate, NullObserver};
+    use crate::request::random_reads;
     use diskmodel::presets;
 
     fn drive(n: u32) -> DiskDrive {
@@ -710,6 +843,22 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    const OVERLAP_MODES: [OverlapMode; 3] = [
+        OverlapMode::SingleArmMotion,
+        OverlapMode::MultiMotion,
+        OverlapMode::MultiChannel,
+    ];
+
+    /// Mean response time of SA(`n`) in `mode` over `reqs`, checking
+    /// that every request completes.
+    fn mean_of(mode: OverlapMode, n: u32, reqs: &[IoRequest]) -> f64 {
+        let params = presets::barracuda_es_750gb();
+        let drive = DiskDrive::new(&params, DriveConfig::sa(n).with_overlap(mode));
+        let r = run(drive, reqs.to_vec());
+        assert_eq!(r.metrics.completed, reqs.len() as u64);
+        r.metrics.response_time_ms.mean()
     }
 
     fn scattered(n: u64, cap: u64) -> Vec<IoRequest> {
@@ -875,13 +1024,16 @@ mod tests {
 
     #[test]
     fn deconfigured_actuator_not_dispatched() {
-        let mut d = drive(2);
-        assert!(d.deconfigure_actuator(1));
-        assert_eq!(d.live_actuators(), 1);
-        let reqs = scattered(100, d.capacity_sectors());
-        let r = run(d, reqs);
-        assert_eq!(r.metrics.per_actuator[0], 100);
-        assert_eq!(r.metrics.per_actuator[1], 0);
+        for mode in OVERLAP_MODES {
+            let config = DriveConfig::sa(2).with_overlap(mode);
+            let mut d = DiskDrive::new(&presets::barracuda_es_750gb(), config);
+            assert!(d.deconfigure_actuator(1));
+            assert_eq!(d.live_actuators(), 1);
+            let reqs = scattered(100, d.capacity_sectors());
+            let r = run(d, reqs);
+            assert_eq!(r.metrics.per_actuator[0], 100, "{mode:?}");
+            assert_eq!(r.metrics.per_actuator[1], 0, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1003,5 +1155,71 @@ mod tests {
         let err = d.submit(req, SimTime::ZERO).unwrap_err();
         assert!(matches!(err, DriveError::SubmitBeforeArrival { .. }));
         assert!(d.is_idle(), "rejected request must not enter the queue");
+    }
+
+    #[test]
+    fn relaxations_ordering_under_load() {
+        let reqs = random_reads(800, 2.0, 2);
+        let base = mean_of(OverlapMode::SingleArmMotion, 4, &reqs);
+        let motion = mean_of(OverlapMode::MultiMotion, 4, &reqs);
+        let channel = mean_of(OverlapMode::MultiChannel, 4, &reqs);
+        // Per-arm channels are a strict superset of capability.
+        assert!(
+            channel <= motion,
+            "multi-channel {channel} vs multi-motion {motion}"
+        );
+        assert!(channel <= base, "multi-channel {channel} vs base {base}");
+        // Position-ahead pipelining must stay within a whisker of the
+        // baseline even when the shared channel limits it.
+        assert!(
+            motion <= base * 1.15,
+            "multi-motion {motion} vs base {base}"
+        );
+    }
+
+    #[test]
+    fn relaxations_provide_little_benefit_when_sa_meets_demand() {
+        // The TR's finding: at intensities HC-SD-SA(n) can already
+        // sustain, the extensions buy little (response is dominated by
+        // one request's own positioning either way). Under saturation
+        // the extra concurrency does help — which is why the assertion
+        // is made at a sustainable load.
+        let reqs = random_reads(1_500, 12.0, 3);
+        let base = mean_of(OverlapMode::SingleArmMotion, 4, &reqs);
+        let channel = mean_of(OverlapMode::MultiChannel, 4, &reqs);
+        assert!(
+            channel > base * 0.6,
+            "extensions should buy little at sustainable load: {channel} vs {base}"
+        );
+        assert!(channel <= base * 1.02, "but they must not hurt");
+    }
+
+    #[test]
+    fn single_actuator_modes_equivalent() {
+        // With one arm there is nothing to overlap; all modes coincide.
+        let reqs = random_reads(400, 4.0, 4);
+        let a = mean_of(OverlapMode::SingleArmMotion, 1, &reqs);
+        let b = mean_of(OverlapMode::MultiChannel, 1, &reqs);
+        assert!((a - b).abs() / a < 1e-9, "{a} vs {b}");
+    }
+
+    #[test]
+    fn is_idle_reflects_state() {
+        let params = presets::barracuda_es_750gb();
+        let config = DriveConfig::sa(2).with_overlap(OverlapMode::MultiMotion);
+        let mut d = DiskDrive::new(&params, config);
+        assert!(d.is_idle());
+        let req = IoRequest::new(0, SimTime::ZERO, 1000, 8, IoKind::Read);
+        Device::submit(&mut d, req, &mut NullRecorder).expect("valid submit");
+        let finish = d.next_event_time().expect("service started");
+        assert!(!d.is_idle());
+        let mut done = Vec::new();
+        assert_eq!(
+            d.on_event(finish, &mut NullRecorder, |id| done.push(id)),
+            Ok(())
+        );
+        assert_eq!(done, [0]);
+        assert_eq!(d.next_event_time(), None);
+        assert!(d.is_idle());
     }
 }

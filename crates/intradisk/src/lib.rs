@@ -10,7 +10,9 @@
 //! positioned arm assemblies where at any instant only one arm may be in
 //! motion and only one head may transfer, but the shortest-positioning-
 //! time-first scheduler may dispatch whichever idle arm minimizes the
-//! positioning time of a request ([`drive`]).
+//! positioning time of a request ([`drive`]). The same engine models
+//! the technical report's two relaxations of those restrictions
+//! ([`OverlapMode`]).
 //!
 //! # Crate layout
 //!
@@ -20,9 +22,10 @@
 //! * [`sched`] — queueing policies: FCFS, SSTF, and SPTF \[42\].
 //! * [`service`] — positioning/transfer planning for one request on a
 //!   chosen arm assembly (the mechanical inner loop).
-//! * [`drive`] — the drive state machine gluing the above together.
+//! * [`drive`] — the drive state machine gluing the above together, in
+//!   every [`OverlapMode`].
 //! * [`device`] — the [`Device`] contract and [`simulate`], the one run
-//!   loop every engine (drive, array, overlap, DRPM) runs under.
+//!   loop every engine (drive, array, DRPM) runs under.
 //! * [`metrics`] — per-drive statistics and the four-mode power
 //!   attribution of Figures 3 and 6.
 //! * [`failure`] — SMART-style actuator deconfiguration (§8).
@@ -73,7 +76,6 @@ pub mod drive;
 pub mod drpm;
 pub mod failure;
 pub mod metrics;
-pub mod overlap;
 pub mod request;
 pub mod sched;
 pub mod service;
@@ -81,8 +83,9 @@ pub mod service;
 pub use cache::SegmentedCache;
 pub use dash::DashConfig;
 pub use device::{simulate, Device, NullObserver, RunObserver};
-pub use drive::{ArmPlacement, DiskDrive, DriveConfig, DriveRunResult, LatencyScaling};
+pub use drive::{
+    ArmPlacement, DiskDrive, DriveConfig, DriveRunResult, LatencyScaling, OverlapMode,
+};
 pub use metrics::{DriveMetrics, DriveMode, PowerBreakdown};
-pub use overlap::{OverlapConfig, OverlapMode, OverlappedDrive};
 pub use request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 pub use sched::QueuePolicy;

@@ -70,7 +70,7 @@ pub const HEAD_ANGULAR_SEPARATION: f64 = 0.125;
 /// central mechanism of the paper. `Colocated` is the ablation: all the
 /// assemblies at one azimuth retain the seek benefit (closest arm wins)
 /// but none of the rotational benefit.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArmPlacement {
     /// Assemblies at azimuths `i/n` — Figure 1's diagonal mounting,
     /// maximizing the rotational-latency reduction.
@@ -78,31 +78,18 @@ pub enum ArmPlacement {
     EquallySpaced,
     /// All assemblies at azimuth 0 (ablation: seek benefit only).
     Colocated,
-    /// Explicit azimuths, one per assembly, each in `[0, 1)`.
-    Custom(Vec<f64>),
 }
 
 impl ArmPlacement {
     /// The azimuth of assembly `index` out of `count`.
     ///
     /// # Panics
-    /// Panics if `index >= count`, or (for `Custom`) if the azimuth
-    /// list has the wrong length or an out-of-range entry.
+    /// Panics if `index >= count`.
     pub fn azimuth(&self, index: u32, count: u32) -> f64 {
         assert!(index < count, "assembly {index} out of {count}");
         match self {
             ArmPlacement::EquallySpaced => RotationModel::assembly_azimuth(index, count),
             ArmPlacement::Colocated => 0.0,
-            ArmPlacement::Custom(azimuths) => {
-                assert_eq!(
-                    azimuths.len(),
-                    count as usize,
-                    "need one azimuth per assembly"
-                );
-                let a = azimuths[index as usize];
-                assert!((0.0..1.0).contains(&a), "azimuth {a} out of [0,1)");
-                a
-            }
         }
     }
 }
@@ -739,14 +726,6 @@ mod tests {
         assert!((eq.azimuth(1, 4) - 0.25).abs() < 1e-12);
         let co = ArmPlacement::Colocated;
         assert_eq!(co.azimuth(3, 4), 0.0);
-        let custom = ArmPlacement::Custom(vec![0.1, 0.6]);
-        assert!((custom.azimuth(1, 2) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "one azimuth per assembly")]
-    fn custom_placement_length_checked() {
-        ArmPlacement::Custom(vec![0.1]).azimuth(0, 2);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! request mapping, sub-request issue, dispatch scan, cost model,
 //! calendar push/pop, stats record) allocated, or any simulator state
 //! grew with run length, a run of 4N requests would allocate more than
-//! a run of N. The array cases replay a read/write mix, so RAID-5's
+//! a run of N. The single-drive case also runs SA(4) in
+//! `OverlapMode::MultiChannel`, which keeps several requests in service
+//! at once. The array cases replay a read/write mix, so RAID-5's
 //! two-phase writes are on the measured path.
 
 // A global allocator has to implement the unsafe `GlobalAlloc` trait;
@@ -22,7 +24,7 @@ use std::cell::Cell;
 use array::Layout as Volume;
 use diskmodel::presets;
 use experiments::configs::hcsd_params;
-use intradisk::DriveConfig;
+use intradisk::{DriveConfig, OverlapMode};
 use simkit::stats::StatsMode;
 use workload::SyntheticSpec;
 
@@ -86,11 +88,13 @@ fn allocations(requests: usize, replay: impl FnOnce() -> usize) -> u64 {
 }
 
 /// Allocations `run_drive` makes replaying `requests` requests on
-/// SA(`actuators`) with streaming stats.
-fn drive_allocations(actuators: u32, requests: usize) -> u64 {
+/// SA(`actuators`) in `overlap` mode with streaming stats.
+fn drive_allocations(actuators: u32, overlap: OverlapMode, requests: usize) -> u64 {
     let params = hcsd_params();
     let spec = SyntheticSpec::paper(6.0, params.capacity_sectors(), requests);
-    let config = DriveConfig::sa(actuators).with_stats_mode(StatsMode::Streaming);
+    let config = DriveConfig::sa(actuators)
+        .with_overlap(overlap)
+        .with_stats_mode(StatsMode::Streaming);
     allocations(requests, || {
         let run = experiments::run_drive(&params, config, spec.source(42));
         run.expect("synthetic replay")
@@ -118,14 +122,18 @@ fn array_allocations(layout: Volume, requests: usize) -> u64 {
 fn run_drive_allocations_do_not_grow_with_request_count() {
     const N: usize = 20_000;
     // The first run in a process also builds one-time tables.
-    drive_allocations(4, N);
-    for actuators in [1, 4] {
-        let short = drive_allocations(actuators, N);
-        let long = drive_allocations(actuators, 4 * N);
+    drive_allocations(4, OverlapMode::SingleArmMotion, N);
+    for (actuators, overlap) in [
+        (1, OverlapMode::SingleArmMotion),
+        (4, OverlapMode::SingleArmMotion),
+        (4, OverlapMode::MultiChannel),
+    ] {
+        let short = drive_allocations(actuators, overlap, N);
+        let long = drive_allocations(actuators, overlap, 4 * N);
         assert_eq!(
             short,
             long,
-            "SA({actuators}): {short} allocations at {N} requests, {long} at {}",
+            "SA({actuators}) {overlap:?}: {short} allocations at {N} requests, {long} at {}",
             4 * N
         );
     }

@@ -762,7 +762,7 @@ fn stat_bits(rt: &simkit::ResponseStats, energy_j: Option<f64>, power_w: f64) ->
 /// One line per engine run: the bits of every reported number.
 fn engine_fingerprints() -> String {
     use intradisk::drpm::{DrpmConfig, DrpmDrive};
-    use intradisk::{DriveMode, IoKind, IoRequest, OverlapConfig, OverlapMode, OverlappedDrive};
+    use intradisk::{DriveMode, IoKind, IoRequest, OverlapMode};
     let mut out = String::new();
     let params = presets::barracuda_es_750gb();
     let scale = experiments::Scale::quick().with_requests(2_000);
@@ -819,7 +819,7 @@ fn engine_fingerprints() -> String {
     ] {
         let m = replay(
             t.requests(),
-            OverlappedDrive::new(&params, OverlapConfig::new(4, mode)),
+            DiskDrive::new(&params, DriveConfig::sa(4).with_overlap(mode)),
         )
         .metrics;
         let power = PowerBreakdown::from_modes(&m.modes, &PowerModel::new(&params)).total_w();

@@ -434,10 +434,10 @@ fn every_device_conserves_requests_in_time_order_under_any_recorder() {
         |t| {
             use array::ArrayController;
             use intradisk::drpm::{DrpmConfig, DrpmDrive};
-            use intradisk::{OverlapConfig, OverlapMode, OverlappedDrive};
+            use intradisk::OverlapMode;
             let seed = t.draw(&gen::u64_any());
             let n = t.draw(&gen::usize_in(1..=60));
-            let device = t.draw(&gen::usize_in(0..=3));
+            let device = t.draw(&gen::usize_in(0..=2));
             let arms = t.draw(&gen::u32_in(1..=4));
             let drive = presets::barracuda_es_750gb();
             let member = presets::array_drive_10k_19gb();
@@ -463,51 +463,22 @@ fn every_device_conserves_requests_in_time_order_under_any_recorder() {
                 })
                 .collect();
             match device {
-                0 => assert_conforms(&reqs, || DiskDrive::new(&drive, DriveConfig::sa(arms))),
-                1 => assert_conforms(&reqs, || {
-                    ArrayController::new(&member, DriveConfig::sa(arms), 3, Layout::raid5_default())
-                }),
-                2 => {
+                0 => {
                     let modes = [
                         OverlapMode::SingleArmMotion,
                         OverlapMode::MultiMotion,
                         OverlapMode::MultiChannel,
                     ];
-                    let config = OverlapConfig::new(arms, modes[rng.below(3) as usize]);
-                    assert_conforms(&reqs, || OverlappedDrive::new(&drive, config.clone()))
+                    let config = DriveConfig::sa(arms).with_overlap(modes[rng.below(3) as usize]);
+                    assert_conforms(&reqs, || DiskDrive::new(&drive, config.clone()))
                 }
+                1 => assert_conforms(&reqs, || {
+                    ArrayController::new(&member, DriveConfig::sa(arms), 3, Layout::raid5_default())
+                }),
                 _ => assert_conforms(&reqs, || DrpmDrive::new(&drive, DrpmConfig::typical())),
             }
         },
     );
-}
-
-#[test]
-fn overlapped_drive_conserves_requests() {
-    check_with(heavy(), "overlapped_drive_conserves_requests", |t| {
-        use intradisk::{OverlapConfig, OverlapMode, OverlappedDrive};
-        let seed = t.draw(&gen::u64_in(0..=999));
-        let n = t.draw(&gen::usize_in(1..=79));
-        let mode = t.draw(&gen::one_of(vec![
-            OverlapMode::SingleArmMotion,
-            OverlapMode::MultiMotion,
-            OverlapMode::MultiChannel,
-        ]));
-        let params = presets::barracuda_es_750gb();
-        let mut rng = Rng64::new(seed);
-        let mut at = SimTime::ZERO;
-        let reqs: Vec<IoRequest> = (0..n as u64)
-            .map(|i| {
-                at += simkit::SimDuration::from_millis(rng.f64() * 8.0);
-                IoRequest::new(i, at, rng.below(1_000_000_000), 8, IoKind::Read)
-            })
-            .collect();
-        let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, mode));
-        let r = intradisk::simulate(reqs, drive, &mut NullRecorder, &mut NullObserver)
-            .expect("valid replay");
-        assert_eq!(r.metrics.completed as usize, n);
-        assert!(r.metrics.response_time_ms.min() >= 0.0);
-    });
 }
 
 #[test]

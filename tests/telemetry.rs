@@ -13,8 +13,7 @@
 
 use diskmodel::presets;
 use intradisk::{
-    DiskDrive, DriveConfig, DriveRunResult, IoKind, IoRequest, NullObserver, OverlapConfig,
-    OverlapMode, OverlappedDrive,
+    DiskDrive, DriveConfig, DriveRunResult, IoKind, IoRequest, NullObserver, OverlapMode,
 };
 use simkit::SimTime;
 use telemetry::{chrome_trace_json, schema, timeline_csv, RingRecorder, TraceAnalysis};
@@ -106,7 +105,8 @@ fn schema_valid_on_overlapped_and_array_runs() {
     let params = presets::barracuda_es_750gb();
 
     let mut rec = RingRecorder::new();
-    let drive = OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel));
+    let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
+    let drive = DiskDrive::new(&params, config);
     experiments::simulate(&t, drive, &mut rec, &mut NullObserver).expect("overlap replay succeeds");
     schema::validate(&rec.sorted_samples(), 4).expect("overlap stream well-formed");
 
@@ -221,7 +221,8 @@ fn online_metrics_agree_with_post_hoc_analysis() {
         (
             "overlap-multichannel",
             online_and_post_hoc(&t, || {
-                OverlappedDrive::new(&params, OverlapConfig::new(4, OverlapMode::MultiChannel))
+                let config = DriveConfig::sa(4).with_overlap(OverlapMode::MultiChannel);
+                DiskDrive::new(&params, config)
             }),
         ),
         (
