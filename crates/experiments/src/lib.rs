@@ -72,7 +72,7 @@ pub use raid_eval::RaidStudy;
 pub use rpm_study::RpmStudy;
 pub use runner::{
     run_array, run_drive, simulate, ArrayRunResult, Device, DriveRunResult, NullObserver,
-    RunObserver,
+    RunObserver, SplitReplay,
 };
 pub use sa_eval::SaStudy;
 pub use sweep::{Design, Load, Outcome, SimPoint};

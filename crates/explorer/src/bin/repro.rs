@@ -7,7 +7,7 @@
 //! repro report DIR
 //! repro spc FILE [--actuators N] [--requests N]
 //! repro scale [--requests N] [--actuators N] [--inter-arrival MS]
-//!             [--stats exact|streaming] [--seed S]
+//!             [--stats exact|streaming] [--seed S] [--jobs N]
 //!             [--heartbeat SECS] [--heartbeat-file PATH]
 //! repro explore [--grid coarse|adaptive|full] [--refine N]
 //!               [--latency mean|p90] [--out DIR] [--cache DIR|none]
@@ -44,7 +44,11 @@
 //! the dedicated scaling scenario: one SA(n) drive under the synthetic
 //! open workload, printing deterministic stats to stdout and the peak
 //! RSS (`[max-rss-kb: N]`, from `/proc/self/status` VmHWM) to stderr —
-//! CI gates on that probe.
+//! CI gates on that probe. With `--jobs 2` or more it splits the one
+//! drive's replay across two threads (`experiments::SplitReplay`): a
+//! scout replays segments ahead on a cold drive and the leader takes
+//! its work over once their states meet, so stdout, the queue peak and
+//! the deterministic counters are those of the one-thread replay.
 //!
 //! Sweeps fan out across `--jobs` worker threads (default: the
 //! machine's available parallelism). The report printed to stdout is
@@ -111,7 +115,7 @@ fn default_jobs() -> usize {
 
 /// What `--help` returns, as its `Err`: the one multi-line message
 /// `parse_args` gives.
-const USAGE: &str = "usage: repro [table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|table9|fig9|thermal|drpm|dash|validate|robust|all] [--jobs N] [--requests N] [--seed S] [--stats exact|streaming] [--trace DIR] [--metrics DIR] [--profile DIR]\n       repro report <metrics-dir>\n       repro spc <trace-file> [--actuators N] [--requests N]\n       repro scale [--requests N] [--actuators N] [--inter-arrival MS] [--stats exact|streaming] [--seed S] [--heartbeat SECS] [--heartbeat-file PATH]\n       repro explore [--grid coarse|adaptive|full] [--refine N] [--latency mean|p90] [--out DIR] [--cache DIR|none] [--jobs N] [--requests N] [--seed S]";
+const USAGE: &str = "usage: repro [table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|table9|fig9|thermal|drpm|dash|validate|robust|all] [--jobs N] [--requests N] [--seed S] [--stats exact|streaming] [--trace DIR] [--metrics DIR] [--profile DIR]\n       repro report <metrics-dir>\n       repro spc <trace-file> [--actuators N] [--requests N]\n       repro scale [--requests N] [--actuators N] [--inter-arrival MS] [--stats exact|streaming] [--seed S] [--jobs N] [--heartbeat SECS] [--heartbeat-file PATH]\n       repro explore [--grid coarse|adaptive|full] [--refine N] [--latency mean|p90] [--out DIR] [--cache DIR|none] [--jobs N] [--requests N] [--seed S]";
 
 /// The study experiments `USAGE` lists, with the aliases `limit`
 /// (fig2) and `sa_eval` (fig5). Every other mode is its own name.
@@ -473,8 +477,9 @@ fn run_spc(args: &Args) -> Result<(), String> {
 /// glances at the host clock and, if the interval elapsed, emits one
 /// snapshot line (and optionally rewrites the Prometheus textfile).
 /// The mask keeps the clock read off the per-request path.
+/// Emits `--heartbeat` snapshots, if asked for any.
 struct HeartbeatObserver {
-    hb: telemetry::prof::Heartbeat,
+    hb: Option<telemetry::prof::Heartbeat>,
     completed: u64,
 }
 
@@ -484,14 +489,22 @@ impl HeartbeatObserver {
     const CHECK_MASK: u64 = 1023;
 }
 
+impl HeartbeatObserver {
+    #[cold]
+    fn check(&mut self, stats: &simkit::ResponseStats) {
+        if let Some(hb) = &mut self.hb {
+            hb.maybe_beat(self.completed, || stats.percentile_stream(90.0));
+        }
+    }
+}
+
 impl experiments::RunObserver for HeartbeatObserver {
+    #[inline]
     fn on_complete(&mut self, stats: &simkit::ResponseStats) {
         self.completed += 1;
-        if self.completed & Self::CHECK_MASK != 0 {
-            return;
+        if self.completed & Self::CHECK_MASK == 0 {
+            self.check(stats);
         }
-        self.hb
-            .maybe_beat(self.completed, || stats.percentile_stream(90.0));
     }
 }
 
@@ -500,7 +513,8 @@ impl experiments::RunObserver for HeartbeatObserver {
 /// inter-arrivals), streamed lazily from the generator so the request
 /// count can far exceed what would fit materialized. Stats go to
 /// stdout; the peak-RSS probe goes to stderr so stdout stays
-/// deterministic for a given configuration.
+/// deterministic for a given configuration. The replay is split across
+/// `--jobs` (at most two) workers, which stdout cannot tell apart.
 fn run_scale(args: &Args, times: &mut RunTimes) -> Result<(), String> {
     let params = hcsd_params();
     let spec = workload::SyntheticSpec::paper(
@@ -509,24 +523,23 @@ fn run_scale(args: &Args, times: &mut RunTimes) -> Result<(), String> {
         args.scale.requests,
     );
     let config = intradisk::DriveConfig::sa(args.actuators).with_stats_mode(args.scale.stats);
-    let r = if let Some(every) = args.heartbeat_secs {
-        let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
-        let mut obs = HeartbeatObserver {
-            hb: telemetry::prof::Heartbeat::new(every, Some(args.scale.requests as u64), file),
-            completed: 0,
-        };
-        let r = experiments::simulate(
-            spec.source(args.scale.seed),
-            intradisk::DiskDrive::new(&params, config),
-            &mut telemetry::NullRecorder,
-            &mut obs,
-        );
-        times.add(Phase::Heartbeat, obs.hb.time());
-        r
-    } else {
-        experiments::run_drive(&params, config, spec.source(args.scale.seed))
+    let file = args.heartbeat_file.as_deref().map(std::path::Path::new);
+    let mut obs = HeartbeatObserver {
+        hb: args.heartbeat_secs.map(|every| {
+            telemetry::prof::Heartbeat::new(every, Some(args.scale.requests as u64), file)
+        }),
+        completed: 0,
+    };
+    let r = experiments::SplitReplay::new(args.jobs).run(
+        &params,
+        config,
+        spec.source(args.scale.seed),
+        &mut obs,
+    );
+    if let Some(hb) = &obs.hb {
+        times.add(Phase::Heartbeat, hb.time());
     }
-    .map_err(|e| format!("scale run failed: {e}"))?;
+    let r = r.map_err(|e| format!("scale run failed: {e}"))?;
     let stats = &r.metrics.response_time_ms;
     println!(
         "scale: {} requests | SA({}) | {:.1} ms inter-arrival | stats {:?} | seed {}",

@@ -60,22 +60,39 @@ impl Axes {
 /// non-dominated subset. A point dominated by any other never appears;
 /// of several points with *identical* axes, the earliest survives (a
 /// deterministic tie-break — later duplicates add no information).
+///
+/// Sorted by (latency, energy, cost, plan index), every point comes
+/// after every point that dominates or duplicates it, and if a point is
+/// dominated at all, some frontier point dominates it. So each point is
+/// tested against the frontier found so far only: O(n log n + n·f) for
+/// a frontier of f points, not the O(n²) of testing every pair.
 pub fn frontier_indices(points: &[Axes]) -> Vec<usize> {
-    let mut out = Vec::new();
-    'candidate: for (i, p) in points.iter().enumerate() {
-        for (j, q) in points.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            if q.dominates(p) {
-                continue 'candidate;
-            }
-            if q == p && j < i {
-                continue 'candidate;
-            }
+    // `x + 0.0` turns -0.0 into 0.0, so that the total order agrees
+    // with `<=` and `==` on every non-NaN value; a point with a NaN
+    // axis neither dominates nor duplicates any other, wherever it
+    // sorts.
+    let key = |a: &Axes| [a.latency_ms + 0.0, a.energy_j + 0.0, a.cost_usd + 0.0];
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    order.sort_by(|&i, &j| {
+        let (a, b) = (key(&points[i]), key(&points[j]));
+        a.iter()
+            .zip(&b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(i.cmp(&j))
+    });
+    let mut out: Vec<usize> = Vec::new();
+    for i in order {
+        let p = &points[i];
+        if !out
+            .iter()
+            .any(|&j| points[j].dominates(p) || points[j] == *p)
+        {
+            out.push(i);
         }
-        out.push(i);
     }
+    out.sort_unstable();
     out
 }
 
@@ -113,6 +130,46 @@ mod tests {
             ax(1.0, 3.0, 3.0), // duplicate of 0 — dropped by tie-break
         ];
         assert_eq!(frontier_indices(&pts), vec![0, 1, 2]);
+    }
+
+    /// The all-pairs frontier `frontier_indices` replaced: the
+    /// reference its property test checks it against.
+    fn frontier_by_all_pairs(points: &[Axes]) -> Vec<usize> {
+        let mut out = Vec::new();
+        'candidate: for (i, p) in points.iter().enumerate() {
+            for (j, q) in points.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                if q.dominates(p) {
+                    continue 'candidate;
+                }
+                if q == p && j < i {
+                    continue 'candidate;
+                }
+            }
+            out.push(i);
+        }
+        out
+    }
+
+    #[test]
+    fn frontier_matches_the_all_pairs_reference() {
+        // Axes drawn from a few values each, so that exact ties on one
+        // axis and whole duplicates are common; -0.0 and 0.0 are both
+        // drawn and compare equal; a NaN axis dominates nothing.
+        let values = [-0.0, 0.0, 1.0, 2.5, 2.5, 7.0, f64::INFINITY, f64::NAN];
+        let mut rng = simkit::Rng64::new(31);
+        for case in 0..400 {
+            let n = rng.below(40) as usize;
+            let mut draw = || values[rng.below(values.len() as u64) as usize];
+            let pts: Vec<Axes> = (0..n).map(|_| ax(draw(), draw(), draw())).collect();
+            assert_eq!(
+                frontier_indices(&pts),
+                frontier_by_all_pairs(&pts),
+                "case {case}: {pts:?}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! Hot paths batch increments in per-drive [`DropCounter`]s (see
 //! [`simkit::counters`]) and flush once when the drive drops; the
-//! dispatch scan adds its counts once per scan.
+//! dispatch scan adds its counts once per scan. A split replay's
+//! speculative drive marks, rebases and hands over its batchers
+//! ([`ProfMark`]) so that only the logical run's work flushes.
 
 use simkit::counters::{Counter, DropCounter};
 
@@ -91,6 +93,54 @@ impl DriveProfCounts {
             plan_evals: DropCounter::new(&PLAN_EVALS),
             cache_hits: DropCounter::new(&CACHE_HITS),
             cache_misses: DropCounter::new(&CACHE_MISSES),
+        }
+    }
+}
+
+/// The pending counts of a [`DriveProfCounts`] at one instant, in field
+/// order: a mark to [`rebase`](DriveProfCounts::rebase) at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProfMark([u64; 8]);
+
+impl DriveProfCounts {
+    /// Every batcher, in field order.
+    fn all(&self) -> [&DropCounter; 8] {
+        [
+            &self.scans,
+            &self.candidates,
+            &self.arm_visits,
+            &self.sptf_compares,
+            &self.positioning_evals,
+            &self.plan_evals,
+            &self.cache_hits,
+            &self.cache_misses,
+        ]
+    }
+
+    /// What every batcher has counted so far.
+    pub fn mark(&self) -> ProfMark {
+        ProfMark(self.all().map(DropCounter::pending))
+    }
+
+    /// Forgets what was counted up to `mark`, read from these batchers
+    /// earlier: only what they counted after it will flush.
+    pub fn rebase(&self, mark: &ProfMark) {
+        for (c, &m) in self.all().into_iter().zip(&mark.0) {
+            c.rebase(m);
+        }
+    }
+
+    /// Moves everything `other` has counted into these batchers.
+    pub fn absorb(&self, other: &DriveProfCounts) {
+        for (c, o) in self.all().into_iter().zip(other.all()) {
+            c.add(o.take());
+        }
+    }
+
+    /// Forgets everything counted so far: none of it will flush.
+    pub fn discard(&self) {
+        for c in self.all() {
+            c.take();
         }
     }
 }

@@ -82,29 +82,114 @@ pub fn simulate<D: Device, R: Recorder, O: RunObserver>(
     rec: &mut R,
     obs: &mut O,
 ) -> Result<D::Report, DriveError> {
-    let mut requests = requests.into_iter();
-    let mut pending = requests.next();
-    let mut end = SimTime::ZERO;
-    loop {
-        let event = device.next_event_time();
-        match pending {
-            Some(r) if event.is_none_or(|e| r.arrival <= e) => {
-                debug_assert!(r.arrival >= end, "arrival at {} before {end}", r.arrival);
-                pending = requests.next();
-                end = end.max(r.arrival);
-                device.submit(r, rec)?;
-            }
-            _ => {
-                let Some(e) = event else { break };
-                debug_assert!(e >= end, "event at {e} before {end}: time ran backwards");
-                end = end.max(e);
-                let mut completions = 0;
-                device.on_event(e, rec, |_| completions += 1)?;
-                for _ in 0..completions {
-                    obs.on_complete(device.stats());
+    let mut replay = Replay::new(requests.into_iter());
+    replay.run_until(&mut device, u64::MAX, rec, obs)?;
+    Ok(device.finalize(replay.end()))
+}
+
+/// The arrival side of a replay in progress: the request stream with
+/// one request of lookahead, and the latest instant acted on.
+/// [`simulate`] runs one to its end; a split replay
+/// (`experiments::runner`) stops one at chosen requests to look at its
+/// device, and hands devices from one replay to another.
+#[derive(Debug, Clone)]
+pub struct Replay<I> {
+    requests: I,
+    /// The next request to submit, already pulled.
+    pending: Option<IoRequest>,
+    /// Requests submitted so far: `pending` is request number
+    /// `submitted` of the stream (counting from 0).
+    submitted: u64,
+    /// The later of the last arrival and the last event so far.
+    end: SimTime,
+}
+
+impl<I: Iterator<Item = IoRequest>> Replay<I> {
+    /// A replay at the first request of `requests`.
+    pub fn new(mut requests: I) -> Self {
+        Replay {
+            pending: requests.next(),
+            requests,
+            submitted: 0,
+            end: SimTime::ZERO,
+        }
+    }
+
+    /// Requests submitted so far: the next to submit is request number
+    /// `submitted()` of the stream.
+    pub fn submitted(&self) -> u64 {
+        self.submitted
+    }
+
+    /// The later of the last arrival and the last event so far: the
+    /// instant [`Device::finalize`] closes the run at once the replay
+    /// has drained.
+    pub fn end(&self) -> SimTime {
+        self.end
+    }
+
+    /// Moves the lookahead forward to request `index` of the stream,
+    /// passing over the requests before it without submitting them
+    /// (`Iterator::nth`, which a source can implement as a fast skip).
+    /// A no-op if `index` is not past the next request to submit.
+    pub fn skip_to(&mut self, index: u64) {
+        if let Some(gap) = index.checked_sub(self.submitted + 1) {
+            self.pending = usize::try_from(gap)
+                .ok()
+                .and_then(|gap| self.requests.nth(gap));
+            self.submitted = index;
+        }
+    }
+
+    /// Steps `device` in time order — arrivals submitted, events fired,
+    /// ties to arrivals — until its next step would submit request
+    /// number `until` of the stream, or until both the stream and the
+    /// device have run dry.
+    ///
+    /// # Errors
+    /// The first [`DriveError`] the device reports.
+    pub fn run_until<D: Device, R: Recorder, O: RunObserver>(
+        &mut self,
+        device: &mut D,
+        until: u64,
+        rec: &mut R,
+        obs: &mut O,
+    ) -> Result<(), DriveError> {
+        loop {
+            let event = device.next_event_time();
+            match self.pending {
+                Some(r) if event.is_none_or(|e| r.arrival <= e) => {
+                    if self.submitted == until {
+                        return Ok(());
+                    }
+                    debug_assert!(
+                        r.arrival >= self.end,
+                        "arrival at {} before {}",
+                        r.arrival,
+                        self.end
+                    );
+                    self.pending = self.requests.next();
+                    self.submitted += 1;
+                    self.end = self.end.max(r.arrival);
+                    device.submit(r, rec)?;
+                }
+                _ => {
+                    let Some(e) = event else {
+                        return Ok(());
+                    };
+                    debug_assert!(
+                        e >= self.end,
+                        "event at {e} before {}: time ran backwards",
+                        self.end
+                    );
+                    self.end = self.end.max(e);
+                    let mut completions = 0;
+                    device.on_event(e, rec, |_| completions += 1)?;
+                    for _ in 0..completions {
+                        obs.on_complete(device.stats());
+                    }
                 }
             }
         }
     }
-    Ok(device.finalize(end))
 }

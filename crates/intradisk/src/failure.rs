@@ -46,6 +46,17 @@ impl FailureSchedule {
         self.events.get(self.next).map(|e| e.at)
     }
 
+    /// How many failures have been applied or skipped so far.
+    pub(crate) fn position(&self) -> usize {
+        self.next
+    }
+
+    /// Starts the schedule over: a restarted drive replays it from the
+    /// first failure.
+    pub(crate) fn rewind(&mut self) {
+        self.next = 0;
+    }
+
     /// Applies every failure due at or before `now` to `drive`.
     /// Returns the number of assemblies actually deconfigured
     /// (attempts blocked by the last-live-arm rule are skipped and

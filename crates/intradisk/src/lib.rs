@@ -25,7 +25,8 @@
 //! * [`drive`] — the drive state machine gluing the above together, in
 //!   every [`OverlapMode`].
 //! * [`device`] — the [`Device`] contract and [`simulate`], the one run
-//!   loop every engine (drive, array, DRPM) runs under.
+//!   loop every engine (drive, array, DRPM) runs under, stepped as a
+//!   [`Replay`] when a caller splits one run across workers.
 //! * [`metrics`] — per-drive statistics and the four-mode power
 //!   attribution of Figures 3 and 6.
 //! * [`failure`] — SMART-style actuator deconfiguration (§8).
@@ -82,10 +83,10 @@ pub mod service;
 
 pub use cache::SegmentedCache;
 pub use dash::DashConfig;
-pub use device::{simulate, Device, NullObserver, RunObserver};
+pub use device::{simulate, Device, NullObserver, Replay, RunObserver};
 pub use drive::{
-    ArmPlacement, DiskDrive, DriveConfig, DriveRunResult, LatencyScaling, OverlapMode,
+    ArmPlacement, DiskDrive, DriveConfig, DriveRunResult, IdleSnapshot, LatencyScaling, OverlapMode,
 };
-pub use metrics::{DriveMetrics, DriveMode, PowerBreakdown};
+pub use metrics::{DriveMetrics, DriveMode, PackedCompletion, PowerBreakdown};
 pub use request::{CompletedIo, IoKind, IoRequest, ServiceBreakdown};
 pub use sched::QueuePolicy;

@@ -7,7 +7,7 @@
 //! the four-mode time accounting that the power bars of Figures 3 and 6
 //! are built from.
 
-use simkit::{Histogram, ModeAccumulator, ResponseStats, SimTime, StatsMode};
+use simkit::{Histogram, ModeAccumulator, ResponseStats, SimDuration, SimTime, StatsMode};
 
 use crate::request::CompletedIo;
 
@@ -37,6 +37,71 @@ impl DriveMode {
     /// Stable integer key for [`ModeAccumulator`].
     pub fn key(self) -> u8 {
         self as u8
+    }
+}
+
+/// What [`DriveMetrics::record`] reads of a media access.
+#[derive(Debug, Clone, Copy)]
+struct MediaAccess {
+    rotational: SimDuration,
+    seek: SimDuration,
+    actuator: u32,
+}
+
+/// A completed request reduced to what [`DriveMetrics::record`] reads
+/// of it, in 12 bytes: a split replay's scout logs one per completion
+/// (see `experiments::runner`), and the leader records them with
+/// [`DriveMetrics::record_packed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedCompletion {
+    response_ns: u32,
+    /// [`Self::CACHE_HIT`] for a cache hit.
+    rotational_ns: u32,
+    /// The seek in the low [`Self::SEEK_BITS`] bits, the actuator
+    /// above them.
+    seek_arm: u32,
+}
+
+impl PackedCompletion {
+    const CACHE_HIT: u32 = u32::MAX;
+    const SEEK_BITS: u32 = 28;
+
+    /// Packs `done`, or `None` if it does not fit: a response or
+    /// rotational wait of 2³² ns or more, a seek of 2²⁸ ns or more, or
+    /// an actuator index above 15.
+    pub fn pack(done: &CompletedIo) -> Option<Self> {
+        let response_ns = u32::try_from(done.response_time().as_nanos()).ok()?;
+        if done.cache_hit {
+            return Some(PackedCompletion {
+                response_ns,
+                rotational_ns: Self::CACHE_HIT,
+                seek_arm: 0,
+            });
+        }
+        let rotational_ns = u32::try_from(done.breakdown.rotational.as_nanos())
+            .ok()
+            .filter(|&r| r != Self::CACHE_HIT)?;
+        let seek = u32::try_from(done.breakdown.seek.as_nanos())
+            .ok()
+            .filter(|&s| s >> Self::SEEK_BITS == 0)?;
+        let arm = Some(done.actuator).filter(|&a| a < 1 << (32 - Self::SEEK_BITS))?;
+        Some(PackedCompletion {
+            response_ns,
+            rotational_ns,
+            seek_arm: arm << Self::SEEK_BITS | seek,
+        })
+    }
+
+    fn response(self) -> SimDuration {
+        SimDuration::from_nanos(u64::from(self.response_ns))
+    }
+
+    fn media(self) -> Option<MediaAccess> {
+        (self.rotational_ns != Self::CACHE_HIT).then(|| MediaAccess {
+            rotational: SimDuration::from_nanos(u64::from(self.rotational_ns)),
+            seek: SimDuration::from_nanos(u64::from(self.seek_arm & ((1 << Self::SEEK_BITS) - 1))),
+            actuator: self.seek_arm >> Self::SEEK_BITS,
+        })
     }
 }
 
@@ -103,25 +168,45 @@ impl DriveMetrics {
     }
 
     /// Records a finished request.
+    #[inline]
     pub fn record(&mut self, done: &CompletedIo) {
-        let rt = done.response_time().as_millis();
+        let media = (!done.cache_hit).then_some(MediaAccess {
+            rotational: done.breakdown.rotational,
+            seek: done.breakdown.seek,
+            actuator: done.actuator,
+        });
+        self.record_parts(done.response_time(), media);
+    }
+
+    /// Records a finished request from its packed form: bit for bit
+    /// what [`record`](Self::record) of the request would have recorded.
+    pub fn record_packed(&mut self, done: PackedCompletion) {
+        self.record_parts(done.response(), done.media());
+    }
+
+    /// Records a request that finished after `response`, through the
+    /// media (`Some`) or from the cache (`None`).
+    #[inline]
+    fn record_parts(&mut self, response: SimDuration, media: Option<MediaAccess>) {
+        let rt = response.as_millis();
         self.response_time_ms
             .record_binned(rt, &mut self.response_hist);
         self.completed += 1;
-        if done.cache_hit {
-            self.cache_hits += 1;
-        } else {
-            self.media_accesses += 1;
-            let rot = done.breakdown.rotational.as_millis();
-            self.rotational_ms
-                .record_binned(rot, &mut self.rotational_hist);
-            let seek = done.breakdown.seek.as_millis();
-            self.seek_ms.record(seek);
-            if seek > 0.0 {
-                self.nonzero_seeks += 1;
-            }
-            if let Some(slot) = self.per_actuator.get_mut(done.actuator as usize) {
-                *slot += 1;
+        match media {
+            None => self.cache_hits += 1,
+            Some(access) => {
+                self.media_accesses += 1;
+                let rot = access.rotational.as_millis();
+                self.rotational_ms
+                    .record_binned(rot, &mut self.rotational_hist);
+                let seek = access.seek.as_millis();
+                self.seek_ms.record(seek);
+                if seek > 0.0 {
+                    self.nonzero_seeks += 1;
+                }
+                if let Some(slot) = self.per_actuator.get_mut(access.actuator as usize) {
+                    *slot += 1;
+                }
             }
         }
     }
@@ -135,6 +220,16 @@ impl DriveMetrics {
         self.seek_ms.finalize();
         self.response_time_ms.sync_hist(&mut self.response_hist);
         self.rotational_ms.sync_hist(&mut self.rotational_hist);
+    }
+
+    /// Forgets the histogram records counted toward the deterministic
+    /// counters so far: none of them will flush.
+    pub fn forget_records(&self) {
+        self.response_time_ms.forget_records();
+        self.response_hist.forget_records();
+        self.rotational_ms.forget_records();
+        self.rotational_hist.forget_records();
+        self.seek_ms.forget_records();
     }
 
     /// Fraction of media accesses with a non-zero seek.
@@ -231,7 +326,6 @@ pub fn close_idle_span(modes: &mut ModeAccumulator, idle_since: SimTime, end: Si
 mod tests {
     use super::*;
     use crate::request::{IoKind, IoRequest, ServiceBreakdown};
-    use simkit::SimDuration;
 
     fn done(rt_ms: f64, rot_ms: f64, seek_ms: f64, hit: bool) -> CompletedIo {
         let arrival = SimTime::from_millis(0.0);
@@ -248,6 +342,30 @@ mod tests {
             cache_hit: hit,
             actuator: 0,
         }
+    }
+
+    #[test]
+    fn packed_completions_record_what_the_completions_do() {
+        let mut media = done(12.3456789, 4.25, 6.5, false);
+        media.actuator = 3;
+        let runs = [media, done(0.2, 0.0, 0.0, true), done(1.0, 0.5, 0.0, false)];
+        let (mut direct, mut packed) = (DriveMetrics::new(4), DriveMetrics::new(4));
+        for d in &runs {
+            direct.record(d);
+            packed.record_packed(PackedCompletion::pack(d).expect("fits"));
+        }
+        assert_eq!(format!("{direct:?}"), format!("{packed:?}"));
+        // What does not fit is refused, not truncated.
+        assert_eq!(
+            PackedCompletion::pack(&done(5_000.0, 1.0, 1.0, false)),
+            None
+        );
+        assert_eq!(
+            PackedCompletion::pack(&done(300.0, 1.0, 270.0, false)),
+            None
+        );
+        media.actuator = 16;
+        assert_eq!(PackedCompletion::pack(&media), None);
     }
 
     #[test]

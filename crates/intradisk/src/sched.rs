@@ -176,6 +176,25 @@ impl PendingQueue {
         self.queue.is_empty()
     }
 
+    /// Restarts the high-water mark at the current depth and returns
+    /// the mark it had reached.
+    pub(crate) fn restart_peak(&mut self) -> usize {
+        std::mem::replace(&mut self.peak_len, self.queue.len())
+    }
+
+    /// Raises the high-water mark to at least `depth`.
+    pub(crate) fn raise_peak(&mut self, depth: usize) {
+        self.peak_len = self.peak_len.max(depth);
+    }
+
+    /// Drops every queued request and kept cost, and the high-water
+    /// mark: the queue as built.
+    pub(crate) fn clear(&mut self) {
+        self.queue.clear();
+        self.forget_costs();
+        self.peak_len = 0;
+    }
+
     /// Drops every kept cost. A caller that changes the mechanics or
     /// the scaling it scans with (DRPM's spindle-speed shifts) calls
     /// this first.

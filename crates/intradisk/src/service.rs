@@ -171,6 +171,23 @@ impl ArmSet {
     pub fn set_failed(&mut self, idx: usize) {
         self.failed[idx] = true;
     }
+
+    /// Every assembly's cylinder, in index order.
+    pub(crate) fn cylinders(&self) -> &[u32] {
+        &self.cylinder
+    }
+
+    /// Every assembly's deconfiguration flag, in index order.
+    pub(crate) fn failed(&self) -> &[bool] {
+        &self.failed
+    }
+
+    /// Parks every assembly where [`Mechanics::arms_with_placement`]
+    /// mounts it, over cylinder 0, and configures it again.
+    pub(crate) fn restart(&mut self) {
+        self.cylinder.fill(0);
+        self.failed.fill(false);
+    }
 }
 
 /// The bundle of mechanical models for one drive.

@@ -19,6 +19,15 @@
 //! host structs: a cloned `DropCounter` starts at zero pending (each
 //! instance flushes only what it saw), and equality always holds (the
 //! counter is observability, not state).
+//!
+//! The `"deterministic"` section of the export describes the *logical*
+//! run at every `--jobs` value. A split replay (see
+//! `experiments::runner`) simulates some requests twice, once on a
+//! speculative drive whose work is thrown away: such a drive
+//! [`rebase`](DropCounter::rebase)s or [`take`](DropCounter::take)s
+//! its batchers so that only the work of the logical run ever flushes.
+//! This is a stopgap until run-scoped counters (ROADMAP item 1) make
+//! it a plain subtraction.
 
 use std::cell::Cell;
 use std::fmt;
@@ -165,9 +174,27 @@ impl DropCounter {
         }
     }
 
-    /// Events counted since construction (or last clone).
+    /// Events counted since construction (or last clone): a mark a
+    /// later [`rebase`](Self::rebase) can cut at.
     pub fn pending(&self) -> u64 {
         self.pending.get()
+    }
+
+    /// Forgets the first `mark` events counted, where `mark` is a
+    /// [`pending`](Self::pending) value read earlier: the batcher then
+    /// flushes only what it counted after the mark. For summing
+    /// targets.
+    #[inline]
+    pub fn rebase(&self, mark: u64) {
+        self.pending.set(self.pending.get().wrapping_sub(mark));
+    }
+
+    /// Takes every pending event out of the batcher, which then
+    /// flushes nothing of them: the caller adds them to another batcher
+    /// or drops them.
+    #[inline]
+    pub fn take(&self) -> u64 {
+        self.pending.replace(0)
     }
 }
 
@@ -287,6 +314,27 @@ mod tests {
             assert!(c == d);
         }
         assert_eq!(T.get(), 10, "clone contributed nothing");
+    }
+
+    #[test]
+    fn rebased_drop_counter_flushes_only_what_follows_the_mark() {
+        static T: Counter = Counter::new("test.rebase");
+        T.reset();
+        {
+            let d = DropCounter::new(&T);
+            d.add(5);
+            let mark = d.pending();
+            d.add(3);
+            d.rebase(mark);
+            assert_eq!(d.pending(), 3);
+        }
+        assert_eq!(T.get(), 3, "the 5 counted before the mark never flush");
+        {
+            let d = DropCounter::new(&T);
+            d.add(4);
+            assert_eq!(d.take(), 4);
+        }
+        assert_eq!(T.get(), 3, "taken counts never flush");
     }
 
     #[test]

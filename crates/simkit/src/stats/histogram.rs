@@ -94,6 +94,12 @@ impl Histogram {
         self.total = samples.len() as u64;
     }
 
+    /// Forgets the records counted toward `simkit.hist.records` so far:
+    /// none of them will flush.
+    pub fn forget_records(&self) {
+        self.records.take();
+    }
+
     /// Bucket edges.
     pub fn edges(&self) -> &[f64] {
         &self.edges

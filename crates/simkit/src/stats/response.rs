@@ -181,6 +181,12 @@ impl ResponseStats {
         }
     }
 
+    /// Forgets the records counted toward the deterministic counters so
+    /// far: none of them will flush.
+    pub fn forget_records(&self) {
+        self.stream.forget_records();
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> usize {
         match &self.exact {

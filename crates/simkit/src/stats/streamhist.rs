@@ -101,6 +101,12 @@ impl StreamingHistogram {
         }
     }
 
+    /// Forgets the records counted toward `simkit.hist.stream_records`
+    /// so far: none of them will flush.
+    pub fn forget_records(&self) {
+        self.records.take();
+    }
+
     /// The documented relative-error bound for percentile estimates of
     /// values inside the resolvable range.
     pub fn relative_error(&self) -> f64 {

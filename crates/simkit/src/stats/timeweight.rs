@@ -104,6 +104,25 @@ impl ModeAccumulator {
         }
     }
 
+    /// The time recorded since `earlier`, a copy of this accumulator
+    /// taken before: exact, since durations are integer nanoseconds.
+    ///
+    /// # Panics
+    /// Panics if `earlier` recorded more time in some mode than this
+    /// accumulator.
+    pub fn since(&self, earlier: &ModeAccumulator) -> ModeAccumulator {
+        let mut out = ModeAccumulator::new();
+        for (d, (now, then)) in out
+            .time_in_mode
+            .iter_mut()
+            .zip(self.time_in_mode.iter().zip(&earlier.time_in_mode))
+        {
+            *d = *now - *then;
+        }
+        out.total = self.total - earlier.total;
+        out
+    }
+
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &ModeAccumulator) {
         for (m, d) in other.iter() {
@@ -126,6 +145,21 @@ mod tests {
 
     const IDLE: u8 = 0;
     const SEEK: u8 = 1;
+
+    #[test]
+    fn since_an_earlier_copy_merges_back_to_the_whole() {
+        let mut acc = ModeAccumulator::new();
+        acc.add(IDLE, SimDuration::from_nanos(7));
+        let mark = acc.clone();
+        acc.add(SEEK, SimDuration::from_nanos(5));
+        acc.add(IDLE, SimDuration::from_nanos(2));
+        let delta = acc.since(&mark);
+        assert_eq!(delta.time_in(IDLE), SimDuration::from_nanos(2));
+        assert_eq!(delta.total_time(), SimDuration::from_nanos(7));
+        let mut rebuilt = mark;
+        rebuilt.merge(&delta);
+        assert_eq!(rebuilt, acc);
+    }
 
     #[test]
     fn accumulates_per_mode() {

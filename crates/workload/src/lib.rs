@@ -58,7 +58,9 @@ pub mod trace;
 pub use arrival::{ArrivalProcess, Mmpp};
 pub use book::{BookSource, TraceBook, MAX_STORED_REQUESTS};
 pub use profiles::{profile_for, ProfileSource, TraceProfile, WorkloadKind};
-pub use source::{collect_trace, CountingSource, IntoRequestSource, RequestSource, TraceSource};
+pub use source::{
+    collect_trace, CountingSource, IntoRequestSource, RequestSource, Requests, TraceSource,
+};
 pub use spc::SpcSource;
 pub use synth::{SynthSource, SyntheticSpec};
 pub use trace::{Trace, TraceStats};

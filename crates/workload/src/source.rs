@@ -118,6 +118,24 @@ impl<'a> IntoRequestSource for &'a Trace {
     }
 }
 
+/// A [`RequestSource`] as an iterator over its requests, whose `nth`
+/// is the source's [`skip`](RequestSource::skip).
+#[derive(Debug, Clone)]
+pub struct Requests<S>(pub S);
+
+impl<S: RequestSource> Iterator for Requests<S> {
+    type Item = IoRequest;
+
+    fn next(&mut self) -> Option<IoRequest> {
+        self.0.next_request()
+    }
+
+    fn nth(&mut self, n: usize) -> Option<IoRequest> {
+        self.0.skip(n as u64);
+        self.0.next_request()
+    }
+}
+
 /// A transparent wrapper that counts every request pulled through it,
 /// batching into a [`DropCounter`](simkit::counters::DropCounter) that
 /// flushes to [`crate::counters::REQUESTS_PULLED`] when the source

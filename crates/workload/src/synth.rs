@@ -8,6 +8,8 @@
 //! distribution [with means] 8 ms, 4 ms, and 1 ms, which represent
 //! light, moderate, and heavy I/O loads respectively."
 
+use std::sync::Arc;
+
 use intradisk::{IoKind, IoRequest};
 use simkit::{Rng64, SimDuration, SimTime};
 
@@ -68,7 +70,7 @@ impl SyntheticSpec {
         let kind_rng = rng.fork();
         SynthSource {
             spec: *self,
-            name: format!("synthetic-{}ms", self.mean_interarrival_ms),
+            name: format!("synthetic-{}ms", self.mean_interarrival_ms).into(),
             arrival_rng,
             addr_rng,
             kind_rng,
@@ -87,10 +89,12 @@ impl SyntheticSpec {
 
 /// The lazy generator behind [`SyntheticSpec::source`]: O(1) state —
 /// three RNG streams, a clock, and the previous request's end address.
+/// A clone allocates nothing (the name is shared), so a split replay
+/// can fork the stream at any request.
 #[derive(Debug, Clone)]
 pub struct SynthSource {
     spec: SyntheticSpec,
-    name: String,
+    name: Arc<str>,
     arrival_rng: Rng64,
     addr_rng: Rng64,
     kind_rng: Rng64,

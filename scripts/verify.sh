@@ -37,7 +37,12 @@
 # and with streaming stats: exact mode's sketch, derived from its kept
 # samples, equals the one streaming mode records; and `repro drpm`, whose
 # table prints only means and power, must print the same stdout in both
-# modes, DRPM points included), and then the
+# modes, DRPM points included), the split-replay gate (a 2*10^5-request
+# SA(4) `repro scale`, under both --stats modes and at 6 ms and at an
+# overloaded 2 ms that never couples, must print the same stdout, the
+# same `[queue-peak: N]` line and the same deterministic counters at
+# --jobs 1, where one thread replays it, and at --jobs 2, where a
+# second thread replays segments ahead), and then the
 # event-kernel swap gates (report and exports byte-identical to
 # the goldens pinned on the retired binary-heap kernel, the named
 # kernel-swap golden oracles, the differential property suite, and a
@@ -215,6 +220,27 @@ for mode in exact streaming; do
     > "$sweep_dir/drpm-$mode.out" 2>/dev/null
 done
 cmp "$sweep_dir/drpm-exact.out" "$sweep_dir/drpm-streaming.out"
+
+echo "==> gate: split scale replay byte-identical to the one-thread replay"
+# At --jobs 2 a scout thread replays segments ahead on a cold drive and
+# the leader takes over where the drives' states meet: stdout, the
+# queue peak and the deterministic counters must not tell the runs
+# apart. At 2 ms the drive never idles, so every segment falls back.
+for mode in exact streaming; do
+  for ia in 6.0 2.0; do
+    for j in 1 2; do
+      run="$sweep_dir/split-$mode-$ia-$j"
+      target/release/repro scale --requests 200000 --actuators 4 --inter-arrival "$ia" \
+        --stats "$mode" --jobs "$j" --profile "$run" > "$run.out" 2> "$run.err"
+      grep '^\[queue-peak: ' "$run.err" > "$run.peak" \
+        || { echo "scale --jobs $j printed no queue-peak line" >&2; exit 1; }
+      jq -S .deterministic "$run/counters.json" > "$run.det"
+    done
+    for f in out peak det; do
+      cmp "$sweep_dir/split-$mode-$ia-1.$f" "$sweep_dir/split-$mode-$ia-2.$f"
+    done
+  done
+done
 
 echo "==> gate: kernel-swap golden oracles (ignored-by-default, run here by name)"
 cargo test -q --test oracles -- --include-ignored golden_kernel_swap
