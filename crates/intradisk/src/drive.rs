@@ -289,7 +289,8 @@ impl DiskDrive {
         self.capacity
     }
 
-    /// Statistics collected so far.
+    /// Statistics collected so far; empty once [`Device::finalize`] has
+    /// moved them into the run's report.
     pub fn metrics(&self) -> &DriveMetrics {
         &self.metrics
     }
@@ -938,11 +939,15 @@ impl Device for DiskDrive {
         &self.metrics.response_time_ms
     }
 
+    /// The report takes the run's metrics, not a copy of them; the
+    /// drive is left empty metrics of the same mode.
     fn finalize(&mut self, end: SimTime) -> DriveRunResult {
         DiskDrive::finalize(self, end);
+        let power = self.power_breakdown();
+        let empty = DriveMetrics::with_mode(self.config.actuators, self.config.stats);
         DriveRunResult {
-            power: self.power_breakdown(),
-            metrics: self.metrics.clone(),
+            power,
+            metrics: std::mem::replace(&mut self.metrics, empty),
             duration: end.saturating_since(SimTime::ZERO),
             queue_peak: self.queue_peak(),
         }

@@ -7,7 +7,7 @@
 //! the four-mode time accounting that the power bars of Figures 3 and 6
 //! are built from.
 
-use simkit::{Histogram, ModeAccumulator, ResponseStats, SimDuration, SimTime, StatsMode};
+use simkit::{Histogram, MeanMax, ModeAccumulator, ResponseStats, SimDuration, SimTime, StatsMode};
 
 use crate::request::CompletedIo;
 
@@ -108,23 +108,25 @@ impl PackedCompletion {
 /// Statistics collected by one drive over one run.
 #[derive(Debug, Clone)]
 pub struct DriveMetrics {
-    /// Response times in milliseconds (queue + service). In
-    /// [`StatsMode::Exact`] every sample is retained (the oracle);
-    /// [`StatsMode::Streaming`] keeps a bounded-memory view with a
-    /// documented percentile error bound — the mode 10⁸-request runs
-    /// use. Either way `percentile_stream` is always available.
+    /// Response times in milliseconds (queue + service): the drive's
+    /// one sample store. In [`StatsMode::Exact`] every sample is
+    /// retained (the oracle); [`StatsMode::Streaming`] keeps a
+    /// bounded-memory view with a documented percentile error bound —
+    /// the mode 10⁸-request runs use. Either way `percentile_stream` is
+    /// always available.
     pub response_time_ms: ResponseStats,
     /// Response-time histogram over the paper's CDF edges. In exact
     /// mode it is filled from `response_time_ms`'s samples when the
-    /// metrics are finalized or merged, not per record.
+    /// metrics are finalized, not per record.
     pub response_hist: Histogram,
-    /// Rotational latencies of media accesses, milliseconds.
-    pub rotational_ms: ResponseStats,
-    /// Rotational-latency histogram over the paper's PDF edges, filled
-    /// like `response_hist` (from `rotational_ms`).
+    /// Mean and maximum rotational latency of media accesses,
+    /// milliseconds.
+    pub rotational_ms: MeanMax,
+    /// Rotational-latency histogram over the paper's PDF edges, binned
+    /// per media access in either mode.
     pub rotational_hist: Histogram,
-    /// Seek times of media accesses, milliseconds.
-    pub seek_ms: ResponseStats,
+    /// Mean and maximum seek time of media accesses, milliseconds.
+    pub seek_ms: MeanMax,
     /// Media accesses whose seek was non-zero (§7.2 reports 55% → 90%
     /// as actuators are added).
     pub nonzero_seeks: u64,
@@ -155,9 +157,9 @@ impl DriveMetrics {
         DriveMetrics {
             response_time_ms: ResponseStats::with_mode(mode),
             response_hist: Histogram::new(Histogram::paper_response_time_edges()),
-            rotational_ms: ResponseStats::with_mode(mode),
+            rotational_ms: MeanMax::new(),
             rotational_hist: Histogram::new(Histogram::paper_rotational_latency_edges()),
-            seek_ms: ResponseStats::with_mode(mode),
+            seek_ms: MeanMax::new(),
             nonzero_seeks: 0,
             media_accesses: 0,
             cache_hits: 0,
@@ -197,8 +199,8 @@ impl DriveMetrics {
             Some(access) => {
                 self.media_accesses += 1;
                 let rot = access.rotational.as_millis();
-                self.rotational_ms
-                    .record_binned(rot, &mut self.rotational_hist);
+                self.rotational_ms.record(rot);
+                self.rotational_hist.record(rot);
                 let seek = access.seek.as_millis();
                 self.seek_ms.record(seek);
                 if seek > 0.0 {
@@ -211,15 +213,12 @@ impl DriveMetrics {
         }
     }
 
-    /// Sorts the sample summaries so percentile queries are indexed
-    /// reads, and fills the histograms from them in exact mode; called
-    /// once when a run ends (`DiskDrive::finalize`).
+    /// Sorts the response-time samples so percentile queries are
+    /// indexed reads, and fills `response_hist` from them in exact
+    /// mode; called once when a run ends (`DiskDrive::finalize`).
     pub fn finalize(&mut self) {
         self.response_time_ms.finalize();
-        self.rotational_ms.finalize();
-        self.seek_ms.finalize();
         self.response_time_ms.sync_hist(&mut self.response_hist);
-        self.rotational_ms.sync_hist(&mut self.rotational_hist);
     }
 
     /// Forgets the histogram records counted toward the deterministic
@@ -227,9 +226,7 @@ impl DriveMetrics {
     pub fn forget_records(&self) {
         self.response_time_ms.forget_records();
         self.response_hist.forget_records();
-        self.rotational_ms.forget_records();
         self.rotational_hist.forget_records();
-        self.seek_ms.forget_records();
     }
 
     /// Fraction of media accesses with a non-zero seek.
@@ -238,34 +235,6 @@ impl DriveMetrics {
             0.0
         } else {
             self.nonzero_seeks as f64 / self.media_accesses as f64
-        }
-    }
-
-    /// Merges metrics from another drive (used when summing over an
-    /// array). Exact-mode stats merge exactly; if either side is
-    /// streaming, the merged stats are streaming.
-    pub fn merge(&mut self, other: &DriveMetrics) {
-        // Both sides' histograms are brought up to date first: a merge
-        // with a streaming side drops the samples they are filled from.
-        self.response_time_ms.sync_hist(&mut self.response_hist);
-        self.rotational_ms.sync_hist(&mut self.rotational_hist);
-        self.response_hist
-            .merge(&other.response_time_ms.synced_hist(&other.response_hist));
-        self.rotational_hist
-            .merge(&other.rotational_ms.synced_hist(&other.rotational_hist));
-        self.response_time_ms.merge(&other.response_time_ms);
-        self.rotational_ms.merge(&other.rotational_ms);
-        self.seek_ms.merge(&other.seek_ms);
-        self.nonzero_seeks += other.nonzero_seeks;
-        self.media_accesses += other.media_accesses;
-        self.cache_hits += other.cache_hits;
-        self.completed += other.completed;
-        self.modes.merge(&other.modes);
-        if self.per_actuator.len() < other.per_actuator.len() {
-            self.per_actuator.resize(other.per_actuator.len(), 0);
-        }
-        for (a, b) in self.per_actuator.iter_mut().zip(&other.per_actuator) {
-            *a += b;
         }
     }
 }
@@ -468,20 +437,5 @@ mod tests {
         assert_eq!(m.response_time_ms.count(), 200);
         let p90 = m.response_time_ms.percentile(90.0);
         assert!(p90 > 0.0 && p90 <= m.response_time_ms.max());
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = DriveMetrics::new(1);
-        let mut b = DriveMetrics::new(1);
-        a.record(&done(5.0, 1.0, 1.0, false));
-        b.record(&done(7.0, 2.0, 0.0, false));
-        a.merge(&b);
-        assert_eq!(a.completed, 2);
-        assert_eq!(a.media_accesses, 2);
-        assert_eq!(a.response_hist.total(), 2);
-        assert_eq!(a.response_time_ms.count(), 2);
-        assert!(a.response_time_ms.is_exact());
-        assert_eq!(a.response_time_ms.max(), 7.0);
     }
 }

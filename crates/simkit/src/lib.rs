@@ -71,6 +71,6 @@ pub use event::{
 pub use pool::{Slab, SlotId};
 pub use rng::Rng64;
 pub use stats::{
-    Cdf, Histogram, ModeAccumulator, Pdf, ResponseStats, StatsMode, StreamingHistogram,
+    Cdf, Histogram, MeanMax, ModeAccumulator, Pdf, ResponseStats, StatsMode, StreamingHistogram,
 };
 pub use time::{SimDuration, SimTime};

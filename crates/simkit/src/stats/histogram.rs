@@ -152,18 +152,6 @@ impl Histogram {
             mass,
         }
     }
-
-    /// Merges another histogram with identical edges into this one.
-    ///
-    /// # Panics
-    /// Panics if the edges differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.edges, other.edges, "incompatible histogram edges");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
 }
 
 /// A cumulative distribution sampled at fixed edges.
@@ -309,17 +297,6 @@ mod tests {
         }
         assert!(fast.cdf().dominates(&slow.cdf(), 0.0));
         assert!(!slow.cdf().dominates(&fast.cdf(), 0.0));
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(&[1.0]);
-        let mut b = Histogram::new(&[1.0]);
-        a.record(0.5);
-        b.record(2.0);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 1]);
-        assert_eq!(a.total(), 2);
     }
 
     #[test]

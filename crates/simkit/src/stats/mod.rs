@@ -3,12 +3,14 @@
 //! operating-mode accounting for power attribution.
 
 mod histogram;
+mod meanmax;
 mod response;
 mod streamhist;
 mod summary;
 mod timeweight;
 
 pub use histogram::{Cdf, Histogram, Pdf};
+pub use meanmax::MeanMax;
 pub use response::{ResponseStats, StatsMode};
 pub use streamhist::StreamingHistogram;
 // `Summary` stays reachable as `stats::Summary` for oracle use (the

@@ -1,14 +1,13 @@
 //! [`ResponseStats`]: the response-time accumulator of the data plane.
 //!
-//! Every simulator component that used to hold a raw
-//! [`Summary`](super::Summary) now holds a `ResponseStats`, which runs
-//! in one of two modes:
+//! Every simulator component that records response times holds a
+//! `ResponseStats`, which runs in one of two modes:
 //!
 //! * [`StatsMode::Exact`] — the sample store: a [`Summary`] that keeps
 //!   every sample (exact percentiles), plus views derived from it. This
 //!   is the oracle mode and the default: every report the `repro`
 //!   binary prints keeps its byte-identical output because percentile
-//!   and moment reads delegate straight to the wrapped `Summary`. A
+//!   and mean reads delegate straight to the wrapped `Summary`. A
 //!   record only stores the sample; [`finalize`](ResponseStats::finalize)
 //!   sorts the store once and fills the streaming histogram from it in
 //!   one merge pass, and [`record_binned`](ResponseStats::record_binned)
@@ -17,10 +16,10 @@
 //!   sample into them, and every read taken before `finalize` derives
 //!   them on the spot, so no reader can tell.
 //! * [`StatsMode::Streaming`] — keeps only the bounded-memory
-//!   [`StreamingHistogram`](super::StreamingHistogram) plus exact
-//!   moments (count/sum/min/max and a Welford variance accumulator).
-//!   Memory is O(buckets) regardless of run length, which is what lets
-//!   a 10⁸-request replay finish in a fixed RSS budget. Percentiles
+//!   [`StreamingHistogram`](super::StreamingHistogram), which tracks
+//!   count, sum, min and max exactly. Memory is O(buckets) regardless
+//!   of run length, which is what lets a 10⁸-request replay finish in
+//!   a fixed RSS budget. Percentiles
 //!   carry the histogram's documented relative-error bound (1% by
 //!   default).
 //!
@@ -44,15 +43,15 @@ pub enum StatsMode {
     /// Keep every sample: exact percentiles, O(samples) memory.
     #[default]
     Exact,
-    /// Bounded memory: streaming histogram + exact moments.
+    /// Bounded memory: streaming histogram with exact count, sum and
+    /// extremes.
     Streaming,
 }
 
 /// Response-time statistics with a selectable exact/streaming backend.
 ///
-/// The accessor surface mirrors the old `Summary` API (`record`,
-/// `count`, `mean`, `min`, `max`, `percentile`, `stddev`, `finalize`)
-/// so a field-type migration is source-compatible; the streaming view
+/// The accessor surface mirrors [`Summary`]'s (`record`, `count`,
+/// `mean`, `min`, `max`, `percentile`, `finalize`); the streaming view
 /// is always available through [`percentile_stream`] and [`stream`].
 ///
 /// [`percentile_stream`]: ResponseStats::percentile_stream
@@ -66,9 +65,6 @@ pub struct ResponseStats {
     /// exact mode derives it from the samples, and it is up to date
     /// exactly when its count equals theirs (see [`Self::synced`]).
     stream: StreamingHistogram,
-    /// Welford running mean and M2, for streaming-mode stddev.
-    welford_mean: f64,
-    welford_m2: f64,
 }
 
 impl ResponseStats {
@@ -90,8 +86,6 @@ impl ResponseStats {
                 StatsMode::Streaming => None,
             },
             stream: StreamingHistogram::new(),
-            welford_mean: 0.0,
-            welford_m2: 0.0,
         }
     }
 
@@ -112,11 +106,9 @@ impl ResponseStats {
     /// Records one sample.
     ///
     /// # Panics
-    /// Panics, in either mode, if `value` is NaN, negative or infinite
-    /// (response times are finite and non-negative; anything else is an
-    /// upstream unit bug, and an infinite sample would turn the Welford
-    /// moments, and with them the streaming-mode
-    /// [`stddev`](Self::stddev), into NaN).
+    /// Panics, in either mode, if `value` is NaN, negative or infinite:
+    /// response times are finite and non-negative, and anything else is
+    /// an upstream unit bug.
     // Hot path: per-completion stats path.
     #[inline]
     pub fn record(&mut self, value: f64) {
@@ -124,20 +116,13 @@ impl ResponseStats {
             (0.0..f64::INFINITY).contains(&value),
             "negative, infinite or NaN sample: {value}"
         );
-        let n = match self.exact.as_mut() {
+        match self.exact.as_mut() {
             Some(s) => {
                 s.record(value);
                 self.stream.defer_record();
-                s.count()
             }
-            None => {
-                self.stream.record(value);
-                self.stream.count() as usize
-            }
-        };
-        let delta = value - self.welford_mean;
-        self.welford_mean += delta / n as f64;
-        self.welford_m2 += delta * (value - self.welford_mean);
+            None => self.stream.record(value),
+        }
     }
 
     /// Records one sample here and counts it in `hist`, a fixed-edge
@@ -164,20 +149,6 @@ impl ResponseStats {
             if hist.total() != s.count() as u64 {
                 hist.fill(s.samples(), s.is_sorted());
             }
-        }
-    }
-
-    /// `hist`, which [`record_binned`](Self::record_binned) fed every
-    /// sample of this accumulator, as it would be if synced — borrowed
-    /// when it already is.
-    pub fn synced_hist<'h>(&self, hist: &'h Histogram) -> Cow<'h, Histogram> {
-        match &self.exact {
-            Some(s) if hist.total() != s.count() as u64 => {
-                let mut view = hist.clone();
-                view.fill(s.samples(), s.is_sorted());
-                Cow::Owned(view)
-            }
-            _ => Cow::Borrowed(hist),
         }
     }
 
@@ -247,23 +218,6 @@ impl ResponseStats {
         self.stream().percentile(p)
     }
 
-    /// Sample standard deviation, or 0 with fewer than two samples.
-    /// Exact mode delegates to the sample store; streaming mode uses
-    /// the Welford accumulator (numerically stable, single pass).
-    pub fn stddev(&self) -> f64 {
-        match &self.exact {
-            Some(s) => s.stddev(),
-            None => {
-                let n = self.stream.count();
-                if n < 2 {
-                    0.0
-                } else {
-                    (self.welford_m2 / (n - 1) as f64).sqrt()
-                }
-            }
-        }
-    }
-
     /// The relative-error bound of streaming-percentile reads.
     pub fn relative_error(&self) -> f64 {
         self.stream.relative_error()
@@ -282,8 +236,8 @@ impl ResponseStats {
 
     /// True if the streaming view is up to date: always in streaming
     /// mode, and in exact mode when it counts every sample. The view
-    /// is only ever derived from all the samples or merged from views
-    /// that were, so a full count means a full view.
+    /// is only ever derived from all the samples, so a full count means
+    /// a full view.
     fn synced(&self) -> bool {
         self.exact
             .as_ref()
@@ -319,52 +273,13 @@ impl ResponseStats {
             _ => Cow::Borrowed(&self.stream),
         }
     }
-
-    /// Merges another accumulator into this one. The streaming view
-    /// merges exactly (counts, min/max, totals); the exact store
-    /// survives only if *both* sides carry one — merging a streaming
-    /// accumulator demotes the result to streaming, because the exact
-    /// percentiles can no longer be reconstructed.
-    pub fn merge(&mut self, other: &ResponseStats) {
-        // Chan's parallel-variance update, computed before the counts
-        // move.
-        let (na, nb) = (self.count(), other.count());
-        if nb > 0 {
-            if na == 0 {
-                self.welford_mean = other.welford_mean;
-                self.welford_m2 = other.welford_m2;
-            } else {
-                let (na, nb) = (na as f64, nb as f64);
-                let delta = other.welford_mean - self.welford_mean;
-                self.welford_mean = (na * self.welford_mean + nb * other.welford_mean) / (na + nb);
-                self.welford_m2 += other.welford_m2 + delta * delta * na * nb / (na + nb);
-            }
-        }
-        match (&mut self.exact, &other.exact) {
-            (Some(a), Some(b)) => {
-                // Lagging views stay lagging (their counts fall short),
-                // so the next sync rederives the merged view whole.
-                a.merge(b);
-                self.stream.merge(&other.stream);
-            }
-            _ => {
-                // The samples go: both views must be whole first.
-                self.sync();
-                self.stream.merge(&other.stream());
-                self.exact = None;
-            }
-        }
-    }
 }
 
 /// Equal samples (and, in exact mode, sample order) give equal stats,
 /// whether or not either side's streaming view has been derived yet.
 impl PartialEq for ResponseStats {
     fn eq(&self, other: &Self) -> bool {
-        self.exact == other.exact
-            && self.welford_mean == other.welford_mean
-            && self.welford_m2 == other.welford_m2
-            && self.stream() == other.stream()
+        self.exact == other.exact && self.stream() == other.stream()
     }
 }
 
@@ -409,7 +324,6 @@ mod tests {
         assert_eq!(r.mean(), s.mean());
         assert_eq!(r.min(), s.min());
         assert_eq!(r.max(), s.max());
-        assert_eq!(r.stddev(), s.stddev());
         for p in [1.0, 50.0, 90.0, 99.0, 100.0] {
             assert_eq!(r.percentile(p), s.percentile(p), "p{p}");
         }
@@ -436,8 +350,6 @@ mod tests {
                 "p{p}: stream {s} vs exact {e}"
             );
         }
-        // stddev agrees to float tolerance (Welford vs two-pass).
-        assert!((stream.stddev() - exact.stddev()).abs() / exact.stddev() < 1e-9);
     }
 
     #[test]
@@ -458,60 +370,7 @@ mod tests {
             assert_eq!(r.min(), 0.0);
             assert_eq!(r.max(), 0.0);
             assert_eq!(r.percentile(90.0), 0.0);
-            assert_eq!(r.stddev(), 0.0);
         }
-    }
-
-    #[test]
-    fn merge_exact_pair_stays_exact() {
-        let mut a = ResponseStats::exact();
-        let mut b = ResponseStats::exact();
-        let mut whole = ResponseStats::exact();
-        for (i, v) in latency_mix(2_000).enumerate() {
-            if i % 2 == 0 {
-                a.record(v)
-            } else {
-                b.record(v)
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert!(a.is_exact());
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.percentile(90.0), whole.percentile(90.0));
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_streaming_demotes() {
-        let mut a = ResponseStats::exact();
-        let mut b = ResponseStats::streaming();
-        for v in latency_mix(100) {
-            a.record(v);
-            b.record(v * 2.0);
-        }
-        a.merge(&b);
-        assert_eq!(a.mode(), StatsMode::Streaming);
-        assert_eq!(a.count(), 200);
-    }
-
-    #[test]
-    fn merge_variance_matches_single_stream() {
-        let mut a = ResponseStats::streaming();
-        let mut b = ResponseStats::streaming();
-        let mut whole = ResponseStats::streaming();
-        for (i, v) in latency_mix(3_000).enumerate() {
-            if i % 3 == 0 {
-                a.record(v)
-            } else {
-                b.record(v)
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert!((a.stddev() - whole.stddev()).abs() / whole.stddev() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! over the edges. The histogram is therefore a pure function of its
 //! sample multiset. Counts (and therefore percentiles, min, max, total) are
 //! order-independent; only `sum` (and thus `mean`) depends on the
-//! insertion order of float additions, which the deterministic
-//! plan-order reduction of parallel sweeps fixes.
+//! insertion order of float additions, which a run's record order
+//! fixes.
 
 use std::sync::{Arc, OnceLock};
 
@@ -306,19 +306,6 @@ impl StreamingHistogram {
         }
         out
     }
-
-    /// Merges another histogram into this one. Counts, totals, min/max
-    /// merge exactly; `sum` (and so `mean`) is subject to float-addition
-    /// ordering, which plan-order sweep reduction makes deterministic.
-    pub fn merge(&mut self, other: &StreamingHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// The bucket layout every histogram shares: the edge table and its
@@ -507,29 +494,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), 0.0);
         h.record(5e7); // far above cap
         assert_eq!(h.percentile(100.0), 5e7);
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let mut a = StreamingHistogram::new();
-        let mut b = StreamingHistogram::new();
-        let mut whole = StreamingHistogram::new();
-        for i in 0..1000u64 {
-            let v = 0.5 + (i as f64) * 0.37;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        for p in [10.0, 50.0, 90.0, 99.0] {
-            assert_eq!(a.percentile(p), whole.percentile(p), "p{p}");
-        }
     }
 
     #[test]

@@ -79,19 +79,6 @@ impl Summary {
         self.sorted = false;
     }
 
-    /// Merges another summary's samples into this one (exact: the
-    /// result is as if every sample had been recorded here).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.samples.is_empty() {
-            return;
-        }
-        self.samples.extend_from_slice(&other.samples);
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sorted = false;
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> usize {
         self.samples.len()
@@ -193,17 +180,6 @@ impl Summary {
             scratch[idx]
         }
     }
-
-    /// Sample standard deviation, or 0 if fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
 }
 
 /// Sorts `v` ascending in [`f64::total_cmp`] order.
@@ -253,7 +229,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.percentile(90.0), 0.0);
-        assert_eq!(s.stddev(), 0.0);
     }
 
     #[test]
@@ -300,25 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn stddev_of_constant_is_zero() {
-        let mut s = Summary::new();
-        for _ in 0..10 {
-            s.record(4.2);
-        }
-        assert!(s.stddev().abs() < 1e-12);
-    }
-
-    #[test]
-    fn stddev_known_value() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        // Sample stddev of this classic dataset is ~2.138.
-        assert!((s.stddev() - 2.138).abs() < 0.01);
-    }
-
-    #[test]
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         Summary::new().record(f64::NAN);
@@ -340,27 +296,6 @@ mod tests {
         s.record(5.0);
         assert_eq!(s.min(), 5.0);
         assert_eq!(s.max(), 5.0);
-    }
-
-    #[test]
-    fn merge_is_exact() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut whole = Summary::new();
-        for i in 0..100 {
-            let v = (i as f64) * 0.7 - 10.0;
-            if i % 2 == 0 {
-                a.record(v)
-            } else {
-                b.record(v)
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-        assert_eq!(a.percentile(90.0), whole.percentile(90.0));
     }
 
     #[test]

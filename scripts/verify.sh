@@ -32,7 +32,11 @@
 # gitignored), the
 # bounded-RSS gate (a 10^7-request streaming-stats run must stay under
 # a fixed memory budget, proving request count never reaches peak
-# memory), the stats-mode gate (a 2*10^5-request SA(4) `repro scale`
+# memory), the exact-mode RSS gate (a 10^6-request SA(4) `repro scale
+# --stats exact --jobs 1` must stay under 16384 kB: one 8 MB sample
+# store of response times plus a few MB of baseline, so a copy of the
+# metrics at the end of a run or a second sample store fails it), the
+# stats-mode gate (a 2*10^5-request SA(4) `repro scale`
 # must print the same `completed | mean | p90(stream)` line with exact
 # and with streaming stats: exact mode's sketch, derived from its kept
 # samples, equals the one streaming mode records; and `repro drpm`, whose
@@ -201,6 +205,19 @@ rss_kb=$(sed -n 's/^\[max-rss-kb: \([0-9]*\)\]$/\1/p' "$sweep_dir/scale.err")
 echo "    max RSS ${rss_kb} kB"
 test -n "$rss_kb" && test "$rss_kb" -le 65536 \
   || { echo "streaming 10^7 run exceeded the 65536 kB RSS budget" >&2; exit 1; }
+
+echo "==> gate: exact-mode 10^6-request SA(4) run keeps one sample store (budget 16384 kB)"
+# Exact mode keeps every response time (8 bytes each) and nothing else
+# per request: rotational and seek times keep only a sum, a count and a
+# maximum, and the report takes the run's metrics rather than a copy.
+# One thread, so the split replay's second worker adds nothing.
+target/release/repro scale --requests 1000000 --actuators 4 --stats exact --jobs 1 \
+  > "$sweep_dir/scale-exact-rss.out" 2> "$sweep_dir/scale-exact-rss.err"
+grep -q "completed 1000000" "$sweep_dir/scale-exact-rss.out"
+rss_kb=$(sed -n 's/^\[max-rss-kb: \([0-9]*\)\]$/\1/p' "$sweep_dir/scale-exact-rss.err")
+echo "    max RSS ${rss_kb} kB"
+test -n "$rss_kb" && test "$rss_kb" -le 16384 \
+  || { echo "exact 10^6 run exceeded the 16384 kB RSS budget" >&2; exit 1; }
 
 echo "==> gate: scale streamed view and drpm table identical under exact and streaming stats"
 # Exact mode keeps every sample and derives its streaming sketch from

@@ -574,60 +574,6 @@ fn response_stats_stream_p90_within_one_percent_of_exact() {
     );
 }
 
-#[test]
-fn response_stats_merge_matches_single_stream() {
-    check("response_stats_merge_matches_single_stream", |t| {
-        use simkit::{ResponseStats, StatsMode};
-        let xs = t.draw(&gen::vec_of(gen::f64_in(0.001, 90_000.0), 0..=120));
-        let ys = t.draw(&gen::vec_of(gen::f64_in(0.001, 90_000.0), 0..=120));
-        let modes = [StatsMode::Exact, StatsMode::Streaming];
-        for (ma, mb) in modes
-            .iter()
-            .flat_map(|&a| modes.iter().map(move |&b| (a, b)))
-        {
-            let fill = |mode: StatsMode, vals: &[f64]| {
-                let mut s = ResponseStats::with_mode(mode);
-                for v in vals {
-                    s.record(*v);
-                }
-                s
-            };
-            let mut merged = fill(ma, &xs);
-            merged.merge(&fill(mb, &ys));
-            let mut whole = fill(
-                if merged.is_exact() {
-                    ma
-                } else {
-                    StatsMode::Streaming
-                },
-                &xs,
-            );
-            for v in &ys {
-                whole.record(*v);
-            }
-            // Counts, extremes, and the streamed histogram state agree
-            // exactly; mean/stddev within float tolerance (Welford
-            // merge reassociates the arithmetic).
-            assert_eq!(merged.count(), whole.count(), "{ma:?}+{mb:?}");
-            assert_eq!(merged.min(), whole.min());
-            assert_eq!(merged.max(), whole.max());
-            assert_eq!(
-                merged.is_exact(),
-                ma == StatsMode::Exact && mb == StatsMode::Exact
-            );
-            assert!((merged.mean() - whole.mean()).abs() <= whole.mean().abs() * 1e-9 + 1e-9);
-            assert!((merged.stddev() - whole.stddev()).abs() <= whole.stddev().abs() * 1e-6 + 1e-6);
-            for p in [50.0, 90.0, 99.0] {
-                assert_eq!(
-                    merged.percentile_stream(p),
-                    whole.percentile_stream(p),
-                    "{ma:?}+{mb:?} p{p}"
-                );
-            }
-        }
-    });
-}
-
 /// A sample stream that lands on every boundary the derived views
 /// bucket by: zeros of both signs, repeats, the paper's CDF and PDF
 /// edges, the streaming sketch's own edges and the values just past
@@ -673,18 +619,14 @@ fn arb_boundary_samples() -> Gen<Vec<f64>> {
 
 /// Exact-mode stats derive their streaming view from the kept samples;
 /// a streaming-mode accumulator records into it. Both must read back
-/// bit-identically at every stage: before and after finalize, after a
-/// record that follows finalize, and after exact+exact and
-/// exact+streaming merges.
+/// bit-identically at every stage: before and after finalize, and after
+/// a record that follows finalize.
 #[test]
 fn response_stats_derived_views_equal_recorded_views() {
     check("response_stats_derived_views_equal_recorded_views", |t| {
         use simkit::ResponseStats;
         let xs = t.draw(&arb_boundary_samples());
-        let ys = t.draw(&arb_boundary_samples());
-        let zs = t.draw(&arb_boundary_samples());
         let late = t.draw(&gen::f64_in(0.0, 300.0));
-        let finalize_other = t.draw(&gen::bool_any());
         let fill = |mut s: ResponseStats, vals: &[f64]| {
             for &v in vals {
                 s.record(v);
@@ -693,14 +635,6 @@ fn response_stats_derived_views_equal_recorded_views() {
         };
         let same = |stage: &str, e: &ResponseStats, s: &ResponseStats| {
             assert_eq!(*e.stream(), *s.stream(), "{stage}: stream()");
-            // Exact mode reads `stddev` from its samples; demoted to
-            // streaming, both sides read it from their Welford moments.
-            let welford = |r: &ResponseStats| {
-                let mut r = r.clone();
-                r.merge(&ResponseStats::streaming());
-                r.stddev().to_bits()
-            };
-            assert_eq!(welford(e), welford(s), "{stage}: Welford stddev");
             assert_eq!(e.count(), s.count(), "{stage}: count");
             assert_eq!(e.is_empty(), s.is_empty(), "{stage}: is_empty");
             assert_eq!(e.mean().to_bits(), s.mean().to_bits(), "{stage}: mean");
@@ -723,40 +657,42 @@ fn response_stats_derived_views_equal_recorded_views() {
         e.record(late);
         s.record(late);
         same("record after finalize", &e, &s);
-
-        let mut other = fill(ResponseStats::exact(), &ys);
-        if finalize_other {
-            other.finalize();
-        }
-        e.merge(&other);
-        s.merge(&fill(ResponseStats::streaming(), &ys));
-        assert!(e.is_exact());
-        same("exact + exact merge", &e, &s);
-        e.finalize();
-        same("exact + exact merge, finalized", &e, &s);
-
-        let demoting = fill(ResponseStats::streaming(), &zs);
-        e.record(late);
-        s.record(late);
-        e.merge(&demoting);
-        s.merge(&demoting);
-        assert!(!e.is_exact());
-        same("exact + streaming merge", &e, &s);
-        // And the other way round: a streaming side absorbing an exact
-        // one that was never finalized.
-        let mut st = fill(ResponseStats::streaming(), &ys);
-        let mut st2 = st.clone();
-        st.merge(&fill(ResponseStats::exact(), &zs));
-        st2.merge(&fill(ResponseStats::streaming(), &zs));
-        same("streaming + exact merge", &st, &st2);
     });
 }
 
-/// Exact-mode `DriveMetrics` fill their fixed-edge histograms from the
+/// `MeanMax` adds each sample in record order as both `ResponseStats`
+/// modes do, so its mean, max and count read back bit-equal to theirs,
+/// empty included.
+#[test]
+fn mean_max_reads_equal_response_stats_reads() {
+    check("mean_max_reads_equal_response_stats_reads", |t| {
+        use simkit::{MeanMax, ResponseStats};
+        let xs = t.draw(&arb_boundary_samples());
+        let same = |stage: &str, acc: &MeanMax, e: &ResponseStats, s: &ResponseStats| {
+            for (mode, r) in [("exact", e), ("streaming", s)] {
+                let at = format!("{stage}, {mode}");
+                assert_eq!(acc.mean().to_bits(), r.mean().to_bits(), "{at}: mean");
+                assert_eq!(acc.max().to_bits(), r.max().to_bits(), "{at}: max");
+                assert_eq!(acc.count(), r.count() as u64, "{at}: count");
+            }
+        };
+        let mut acc = MeanMax::new();
+        let (mut e, mut s) = (ResponseStats::exact(), ResponseStats::streaming());
+        same("empty", &acc, &e, &s);
+        for &v in &xs {
+            acc.record(v);
+            e.record(v);
+            s.record(v);
+        }
+        same("recorded", &acc, &e, &s);
+    });
+}
+
+/// Exact-mode `DriveMetrics` fill their response-time histogram from the
 /// sorted samples at finalize; streaming mode buckets each completion.
 /// Fed the same completions — response and rotational times on the
-/// paper's edges included — the histograms are identical, after
-/// finalize and after a merge.
+/// paper's edges included — the histograms are identical after
+/// finalize.
 #[test]
 fn drive_metrics_histograms_equal_across_stats_modes() {
     check("drive_metrics_histograms_equal_across_stats_modes", |t| {
@@ -787,7 +723,6 @@ fn drive_metrics_histograms_equal_across_stats_modes() {
             0..=120,
         );
         let first = t.draw(&io);
-        let second = t.draw(&io);
         let done = |&(rt, rot, hit): &(f64, f64, bool)| {
             let arrival = SimTime::from_millis(1.0);
             CompletedIo {
@@ -823,16 +758,6 @@ fn drive_metrics_histograms_equal_across_stats_modes() {
         exact.finalize();
         stream.finalize();
         same("after finalize", &exact, &stream);
-        let mut merged = fill(StatsMode::Exact, &first);
-        merged.merge(&fill(StatsMode::Exact, &second));
-        let mut stream_merged = fill(StatsMode::Streaming, &first);
-        stream_merged.merge(&fill(StatsMode::Streaming, &second));
-        same("after exact + exact merge", &merged, &stream_merged);
-        merged.finalize();
-        same("after merge, finalized", &merged, &stream_merged);
-        exact.merge(&fill(StatsMode::Streaming, &second));
-        stream.merge(&fill(StatsMode::Streaming, &second));
-        same("after exact + streaming merge", &exact, &stream);
     });
 }
 
@@ -874,50 +799,6 @@ fn request_source_skip_matches_pull_and_discard() {
                 break;
             }
         }
-    });
-}
-
-#[test]
-fn streamhist_merge_is_associative_and_commutative() {
-    check("streamhist_merge_is_associative_and_commutative", |t| {
-        use simkit::StreamingHistogram;
-        let xs = t.draw(&gen::vec_of(gen::f64_in(0.001, 100_000.0), 0..=100));
-        let ys = t.draw(&gen::vec_of(gen::f64_in(0.001, 100_000.0), 0..=100));
-        let zs = t.draw(&gen::vec_of(gen::f64_in(0.001, 100_000.0), 0..=100));
-        let hist = |vals: &[f64]| {
-            let mut h = StreamingHistogram::new();
-            for v in vals {
-                h.record(*v);
-            }
-            h
-        };
-        // Bucket counts add exactly, so any merge order must agree on
-        // counts, bounds, and every percentile. Compare via the Debug
-        // view of the nonzero buckets plus min/max: bucket bounds are
-        // pure functions of the bucket index.
-        let view = |h: &StreamingHistogram| {
-            format!(
-                "{:?} n={} min={} max={} p50={} p99={}",
-                h.nonzero_buckets(),
-                h.count(),
-                h.min(),
-                h.max(),
-                h.percentile(50.0),
-                h.percentile(99.0)
-            )
-        };
-        let mut left = hist(&xs);
-        left.merge(&hist(&ys));
-        left.merge(&hist(&zs));
-        let mut yz = hist(&ys);
-        yz.merge(&hist(&zs));
-        let mut right = hist(&xs);
-        right.merge(&yz);
-        assert_eq!(view(&left), view(&right), "merge is not associative");
-        let mut flipped = hist(&ys);
-        flipped.merge(&hist(&xs));
-        flipped.merge(&hist(&zs));
-        assert_eq!(view(&left), view(&flipped), "merge is not commutative");
     });
 }
 
